@@ -47,8 +47,7 @@ def main():
     for name, spec in models.items():
         fc = forecast(spec, obs, horizon_steps=horizon_steps)
         print(f"  {name}:")
-        for i, br in enumerate(fc.branches):
-            end = br.points[-1]
+        for i, end in enumerate(fc.points(fc.end_frame)):
             err = np.linalg.norm(end - truth)
             print(f"    branch {i}: endpoint ({end[0]:+.2f}, {end[1]:+.2f}), off by {err:.2f} m")
 

@@ -14,7 +14,6 @@ from .config import RunConfig, config_from_dict, read_config, write_config
 from .egomotion import EgomotionTrack, estimate_egomotion
 from .errors import (
     BevTrackError,
-    DeadForecast,
     DegenerateInput,
     HorizonInsideFootprint,
     InvalidScenario,
@@ -39,7 +38,6 @@ from .evaluation import (
 )
 from .forecast import (
     Forecast,
-    ForecastBranch,
     MotionModelSpec,
     ObservedTrajectory,
     forecast,
@@ -88,13 +86,11 @@ __all__ = [
     "BevTrackError",
     "CameraSpec",
     "DEFAULT_BUCKETS",
-    "DeadForecast",
     "DegenerateInput",
     "Detection",
     "EgomotionTrack",
     "EvalReport",
     "Forecast",
-    "ForecastBranch",
     "GroundPlane",
     "Homography",
     "HomographyFit",

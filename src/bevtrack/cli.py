@@ -231,6 +231,9 @@ def _load_tracker_inputs(args, cfg: RunConfig):
                 f"{args.appearance}: {len(appearance)} descriptor rows for "
                 f"{len(records)} detections"
             )
+        for row, vec in enumerate(appearance, start=1):
+            if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-6:
+                raise ParseError(f"{args.appearance}:{row}: descriptor is not unit length")
     ego = mot_io.read_ego(args.ego) if args.ego else None
     return lh, records, appearance, ego
 
@@ -332,17 +335,16 @@ def _cmd_forecast(args) -> int:
                 obs_noise=cfg.obs_noise,
             )
             fc = run_forecast(model, obs, steps)
+            frames = list(range(fc.created_frame + 1, fc.end_frame + 1))
+            branch_pts = np.stack([fc.points(fr) for fr in frames], axis=1)  # (k, n, 2)
             f.write(
                 json.dumps(
                     {
                         "id": tid,
                         "created_frame": fc.created_frame,
                         "branches": [
-                            {
-                                "frames": [int(x) for x in br.frames],
-                                "points": [[float(a), float(b)] for a, b in br.points],
-                            }
-                            for br in fc.branches
+                            {"frames": frames, "points": [[float(a), float(b)] for a, b in pts]}
+                            for pts in branch_pts
                         ],
                     },
                     sort_keys=True,

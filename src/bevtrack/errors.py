@@ -13,10 +13,6 @@ class OutOfDomain(BevTrackError):
     """A BEV point has no pixel preimage (behind the horizon, outside the linear range)."""
 
 
-class DeadForecast(BevTrackError):
-    """advance() was called on a forecast with no alive branches left."""
-
-
 class NonMonotonicFrame(BevTrackError):
     """Tracker received a frame index not strictly greater than the last one."""
 

@@ -304,16 +304,11 @@ def fde(
                     f"no ground truth for id {aid} at frame {target}"
                 )
             gt = np.asarray(gt_positions[key], dtype=float)
-            best = None
-            for br in fc.branches:
-                if steps <= len(br.points):
-                    d = float(np.linalg.norm(br.points[steps - 1] - gt))
-                    best = d if best is None or d < best else best
-            if best is None:
+            if target > fc.end_frame:
                 raise MissingGroundTruth(
                     f"forecast for id {aid} is shorter than horizon {h}s"
                 )
-            errs.append(best)
+            errs.append(min(float(np.linalg.norm(p - gt)) for p in fc.points(target)))
         out[float(h)] = float(np.mean(errs)) if errs else float("nan")
     return out
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import RunConfig
 from .evaluation import EvalReport, RecallBucket, evaluate_tracking
-from .forecast import Forecast
 from .homography import Homography, HomographyFit, estimate_homography
 from .linearized import LinearizedHomography, linearize
 from .plane import GroundPlane, align_to_xy, fit_ground_plane

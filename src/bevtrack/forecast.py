@@ -3,20 +3,19 @@
 A raw track history (irregular frames, pixel noise) is resampled onto a
 uniform step grid ending at the last observation and smoothed with a
 constant-velocity Kalman filter plus RTS pass. Motion models then emit k
-forecast branches covering every future frame up to the horizon; the tracker
-consumes them one frame at a time through a shared cursor and never re-seeds
-a forecast mid-occlusion. Branches only disappear by being pruned or by the
-cursor running past their end.
+constant-velocity forecast branches, each an origin plus a velocity, valid up
+to the horizon's end frame. The tracker never re-seeds a forecast
+mid-occlusion; branches only disappear by being pruned, and the whole
+forecast dies once the frame passes its end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeadForecast
 from .smoothing import smooth_constant_velocity
 
 MOTION_KINDS = ("static", "kalman_cv", "fan")
@@ -138,110 +137,71 @@ class MotionModelSpec:
 
 
 @dataclass
-class ForecastBranch:
-    """One predicted trajectory: BEV points with per-frame indices."""
+class Forecast:
+    """k constant-velocity branches leaving one origin at created_frame.
 
-    points: np.ndarray  # (N, 2)
-    frames: np.ndarray  # (N,) strictly increasing, uniform spacing
-    alive: bool = True
-    visible_streak: int = 0  # consecutive frames spent in visible freespace
+    Branch b sits at origin + ((f - created_frame) / fps) * velocities[b] at
+    every frame created_frame < f <= end_frame. alive and visible_streak are
+    the per-branch pruning state the tracker updates; they default to all
+    alive with zero streaks.
+    """
+
+    origin: np.ndarray  # (2,) BEV point at created_frame
+    velocities: np.ndarray  # (k, 2) m/s
+    created_frame: int
+    end_frame: int  # last frame the branches cover
+    fps: float
+    alive: np.ndarray = None  # (k,) bool
+    visible_streak: np.ndarray = None  # (k,) consecutive frames in visible freespace
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.frames = np.asarray(self.frames, dtype=int)
-        if len(self.points) != len(self.frames) or len(self.points) == 0:
-            raise ValueError("points and frames must be equal-length and non-empty")
-        d = np.diff(self.frames)
-        if len(d) and (np.any(d <= 0) or np.any(d != d[0])):
-            raise ValueError("frames must be strictly increasing with uniform spacing")
+        self.origin = np.asarray(self.origin, dtype=float)
+        self.velocities = np.asarray(self.velocities, dtype=float)
+        if self.origin.shape != (2,) or self.velocities.shape[1:] != (2,):
+            raise ValueError("origin must be (2,) and velocities (k, 2)")
+        k = len(self.velocities)
+        if k == 0:
+            raise ValueError("a forecast needs at least one branch")
+        if self.end_frame <= self.created_frame:
+            raise ValueError("end_frame must be after created_frame")
+        if self.fps <= 0:
+            raise ValueError("fps must be positive")
+        if self.alive is None:
+            self.alive = np.ones(k, dtype=bool)
+        if self.visible_streak is None:
+            self.visible_streak = np.zeros(k, dtype=int)
 
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass
-class Forecast:
-    """k branches sharing a single consumption cursor."""
-
-    branches: list[ForecastBranch]
-    created_frame: int
-    cursor: int = 0
-    dead: bool = field(default=False)
-
-    @property
-    def alive_branches(self) -> list[int]:
-        return [i for i, b in enumerate(self.branches) if b.alive]
-
-    def current_points(self) -> list[tuple[int, np.ndarray]]:
-        """(branch_index, point) for every alive branch at the current cursor."""
-        if self.cursor == 0:
-            return []
-        out = []
-        for i, b in enumerate(self.branches):
-            if b.alive and self.cursor <= len(b):
-                out.append((i, b.points[self.cursor - 1]))
-        return out
-
-    def current_frame(self) -> int:
-        return self.created_frame + self.cursor
-
-    def advance(self) -> list[tuple[int, np.ndarray]]:
-        """Move one frame along the predicted trajectories.
-
-        Returns (branch_index, point) for every branch still alive. A branch
-        whose points are exhausted dies; when nothing remains the forecast is
-        dead and DeadForecast is raised (also on any later call).
-        """
-        if self.dead:
-            raise DeadForecast("forecast has no alive branches")
-        self.cursor += 1
-        out = []
-        for i, b in enumerate(self.branches):
-            if not b.alive:
-                continue
-            if self.cursor > len(b):
-                b.alive = False
-                continue
-            out.append((i, b.points[self.cursor - 1]))
-        if not out:
-            self.dead = True
-            raise DeadForecast("forecast exhausted at cursor %d" % self.cursor)
-        return out
+    def points(self, frame: int) -> np.ndarray:
+        """(k, 2) BEV points of every branch, alive or not, at the given frame."""
+        return self.origin + ((frame - self.created_frame) / self.fps) * self.velocities
 
 
 def forecast(model: MotionModelSpec, obs: ObservedTrajectory, horizon_steps: int) -> Forecast:
     """Predict k branches covering every frame up to horizon_steps grid steps.
 
-    Model steps are computed on the dt grid and interpolated linearly onto
-    individual frames, so branch f spans frames last_frame+1 ..
-    last_frame + horizon_steps * (dt * fps).
+    Every model is constant velocity from the last smoothed point; the
+    branches cover frames last_frame+1 .. last_frame + horizon_steps * (dt * fps).
     """
     if horizon_steps < 1:
         raise ValueError("horizon_steps must be >= 1")
-    spf = obs.frames_per_step
-    n_frames = horizon_steps * spf
-    last_pt = obs.points[-1]
-    frames = obs.last_frame + 1 + np.arange(n_frames)
-    tsec = (np.arange(n_frames) + 1.0) / obs.fps  # seconds past the last observation
-
+    v = obs.velocities[-1]
     if model.kind == "static":
-        vels = [np.zeros(2)]
-    else:
-        v = obs.velocities[-1]
-        if model.kind == "kalman_cv":
-            vels = [v]
-        else:  # fan
-            vels = []
-            for ang in model.fan_angles:
-                a = math.radians(ang)
-                rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-                vels.append(rot @ v)
-
-    branches = [
-        ForecastBranch(points=last_pt + tsec[:, None] * vel[None, :], frames=frames.copy())
-        for vel in vels
-    ]
-    return Forecast(branches=branches, created_frame=obs.last_frame)
+        vels = np.zeros((1, 2))
+    elif model.kind == "kalman_cv":
+        vels = v[None, :]
+    else:  # fan
+        vels = []
+        for ang in model.fan_angles:
+            a = math.radians(ang)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            vels.append(rot @ v)
+    return Forecast(
+        origin=obs.points[-1],
+        velocities=np.array(vels),
+        created_frame=obs.last_frame,
+        end_frame=obs.last_frame + horizon_steps * obs.frames_per_step,
+        fps=obs.fps,
+    )
 
 
 def predicted_box(last_box, point: np.ndarray, lh, ego=None, frame: int = 0):

@@ -12,6 +12,7 @@ exactly (shortest repr that restores the value).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,9 +30,12 @@ def _fmt(x: float) -> str:
 
 def _parse_floats(parts: Sequence[str], path, lineno: int) -> list:
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as e:
         raise ParseError(f"{path}:{lineno}: {e}") from e
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"{path}:{lineno}: non-finite value")
+    return vals
 
 
 # -- detections / tracker outputs ----------------------------------------------------

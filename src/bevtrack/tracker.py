@@ -2,9 +2,9 @@
 
 The built-in base association (a stand-in for any upstream online tracker) is
 frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
-and are forecast forward in the BEV plane; at every frame the forecasts are
-advanced, pruned against visible freespace, and offered the unmatched
-detections through a gated geometric+appearance score solved as a
+and are forecast forward in the BEV plane; at every frame each forecast is
+evaluated at that frame, pruned against visible freespace, and offered the
+unmatched detections through a gated geometric+appearance score solved as a
 maximum-score assignment. Track ids are never reissued.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .boxes import PixelBox, iou
-from .errors import DeadForecast, NonMonotonicFrame, OutOfDomain
+from .errors import NonMonotonicFrame, OutOfDomain
 from .forecast import Forecast, MotionModelSpec, forecast, predicted_box, preprocess
 
 
@@ -129,8 +129,11 @@ class SceneModel:
 
 def _branch_boxes(track: Track, scene: SceneModel, frame: int):
     """(branch_index, point, predicted box or None) for alive branches."""
+    fc = track.forecast
     out = []
-    for bi, pt in track.forecast.current_points():
+    for bi, pt in enumerate(fc.points(frame)):
+        if not fc.alive[bi]:
+            continue
         try:
             pb = predicted_box(track.last_box, pt, scene.lh, ego=scene.ego, frame=frame)
         except OutOfDomain:
@@ -213,8 +216,8 @@ def prune_forecasts(
     exceeding tau_vis * fps kills the branch.
     """
     limit = thresholds.tau_vis * scene.fps
+    fc = track.forecast
     for bi, pt, pb in _branch_boxes(track, scene, frame):
-        branch = track.forecast.branches[bi]
         visible = scene.contains(pt) and pb is not None
         if visible:
             for det in detections:
@@ -222,11 +225,11 @@ def prune_forecasts(
                     visible = False
                     break
         if visible:
-            branch.visible_streak += 1
-            if branch.visible_streak > limit:
-                branch.alive = False
+            fc.visible_streak[bi] += 1
+            if fc.visible_streak[bi] > limit:
+                fc.alive[bi] = False
         else:
-            branch.visible_streak = 0
+            fc.visible_streak[bi] = 0
 
 
 @dataclass
@@ -354,19 +357,16 @@ class Tracker:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="terminated"))
 
-        # Advance, prune and expire the inactive set.
+        # Drop forecasts past their end, then prune and expire the inactive set.
         inactive = sorted((t for t in self.tracks.values() if not t.active), key=lambda t: t.id)
         survivors = []
         for tr in inactive:
-            try:
-                while tr.forecast.current_frame() < frame:
-                    tr.forecast.advance()
-            except DeadForecast:
+            if frame > tr.forecast.end_frame:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
             prune_forecasts(tr, self.scene, detections, frame, th)
-            if not tr.forecast.alive_branches:
+            if not tr.forecast.alive.any():
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_pruned"))
             elif frame - tr.last_frame > th.tau_max * self.scene.fps:

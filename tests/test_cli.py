@@ -276,6 +276,45 @@ class TestPipeline:
         assert d["idsw"] == 0
 
 
+class TestInputErrors:
+    def track_args(self, sim_dir, tmp_path, det, appearance=None):
+        args = [
+            "track",
+            "--det", str(det),
+            "--homography", os.path.join(sim_dir, "homography.txt"),
+            "--scenario", os.path.join(sim_dir, "scenario.json"),
+            "--out", str(tmp_path / "o"),
+        ]
+        if appearance is not None:
+            args += ["--appearance", str(appearance)]
+        return args
+
+    def test_non_finite_detection_is_code_1(self, sim_dir, tmp_path, capsys):
+        lines = open(os.path.join(sim_dir, "det.txt")).read().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "nan"
+        lines[3] = ",".join(fields)
+        det = tmp_path / "det.txt"
+        det.write_text("\n".join(lines) + "\n")
+        code = main(self.track_args(sim_dir, tmp_path, det))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {det}:4: non-finite value")
+        assert "Traceback" not in err
+
+    def test_non_unit_appearance_is_code_1(self, sim_dir, tmp_path, capsys):
+        rows = open(os.path.join(sim_dir, "appearance.txt")).read().splitlines()
+        rows[2] = " ".join(str(2.0 * float(x)) for x in rows[2].split())
+        app = tmp_path / "appearance.txt"
+        app.write_text("\n".join(rows) + "\n")
+        det = os.path.join(sim_dir, "det.txt")
+        code = main(self.track_args(sim_dir, tmp_path, det, appearance=app))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {app}:3: descriptor is not unit length")
+        assert "Traceback" not in err
+
+
 class TestArgumentErrors:
     def test_no_arguments_exits_2(self):
         with pytest.raises(SystemExit) as e:

@@ -20,7 +20,7 @@ from bevtrack.evaluation import (
     match_frames,
     occlusion_components,
 )
-from bevtrack.forecast import Forecast, ForecastBranch
+from bevtrack.forecast import Forecast
 
 
 def B(left, top=0.0, w=10.0, h=10.0):
@@ -251,42 +251,30 @@ class TestIdRecall:
 
 
 class TestFde:
-    def make_forecast(self, branch_endpoints, created=100, n=10):
-        branches = []
-        for end in branch_endpoints:
-            pts = np.linspace((0.0, 0.0), end, n)
-            branches.append(ForecastBranch(points=pts, frames=np.arange(created + 1, created + n + 1)))
-        return Forecast(branches=branches, created_frame=created)
+    def make_forecast(self, velocities, origin=(0.0, 0.0), created=100, n=10):
+        """Constant-velocity branches covering frames created+1 .. created+n at 10 fps."""
+        return Forecast(
+            origin=origin,
+            velocities=np.array(velocities, dtype=float),
+            created_frame=created,
+            end_frame=created + n,
+            fps=10.0,
+        )
 
     def test_single_branch_exact(self):
-        pts = np.stack([np.arange(1.0, 11.0), np.zeros(10)], axis=1)
-        fc = Forecast(
-            branches=[ForecastBranch(points=pts, frames=np.arange(101, 111))],
-            created_frame=100,
-        )
+        # 10 m/s from x=0: frame 100 + k sits at x=k, so x=10 at frame 110
+        fc = self.make_forecast([(10.0, 0.0)])
         out = fde({1: fc}, {(110, 1): np.array([7.0, 0.0])}, horizons=(1.0,), fps=10.0)
         assert out[1.0] == pytest.approx(3.0, abs=1e-12)  # |10 - 7|
 
     def test_min_over_branches(self):
-        pts_a = np.tile([5.0, 0.0], (10, 1))
-        pts_b = np.tile([1.0, 0.0], (10, 1))
-        fc = Forecast(
-            branches=[
-                ForecastBranch(points=pts_a, frames=np.arange(101, 111)),
-                ForecastBranch(points=pts_b, frames=np.arange(101, 111)),
-            ],
-            created_frame=100,
-        )
+        fc = self.make_forecast([(4.0, 0.0), (0.0, 0.0)], origin=(1.0, 0.0))
         out = fde({1: fc}, {(110, 1): np.array([0.0, 0.0])}, horizons=(1.0,), fps=10.0)
         assert out[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_over_identities(self):
         def fc_at(x):
-            pts = np.tile([x, 0.0], (10, 1))
-            return Forecast(
-                branches=[ForecastBranch(points=pts, frames=np.arange(101, 111))],
-                created_frame=100,
-            )
+            return self.make_forecast([(0.0, 0.0)], origin=(x, 0.0))
 
         gt = {(110, 1): np.zeros(2), (110, 2): np.zeros(2)}
         out = fde({1: fc_at(2.0), 2: fc_at(4.0)}, gt, horizons=(1.0,), fps=10.0)
@@ -365,9 +353,8 @@ class TestEvaluateTrackingAndReport:
 
     def test_fde_in_outputs(self, tmp_path):
         gt, hyp, vis = self.make_inputs()
-        pts = np.tile([2.0, 0.0], (10, 1))
         fc = Forecast(
-            branches=[ForecastBranch(points=pts, frames=np.arange(1, 11))], created_frame=0
+            origin=(2.0, 0.0), velocities=np.zeros((1, 2)), created_frame=0, end_frame=10, fps=10.0
         )
         rep = evaluate_tracking(
             gt,

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox
-from bevtrack.errors import DeadForecast
 from bevtrack.forecast import (
     Forecast,
-    ForecastBranch,
     MotionModelSpec,
     ObservedTrajectory,
     forecast,
@@ -130,19 +128,18 @@ class TestForecastClosedForms:
     def test_static_repeats_last_point(self):
         obs = self.make_obs()
         fc = forecast(MotionModelSpec(kind="static"), obs, horizon_steps=3)
-        assert len(fc.branches) == 1
-        b = fc.branches[0]
-        assert len(b) == 24  # 3 steps of 8 frames at 20 fps
-        assert np.allclose(b.points, obs.points[-1], atol=1e-12)
-        assert b.frames[0] == 80 and b.frames[-1] == 103
+        assert fc.velocities.shape == (1, 2)
+        assert fc.created_frame == 79 and fc.end_frame == 103  # 3 steps of 8 frames at 20 fps
+        for f in (80, 91, 103):
+            assert np.array_equal(fc.points(f), obs.points[-1][None, :])
 
     def test_kalman_cv_linear_in_time(self):
         obs = self.make_obs(vel=(1.0, 0.5))
         fc = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=2)
-        b = fc.branches[0]
+        got = np.array([fc.points(f)[0] for f in range(80, fc.end_frame + 1)])
         tsec = (np.arange(16) + 1.0) / 20.0
         want = obs.points[-1] + tsec[:, None] * np.array([1.0, 0.5])
-        assert np.allclose(b.points, want, atol=1e-9)
+        assert np.allclose(got, want, atol=1e-9)
 
     def test_fan_rotates_velocity(self):
         obs = self.make_obs(vel=(1.0, 0.0))
@@ -150,7 +147,7 @@ class TestForecastClosedForms:
         fc = forecast(spec, obs, horizon_steps=1)
         t1 = 1.0 / 20.0
         # first frame of each branch: velocity rotated by the fan angle
-        p = {i: fc.branches[i].points[0] - obs.points[-1] for i in range(3)}
+        p = fc.points(80) - obs.points[-1]
         assert np.allclose(p[0], [0.0, -t1], atol=1e-9)  # -90 deg
         assert np.allclose(p[1], [t1, 0.0], atol=1e-9)
         assert np.allclose(p[2], [0.0, t1], atol=1e-9)  # +90 deg
@@ -159,12 +156,14 @@ class TestForecastClosedForms:
         obs = self.make_obs(vel=(0.7, -0.4))
         fan = forecast(MotionModelSpec(kind="fan", k=3), obs, horizon_steps=2)
         cv = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=2)
-        assert np.allclose(fan.branches[1].points, cv.branches[0].points, atol=1e-12)
+        assert fan.end_frame == cv.end_frame
+        for f in range(80, cv.end_frame + 1):
+            assert np.allclose(fan.points(f)[1], cv.points(f)[0], atol=1e-12)
 
     def test_frames_cover_every_frame(self):
         obs = self.make_obs()
         fc = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=4)
-        assert np.array_equal(fc.branches[0].frames, np.arange(80, 112))
+        assert fc.created_frame == 79 and fc.end_frame == 111  # frames 80 .. 111
 
     def test_horizon_validation(self):
         obs = self.make_obs()
@@ -172,74 +171,73 @@ class TestForecastClosedForms:
             forecast(MotionModelSpec(), obs, horizon_steps=0)
 
 
-class TestForecastCursor:
-    def make_forecast(self, lengths=(3, 3)):
-        branches = [
-            ForecastBranch(
-                points=np.tile([float(i), 0.0], (n, 1)), frames=np.arange(1, n + 1)
-            )
-            for i, n in enumerate(lengths)
-        ]
-        return Forecast(branches=branches, created_frame=0)
-
-    def test_current_points_empty_before_first_advance(self):
-        fc = self.make_forecast()
-        assert fc.current_points() == []
-        assert fc.current_frame() == 0
-
-    def test_advance_returns_alive_branches(self):
-        fc = self.make_forecast((3, 2))
-        out = fc.advance()
-        assert [i for i, _ in out] == [0, 1]
-        assert fc.current_frame() == 1
-        out = fc.advance()
-        assert [i for i, _ in out] == [0, 1]
-        out = fc.advance()  # branch 1 (length 2) dies here
-        assert [i for i, _ in out] == [0]
-        assert not fc.branches[1].alive
-
-    def test_exhaustion_raises_and_stays_dead(self):
-        fc = self.make_forecast((2, 2))
-        fc.advance()
-        fc.advance()
-        with pytest.raises(DeadForecast):
-            fc.advance()
-        assert fc.dead
-        with pytest.raises(DeadForecast):
-            fc.advance()
-
-    def test_pruned_branches_not_returned(self):
-        fc = self.make_forecast((3, 3))
-        fc.branches[0].alive = False
-        out = fc.advance()
-        assert [i for i, _ in out] == [1]
-        cur = fc.current_points()
-        assert [i for i, _ in cur] == [1]
-
-    def test_current_points_matches_last_advance(self):
-        fc = self.make_forecast((3, 3))
-        out = fc.advance()
-        cur = fc.current_points()
-        assert len(out) == len(cur) == 2
-        for (i, p), (j, q) in zip(out, cur):
-            assert i == j
-            assert np.allclose(p, q)
+class TestForecastMatchesStoredPoints:
+    def test_randomized_bit_identity(self):
+        # The tracker's outputs depend on every forecast point bit for bit:
+        # points(f) must equal the per-frame array a stored-point forecast
+        # would hold, last_pt + ((arange(n) + 1) / fps) * vel.
+        rng = np.random.default_rng(0)
+        for trial in range(60):
+            fps = float(rng.choice([7.5, 10.0, 12.5, 20.0, 25.0, 29.97, 30.0]))
+            dt = float(rng.uniform(0.05, 1.0))
+            start = rng.uniform(-50.0, 50.0, 2)
+            vel = rng.uniform(-3.0, 3.0, 2)
+            last = int(rng.integers(0, 500))
+            hist = cv_history(int(rng.integers(1, 60)), fps, vel, start=start, first_frame=last)
+            hist = [(f, (x + rng.normal(0, 0.05), y + rng.normal(0, 0.05))) for f, (x, y) in hist]
+            obs = preprocess(hist, obs_len=int(rng.integers(1, 10)), dt=dt, fps=fps)
+            spec = [
+                MotionModelSpec(kind="static"),
+                MotionModelSpec(kind="kalman_cv"),
+                MotionModelSpec(kind="fan", k=3, fan_angles=tuple(rng.uniform(-60, 60, 3))),
+            ][trial % 3]
+            horizon = int(rng.integers(1, 8))
+            fc = forecast(spec, obs, horizon_steps=horizon)
+            n = horizon * obs.frames_per_step
+            assert fc.created_frame == obs.last_frame
+            assert fc.end_frame == obs.last_frame + n
+            tsec = (np.arange(n) + 1.0) / fps
+            for b, v in enumerate(fc.velocities):
+                stored = obs.points[-1] + tsec[:, None] * v[None, :]
+                frames = range(fc.created_frame + 1, fc.end_frame + 1)
+                got = np.array([fc.points(f)[b] for f in frames])
+                assert np.array_equal(got, stored), (trial, spec.kind, b)
 
 
-class TestForecastBranchValidation:
-    def test_rejects_mismatched_lengths(self):
+class TestForecastValidation:
+    def make(self, **kw):
+        args = dict(
+            origin=[0.0, 0.0], velocities=[[1.0, 0.0]], created_frame=5, end_frame=9, fps=10.0
+        )
+        args.update(kw)
+        return Forecast(**args)
+
+    def test_defaults_all_alive(self):
+        fc = self.make(velocities=[[1.0, 0.0], [0.0, 1.0]])
+        assert fc.alive.tolist() == [True, True]
+        assert fc.visible_streak.tolist() == [0, 0]
+
+    def test_rejects_no_branches(self):
         with pytest.raises(ValueError):
-            ForecastBranch(points=np.zeros((2, 2)), frames=np.arange(3))
+            self.make(velocities=np.zeros((0, 2)))
 
-    def test_rejects_nonuniform_frames(self):
+    def test_rejects_end_not_after_created(self):
         with pytest.raises(ValueError):
-            ForecastBranch(points=np.zeros((3, 2)), frames=np.array([1, 2, 4]))
+            self.make(end_frame=5)
         with pytest.raises(ValueError):
-            ForecastBranch(points=np.zeros((2, 2)), frames=np.array([2, 2]))
+            self.make(end_frame=4)
 
-    def test_rejects_empty(self):
+    def test_rejects_nonpositive_fps(self):
         with pytest.raises(ValueError):
-            ForecastBranch(points=np.zeros((0, 2)), frames=np.zeros(0, dtype=int))
+            self.make(fps=0.0)
+        with pytest.raises(ValueError):
+            self.make(fps=-10.0)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            self.make(origin=[0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            self.make(velocities=[1.0, 0.0])
 
 
 class TestPredictedBox:

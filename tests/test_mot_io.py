@@ -68,6 +68,13 @@ class TestDetections:
         with pytest.raises(ParseError, match="det.txt:2"):
             read_detections(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = tmp_path / "det.txt"
+        p.write_text(f"0,1,10,20,30,60,1,-1,-1,-1\n0,2,{value},20,30,60,1,-1,-1,-1\n")
+        with pytest.raises(ParseError, match="det.txt:2: non-finite value"):
+            read_detections(p)
+
     def test_non_positive_box_warned_and_dropped(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("0,1,10,20,30,60,1,-1,-1,-1\n0,2,10,20,0,60,1,-1,-1,-1\n")

@@ -6,7 +6,7 @@ import pytest
 
 from bevtrack.boxes import PixelBox, iou
 from bevtrack.errors import NonMonotonicFrame
-from bevtrack.forecast import Forecast, ForecastBranch, MotionModelSpec
+from bevtrack.forecast import Forecast, MotionModelSpec
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.tracker import (
@@ -47,15 +47,18 @@ def unit(*v):
 
 
 def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
-    """A track whose forecast currently sits at the given branch points."""
+    """A track whose forecast sits at the given branch points one frame after created."""
     d = Detection(
         frame=created, box=box_at(u, v, w, h), appearance=app, bev=np.array([u, v], float)
     )
-    branches = [
-        ForecastBranch(points=np.array([p], dtype=float), frames=np.array([created + 1]))
-        for p in branch_pts
-    ]
-    fc = Forecast(branches=branches, created_frame=created, cursor=1)
+    # At 1 fps one frame is one second, so points(created + 1) is exactly branch_pts.
+    fc = Forecast(
+        origin=np.zeros(2),
+        velocities=np.array(branch_pts, dtype=float),
+        created_frame=created,
+        end_frame=created + 1,
+        fps=1.0,
+    )
     return Track(
         id=tid,
         history=[(created, d)],
@@ -186,6 +189,16 @@ class TestCostMatrix:
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
+    def test_pruned_branch_not_scored(self):
+        scene = make_scene()
+        tr = inactive_track(1, 50, 100, [(52.0, 100.0), (57.0, 100.0)])
+        tr.forecast.alive[0] = False  # the exact branch was pruned
+        det = det_at(1, 52, 100)
+        det.bev = np.array([52.0, 100.0])
+        scores, branch = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        assert branch[0, 0] == 1
+        assert scores[0, 0] == pytest.approx(iou(box_at(57, 100), det.box), abs=1e-12)
+
     def test_matches_direct_formula_on_random_instances(self, rng):
         scene = make_scene()
         th = MatchThresholds()
@@ -247,9 +260,9 @@ class TestAssign:
 
 class TestPruneForecasts:
     def make_track(self, n_points=30, at=(52.0, 100.0)):
-        pts = np.tile(at, (n_points, 1))
-        branch = ForecastBranch(points=pts, frames=np.arange(1, n_points + 1))
-        fc = Forecast(branches=[branch], created_frame=0, cursor=1)
+        fc = Forecast(
+            origin=at, velocities=np.zeros((1, 2)), created_frame=0, end_frame=n_points, fps=10.0
+        )
         d = Detection(frame=0, box=box_at(*at), appearance=None, bev=np.array(at))
         return Track(id=1, history=[(0, d)], last_appearance=None, forecast=fc, inactive_since=1)
 
@@ -259,9 +272,9 @@ class TestPruneForecasts:
         tr = self.make_track()
         for i in range(5):
             prune_forecasts(tr, scene, [], frame=1, thresholds=th)
-            assert tr.forecast.branches[0].alive, f"died too early at call {i + 1}"
+            assert tr.forecast.alive[0], f"died too early at call {i + 1}"
         prune_forecasts(tr, scene, [], frame=1, thresholds=th)
-        assert not tr.forecast.branches[0].alive
+        assert not tr.forecast.alive[0]
 
     def test_covering_detection_resets_streak(self):
         scene = make_scene(fps=10.0)
@@ -270,12 +283,12 @@ class TestPruneForecasts:
         cover = det_at(1, 52, 103)  # closer (bottom 103 > 100), heavy overlap
         for _ in range(4):
             prune_forecasts(tr, scene, [], frame=1, thresholds=th)
-        assert tr.forecast.branches[0].visible_streak == 4
+        assert tr.forecast.visible_streak[0] == 4
         prune_forecasts(tr, scene, [cover], frame=1, thresholds=th)
-        assert tr.forecast.branches[0].visible_streak == 0
+        assert tr.forecast.visible_streak[0] == 0
         for _ in range(5):
             prune_forecasts(tr, scene, [], frame=1, thresholds=th)
-        assert tr.forecast.branches[0].alive
+        assert tr.forecast.alive[0]
 
     def test_farther_detection_does_not_cover(self):
         scene = make_scene(fps=10.0)
@@ -283,7 +296,7 @@ class TestPruneForecasts:
         tr = self.make_track()
         behind = det_at(1, 52, 97)  # bottom 97 < 100: farther than the forecast
         prune_forecasts(tr, scene, [behind], frame=1, thresholds=th)
-        assert tr.forecast.branches[0].visible_streak == 1
+        assert tr.forecast.visible_streak[0] == 1
 
     def test_masked_out_cell_is_not_visible(self):
         mask = np.zeros((200, 200), dtype=bool)
@@ -292,8 +305,8 @@ class TestPruneForecasts:
         tr = self.make_track()
         for _ in range(10):
             prune_forecasts(tr, scene, [], frame=1, thresholds=th)
-        assert tr.forecast.branches[0].alive
-        assert tr.forecast.branches[0].visible_streak == 0
+        assert tr.forecast.alive[0]
+        assert tr.forecast.visible_streak[0] == 0
 
 
 def small_config(**kw):
