@@ -39,6 +39,16 @@ from .simulator import build_scene_model, generate, read_scenario, write_scenari
 from .tracker import Detection, SceneModel, Tracker
 
 
+def _positive(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bevtrack",
@@ -75,6 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, help="number of forecast branches")
     sp.add_argument("--no-forecast", action="store_true", help="drop occluded tracks")
     sp.add_argument("--ingest", action="store_true", help="respect upstream ids in the file")
+    sp.add_argument(
+        "--fps", type=_positive, default=20.0, help="frame rate; a --scenario's own fps wins"
+    )
 
     sp = sub.add_parser("evaluate", help="score tracking output against ground truth")
     add_common(sp)
@@ -82,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hyp", required=True, help="10-column tracker output")
     sp.add_argument("--out", required=True, help="report JSON path")
     sp.add_argument("--csv", help="optional flat CSV path")
-    sp.add_argument("--fps", type=float, default=20.0)
+    sp.add_argument("--fps", type=_positive, default=20.0)
     sp.add_argument("--buckets", help="comma-separated edges, e.g. 0,0.5,1,2,inf")
     sp.add_argument(
         "--vis-threshold",
@@ -98,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="JSONL output path")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
     sp.add_argument("--k", type=int)
-    sp.add_argument("--fps", type=float, default=20.0)
+    sp.add_argument("--fps", type=_positive, default=20.0)
     sp.add_argument("--horizon", type=float, help="seconds ahead; defaults to tau_max")
 
     sp = sub.add_parser("pipeline", help="simulate, track, evaluate")
@@ -245,10 +258,8 @@ def _cmd_track(args) -> int:
         sc = read_scenario(_resolve_scenario(args.scenario))
         scene = build_scene_model(sc, lh, cfg.cell_size)
         scene.ego = ego
-        fps = sc.fps
     else:
-        fps = 20.0
-        scene = _free_scene(lh, cfg, fps, ego)
+        scene = _free_scene(lh, cfg, args.fps, ego)
     by_frame: dict[int, list] = {}
     for i, r in enumerate(records):
         det = Detection(
@@ -258,15 +269,8 @@ def _cmd_track(args) -> int:
             source_id=r.track_id if cfg.ingest_ids and r.track_id >= 0 else None,
         )
         by_frame.setdefault(r.frame, []).append(det)
-    tracker = Tracker(scene, cfg.tracker_config())
-    outputs, events = [], []
-    if records:
-        first = min(by_frame)
-        last = max(by_frame)
-        for f in range(first, last + 1):
-            out, ev = tracker.step(by_frame.get(f, []), f)
-            outputs.extend(out)
-            events.extend(ev)
+    frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
+    outputs, events = Tracker(scene, cfg.tracker_config()).run(by_frame, frames)
     os.makedirs(args.out, exist_ok=True)
     mot_io.write_detections(
         os.path.join(args.out, "track.txt"), mot_io.records_from_outputs(outputs)

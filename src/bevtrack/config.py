@@ -3,7 +3,9 @@
 Defaults reproduce the reference operating point: eight observed steps at
 0.4 s spacing, a 6 s reassociation window, a 1 s visibility patience, and the
 geometric/appearance gates used throughout the experiments. Configs load from
-JSON; unknown keys are rejected so typos fail loudly.
+JSON; unknown keys are rejected so typos fail loudly. The motion, geometry
+and gate fields are checked at construction, so an out-of-range value fails
+with ParseError before any run starts.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ParseError
 from .evaluation import DEFAULT_BUCKETS
-from .forecast import MotionModelSpec
+from .forecast import MOTION_KINDS, MotionModelSpec
 from .tracker import MatchThresholds, TrackerConfig
 
 
@@ -47,6 +49,20 @@ class RunConfig:
     buckets: tuple = DEFAULT_BUCKETS
     horizons: tuple = (1.0, 2.0)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("cell_size", "max_spacing", "dt"):
+            if not getattr(self, name) > 0:
+                raise ParseError(f"config: {name} must be positive")
+        for name in ("obs_len", "k"):
+            if getattr(self, name) < 1:
+                raise ParseError(f"config: {name} must be at least 1")
+        if self.motion not in MOTION_KINDS:
+            raise ParseError(f"config: motion must be one of {', '.join(MOTION_KINDS)}")
+        try:
+            self.tracker_config()
+        except ValueError as e:
+            raise ParseError(f"config: {e}") from e
 
     def thresholds(self) -> MatchThresholds:
         return MatchThresholds(

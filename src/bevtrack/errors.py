@@ -17,8 +17,12 @@ class NonMonotonicFrame(BevTrackError):
     """Tracker received a frame index not strictly greater than the last one."""
 
 
-class ParseError(BevTrackError):
-    """A file or config could not be parsed; message carries the location."""
+class ParseError(BevTrackError, ValueError):
+    """A file or config could not be parsed; message carries the location.
+
+    Also a ValueError: a bad RunConfig value is an invalid argument as much
+    as a parse failure.
+    """
 
 
 class InvalidScenario(BevTrackError):

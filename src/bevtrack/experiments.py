@@ -30,6 +30,9 @@ from .simulator import (
     Occluder,
     Scenario,
     SimOutput,
+    _cell_centres,
+    _occluder_rect,
+    _uncovered,
     build_scene_model,
     generate,
 )
@@ -294,12 +297,7 @@ def run_tracker(
         scene = build_scene_model(sim.scenario, lh, config.cell_size)
     tracker = Tracker(scene, config.tracker_config())
     by_frame = sim_detections_by_frame(sim, with_appearance)
-    outputs: list = []
-    events: list = []
-    for f in range(sim.scenario.n_frames):
-        out, ev = tracker.step(by_frame.get(f, []), f)
-        outputs.extend(out)
-        events.extend(ev)
+    outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
     return outputs, events, tracker
 
 
@@ -309,8 +307,6 @@ def pixel_baseline_scene(scenario: Scenario, cell_px: float = 16.0) -> SceneMode
     The identity mapping makes "BEV" equal to pixels; freespace is the image
     minus the occluder silhouettes.
     """
-    from .simulator import _occluder_rect  # silhouettes for the static camera
-
     cam = scenario.camera
     lh = linearize(
         Homography(np.eye(3)), (cam.image_width, cam.image_height), max_spacing=1e9
@@ -318,13 +314,7 @@ def pixel_baseline_scene(scenario: Scenario, cell_px: float = 16.0) -> SceneMode
     nx = int(math.ceil(cam.image_width / cell_px))
     ny = int(math.ceil(cam.image_height / cell_px))
     occ = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
-    mask = np.ones((ny, nx), dtype=bool)
-    for i in range(ny):
-        for j in range(nx):
-            u = (j + 0.5) * cell_px
-            v = (i + 0.5) * cell_px
-            if any(r[0] <= u <= r[2] and r[1] <= v <= r[3] for r in occ):
-                mask[i, j] = False
+    mask = _uncovered(_cell_centres(np.zeros(2), nx, ny, cell_px), occ).reshape(ny, nx)
     return SceneModel(
         mask=mask,
         cell_size=cell_px,

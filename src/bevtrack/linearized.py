@@ -187,20 +187,20 @@ class LinearizedHomography:
             out = out + ego.offset(frame)
         return out[0] if single else out
 
-    def bev_to_px(self, bev, ego=None, frame: int = 0) -> np.ndarray:
-        """Inverse of px_to_bev.
+    def try_bev_to_px(self, bev, ego=None, frame: int = 0):
+        """Inverse of px_to_bev for (N, 2) BEV points: (pixels (N, 2), valid (N,)).
 
-        Raises:
-            OutOfDomain: the BEV point lies behind the horizon of the exact map
-                and outside the linear piece's range (e.g. behind the camera).
+        Never raises: a point with no pixel preimage (behind the horizon of the
+        exact map and outside the linear piece's range, e.g. behind the
+        camera) is not valid and its pixel is NaN.
         """
-        b = np.asarray(bev, dtype=float)
-        single = b.ndim == 1
-        pts = np.atleast_2d(b).astype(float)
+        pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
         if ego is not None:
             pts = pts - ego.offset(frame)
         ones = np.ones((pts.shape[0], 1))
-        q = np.concatenate([pts, ones], axis=1) @ self.h.inv.T
+        # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
+        # take another BLAS kernel and round differently from a lone point.
+        q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
         wq = q[:, 2]
         finite = np.abs(wq) > 1e-12 * np.abs(q).max(axis=1)
         wq_safe = np.where(finite, wq, 1.0)
@@ -219,12 +219,23 @@ class LinearizedHomography:
         t = np.sum(diff * tangent, axis=1) / tt_safe
         use_linear = finite & ~use_exact & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(v_t)
 
-        bad = ~(use_exact | use_linear)
-        if np.any(bad):
-            idx = np.flatnonzero(bad).tolist()
-            raise OutOfDomain(f"BEV points with no pixel preimage at indices {idx}")
+        valid = use_exact | use_linear
         out = np.stack([u, np.where(use_exact, v, v_t + t)], axis=1)
-        return out[0] if single else out
+        if not valid.all():
+            out[~valid] = np.nan
+        return out, valid
+
+    def bev_to_px(self, bev, ego=None, frame: int = 0) -> np.ndarray:
+        """Inverse of px_to_bev for one (2,) point or an (N, 2) array.
+
+        Raises:
+            OutOfDomain: a point is not valid in try_bev_to_px.
+        """
+        out, valid = self.try_bev_to_px(bev, ego=ego, frame=frame)
+        if not valid.all():
+            idx = np.flatnonzero(~valid).tolist()
+            raise OutOfDomain(f"BEV points with no pixel preimage at indices {idx}")
+        return out[0] if np.ndim(bev) == 1 else out
 
 
 def linearize(h: Homography, image_size: tuple[int, int], max_spacing: float = 0.2) -> LinearizedHomography:

@@ -28,14 +28,35 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_floats(parts: Sequence[str], path, lineno: int) -> list:
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as e:
-        raise ParseError(f"{path}:{lineno}: {e}") from e
-    if not all(math.isfinite(v) for v in vals):
-        raise ParseError(f"{path}:{lineno}: non-finite value")
-    return vals
+def _read_rows(path, sep=None, n_fields=None):
+    """(line number, finite floats) for each non-blank line, checking the field count."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(sep)
+            if n_fields is not None and len(parts) != n_fields:
+                kind = "comma-separated fields" if sep == "," else "fields"
+                raise ParseError(f"{path}:{lineno}: expected {n_fields} {kind}, got {len(parts)}")
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from e
+            if not all(math.isfinite(v) for v in vals):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            yield lineno, vals
+
+
+def _box_rows(path, n_fields: int):
+    """MOT CSV rows as floats; a box of non-positive size is dropped with a warning."""
+    for lineno, vals in _read_rows(path, ",", n_fields):
+        if vals[4] <= 0 or vals[5] <= 0:
+            warnings.warn(
+                f"{path}:{lineno}: dropping box with non-positive size", NonPositiveBox, stacklevel=3
+            )
+            continue
+        yield vals
 
 
 # -- detections / tracker outputs ----------------------------------------------------
@@ -81,32 +102,15 @@ def write_detections(path, records: Sequence) -> None:
 def read_detections(path) -> list:
     """Rows with non-positive width or height are dropped with a warning."""
     out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 10:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 10 comma-separated fields, got {len(parts)}"
-                )
-            vals = _parse_floats(parts, path, lineno)
-            if vals[4] <= 0 or vals[5] <= 0:
-                warnings.warn(
-                    f"{path}:{lineno}: dropping box with non-positive size",
-                    NonPositiveBox,
-                    stacklevel=2,
-                )
-                continue
-            out.append(
-                MotRecord(
-                    frame=int(vals[0]),
-                    track_id=int(vals[1]),
-                    box=PixelBox(vals[2], vals[3], vals[4], vals[5], confidence=vals[6]),
-                    world=(vals[7], vals[8], vals[9]),
-                )
+    for vals in _box_rows(path, 10):
+        out.append(
+            MotRecord(
+                frame=int(vals[0]),
+                track_id=int(vals[1]),
+                box=PixelBox(vals[2], vals[3], vals[4], vals[5], confidence=vals[6]),
+                world=(vals[7], vals[8], vals[9]),
             )
+        )
     return out
 
 
@@ -146,32 +150,15 @@ def write_gt(path, records: Sequence) -> None:
 
 def read_gt(path) -> list:
     out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 9:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 9 comma-separated fields, got {len(parts)}"
-                )
-            vals = _parse_floats(parts, path, lineno)
-            if vals[4] <= 0 or vals[5] <= 0:
-                warnings.warn(
-                    f"{path}:{lineno}: dropping box with non-positive size",
-                    NonPositiveBox,
-                    stacklevel=2,
-                )
-                continue
-            out.append(
-                GtRecord(
-                    frame=int(vals[0]),
-                    track_id=int(vals[1]),
-                    box=PixelBox(vals[2], vals[3], vals[4], vals[5]),
-                    visibility=vals[8],
-                )
+    for vals in _box_rows(path, 9):
+        out.append(
+            GtRecord(
+                frame=int(vals[0]),
+                track_id=int(vals[1]),
+                box=PixelBox(vals[2], vals[3], vals[4], vals[5]),
+                visibility=vals[8],
             )
+        )
     return out
 
 
@@ -195,16 +182,7 @@ def write_cloud(path, points: np.ndarray) -> None:
 
 
 def read_cloud(path) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            rows.append(_parse_floats(parts, path, lineno))
+    rows = [vals for _, vals in _read_rows(path, None, 3)]
     if not rows:
         raise ParseError(f"{path}: empty point cloud")
     return np.array(rows)
@@ -222,21 +200,10 @@ def write_correspondences(path, pixels: np.ndarray, points: np.ndarray) -> None:
 
 
 def read_correspondences(path):
-    px, pts = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            vals = _parse_floats(parts, path, lineno)
-            px.append(vals[:2])
-            pts.append(vals[2:])
-    if not px:
+    rows = np.array([vals for _, vals in _read_rows(path, None, 5)])
+    if not len(rows):
         raise ParseError(f"{path}: empty correspondence file")
-    return np.array(px), np.array(pts)
+    return rows[:, :2].copy(), rows[:, 2:].copy()
 
 
 # -- appearance, egomotion, events ----------------------------------------------------
@@ -250,13 +217,7 @@ def write_appearance(path, vectors: Sequence) -> None:
 
 
 def read_appearance(path) -> list:
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            out.append(np.array(_parse_floats(line.split(), path, lineno)))
+    out = [np.array(vals) for _, vals in _read_rows(path)]
     if out and any(len(v) != len(out[0]) for v in out):
         raise ParseError(f"{path}: inconsistent descriptor lengths")
     return out
@@ -269,16 +230,7 @@ def write_ego(path, ego: EgomotionTrack) -> None:
 
 
 def read_ego(path) -> EgomotionTrack:
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            rows.append(_parse_floats(parts, path, lineno))
+    rows = [vals for _, vals in _read_rows(path, None, 2)]
     if not rows:
         raise ParseError(f"{path}: empty egomotion file")
     return EgomotionTrack(np.array(rows))

@@ -383,6 +383,21 @@ def sample_ground_correspondences(
     return np.array(out_a), np.array(out_b)
 
 
+def _cell_centres(origin, nx: int, ny: int, cell_size: float) -> np.ndarray:
+    """(ny * nx, 2) centres of a grid's cells, row-major: cell (i, j) is row i * nx + j."""
+    idx = np.stack(np.meshgrid(np.arange(nx), np.arange(ny)), axis=-1).reshape(-1, 2)
+    return origin + (idx + 0.5) * cell_size
+
+
+def _uncovered(px: np.ndarray, rects) -> np.ndarray:
+    """True for each (N, 2) pixel that lies in none of the closed (u0, v0, u1, v1) rects."""
+    u, v = px[:, 0], px[:, 1]
+    free = np.ones(len(px), dtype=bool)
+    for r in rects:
+        free &= ~((r[0] <= u) & (u <= r[2]) & (r[1] <= v) & (v <= r[3]))
+    return free
+
+
 def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneModel:
     """Rasterize the camera's visible-ground footprint into a freespace mask.
 
@@ -390,26 +405,15 @@ def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneMo
     pixel is not covered by an occluder's silhouette (ground behind an
     occluder lands inside it). Built for the frame-0 camera position.
     """
-    from .errors import OutOfDomain  # local import to avoid cycle at module load
-
     cam = scenario.camera
     e = scenario.ground_extent
     origin = np.array([-e / 2.0, 0.0])
-    nx = int(math.ceil(e / cell_size))
-    ny = int(math.ceil(e / cell_size))
+    n = int(math.ceil(e / cell_size))
     occ_rects = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
-    mask = np.zeros((ny, nx), dtype=bool)
-    for i in range(ny):
-        for j in range(nx):
-            center = origin + (np.array([j, i]) + 0.5) * cell_size
-            try:
-                u, v = lh.bev_to_px(center)
-            except OutOfDomain:
-                continue
-            if not (0 <= u < cam.image_width and 0 <= v < cam.image_height):
-                continue
-            covered = any(r[0] <= u <= r[2] and r[1] <= v <= r[3] for r in occ_rects)
-            mask[i, j] = not covered
+    px, valid = lh.try_bev_to_px(_cell_centres(origin, n, n, cell_size))
+    u, v = px[:, 0], px[:, 1]
+    in_image = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height)
+    mask = (valid & in_image & _uncovered(px, occ_rects)).reshape(n, n)
     return SceneModel(
         mask=mask, cell_size=cell_size, origin=origin, lh=lh, fps=scenario.fps, ego=None
     )

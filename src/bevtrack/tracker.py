@@ -318,6 +318,16 @@ class Tracker:
 
     # -- the per-frame update --------------------------------------------------
 
+    def run(self, by_frame: dict, frames) -> tuple[list, list]:
+        """step() over frames in order, with by_frame's detections (none if absent)."""
+        outputs: list = []
+        events: list = []
+        for f in frames:
+            out, ev = self.step(by_frame.get(f, []), f)
+            outputs.extend(out)
+            events.extend(ev)
+        return outputs, events
+
     def step(self, detections: list[Detection], frame: int):
         """Process one frame of detections.
 

@@ -129,6 +129,24 @@ class TestTrack:
         reasons = {e["reason"] for e in events}
         assert "new" in reasons and "reassociated" in reasons
 
+    def test_fps_sets_time_base_without_scenario(self, sim_dir, tmp_path):
+        def events(*extra):
+            out = str(tmp_path / "_".join(("fps",) + extra))
+            args = [
+                "track",
+                "--det", os.path.join(sim_dir, "det.txt"),
+                "--appearance", os.path.join(sim_dir, "appearance.txt"),
+                "--homography", os.path.join(sim_dir, "homography.txt"),
+                "--out", out,
+            ]
+            assert main(args + list(extra)) == 0
+            return open(os.path.join(out, "events.jsonl")).read()
+
+        default = events()
+        assert events("--fps", "20") == default
+        # tau_vis * fps and the forecast speeds follow the frame rate
+        assert events("--fps", "10") != default
+
     def test_no_forecast_fragments_identity(self, sim_dir, tmp_path):
         out = str(tmp_path / "nofc")
         code = main(
@@ -315,10 +333,55 @@ class TestInputErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cell_size", 0, "cell_size must be positive"),
+            ("cell_size", -0.5, "cell_size must be positive"),
+            ("max_spacing", 0, "max_spacing must be positive"),
+            ("dt", 0, "dt must be positive"),
+            ("obs_len", 0, "obs_len must be at least 1"),
+            ("k", 0, "k must be at least 1"),
+            ("motion", "transformer", "motion must be one of"),
+        ],
+    )
+    def test_bad_config_value_is_code_1(
+        self, scenario_path, tmp_path, capsys, field, value, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code = main(
+            [
+                "pipeline",
+                "--scenario", scenario_path,
+                "--config", str(cfg),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: config: {message}")
+
+
 class TestArgumentErrors:
     def test_no_arguments_exits_2(self):
         with pytest.raises(SystemExit) as e:
             main([])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("fps", ["0", "-10", "nan", "inf", "fast"])
+    def test_non_positive_fps_exits_2(self, sim_dir, tmp_path, fps):
+        with pytest.raises(SystemExit) as e:
+            main(
+                [
+                    "track",
+                    "--det", os.path.join(sim_dir, "det.txt"),
+                    "--homography", os.path.join(sim_dir, "homography.txt"),
+                    "--out", str(tmp_path / "o"),
+                    "--fps", fps,
+                ]
+            )
         assert e.value.code == 2
 
     def test_unknown_flag_exits_2(self):

@@ -102,3 +102,30 @@ class TestSerialization:
         cfg = config_from_dict({"fan_angles": [-20, 0, 20], "horizons": [1, 2, 4]})
         assert cfg.fan_angles == (-20.0, 0.0, 20.0)
         assert cfg.horizons == (1.0, 2.0, 4.0)
+
+
+class TestEagerValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cell_size": 0.0}, "config: cell_size must be positive"),
+            ({"max_spacing": -0.2}, "config: max_spacing must be positive"),
+            ({"dt": float("nan")}, "config: dt must be positive"),
+            ({"obs_len": 0}, "config: obs_len must be at least 1"),
+            ({"k": 0}, "config: k must be at least 1"),
+            ({"motion": "transformer"}, "config: motion must be one of"),
+            ({"motion": "fan", "k": 2}, "config: fan requires k == len"),
+            ({"tau_vis": 10.0}, "config: tau_vis cannot exceed tau_max"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ParseError, match=message):
+            RunConfig(**kwargs)
+
+    def test_override_is_validated(self):
+        with pytest.raises(ParseError, match="cell_size"):
+            RunConfig().override(cell_size=-1.0)
+
+    def test_from_dict_is_validated(self):
+        with pytest.raises(ParseError, match="obs_len"):
+            config_from_dict({"obs_len": 0})

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import HorizonInsideFootprint, OutOfDomain
+from bevtrack.experiments import calibrated_lh, crossing_scenario
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
+from bevtrack.simulator import generate
 
 
 def numeric_dv_norm(h, u, v, eps=1e-4):
@@ -161,3 +164,74 @@ class TestAffineAndEdgeCases:
         a = linearize(true_h, (1920, 1080), 0.1)
         b = linearize(true_h, (1920, 1080), 0.4)
         assert np.all(b.column_v_t < a.column_v_t)
+
+
+class TestBatchedCore:
+    """try_bev_to_px on a batch agrees point for point with single-point bev_to_px."""
+
+    @staticmethod
+    def sample_bev(lh, rng, n=400):
+        # Pixels in and far around the image, across the horizon: the exact
+        # map sends those above the horizon behind the camera and those just
+        # below it to the far field; px_to_bev covers the footprint and the
+        # linear piece; a wide uniform box adds everything in between; the
+        # BEV line whose preimage is at infinity (w == 0) adds the
+        # non-finite case.
+        w, ht = lh.image_size
+        r = lh.h.inv[2]  # BEV points with r . (x, y, 1) == 0 have w == 0
+        norm = np.hypot(r[0], r[1])
+        line = np.zeros((0, 2))
+        if norm > 0:
+            n_hat = r[:2] / norm
+            s = rng.uniform(-100, 100, (n // 4, 1))
+            line = -r[2] / norm * n_hat + s * np.array([-n_hat[1], n_hat[0]])
+        px = np.stack(
+            [rng.uniform(-w, 2 * w, n), rng.uniform(-2 * ht, 2 * ht, n)], axis=1
+        )
+        with np.errstate(all="ignore"):
+            exact = lh.h.apply(px)
+        foot = lh.px_to_bev(px)
+        span = np.abs(foot).max()
+        box = rng.uniform(-span, span, (n, 2))
+        pts = np.concatenate([exact, foot, foot + rng.normal(0, 1.0, foot.shape), box, line])
+        return pts[np.all(np.isfinite(pts), axis=1)]
+
+    @pytest.mark.parametrize("kind", ["camera", "calibrated", "affine_identity", "c_zero"])
+    def test_randomized_agreement_with_single_point(self, kind, lh, rng):
+        if kind == "calibrated":
+            lh = calibrated_lh(generate(crossing_scenario()), RunConfig())
+        elif kind == "affine_identity":
+            lh = linearize(Homography(np.eye(3)), (1920, 1080), max_spacing=1e9)
+        elif kind == "c_zero":
+            # u-dependent denominator 0.05 u + 1: columns left of u = -20 lie
+            # on the far side of the degenerate line
+            m = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.05, 0.0, 1.0]])
+            lh = linearize(Homography(m), (200, 100), max_spacing=1.0)
+        pts = self.sample_bev(lh, rng)
+        px, valid = lh.try_bev_to_px(pts)
+        assert px.shape == pts.shape and valid.shape == (len(pts),)
+        if kind != "affine_identity":
+            assert 0 < valid.sum() < len(pts)  # both outcomes are exercised
+        for p, q, ok in zip(pts, px, valid):
+            try:
+                single = lh.bev_to_px(p)
+            except OutOfDomain:
+                assert not ok
+                assert np.isnan(q).all()
+                continue
+            assert ok
+            assert np.array_equal(single, q)  # bit-identical, not approximately
+
+    def test_raising_wrapper_names_invalid_indices(self, lh):
+        pts = np.array([[0.0, 10.0], [0.0, -5.0], [1.0, 12.0], [0.0, -9.0]])
+        px, valid = lh.try_bev_to_px(pts)
+        assert valid.tolist() == [True, False, True, False]
+        with pytest.raises(OutOfDomain, match=r"indices \[1, 3\]"):
+            lh.bev_to_px(pts)
+
+    def test_single_point_shape_kept(self, lh):
+        p = np.array([0.0, 10.0])
+        px, valid = lh.try_bev_to_px(p)
+        assert px.shape == (1, 2) and valid.tolist() == [True]
+        assert lh.bev_to_px(p).shape == (2,)
+        assert np.array_equal(lh.bev_to_px(p), px[0])

@@ -1,10 +1,19 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bevtrack.boxes import covered_fraction
-from bevtrack.errors import InvalidScenario, ParseError
+from bevtrack.config import RunConfig
+from bevtrack.errors import InvalidScenario, OutOfDomain, ParseError
+from bevtrack.experiments import (
+    calibrated_lh,
+    crossing_scenario,
+    junction_suite,
+    linear_suite,
+    pixel_baseline_scene,
+)
 from bevtrack.linearized import linearize
 from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
@@ -13,6 +22,7 @@ from bevtrack.simulator import (
     Occluder,
     Scenario,
     agent_position,
+    _occluder_rect,
     build_scene_model,
     generate,
     project_points,
@@ -286,6 +296,95 @@ class TestBuildSceneModel:
         side = np.array([-8.0, 9.0])
         assert open_scene.contains(side) and shadow_scene.contains(side)
         assert shadow_scene.mask.sum() < open_scene.mask.sum()
+
+
+def project_cells(scenario, lh, cell_size):
+    """Brute-force reference, part 1: each cell center through single-point bev_to_px.
+
+    (i, j) -> (u, v), or None when the center has no pixel preimage. Kept
+    apart from the occluder test so scenes sharing a camera share the work.
+    """
+    e = scenario.ground_extent
+    origin = np.array([-e / 2.0, 0.0])
+    n = int(math.ceil(e / cell_size))
+    px = {}
+    for i in range(n):
+        for j in range(n):
+            center = origin + (np.array([j, i]) + 0.5) * cell_size
+            try:
+                px[i, j] = lh.bev_to_px(center)
+            except OutOfDomain:
+                px[i, j] = None
+    return px
+
+
+def reference_mask(scenario, projected):
+    """Brute-force reference, part 2: the per-cell image-bounds and occluder tests."""
+    cam = scenario.camera
+    n = int(math.isqrt(len(projected)))
+    occ_rects = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    mask = np.zeros((n, n), dtype=bool)
+    for (i, j), uv in projected.items():
+        if uv is None:
+            continue
+        u, v = uv
+        if not (0 <= u < cam.image_width and 0 <= v < cam.image_height):
+            continue
+        covered = any(r[0] <= u <= r[2] and r[1] <= v <= r[3] for r in occ_rects)
+        mask[i, j] = not covered
+    return mask
+
+
+def reference_pixel_mask(scenario, cell_px=16.0):
+    cam = scenario.camera
+    nx = int(math.ceil(cam.image_width / cell_px))
+    ny = int(math.ceil(cam.image_height / cell_px))
+    occ = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    mask = np.ones((ny, nx), dtype=bool)
+    for i in range(ny):
+        for j in range(nx):
+            u = (j + 0.5) * cell_px
+            v = (i + 0.5) * cell_px
+            if any(r[0] <= u <= r[2] and r[1] <= v <= r[3] for r in occ):
+                mask[i, j] = False
+    return mask
+
+
+ALL_LAYOUTS = [crossing_scenario()] + linear_suite(20) + junction_suite()
+
+
+class TestMaskMatchesPerCellReference:
+    @pytest.fixture(scope="class")
+    def exact_cells(self):
+        cam = crossing_scenario().camera
+        assert all(sc.camera == cam and sc.ground_extent == 40.0 for sc in ALL_LAYOUTS)
+        lh = linearize(true_homography(cam), (cam.image_width, cam.image_height), 0.2)
+        return lh, project_cells(ALL_LAYOUTS[0], lh, 0.5)
+
+    @pytest.mark.parametrize("index", range(len(ALL_LAYOUTS)))
+    def test_exact_homography(self, exact_cells, index):
+        lh, cells = exact_cells
+        sc = ALL_LAYOUTS[index]
+        got = build_scene_model(sc, lh, 0.5).mask
+        assert got.any() and not got.all()
+        assert np.array_equal(got, reference_mask(sc, cells))
+
+    def test_calibrated_crossing(self):
+        cfg = RunConfig()
+        sc = crossing_scenario()
+        lh = calibrated_lh(generate(sc), cfg)
+        got = build_scene_model(sc, lh, cfg.cell_size).mask
+        assert np.array_equal(got, reference_mask(sc, project_cells(sc, lh, cfg.cell_size)))
+
+    @pytest.mark.parametrize("index", range(len(ALL_LAYOUTS)))
+    def test_pixel_baseline(self, index):
+        sc = ALL_LAYOUTS[index]
+        got = pixel_baseline_scene(sc).mask
+        assert np.array_equal(got, reference_pixel_mask(sc))
+        # 1080 / 16 rows: the last half-row has centre v = 1080, outside the
+        # image, but the pixel baseline has no bounds test, so it stays free
+        assert got.shape == (68, 120)
+        assert got[-1].any()
 
 
 class TestScenarioJson:
