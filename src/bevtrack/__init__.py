@@ -69,11 +69,9 @@ from .simulator import (
 from .smoothing import smooth_constant_velocity
 from .tracker import (
     Detection,
-    MatchThresholds,
     SceneModel,
     Track,
     Tracker,
-    TrackerConfig,
     assign,
     build_cost_matrix,
     prune_forecasts,
@@ -97,7 +95,6 @@ __all__ = [
     "HorizonInsideFootprint",
     "InvalidScenario",
     "LinearizedHomography",
-    "MatchThresholds",
     "MissingGroundTruth",
     "MotionModelSpec",
     "NonMonotonicFrame",
@@ -115,7 +112,6 @@ __all__ = [
     "SimOutput",
     "Track",
     "Tracker",
-    "TrackerConfig",
     "align_to_xy",
     "assign",
     "build_cost_matrix",

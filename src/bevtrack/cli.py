@@ -270,7 +270,7 @@ def _cmd_track(args) -> int:
         )
         by_frame.setdefault(r.frame, []).append(det)
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
-    outputs, events = Tracker(scene, cfg.tracker_config()).run(by_frame, frames)
+    outputs, events = Tracker(scene, cfg).run(by_frame, frames)
     os.makedirs(args.out, exist_ok=True)
     mot_io.write_detections(
         os.path.join(args.out, "track.txt"), mot_io.records_from_outputs(outputs)

@@ -295,7 +295,7 @@ def run_tracker(
         )
     if scene is None:
         scene = build_scene_model(sim.scenario, lh, config.cell_size)
-    tracker = Tracker(scene, config.tracker_config())
+    tracker = Tracker(scene, config)
     by_frame = sim_detections_by_frame(sim, with_appearance)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
     return outputs, events, tracker

@@ -116,7 +116,9 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
     a[1::2, 7] = -xp * y
     a[1::2, 8] = -xp
 
-    _, svals, vt = np.linalg.svd(a)
+    # The reduced SVD skips the unused 2N x 2N U; with N == 4 the system is
+    # 8 x 9 and only the full V^T holds the null vector.
+    _, svals, vt = np.linalg.svd(a, full_matrices=n == 4)
     if svals[-2] <= RANK_RTOL * svals[0]:
         raise DegenerateInput("correspondences are degenerate (rank-deficient system)")
     hn = vt[-1].reshape(3, 3)

@@ -103,6 +103,12 @@ class Scenario:
     def n_frames(self) -> int:
         return int(round(self.duration * self.fps))
 
+    def ego_track(self) -> EgomotionTrack:
+        """Per-frame camera offsets: camera_path accumulated, or all zero when static."""
+        if self.camera_path is None:
+            return EgomotionTrack.identity(self.n_frames)
+        return EgomotionTrack.from_deltas(np.asarray(self.camera_path, dtype=float))
+
 
 @dataclass
 class SimDetection:
@@ -237,10 +243,7 @@ def generate(scenario: Scenario) -> SimOutput:
     rng = np.random.default_rng(scenario.seed)
     n_frames = scenario.n_frames
 
-    if scenario.camera_path is None:
-        ego = EgomotionTrack.identity(n_frames)
-    else:
-        ego = EgomotionTrack.from_deltas(np.asarray(scenario.camera_path, dtype=float))
+    ego = scenario.ego_track()
 
     base_appearance = {}
     for a in scenario.agents:
@@ -352,10 +355,7 @@ def sample_ground_correspondences(
     localization noise of sigma meters in BEV).
     """
     cam = scenario.camera
-    if scenario.camera_path is None:
-        ego = EgomotionTrack.identity(scenario.n_frames)
-    else:
-        ego = EgomotionTrack.from_deltas(np.asarray(scenario.camera_path, dtype=float))
+    ego = scenario.ego_track()
     ca, cb = ego.offset(frame_a), ego.offset(frame_b)
     rng = np.random.default_rng(seed)
     e = scenario.ground_extent

@@ -11,45 +11,16 @@ maximum-score assignment. Track ids are never reissued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .boxes import PixelBox, iou
+from .config import RunConfig
 from .errors import NonMonotonicFrame, OutOfDomain
-from .forecast import Forecast, MotionModelSpec, forecast, predicted_box, preprocess
-
-
-@dataclass(frozen=True)
-class MatchThresholds:
-    """Gates and radii of the re-association score.
-
-    tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
-    appearance cosine similarity, tau_iou the minimum predicted-box IoU
-    (0 disables the overlap gate), tau_max the inactive patience (seconds),
-    tau_vis the time a forecast may sit in visible freespace before being
-    pruned (seconds), occlusion_iou the overlap with a closer detection above
-    which a forecast counts as covered.
-    """
-
-    tau_l2: float = 2.5
-    tau_app: float = 0.8
-    tau_iou: float = 0.2
-    tau_max: float = 6.0
-    tau_vis: float = 1.0
-    occlusion_iou: float = 0.25
-
-    def __post_init__(self):
-        if self.tau_l2 < 0 or self.tau_iou < 0 or self.occlusion_iou < 0:
-            raise ValueError("thresholds must be non-negative")
-        if not -1.0 <= self.tau_app <= 1.0:
-            raise ValueError("tau_app is a cosine similarity, must be in [-1, 1]")
-        if self.tau_max <= 0 or self.tau_vis <= 0:
-            raise ValueError("tau_max and tau_vis must be positive")
-        if self.tau_vis > self.tau_max:
-            raise ValueError("tau_vis cannot exceed tau_max")
+from .forecast import Forecast, forecast, predicted_box, preprocess
 
 
 @dataclass
@@ -145,7 +116,7 @@ def _branch_boxes(track: Track, scene: SceneModel, frame: int):
 def build_cost_matrix(
     tracks: list[Track],
     detections: list[Detection],
-    thresholds: MatchThresholds,
+    config: RunConfig,
     scene: SceneModel,
     frame: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,16 +139,16 @@ def build_cost_matrix(
         for j, det in enumerate(detections):
             if tr.last_appearance is not None and det.appearance is not None:
                 app = float(tr.last_appearance @ det.appearance)
-                if app < thresholds.tau_app:
+                if app < config.tau_app:
                     continue
             best = 0.0
             best_bi = -1
             for bi, pt, pb in branches:
                 d_iou = iou(pb, det.box) if pb is not None else 0.0
-                if d_iou < thresholds.tau_iou:
+                if d_iou < config.tau_iou:
                     continue
                 d_l2 = float(np.linalg.norm(pt - det.bev))
-                s = d_iou + max(thresholds.tau_l2 - d_l2, 0.0)
+                s = d_iou + max(config.tau_l2 - d_l2, 0.0)
                 if s > best:
                     best = s
                     best_bi = bi
@@ -206,7 +177,7 @@ def prune_forecasts(
     scene: SceneModel,
     detections: list[Detection],
     frame: int,
-    thresholds: MatchThresholds,
+    config: RunConfig,
 ) -> None:
     """Kill branches that linger in visible freespace.
 
@@ -215,13 +186,13 @@ def prune_forecasts(
     IoU >= occlusion_iou. Each branch carries a consecutive-visible counter;
     exceeding tau_vis * fps kills the branch.
     """
-    limit = thresholds.tau_vis * scene.fps
+    limit = config.tau_vis * scene.fps
     fc = track.forecast
     for bi, pt, pb in _branch_boxes(track, scene, frame):
         visible = scene.contains(pt) and pb is not None
         if visible:
             for det in detections:
-                if det.box.bottom > pb.bottom and iou(pb, det.box) >= thresholds.occlusion_iou:
+                if det.box.bottom > pb.bottom and iou(pb, det.box) >= config.occlusion_iou:
                     visible = False
                     break
         if visible:
@@ -230,19 +201,6 @@ def prune_forecasts(
                 fc.alive[bi] = False
         else:
             fc.visible_streak[bi] = 0
-
-
-@dataclass
-class TrackerConfig:
-    thresholds: MatchThresholds = field(default_factory=MatchThresholds)
-    motion: MotionModelSpec = field(default_factory=MotionModelSpec)
-    obs_len: int = 8
-    dt: float = 0.4
-    base_iou: float = 0.5
-    forecast_enabled: bool = True
-    ingest_ids: bool = False  # base association by upstream ids instead of IoU
-    process_noise: float = 0.1
-    obs_noise: float = 0.25
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -257,19 +215,22 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
 
 
 class Tracker:
-    """Stateful per-frame tracker; call step() once per frame, in order."""
+    """Stateful per-frame tracker; call step() once per frame, in order.
 
-    def __init__(self, scene: SceneModel, config: TrackerConfig = None):
+    Every gate, the forecasting window and the motion model come from one
+    RunConfig (default: RunConfig()).
+    """
+
+    def __init__(self, scene: SceneModel, config: RunConfig = None):
         self.scene = scene
-        self.config = config or TrackerConfig()
+        self.config = config or RunConfig()
+        self.motion = self.config.motion_spec()
+        self.horizon_steps = max(1, math.ceil(self.config.tau_max / self.config.dt))
         self.tracks: dict[int, Track] = {}
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
 
     # -- helpers -------------------------------------------------------------
-
-    def _horizon_steps(self) -> int:
-        return max(1, math.ceil(self.config.thresholds.tau_max / self.config.dt))
 
     def _activate(self, track: Track, det: Detection, frame: int):
         track.history.append((frame, det))
@@ -287,7 +248,7 @@ class Tracker:
             process_noise=self.config.process_noise,
             obs_noise=self.config.obs_noise,
         )
-        track.forecast = forecast(self.config.motion, obs, self._horizon_steps())
+        track.forecast = forecast(self.motion, obs, self.horizon_steps)
         track.inactive_since = frame
         track.source_binding = None
 
@@ -344,7 +305,6 @@ class Tracker:
         self.last_step_frame = frame
         events = []
         cfg = self.config
-        th = cfg.thresholds
 
         for det in detections:
             det.bev = self.scene.lh.px_to_bev(
@@ -375,11 +335,11 @@ class Tracker:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
-            prune_forecasts(tr, self.scene, detections, frame, th)
+            prune_forecasts(tr, self.scene, detections, frame, cfg)
             if not tr.forecast.alive.any():
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_pruned"))
-            elif frame - tr.last_frame > th.tau_max * self.scene.fps:
+            elif frame - tr.last_frame > cfg.tau_max * self.scene.fps:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_expired"))
             else:
@@ -389,7 +349,7 @@ class Tracker:
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            scores, best_branch = build_cost_matrix(survivors, dets, th, self.scene, frame)
+            scores, best_branch = build_cost_matrix(survivors, dets, cfg, self.scene, frame)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]

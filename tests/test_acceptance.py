@@ -52,7 +52,6 @@ from bevtrack.simulator import (
 )
 from bevtrack.tracker import (
     Detection,
-    MatchThresholds,
     SceneModel,
     assign,
     build_cost_matrix,
@@ -581,7 +580,7 @@ def rect_iou(a, b):
 
 def test_association_score_formula():
     scene = make_scene(size=400)
-    th = MatchThresholds()
+    cfg = RunConfig()
     rng = np.random.default_rng(88)
     nonzero = zero = 0
     worst = 0.0
@@ -599,14 +598,14 @@ def test_association_score_formula():
         tr = inactive_track(1, 200, 200, [bp], app=a1, w=tw, h=thh)
         det = Detection(frame=1, box=PixelBox(u - dw / 2.0, v - dhh, dw, dhh), appearance=a2)
         det.bev = np.array([u, v])
-        scores, _ = build_cost_matrix([tr], [det], th, scene, frame=1)
+        scores, _ = build_cost_matrix([tr], [det], cfg, scene, frame=1)
 
         overlap = rect_iou((bp[0] - tw / 2.0, bp[1] - thh, tw, thh), (u - dw / 2.0, v - dhh, dw, dhh))
         l2 = math.hypot(bp[0] - u, bp[1] - v)
-        if float(a1 @ a2) < th.tau_app or overlap < th.tau_iou:
+        if float(a1 @ a2) < cfg.tau_app or overlap < cfg.tau_iou:
             want = 0.0
         else:
-            want = overlap + max(th.tau_l2 - l2, 0.0)
+            want = overlap + max(cfg.tau_l2 - l2, 0.0)
         worst = max(worst, abs(float(scores[0, 0]) - want))
         if want > 0:
             nonzero += 1

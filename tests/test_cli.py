@@ -234,6 +234,20 @@ class TestEvaluate:
         assert len(d["id_recall"]) == 2
         assert d["id_recall"][1]["hi"] == float("inf")
 
+    def test_decreasing_buckets_is_code_1(self, sim_dir, track_dir, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--gt", os.path.join(sim_dir, "gt.txt"),
+                "--hyp", os.path.join(track_dir, "track.txt"),
+                "--out", str(tmp_path / "report.json"),
+                "--buckets", "2,1",
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: config: buckets must be strictly increasing with at least two edges"]
+
 
 class TestForecastCommand:
     def test_branches_emitted(self, sim_dir, track_dir, tmp_path):
@@ -343,6 +357,15 @@ class TestInputErrors:
             ("obs_len", 0, "obs_len must be at least 1"),
             ("k", 0, "k must be at least 1"),
             ("motion", "transformer", "motion must be one of"),
+            ("dt", "x", "dt must be a number"),
+            ("tau_l2", "2", "tau_l2 must be a number"),
+            ("fan_angles", ["a"], "fan_angles must be a list of numbers"),
+            ("fan_angles", 3, "fan_angles must be a list of numbers"),
+            ("obs_len", 2.5, "obs_len must be an integer"),
+            ("window", 0, "window must be at least 1"),
+            ("buckets", [2, 1], "buckets must be strictly increasing"),
+            ("forecast_enabled", "no", "forecast_enabled must be true or false"),
+            ("seed", "x", "seed must be an integer"),
         ],
     )
     def test_bad_config_value_is_code_1(

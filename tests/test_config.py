@@ -1,11 +1,17 @@
 import json
 import math
+import random
+from dataclasses import fields
 
 import pytest
 
+from bevtrack.cli import main
 from bevtrack.config import RunConfig, config_from_dict, read_config, write_config
 from bevtrack.errors import ParseError
 from bevtrack.evaluation import DEFAULT_BUCKETS
+from bevtrack.tracker import Tracker
+
+from test_tracker import make_scene, walker_dets
 
 
 class TestDefaults:
@@ -20,15 +26,18 @@ class TestDefaults:
         assert cfg.buckets == DEFAULT_BUCKETS
         assert cfg.forecast_enabled and not cfg.ingest_ids
 
-    def test_thresholds_view(self):
-        th = RunConfig().thresholds()
-        assert th.tau_l2 == 2.5 and th.tau_vis == 1.0 and th.occlusion_iou == 0.25
-
-    def test_tracker_config_view(self):
-        tc = RunConfig(motion="static", dt=0.5, obs_len=6).tracker_config()
-        assert tc.motion.kind == "static" and tc.motion.k == 1
-        assert tc.dt == 0.5 and tc.obs_len == 6
-        assert tc.thresholds.tau_max == 6.0
+    def test_tracker_reads_run_config(self):
+        assert Tracker(make_scene()).config == RunConfig()
+        cfg = RunConfig(motion="static", dt=0.5, obs_len=6, tau_max=3.0)
+        tk = Tracker(make_scene(fps=10.0), cfg)
+        assert tk.config is cfg
+        for f in range(3):
+            tk.step(walker_dets(f), f)
+        tk.step([], 3)
+        fc = tk.tracks[1].forecast
+        # static: one zero-velocity branch; ceil(3.0 / 0.5) = 6 steps of 5 frames
+        assert fc.velocities.tolist() == [[0.0, 0.0]]
+        assert fc.end_frame == 2 + 6 * 5
 
 
 class TestMotionSpec:
@@ -116,6 +125,24 @@ class TestEagerValidation:
             ({"motion": "transformer"}, "config: motion must be one of"),
             ({"motion": "fan", "k": 2}, "config: fan requires k == len"),
             ({"tau_vis": 10.0}, "config: tau_vis cannot exceed tau_max"),
+            ({"tau_l2": -0.1}, "config: tau_l2 must be non-negative"),
+            ({"tau_app": 1.5}, "config: tau_app is a cosine similarity"),
+            ({"tau_max": 0.0}, "config: tau_max must be positive"),
+            ({"tau_vis": 7.0, "tau_max": 6.0}, "config: tau_vis cannot exceed tau_max"),
+            ({"tau_iou": -0.5}, "config: tau_iou must be non-negative"),
+            ({"occlusion_iou": math.inf}, "config: occlusion_iou must be non-negative and finite"),
+            ({"obs_noise": 0.0}, "config: obs_noise must be positive"),
+            ({"base_iou": 1.5}, "config: base_iou must be in \\[0, 1\\]"),
+            ({"window": 0}, "config: window must be at least 1"),
+            ({"seed": -1}, "config: seed must be non-negative"),
+            ({"buckets": (2.0, 1.0)}, "config: buckets must be strictly increasing"),
+            ({"buckets": (0.0,)}, "config: buckets must be strictly increasing"),
+            ({"horizons": (0.0,)}, "config: horizons must be positive"),
+            ({"fan_angles": ()}, "config: fan_angles must be a non-empty list"),
+            ({"dt": "x"}, "config: dt must be a number"),
+            ({"k": True}, "config: k must be an integer"),
+            ({"forecast_enabled": "no"}, "config: forecast_enabled must be true or false"),
+            ({"fan_angles": [0.0]}, "config: fan_angles must be a list of numbers"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):
@@ -129,3 +156,51 @@ class TestEagerValidation:
     def test_from_dict_is_validated(self):
         with pytest.raises(ParseError, match="obs_len"):
             config_from_dict({"obs_len": 0})
+
+
+BAD_VALUES = (
+    "x", "", None, [], [1.0], ["a"], [math.nan], {"a": 1},
+    True, False, math.nan, math.inf, -1, -0.5, 0, 0.0,
+)
+
+
+class TestConfigFuzz:
+    def test_random_bad_values_fail_naming_the_field(self, tmp_path, capsys):
+        """Any one bad field value either gives a well-typed config or a
+        ParseError that starts with the field's name; a few of the rejected
+        ones also go through the CLI, which must exit 1 with one error line."""
+        rng = random.Random(1729)
+        defaults = RunConfig()
+        names = [f.name for f in fields(RunConfig)]
+        rejected = []
+        for _ in range(400):
+            name, value = rng.choice(names), rng.choice(BAD_VALUES)
+            try:
+                cfg = config_from_dict({name: value})
+            except ParseError as e:
+                assert str(e).startswith(f"config: {name} "), (name, value, str(e))
+                rejected.append((name, value))
+                continue
+            default, got = getattr(defaults, name), getattr(cfg, name)
+            if isinstance(default, bool):
+                assert isinstance(got, bool), (name, value)
+            elif isinstance(default, (int, float)):
+                assert type(got) in (int, float) and math.isfinite(got), (name, value)
+                assert isinstance(default, float) or isinstance(got, int), (name, value)
+            elif isinstance(default, tuple):
+                assert isinstance(got, tuple) and all(type(v) is float for v in got)
+            else:
+                assert got in ("static", "kalman_cv", "fan"), (name, value)
+        assert len(rejected) > 200
+
+        path = tmp_path / "cfg.json"
+        for name, value in rng.sample(rejected, 6):
+            path.write_text(json.dumps({name: value}))
+            code = main(
+                ["pipeline", "--scenario", "crossing", "--config", str(path),
+                 "--out", str(tmp_path / "out")]
+            )
+            err = capsys.readouterr().err
+            assert code == 1, (name, value)
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+            assert err.startswith(f"error: config: {name} "), (name, value, err)

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox, iou
+from bevtrack.config import RunConfig
 from bevtrack.errors import NonMonotonicFrame
-from bevtrack.forecast import Forecast, MotionModelSpec
+from bevtrack.forecast import Forecast
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.tracker import (
     Detection,
-    MatchThresholds,
     SceneModel,
     Track,
     Tracker,
-    TrackerConfig,
     assign,
     build_cost_matrix,
     prune_forecasts,
@@ -68,23 +67,6 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     )
 
 
-class TestMatchThresholds:
-    def test_defaults(self):
-        th = MatchThresholds()
-        assert th.tau_l2 == 2.5 and th.tau_app == 0.8 and th.tau_iou == 0.2
-        assert th.tau_max == 6.0 and th.tau_vis == 1.0 and th.occlusion_iou == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MatchThresholds(tau_l2=-0.1)
-        with pytest.raises(ValueError):
-            MatchThresholds(tau_app=1.5)
-        with pytest.raises(ValueError):
-            MatchThresholds(tau_max=0.0)
-        with pytest.raises(ValueError):
-            MatchThresholds(tau_vis=7.0, tau_max=6.0)
-
-
 class TestDetectionValidation:
     def test_appearance_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -125,7 +107,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         # identical predicted and detected boxes: IoU 1; L2 0: bonus tau_l2
         assert scores[0, 0] == pytest.approx(1.0 + 2.5, abs=1e-12)
         assert branch[0, 0] == 0
@@ -135,7 +117,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 56, 100)  # 4 px to the right of the branch point
         det.bev = np.array([56.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         # 12x24 boxes offset 4 px: IoU (8*24)/(2*288-192) = 0.5; L2 = 4 > tau_l2
         assert scores[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -144,17 +126,17 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 63, 100)  # 11 px offset: IoU (1*24)/(552) < tau_iou
         det.bev = np.array([63.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         assert branch[0, 0] == -1
 
     def test_distance_only_score_when_iou_gate_disabled(self):
         scene = make_scene()
-        th = MatchThresholds(tau_l2=20.0, tau_iou=0.0)
+        cfg = RunConfig(tau_l2=20.0, tau_iou=0.0)
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 70, 100)  # disjoint boxes, BEV distance 18
         det.bev = np.array([70.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], th, scene, frame=1)
+        scores, branch = build_cost_matrix([tr], [det], cfg, scene, frame=1)
         assert scores[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert branch[0, 0] == 0
 
@@ -164,12 +146,12 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=a)
         det = det_at(1, 52, 100, app=b)
         det.bev = np.array([52.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         # same geometry with an agreeing descriptor passes
         det2 = det_at(1, 52, 100, app=a)
         det2.bev = np.array([52.0, 100.0])
-        scores2, _ = build_cost_matrix([tr], [det2], MatchThresholds(), scene, frame=1)
+        scores2, _ = build_cost_matrix([tr], [det2], RunConfig(), scene, frame=1)
         assert scores2[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_missing_appearance_skips_gate(self):
@@ -177,7 +159,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(1, 0, 0))
         det = det_at(1, 52, 100, app=None)
         det.bev = np.array([52.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_best_branch_selected(self):
@@ -185,7 +167,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(57.0, 100.0), (52.0, 100.0)])
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -195,24 +177,24 @@ class TestCostMatrix:
         tr.forecast.alive[0] = False  # the exact branch was pruned
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], MatchThresholds(), scene, frame=1)
+        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1
         assert scores[0, 0] == pytest.approx(iou(box_at(57, 100), det.box), abs=1e-12)
 
     def test_matches_direct_formula_on_random_instances(self, rng):
         scene = make_scene()
-        th = MatchThresholds()
+        cfg = RunConfig()
         for _ in range(25):
             bp = rng.uniform(40, 160, 2)
             tr = inactive_track(1, *rng.uniform(40, 160, 2), [tuple(bp)])
             du, dv = rng.uniform(40, 160, 2)
             det = det_at(1, du, dv)
             det.bev = np.array([du, dv])
-            scores, _ = build_cost_matrix([tr], [det], th, scene, frame=1)
+            scores, _ = build_cost_matrix([tr], [det], cfg, scene, frame=1)
             pb = box_at(bp[0], bp[1])
             d_iou = iou(pb, det.box)
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
-            want = d_iou + max(th.tau_l2 - d_l2, 0.0) if d_iou >= th.tau_iou else 0.0
+            want = d_iou + max(cfg.tau_l2 - d_l2, 0.0) if d_iou >= cfg.tau_iou else 0.0
             assert scores[0, 0] == pytest.approx(want, abs=1e-12)
 
 
@@ -268,52 +250,49 @@ class TestPruneForecasts:
 
     def test_visible_streak_kills_after_limit(self):
         scene = make_scene(fps=10.0)
-        th = MatchThresholds(tau_vis=0.5, tau_max=6.0)  # limit: 5 consecutive calls
+        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)  # limit: 5 consecutive calls
         tr = self.make_track()
         for i in range(5):
-            prune_forecasts(tr, scene, [], frame=1, thresholds=th)
+            prune_forecasts(tr, scene, [], frame=1, config=cfg)
             assert tr.forecast.alive[0], f"died too early at call {i + 1}"
-        prune_forecasts(tr, scene, [], frame=1, thresholds=th)
+        prune_forecasts(tr, scene, [], frame=1, config=cfg)
         assert not tr.forecast.alive[0]
 
     def test_covering_detection_resets_streak(self):
         scene = make_scene(fps=10.0)
-        th = MatchThresholds(tau_vis=0.5, tau_max=6.0)
+        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
         tr = self.make_track()
         cover = det_at(1, 52, 103)  # closer (bottom 103 > 100), heavy overlap
         for _ in range(4):
-            prune_forecasts(tr, scene, [], frame=1, thresholds=th)
+            prune_forecasts(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 4
-        prune_forecasts(tr, scene, [cover], frame=1, thresholds=th)
+        prune_forecasts(tr, scene, [cover], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 0
         for _ in range(5):
-            prune_forecasts(tr, scene, [], frame=1, thresholds=th)
+            prune_forecasts(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.alive[0]
 
     def test_farther_detection_does_not_cover(self):
         scene = make_scene(fps=10.0)
-        th = MatchThresholds(tau_vis=0.5, tau_max=6.0)
+        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
         tr = self.make_track()
         behind = det_at(1, 52, 97)  # bottom 97 < 100: farther than the forecast
-        prune_forecasts(tr, scene, [behind], frame=1, thresholds=th)
+        prune_forecasts(tr, scene, [behind], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 1
 
     def test_masked_out_cell_is_not_visible(self):
         mask = np.zeros((200, 200), dtype=bool)
         scene = make_scene(fps=10.0, mask=mask)
-        th = MatchThresholds(tau_vis=0.5, tau_max=6.0)
+        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
         tr = self.make_track()
         for _ in range(10):
-            prune_forecasts(tr, scene, [], frame=1, thresholds=th)
+            prune_forecasts(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.alive[0]
         assert tr.forecast.visible_streak[0] == 0
 
 
 def small_config(**kw):
-    th = MatchThresholds(tau_max=2.0, tau_vis=1.0)
-    base = dict(thresholds=th, motion=MotionModelSpec(kind="kalman_cv"), dt=0.3)
-    base.update(kw)
-    return TrackerConfig(**base)
+    return RunConfig(tau_max=2.0, tau_vis=1.0, dt=0.3, **kw)
 
 
 def walker_dets(frame, x0=50.0, v=1.0, y=100.0, app=None):
