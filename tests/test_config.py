@@ -3,15 +3,16 @@ import math
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from bevtrack.cli import main
 from bevtrack.config import RunConfig, config_from_dict, read_config, write_config
 from bevtrack.errors import ParseError
 from bevtrack.evaluation import DEFAULT_BUCKETS
-from bevtrack.tracker import Tracker
+from bevtrack.tracker import Tracker, build_cost_matrix
 
-from test_tracker import make_scene, walker_dets
+from test_tracker import det_at, inactive_track, make_scene, walker_dets
 
 
 class TestDefaults:
@@ -25,6 +26,26 @@ class TestDefaults:
         assert cfg.max_spacing == 0.2 and cfg.cell_size == 0.5
         assert cfg.buckets == DEFAULT_BUCKETS
         assert cfg.forecast_enabled and not cfg.ingest_ids
+
+    def test_thresholds_view(self):
+        # the matching gates are read straight off RunConfig
+        th = RunConfig()
+        assert th.tau_l2 == 2.5 and th.tau_vis == 1.0 and th.occlusion_iou == 0.25
+        tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
+        det = det_at(1, 52, 100)
+        det.bev = np.array([52.0, 100.0])
+        for tau_l2 in (2.5, 4.0):
+            scores, _ = build_cost_matrix([tr], [det], RunConfig(tau_l2=tau_l2), make_scene(), 1)
+            # identical boxes: IoU 1 plus the full distance bonus tau_l2
+            assert scores[0, 0] == pytest.approx(1.0 + tau_l2, abs=1e-12)
+
+    def test_tracker_config_view(self):
+        cfg = RunConfig(motion="static", dt=0.5, obs_len=6)
+        tc = cfg.tracker_config()
+        assert tc is cfg
+        assert tc.motion_spec().kind == "static" and tc.motion_spec().k == 1
+        assert tc.dt == 0.5 and tc.obs_len == 6
+        assert tc.tau_max == 6.0
 
     def test_tracker_reads_run_config(self):
         assert Tracker(make_scene()).config == RunConfig()
