@@ -9,7 +9,7 @@ geometric and appearance scores. A synthetic scene simulator and a metric
 suite aimed at long-gap identity survival close the loop.
 """
 
-from .boxes import PixelBox, covered_fraction, iou
+from .boxes import PixelBox, covered_fraction, iou, iou_matrix, ltwh
 from .config import RunConfig, config_from_dict, read_config, write_config
 from .egomotion import EgomotionTrack, estimate_egomotion
 from .errors import (
@@ -129,8 +129,10 @@ __all__ = [
     "generate",
     "id_recall",
     "iou",
+    "iou_matrix",
     "linearize",
     "load_homography",
+    "ltwh",
     "match_frames",
     "occlusion_components",
     "predicted_box",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PixelBox:
@@ -49,6 +51,29 @@ def iou(a: PixelBox, b: PixelBox) -> float:
         return 0.0
     inter = iw * ih
     return inter / (a.area + b.area - inter)
+
+
+def ltwh(boxes) -> np.ndarray:
+    """(N, 4) left, top, width, height array of a sequence of PixelBoxes."""
+    return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., N, M) pairwise iou of (..., N, 4) and (..., M, 4) left-top-width-height arrays.
+
+    The same float operations as ``iou``, so every entry is bit-identical to
+    the scalar result; rows with NaN coordinates overlap nothing. Leading
+    dimensions broadcast, so one call can serve a stack of frames.
+    """
+    a = np.asarray(a, dtype=float)[..., :, None, :]
+    b = np.asarray(b, dtype=float)[..., None, :, :]
+    al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
 
 
 def covered_fraction(box: PixelBox, covers: list[tuple[float, float, float, float]]) -> float:

@@ -39,14 +39,24 @@ from .simulator import build_scene_model, generate, read_scenario, write_scenari
 from .tracker import Detection, SceneModel, Tracker
 
 
-def _positive(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        v = math.nan
-    if not 0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return v
+def _checked(kind, accept, expected: str):
+    """argparse type: ``kind(text)`` if accept() holds for it, else a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            v = math.nan
+        if not accept(v):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return v
+
+    return parse
+
+
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,8 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
     sp.add_argument("--out", required=True, help="homography output file")
-    sp.add_argument("--max-spacing", type=float, default=0.2)
-    sp.add_argument("--image", type=int, nargs=2, metavar=("W", "H"), default=(1920, 1080))
+    sp.add_argument("--max-spacing", type=_positive, default=0.2)
+    sp.add_argument(
+        "--image", type=_positive_int, nargs=2, metavar=("W", "H"), default=(1920, 1080)
+    )
 
     sp = sub.add_parser("track", help="run the tracker over a detection file")
     add_common(sp)
@@ -99,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--buckets", help="comma-separated edges, e.g. 0,0.5,1,2,inf")
     sp.add_argument(
         "--vis-threshold",
-        type=float,
+        type=_fraction,
         help="visibility below which a frame counts as occluded "
         "(align with the detector's emission cutoff for endpoint recall)",
     )

@@ -357,27 +357,6 @@ def evaluate_sim(
     )
 
 
-def run_suite(
-    scenarios: list,
-    config: RunConfig,
-    lh: Optional[LinearizedHomography] = None,
-    pixel_space: bool = False,
-) -> list:
-    """Simulate, track, and evaluate each scenario; returns the reports."""
-    reports = []
-    for sc in scenarios:
-        sim = generate(sc)
-        if pixel_space:
-            scene = pixel_baseline_scene(sc)
-            outputs, _, _ = run_tracker(
-                sim, pixel_baseline_config(config), lh=scene.lh, scene=scene
-            )
-        else:
-            outputs, _, _ = run_tracker(sim, config, lh=lh)
-        reports.append(evaluate_sim(sim, outputs, config))
-    return reports
-
-
 def aggregate_buckets(reports: list) -> list:
     """Element-wise sum of the duration buckets across reports."""
     if not reports:

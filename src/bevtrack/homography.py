@@ -172,4 +172,8 @@ def load_homography(path) -> tuple[Homography, float, tuple[int, int]]:
         size = (int(im[1]), int(im[2]))
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
+    if not 0 < spacing < np.inf:
+        raise ParseError(f"{path}:5: max_spacing must be positive and finite, got {sp[1]}")
+    if min(size) <= 0:
+        raise ParseError(f"{path}:6: image size must be positive, got {im[1]} {im[2]}")
     return Homography(np.array(rows)), spacing, size

@@ -6,6 +6,11 @@ and are forecast forward in the BEV plane; at every frame each forecast is
 evaluated at that frame, pruned against visible freespace, and offered the
 unmatched detections through a gated geometric+appearance score solved as a
 maximum-score assignment. Track ids are never reissued.
+
+Each frame works on arrays: one px_to_bev call lifts every detection, and one
+try_bev_to_px call maps the alive branches of every inactive track to the
+predicted boxes (FrameGeometry) that pruning and the cost matrix share.
+Overlaps come from one pairwise kernel, iou_matrix.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .boxes import PixelBox, iou
+# iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
+from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
 from .config import RunConfig
-from .errors import NonMonotonicFrame, OutOfDomain
-from .forecast import Forecast, forecast, predicted_box, preprocess
+from .errors import NonMonotonicFrame
+from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F401
 
 
 @dataclass
@@ -89,28 +95,58 @@ class SceneModel:
         if self.cell_size <= 0 or self.fps <= 0:
             raise ValueError("cell_size and fps must be positive")
 
-    def contains(self, point: np.ndarray) -> bool:
-        """True when the BEV point lies on a visible-freespace cell."""
-        j = int(math.floor((point[0] - self.origin[0]) / self.cell_size))
-        i = int(math.floor((point[1] - self.origin[1]) / self.cell_size))
-        if 0 <= i < self.mask.shape[0] and 0 <= j < self.mask.shape[1]:
-            return bool(self.mask[i, j])
-        return False
+    def contains(self, points):
+        """True where a BEV point, (2,) or (N, 2), lies on a visible-freespace cell."""
+        p = np.asarray(points, dtype=float)
+        cell = np.floor((p - self.origin) / self.cell_size)  # (column, row)
+        inside = ((cell >= 0) & (cell < self.mask.shape[::-1])).all(axis=-1)
+        out = np.zeros(inside.shape, dtype=bool)
+        j, i = cell[inside].astype(int).T
+        out[inside] = self.mask[i, j]
+        return bool(out) if p.ndim == 1 else out
 
 
-def _branch_boxes(track: Track, scene: SceneModel, frame: int):
-    """(branch_index, point, predicted box or None) for alive branches."""
-    fc = track.forecast
-    out = []
-    for bi, pt in enumerate(fc.points(frame)):
-        if not fc.alive[bi]:
-            continue
-        try:
-            pb = predicted_box(track.last_box, pt, scene.lh, ego=scene.ego, frame=frame)
-        except OutOfDomain:
-            pb = None
-        out.append((bi, pt, pb))
-    return out
+@dataclass
+class FrameGeometry:
+    """Alive branches of inactive tracks at one frame, one row each, grouped by track.
+
+    A row's predicted box is the track's last box moved so its bottom-centre
+    sits on the pixel of the row's point; a point with no pixel preimage has
+    NaN box coordinates, which overlap nothing.
+    """
+
+    rows: dict  # track id -> slice of the row arrays
+    branch: np.ndarray  # (B,) branch index within the track's forecast
+    points: np.ndarray  # (B, 2) BEV points
+    boxes: np.ndarray  # (B, 4) predicted left, top, width, height
+    in_view: np.ndarray  # (B,) has a box and lies on a visible-freespace cell
+    cover_iou: np.ndarray  # (B,) largest IoU with a closer detection, -inf if none
+
+
+def frame_geometry(tracks: list, det_boxes: np.ndarray, scene: SceneModel, frame: int):
+    """The tracks' FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections.
+
+    A detection is closer than a branch when its bottom edge is lower (larger v).
+    """
+    rows, branch, points, sizes, start = {}, [], [], [], 0
+    for tr in tracks:
+        bi = np.flatnonzero(tr.forecast.alive)
+        rows[tr.id] = slice(start, start + len(bi))
+        start += len(bi)
+        branch.append(bi)
+        points.append(tr.forecast.points(frame)[bi])
+        sizes.extend([(tr.last_box.width, tr.last_box.height)] * len(bi))
+    pts = np.concatenate(points)
+    px, valid = scene.lh.try_bev_to_px(pts, ego=scene.ego, frame=frame)
+    wh = np.array(sizes, dtype=float).reshape(-1, 2)
+    boxes = np.concatenate([px - wh / (2.0, 1.0), wh], axis=1)  # u - w / 2, v - h
+    if len(det_boxes):
+        closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
+        cover = np.where(closer, iou_matrix(boxes, det_boxes), -np.inf).max(axis=1)
+    else:
+        cover = np.full(len(pts), -np.inf)
+    in_view = valid & scene.contains(pts)
+    return FrameGeometry(rows, np.concatenate(branch), pts, boxes, in_view, cover)
 
 
 def build_cost_matrix(
@@ -119,13 +155,16 @@ def build_cost_matrix(
     config: RunConfig,
     scene: SceneModel,
     frame: int,
+    geometry: Optional[FrameGeometry] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
     Per branch the score is IoU(predicted box, detection box) plus the
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
-    entry is the best (max) over its alive branches. Zero means "forbidden".
+    entry is the best (max) over its alive branches, the first branch on a
+    tie. Zero means "forbidden". ``geometry`` (built from these tracks and
+    detections when not given) supplies the branch points and boxes.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -134,26 +173,35 @@ def build_cost_matrix(
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
-    for i, tr in enumerate(tracks):
-        branches = _branch_boxes(tr, scene, frame)
-        for j, det in enumerate(detections):
-            if tr.last_appearance is not None and det.appearance is not None:
-                app = float(tr.last_appearance @ det.appearance)
-                if app < config.tau_app:
-                    continue
-            best = 0.0
-            best_bi = -1
-            for bi, pt, pb in branches:
-                d_iou = iou(pb, det.box) if pb is not None else 0.0
-                if d_iou < config.tau_iou:
-                    continue
-                d_l2 = float(np.linalg.norm(pt - det.bev))
-                s = d_iou + max(config.tau_l2 - d_l2, 0.0)
-                if s > best:
-                    best = s
-                    best_bi = bi
-            scores[i, j] = best
-            best_branch[i, j] = best_bi
+    if n == 0 or m == 0:
+        return scores, best_branch
+    det_boxes = ltwh([d.box for d in detections])
+    g = geometry or frame_geometry(tracks, det_boxes, scene, frame)
+    # Rows of branches still alive (pruning may have killed some since g was built).
+    rows = [np.arange(g.rows[tr.id].start, g.rows[tr.id].stop) for tr in tracks]
+    rows = [r[tr.forecast.alive[g.branch[r]]] for tr, r in zip(tracks, rows)]
+    owner = np.repeat(np.arange(n), [len(r) for r in rows])
+    rows = np.concatenate(rows)
+    d_iou = iou_matrix(g.boxes[rows], det_boxes)
+    # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
+    diff = g.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
+    d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
+    per_branch = np.zeros((n, max(len(tr.forecast.alive) for tr in tracks), m))
+    per_branch[owner, g.branch[rows]] = s
+    best = per_branch.max(axis=1)
+    ok = best > 0.0
+
+    ti = [i for i, tr in enumerate(tracks) if tr.last_appearance is not None]
+    dj = [j for j, d in enumerate(detections) if d.appearance is not None]
+    if ti and dj:
+        a = np.array([tracks[i].last_appearance for i in ti])[:, None, None, :]
+        b = np.array([detections[j].appearance for j in dj])[None, :, :, None]
+        # One stacked product per pair, rounding like the 1-D tr @ det product.
+        ok[np.ix_(ti, dj)] &= (a @ b)[..., 0, 0] >= config.tau_app
+
+    scores[ok] = best[ok]
+    best_branch[ok] = per_branch.argmax(axis=1)[ok]
     return scores, best_branch
 
 
@@ -178,29 +226,25 @@ def prune_forecasts(
     detections: list[Detection],
     frame: int,
     config: RunConfig,
+    geometry: Optional[FrameGeometry] = None,
 ) -> None:
     """Kill branches that linger in visible freespace.
 
     A branch point is visible when it lies on an occupied freespace cell and
     its predicted box overlaps no closer detection (larger bottom edge) with
     IoU >= occlusion_iou. Each branch carries a consecutive-visible counter;
-    exceeding tau_vis * fps kills the branch.
+    exceeding tau_vis * fps kills the branch. ``geometry`` (built from this
+    track and the detections when not given) holds each branch's freespace
+    test and its largest overlap with a closer detection.
     """
-    limit = config.tau_vis * scene.fps
+    if geometry is None:
+        geometry = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame)
+    rows = geometry.rows[track.id]
+    bi = geometry.branch[rows]
+    visible = geometry.in_view[rows] & (geometry.cover_iou[rows] < config.occlusion_iou)
     fc = track.forecast
-    for bi, pt, pb in _branch_boxes(track, scene, frame):
-        visible = scene.contains(pt) and pb is not None
-        if visible:
-            for det in detections:
-                if det.box.bottom > pb.bottom and iou(pb, det.box) >= config.occlusion_iou:
-                    visible = False
-                    break
-        if visible:
-            fc.visible_streak[bi] += 1
-            if fc.visible_streak[bi] > limit:
-                fc.alive[bi] = False
-        else:
-            fc.visible_streak[bi] = 0
+    fc.visible_streak[bi] = np.where(visible, fc.visible_streak[bi] + 1, 0)
+    fc.alive[bi] = ~(visible & (fc.visible_streak[bi] > config.tau_vis * scene.fps))
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -252,8 +296,11 @@ class Tracker:
         track.inactive_since = frame
         track.source_binding = None
 
-    def _base_association(self, active: list[Track], detections: list[Detection]):
-        """IoU-greedy (or upstream-id) matching of active tracks to detections."""
+    def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
+        """IoU-greedy (or upstream-id) matching of active tracks to detections.
+
+        Pairs clearing base_iou are taken greedily by (-iou, track id, detection index).
+        """
         matches = {}
         if self.config.ingest_ids:
             by_source = {t.source_binding: t for t in active if t.source_binding is not None}
@@ -262,15 +309,16 @@ class Tracker:
                 if tr is not None and tr.id not in matches:
                     matches[tr.id] = j
             return matches
-        cands = []
-        for tr in active:
-            for j, det in enumerate(detections):
-                ov = iou(tr.last_box, det.box)
-                if ov >= self.config.base_iou:
-                    cands.append((-ov, tr.id, j))
-        cands.sort()
+        if not active or not detections:
+            return matches
+        ov = iou_matrix(ltwh([t.last_box for t in active]), det_boxes)
+        ti, dj = np.nonzero(ov >= self.config.base_iou)
+        # active is in id order, so its index orders pairs like the track id.
+        order = np.lexsort((dj, ti, -ov[ti, dj])).tolist()
+        ti, dj = ti.tolist(), dj.tolist()
         used_dets = set()
-        for neg_ov, tid, j in cands:
+        for k in order:
+            tid, j = active[ti[k]].id, dj[k]
             if tid in matches or j in used_dets:
                 continue
             matches[tid] = j
@@ -306,14 +354,16 @@ class Tracker:
         events = []
         cfg = self.config
 
-        for det in detections:
-            det.bev = self.scene.lh.px_to_bev(
-                np.array(det.box.bottom_center), ego=self.scene.ego, frame=frame
-            )
+        det_boxes = ltwh([d.box for d in detections])
+        if detections:
+            bottom_centres = det_boxes[:, :2] + det_boxes[:, 2:] / (2.0, 1.0)
+            bev = self.scene.lh.px_to_bev(bottom_centres, ego=self.scene.ego, frame=frame)
+            for det, p in zip(detections, bev):
+                det.bev = p
 
         # Base association keeps visible tracks alive.
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
-        matches = self._base_association(active, detections)
+        matches = self._base_association(active, detections, det_boxes)
         matched_dets = set(matches.values())
         for tr in active:
             if tr.id in matches:
@@ -327,15 +377,18 @@ class Tracker:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="terminated"))
 
-        # Drop forecasts past their end, then prune and expire the inactive set.
+        # Drop forecasts past their end, then prune and expire the inactive set,
+        # one track at a time in id order so the removal events interleave.
         inactive = sorted((t for t in self.tracks.values() if not t.active), key=lambda t: t.id)
+        live = [t for t in inactive if frame <= t.forecast.end_frame]
+        geometry = frame_geometry(live, det_boxes, self.scene, frame) if live else None
         survivors = []
         for tr in inactive:
             if frame > tr.forecast.end_frame:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
-            prune_forecasts(tr, self.scene, detections, frame, cfg)
+            prune_forecasts(tr, self.scene, detections, frame, cfg, geometry)
             if not tr.forecast.alive.any():
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_pruned"))
@@ -349,7 +402,9 @@ class Tracker:
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            scores, best_branch = build_cost_matrix(survivors, dets, cfg, self.scene, frame)
+            scores, best_branch = build_cost_matrix(
+                survivors, dets, cfg, self.scene, frame, geometry
+            )
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, covered_fraction, iou
+from bevtrack.boxes import PixelBox, covered_fraction, iou, iou_matrix, ltwh
 
 
 def grid_covered_fraction(box, covers, n=400):
@@ -60,6 +60,63 @@ class TestIou:
             b = PixelBox(*rng.uniform(1, 50, size=4))
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
+
+
+def scalar_iou_matrix(a, b):
+    return np.array([[iou(x, y) for y in b] for x in a], dtype=float).reshape(len(a), len(b))
+
+
+class TestIouMatrix:
+    def test_random_boxes_bit_identical(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n, m = rng.integers(0, 12, 2)
+            a = [PixelBox(*rng.uniform(0, 60, 2), *rng.uniform(0.5, 30, 2)) for _ in range(n)]
+            b = [PixelBox(*rng.uniform(0, 60, 2), *rng.uniform(0.5, 30, 2)) for _ in range(m)]
+            got = iou_matrix(ltwh(a), ltwh(b))
+            assert got.shape == (n, m)
+            assert np.array_equal(got, scalar_iou_matrix(a, b))
+
+    def test_disjoint_touching_and_identical_pairs(self):
+        rng = np.random.default_rng(8)
+        a, b, kinds = [], [], []
+        for _ in range(200):
+            x = PixelBox(*rng.uniform(0, 100, 2), *rng.uniform(0.1, 40, 2))
+            shift = rng.choice(["identical", "touch_x", "touch_y", "far", "corner"])
+            if shift == "identical":
+                y = PixelBox(x.left, x.top, x.width, x.height)
+            elif shift == "touch_x":
+                y = PixelBox(x.right, x.top + rng.uniform(-5, 5), *rng.uniform(0.1, 40, 2))
+            elif shift == "touch_y":
+                y = PixelBox(x.left + rng.uniform(-5, 5), x.bottom, *rng.uniform(0.1, 40, 2))
+            elif shift == "far":
+                y = PixelBox(x.right + rng.uniform(1, 50), x.bottom + 1.0, 5.0, 5.0)
+            else:
+                y = PixelBox(x.right - 1e-9, x.bottom - 1e-9, 3.0, 3.0)
+            a.append(x)
+            b.append(y)
+            kinds.append(shift)
+        got = iou_matrix(ltwh(a), ltwh(b))
+        assert np.array_equal(got, scalar_iou_matrix(a, b))
+        diag = dict(zip(kinds, np.diag(got)))
+        assert diag["far"] == diag["touch_x"] == diag["touch_y"] == 0.0
+        assert diag["identical"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_leading_dimensions_broadcast(self):
+        rng = np.random.default_rng(9)
+        a = np.concatenate([rng.uniform(0, 60, (5, 3, 2)), rng.uniform(0.5, 30, (5, 3, 2))], axis=2)
+        b = np.concatenate([rng.uniform(0, 60, (5, 4, 2)), rng.uniform(0.5, 30, (5, 4, 2))], axis=2)
+        got = iou_matrix(a, b)
+        assert got.shape == (5, 3, 4)
+        assert all(np.array_equal(got[f], iou_matrix(a[f], b[f])) for f in range(5))
+
+    def test_nan_rows_overlap_nothing(self):
+        a = np.array([[np.nan, np.nan, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
+        got = iou_matrix(a, a[1:])
+        assert np.array_equal(got, [[0.0], [1.0]])
+
+    def test_empty(self):
+        assert iou_matrix(ltwh([]), ltwh([PixelBox(0, 0, 1, 1)])).shape == (0, 1)
 
 
 class TestCoveredFraction:

@@ -387,6 +387,11 @@ class TestInputErrors:
         assert lines[0].startswith(f"error: config: {message}")
 
 
+def assert_one_error_line(err: str) -> None:
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
 class TestArgumentErrors:
     def test_no_arguments_exits_2(self):
         with pytest.raises(SystemExit) as e:
@@ -406,6 +411,69 @@ class TestArgumentErrors:
                 ]
             )
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--max-spacing", "0"), ("--max-spacing", "-1"), ("--max-spacing", "nan"),
+                 ("--max-spacing", "inf"), ("--image", "0", "10"), ("--image", "-5", "10"),
+                 ("--image", "10", "wide")],
+    )
+    def test_calibrate_non_positive_geometry_exits_2(self, sim_dir, tmp_path, capsys, flag):
+        out = tmp_path / "h.txt"
+        with pytest.raises(SystemExit) as e:
+            main(
+                [
+                    "calibrate",
+                    "--cloud", os.path.join(sim_dir, "cloud.txt"),
+                    "--correspondences", os.path.join(sim_dir, "correspondences.txt"),
+                    "--out", str(out),
+                    *flag,
+                ]
+            )
+        assert e.value.code == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5", "inf", "low"])
+    def test_vis_threshold_outside_unit_interval_exits_2(
+        self, sim_dir, track_dir, tmp_path, capsys, threshold
+    ):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as e:
+            main(
+                [
+                    "evaluate",
+                    "--gt", os.path.join(sim_dir, "gt.txt"),
+                    "--hyp", os.path.join(track_dir, "track.txt"),
+                    "--out", str(out),
+                    "--vis-threshold", threshold,
+                ]
+            )
+        assert e.value.code == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, value", [(5, "max_spacing 0"), (5, "max_spacing nan"), (6, "image 0 1080"),
+                        (6, "image -5 10")],
+    )
+    def test_bad_homography_file_is_code_1(self, sim_dir, tmp_path, capsys, line, value):
+        with open(os.path.join(sim_dir, "homography.txt")) as f:
+            lines = f.read().splitlines()
+        lines[line - 1] = value
+        bad = tmp_path / "homography.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "track",
+                "--det", os.path.join(sim_dir, "det.txt"),
+                "--homography", str(bad),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert f"homography.txt:{line}:" in err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:

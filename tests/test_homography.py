@@ -119,6 +119,20 @@ class TestHomographyIO:
             load_homography(path)
         assert "3" in str(ei.value)
 
+    @pytest.mark.parametrize("spacing", ["0", "-0.2", "nan", "inf"])
+    def test_bad_max_spacing_reports_line_5(self, tmp_path, spacing):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing {spacing}\nimage 10 10\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:5: max_spacing must be positive"):
+            load_homography(path)
+
+    @pytest.mark.parametrize("size", ["0 10", "10 -5", "-5 -5"])
+    def test_bad_image_size_reports_line_6(self, tmp_path, size):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage {size}\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:6: image size must be positive"):
+            load_homography(path)
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("H\n1 0 0\n")

@@ -380,6 +380,22 @@ class TestTrackerLifecycle:
         reasons = [e["reason"] for e in events]
         assert "removed_dead" in reasons and "removed_expired" not in reasons
 
+    def test_removals_interleave_in_id_order(self):
+        # track 1 is pruned and track 2 is dead in the same frame: one loop in
+        # id order logs track 1 first
+        tk = Tracker(make_scene(fps=10.0), small_config())
+        pruned = inactive_track(1, 52, 100, [(0.0, 0.0)])
+        pruned.forecast.end_frame = 50
+        pruned.forecast.visible_streak[0] = 10  # at the tau_vis * fps limit
+        dead = inactive_track(2, 80, 100, [(0.0, 0.0)])
+        tk.tracks = {1: pruned, 2: dead}
+        tk.next_id = 3
+        _, events = tk.step([], 5)
+        assert [(e["track_id"], e["reason"]) for e in events] == [
+            (1, "removed_pruned"),
+            (2, "removed_dead"),
+        ]
+
     def test_pruned_when_lingering_in_freespace(self):
         # visible limit tau_vis * fps = 10 consecutive frames
         tk = Tracker(make_scene(fps=10.0), small_config())
