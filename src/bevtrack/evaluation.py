@@ -29,7 +29,6 @@ from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
 from .errors import MissingGroundTruth
 
 _BIG = 1e6
-_CHUNK_CELLS = 1024  # gt x hyp box pairs per batched iou_matrix call in match_frames
 
 DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
 
@@ -53,27 +52,18 @@ def match_frames(
         by_frame_hyp.setdefault(int(frame), []).append((int(hid), box))
 
     matches: dict[int, list] = {}
-    by_shape: dict[tuple, list] = {}  # (n_gt, n_hyp) -> [(frame, gts, hyps)]
     for frame in sorted(set(by_frame_gt) | set(by_frame_hyp)):
         gts = sorted(by_frame_gt.get(frame, []), key=lambda e: e[0])
         hyps = sorted(by_frame_hyp.get(frame, []), key=lambda e: e[0])
-        matches[frame] = []
-        if gts and hyps:
-            by_shape.setdefault((len(gts), len(hyps)), []).append((frame, gts, hyps))
-    # Frames with as many boxes share one iou_matrix call (most frames hold few
-    # boxes), up to _CHUNK_CELLS box pairs per call to bound its temporaries.
-    for (n, m), group in by_shape.items():
-        size = max(1, _CHUNK_CELLS // (n * m))
-        for chunk in (group[i : i + size] for i in range(0, len(group), size)):
-            gt_boxes = ltwh([b for _, gts, _ in chunk for _, b in gts]).reshape(-1, n, 4)
-            hyp_boxes = ltwh([b for _, _, hyps in chunk for _, b in hyps]).reshape(-1, m, 4)
-            ov = iou_matrix(gt_boxes, hyp_boxes)
-            costs = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
-            for (frame, gts, hyps), cost in zip(chunk, costs):
-                rows, cols = linear_sum_assignment(cost)
-                matches[frame] = sorted(
-                    (gts[i][0], hyps[j][0]) for i, j in zip(rows, cols) if cost[i, j] < _BIG
-                )
+        if not gts or not hyps:
+            matches[frame] = []
+            continue
+        ov = iou_matrix(ltwh([b for _, b in gts]), ltwh([b for _, b in hyps]))
+        cost = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
+        rows, cols = linear_sum_assignment(cost)
+        matches[frame] = sorted(
+            (gts[i][0], hyps[j][0]) for i, j in zip(rows, cols) if cost[i, j] < _BIG
+        )
     return matches
 
 

@@ -5,12 +5,9 @@ frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
 and are forecast forward in the BEV plane; at every frame each forecast is
 evaluated at that frame, pruned against visible freespace, and offered the
 unmatched detections through a gated geometric+appearance score solved as a
-maximum-score assignment. Track ids are never reissued.
-
-Each frame works on arrays: one px_to_bev call lifts every detection, and one
-try_bev_to_px call maps the alive branches of every inactive track to the
-predicted boxes (FrameGeometry) that pruning and the cost matrix share.
-Overlaps come from one pairwise kernel, iou_matrix.
+maximum-score assignment. Track ids are never reissued. Per frame, one
+px_to_bev call lifts the detections and one try_bev_to_px call maps all alive
+branches (FrameGeometry); overlaps come from one kernel, iou_matrix.
 """
 
 from __future__ import annotations
@@ -115,24 +112,28 @@ class FrameGeometry:
     NaN box coordinates, which overlap nothing.
     """
 
-    rows: dict  # track id -> slice of the row arrays
+    rows: dict  # track id -> (R,) row indices
     branch: np.ndarray  # (B,) branch index within the track's forecast
     points: np.ndarray  # (B, 2) BEV points
     boxes: np.ndarray  # (B, 4) predicted left, top, width, height
-    in_view: np.ndarray  # (B,) has a box and lies on a visible-freespace cell
-    cover_iou: np.ndarray  # (B,) largest IoU with a closer detection, -inf if none
+    visible: np.ndarray  # (B,) on visible freespace and not occluded by a closer detection
+
+    def alive_rows(self, track: Track) -> np.ndarray:
+        """The track's rows whose branch is still alive; pruning may kill some after building."""
+        r = self.rows[track.id]
+        return r[track.forecast.alive[self.branch[r]]]
 
 
-def frame_geometry(tracks: list, det_boxes: np.ndarray, scene: SceneModel, frame: int):
+def frame_geometry(tracks, det_boxes, scene: SceneModel, frame: int, config: RunConfig):
     """The tracks' FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections.
 
-    A detection is closer than a branch when its bottom edge is lower (larger v).
+    A detection occludes a row when its bottom edge is lower (larger v) and its
+    IoU with the row's box is at least config.occlusion_iou.
     """
-    rows, branch, points, sizes, start = {}, [], [], [], 0
+    rows, branch, points, sizes = {}, [], [], []
     for tr in tracks:
         bi = np.flatnonzero(tr.forecast.alive)
-        rows[tr.id] = slice(start, start + len(bi))
-        start += len(bi)
+        rows[tr.id] = np.arange(len(sizes), len(sizes) + len(bi))
         branch.append(bi)
         points.append(tr.forecast.points(frame)[bi])
         sizes.extend([(tr.last_box.width, tr.last_box.height)] * len(bi))
@@ -140,13 +141,10 @@ def frame_geometry(tracks: list, det_boxes: np.ndarray, scene: SceneModel, frame
     px, valid = scene.lh.try_bev_to_px(pts, ego=scene.ego, frame=frame)
     wh = np.array(sizes, dtype=float).reshape(-1, 2)
     boxes = np.concatenate([px - wh / (2.0, 1.0), wh], axis=1)  # u - w / 2, v - h
-    if len(det_boxes):
-        closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
-        cover = np.where(closer, iou_matrix(boxes, det_boxes), -np.inf).max(axis=1)
-    else:
-        cover = np.full(len(pts), -np.inf)
-    in_view = valid & scene.contains(pts)
-    return FrameGeometry(rows, np.concatenate(branch), pts, boxes, in_view, cover)
+    closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
+    occluded = (closer & (iou_matrix(boxes, det_boxes) >= config.occlusion_iou)).any(axis=1)
+    visible = valid & scene.contains(pts) & ~occluded
+    return FrameGeometry(rows, np.concatenate(branch), pts, boxes, visible)
 
 
 def build_cost_matrix(
@@ -176,10 +174,8 @@ def build_cost_matrix(
     if n == 0 or m == 0:
         return scores, best_branch
     det_boxes = ltwh([d.box for d in detections])
-    g = geometry or frame_geometry(tracks, det_boxes, scene, frame)
-    # Rows of branches still alive (pruning may have killed some since g was built).
-    rows = [np.arange(g.rows[tr.id].start, g.rows[tr.id].stop) for tr in tracks]
-    rows = [r[tr.forecast.alive[g.branch[r]]] for tr, r in zip(tracks, rows)]
+    g = geometry or frame_geometry(tracks, det_boxes, scene, frame, config)
+    rows = [g.alive_rows(tr) for tr in tracks]
     owner = np.repeat(np.arange(n), [len(r) for r in rows])
     rows = np.concatenate(rows)
     d_iou = iou_matrix(g.boxes[rows], det_boxes)
@@ -234,14 +230,13 @@ def prune_forecasts(
     its predicted box overlaps no closer detection (larger bottom edge) with
     IoU >= occlusion_iou. Each branch carries a consecutive-visible counter;
     exceeding tau_vis * fps kills the branch. ``geometry`` (built from this
-    track and the detections when not given) holds each branch's freespace
-    test and its largest overlap with a closer detection.
+    track and the detections when not given) holds each branch's visibility;
+    only branches alive at the call are updated.
     """
     if geometry is None:
-        geometry = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame)
-    rows = geometry.rows[track.id]
-    bi = geometry.branch[rows]
-    visible = geometry.in_view[rows] & (geometry.cover_iou[rows] < config.occlusion_iou)
+        geometry = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame, config)
+    rows = geometry.alive_rows(track)
+    bi, visible = geometry.branch[rows], geometry.visible[rows]
     fc = track.forecast
     fc.visible_streak[bi] = np.where(visible, fc.visible_streak[bi] + 1, 0)
     fc.alive[bi] = ~(visible & (fc.visible_streak[bi] > config.tau_vis * scene.fps))
@@ -297,10 +292,7 @@ class Tracker:
         track.source_binding = None
 
     def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
-        """IoU-greedy (or upstream-id) matching of active tracks to detections.
-
-        Pairs clearing base_iou are taken greedily by (-iou, track id, detection index).
-        """
+        """IoU-greedy (or upstream-id) matching, by (-iou, track id, detection index)."""
         matches = {}
         if self.config.ingest_ids:
             by_source = {t.source_binding: t for t in active if t.source_binding is not None}
@@ -381,7 +373,7 @@ class Tracker:
         # one track at a time in id order so the removal events interleave.
         inactive = sorted((t for t in self.tracks.values() if not t.active), key=lambda t: t.id)
         live = [t for t in inactive if frame <= t.forecast.end_frame]
-        geometry = frame_geometry(live, det_boxes, self.scene, frame) if live else None
+        geometry = frame_geometry(live, det_boxes, self.scene, frame, cfg) if live else None
         survivors = []
         for tr in inactive:
             if frame > tr.forecast.end_frame:

@@ -102,14 +102,6 @@ class TestIouMatrix:
         assert diag["far"] == diag["touch_x"] == diag["touch_y"] == 0.0
         assert diag["identical"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_leading_dimensions_broadcast(self):
-        rng = np.random.default_rng(9)
-        a = np.concatenate([rng.uniform(0, 60, (5, 3, 2)), rng.uniform(0.5, 30, (5, 3, 2))], axis=2)
-        b = np.concatenate([rng.uniform(0, 60, (5, 4, 2)), rng.uniform(0.5, 30, (5, 4, 2))], axis=2)
-        got = iou_matrix(a, b)
-        assert got.shape == (5, 3, 4)
-        assert all(np.array_equal(got[f], iou_matrix(a[f], b[f])) for f in range(5))
-
     def test_nan_rows_overlap_nothing(self):
         a = np.array([[np.nan, np.nan, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
         got = iou_matrix(a, a[1:])

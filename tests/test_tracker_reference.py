@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, iou
+from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
@@ -27,6 +27,7 @@ from bevtrack.tracker import (
     Tracker,
     assign,
     build_cost_matrix,
+    frame_geometry,
     prune_forecasts,
 )
 
@@ -289,30 +290,40 @@ def run(tracker_cls, sim, cfg, appearance, ingest, ego):
     return outputs, events, bev
 
 
+# name -> (config, appearance, ingest ids, ego, seeds); the two motion models
+# run on two seeds, the gate and input variations on one.
 CASES = {
-    "kalman_cv": (RunConfig(), True, False, False),
-    "fan": (RunConfig(motion="fan", k=3), True, False, False),
-    "fan_no_iou_gate": (RunConfig(motion="fan", k=3, tau_iou=0.0), True, False, False),
-    "ingest_ids": (RunConfig(ingest_ids=True), True, True, False),
-    "no_appearance": (RunConfig(motion="fan", k=3), False, False, False),
-    "ego": (RunConfig(motion="fan", k=3), True, False, True),
+    "kalman_cv": (RunConfig(), True, False, False, (3, 4)),
+    "fan": (RunConfig(motion="fan", k=3), True, False, False, (3, 4)),
+    "fan_no_iou_gate": (RunConfig(motion="fan", k=3, tau_iou=0.0), True, False, False, (3,)),
+    "ingest_ids": (RunConfig(ingest_ids=True), True, True, False, (3,)),
+    "no_appearance": (RunConfig(motion="fan", k=3), False, False, False, (3,)),
+    "ego": (RunConfig(motion="fan", k=3), True, False, True, (3,)),
     # short patience: forecasts end (removed_dead) or expire inside the scene
-    "short_fan": (RunConfig(motion="fan", k=3, tau_max=2.0), True, False, False),
-    "short_cv": (RunConfig(tau_max=2.0, dt=0.3), True, False, False),
+    "short_fan": (RunConfig(motion="fan", k=3, tau_max=2.0), True, False, False, (3,)),
+    "short_cv": (RunConfig(tau_max=2.0, dt=0.3), True, False, False, (3,)),
 }
 
 
 @pytest.fixture(scope="module")
 def crowd_sims():
-    return {(seed, pan): generate(crowd(seed, pan=pan)) for seed in (3, 4) for pan in (False, True)}
+    sims = {}
+
+    def get(seed, pan):
+        if (seed, pan) not in sims:
+            sims[seed, pan] = generate(crowd(seed, pan=pan))
+        return sims[seed, pan]
+
+    return get
 
 
 class TestStepMatchesScalarReference:
-    @pytest.mark.parametrize("seed", (3, 4))
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize(
+        "case,seed", [(c, seed) for c in sorted(CASES) for seed in CASES[c][4]]
+    )
     def test_outputs_and_events_equal(self, crowd_sims, case, seed):
-        cfg, appearance, ingest, ego = CASES[case]
-        sim = crowd_sims[seed, ego]
+        cfg, appearance, ingest, ego, _ = CASES[case]
+        sim = crowd_sims(seed, ego)
         want = run(ScalarTracker, sim, cfg, appearance, ingest, ego)
         got = run(Tracker, sim, cfg, appearance, ingest, ego)
         assert got[0] == want[0]
@@ -390,6 +401,19 @@ class TestCostMatrixMatchesScalarReference:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
+    def test_geometry_built_before_a_kill_skips_the_dead_branch(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            scene, tracks, dets = random_instance(rng)
+            cfg = RunConfig(tau_app=-1.0, tau_iou=0.0)
+            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
+            for tr in tracks:
+                tr.forecast.alive[rng.integers(3)] = False
+            want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
+            got = build_cost_matrix(tracks, dets, cfg, scene, 1, g)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
     def test_ties_go_to_the_first_branch(self):
         scene, tracks, dets = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
         fc = tracks[0].forecast
@@ -411,3 +435,24 @@ class TestPruneMatchesScalarReference:
                 scalar_prune(want, scene, dets, 1, cfg)
                 assert np.array_equal(got.forecast.alive, want.forecast.alive)
                 assert np.array_equal(got.forecast.visible_streak, want.forecast.visible_streak)
+
+    def test_shared_geometry_leaves_dead_branches_alone(self):
+        # One geometry serves several prune calls; a branch killed after it was
+        # built (by an earlier call or otherwise) must stay dead and keep its streak.
+        rng = np.random.default_rng(14)
+        killed = 0
+        for _ in range(100):
+            scene, tracks, dets = random_instance(rng)
+            cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
+            ref = copy_tracks(tracks)
+            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
+            for got, want in zip(tracks, ref):
+                for _ in range(2):
+                    before = want.forecast.alive.copy()
+                    prune_forecasts(got, scene, dets, 1, cfg, g)
+                    scalar_prune(want, scene, dets, 1, cfg)
+                    killed += (before & ~want.forecast.alive).sum()
+                    got.forecast.alive[0] = want.forecast.alive[0] = False
+                assert np.array_equal(got.forecast.alive, want.forecast.alive)
+                assert np.array_equal(got.forecast.visible_streak, want.forecast.visible_streak)
+        assert killed > 0
