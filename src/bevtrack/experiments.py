@@ -31,7 +31,7 @@ from .simulator import (
     Scenario,
     SimOutput,
     _cell_centres,
-    _occluder_rect,
+    _occluder_rects,
     _uncovered,
     build_scene_model,
     generate,
@@ -313,7 +313,7 @@ def pixel_baseline_scene(scenario: Scenario, cell_px: float = 16.0) -> SceneMode
     )
     nx = int(math.ceil(cam.image_width / cell_px))
     ny = int(math.ceil(cam.image_height / cell_px))
-    occ = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    occ = _occluder_rects(cam, scenario.occluders, (0.0, 0.0))
     mask = _uncovered(_cell_centres(np.zeros(2), nx, ny, cell_px), occ).reshape(ny, nx)
     return SceneModel(
         mask=mask,

@@ -145,35 +145,40 @@ def save_homography(path, h: Homography, max_spacing: float, image_size: tuple[i
 
 
 def load_homography(path) -> tuple[Homography, float, tuple[int, int]]:
-    """Read the homography text format; returns (homography, max_spacing, (w, h))."""
+    """Read the homography text format; returns (homography, max_spacing, (w, h)).
+
+    Blank lines are skipped; an error names the line's number in the file.
+    """
     with open(path) as f:
-        lines = [ln.strip() for ln in f.read().splitlines() if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(f.read().splitlines(), 1) if ln.strip()]
     if len(lines) < 6:
         raise ParseError(f"{path}: expected 6 lines, got {len(lines)}")
-    if lines[0] != "H":
-        raise ParseError(f"{path}:1: expected header 'H', got {lines[0]!r}")
-    rows = []
-    for i in (1, 2, 3):
-        parts = lines[i].split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{i + 1}: expected 3 numbers")
+
+    def number(n: int, text: str, kind=float):
         try:
-            rows.append([float(p) for p in parts])
+            return kind(text)
         except ValueError as e:
-            raise ParseError(f"{path}:{i + 1}: {e}") from e
-    sp = lines[4].split()
+            raise ParseError(f"{path}:{n}: {e}") from e
+
+    (n, head), *matrix, (n_sp, spacing_line), (n_im, image_line) = lines[:6]
+    if head != "H":
+        raise ParseError(f"{path}:{n}: expected header 'H', got {head!r}")
+    rows = []
+    for n, line in matrix:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{n}: expected 3 numbers")
+        rows.append([number(n, p) for p in parts])
+    sp = spacing_line.split()
     if len(sp) != 2 or sp[0] != "max_spacing":
-        raise ParseError(f"{path}:5: expected 'max_spacing <m>'")
-    im = lines[5].split()
+        raise ParseError(f"{path}:{n_sp}: expected 'max_spacing <m>'")
+    im = image_line.split()
     if len(im) != 3 or im[0] != "image":
-        raise ParseError(f"{path}:6: expected 'image <w> <h>'")
-    try:
-        spacing = float(sp[1])
-        size = (int(im[1]), int(im[2]))
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise ParseError(f"{path}:{n_im}: expected 'image <w> <h>'")
+    spacing = number(n_sp, sp[1])
+    size = (number(n_im, im[1], int), number(n_im, im[2], int))
     if not 0 < spacing < np.inf:
-        raise ParseError(f"{path}:5: max_spacing must be positive and finite, got {sp[1]}")
+        raise ParseError(f"{path}:{n_sp}: max_spacing must be positive and finite, got {sp[1]}")
     if min(size) <= 0:
-        raise ParseError(f"{path}:6: image size must be positive, got {im[1]} {im[2]}")
+        raise ParseError(f"{path}:{n_im}: image size must be positive, got {im[1]} {im[2]}")
     return Homography(np.array(rows)), spacing, size

@@ -10,19 +10,32 @@ Gaussian pixel noise and noisy per-identity appearance descriptors. The
 generator also emits the exact ground-plane homography, the camera egomotion
 track, and a ground point cloud in camera coordinates for calibration.
 
-Everything is deterministic for a fixed scenario seed.
+Generation works on arrays: every walker's path over the whole scene and
+every occluder's rectangle per frame are computed once; each frame projects
+all agent boxes in one stacked product. Visibility then takes two steps per
+frame. An (agents x covers) array test keeps, for each box, the covers that
+stand lower and whose clip against the box has positive area; the exact
+area sweep ``covered_fraction`` runs only on boxes with such a cover, and the
+rest are fully visible. The sweep depends only on the set of non-empty
+clipped rectangles, so dropping the other covers changes no visibility, not
+even in the last bit.
+
+Everything is deterministic for a fixed scenario seed. A scenario from JSON
+is checked field by field before any frame is generated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .boxes import PixelBox, covered_fraction
+from .config import _is_number
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
 from .homography import Homography
@@ -63,6 +76,15 @@ class Occluder:
     height: float
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidScenario(f"scenario.{message}")
+
+
+def _finite_pairs(points) -> bool:
+    return all(len(p) == 2 and all(map(math.isfinite, p)) for p in points)
+
+
 @dataclass(frozen=True)
 class Scenario:
     camera: CameraSpec
@@ -80,24 +102,37 @@ class Scenario:
     appearance_dim: int = 16
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise InvalidScenario("fps must be positive")
-        if self.duration <= 0:
-            raise InvalidScenario("duration must be positive")
-        if self.ground_extent <= 0:
-            raise InvalidScenario("ground_extent must be positive")
+        cam = self.camera
+        for name in ("height", "focal"):
+            _check(0 < getattr(cam, name) < math.inf, f"camera.{name} must be positive and finite")
+        _check(math.isfinite(cam.tilt_deg), "camera.tilt_deg must be finite")
+        for name in ("image_width", "image_height"):
+            _check(getattr(cam, name) >= 1, f"camera.{name} must be at least 1")
+        for name in ("fps", "duration", "ground_extent"):
+            _check(0 < getattr(self, name) < math.inf, f"{name} must be positive and finite")
+        for name in ("detection_noise", "appearance_noise", "cloud_noise"):
+            _check(0 <= getattr(self, name) < math.inf, f"{name} must be non-negative and finite")
+        _check(self.cloud_points >= 4, "cloud_points must be at least 4 for a homography fit")
+        _check(self.appearance_dim >= 1, "appearance_dim must be at least 1")
+        _check(self.seed >= 0, "seed must be non-negative")
         ids = [a.id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise InvalidScenario("agent ids must be unique")
-        for a in self.agents:
-            if a.speed <= 0:
-                raise InvalidScenario(f"agent {a.id}: speed must be positive")
-            if len(a.waypoints) == 0:
-                raise InvalidScenario(f"agent {a.id}: needs at least one waypoint")
-        if self.camera_path is not None and len(self.camera_path) != self.n_frames - 1:
-            raise InvalidScenario(
-                f"camera_path must have n_frames-1 = {self.n_frames - 1} entries"
+        _check(len(set(ids)) == len(ids), "agents: ids must be unique")
+        for i, a in enumerate(self.agents):
+            for name in ("speed", "height", "width"):
+                v = getattr(a, name)
+                _check(0 < v < math.inf, f"agents[{i}].{name} must be positive and finite, got {v}")
+            _check(len(a.waypoints) > 0, f"agents[{i}].waypoints needs at least one point")
+            _check(_finite_pairs(a.waypoints), f"agents[{i}].waypoints must be finite pairs")
+            _check(a.appearance_seed >= 0, f"agents[{i}].appearance_seed must be non-negative")
+        for i, o in enumerate(self.occluders):
+            bounds = (o.x_min, o.x_max, o.y_min, o.y_max, o.height)
+            _check(all(map(math.isfinite, bounds)), f"occluders[{i}]: every field must be finite")
+        if self.camera_path is not None:
+            _check(
+                len(self.camera_path) == self.n_frames - 1,
+                f"camera_path must have n_frames-1 = {self.n_frames - 1} entries",
             )
+            _check(_finite_pairs(self.camera_path), "camera_path must be finite (dx, dy) pairs")
 
     @property
     def n_frames(self) -> int:
@@ -156,14 +191,20 @@ def _rotation_world_to_cam(tilt_deg: float) -> np.ndarray:
 
 
 def project_points(cam: CameraSpec, world: np.ndarray, cam_xy=(0.0, 0.0)):
-    """World points (N, 3) -> (pixels (N, 2), camera-frame coords (N, 3))."""
+    """World points (..., 3) -> (pixels (..., 2), camera-frame coords (..., 3)).
+
+    cam_xy is one (2,) camera offset, or offsets that broadcast against the
+    leading axes of world. Each stack of points is rotated by its own
+    (k, 3) @ (3, 3) product, so a stack rounds exactly as it would alone.
+    """
     rot = _rotation_world_to_cam(cam.tilt_deg)
-    center = np.array([cam_xy[0], cam_xy[1], cam.height])
+    xy = np.asarray(cam_xy, dtype=float)
+    center = np.concatenate([xy, np.full(xy.shape[:-1] + (1,), float(cam.height))], axis=-1)
     pc = (np.atleast_2d(world) - center) @ rot.T
     cx, cy = cam.principal_point
-    u = cam.focal * pc[:, 0] / pc[:, 2] + cx
-    v = cam.focal * pc[:, 1] / pc[:, 2] + cy
-    return np.stack([u, v], axis=1), pc
+    u = cam.focal * pc[..., 0] / pc[..., 2] + cx
+    v = cam.focal * pc[..., 1] / pc[..., 2] + cy
+    return np.stack([u, v], axis=-1), pc
 
 
 def true_homography(cam: CameraSpec) -> Homography:
@@ -184,54 +225,51 @@ def true_homography(cam: CameraSpec) -> Homography:
 # -- agents and occluders ----------------------------------------------------------
 
 
-def agent_position(agent: AgentSpec, t: float) -> np.ndarray:
-    """Constant-speed position along the waypoint polyline, clamped at the end."""
+def agent_position(agent: AgentSpec, t) -> np.ndarray:
+    """Constant-speed position along the waypoint polyline, clamped at the end.
+
+    t is one time, giving a (2,) position, or an (F,) array of times, giving
+    (F, 2) positions with the same float operations as one time at a time.
+    """
     wps = np.asarray(agent.waypoints, dtype=float)
-    if len(wps) == 1:
-        return wps[0].copy()
+    s = agent.speed * np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((len(s), 2))
+    out[:] = wps[0]
     seg = np.diff(wps, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    s = agent.speed * t
+    todo = np.ones(len(s), dtype=bool)
     for i, L in enumerate(seg_len):
-        if s <= L or i == len(seg_len) - 1:
-            if L < 1e-12:
-                return wps[i].copy()
-            frac = min(s / L, 1.0)
-            return wps[i] + frac * seg[i]
-        s -= L
-    return wps[-1].copy()
+        here = todo & (s <= L) if i < len(seg_len) - 1 else todo
+        if L < 1e-12:
+            out[here] = wps[i]
+        else:
+            out[here] = wps[i] + np.minimum(s[here] / L, 1.0)[:, None] * seg[i]
+        todo &= ~here
+        s = s - L
+    return out if np.ndim(t) else out[0]
 
 
-def _agent_box(cam: CameraSpec, agent: AgentSpec, pos: np.ndarray, cam_xy) -> PixelBox:
-    x, y = pos
-    hw = agent.width / 2.0
-    corners = np.array(
-        [
-            [x - hw, y, 0.0],
-            [x + hw, y, 0.0],
-            [x - hw, y, agent.height],
-            [x + hw, y, agent.height],
-        ]
+def _occluder_rects(cam: CameraSpec, occluders, cam_xy) -> np.ndarray:
+    """(..., m, 4) image rectangles (u0, v0, u1, v1) of the occluders' corners.
+
+    One rectangle per occluder and per camera offset in cam_xy (one (2,)
+    offset or (F, 2) of them). Only corners in front of the camera count; an
+    occluder with none in front gets (0, 0, 0, 0).
+    """
+    b = np.array(
+        [(o.x_min, o.x_max, o.y_min, o.y_max, o.height) for o in occluders], dtype=float
+    ).reshape(-1, 5)
+    upper = np.arange(8) % 2 == 1  # corners run x-major, then y, then z
+    x, y, z = b[:, [0, 0, 0, 0, 1, 1, 1, 1]], b[:, [2, 2, 3, 3, 2, 2, 3, 3]], b[:, 4:]
+    corners = np.stack([x, y, np.where(upper, z, 0.0)], axis=-1)
+    px, pc = project_points(cam, corners, np.asarray(cam_xy, dtype=float)[..., None, None, :])
+    front = (pc[..., 2] > 1e-9)[..., None]
+    rects = np.concatenate(
+        [np.where(front, px, np.inf).min(axis=-2), np.where(front, px, -np.inf).max(axis=-2)],
+        axis=-1,
     )
-    px, _ = project_points(cam, corners, cam_xy)
-    left, top = px[:, 0].min(), px[:, 1].min()
-    return PixelBox(left, top, px[:, 0].max() - left, px[:, 1].max() - top)
-
-
-def _occluder_rect(cam: CameraSpec, occ: Occluder, cam_xy) -> tuple[float, float, float, float]:
-    corners = np.array(
-        [
-            [x, y, z]
-            for x in (occ.x_min, occ.x_max)
-            for y in (occ.y_min, occ.y_max)
-            for z in (0.0, occ.height)
-        ]
-    )
-    px, pc = project_points(cam, corners, cam_xy)
-    px = px[pc[:, 2] > 1e-9]  # corners in front of the camera
-    if len(px) == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    return (px[:, 0].min(), px[:, 1].min(), px[:, 0].max(), px[:, 1].max())
+    rects[~front.any(axis=(-2, -1))] = 0.0
+    return rects
 
 
 # -- generation --------------------------------------------------------------------
@@ -253,38 +291,37 @@ def generate(scenario: Scenario) -> SimOutput:
     detections: list[SimDetection] = []
     gt: list[GtEntry] = []
     img_w, img_h = cam.image_width, cam.image_height
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+    times = np.arange(n_frames) / scenario.fps
+    paths = np.array([agent_position(a, times) for a in agents]).reshape(len(agents), n_frames, 2)
+    half_w = np.array([a.width for a in agents], dtype=float) / 2.0
+    # z of each agent's four box corners: two at the feet, two at the head
+    corner_z = np.array([a.height for a in agents], dtype=float)[:, None] * [0.0, 0.0, 1.0, 1.0]
+    occ_rects = _occluder_rects(cam, scenario.occluders, ego.offsets[:n_frames])
 
     for f in range(n_frames):
-        t = f / scenario.fps
-        cam_xy = ego.offset(f)
-        occ_rects = [_occluder_rect(cam, o, cam_xy) for o in scenario.occluders]
-
-        agents = sorted(scenario.agents, key=lambda a: a.id)
-        boxes = {}
-        positions = {}
-        for a in agents:
-            pos = agent_position(a, t)
-            positions[a.id] = pos
-            boxes[a.id] = _agent_box(cam, a, pos, cam_xy)
-
-        for a in agents:
-            box = boxes[a.id]
-            covers = [r for r in occ_rects if r[3] > box.bottom]
-            covers += [
-                (b.left, b.top, b.right, b.bottom)
-                for other, b in boxes.items()
-                if other != a.id and b.bottom > box.bottom
-            ]
-            visibility = 1.0 - covered_fraction(box, covers)
-            gt.append(
-                GtEntry(
-                    frame=f,
-                    agent_id=a.id,
-                    box=box,
-                    bev=positions[a.id].copy(),
-                    visibility=visibility,
-                )
-            )
+        x, y = paths[:, f].T
+        corner_x = np.stack([x - half_w, x + half_w] * 2, axis=1)
+        corners = np.stack([corner_x, np.repeat(y[:, None], 4, 1), corner_z], axis=-1)
+        px, _ = project_points(cam, corners, ego.offset(f))
+        lo, hi = px.min(axis=1), px.max(axis=1)
+        left, top = lo.T
+        width, height = (hi - lo).T
+        rects = np.stack([left, top, left + width, top + height], axis=1)
+        # Covers of box i: occluders and agents whose bottom edge is lower in
+        # the image. Only those whose clip against the box has positive area
+        # can change the sweep, so the rest are dropped before it.
+        covers = np.concatenate([occ_rects[f], rects])
+        cl, ct, cr, cb = covers.T
+        bl, bt, br, bb = rects.T[:, :, None]
+        hit = (cb > bb) & (np.minimum(cr, br) > np.maximum(cl, bl))
+        hit &= np.minimum(cb, bb) > np.maximum(ct, bt)
+        covered = hit.any(axis=1)
+        for i, a in enumerate(agents):
+            box = PixelBox(left[i], top[i], width[i], height[i])
+            visibility = 1.0 - covered_fraction(box, covers[hit[i]]) if covered[i] else 1.0
+            bev = paths[i, f].copy()
+            gt.append(GtEntry(frame=f, agent_id=a.id, box=box, bev=bev, visibility=visibility))
             in_frame = box.right > 0 and box.left < img_w and box.bottom > 0 and box.top < img_h
             if visibility >= VISIBILITY_CUTOFF and in_frame:
                 if scenario.detection_noise > 0:
@@ -409,7 +446,7 @@ def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneMo
     e = scenario.ground_extent
     origin = np.array([-e / 2.0, 0.0])
     n = int(math.ceil(e / cell_size))
-    occ_rects = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    occ_rects = _occluder_rects(cam, scenario.occluders, (0.0, 0.0))
     px, valid = lh.try_bev_to_px(_cell_centres(origin, n, n, cell_size))
     u, v = px[:, 0], px[:, 1]
     in_image = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height)
@@ -438,6 +475,8 @@ _SCENARIO_OPTIONAL = {
 
 
 def _check_keys(d: dict, required: set, optional: set, where: str):
+    if not isinstance(d, dict):
+        raise ParseError(f"{where}: expected a JSON object")
     missing = required - set(d)
     if missing:
         raise ParseError(f"{where}: missing field '{sorted(missing)[0]}'")
@@ -446,50 +485,79 @@ def _check_keys(d: dict, required: set, optional: set, where: str):
         raise ParseError(f"{where}: unknown field '{sorted(unknown)[0]}'")
 
 
+def _field(d: dict, key: str, where: str, kind=float, default=None):
+    """d[key], or default when absent, as a float or an int; ParseError naming it otherwise."""
+    v = d.get(key, default)
+    if kind is int and not (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
+        raise ParseError(f"{where}.{key} must be an integer, got {v!r}")
+    if kind is float and not _is_number(v):
+        raise ParseError(f"{where}.{key} must be a number, got {v!r}")
+    return kind(v)
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{where} must be a list, got {v!r}")
+    return v
+
+
+def _pairs(v, where: str) -> tuple:
+    for p in _list(v, where):
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+            raise ParseError(f"{where} must hold [x, y] number pairs, got {p!r}")
+    return tuple((float(x), float(y)) for x, y in v)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    if not isinstance(d, dict):
-        raise ParseError("scenario: expected a JSON object")
+    """Build a Scenario from parsed JSON.
+
+    A malformed field raises ParseError and a value out of range raises
+    InvalidScenario; either message starts with the field's path, such as
+    ``scenario.agents[0].speed``.
+    """
     _check_keys(d, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenario")
     camd = d["camera"]
     _check_keys(camd, _CAMERA_FIELDS, set(), "scenario.camera")
     agents = []
-    for i, ad in enumerate(d["agents"]):
-        _check_keys(ad, {"id", "waypoints", "speed"}, _AGENT_FIELDS, f"scenario.agents[{i}]")
+    for i, ad in enumerate(_list(d["agents"], "scenario.agents")):
+        where = f"scenario.agents[{i}]"
+        _check_keys(ad, {"id", "waypoints", "speed"}, _AGENT_FIELDS, where)
         agents.append(
             AgentSpec(
-                id=int(ad["id"]),
-                waypoints=tuple(tuple(map(float, w)) for w in ad["waypoints"]),
-                speed=float(ad["speed"]),
-                height=float(ad.get("height", 1.7)),
-                width=float(ad.get("width", 0.6)),
-                appearance_seed=int(ad.get("appearance_seed", ad["id"])),
+                id=_field(ad, "id", where, int),
+                waypoints=_pairs(ad["waypoints"], f"{where}.waypoints"),
+                speed=_field(ad, "speed", where),
+                height=_field(ad, "height", where, default=1.7),
+                width=_field(ad, "width", where, default=0.6),
+                appearance_seed=_field(ad, "appearance_seed", where, int, ad["id"]),
             )
         )
     occluders = []
-    for i, od in enumerate(d.get("occluders", [])):
-        _check_keys(od, _OCCLUDER_FIELDS, set(), f"scenario.occluders[{i}]")
-        occluders.append(Occluder(**{k: float(od[k]) for k in _OCCLUDER_FIELDS}))
+    for i, od in enumerate(_list(d.get("occluders", []), "scenario.occluders")):
+        where = f"scenario.occluders[{i}]"
+        _check_keys(od, _OCCLUDER_FIELDS, set(), where)
+        occluders.append(Occluder(**{k: _field(od, k, where) for k in _OCCLUDER_FIELDS}))
     path = d.get("camera_path")
     return Scenario(
         camera=CameraSpec(
-            height=float(camd["height"]),
-            tilt_deg=float(camd["tilt_deg"]),
-            focal=float(camd["focal"]),
-            image_width=int(camd["image_width"]),
-            image_height=int(camd["image_height"]),
+            height=_field(camd, "height", "scenario.camera"),
+            tilt_deg=_field(camd, "tilt_deg", "scenario.camera"),
+            focal=_field(camd, "focal", "scenario.camera"),
+            image_width=_field(camd, "image_width", "scenario.camera", int),
+            image_height=_field(camd, "image_height", "scenario.camera", int),
         ),
-        ground_extent=float(d["ground_extent"]),
+        ground_extent=_field(d, "ground_extent", "scenario"),
         agents=tuple(agents),
         occluders=tuple(occluders),
-        fps=float(d["fps"]),
-        duration=float(d["duration"]),
-        detection_noise=float(d.get("detection_noise", 0.0)),
-        appearance_noise=float(d.get("appearance_noise", 0.0)),
-        seed=int(d.get("seed", 0)),
-        camera_path=tuple(tuple(map(float, p)) for p in path) if path is not None else None,
-        cloud_points=int(d.get("cloud_points", 2000)),
-        cloud_noise=float(d.get("cloud_noise", 0.0)),
-        appearance_dim=int(d.get("appearance_dim", 16)),
+        fps=_field(d, "fps", "scenario"),
+        duration=_field(d, "duration", "scenario"),
+        detection_noise=_field(d, "detection_noise", "scenario", default=0.0),
+        appearance_noise=_field(d, "appearance_noise", "scenario", default=0.0),
+        seed=_field(d, "seed", "scenario", int, 0),
+        camera_path=_pairs(path, "scenario.camera_path") if path is not None else None,
+        cloud_points=_field(d, "cloud_points", "scenario", int, 2000),
+        cloud_noise=_field(d, "cloud_noise", "scenario", default=0.0),
+        appearance_dim=_field(d, "appearance_dim", "scenario", int, 16),
     )
 
 

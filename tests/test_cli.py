@@ -1,5 +1,6 @@
 import json
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -348,6 +349,35 @@ class TestInputErrors:
 
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["agents"][0].update(speed="fast"), "scenario.agents[0].speed"),
+            (lambda d: d.update(fps="fast"), "scenario.fps"),
+            (lambda d: d["agents"][0]["waypoints"].__setitem__(0, [1.0]),
+             "scenario.agents[0].waypoints"),
+            (lambda d: d.update(agents=5), "scenario.agents"),
+            (lambda d: d.update(cloud_points=0), "scenario.cloud_points"),
+            (lambda d: d["agents"][1].update(height=0), "scenario.agents[1].height"),
+            (lambda d: d["agents"][0].update(width=-1), "scenario.agents[0].width"),
+            (lambda d: d["agents"][0].update(speed=float("nan")), "scenario.agents[0].speed"),
+            (lambda d: d["camera"].update(focal=-100), "scenario.camera.focal"),
+        ],
+    )
+    def test_bad_scenario_field_is_code_1(self, tmp_path, capsys, edit, message):
+        ref = resources.files("bevtrack").joinpath("data", "crossing.json")
+        d = json.loads(ref.read_text())
+        edit(d)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {message} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("cell_size", 0, "cell_size must be positive"),
@@ -454,7 +484,7 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize(
         "line, value", [(5, "max_spacing 0"), (5, "max_spacing nan"), (6, "image 0 1080"),
-                        (6, "image -5 10")],
+                        (6, "image -5 10"), (5, "max_spacing abc"), (6, "image wide 1080")],
     )
     def test_bad_homography_file_is_code_1(self, sim_dir, tmp_path, capsys, line, value):
         with open(os.path.join(sim_dir, "homography.txt")) as f:

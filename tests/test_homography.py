@@ -133,6 +133,31 @@ class TestHomographyIO:
         with pytest.raises(ParseError, match=r"bad\.txt:6: image size must be positive"):
             load_homography(path)
 
+    @pytest.mark.parametrize(
+        "spacing, image, line",
+        [("abc", "10 10", 5), ("0.2", "wide 10", 6), ("0.2", "10 1.5", 6)],
+    )
+    def test_non_numeric_field_reports_its_line(self, tmp_path, spacing, image, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing {spacing}\nimage {image}\n")
+        with pytest.raises(ParseError, match=rf"bad\.txt:{line}: "):
+            load_homography(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("H\n\n1 0 0\n0 1 0\n\n0 0 1\nmax_spacing 0.2\n\nimage 0 10\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:9: image size must be positive"):
+            load_homography(path)
+        path.write_text("\nH\n1 0 0\n0 1 x\n0 0 1\nmax_spacing 0.2\nimage 10 10\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:4: "):
+            load_homography(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("\nH\n1 0 0\n\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage 10 20\n\n")
+        h, spacing, size = load_homography(path)
+        assert np.array_equal(h.m, np.eye(3)) and spacing == 0.2 and size == (10, 20)
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("H\n1 0 0\n")

@@ -22,7 +22,6 @@ from bevtrack.simulator import (
     Occluder,
     Scenario,
     agent_position,
-    _occluder_rect,
     build_scene_model,
     generate,
     project_points,
@@ -32,6 +31,7 @@ from bevtrack.simulator import (
     true_homography,
     write_scenario,
 )
+from test_simulator_reference import reference_agent_box, reference_occluder_rect
 
 
 def make_camera():
@@ -202,11 +202,9 @@ class TestVisibilityAndEmission:
         wall = Occluder(x_min=-1.0, x_max=1.0, y_min=8.0, y_max=8.3, height=3.3)
         scn = make_scenario([WALKER], occluders=(wall,))
         sim = generate(scn)
-        from bevtrack.simulator import _agent_box, _occluder_rect
-
         for g in sim.gt:
-            box = _agent_box(scn.camera, WALKER, g.bev, (0.0, 0.0))
-            rect = _occluder_rect(scn.camera, wall, (0.0, 0.0))
+            box = reference_agent_box(scn.camera, WALKER, g.bev, (0.0, 0.0))
+            rect = reference_occluder_rect(scn.camera, wall, (0.0, 0.0))
             covers = [rect] if rect[3] > box.bottom else []
             want = 1.0 - covered_fraction(box, covers)
             assert g.visibility == pytest.approx(want, abs=1e-12)
@@ -322,7 +320,7 @@ def reference_mask(scenario, projected):
     """Brute-force reference, part 2: the per-cell image-bounds and occluder tests."""
     cam = scenario.camera
     n = int(math.isqrt(len(projected)))
-    occ_rects = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    occ_rects = [reference_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
     mask = np.zeros((n, n), dtype=bool)
     for (i, j), uv in projected.items():
         if uv is None:
@@ -339,7 +337,7 @@ def reference_pixel_mask(scenario, cell_px=16.0):
     cam = scenario.camera
     nx = int(math.ceil(cam.image_width / cell_px))
     ny = int(math.ceil(cam.image_height / cell_px))
-    occ = [_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
+    occ = [reference_occluder_rect(cam, o, (0.0, 0.0)) for o in scenario.occluders]
     mask = np.ones((ny, nx), dtype=bool)
     for i in range(ny):
         for j in range(nx):
@@ -430,6 +428,43 @@ class TestScenarioJson:
         p.write_text("{not json")
         with pytest.raises(ParseError, match="broken.json"):
             read_scenario(p)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda d: d["agents"][0].update(speed="fast"), ParseError,
+             r"scenario\.agents\[0\]\.speed must be a number"),
+            (lambda d: d.update(fps="fast"), ParseError, r"scenario\.fps must be a number"),
+            (lambda d: d["agents"][0]["waypoints"].__setitem__(0, [1.0]), ParseError,
+             r"scenario\.agents\[0\]\.waypoints must hold \[x, y\] number pairs"),
+            (lambda d: d.update(agents=5), ParseError, r"scenario\.agents must be a list"),
+            (lambda d: d["agents"].__setitem__(0, 5), ParseError,
+             r"scenario\.agents\[0\]: expected a JSON object"),
+            (lambda d: d["agents"][0].update(id=1.5), ParseError,
+             r"scenario\.agents\[0\]\.id must be an integer"),
+            (lambda d: d.update(camera_path=[[0.1]]), ParseError,
+             r"scenario\.camera_path must hold \[x, y\] number pairs"),
+            (lambda d: d.update(cloud_points=0), InvalidScenario,
+             r"scenario\.cloud_points must be at least 4"),
+            (lambda d: d["agents"][0].update(height=0), InvalidScenario,
+             r"scenario\.agents\[0\]\.height must be positive"),
+            (lambda d: d["agents"][0].update(width=-1), InvalidScenario,
+             r"scenario\.agents\[0\]\.width must be positive"),
+            (lambda d: d["agents"][0].update(speed=float("nan")), InvalidScenario,
+             r"scenario\.agents\[0\]\.speed must be positive and finite"),
+            (lambda d: d["camera"].update(focal=-100), InvalidScenario,
+             r"scenario\.camera\.focal must be positive"),
+            (lambda d: d.update(seed=-1), InvalidScenario, r"scenario\.seed must be non-negative"),
+            (lambda d: d["occluders"][0].update(height=float("inf")), InvalidScenario,
+             r"scenario\.occluders\[0\]: every field must be finite"),
+        ],
+    )
+    def test_bad_field_named_before_generation(self, edit, error, message):
+        wall = Occluder(x_min=-1.0, x_max=1.0, y_min=8.0, y_max=8.5, height=3.0)
+        d = scenario_to_dict(make_scenario([WALKER], occluders=(wall,)))
+        edit(d)
+        with pytest.raises(error, match=message):
+            scenario_from_dict(d)
 
     def test_semantic_errors_still_raise_invalid_scenario(self):
         d = scenario_to_dict(make_scenario([WALKER]))
