@@ -73,34 +73,38 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
 
 
-def covered_fraction(box: PixelBox, covers: list[tuple[float, float, float, float]]) -> float:
+def covered_fraction(box: PixelBox, covers) -> float:
     """Fraction of ``box`` covered by the union of (l, t, r, b) rectangles.
 
-    Exact sweep over compressed x-coordinates; used by the simulator's
-    visibility computation.
+    A batch of one for ``covered_fractions``, given the covers that overlap the box.
     """
-    clipped = []
-    for l, t, r, b in covers:
-        l2, r2 = max(l, box.left), min(r, box.right)
-        t2, b2 = max(t, box.top), min(b, box.bottom)
-        if r2 > l2 and b2 > t2:
-            clipped.append((l2, t2, r2, b2))
-    if not clipped:
-        return 0.0
-    xs = sorted({v for l, _, r, _ in clipped for v in (l, r)})
-    covered = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        spans = sorted(
-            (t, b) for l, t, r, b in clipped if l <= x0 and r >= x1
-        )
-        y_end = None
-        length = 0.0
-        for t, b in spans:
-            if y_end is None or t > y_end:
-                length += b - t
-                y_end = b
-            elif b > y_end:
-                length += b - y_end
-                y_end = b
-        covered += length * (x1 - x0)
-    return covered / box.area
+    c = np.asarray(covers, dtype=float).reshape(-1, 4)
+    edges = np.array([box.left, box.top, box.right, box.bottom])
+    c = c[(np.minimum(c[:, 2:], edges[2:]) > np.maximum(c[:, :2], edges[:2])).all(axis=1)]
+    return float(covered_fractions(ltwh([box]), c[None])[0]) if len(c) else 0.0
+
+
+def covered_fractions(boxes: np.ndarray, covers: np.ndarray) -> np.ndarray:
+    """(K,) fraction of each (K, 4) left-top-width-height box covered by the
+    union of its (K, c >= 1, 4) (l, t, r, b) covers, each overlapping its box.
+
+    Exact sweep: one strip between each pair of neighbouring clipped x-edges.
+    In a strip, the spans of the covers that cross it, in (t, b) order, add
+    ``b - max(t, highest earlier b)`` when positive. Spans, then strips, are
+    added in order (``cumsum``, not the pairwise ``sum``), so each result is
+    the float a scalar sweep over the distinct edges gives.
+    """
+    left, top, width, height = np.asarray(boxes, dtype=float).T[:, :, None]
+    c = np.asarray(covers, dtype=float)
+    l, r = np.maximum(c[..., 0], left), np.minimum(c[..., 2], left + width)
+    t, b = np.maximum(c[..., 1], top), np.minimum(c[..., 3], top + height)
+    order = np.lexsort((b, t), axis=-1)
+    l, t, r, b = (np.take_along_axis(v, order, axis=-1)[:, None, :] for v in (l, t, r, b))
+    xs = np.sort(np.concatenate([l, r], axis=-1)[:, 0], axis=-1)
+    x0, x1 = xs[:, :-1, None], xs[:, 1:, None]  # (K, strips, 1); a zero-width strip adds 0
+    spans = (l <= x0) & (r >= x1)
+    reach = np.maximum.accumulate(np.where(spans, b, -np.inf), axis=-1)
+    below = np.concatenate([np.full(reach.shape[:2] + (1,), -np.inf), reach[..., :-1]], axis=-1)
+    pieces = np.where(spans, np.maximum(b - np.maximum(t, below), 0.0), 0.0)
+    strips = np.cumsum(pieces, axis=-1)[..., -1] * (x1 - x0)[..., 0]
+    return np.cumsum(strips, axis=-1)[:, -1] / (width * height)[:, 0]

@@ -10,15 +10,15 @@ Gaussian pixel noise and noisy per-identity appearance descriptors. The
 generator also emits the exact ground-plane homography, the camera egomotion
 track, and a ground point cloud in camera coordinates for calibration.
 
-Generation works on arrays: every walker's path over the whole scene and
-every occluder's rectangle per frame are computed once; each frame projects
-all agent boxes in one stacked product. Visibility then takes two steps per
-frame. An (agents x covers) array test keeps, for each box, the covers that
-stand lower and whose clip against the box has positive area; the exact
-area sweep ``covered_fraction`` runs only on boxes with such a cover, and the
-rest are fully visible. The sweep depends only on the set of non-empty
-clipped rectangles, so dropping the other covers changes no visibility, not
-even in the last bit.
+Generation works on blocks of FRAME_BLOCK frames, which bounds its arrays;
+walker paths and occluder rectangles are computed once for the scene. Per
+block, one stacked product projects every agent box, one array test keeps for
+each box the covers that stand lower and overlap it, one exact sweep
+(``covered_fractions``) per cover count gives the covered boxes' visibility,
+and one ``rng.normal`` call draws the noise of every detection, in the order
+one detection at a time draws it. The ground cloud is rejection-sampled in
+blocks of draws, each kept point's cloud noise still right after its pair.
+Every output is bit-identical to one frame, one agent and one draw at a time.
 
 Everything is deterministic for a fixed scenario seed. A scenario from JSON
 is checked field by field before any frame is generated.
@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import PixelBox, covered_fraction
+# covered_fraction goes uncalled here; the benchmark tracer wraps it as this module's.
+from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
 from .config import _is_number
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
@@ -42,6 +43,7 @@ from .homography import Homography
 from .tracker import SceneModel
 
 VISIBILITY_CUTOFF = 0.25  # detections are emitted at or above this visibility
+FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ class Scenario:
             _check(getattr(cam, name) >= 1, f"camera.{name} must be at least 1")
         for name in ("fps", "duration", "ground_extent"):
             _check(0 < getattr(self, name) < math.inf, f"{name} must be positive and finite")
+        _check(math.isfinite(self.duration * self.fps), "duration * fps must be finite")
+        _check(self.ground_extent >= 0.5, "ground_extent must be at least 0.5 (the cloud's nearest y)")
         for name in ("detection_noise", "appearance_noise", "cloud_noise"):
             _check(0 <= getattr(self, name) < math.inf, f"{name} must be non-negative and finite")
         _check(self.cloud_points >= 4, "cloud_points must be at least 4 for a homography fit")
@@ -280,18 +284,19 @@ def generate(scenario: Scenario) -> SimOutput:
     cam = scenario.camera
     rng = np.random.default_rng(scenario.seed)
     n_frames = scenario.n_frames
-
     ego = scenario.ego_track()
-
-    base_appearance = {}
-    for a in scenario.agents:
-        vec = np.random.default_rng(a.appearance_seed).normal(size=scenario.appearance_dim)
-        base_appearance[a.id] = vec / np.linalg.norm(vec)
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+    dim = scenario.appearance_dim
+    base_appearance = np.empty((len(agents), dim))
+    for i, a in enumerate(agents):
+        vec = np.random.default_rng(a.appearance_seed).normal(size=dim)
+        base_appearance[i] = vec / np.linalg.norm(vec)
+    # the noise of one detection: four box jitters, then its descriptor's
+    scales = np.array([scenario.detection_noise] * 4 + [scenario.appearance_noise] * dim)
+    noisy = scales > 0
 
     detections: list[SimDetection] = []
     gt: list[GtEntry] = []
-    img_w, img_h = cam.image_width, cam.image_height
-    agents = sorted(scenario.agents, key=lambda a: a.id)
     times = np.arange(n_frames) / scenario.fps
     paths = np.array([agent_position(a, times) for a in agents]).reshape(len(agents), n_frames, 2)
     half_w = np.array([a.width for a in agents], dtype=float) / 2.0
@@ -299,46 +304,52 @@ def generate(scenario: Scenario) -> SimOutput:
     corner_z = np.array([a.height for a in agents], dtype=float)[:, None] * [0.0, 0.0, 1.0, 1.0]
     occ_rects = _occluder_rects(cam, scenario.occluders, ego.offsets[:n_frames])
 
-    for f in range(n_frames):
-        x, y = paths[:, f].T
-        corner_x = np.stack([x - half_w, x + half_w] * 2, axis=1)
-        corners = np.stack([corner_x, np.repeat(y[:, None], 4, 1), corner_z], axis=-1)
-        px, _ = project_points(cam, corners, ego.offset(f))
-        lo, hi = px.min(axis=1), px.max(axis=1)
-        left, top = lo.T
-        width, height = (hi - lo).T
-        rects = np.stack([left, top, left + width, top + height], axis=1)
-        # Covers of box i: occluders and agents whose bottom edge is lower in
-        # the image. Only those whose clip against the box has positive area
-        # can change the sweep, so the rest are dropped before it.
-        covers = np.concatenate([occ_rects[f], rects])
-        cl, ct, cr, cb = covers.T
-        bl, bt, br, bb = rects.T[:, :, None]
-        hit = (cb > bb) & (np.minimum(cr, br) > np.maximum(cl, bl))
-        hit &= np.minimum(cb, bb) > np.maximum(ct, bt)
-        covered = hit.any(axis=1)
-        for i, a in enumerate(agents):
-            box = PixelBox(left[i], top[i], width[i], height[i])
-            visibility = 1.0 - covered_fraction(box, covers[hit[i]]) if covered[i] else 1.0
-            bev = paths[i, f].copy()
-            gt.append(GtEntry(frame=f, agent_id=a.id, box=box, bev=bev, visibility=visibility))
-            in_frame = box.right > 0 and box.left < img_w and box.bottom > 0 and box.top < img_h
-            if visibility >= VISIBILITY_CUTOFF and in_frame:
-                if scenario.detection_noise > 0:
-                    jit = rng.normal(0.0, scenario.detection_noise, size=4)
-                else:
-                    jit = np.zeros(4)
-                noisy = PixelBox(
-                    box.left + jit[0],
-                    box.top + jit[1],
-                    max(box.width + jit[2], 1.0),
-                    max(box.height + jit[3], 1.0),
-                )
-                app = base_appearance[a.id]
-                if scenario.appearance_noise > 0:
-                    app = app + rng.normal(0.0, scenario.appearance_noise, size=app.shape)
-                app = app / np.linalg.norm(app)
-                detections.append(SimDetection(frame=f, box=noisy, appearance=app, agent_id=a.id))
+    for f0 in range(0, n_frames, FRAME_BLOCK):
+        frames = range(f0, min(f0 + FRAME_BLOCK, n_frames))
+        x, y = paths[:, frames].transpose(2, 1, 0)  # (frames, agents)
+        corner_x = np.stack([x - half_w, x + half_w] * 2, axis=-1)
+        corners = np.stack(np.broadcast_arrays(corner_x, y[..., None], corner_z), axis=-1)
+        px, _ = project_points(cam, corners, ego.offsets[frames, None, None])
+        lo, hi = px.min(axis=-2), px.max(axis=-2)
+        ltwh = np.concatenate([lo, hi - lo], axis=-1)  # (frames, agents, 4)
+        sized = (ltwh[..., 2:] > 0).all(axis=-1)
+        if not sized.all():
+            f, i = np.argwhere(~sized)[0]
+            name = f"scenario.agents[{scenario.agents.index(agents[i])}]"
+            raise InvalidScenario(f"{name} has no image box (zero or NaN size) at frame {f0 + f}")
+        rects = np.concatenate([lo, lo + ltwh[..., 2:]], axis=-1)
+        # Covers of box i: occluders and agents lower in the image (cb > bb) whose
+        # clip against the box has positive area; no other cover changes the sweep.
+        # The clip test min(r) > max(l), in u and in v, is spelled out pairwise to
+        # build no float temporaries; for boxes of positive size five terms are left.
+        covers = np.concatenate([occ_rects[frames], rects], axis=1)
+        cl, ct, cr, cb = np.moveaxis(covers, -1, 0)[:, :, None]
+        bl, _, br, bb = np.moveaxis(rects, -1, 0)[..., None]
+        hit = (cb > bb) & (bb > ct) & (cr > bl) & (br > cl) & (cr > cl)
+        count = hit.sum(axis=-1)
+        visibility = np.ones(count.shape)
+        for c in np.unique(count[count > 0]):  # boxes of one cover count sweep together
+            fi, ai = np.nonzero(count == c)
+            rows, ci = np.nonzero(hit[fi, ai])
+            chosen = covers[fi[rows], ci].reshape(-1, c, 4)
+            visibility[fi, ai] = 1.0 - covered_fractions(ltwh[fi, ai], chosen)
+        bevs = paths[:, frames].transpose(1, 0, 2)
+        cells = zip(np.ndindex(count.shape), ltwh.reshape(-1, 4), visibility.ravel())
+        for (f, i), box, vis in cells:
+            gt.append(GtEntry(f0 + f, agents[i].id, PixelBox(*box), bevs[f, i].copy(), vis))
+
+        in_frame = (rects[..., 2:] > 0).all(-1) & (lo < [cam.image_width, cam.image_height]).all(-1)
+        fe, ae = np.nonzero((visibility >= VISIBILITY_CUTOFF) & in_frame)
+        # One draw for the block, in the order one detection at a time draws:
+        # frame, then agent id, each detection's jitters before its descriptor.
+        noise = np.zeros((len(fe), len(scales)))
+        noise[:, noisy] = rng.normal(0.0, scales[noisy], size=(len(fe), noisy.sum()))
+        boxes = ltwh[fe, ae] + noise[:, :4]
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], 1.0)
+        app = base_appearance[ae] + noise[:, 4:]
+        app /= np.sqrt([v.dot(v) for v in app])[:, None]  # each row's own dot, as linalg.norm
+        for k, (f, i) in enumerate(zip(fe.tolist(), ae.tolist())):
+            detections.append(SimDetection(f0 + f, PixelBox(*boxes[k]), app[k], agents[i].id))
 
     cloud_cam, cloud_px = _sample_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise
@@ -355,27 +366,39 @@ def generate(scenario: Scenario) -> SimOutput:
 
 
 def _sample_ground_cloud(scenario: Scenario, rng, n: int, noise: float):
-    """Uniform BEV samples of the visible ground, as camera-frame 3D + pixels."""
+    """Uniform BEV samples of the visible ground, as camera-frame 3D + pixels.
+
+    Rejection sampling of at most 200 * n (x, y) pairs, drawn and projected in
+    blocks that end by the n-th kept pair. With noise, a kept point's three
+    normals follow its pair in the stream: its block is drawn again from the
+    saved state up to that pair, and the normals after it.
+    """
     cam = scenario.camera
     e = scenario.ground_extent
-    pts = []
-    pixels = []
-    guard = 0
-    while len(pts) < n and guard < 200 * n:
-        guard += 1
-        x = rng.uniform(-e / 2.0, e / 2.0)
-        y = rng.uniform(0.5, e)
-        px, pc = project_points(cam, np.array([[x, y, 0.0]]), (0.0, 0.0))
-        u, v = px[0]
-        if 0 <= u < cam.image_width and 0 <= v < cam.image_height and pc[0, 2] > 0:
-            p = pc[0]
-            if noise > 0:
-                p = p + rng.normal(0.0, noise, size=3)
-            pts.append(p)
-            pixels.append(px[0])
-    if len(pts) < n:
-        raise InvalidScenario("camera sees too little ground to sample the point cloud")
-    return np.array(pts), np.array(pixels)
+    low, high = [-e / 2.0, 0.5], [e / 2.0, e]
+    pts, pixels = [], []
+    kept = drawn = 0
+    while kept < n and drawn < 200 * n:
+        # with noise only the pairs up to the first kept one count: draw about twice the mean gap
+        k = min(200 * n - drawn, n - kept, 2 * drawn // max(kept, 1) + 2 if noise > 0 else n)
+        state = rng.bit_generator.state
+        xy = rng.uniform(low, high, size=(k, 2))
+        px, pc = project_points(cam, np.column_stack([xy, np.zeros(k)]))
+        u, v = px.T
+        ok = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height) & (pc[:, 2] > 0)
+        if noise > 0 and ok.any():
+            k = int(ok.argmax()) + 1
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(k, 2))
+            ok[k:] = False
+            pc[k - 1] += rng.normal(0.0, noise, size=3)
+        drawn += k
+        kept += int(ok.sum())
+        pts.append(pc[ok])
+        pixels.append(px[ok])
+    if kept < n:
+        raise InvalidScenario("scenario: camera sees too little ground to sample the point cloud")
+    return np.concatenate(pts), np.concatenate(pixels)
 
 
 def sample_ground_correspondences(
@@ -416,7 +439,7 @@ def sample_ground_correspondences(
             out_a.append(ua[0])
             out_b.append(ub[0])
     if len(out_a) < n:
-        raise InvalidScenario("frames share too little visible ground for correspondences")
+        raise InvalidScenario("scenario: frames share too little visible ground for correspondences")
     return np.array(out_a), np.array(out_b)
 
 

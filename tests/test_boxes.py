@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, covered_fraction, iou, iou_matrix, ltwh
+from bevtrack.boxes import PixelBox, covered_fraction, covered_fractions, iou, iou_matrix, ltwh
 
 
 def grid_covered_fraction(box, covers, n=400):
@@ -13,6 +13,55 @@ def grid_covered_fraction(box, covers, n=400):
     for l, t, r, b in covers:
         hit |= (xx >= l) & (xx < r) & (yy >= t) & (yy < b)
     return hit.mean()
+
+
+def reference_covered_fraction(box, covers) -> float:
+    """The scalar sweep: distinct clipped x-edges, spans sorted by (t, b), added one by one."""
+    clipped = []
+    for l, t, r, b in covers:
+        l2, r2 = max(l, box.left), min(r, box.right)
+        t2, b2 = max(t, box.top), min(b, box.bottom)
+        if r2 > l2 and b2 > t2:
+            clipped.append((l2, t2, r2, b2))
+    if not clipped:
+        return 0.0
+    xs = sorted({v for l, _, r, _ in clipped for v in (l, r)})
+    covered = 0.0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        spans = sorted((t, b) for l, t, r, b in clipped if l <= x0 and r >= x1)
+        y_end = None
+        length = 0.0
+        for t, b in spans:
+            if y_end is None or t > y_end:
+                length += b - t
+                y_end = b
+            elif b > y_end:
+                length += b - y_end
+                y_end = b
+        covered += length * (x1 - x0)
+    return covered / box.area
+
+
+def pooled_case(rng, n_covers: int, overlapping: bool):
+    """A box and n_covers rectangles whose edges come from 8 random values per axis.
+
+    Edges repeat, so covers share and touch edges with each other and the
+    box, repeat, nest and reach past the box. With ``overlapping`` every
+    cover clips against the box to a positive area.
+    """
+    xs, ys = np.sort(rng.uniform(-5.0, 25.0, (2, 8)), axis=1)
+    box = PixelBox(xs[2], ys[2], xs[5] - xs[2], ys[5] - ys[2])
+    covers = []
+    while len(covers) < n_covers:
+        (a, b), (c, d) = np.sort(rng.choice(8, (2, 2), replace=True), axis=1)
+        rect = (xs[a], ys[c], xs[b], ys[d])
+        if covers and rng.random() < 0.1:
+            rect = covers[int(rng.integers(len(covers)))]
+        clips = min(rect[2], box.right) > max(rect[0], box.left)
+        clips &= min(rect[3], box.bottom) > max(rect[1], box.top)
+        if clips or not overlapping:
+            covers.append(rect)
+    return box, covers
 
 
 class TestPixelBox:
@@ -142,3 +191,39 @@ class TestCoveredFraction:
     def test_degenerate_covers_ignored(self):
         box = PixelBox(0, 0, 10, 10)
         assert covered_fraction(box, [(20, 20, 30, 30), (3, 3, 3, 9)]) == 0.0
+
+
+class TestCoveredFractionsKernel:
+    """The batched sweep against the scalar reference, compared with ``==``."""
+
+    @pytest.mark.parametrize("n_covers", range(1, 21))
+    def test_matches_scalar_sweep_bit_for_bit(self, n_covers):
+        rng = np.random.default_rng(n_covers)
+        cases = [pooled_case(rng, n_covers, overlapping=True) for _ in range(40)]
+        got = covered_fractions(
+            ltwh([box for box, _ in cases]), np.array([covers for _, covers in cases])
+        )
+        want = [reference_covered_fraction(box, covers) for box, covers in cases]
+        assert got.tolist() == want
+
+    def test_batch_of_one_matches_scalar_sweep(self):
+        rng = np.random.default_rng(99)
+        for _ in range(400):
+            box, covers = pooled_case(rng, int(rng.integers(0, 21)), overlapping=False)
+            assert covered_fraction(box, covers) == reference_covered_fraction(box, covers)
+
+    def test_cases_hold_the_edge_cases(self):
+        rng = np.random.default_rng(5)
+        cases = [pooled_case(rng, 20, overlapping=True) for _ in range(20)]
+        pairs = [(b, p, q) for b, cs in cases for p in cs for q in cs]
+        assert any(len(set(cs)) < len(cs) for _, cs in cases)  # duplicate covers
+        assert any(p[0] == b.left or p[2] == b.right for b, p, _ in pairs)  # an edge of the box
+        assert any(p[2] == q[0] for _, p, q in pairs)  # touching covers
+        assert any(
+            p != q and p[0] <= q[0] and q[2] <= p[2] and p[1] <= q[1] and q[3] <= p[3]
+            for _, p, q in pairs
+        )  # nested covers
+        assert any(
+            p[0] <= b.left and p[2] >= b.right and p[1] <= b.top and p[3] >= b.bottom
+            for b, p, _ in pairs
+        )  # a cover larger than the box

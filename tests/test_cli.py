@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 from importlib import resources
@@ -361,6 +362,10 @@ class TestInputErrors:
             (lambda d: d["agents"][0].update(width=-1), "scenario.agents[0].width"),
             (lambda d: d["agents"][0].update(speed=float("nan")), "scenario.agents[0].speed"),
             (lambda d: d["camera"].update(focal=-100), "scenario.camera.focal"),
+            (lambda d: d.update(duration=1e308), "scenario.duration * fps"),
+            (lambda d: d.update(ground_extent=0.25), "scenario.ground_extent must be at least"),
+            (lambda d: d["agents"][1]["waypoints"][0].__setitem__(1, 1e308),
+             "scenario.agents[1] has no image box"),
         ],
     )
     def test_bad_scenario_field_is_code_1(self, tmp_path, capsys, edit, message):
@@ -376,6 +381,37 @@ class TestInputErrors:
         assert_one_error_line(err)
         assert err.startswith(f"error: {message} ")
         assert not out.exists()
+
+    def test_camera_seeing_too_little_ground_is_code_1(self, tmp_path, capsys):
+        # tilted up until about 1 in 220 ground draws lands in the image: fewer
+        # than 1500 of the 200 * 1500 draws the cloud sampler may make
+        d = crossing_dict()
+        d["camera"]["tilt_deg"] = -19.8
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(d))
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: scenario: camera sees too little ground")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fuzzed_scenario_gives_output_or_one_error(self, tmp_path, capsys, seed):
+        rng = np.random.default_rng(seed)
+        d = crossing_dict()
+        for _ in range(int(rng.integers(1, 3))):
+            mutate_json(d, rng)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert os.path.exists(out / "det.txt") and os.path.exists(out / "gt.txt")
+        else:
+            assert code == 1
+            assert_one_error_line(err)
+            assert err.startswith("error: scenario"), err
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -415,6 +451,44 @@ class TestInputErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: config: {message}")
+
+
+def crossing_dict() -> dict:
+    return json.loads(resources.files("bevtrack").joinpath("data", "crossing.json").read_text())
+
+
+# Values a fuzzed field may take: wrong types, out-of-range and non-finite
+# numbers. Sizes stay small: a large frame count, cloud or descriptor is a
+# valid input whose cost grows with it.
+FUZZ_VALUES = (
+    None, True, "x", [], {}, [1.0], [[1.0, 2.0]],
+    -1, 0, 0.25, 3, 2.5, 1e308, -1e308, float("nan"), float("inf"),
+)
+
+
+def mutate_json(d, rng) -> None:
+    """Delete a field or list entry of d, add an unknown field, flip or scale
+    a float, or set a field or entry to one of FUZZ_VALUES."""
+    def paths(node, path=()):
+        yield path
+        children = enumerate(node) if isinstance(node, list) else ()
+        for k, v in node.items() if isinstance(node, dict) else children:
+            yield from paths(v, path + (k,))
+
+    every = list(paths(d))[1:]
+    path = every[int(rng.integers(len(every)))]
+    parent = d
+    for k in path[:-1]:
+        parent = parent[k]
+    op = rng.random()
+    if op < 0.15:
+        del parent[path[-1]]
+    elif op < 0.2 and isinstance(parent, dict):
+        parent["colour"] = 1
+    elif op < 0.5 and isinstance(parent[path[-1]], float):
+        parent[path[-1]] *= float(rng.choice([-1.0, 0.5, 1.5]))
+    else:
+        parent[path[-1]] = copy.deepcopy(FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))])
 
 
 def assert_one_error_line(err: str) -> None:

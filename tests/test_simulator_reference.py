@@ -1,10 +1,13 @@
-"""The array-per-frame generate against a per-agent reference copy.
+"""The frame-block generate against a per-agent reference copy.
 
-``reference_generate`` is the simulator as it was before it worked on arrays
-per frame: one agent at a time, each box projected on its own, and the sweep
-given every occluder and every lower agent as a cover. The vectorized
-generate must reproduce it bit for bit on seeded random scenarios: every
-ground-truth entry, every detection and the ground cloud.
+``reference_generate`` is the simulator as it was before it worked on arrays:
+one frame and one agent at a time, each box projected on its own, the scalar
+sweep given every occluder and every lower agent as a cover, the noise of
+each detection drawn on its own, and the ground cloud drawn one pair at a
+time. The block generate must reproduce it bit for bit on seeded random
+scenarios, some shorter than a block, some one block long and some not a
+whole number of blocks: every ground-truth entry, every detection and the
+ground cloud.
 """
 
 import math
@@ -12,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from bevtrack import simulator
-from bevtrack.boxes import PixelBox, covered_fraction
+from bevtrack.boxes import PixelBox
+from bevtrack.errors import InvalidScenario
 from bevtrack.simulator import (
+    FRAME_BLOCK,
     VISIBILITY_CUTOFF,
     AgentSpec,
     CameraSpec,
@@ -25,6 +29,7 @@ from bevtrack.simulator import (
     agent_position,
     generate,
 )
+from test_boxes import reference_covered_fraction
 
 
 def reference_project_points(cam, world, cam_xy):
@@ -93,12 +98,13 @@ def reference_occluder_rect(cam, occ, cam_xy):
     return (px[:, 0].min(), px[:, 1].min(), px[:, 0].max(), px[:, 1].max())
 
 
-def reference_ground_cloud(scenario, rng, n, noise):
+def reference_ground_cloud(scenario, rng, n, noise, max_draws=None):
+    """One (x, y) pair at a time, at most max_draws (200 * n) pairs."""
     cam = scenario.camera
     e = scenario.ground_extent
     pts, pixels = [], []
     guard = 0
-    while len(pts) < n and guard < 200 * n:
+    while len(pts) < n and guard < (200 * n if max_draws is None else max_draws):
         guard += 1
         x = rng.uniform(-e / 2.0, e / 2.0)
         y = rng.uniform(0.5, e)
@@ -113,15 +119,8 @@ def reference_ground_cloud(scenario, rng, n, noise):
     return np.array(pts), np.array(pixels)
 
 
-def clips(box, rect) -> bool:
-    """Whether rect clipped to box has positive area, as covered_fraction tests it."""
-    l, t, r, b = rect
-    return min(r, box.right) > max(l, box.left) and min(b, box.bottom) > max(t, box.top)
-
-
 def reference_generate(scenario):
-    """(gt, detections, cloud, cloud_pixels, swept): swept lists the boxes whose
-    covers include one with a non-empty clip, the only sweeps that can matter."""
+    """(gt, detections, cloud, cloud_pixels)."""
     cam = scenario.camera
     rng = np.random.default_rng(scenario.seed)
     ego = scenario.ego_track()
@@ -129,7 +128,7 @@ def reference_generate(scenario):
     for a in scenario.agents:
         vec = np.random.default_rng(a.appearance_seed).normal(size=scenario.appearance_dim)
         base_appearance[a.id] = vec / np.linalg.norm(vec)
-    detections, gt, swept = [], [], []
+    detections, gt = [], []
     img_w, img_h = cam.image_width, cam.image_height
     for f in range(scenario.n_frames):
         t = f / scenario.fps
@@ -148,9 +147,7 @@ def reference_generate(scenario):
                 for other, b in boxes.items()
                 if other != a.id and b.bottom > box.bottom
             ]
-            if any(clips(box, r) for r in covers):
-                swept.append(box)
-            visibility = 1.0 - covered_fraction(box, covers)
+            visibility = 1.0 - reference_covered_fraction(box, covers)
             gt.append(GtEntry(f, a.id, box, positions[a.id].copy(), visibility))
             in_frame = box.right > 0 and box.left < img_w and box.bottom > 0 and box.top < img_h
             if visibility >= VISIBILITY_CUTOFF and in_frame:
@@ -172,7 +169,7 @@ def reference_generate(scenario):
     cloud, pixels = reference_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise
     )
-    return gt, detections, cloud, pixels, swept
+    return gt, detections, cloud, pixels
 
 
 def random_agent(rng, agent_id: int) -> AgentSpec:
@@ -210,10 +207,13 @@ def random_occluder(rng) -> Occluder:
     )
 
 
+# frame counts below a block, of one block, and of neither a block nor a multiple of it
+N_FRAMES = (30, FRAME_BLOCK, 2 * FRAME_BLOCK + 11)
+
+
 def random_scenario(seed: int) -> Scenario:
     rng = np.random.default_rng(seed)
-    fps, duration = 10.0, 3.0
-    n_frames = int(round(fps * duration))
+    fps, n_frames = 10.0, N_FRAMES[seed % len(N_FRAMES)]
     path = None
     if rng.random() < 0.5:  # a panning camera with jitter
         drift = rng.uniform(-0.1, 0.1, 2)
@@ -232,7 +232,7 @@ def random_scenario(seed: int) -> Scenario:
         agents=tuple(random_agent(rng, int(i)) for i in rng.permutation(int(rng.integers(0, 13)))),
         occluders=tuple(random_occluder(rng) for _ in range(int(rng.integers(0, 4)))),
         fps=fps,
-        duration=duration,
+        duration=n_frames / fps,
         detection_noise=float(rng.choice([0.0, 0.7])),
         appearance_noise=float(rng.choice([0.0, 0.05])),
         seed=seed,
@@ -246,31 +246,51 @@ SEEDS = range(40)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_generate_matches_per_agent_reference(seed, monkeypatch):
+def test_generate_matches_per_agent_reference(seed):
     scenario = random_scenario(seed)
-    gt, dets, cloud, pixels, swept = reference_generate(scenario)
-    calls = []
-
-    def recording(box, covers):
-        calls.append(box)
-        return covered_fraction(box, covers)
-
-    monkeypatch.setattr(simulator, "covered_fraction", recording)
+    gt, dets, cloud, pixels = reference_generate(scenario)
     sim = generate(scenario)
 
     assert len(sim.gt) == len(gt)
     for got, want in zip(sim.gt, gt):
         assert (got.frame, got.agent_id, got.box) == (want.frame, want.agent_id, want.box)
         assert np.array_equal(got.bev, want.bev)
-        assert got.visibility == want.visibility
+    # every visibility to the bit, 1.0 for the boxes with no cover included
+    got_vis = np.array([g.visibility for g in sim.gt], dtype=float)
+    want_vis = np.array([g.visibility for g in gt], dtype=float)
+    assert np.array_equal(got_vis.view(np.uint64), want_vis.view(np.uint64))
     assert len(sim.detections) == len(dets)
     for got, want in zip(sim.detections, dets):
         assert (got.frame, got.agent_id, got.box) == (want.frame, want.agent_id, want.box)
         assert np.array_equal(got.appearance, want.appearance)
     assert np.array_equal(sim.cloud, cloud)
     assert np.array_equal(sim.cloud_pixels, pixels)
-    # the sweep runs exactly for the boxes that have a cover with a non-empty clip
-    assert calls == swept
+
+
+def test_zero_width_cover_on_the_centre_column_hides_nothing():
+    """A zero-width wall on the camera's axis images, from a static camera,
+    to a zero-width rectangle on the centre column. It covers nothing, so it
+    must not reach the sweep either, where its edge would split the strips
+    of the low wall that half hides the walker."""
+    scenario = Scenario(
+        camera=CameraSpec(
+            height=6.0, tilt_deg=30.0, focal=1000.0, image_width=1920, image_height=1080
+        ),
+        ground_extent=40.0,
+        agents=(AgentSpec(id=1, waypoints=((-0.6, 12.0), (0.6, 12.0)), speed=0.3),),
+        occluders=(
+            Occluder(x_min=0.0, x_max=0.0, y_min=9.0, y_max=9.3, height=3.0),
+            Occluder(x_min=-2.0, x_max=0.244, y_min=10.0, y_max=10.3, height=1.44),
+        ),
+        fps=10.0,
+        duration=4.0,
+        cloud_points=30,
+    )
+    gt = reference_generate(scenario)[0]
+    got_vis = np.array([g.visibility for g in generate(scenario).gt])
+    want_vis = np.array([g.visibility for g in gt])
+    assert np.array_equal(got_vis.view(np.uint64), want_vis.view(np.uint64))
+    assert any(0.0 < v < 1.0 for v in want_vis)
 
 
 def test_random_scenarios_cover_the_edge_cases():
@@ -281,7 +301,11 @@ def test_random_scenarios_cover_the_edge_cases():
     assert any(len(a.waypoints) == 1 for a in agents)
     assert any(p == q for a in agents for p, q in zip(a.waypoints, a.waypoints[1:]))
     assert any(not sc.agents for sc in scenarios)
-    for field in ("detection_noise", "appearance_noise"):
+    n_frames = [sc.n_frames for sc in scenarios]
+    assert any(n < FRAME_BLOCK for n in n_frames)
+    assert FRAME_BLOCK in n_frames
+    assert any(n > FRAME_BLOCK and n % FRAME_BLOCK for n in n_frames)
+    for field in ("detection_noise", "appearance_noise", "cloud_noise"):
         assert {getattr(sc, field) > 0 for sc in scenarios} == {True, False}
     # some occluders lie wholly behind the camera, some partly, some in front
     in_front = []
@@ -293,10 +317,12 @@ def test_random_scenarios_cover_the_edge_cases():
             in_front.append(int((pc[:, 2] > 1e-9).sum()))
     assert 0 in in_front and 8 in in_front
     assert any(0 < k < 8 for k in in_front)
-    # some boxes lie outside the image, some are swept, some are hidden
+    # some boxes lie outside the image, some are hidden, some partly and some not covered
     gts = [g for sc in scenarios[:10] for g in reference_generate(sc)[0]]
     assert any(g.box.right < 0 or g.box.left > 1920 for g in gts)
     assert any(0.0 < g.visibility < VISIBILITY_CUTOFF for g in gts)
+    assert any(VISIBILITY_CUTOFF <= g.visibility < 1.0 for g in gts)
+    assert any(g.visibility == 1.0 for g in gts)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -310,3 +336,43 @@ def test_vectorized_agent_position_matches_scalar_calls(seed):
     assert np.array_equal(got, want)
     for t in times[::25]:
         assert np.array_equal(agent_position(agent, float(t)), reference_agent_position(agent, t))
+
+
+def sliver_scenario(seed: int, cloud_noise: float) -> Scenario:
+    """No walkers, and a camera tilted up until about 1 in 220 ground draws is in view."""
+    return Scenario(
+        camera=CameraSpec(
+            height=6.0, tilt_deg=-19.8, focal=1000.0, image_width=1920, image_height=1080
+        ),
+        ground_extent=40.0,
+        agents=(),
+        fps=10.0,
+        duration=1.0,
+        seed=seed,
+        cloud_points=4,
+        cloud_noise=cloud_noise,
+    )
+
+
+# Seeds whose 4th ground point is the 800th pair drawn, the last that 200 * n
+# allows, or the 801st, one past it.
+@pytest.mark.parametrize(
+    "seed, cloud_noise, draws",
+    [(1283, 0.0, 800), (127, 0.0, 801), (1669, 0.02, 800), (567, 0.02, 801)],
+)
+def test_too_little_ground_raises_exactly_when_the_scalar_loop_runs_out(seed, cloud_noise, draws):
+    scenario = sliver_scenario(seed, cloud_noise)
+
+    def reference(max_draws):
+        rng = np.random.default_rng(seed)
+        return reference_ground_cloud(scenario, rng, 4, cloud_noise, max_draws)
+
+    assert len(reference(draws)[0]) == 4 and len(reference(draws - 1)[0]) == 3
+    cloud, pixels = reference(None)
+    if draws <= 800:
+        sim = generate(scenario)
+        assert np.array_equal(sim.cloud, cloud)
+        assert np.array_equal(sim.cloud_pixels, pixels)
+    else:
+        with pytest.raises(InvalidScenario, match="too little ground to sample the point cloud"):
+            generate(scenario)
