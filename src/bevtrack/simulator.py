@@ -17,7 +17,8 @@ each box the covers that stand lower and overlap it, one exact sweep
 (``covered_fractions``) per cover count gives the covered boxes' visibility,
 and one ``rng.normal`` call draws the noise of every detection, in the order
 one detection at a time draws it. The ground cloud is rejection-sampled in
-blocks of draws, each kept point's cloud noise still right after its pair.
+blocks of draws; with cloud noise, one draw at a time, so each kept point's
+noise still follows its pair.
 Every output is bit-identical to one frame, one agent and one draw at a time.
 
 Everything is deterministic for a fixed scenario seed. A scenario from JSON
@@ -369,9 +370,9 @@ def _sample_ground_cloud(scenario: Scenario, rng, n: int, noise: float):
     """Uniform BEV samples of the visible ground, as camera-frame 3D + pixels.
 
     Rejection sampling of at most 200 * n (x, y) pairs, drawn and projected in
-    blocks that end by the n-th kept pair. With noise, a kept point's three
-    normals follow its pair in the stream: its block is drawn again from the
-    saved state up to that pair, and the normals after it.
+    blocks that end by the n-th kept pair. Each point is projected as its own
+    (1, 3) stack, as one point alone would be. With noise, a kept point's
+    three normals follow its pair in the stream, so pairs are drawn one at a time.
     """
     cam = scenario.camera
     e = scenario.ground_extent
@@ -379,19 +380,14 @@ def _sample_ground_cloud(scenario: Scenario, rng, n: int, noise: float):
     pts, pixels = [], []
     kept = drawn = 0
     while kept < n and drawn < 200 * n:
-        # with noise only the pairs up to the first kept one count: draw about twice the mean gap
-        k = min(200 * n - drawn, n - kept, 2 * drawn // max(kept, 1) + 2 if noise > 0 else n)
-        state = rng.bit_generator.state
+        k = 1 if noise > 0 else min(200 * n - drawn, n - kept)
         xy = rng.uniform(low, high, size=(k, 2))
-        px, pc = project_points(cam, np.column_stack([xy, np.zeros(k)]))
+        px, pc = project_points(cam, np.column_stack([xy, np.zeros(k)])[:, None])
+        px, pc = px[:, 0], pc[:, 0]
         u, v = px.T
         ok = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height) & (pc[:, 2] > 0)
-        if noise > 0 and ok.any():
-            k = int(ok.argmax()) + 1
-            rng.bit_generator.state = state
-            rng.uniform(low, high, size=(k, 2))
-            ok[k:] = False
-            pc[k - 1] += rng.normal(0.0, noise, size=3)
+        if noise > 0 and ok[0]:
+            pc[0] += rng.normal(0.0, noise, size=3)
         drawn += k
         kept += int(ok.sum())
         pts.append(pc[ok])
@@ -439,7 +435,7 @@ def sample_ground_correspondences(
             out_a.append(ua[0])
             out_b.append(ub[0])
     if len(out_a) < n:
-        raise InvalidScenario("scenario: frames share too little visible ground for correspondences")
+        raise InvalidScenario("frames share too little visible ground for correspondences")
     return np.array(out_a), np.array(out_b)
 
 
