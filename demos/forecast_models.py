@@ -2,7 +2,7 @@
 
 A walker strolls at 1.2 m/s and starts turning just before vanishing behind a
 wall. The static model parks at the last seen position, the constant-velocity
-model extrapolates the last smoothed heading, and the fan hedges with three
+model extrapolates the filter's last heading, and the fan hedges with three
 branches at -30/0/+30 degrees. The fan's turning branch is the one that stays
 near the walker's true path.
 """
@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from bevtrack.forecast import MotionModelSpec, forecast, preprocess
+from bevtrack.config import RunConfig
+from bevtrack.forecast import forecast, preprocess
 
 
 def walker_path(t):
@@ -30,23 +31,23 @@ def main():
     rng = np.random.default_rng(0)
     noisy = [(f, (x + rng.normal(0, 0.03), y + rng.normal(0, 0.03))) for f, (x, y) in seen]
 
-    obs = preprocess(noisy, obs_len=8, dt=0.4, fps=fps)
-    print(f"history: {len(noisy)} frames, resampled to {len(obs.points)} steps of {obs.dt}s")
-    print(f"smoothed end velocity: ({obs.velocities[-1][0]:+.2f}, {obs.velocities[-1][1]:+.2f}) m/s")
+    base = RunConfig(obs_len=8, dt=0.4, fan_angles=(-30.0, 0.0, 30.0))
+    state = preprocess(noisy, base, fps)
+    _, vel, last_frame = state
+    print(f"history: {len(noisy)} frames, filtered over {base.obs_len} steps of {base.dt}s")
+    print(f"filtered end velocity: ({vel[0]:+.2f}, {vel[1]:+.2f}) m/s")
 
-    horizon_steps = 8  # 8 x 0.4s = 3.2 s ahead
-    models = {
-        "static": MotionModelSpec(kind="static"),
-        "kalman_cv": MotionModelSpec(kind="kalman_cv"),
-        "fan": MotionModelSpec(kind="fan", k=3, fan_angles=(-30.0, 0.0, 30.0)),
+    horizon_s = 3.2  # 8 x 0.4s ahead
+    forecasts = {
+        motion: forecast(state, base.override(motion=motion), fps, horizon_s=horizon_s)
+        for motion in ("static", "kalman_cv", "fan")
     }
-    t_end = (84 + horizon_steps * obs.frames_per_step) / fps
+    t_end = forecasts["static"].end_frame / fps
     truth = walker_path(t_end)
-    print(f"\ntrue position {t_end - 84 / fps:.1f}s after the last observation: "
+    print(f"\ntrue position {t_end - last_frame / fps:.1f}s after the last observation: "
           f"({truth[0]:+.2f}, {truth[1]:+.2f})")
-    for name, spec in models.items():
-        fc = forecast(spec, obs, horizon_steps=horizon_steps)
-        print(f"  {name}:")
+    for motion, fc in forecasts.items():
+        print(f"  {motion}:")
         for i, end in enumerate(fc.points(fc.end_frame)):
             err = np.linalg.norm(end - truth)
             print(f"    branch {i}: endpoint ({end[0]:+.2f}, {end[1]:+.2f}), off by {err:.2f} m")

@@ -36,14 +36,7 @@ from .evaluation import (
     match_frames,
     occlusion_components,
 )
-from .forecast import (
-    Forecast,
-    MotionModelSpec,
-    ObservedTrajectory,
-    forecast,
-    predicted_box,
-    preprocess,
-)
+from .forecast import Forecast, forecast, predicted_box, preprocess
 from .homography import (
     Homography,
     HomographyFit,
@@ -66,7 +59,6 @@ from .simulator import (
     true_homography,
     write_scenario,
 )
-from .smoothing import smooth_constant_velocity
 from .tracker import (
     Detection,
     SceneModel,
@@ -96,10 +88,8 @@ __all__ = [
     "InvalidScenario",
     "LinearizedHomography",
     "MissingGroundTruth",
-    "MotionModelSpec",
     "NonMonotonicFrame",
     "NonPositiveBox",
-    "ObservedTrajectory",
     "Occluder",
     "OcclusionEvent",
     "OutOfDomain",
@@ -142,7 +132,6 @@ __all__ = [
     "read_scenario",
     "sample_ground_correspondences",
     "save_homography",
-    "smooth_constant_velocity",
     "true_homography",
     "write_config",
     "write_scenario",

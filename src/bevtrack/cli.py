@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
     sp.add_argument("--k", type=int)
     sp.add_argument("--fps", type=_positive, default=20.0)
-    sp.add_argument("--horizon", type=float, help="seconds ahead; defaults to tau_max")
+    sp.add_argument("--horizon", type=_positive, help="seconds ahead; defaults to tau_max")
 
     sp = sub.add_parser("pipeline", help="simulate, track, evaluate")
     add_common(sp)
@@ -331,26 +331,22 @@ def _cmd_forecast(args) -> int:
     records = mot_io.read_detections(args.det)
     if any(r.track_id < 0 for r in records):
         raise ParseError(f"{args.det}: forecasting needs identities (id column >= 0)")
-    horizon = args.horizon if args.horizon is not None else cfg.tau_max
-    steps = max(1, int(math.ceil(horizon / cfg.dt)))
     by_id: dict[int, list] = {}
     for r in records:
         by_id.setdefault(r.track_id, []).append(r)
-    model = cfg.motion_spec()
+    forecasts = {}
+    for tid in sorted(by_id):
+        rows = sorted(by_id[tid], key=lambda r: r.frame)
+        if len({r.frame for r in rows}) < len(rows):
+            raise ParseError(f"{args.det}: id {tid} has two rows in one frame")
+        points = lh.px_to_bev(np.array([r.box.bottom_center for r in rows]))
+        state = preprocess([(r.frame, p) for r, p in zip(rows, points)], cfg, args.fps)
+        try:
+            forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
+        except ValueError as e:
+            raise ParseError(f"--horizon: {e}") from e
     with open(args.out, "w") as f:
-        for tid in sorted(by_id):
-            rows = sorted(by_id[tid], key=lambda r: r.frame)
-            frames = [r.frame for r in rows]
-            points = lh.px_to_bev(np.array([r.box.bottom_center for r in rows]))
-            obs = preprocess(
-                list(zip(frames, points)),
-                obs_len=cfg.obs_len,
-                dt=cfg.dt,
-                fps=args.fps,
-                process_noise=cfg.process_noise,
-                obs_noise=cfg.obs_noise,
-            )
-            fc = run_forecast(model, obs, steps)
+        for tid, fc in forecasts.items():
             frames = list(range(fc.created_frame + 1, fc.end_frame + 1))
             branch_pts = np.stack([fc.points(fr) for fr in frames], axis=1)  # (k, n, 2)
             f.write(

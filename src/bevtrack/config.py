@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ParseError
 from .evaluation import DEFAULT_BUCKETS
-from .forecast import MOTION_KINDS, MotionModelSpec
+
+MOTION_KINDS = ("static", "kalman_cv", "fan")
 
 
 def _is_number(v) -> bool:
@@ -38,6 +40,10 @@ _TYPE_CHECKS = {
 @dataclass(frozen=True)
 class RunConfig:
     """Every parameter of a run, for the tracker, forecaster and evaluation.
+
+    Motion: "static" and "kalman_cv" forecast one branch whatever k is; "fan"
+    forecasts one branch per fan_angles entry and takes k = 1 or k equal to
+    their count.
 
     Gates: tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
     appearance cosine similarity, tau_iou the minimum predicted-box IoU (0
@@ -83,6 +89,14 @@ class RunConfig:
         for name in ("cell_size", "max_spacing", "dt", "obs_noise", "tau_max", "tau_vis"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParseError(f"config: {name} must be positive and finite")
+        # The forecast filter starts from velocity variance (2 * obs_noise / dt)**2
+        # and a forecast spans ceil(tau_max / dt) steps: both must be finite.
+        if not 2.0 * self.obs_noise / self.dt < math.sqrt(sys.float_info.max):
+            raise ParseError(
+                "config: dt is too small for obs_noise: (2 * obs_noise / dt)**2 overflows"
+            )
+        if self.tau_max / self.dt == math.inf:
+            raise ParseError("config: tau_max is too long for dt: tau_max / dt overflows")
         for name in ("process_noise", "tau_l2", "tau_iou", "occlusion_iou"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParseError(f"config: {name} must be non-negative and finite")
@@ -107,17 +121,8 @@ class RunConfig:
         edges = self.buckets
         if len(edges) < 2 or not all(nxt > prev for prev, nxt in zip(edges, edges[1:])):
             raise ParseError("config: buckets must be strictly increasing with at least two edges")
-        try:
-            self.motion_spec()
-        except ValueError as e:
-            raise ParseError(f"config: {e}") from e
-
-    def motion_spec(self) -> MotionModelSpec:
-        if self.motion == "fan":
-            angles = tuple(self.fan_angles)
-            k = self.k if self.k > 1 else len(angles)
-            return MotionModelSpec(kind="fan", k=k, fan_angles=angles)
-        return MotionModelSpec(kind=self.motion, k=1)
+        if self.motion == "fan" and self.k not in (1, len(self.fan_angles)):
+            raise ParseError("config: fan requires k == len(fan_angles)")
 
     def tracker_config(self) -> "RunConfig":
         """Return self: the tracker reads RunConfig directly.

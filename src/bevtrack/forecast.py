@@ -1,11 +1,12 @@
-"""Track preprocessing and pluggable BEV motion forecasting.
+"""Track preprocessing and constant-velocity BEV forecasting.
 
 A raw track history (irregular frames, pixel noise) is resampled onto a
-uniform step grid ending at the last observation and smoothed with a
-constant-velocity Kalman filter plus RTS pass. Motion models then emit k
-constant-velocity forecast branches, each an origin plus a velocity, valid up
-to the horizon's end frame. The tracker never re-seeds a forecast
-mid-occlusion; branches only disappear by being pruned, and the whole
+uniform step grid ending at the last observation and run through a forward
+constant-velocity Kalman filter. The filter's last state, one position and one
+velocity at the last observed frame, is all a forecast reads: the RunConfig's
+motion model turns it into k constant-velocity branches, each an origin plus a
+velocity, valid up to the horizon's end frame. The tracker never re-seeds a
+forecast mid-occlusion; branches only disappear by being pruned, and the whole
 forecast dies once the frame passes its end.
 """
 
@@ -16,63 +17,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import smooth_constant_velocity
-
-MOTION_KINDS = ("static", "kalman_cv", "fan")
+from .config import RunConfig
 
 
-@dataclass(frozen=True)
-class ObservedTrajectory:
-    """Smoothed, uniformly resampled history ending at the last observation.
+def _filter_last_state(z: np.ndarray, dt: float, process_noise: float, obs_noise: float):
+    """Forward constant-velocity Kalman pass over (N, 2) grid positions.
 
-    points holds obs_len BEV positions spaced dt seconds apart; the first
-    extrapolated_prefix of them were back-extrapolated (history too short)
-    rather than observed. fps records the frame rate the grid was built
-    against, so one step spans dt*fps frames.
+    The state is [x, y, vx, vy], white-acceleration process noise
+    (process_noise, m/s^2) and observation noise obs_noise (meters). On
+    noiseless constant-velocity input every innovation is zero, so the last
+    state is the last point and the true velocity. Returns the last
+    posterior (position, velocity); a single point has zero velocity.
     """
+    n = z.shape[0]
+    if n == 1:
+        return z[0].copy(), np.zeros(2)
 
-    points: np.ndarray  # (obs_len, 2)
-    dt: float
-    last_frame: int
-    extrapolated_prefix: int
-    fps: float
-    velocities: np.ndarray  # (obs_len, 2) smoothed velocity estimates, m/s
+    f = np.eye(4)
+    f[0, 2] = dt
+    f[1, 3] = dt
+    h = np.zeros((2, 4))
+    h[0, 0] = 1.0
+    h[1, 1] = 1.0
+    q1 = process_noise**2 * np.array(
+        [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
+    )
+    q = np.zeros((4, 4))
+    q[np.ix_([0, 2], [0, 2])] = q1
+    q[np.ix_([1, 3], [1, 3])] = q1
+    r = obs_noise**2 * np.eye(2)
 
-    def __post_init__(self):
-        if self.dt <= 0 or self.fps <= 0:
-            raise ValueError("dt and fps must be positive")
-        if len(self.points) == 0:
-            raise ValueError("points must be non-empty")
-        if not 0 <= self.extrapolated_prefix < len(self.points):
-            raise ValueError("extrapolated_prefix must be < number of points")
+    x = np.zeros(4)
+    x[:2] = z[0]
+    x[2:] = (z[1] - z[0]) / dt
+    p = np.diag([obs_noise**2, obs_noise**2, (2.0 * obs_noise / dt) ** 2, (2.0 * obs_noise / dt) ** 2])
+    for k in range(n):
+        if k > 0:
+            x = f @ x
+            p = f @ p @ f.T + q
+        innov = z[k] - h @ x
+        s = h @ p @ h.T + r
+        gain = p @ h.T @ np.linalg.inv(s)
+        x = x + gain @ innov
+        p = (np.eye(4) - gain @ h) @ p
+    return x[:2], x[2:]
 
-    @property
-    def frames_per_step(self) -> int:
-        return max(1, round(self.dt * self.fps))
 
-
-def preprocess(
-    history,
-    obs_len: int = 8,
-    dt: float = 0.4,
-    fps: float = 20.0,
-    process_noise: float = 0.1,
-    obs_noise: float = 0.25,
-) -> ObservedTrajectory:
-    """Resample and smooth a track history for forecasting.
+def preprocess(history, config: RunConfig, fps: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The filter's last state for a track history.
 
     Args:
         history: sequence of (frame, (x, y)) with strictly increasing frames.
-        obs_len: number of grid steps in the output.
-        dt: grid step, seconds.
+        config: supplies obs_len (grid steps), dt (grid step, seconds),
+            process_noise and obs_noise (filter parameters).
         fps: frames per second of the source video.
-        process_noise, obs_noise: smoother parameters.
 
     Returns:
-        ObservedTrajectory of exactly obs_len points ending at the last
-        observation. Grid points earlier than the first observation are
-        back-extrapolated along the earliest smoothed velocity and counted in
-        extrapolated_prefix.
+        (position, velocity, last_frame): the filter's BEV position (2,) and
+        velocity (2,) in m/s at the last observed frame. The filter runs over
+        the obs_len grid points spaced dt apart that end at the last
+        observation, minus those before the first observation.
     """
     if len(history) == 0:
         raise ValueError("history must be non-empty")
@@ -82,58 +86,11 @@ def preprocess(
         raise ValueError("history frames must be strictly increasing")
 
     last = frames[-1]
-    step_frames = dt * fps
-    grid = last - step_frames * np.arange(obs_len)[::-1]  # ascending, ends at last
-    covered = grid >= frames[0] - 1e-9
-    n_cov = int(covered.sum())  # >= 1: the last grid point is the last observation
-
-    gx = np.interp(grid[covered], frames, pos[:, 0])
-    gy = np.interp(grid[covered], frames, pos[:, 1])
-    smoothed, vel = smooth_constant_velocity(
-        np.stack([gx, gy], axis=1), dt, process_noise, obs_noise
-    )
-
-    prefix = obs_len - n_cov
-    if prefix > 0:
-        v0 = vel[0]
-        steps = np.arange(prefix, 0, -1)[:, None]  # prefix, ..., 1
-        pre_pts = smoothed[0] - steps * dt * v0
-        smoothed = np.vstack([pre_pts, smoothed])
-        vel = np.vstack([np.repeat(v0[None, :], prefix, axis=0), vel])
-
-    return ObservedTrajectory(
-        points=smoothed,
-        dt=dt,
-        last_frame=int(round(last)),
-        extrapolated_prefix=prefix,
-        fps=fps,
-        velocities=vel,
-    )
-
-
-@dataclass(frozen=True)
-class MotionModelSpec:
-    """Which forecaster to run and with how many branches.
-
-    kinds: "static" repeats the last point, "kalman_cv" propagates the
-    smoothed constant-velocity state, "fan" spreads k constant-velocity
-    branches across fan_angles (degrees, rotating the smoothed velocity).
-    The fan is a deterministic stand-in for learned multi-modal forecasters.
-    """
-
-    kind: str = "kalman_cv"
-    k: int = 1
-    fan_angles: tuple[float, ...] = (-30.0, 0.0, 30.0)
-
-    def __post_init__(self):
-        if self.kind not in MOTION_KINDS:
-            raise ValueError(f"unknown motion kind {self.kind!r}, expected one of {MOTION_KINDS}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.kind in ("static", "kalman_cv") and self.k != 1:
-            raise ValueError(f"{self.kind} emits a single branch, got k={self.k}")
-        if self.kind == "fan" and self.k != len(self.fan_angles):
-            raise ValueError("fan requires k == len(fan_angles)")
+    grid = last - config.dt * fps * np.arange(config.obs_len)[::-1]  # ascending, ends at last
+    grid = grid[grid >= frames[0] - 1e-9]  # never empty: it ends at the last observation
+    z = np.stack([np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])], axis=1)
+    position, velocity = _filter_last_state(z, config.dt, config.process_noise, config.obs_noise)
+    return position, velocity, int(round(last))
 
 
 @dataclass
@@ -176,31 +133,39 @@ class Forecast:
         return self.origin + ((frame - self.created_frame) / self.fps) * self.velocities
 
 
-def forecast(model: MotionModelSpec, obs: ObservedTrajectory, horizon_steps: int) -> Forecast:
-    """Predict k branches covering every frame up to horizon_steps grid steps.
+def forecast(state, config: RunConfig, fps: float, horizon_s: float = None) -> Forecast:
+    """Branches from preprocess's (position, velocity, last_frame) state.
 
-    Every model is constant velocity from the last smoothed point; the
-    branches cover frames last_frame+1 .. last_frame + horizon_steps * (dt * fps).
+    config.motion picks them: "static" is one branch at rest, "kalman_cv" one
+    at the filter's velocity, and "fan" one per config.fan_angles (degrees,
+    rotating that velocity), a deterministic stand-in for learned multi-modal
+    forecasters. They cover frames last_frame+1 .. last_frame + steps *
+    max(1, round(dt * fps)), where steps = max(1, ceil(horizon_s / dt)) and
+    horizon_s defaults to config.tau_max.
     """
-    if horizon_steps < 1:
-        raise ValueError("horizon_steps must be >= 1")
-    v = obs.velocities[-1]
-    if model.kind == "static":
+    position, velocity, last_frame = state
+    horizon = config.tau_max if horizon_s is None else horizon_s
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon:g} s")
+    if horizon / config.dt == math.inf:
+        raise ValueError(f"horizon {horizon:g} s overflows the step count at dt {config.dt:g} s")
+    steps = max(1, math.ceil(horizon / config.dt))
+    if config.motion == "static":
         vels = np.zeros((1, 2))
-    elif model.kind == "kalman_cv":
-        vels = v[None, :]
+    elif config.motion == "kalman_cv":
+        vels = velocity[None, :]
     else:  # fan
         vels = []
-        for ang in model.fan_angles:
+        for ang in config.fan_angles:
             a = math.radians(ang)
             rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-            vels.append(rot @ v)
+            vels.append(rot @ velocity)
     return Forecast(
-        origin=obs.points[-1],
+        origin=position,
         velocities=np.array(vels),
-        created_frame=obs.last_frame,
-        end_frame=obs.last_frame + horizon_steps * obs.frames_per_step,
-        fps=obs.fps,
+        created_frame=last_frame,
+        end_frame=last_frame + steps * max(1, round(config.dt * fps)),
+        fps=fps,
     )
 
 

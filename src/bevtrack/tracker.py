@@ -12,7 +12,6 @@ branches (FrameGeometry); overlaps come from one kernel, iou_matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,12 +147,7 @@ def frame_geometry(tracks, det_boxes, scene: SceneModel, frame: int, config: Run
 
 
 def build_cost_matrix(
-    tracks: list[Track],
-    detections: list[Detection],
-    config: RunConfig,
-    scene: SceneModel,
-    frame: int,
-    geometry: Optional[FrameGeometry] = None,
+    tracks: list[Track], detections: list[Detection], config: RunConfig, geometry: FrameGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
@@ -161,8 +155,8 @@ def build_cost_matrix(
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its alive branches, the first branch on a
-    tie. Zero means "forbidden". ``geometry`` (built from these tracks and
-    detections when not given) supplies the branch points and boxes.
+    tie. Zero means "forbidden". ``geometry``, built for at least these
+    tracks, supplies the branch points and boxes.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -174,17 +168,16 @@ def build_cost_matrix(
     if n == 0 or m == 0:
         return scores, best_branch
     det_boxes = ltwh([d.box for d in detections])
-    g = geometry or frame_geometry(tracks, det_boxes, scene, frame, config)
-    rows = [g.alive_rows(tr) for tr in tracks]
+    rows = [geometry.alive_rows(tr) for tr in tracks]
     owner = np.repeat(np.arange(n), [len(r) for r in rows])
     rows = np.concatenate(rows)
-    d_iou = iou_matrix(g.boxes[rows], det_boxes)
+    d_iou = iou_matrix(geometry.boxes[rows], det_boxes)
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = g.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
+    diff = geometry.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
     per_branch = np.zeros((n, max(len(tr.forecast.alive) for tr in tracks), m))
-    per_branch[owner, g.branch[rows]] = s
+    per_branch[owner, geometry.branch[rows]] = s
     best = per_branch.max(axis=1)
     ok = best > 0.0
 
@@ -216,30 +209,21 @@ def assign(scores: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def prune_forecasts(
-    track: Track,
-    scene: SceneModel,
-    detections: list[Detection],
-    frame: int,
-    config: RunConfig,
-    geometry: Optional[FrameGeometry] = None,
-) -> None:
+def prune_forecasts(track: Track, geometry: FrameGeometry, config: RunConfig, fps: float) -> None:
     """Kill branches that linger in visible freespace.
 
     A branch point is visible when it lies on an occupied freespace cell and
     its predicted box overlaps no closer detection (larger bottom edge) with
     IoU >= occlusion_iou. Each branch carries a consecutive-visible counter;
-    exceeding tau_vis * fps kills the branch. ``geometry`` (built from this
-    track and the detections when not given) holds each branch's visibility;
-    only branches alive at the call are updated.
+    exceeding tau_vis * fps kills the branch. ``geometry``, built for the
+    frame with this track in it, holds each branch's visibility; only
+    branches alive at the call are updated.
     """
-    if geometry is None:
-        geometry = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame, config)
     rows = geometry.alive_rows(track)
     bi, visible = geometry.branch[rows], geometry.visible[rows]
     fc = track.forecast
     fc.visible_streak[bi] = np.where(visible, fc.visible_streak[bi] + 1, 0)
-    fc.alive[bi] = ~(visible & (fc.visible_streak[bi] > config.tau_vis * scene.fps))
+    fc.alive[bi] = ~(visible & (fc.visible_streak[bi] > config.tau_vis * fps))
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -263,8 +247,6 @@ class Tracker:
     def __init__(self, scene: SceneModel, config: RunConfig = None):
         self.scene = scene
         self.config = config or RunConfig()
-        self.motion = self.config.motion_spec()
-        self.horizon_steps = max(1, math.ceil(self.config.tau_max / self.config.dt))
         self.tracks: dict[int, Track] = {}
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
@@ -279,15 +261,8 @@ class Tracker:
         track.source_binding = det.source_id
 
     def _deactivate(self, track: Track, frame: int):
-        obs = preprocess(
-            track.bev_history(),
-            obs_len=self.config.obs_len,
-            dt=self.config.dt,
-            fps=self.scene.fps,
-            process_noise=self.config.process_noise,
-            obs_noise=self.config.obs_noise,
-        )
-        track.forecast = forecast(self.motion, obs, self.horizon_steps)
+        state = preprocess(track.bev_history(), self.config, self.scene.fps)
+        track.forecast = forecast(state, self.config, self.scene.fps)
         track.inactive_since = frame
         track.source_binding = None
 
@@ -380,7 +355,7 @@ class Tracker:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
-            prune_forecasts(tr, self.scene, detections, frame, cfg, geometry)
+            prune_forecasts(tr, geometry, cfg, self.scene.fps)
             if not tr.forecast.alive.any():
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_pruned"))
@@ -394,9 +369,7 @@ class Tracker:
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            scores, best_branch = build_cost_matrix(
-                survivors, dets, cfg, self.scene, frame, geometry
-            )
+            scores, best_branch = build_cost_matrix(survivors, dets, cfg, geometry)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]

@@ -38,7 +38,7 @@ from bevtrack.experiments import (
     rigid_align_2d,
     run_tracker,
 )
-from bevtrack.forecast import MotionModelSpec, forecast, preprocess
+from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import (
@@ -54,11 +54,10 @@ from bevtrack.tracker import (
     Detection,
     SceneModel,
     assign,
-    build_cost_matrix,
 )
 from bevtrack.egomotion import EgomotionTrack, estimate_egomotion
 
-from test_tracker import inactive_track, make_scene
+from test_tracker import cost_matrix, inactive_track, make_scene
 
 
 def criterion(name: str, ok: bool, detail: str) -> None:
@@ -598,7 +597,7 @@ def test_association_score_formula():
         tr = inactive_track(1, 200, 200, [bp], app=a1, w=tw, h=thh)
         det = Detection(frame=1, box=PixelBox(u - dw / 2.0, v - dhh, dw, dhh), appearance=a2)
         det.bev = np.array([u, v])
-        scores, _ = build_cost_matrix([tr], [det], cfg, scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], cfg, scene, frame=1)
 
         overlap = rect_iou((bp[0] - tw / 2.0, bp[1] - thh, tw, thh), (u - dw / 2.0, v - dhh, dw, dhh))
         l2 = math.hypot(bp[0] - u, bp[1] - v)
@@ -632,9 +631,10 @@ def test_forecast_displacement_exactness():
         [(3.0, 7.0, 1.0, 0.0), (-5.0, 11.0, 0.0, 1.0)], start=1
     ):
         history = [(f, (x0 + dx * f / fps, y0 + dy * f / fps)) for f in range(81)]
-        obs = preprocess(history, obs_len=8, dt=0.5, fps=fps)
-        forecasts_cv[aid] = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=8)
-        forecasts_st[aid] = forecast(MotionModelSpec(kind="static"), obs, horizon_steps=8)
+        cfg = RunConfig(obs_len=8, dt=0.5, tau_max=4.0)  # 8 steps of 0.5 s
+        state = preprocess(history, cfg, fps)
+        forecasts_cv[aid] = forecast(state, cfg.override(motion="kalman_cv"), fps)
+        forecasts_st[aid] = forecast(state, cfg.override(motion="static"), fps)
         for f in range(0, 145):
             gt_positions[(f, aid)] = np.array([x0 + dx * f / fps, y0 + dy * f / fps])
 

@@ -286,6 +286,45 @@ class TestForecastCommand:
         assert code == 1
         assert "identities" in capsys.readouterr().err
 
+    def test_duplicate_frame_of_one_id_is_code_1(self, sim_dir, track_dir, tmp_path, capsys):
+        rows = open(os.path.join(track_dir, "track.txt")).read().splitlines()
+        det = tmp_path / "dup.txt"
+        det.write_text("\n".join(rows + rows[:1]) + "\n")
+        code = main(
+            [
+                "forecast",
+                "--det", str(det),
+                "--homography", os.path.join(sim_dir, "homography.txt"),
+                "--out", str(tmp_path / "fc.jsonl"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "has two rows in one frame" in err
+
+    def forecast_args(self, sim_dir, track_dir, tmp_path, horizon):
+        return [
+            "forecast",
+            "--det", os.path.join(track_dir, "track.txt"),
+            "--homography", os.path.join(sim_dir, "homography.txt"),
+            "--horizon", horizon,
+            "--out", str(tmp_path / "fc.jsonl"),
+        ]
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-1", "0", "soon"])
+    def test_bad_horizon_is_usage_error(self, sim_dir, track_dir, tmp_path, horizon):
+        with pytest.raises(SystemExit) as e:
+            main(self.forecast_args(sim_dir, track_dir, tmp_path, horizon))
+        assert e.value.code == 2
+
+    def test_overflowing_horizon_is_code_1(self, sim_dir, track_dir, tmp_path, capsys):
+        code = main(self.forecast_args(sim_dir, track_dir, tmp_path, "1e308"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: --horizon: horizon 1e+308 s overflows the step count"), err
+
 
 class TestPipeline:
     def test_end_to_end_and_deterministic(self, scenario_path, tmp_path, capsys):
@@ -432,6 +471,8 @@ class TestInputErrors:
             ("buckets", [2, 1], "buckets must be strictly increasing"),
             ("forecast_enabled", "no", "forecast_enabled must be true or false"),
             ("seed", "x", "seed must be an integer"),
+            ("tau_max", 1e308, "tau_max is too long for dt"),
+            ("dt", 1e-300, "dt is too small for obs_noise"),
         ],
     )
     def test_bad_config_value_is_code_1(
@@ -451,6 +492,23 @@ class TestInputErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: config: {message}")
+
+
+def test_track_rejects_overflowing_tau_max(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_max": 1e308}))
+    code = main(
+        [
+            "track",
+            "--det", os.path.join(sim_dir, "det.txt"),
+            "--homography", os.path.join(sim_dir, "homography.txt"),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: config: tau_max is too long for dt: tau_max / dt overflows"]
 
 
 def crossing_dict() -> dict:

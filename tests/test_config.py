@@ -10,9 +10,10 @@ from bevtrack.cli import main
 from bevtrack.config import RunConfig, config_from_dict, read_config, write_config
 from bevtrack.errors import ParseError
 from bevtrack.evaluation import DEFAULT_BUCKETS
-from bevtrack.tracker import Tracker, build_cost_matrix
+from bevtrack.forecast import forecast
+from bevtrack.tracker import Tracker
 
-from test_tracker import det_at, inactive_track, make_scene, walker_dets
+from test_tracker import cost_matrix, det_at, inactive_track, make_scene, walker_dets
 
 
 class TestDefaults:
@@ -35,17 +36,13 @@ class TestDefaults:
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
         for tau_l2 in (2.5, 4.0):
-            scores, _ = build_cost_matrix([tr], [det], RunConfig(tau_l2=tau_l2), make_scene(), 1)
+            scores, _ = cost_matrix([tr], [det], RunConfig(tau_l2=tau_l2), make_scene(), 1)
             # identical boxes: IoU 1 plus the full distance bonus tau_l2
             assert scores[0, 0] == pytest.approx(1.0 + tau_l2, abs=1e-12)
 
     def test_tracker_config_view(self):
         cfg = RunConfig(motion="static", dt=0.5, obs_len=6)
-        tc = cfg.tracker_config()
-        assert tc is cfg
-        assert tc.motion_spec().kind == "static" and tc.motion_spec().k == 1
-        assert tc.dt == 0.5 and tc.obs_len == 6
-        assert tc.tau_max == 6.0
+        assert cfg.tracker_config() is cfg
 
     def test_tracker_reads_run_config(self):
         assert Tracker(make_scene()).config == RunConfig()
@@ -61,24 +58,38 @@ class TestDefaults:
         assert fc.end_frame == 2 + 6 * 5
 
 
-class TestMotionSpec:
-    def test_single_branch_models(self):
-        assert RunConfig(motion="kalman_cv").motion_spec().k == 1
-        assert RunConfig(motion="static").motion_spec().kind == "static"
+class TestMotionRules:
+    """How motion, k and fan_angles together pick the forecast branches."""
 
-    def test_fan_k_defaults_to_angle_count(self):
-        spec = RunConfig(motion="fan").motion_spec()
-        assert spec.kind == "fan" and spec.k == 3
-        assert spec.fan_angles == (-30.0, 0.0, 30.0)
+    STATE = (np.array([1.0, 2.0]), np.array([1.0, 0.0]), 10)
 
-    def test_fan_custom_angles(self):
-        cfg = RunConfig(motion="fan", fan_angles=(-45.0, -15.0, 15.0, 45.0))
-        spec = cfg.motion_spec()
-        assert spec.k == 4
+    def test_single_branch_models_ignore_k(self):
+        for motion in ("static", "kalman_cv"):
+            for k in (1, 3):
+                fc = forecast(self.STATE, RunConfig(motion=motion, k=k), 20.0)
+                assert fc.velocities.shape == (1, 2), (motion, k)
 
-    def test_unknown_motion_rejected_at_spec_time(self):
-        with pytest.raises(ValueError):
-            RunConfig(motion="transformer").motion_spec()
+    def test_fan_k1_means_every_angle(self):
+        fc = forecast(self.STATE, RunConfig(motion="fan"), 20.0)
+        assert len(fc.velocities) == 3
+        cfg = RunConfig(motion="fan", k=1, fan_angles=(-45.0, -15.0, 15.0, 45.0))
+        assert len(forecast(self.STATE, cfg, 20.0).velocities) == 4
+
+    def test_fan_k_matching_angles(self):
+        cfg = RunConfig(motion="fan", k=2, fan_angles=(-15.0, 15.0))
+        assert len(forecast(self.STATE, cfg, 20.0).velocities) == 2
+
+    def test_fan_k_mismatch_rejected(self):
+        with pytest.raises(ParseError, match=r"config: fan requires k == len\(fan_angles\)"):
+            RunConfig(motion="fan", k=2)
+        with pytest.raises(ParseError, match="config: fan requires k"):
+            RunConfig(motion="fan", k=4, fan_angles=(-15.0, 15.0))
+
+    def test_unknown_motion_rejected(self):
+        with pytest.raises(ParseError, match="config: motion must be one of static, kalman_cv"):
+            RunConfig(motion="transformer")
+        with pytest.raises(ParseError, match="config: motion"):
+            RunConfig(motion="rnn")
 
 
 class TestOverride:
@@ -164,6 +175,10 @@ class TestEagerValidation:
             ({"k": True}, "config: k must be an integer"),
             ({"forecast_enabled": "no"}, "config: forecast_enabled must be true or false"),
             ({"fan_angles": [0.0]}, "config: fan_angles must be a list of numbers"),
+            ({"tau_max": 1e308}, "config: tau_max is too long for dt"),
+            ({"tau_max": 1e300, "tau_vis": 1.0, "dt": 1e-10}, "config: tau_max is too long for dt"),
+            ({"dt": 1e-300}, "config: dt is too small for obs_noise"),
+            ({"dt": 1e-150, "obs_noise": 1e10}, "config: dt is too small for obs_noise"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):

@@ -1,174 +1,334 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox
-from bevtrack.forecast import (
-    Forecast,
-    MotionModelSpec,
-    ObservedTrajectory,
-    forecast,
-    predicted_box,
-    preprocess,
-)
+from bevtrack.config import RunConfig
+from bevtrack.forecast import Forecast, forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 
 
-def cv_history(n_frames, fps, vel, start=(0.0, 10.0), first_frame=0):
-    """Per-frame constant-velocity observations: (frame, (x, y)) pairs."""
+def cv_history(n_frames, fps, vel, start=(0.0, 10.0), first_frame=0, every=1):
+    """Constant-velocity observations every `every` frames: (frame, (x, y)) pairs."""
     out = []
     for i in range(n_frames):
-        f = first_frame + i
+        f = first_frame + i * every
         t = f / fps
         out.append((f, (start[0] + vel[0] * t, start[1] + vel[1] * t)))
     return out
 
 
+def last_state(points, dt, process_noise=0.1, obs_noise=0.25):
+    """The filter's last (position, velocity) for positions one dt grid step apart."""
+    hist = [(8 * i, tuple(p)) for i, p in enumerate(points)]
+    cfg = RunConfig(
+        obs_len=len(points), dt=dt, process_noise=process_noise, obs_noise=obs_noise
+    )
+    position, velocity, _ = preprocess(hist, cfg, fps=8 / dt)  # one step is 8 frames
+    return position, velocity
+
+
+# -- the reference: whole-trajectory RTS smoothing, forecast from its last point ----
+
+
+def reference_smooth(points, dt, process_noise=0.1, obs_noise=0.25):
+    """Constant-velocity Kalman filter plus Rauch-Tung-Striebel backward pass."""
+    z = np.asarray(points, dtype=float)
+    n = z.shape[0]
+    if n == 1:
+        return z.copy(), np.zeros((1, 2))
+
+    f = np.eye(4)
+    f[0, 2] = dt
+    f[1, 3] = dt
+    h = np.zeros((2, 4))
+    h[0, 0] = 1.0
+    h[1, 1] = 1.0
+    q1 = process_noise**2 * np.array(
+        [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
+    )
+    q = np.zeros((4, 4))
+    q[np.ix_([0, 2], [0, 2])] = q1
+    q[np.ix_([1, 3], [1, 3])] = q1
+    r = obs_noise**2 * np.eye(2)
+
+    x = np.zeros(4)
+    x[:2] = z[0]
+    x[2:] = (z[1] - z[0]) / dt
+    p = np.diag([obs_noise**2, obs_noise**2, (2.0 * obs_noise / dt) ** 2, (2.0 * obs_noise / dt) ** 2])
+
+    xs_post = np.zeros((n, 4))
+    ps_post = np.zeros((n, 4, 4))
+    xs_prior = np.zeros((n, 4))
+    ps_prior = np.zeros((n, 4, 4))
+    for k in range(n):
+        if k > 0:
+            x = f @ x
+            p = f @ p @ f.T + q
+        xs_prior[k] = x
+        ps_prior[k] = p
+        innov = z[k] - h @ x
+        s = h @ p @ h.T + r
+        gain = p @ h.T @ np.linalg.inv(s)
+        x = x + gain @ innov
+        p = (np.eye(4) - gain @ h) @ p
+        xs_post[k] = x
+        ps_post[k] = p
+
+    xs = xs_post.copy()
+    for k in range(n - 2, -1, -1):
+        c = ps_post[k] @ f.T @ np.linalg.inv(ps_prior[k + 1])
+        xs[k] = xs_post[k] + c @ (xs[k + 1] - xs_prior[k + 1])
+    return xs[:, :2], xs[:, 2:]
+
+
+def reference_preprocess(history, obs_len, dt, fps, process_noise, obs_noise):
+    """The smoothed obs_len-point grid ending at the last observation, with the
+    grid points before the first observation back-extrapolated."""
+    frames = np.array([f for f, _ in history], dtype=float)
+    pos = np.array([list(p) for _, p in history], dtype=float)
+    last = frames[-1]
+    step_frames = dt * fps
+    grid = last - step_frames * np.arange(obs_len)[::-1]
+    covered = grid >= frames[0] - 1e-9
+    n_cov = int(covered.sum())
+    gx = np.interp(grid[covered], frames, pos[:, 0])
+    gy = np.interp(grid[covered], frames, pos[:, 1])
+    smoothed, vel = reference_smooth(np.stack([gx, gy], axis=1), dt, process_noise, obs_noise)
+    prefix = obs_len - n_cov
+    if prefix > 0:
+        v0 = vel[0]
+        steps = np.arange(prefix, 0, -1)[:, None]
+        smoothed = np.vstack([smoothed[0] - steps * dt * v0, smoothed])
+        vel = np.vstack([np.repeat(v0[None, :], prefix, axis=0), vel])
+    return SimpleNamespace(
+        points=smoothed,
+        velocities=vel,
+        last_frame=int(round(last)),
+        extrapolated_prefix=prefix,
+        fps=fps,
+        frames_per_step=max(1, round(dt * fps)),
+    )
+
+
+def reference_forecast(kind, fan_angles, obs, horizon_steps):
+    v = obs.velocities[-1]
+    if kind == "static":
+        vels = np.zeros((1, 2))
+    elif kind == "kalman_cv":
+        vels = v[None, :]
+    else:
+        vels = []
+        for ang in fan_angles:
+            a = math.radians(ang)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            vels.append(rot @ v)
+    return Forecast(
+        origin=obs.points[-1],
+        velocities=np.array(vels),
+        created_frame=obs.last_frame,
+        end_frame=obs.last_frame + horizon_steps * obs.frames_per_step,
+        fps=obs.fps,
+    )
+
+
+class TestMatchesReference:
+    def test_seeded_random_histories(self):
+        # The forward pass alone gives the smoother's last state, and the old
+        # step rounding max(1, ceil(horizon / dt)) grid steps of
+        # max(1, round(dt * fps)) frames, bit for bit.
+        rng = np.random.default_rng(2024)
+        seen = {"single": 0, "cut": 0, "irregular": 0}
+        for trial in range(60):
+            fps = float(rng.choice([7.5, 10.0, 12.5, 20.0, 25.0, 29.97, 30.0]))
+            motion = ("static", "kalman_cv", "fan")[trial % 3]
+            cfg = RunConfig(
+                motion=motion,
+                fan_angles=tuple(rng.uniform(-90.0, 90.0, int(rng.integers(1, 5)))),
+                obs_len=int(rng.integers(1, 12)),
+                dt=float(rng.uniform(0.05, 1.0)),
+                process_noise=float(rng.uniform(0.0, 1.0)),
+                obs_noise=float(rng.uniform(0.01, 1.0)),
+                tau_max=float(rng.uniform(1.0, 8.0)),
+            )
+            n = 1 if trial % 4 == 0 else int(rng.integers(2, 40))
+            frames = int(rng.integers(0, 500)) + np.concatenate(
+                [[0], np.cumsum(rng.integers(1, 7 if trial % 2 else 2, n - 1))]
+            )
+            vel = rng.uniform(-3.0, 3.0, 2)
+            start = rng.uniform(-50.0, 50.0, 2)
+            hist = [
+                (int(f), tuple(start + vel * f / fps + rng.normal(0, 0.05, 2))) for f in frames
+            ]
+            horizon_s = None if trial % 5 == 0 else float(rng.uniform(0.01, 8.0))
+
+            want_obs = reference_preprocess(
+                hist, cfg.obs_len, cfg.dt, fps, cfg.process_noise, cfg.obs_noise
+            )
+            horizon = cfg.tau_max if horizon_s is None else horizon_s
+            steps = max(1, math.ceil(horizon / cfg.dt))
+            want = reference_forecast(motion, cfg.fan_angles, want_obs, steps)
+            got = forecast(preprocess(hist, cfg, fps), cfg, fps, horizon_s)
+
+            assert np.array_equal(got.origin, want.origin), trial
+            assert np.array_equal(got.velocities, want.velocities), trial
+            assert got.created_frame == want.created_frame, trial
+            assert got.end_frame == want.end_frame, trial
+            assert got.fps == want.fps, trial
+            seen["single"] += n == 1
+            seen["cut"] += n > 1 and want_obs.extrapolated_prefix > 0
+            seen["irregular"] += bool(np.any(np.diff(frames) > 1))
+        assert all(count >= 5 for count in seen.values()), seen
+
+
 class TestPreprocess:
-    def test_grid_spacing_and_endpoint(self):
+    def test_state_at_last_observation(self):
         hist = cv_history(80, fps=20.0, vel=(1.0, 0.5))
-        obs = preprocess(hist, obs_len=8, dt=0.4, fps=20.0)
-        assert obs.points.shape == (8, 2)
-        assert obs.last_frame == 79
-        assert obs.extrapolated_prefix == 0
-        assert obs.frames_per_step == 8  # 0.4 s at 20 fps
-        # grid ends at the last observation
-        assert np.allclose(obs.points[-1], (79 / 20.0 * 1.0, 10.0 + 79 / 20.0 * 0.5), atol=1e-9)
+        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        assert last_frame == 79
+        assert position.shape == (2,) and velocity.shape == (2,)
+        assert np.allclose(position, (79 / 20.0 * 1.0, 10.0 + 79 / 20.0 * 0.5), atol=1e-9)
 
     def test_constant_velocity_passes_through_exactly(self):
         hist = cv_history(80, fps=20.0, vel=(0.8, -0.2), start=(2.0, 15.0))
-        obs = preprocess(hist, obs_len=8, dt=0.4, fps=20.0)
-        t_grid = (79 - 8.0 * np.arange(8)[::-1]) / 20.0
-        want = np.stack([2.0 + 0.8 * t_grid, 15.0 - 0.2 * t_grid], axis=1)
-        assert np.allclose(obs.points, want, atol=1e-9)
-        assert np.allclose(obs.velocities, [[0.8, -0.2]] * 8, atol=1e-9)
+        position, velocity, _ = preprocess(hist, RunConfig(), 20.0)
+        assert np.allclose(position, (2.0 + 0.8 * 79 / 20.0, 15.0 - 0.2 * 79 / 20.0), atol=1e-9)
+        assert np.allclose(velocity, (0.8, -0.2), atol=1e-9)
 
     def test_interpolates_missing_frames(self):
         # Observations only every 5th frame; grid points in between come from
         # linear interpolation, which is exact for constant velocity.
-        hist = cv_history(80, fps=20.0, vel=(1.0, 0.0))[::5]
+        hist = cv_history(16, fps=20.0, vel=(1.0, 0.0), every=5)
         assert hist[-1][0] == 75
-        obs = preprocess(hist, obs_len=8, dt=0.4, fps=20.0)
-        t_grid = (75 - 8.0 * np.arange(8)[::-1]) / 20.0
-        assert np.allclose(obs.points[:, 0], t_grid, atol=1e-9)
+        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        assert last_frame == 75
+        assert np.allclose(position, (75 / 20.0, 10.0), atol=1e-9)
+        assert np.allclose(velocity, (1.0, 0.0), atol=1e-9)
 
-    def test_short_history_back_extrapolates(self):
-        # 17 frames cover 2 whole grid steps (last, -8, -16); the remaining 5
-        # grid points are extrapolated backwards along the earliest velocity.
+    def test_short_history_cuts_the_grid(self):
+        # 17 frames cover 3 of the 8 grid points (last, -8, -16); the filter
+        # runs over those three alone and still lands on the exact state.
         hist = cv_history(17, fps=20.0, vel=(1.0, 0.0), first_frame=63)
-        obs = preprocess(hist, obs_len=8, dt=0.4, fps=20.0)
-        assert obs.extrapolated_prefix == 5
-        t_grid = (79 - 8.0 * np.arange(8)[::-1]) / 20.0
-        assert np.allclose(obs.points[:, 0], 1.0 * t_grid, atol=1e-6)
+        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        assert last_frame == 79
+        assert np.allclose(position, (79 / 20.0, 10.0), atol=1e-6)
+        assert np.allclose(velocity, (1.0, 0.0), atol=1e-6)
 
     def test_single_observation(self):
-        obs = preprocess([(10, (3.0, 7.0))], obs_len=4, dt=0.4, fps=20.0)
-        assert obs.extrapolated_prefix == 3
-        assert np.allclose(obs.points, [[3.0, 7.0]] * 4)
-        assert obs.last_frame == 10
+        position, velocity, last_frame = preprocess([(10, (3.0, 7.0))], RunConfig(obs_len=4), 20.0)
+        assert position.tolist() == [3.0, 7.0]
+        assert velocity.tolist() == [0.0, 0.0]
+        assert last_frame == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            preprocess([])
+            preprocess([], RunConfig(), 20.0)
         with pytest.raises(ValueError):
-            preprocess([(5, (0.0, 0.0)), (5, (1.0, 1.0))])
+            preprocess([(5, (0.0, 0.0)), (5, (1.0, 1.0))], RunConfig(), 20.0)
         with pytest.raises(ValueError):
-            preprocess([(5, (0.0, 0.0)), (4, (1.0, 1.0))])
+            preprocess([(5, (0.0, 0.0)), (4, (1.0, 1.0))], RunConfig(), 20.0)
 
 
-class TestObservedTrajectoryValidation:
-    def test_rejects_bad_dt_and_prefix(self):
-        pts = np.zeros((4, 2))
-        vel = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            ObservedTrajectory(pts, 0.0, 0, 0, 20.0, vel)
-        with pytest.raises(ValueError):
-            ObservedTrajectory(pts, 0.4, 0, 4, 20.0, vel)
-        with pytest.raises(ValueError):
-            ObservedTrajectory(np.zeros((0, 2)), 0.4, 0, 0, 20.0, vel)
+class TestFilterLastState:
+    def test_constant_velocity_is_a_fixed_point(self):
+        # Zero innovation at every step: the last state is the last point and
+        # the true velocity, independent of the noise configuration.
+        pts = (1.0, 8.0) + np.arange(12)[:, None] * 0.4 * np.array([0.7, -0.3])
+        for pn, on in [(0.1, 0.25), (1.0, 0.01), (0.01, 5.0)]:
+            pos, vel = last_state(pts, 0.4, pn, on)
+            assert np.allclose(pos, pts[-1], atol=1e-9)
+            assert np.allclose(vel, [0.7, -0.3], atol=1e-9)
 
-    def test_frames_per_step_rounds(self):
-        pts = np.zeros((2, 2))
-        vel = np.zeros((2, 2))
-        assert ObservedTrajectory(pts, 0.4, 0, 0, 20.0, vel).frames_per_step == 8
-        assert ObservedTrajectory(pts, 0.05, 0, 0, 10.0, vel).frames_per_step == 1
+    def test_stationary_input(self):
+        pos, vel = last_state(np.tile([2.0, 5.0], (8, 1)), 0.5)
+        assert np.allclose(pos, [2.0, 5.0], atol=1e-9)
+        assert np.allclose(vel, 0.0, atol=1e-9)
+
+    def test_two_points(self):
+        pos, vel = last_state(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.5)
+        assert np.allclose(pos, [1.0, 2.0], atol=1e-9)
+        assert np.allclose(vel, [2.0, 4.0], atol=1e-9)
+
+    def test_endpoint_velocity_usable_for_extrapolation(self):
+        # The last filtered state extrapolated one step lands closer to truth
+        # than extrapolating from the last two raw observations, on nearly
+        # every noise draw (individual draws can go either way).
+        truth = (3.0, 6.0) + np.arange(30)[:, None] * 0.4 * np.array([0.9, 0.4])
+        target = truth[-1] + np.array([0.9, 0.4]) * 0.4
+        wins = 0
+        for seed in range(50):
+            noisy = truth + np.random.default_rng(seed).normal(0, 0.25, truth.shape)
+            pos, vel = last_state(noisy, 0.4, 0.1, 0.25)
+            kf_pred = pos + vel * 0.4
+            raw_pred = noisy[-1] + (noisy[-1] - noisy[-2])
+            wins += np.linalg.norm(kf_pred - target) < np.linalg.norm(raw_pred - target)
+        assert wins >= 40
 
 
-class TestMotionModelSpec:
-    def test_defaults(self):
-        spec = MotionModelSpec()
-        assert spec.kind == "kalman_cv" and spec.k == 1
-
-    def test_single_branch_kinds_reject_k(self):
-        with pytest.raises(ValueError):
-            MotionModelSpec(kind="static", k=2)
-        with pytest.raises(ValueError):
-            MotionModelSpec(kind="kalman_cv", k=3)
-
-    def test_fan_requires_matching_k(self):
-        MotionModelSpec(kind="fan", k=3)  # default three angles
-        with pytest.raises(ValueError):
-            MotionModelSpec(kind="fan", k=2)
-        MotionModelSpec(kind="fan", k=2, fan_angles=(-15.0, 15.0))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            MotionModelSpec(kind="rnn")
-        with pytest.raises(ValueError):
-            MotionModelSpec(kind="fan", k=0, fan_angles=())
+STATE = (np.array([3.95, 11.975]), np.array([1.0, 0.5]), 79)
 
 
 class TestForecastClosedForms:
-    def make_obs(self, vel=(1.0, 0.5), fps=20.0, dt=0.4, last_frame=79):
-        hist = cv_history(last_frame + 1, fps=fps, vel=vel)
-        return preprocess(hist, obs_len=8, dt=dt, fps=fps)
-
     def test_static_repeats_last_point(self):
-        obs = self.make_obs()
-        fc = forecast(MotionModelSpec(kind="static"), obs, horizon_steps=3)
+        fc = forecast(STATE, RunConfig(motion="static"), 20.0, horizon_s=1.2)
         assert fc.velocities.shape == (1, 2)
         assert fc.created_frame == 79 and fc.end_frame == 103  # 3 steps of 8 frames at 20 fps
         for f in (80, 91, 103):
-            assert np.array_equal(fc.points(f), obs.points[-1][None, :])
+            assert np.array_equal(fc.points(f), STATE[0][None, :])
 
     def test_kalman_cv_linear_in_time(self):
-        obs = self.make_obs(vel=(1.0, 0.5))
-        fc = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=2)
+        fc = forecast(STATE, RunConfig(), 20.0, horizon_s=0.8)
         got = np.array([fc.points(f)[0] for f in range(80, fc.end_frame + 1)])
         tsec = (np.arange(16) + 1.0) / 20.0
-        want = obs.points[-1] + tsec[:, None] * np.array([1.0, 0.5])
+        want = STATE[0] + tsec[:, None] * np.array([1.0, 0.5])
         assert np.allclose(got, want, atol=1e-9)
 
     def test_fan_rotates_velocity(self):
-        obs = self.make_obs(vel=(1.0, 0.0))
-        spec = MotionModelSpec(kind="fan", k=3, fan_angles=(-90.0, 0.0, 90.0))
-        fc = forecast(spec, obs, horizon_steps=1)
+        state = (STATE[0], np.array([1.0, 0.0]), 79)
+        cfg = RunConfig(motion="fan", fan_angles=(-90.0, 0.0, 90.0))
+        fc = forecast(state, cfg, 20.0, horizon_s=0.4)
         t1 = 1.0 / 20.0
         # first frame of each branch: velocity rotated by the fan angle
-        p = fc.points(80) - obs.points[-1]
+        p = fc.points(80) - STATE[0]
         assert np.allclose(p[0], [0.0, -t1], atol=1e-9)  # -90 deg
         assert np.allclose(p[1], [t1, 0.0], atol=1e-9)
         assert np.allclose(p[2], [0.0, t1], atol=1e-9)  # +90 deg
 
     def test_fan_center_matches_kalman_cv(self):
-        obs = self.make_obs(vel=(0.7, -0.4))
-        fan = forecast(MotionModelSpec(kind="fan", k=3), obs, horizon_steps=2)
-        cv = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=2)
+        state = (STATE[0], np.array([0.7, -0.4]), 79)
+        fan = forecast(state, RunConfig(motion="fan", k=3), 20.0, horizon_s=0.8)
+        cv = forecast(state, RunConfig(), 20.0, horizon_s=0.8)
         assert fan.end_frame == cv.end_frame
         for f in range(80, cv.end_frame + 1):
             assert np.allclose(fan.points(f)[1], cv.points(f)[0], atol=1e-12)
 
-    def test_frames_cover_every_frame(self):
-        obs = self.make_obs()
-        fc = forecast(MotionModelSpec(kind="kalman_cv"), obs, horizon_steps=4)
-        assert fc.created_frame == 79 and fc.end_frame == 111  # frames 80 .. 111
 
-    def test_horizon_validation(self):
-        obs = self.make_obs()
-        with pytest.raises(ValueError):
-            forecast(MotionModelSpec(), obs, horizon_steps=0)
+class TestForecastHorizon:
+    def test_defaults_to_tau_max(self):
+        # ceil(3.0 / 0.5) = 6 steps of round(0.5 * 10) = 5 frames
+        fc = forecast(STATE, RunConfig(dt=0.5, tau_max=3.0), 10.0)
+        assert fc.created_frame == 79 and fc.end_frame == 79 + 30
+
+    def test_steps_round_up_and_frames_per_step_round(self):
+        # ceil(1.3 / 0.4) = 4 steps of 8 frames at 20 fps
+        assert forecast(STATE, RunConfig(), 20.0, horizon_s=1.3).end_frame == 79 + 32
+        # a step shorter than a frame still advances one frame
+        assert forecast(STATE, RunConfig(dt=0.05), 10.0, horizon_s=0.2).end_frame == 79 + 4
+        # any positive horizon covers at least one step
+        assert forecast(STATE, RunConfig(), 20.0, horizon_s=1e-6).end_frame == 79 + 8
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_non_positive_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            forecast(STATE, RunConfig(), 20.0, horizon_s=horizon)
+
+    @pytest.mark.parametrize("horizon", [math.inf, 1e308])
+    def test_overflowing_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="overflows the step count"):
+            forecast(STATE, RunConfig(), 20.0, horizon_s=horizon)
 
 
 class TestForecastMatchesStoredPoints:
@@ -185,23 +345,24 @@ class TestForecastMatchesStoredPoints:
             last = int(rng.integers(0, 500))
             hist = cv_history(int(rng.integers(1, 60)), fps, vel, start=start, first_frame=last)
             hist = [(f, (x + rng.normal(0, 0.05), y + rng.normal(0, 0.05))) for f, (x, y) in hist]
-            obs = preprocess(hist, obs_len=int(rng.integers(1, 10)), dt=dt, fps=fps)
-            spec = [
-                MotionModelSpec(kind="static"),
-                MotionModelSpec(kind="kalman_cv"),
-                MotionModelSpec(kind="fan", k=3, fan_angles=tuple(rng.uniform(-60, 60, 3))),
-            ][trial % 3]
+            motion = ("static", "kalman_cv", "fan")[trial % 3]
+            cfg = RunConfig(
+                motion=motion,
+                fan_angles=tuple(rng.uniform(-60, 60, 3)),
+                obs_len=int(rng.integers(1, 10)),
+                dt=dt,
+            )
+            state = preprocess(hist, cfg, fps)
             horizon = int(rng.integers(1, 8))
-            fc = forecast(spec, obs, horizon_steps=horizon)
-            n = horizon * obs.frames_per_step
-            assert fc.created_frame == obs.last_frame
-            assert fc.end_frame == obs.last_frame + n
+            fc = forecast(state, cfg, fps, horizon_s=horizon * dt)
+            n = fc.end_frame - fc.created_frame
+            assert fc.created_frame == state[2]
             tsec = (np.arange(n) + 1.0) / fps
             for b, v in enumerate(fc.velocities):
-                stored = obs.points[-1] + tsec[:, None] * v[None, :]
+                stored = state[0] + tsec[:, None] * v[None, :]
                 frames = range(fc.created_frame + 1, fc.end_frame + 1)
                 got = np.array([fc.points(f)[b] for f in frames])
-                assert np.array_equal(got, stored), (trial, spec.kind, b)
+                assert np.array_equal(got, stored), (trial, motion, b)
 
 
 class TestForecastValidation:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, iou
+from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.errors import NonMonotonicFrame
 from bevtrack.forecast import Forecast
@@ -17,6 +17,7 @@ from bevtrack.tracker import (
     Tracker,
     assign,
     build_cost_matrix,
+    frame_geometry,
     prune_forecasts,
 )
 
@@ -38,6 +39,18 @@ def box_at(u, v, w=12.0, h=24.0):
 
 def det_at(frame, u, v, w=12.0, h=24.0, app=None, source=None):
     return Detection(frame=frame, box=box_at(u, v, w, h), appearance=app, source_id=source)
+
+
+def cost_matrix(tracks, detections, config, scene, frame):
+    """build_cost_matrix on the frame's geometry for these tracks and detections."""
+    g = frame_geometry(tracks, ltwh([d.box for d in detections]), scene, frame, config)
+    return build_cost_matrix(tracks, detections, config, g)
+
+
+def prune(track, scene, detections, frame, config):
+    """prune_forecasts on the frame's geometry for this track and the detections."""
+    g = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame, config)
+    prune_forecasts(track, g, config, scene.fps)
 
 
 def unit(*v):
@@ -107,7 +120,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         # identical predicted and detected boxes: IoU 1; L2 0: bonus tau_l2
         assert scores[0, 0] == pytest.approx(1.0 + 2.5, abs=1e-12)
         assert branch[0, 0] == 0
@@ -117,7 +130,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 56, 100)  # 4 px to the right of the branch point
         det.bev = np.array([56.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         # 12x24 boxes offset 4 px: IoU (8*24)/(2*288-192) = 0.5; L2 = 4 > tau_l2
         assert scores[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -126,7 +139,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 63, 100)  # 11 px offset: IoU (1*24)/(552) < tau_iou
         det.bev = np.array([63.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         assert branch[0, 0] == -1
 
@@ -136,7 +149,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 70, 100)  # disjoint boxes, BEV distance 18
         det.bev = np.array([70.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], cfg, scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], cfg, scene, frame=1)
         assert scores[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert branch[0, 0] == 0
 
@@ -146,12 +159,12 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=a)
         det = det_at(1, 52, 100, app=b)
         det.bev = np.array([52.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         # same geometry with an agreeing descriptor passes
         det2 = det_at(1, 52, 100, app=a)
         det2.bev = np.array([52.0, 100.0])
-        scores2, _ = build_cost_matrix([tr], [det2], RunConfig(), scene, frame=1)
+        scores2, _ = cost_matrix([tr], [det2], RunConfig(), scene, frame=1)
         assert scores2[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_missing_appearance_skips_gate(self):
@@ -159,7 +172,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(1, 0, 0))
         det = det_at(1, 52, 100, app=None)
         det.bev = np.array([52.0, 100.0])
-        scores, _ = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_best_branch_selected(self):
@@ -167,7 +180,7 @@ class TestCostMatrix:
         tr = inactive_track(1, 50, 100, [(57.0, 100.0), (52.0, 100.0)])
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -177,7 +190,7 @@ class TestCostMatrix:
         tr.forecast.alive[0] = False  # the exact branch was pruned
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = build_cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1
         assert scores[0, 0] == pytest.approx(iou(box_at(57, 100), det.box), abs=1e-12)
 
@@ -190,7 +203,7 @@ class TestCostMatrix:
             du, dv = rng.uniform(40, 160, 2)
             det = det_at(1, du, dv)
             det.bev = np.array([du, dv])
-            scores, _ = build_cost_matrix([tr], [det], cfg, scene, frame=1)
+            scores, _ = cost_matrix([tr], [det], cfg, scene, frame=1)
             pb = box_at(bp[0], bp[1])
             d_iou = iou(pb, det.box)
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
@@ -253,9 +266,9 @@ class TestPruneForecasts:
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)  # limit: 5 consecutive calls
         tr = self.make_track()
         for i in range(5):
-            prune_forecasts(tr, scene, [], frame=1, config=cfg)
+            prune(tr, scene, [], frame=1, config=cfg)
             assert tr.forecast.alive[0], f"died too early at call {i + 1}"
-        prune_forecasts(tr, scene, [], frame=1, config=cfg)
+        prune(tr, scene, [], frame=1, config=cfg)
         assert not tr.forecast.alive[0]
 
     def test_covering_detection_resets_streak(self):
@@ -264,12 +277,12 @@ class TestPruneForecasts:
         tr = self.make_track()
         cover = det_at(1, 52, 103)  # closer (bottom 103 > 100), heavy overlap
         for _ in range(4):
-            prune_forecasts(tr, scene, [], frame=1, config=cfg)
+            prune(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 4
-        prune_forecasts(tr, scene, [cover], frame=1, config=cfg)
+        prune(tr, scene, [cover], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 0
         for _ in range(5):
-            prune_forecasts(tr, scene, [], frame=1, config=cfg)
+            prune(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.alive[0]
 
     def test_farther_detection_does_not_cover(self):
@@ -277,7 +290,7 @@ class TestPruneForecasts:
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
         tr = self.make_track()
         behind = det_at(1, 52, 97)  # bottom 97 < 100: farther than the forecast
-        prune_forecasts(tr, scene, [behind], frame=1, config=cfg)
+        prune(tr, scene, [behind], frame=1, config=cfg)
         assert tr.forecast.visible_streak[0] == 1
 
     def test_masked_out_cell_is_not_visible(self):
@@ -286,7 +299,7 @@ class TestPruneForecasts:
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
         tr = self.make_track()
         for _ in range(10):
-            prune_forecasts(tr, scene, [], frame=1, config=cfg)
+            prune(tr, scene, [], frame=1, config=cfg)
         assert tr.forecast.alive[0]
         assert tr.forecast.visible_streak[0] == 0
 

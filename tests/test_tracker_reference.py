@@ -397,7 +397,8 @@ class TestCostMatrixMatchesScalarReference:
             tau_app = float(tracks[0].last_appearance @ dets[0].appearance)
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
             want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
-            got = build_cost_matrix(tracks, dets, cfg, scene, 1)
+            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
+            got = build_cost_matrix(tracks, dets, cfg, g)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -410,7 +411,7 @@ class TestCostMatrixMatchesScalarReference:
             for tr in tracks:
                 tr.forecast.alive[rng.integers(3)] = False
             want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
-            got = build_cost_matrix(tracks, dets, cfg, scene, 1, g)
+            got = build_cost_matrix(tracks, dets, cfg, g)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -419,7 +420,9 @@ class TestCostMatrixMatchesScalarReference:
         fc = tracks[0].forecast
         fc.velocities[:] = dets[0].bev  # three identical branches
         fc.alive[:] = True
-        scores, branch = build_cost_matrix(tracks, dets[:1], RunConfig(tau_app=-1.0), scene, 1)
+        cfg = RunConfig(tau_app=-1.0)
+        g = frame_geometry(tracks, ltwh([d.box for d in dets[:1]]), scene, 1, cfg)
+        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, g)
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
@@ -431,7 +434,8 @@ class TestPruneMatchesScalarReference:
             cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
             ref = copy_tracks(tracks)
             for got, want in zip(tracks, ref):
-                prune_forecasts(got, scene, dets, 1, cfg)
+                g = frame_geometry([got], ltwh([d.box for d in dets]), scene, 1, cfg)
+                prune_forecasts(got, g, cfg, scene.fps)
                 scalar_prune(want, scene, dets, 1, cfg)
                 assert np.array_equal(got.forecast.alive, want.forecast.alive)
                 assert np.array_equal(got.forecast.visible_streak, want.forecast.visible_streak)
@@ -449,7 +453,7 @@ class TestPruneMatchesScalarReference:
             for got, want in zip(tracks, ref):
                 for _ in range(2):
                     before = want.forecast.alive.copy()
-                    prune_forecasts(got, scene, dets, 1, cfg, g)
+                    prune_forecasts(got, g, cfg, scene.fps)
                     scalar_prune(want, scene, dets, 1, cfg)
                     killed += (before & ~want.forecast.alive).sum()
                     got.forecast.alive[0] = want.forecast.alive[0] = False
