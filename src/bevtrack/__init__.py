@@ -10,7 +10,7 @@ suite aimed at long-gap identity survival close the loop.
 """
 
 from .boxes import PixelBox, covered_fraction, iou, iou_matrix, ltwh
-from .config import RunConfig, config_from_dict, read_config, write_config
+from .config import DEFAULT_BUCKETS, RunConfig, config_from_dict, read_config, write_config
 from .egomotion import EgomotionTrack, estimate_egomotion
 from .errors import (
     BevTrackError,
@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
 )
 from .evaluation import (
-    DEFAULT_BUCKETS,
     EvalReport,
     OcclusionEvent,
     RecallBucket,

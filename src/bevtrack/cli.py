@@ -14,9 +14,11 @@ Exit codes: 0 on success, 1 on validation/data errors, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -68,15 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON run configuration")
-        sp.add_argument("--seed", type=int, help="override the configured seed")
 
     sp = sub.add_parser("simulate", help="render a synthetic scenario")
     add_common(sp)
+    sp.add_argument("--seed", type=int, help="override the scenario's seed")
     sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("calibrate", help="estimate the ground homography from a cloud")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="RANSAC seed of the plane fit")
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
     sp.add_argument("--out", required=True, help="homography output file")
@@ -112,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--vis-threshold",
         type=_fraction,
-        help="visibility below which a frame counts as occluded "
-        "(align with the detector's emission cutoff for endpoint recall)",
+        help="visibility below which a frame counts as occluded; overrides vis_threshold",
     )
 
     sp = sub.add_parser("forecast", help="emit forecast branches per identity")
@@ -128,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pipeline", help="simulate, track, evaluate")
     add_common(sp)
+    sp.add_argument("--seed", type=int, help="override the scenario's seed")
     sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
@@ -144,8 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = read_config(args.config) if args.config else RunConfig()
     over = {}
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
     if getattr(args, "motion", None):
         over["motion"] = args.motion
     if getattr(args, "k", None) is not None:
@@ -156,6 +157,8 @@ def _config_from_args(args) -> RunConfig:
         over["ingest_ids"] = True
     if getattr(args, "buckets", None):
         over["buckets"] = _parse_buckets(args.buckets)
+    if getattr(args, "vis_threshold", None) is not None:
+        over["vis_threshold"] = args.vis_threshold
     return cfg.override(**over) if over else cfg
 
 
@@ -176,42 +179,40 @@ def _resolve_scenario(name: str) -> str:
     raise ParseError(f"scenario {name!r}: no such file or bundled scenario")
 
 
-def _write_sim(outdir: str, sim, cfg: RunConfig) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    sc = sim.scenario
+def _simulate(args, cfg: RunConfig):
+    """Generate --scenario, reseeded by --seed if given, and write its files to --out."""
+    sc = read_scenario(_resolve_scenario(args.scenario))
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
+    sim = generate(sc)
+    os.makedirs(args.out, exist_ok=True)
     mot_io.write_detections(
-        os.path.join(outdir, "det.txt"),
+        os.path.join(args.out, "det.txt"),
         [mot_io.MotRecord(frame=d.frame, track_id=-1, box=d.box) for d in sim.detections],
     )
     mot_io.write_appearance(
-        os.path.join(outdir, "appearance.txt"), [d.appearance for d in sim.detections]
+        os.path.join(args.out, "appearance.txt"), [d.appearance for d in sim.detections]
     )
-    mot_io.write_gt(os.path.join(outdir, "gt.txt"), mot_io.gt_from_sim(sim))
-    mot_io.write_cloud(os.path.join(outdir, "cloud.txt"), sim.cloud)
+    mot_io.write_gt(os.path.join(args.out, "gt.txt"), mot_io.gt_from_sim(sim))
+    mot_io.write_cloud(os.path.join(args.out, "cloud.txt"), sim.cloud)
     mot_io.write_correspondences(
-        os.path.join(outdir, "correspondences.txt"), sim.cloud_pixels, sim.cloud
+        os.path.join(args.out, "correspondences.txt"), sim.cloud_pixels, sim.cloud
     )
     save_homography(
-        os.path.join(outdir, "homography.txt"),
+        os.path.join(args.out, "homography.txt"),
         sim.homography,
         cfg.max_spacing,
         (sc.camera.image_width, sc.camera.image_height),
     )
-    write_scenario(os.path.join(outdir, "scenario.json"), sc)
+    write_scenario(os.path.join(args.out, "scenario.json"), sc)
     if sc.camera_path is not None:
-        mot_io.write_ego(os.path.join(outdir, "ego.txt"), sim.ego)
+        mot_io.write_ego(os.path.join(args.out, "ego.txt"), sim.ego)
+    return sim
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    sc = read_scenario(_resolve_scenario(args.scenario))
-    if args.seed is not None:
-        from dataclasses import replace
-
-        sc = replace(sc, seed=args.seed)
-    sim = generate(sc)
-    _write_sim(args.out, sim, cfg)
-    print(f"frames: {sc.n_frames}")
+    sim = _simulate(args, _config_from_args(args))
+    print(f"frames: {sim.scenario.n_frames}")
     print(f"detections: {len(sim.detections)}")
     print(f"ground-truth rows: {len(sim.gt)}")
     print(f"wrote {args.out}")
@@ -221,7 +222,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     cloud = mot_io.read_cloud(args.cloud)
     px, pts = mot_io.read_correspondences(args.correspondences)
-    cal = calibrate_from_cloud(cloud, px, pts, seed=args.seed or 0)
+    cal = calibrate_from_cloud(cloud, px, pts, seed=args.seed)
     save_homography(args.out, cal.homography, args.max_spacing, tuple(args.image))
     n = cal.plane.normal
     print(f"plane normal: {n[0]:.6f} {n[1]:.6f} {n[2]:.6f}")
@@ -303,11 +304,8 @@ def _cmd_evaluate(args) -> int:
         [(g.frame, g.track_id, g.box) for g in gt],
         [(r.frame, r.track_id, r.box) for r in hyp],
         [(g.frame, g.track_id, g.visibility) for g in gt],
-        fps=args.fps,
-        iou_threshold=cfg.iou_threshold,
-        vis_threshold=args.vis_threshold if args.vis_threshold is not None else cfg.vis_threshold,
-        window=cfg.window,
-        buckets=cfg.buckets,
+        args.fps,
+        cfg,
     )
     report.write_json(args.out)
     if args.csv:
@@ -323,8 +321,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    import json
-
     cfg = _config_from_args(args)
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
@@ -347,22 +343,15 @@ def _cmd_forecast(args) -> int:
             raise ParseError(f"--horizon: {e}") from e
     with open(args.out, "w") as f:
         for tid, fc in forecasts.items():
-            frames = list(range(fc.created_frame + 1, fc.end_frame + 1))
-            branch_pts = np.stack([fc.points(fr) for fr in frames], axis=1)  # (k, n, 2)
-            f.write(
-                json.dumps(
-                    {
-                        "id": tid,
-                        "created_frame": fc.created_frame,
-                        "branches": [
-                            {"frames": frames, "points": [[float(a), float(b)] for a, b in pts]}
-                            for pts in branch_pts
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            row = {
+                "id": tid,
+                "created_frame": fc.created_frame,
+                "end_frame": fc.end_frame,
+                "fps": fc.fps,
+                "origin": fc.origin.tolist(),
+                "velocities": fc.velocities.tolist(),
+            }
+            f.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"forecasted identities: {len(by_id)}")
     print(f"wrote {args.out}")
     return 0
@@ -370,21 +359,16 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = _config_from_args(args)
-    sc = read_scenario(_resolve_scenario(args.scenario))
-    if args.seed is not None:
-        from dataclasses import replace
-
-        sc = replace(sc, seed=args.seed)
-    sim = generate(sc)
-    _write_sim(args.out, sim, cfg)
+    sim = _simulate(args, cfg)
     lh = None
     if args.estimate_homography:
-        lh = calibrated_lh(sim, cfg, pixel_noise=0.0, seed=cfg.seed)
+        lh = calibrated_lh(sim, cfg)
+        cam = sim.scenario.camera
         save_homography(
             os.path.join(args.out, "homography_estimated.txt"),
             lh.h,
             cfg.max_spacing,
-            (sc.camera.image_width, sc.camera.image_height),
+            (cam.image_width, cam.image_height),
         )
     outputs, events, _ = run_tracker(sim, cfg, lh=lh)
     mot_io.write_detections(

@@ -5,8 +5,8 @@ Defaults reproduce the reference operating point: eight observed steps at
 geometric/appearance gates used throughout the experiments. Configs load from
 JSON; unknown keys are rejected so typos fail loudly. Every field's type and
 range is checked at construction, so a malformed value fails with
-ParseError("config: <field> ...") before any run starts. The tracker reads
-this record directly.
+ParseError("config: <field> ...") before any run starts. The tracker and
+the evaluation read this record directly.
 """
 
 from __future__ import annotations
@@ -18,9 +18,13 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ParseError
-from .evaluation import DEFAULT_BUCKETS
 
 MOTION_KINDS = ("static", "kalman_cv", "fan")
+DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
+# The simulator emits a detection at or above this visibility, and evaluation
+# counts a frame below it as occluded, so an occlusion event's flanks are the
+# frames with detections.
+VISIBILITY_CUTOFF = 0.25
 
 
 def _is_number(v) -> bool:
@@ -41,9 +45,9 @@ _TYPE_CHECKS = {
 class RunConfig:
     """Every parameter of a run, for the tracker, forecaster and evaluation.
 
-    Motion: "static" and "kalman_cv" forecast one branch whatever k is; "fan"
-    forecasts one branch per fan_angles entry and takes k = 1 or k equal to
-    their count.
+    Motion: "static" and "kalman_cv" forecast one branch and take only k = 1;
+    "fan" forecasts one branch per fan_angles entry and takes k = 1 or k equal
+    to their count.
 
     Gates: tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
     appearance cosine similarity, tau_iou the minimum predicted-box IoU (0
@@ -75,11 +79,9 @@ class RunConfig:
     cell_size: float = 0.5
     # evaluation
     iou_threshold: float = 0.5
-    vis_threshold: float = 0.1
+    vis_threshold: float = VISIBILITY_CUTOFF
     window: int = 5
     buckets: tuple = DEFAULT_BUCKETS
-    horizons: tuple = (1.0, 2.0)
-    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -110,17 +112,15 @@ class RunConfig:
         for name in ("obs_len", "k", "window"):
             if getattr(self, name) < 1:
                 raise ParseError(f"config: {name} must be at least 1")
-        if self.seed < 0:
-            raise ParseError("config: seed must be non-negative")
         if self.motion not in MOTION_KINDS:
             raise ParseError(f"config: motion must be one of {', '.join(MOTION_KINDS)}")
         if not self.fan_angles or not all(map(math.isfinite, self.fan_angles)):
             raise ParseError("config: fan_angles must be a non-empty list of finite angles")
-        if not all(0 < h < math.inf for h in self.horizons):
-            raise ParseError("config: horizons must be positive and finite")
         edges = self.buckets
         if len(edges) < 2 or not all(nxt > prev for prev, nxt in zip(edges, edges[1:])):
             raise ParseError("config: buckets must be strictly increasing with at least two edges")
+        if self.motion != "fan" and self.k > 1:
+            raise ParseError("config: k > 1 needs motion fan")
         if self.motion == "fan" and self.k not in (1, len(self.fan_angles)):
             raise ParseError("config: fan requires k == len(fan_angles)")
 
@@ -134,9 +134,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["fan_angles"] = list(self.fan_angles)
-        d["buckets"] = list(self.buckets)
-        d["horizons"] = list(self.horizons)
+        for name in _TUPLE_FIELDS:
+            d[name] = list(d[name])
         return d
 
     def override(self, **kwargs) -> "RunConfig":
@@ -144,7 +143,7 @@ class RunConfig:
 
 
 _FIELDS = {f.name for f in fields(RunConfig)}
-_TUPLE_FIELDS = {"fan_angles", "buckets", "horizons"}
+_TUPLE_FIELDS = {"fan_angles", "buckets"}
 
 
 def config_from_dict(d: dict) -> RunConfig:

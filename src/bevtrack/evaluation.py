@@ -8,7 +8,11 @@ survival through occlusions rather than frame-level coverage:
 - lost intervals split into short and long gaps,
 - occlusion events extracted from ground-truth visibility, with identity
   recall bucketed by event duration,
-- final displacement error of forecast branches against ground truth.
+- final displacement error of forecast branches against ground truth, scored
+  on its own by ``fde``.
+
+``evaluate_tracking`` reads its IoU and visibility thresholds, merge window and
+buckets from a RunConfig; the functions it calls take them as arguments.
 
 Record conventions: ground truth and hypotheses are sequences of
 ``(frame, id, PixelBox)``; visibility records are ``(frame, id, fraction)``.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,19 +30,16 @@ from scipy.optimize import linear_sum_assignment
 
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
 from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
+from .config import RunConfig
 from .errors import MissingGroundTruth
 
 _BIG = 1e6
-
-DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
 
 
 # -- frame matching ----------------------------------------------------------------
 
 
-def match_frames(
-    gt_records: Sequence, hyp_records: Sequence, iou_threshold: float = 0.5
-) -> dict:
+def match_frames(gt_records: Sequence, hyp_records: Sequence, iou_threshold: float) -> dict:
     """Per-frame gt/hyp correspondence: maximum matches, then maximum total IoU.
 
     Pairs below the IoU threshold are never matched. Returns
@@ -136,12 +137,7 @@ class OcclusionEvent:
     duration_s: float
 
 
-def occlusion_components(
-    vis_records: Sequence,
-    fps: float,
-    threshold: float = 0.1,
-    window: int = 5,
-) -> list:
+def occlusion_components(vis_records: Sequence, fps: float, threshold: float, window: int) -> list:
     """Extract occlusion events from per-frame ground-truth visibility.
 
     Per identity, frames spanning its first to last record are binarized as
@@ -228,11 +224,7 @@ class RecallBucket:
         return self.recovered / self.total if self.total else None
 
 
-def id_recall(
-    events: Sequence,
-    matches: dict,
-    buckets: Sequence = DEFAULT_BUCKETS,
-) -> list:
+def id_recall(events: Sequence, matches: dict, buckets: Sequence) -> list:
     """Fraction of occlusion events whose identity survives, by duration bucket.
 
     An event counts as recovered when its ground-truth identity is matched at
@@ -268,12 +260,7 @@ def id_recall(
 # -- forecast displacement -----------------------------------------------------------
 
 
-def fde(
-    forecasts: dict,
-    gt_positions: dict,
-    horizons: Sequence = (1.0, 2.0),
-    fps: float = 20.0,
-) -> dict:
+def fde(forecasts: dict, gt_positions: dict, horizons: Sequence, fps: float) -> dict:
     """Final displacement error of forecasts against BEV ground truth.
 
     ``forecasts`` maps an identity to a Forecast; ``gt_positions`` maps
@@ -320,10 +307,9 @@ class EvalReport:
     n_gt: int
     n_hyp: int
     n_matched: int
-    fde: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "idsw": self.idsw,
             "idtr": self.idtr,
             "id_lost_short": self.id_lost_short,
@@ -342,9 +328,6 @@ class EvalReport:
                 for b in self.buckets
             ],
         }
-        if self.fde is not None:
-            d["fde"] = {str(k): v for k, v in self.fde.items()}
-        return d
 
     def write_json(self, path) -> None:
         with open(path, "w") as f:
@@ -352,24 +335,14 @@ class EvalReport:
             f.write("\n")
 
     def write_csv(self, path) -> None:
-        row = {
-            "idsw": self.idsw,
-            "idtr": self.idtr,
-            "id_lost_short": self.id_lost_short,
-            "id_lost_long": self.id_lost_long,
-            "n_gt": self.n_gt,
-            "n_hyp": self.n_hyp,
-            "n_matched": self.n_matched,
-        }
+        row = self.to_dict()
+        del row["id_recall"]  # flattened into one column group per bucket below
         for b in self.buckets:
             hi = "inf" if b.hi == float("inf") else f"{b.hi:g}"
             tag = f"recall_{b.lo:g}_{hi}"
             row[f"{tag}_total"] = b.total
             row[f"{tag}_recovered"] = b.recovered
             row[f"{tag}"] = "" if b.recall is None else f"{b.recall:.6f}"
-        if self.fde is not None:
-            for h in sorted(self.fde):
-                row[f"fde_{h:g}"] = f"{self.fde[h]:.6f}"
         with open(path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(row))
             writer.writeheader()
@@ -381,25 +354,17 @@ def evaluate_tracking(
     hyp_records: Sequence,
     vis_records: Sequence,
     fps: float,
-    iou_threshold: float = 0.5,
-    vis_threshold: float = 0.1,
-    window: int = 5,
-    buckets: Sequence = DEFAULT_BUCKETS,
-    forecasts: Optional[dict] = None,
-    gt_positions: Optional[dict] = None,
-    horizons: Sequence = (1.0, 2.0),
+    config: RunConfig,
 ) -> EvalReport:
-    """Full metric pass: matching, identity errors, bucketed event recall."""
-    matches = match_frames(gt_records, hyp_records, iou_threshold)
+    """Full metric pass: matching, identity errors, bucketed event recall.
+
+    Reads iou_threshold, vis_threshold, window and buckets from config.
+    """
+    matches = match_frames(gt_records, hyp_records, config.iou_threshold)
     idsw, idtr = count_switches(matches)
     lost_s, lost_l = count_lost(matches, fps)
-    events = occlusion_components(vis_records, fps, vis_threshold, window)
-    bucket_rows = id_recall(events, matches, buckets)
-    fde_out = None
-    if forecasts is not None:
-        if gt_positions is None:
-            raise ValueError("gt_positions required when forecasts are scored")
-        fde_out = fde(forecasts, gt_positions, horizons, fps)
+    events = occlusion_components(vis_records, fps, config.vis_threshold, config.window)
+    bucket_rows = id_recall(events, matches, config.buckets)
     return EvalReport(
         idsw=idsw,
         idtr=idtr,
@@ -409,5 +374,4 @@ def evaluate_tracking(
         n_gt=len(gt_records),
         n_hyp=len(hyp_records),
         n_matched=sum(len(v) for v in matches.values()),
-        fde=fde_out,
     )

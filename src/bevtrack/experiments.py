@@ -24,7 +24,6 @@ from .homography import Homography, HomographyFit, estimate_homography
 from .linearized import LinearizedHomography, linearize
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
 from .simulator import (
-    VISIBILITY_CUTOFF,
     AgentSpec,
     CameraSpec,
     Occluder,
@@ -330,30 +329,11 @@ def pixel_baseline_config(config: RunConfig) -> RunConfig:
     return config.override(tau_l2=75.0)
 
 
-def evaluate_sim(
-    sim: SimOutput,
-    outputs: list,
-    config: RunConfig,
-    vis_threshold: float = VISIBILITY_CUTOFF,
-    forecasts: Optional[dict] = None,
-) -> EvalReport:
+def evaluate_sim(sim: SimOutput, outputs: list, config: RunConfig) -> EvalReport:
+    """Score the tracker's (frame, id, box) outputs against the simulated ground truth."""
     gt_records = [(g.frame, g.agent_id, g.box) for g in sim.gt]
-    hyp_records = [(f, i, b) for f, i, b in outputs]
-    gt_positions = None
-    if forecasts is not None:
-        gt_positions = {(g.frame, g.agent_id): g.bev for g in sim.gt}
     return evaluate_tracking(
-        gt_records,
-        hyp_records,
-        sim.visibility_records(),
-        fps=sim.scenario.fps,
-        iou_threshold=config.iou_threshold,
-        vis_threshold=vis_threshold,
-        window=config.window,
-        buckets=config.buckets,
-        forecasts=forecasts,
-        gt_positions=gt_positions,
-        horizons=config.horizons,
+        gt_records, outputs, sim.visibility_records(), sim.scenario.fps, config
     )
 
 

@@ -37,13 +37,12 @@ import numpy as np
 
 # covered_fraction goes uncalled here; the benchmark tracer wraps it as this module's.
 from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
-from .config import _is_number
+from .config import VISIBILITY_CUTOFF, _is_number
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
 from .homography import Homography
 from .tracker import SceneModel
 
-VISIBILITY_CUTOFF = 0.25  # detections are emitted at or above this visibility
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
 
 

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from bevtrack.cli import main
+from bevtrack.config import RunConfig
+from bevtrack.forecast import forecast, preprocess
+from bevtrack.homography import load_homography
+from bevtrack.linearized import linearize
 from bevtrack.mot_io import read_detections, read_events
 from bevtrack.simulator import AgentSpec, CameraSpec, Occluder, Scenario, write_scenario
 
@@ -206,7 +210,6 @@ class TestEvaluate:
                 "--out", out,
                 "--csv", csv_out,
                 "--fps", "10",
-                "--vis-threshold", "0.25",
             ]
         )
         assert code == 0
@@ -227,7 +230,6 @@ class TestEvaluate:
                 "--hyp", os.path.join(track_dir, "track.txt"),
                 "--out", out,
                 "--fps", "10",
-                "--vis-threshold", "0.25",
                 "--buckets", "0,2,inf",
             ]
         )
@@ -251,16 +253,27 @@ class TestEvaluate:
         assert lines == ["error: config: buckets must be strictly increasing with at least two edges"]
 
 
+def listed_points(fc):
+    """(k, n, 2) points of every branch at every frame after created_frame, as
+    forecasts.jsonl once listed them: per frame, floats of Forecast.points."""
+    frames = list(range(fc.created_frame + 1, fc.end_frame + 1))
+    branch_pts = np.stack([fc.points(fr) for fr in frames], axis=1)
+    return np.array([[[float(a), float(b)] for a, b in pts] for pts in branch_pts])
+
+
 class TestForecastCommand:
-    def test_branches_emitted(self, sim_dir, track_dir, tmp_path):
+    @pytest.mark.parametrize("motion, k", [("static", 1), ("kalman_cv", 1), ("fan", 3)])
+    def test_row_rebuilds_listed_points(self, sim_dir, track_dir, tmp_path, motion, k):
+        track = os.path.join(track_dir, "track.txt")
+        homography = os.path.join(sim_dir, "homography.txt")
         out = str(tmp_path / "forecasts.jsonl")
         code = main(
             [
                 "forecast",
-                "--det", os.path.join(track_dir, "track.txt"),
-                "--homography", os.path.join(sim_dir, "homography.txt"),
+                "--det", track,
+                "--homography", homography,
                 "--fps", "10",
-                "--motion", "fan",
+                "--motion", motion,
                 "--horizon", "2.0",
                 "--out", out,
             ]
@@ -268,10 +281,38 @@ class TestForecastCommand:
         assert code == 0
         rows = [json.loads(l) for l in open(out) if l.strip()]
         assert len(rows) == 1
-        assert len(rows[0]["branches"]) == 3
-        for br in rows[0]["branches"]:
-            assert len(br["frames"]) == len(br["points"])
-            assert br["frames"][0] == rows[0]["created_frame"] + 1
+        row = rows[0]
+        assert sorted(row) == ["created_frame", "end_frame", "fps", "id", "origin", "velocities"]
+        assert len(row["velocities"]) == k
+
+        recs = read_detections(track)
+        h, max_spacing, image_size = load_homography(homography)
+        lh = linearize(h, image_size, max_spacing)
+        cfg = RunConfig(motion=motion)
+        points = lh.px_to_bev(np.array([r.box.bottom_center for r in recs]))
+        state = preprocess([(r.frame, p) for r, p in zip(recs, points)], cfg, 10.0)
+        expected = listed_points(forecast(state, cfg, 10.0, 2.0))
+
+        frames = np.arange(row["created_frame"] + 1, row["end_frame"] + 1)
+        steps = (frames[:, None] - row["created_frame"]) / row["fps"]
+        rebuilt = [np.array(row["origin"]) + steps * v for v in np.array(row["velocities"])]
+        assert np.array_equal(np.array(rebuilt), expected)
+
+    def test_long_finite_horizon_writes_a_small_file(self, sim_dir, track_dir, tmp_path):
+        out = tmp_path / "fc.jsonl"
+        code = main(
+            [
+                "forecast",
+                "--det", os.path.join(track_dir, "track.txt"),
+                "--homography", os.path.join(sim_dir, "homography.txt"),
+                "--horizon", "1e9",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.stat().st_size < 1000
+        row = json.loads(out.read_text())
+        assert row["end_frame"] - row["created_frame"] == 2_500_000_000 * 8
 
     def test_requires_identities(self, sim_dir, tmp_path, capsys):
         out = str(tmp_path / "fc.jsonl")
@@ -347,6 +388,20 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "homography_estimated.txt"))
         d = json.loads(open(os.path.join(out, "report.json")).read())
         assert d["idsw"] == 0
+
+    def test_evaluate_defaults_reproduce_pipeline_report(self, tmp_path):
+        out = str(tmp_path / "crossing")
+        assert main(["pipeline", "--scenario", "crossing", "--out", out]) == 0
+        scored = ["evaluate", "--gt", os.path.join(out, "gt.txt"),
+                  "--hyp", os.path.join(out, "track.txt")]
+        report = tmp_path / "report.json"
+        assert main(scored + ["--out", str(report)]) == 0
+        assert report.read_bytes() == open(os.path.join(out, "report.json"), "rb").read()
+        # a lower cutoff hides fewer frames: both wall passes end on a frame with no detection
+        low = tmp_path / "low.json"
+        assert main(scored + ["--vis-threshold", "0.1", "--out", str(low)]) == 0
+        buckets = json.loads(low.read_text())["id_recall"]
+        assert [(b["recovered"], b["total"]) for b in buckets if b["total"]] == [(0, 2)]
 
 
 class TestInputErrors:
@@ -470,7 +525,8 @@ class TestInputErrors:
             ("window", 0, "window must be at least 1"),
             ("buckets", [2, 1], "buckets must be strictly increasing"),
             ("forecast_enabled", "no", "forecast_enabled must be true or false"),
-            ("seed", "x", "seed must be an integer"),
+            ("seed", 5, "unknown field 'seed'"),
+            ("horizons", [0.5, 3.0], "unknown field 'horizons'"),
             ("tau_max", 1e308, "tau_max is too long for dt"),
             ("dt", 1e-300, "dt is too small for obs_noise"),
         ],
@@ -636,6 +692,18 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert f"homography.txt:{line}:" in err
+
+    @pytest.mark.parametrize(
+        "command, required",
+        [("track", ["--det", "d", "--homography", "h"]),
+         ("evaluate", ["--gt", "g", "--hyp", "h"]),
+         ("forecast", ["--det", "d", "--homography", "h"])],
+    )
+    def test_seed_only_on_commands_it_acts_on(self, command, required, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([command, *required, "--out", "o", "--seed", "3"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:

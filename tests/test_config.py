@@ -6,10 +6,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from bevtrack import simulator
 from bevtrack.cli import main
-from bevtrack.config import RunConfig, config_from_dict, read_config, write_config
+from bevtrack.config import (
+    DEFAULT_BUCKETS,
+    VISIBILITY_CUTOFF,
+    RunConfig,
+    config_from_dict,
+    read_config,
+    write_config,
+)
 from bevtrack.errors import ParseError
-from bevtrack.evaluation import DEFAULT_BUCKETS
 from bevtrack.forecast import forecast
 from bevtrack.tracker import Tracker
 
@@ -27,6 +34,11 @@ class TestDefaults:
         assert cfg.max_spacing == 0.2 and cfg.cell_size == 0.5
         assert cfg.buckets == DEFAULT_BUCKETS
         assert cfg.forecast_enabled and not cfg.ingest_ids
+
+    def test_one_visibility_cutoff(self):
+        # evaluation counts as occluded exactly the frames the simulator emits no detection for
+        assert RunConfig().vis_threshold == VISIBILITY_CUTOFF == 0.25
+        assert simulator.VISIBILITY_CUTOFF is VISIBILITY_CUTOFF
 
     def test_thresholds_view(self):
         # the matching gates are read straight off RunConfig
@@ -63,11 +75,22 @@ class TestMotionRules:
 
     STATE = (np.array([1.0, 2.0]), np.array([1.0, 0.0]), 10)
 
-    def test_single_branch_models_ignore_k(self):
+    def test_single_branch_models_reject_k_above_1(self):
         for motion in ("static", "kalman_cv"):
-            for k in (1, 3):
-                fc = forecast(self.STATE, RunConfig(motion=motion, k=k), 20.0)
-                assert fc.velocities.shape == (1, 2), (motion, k)
+            fc = forecast(self.STATE, RunConfig(motion=motion, k=1), 20.0)
+            assert fc.velocities.shape == (1, 2), motion
+            for k in (2, 3):
+                with pytest.raises(ParseError, match=r"^config: k > 1 needs motion fan$"):
+                    RunConfig(motion=motion, k=k)
+
+    def test_single_branch_k_above_1_is_cli_code_1(self, tmp_path, capsys):
+        code = main(
+            ["pipeline", "--scenario", "crossing", "--motion", "kalman_cv", "--k", "3",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config: k > 1 needs motion fan"]
+        assert not (tmp_path / "o").exists()
 
     def test_fan_k1_means_every_angle(self):
         fc = forecast(self.STATE, RunConfig(motion="fan"), 20.0)
@@ -118,12 +141,12 @@ class TestSerialization:
             config_from_dict([1, 2, 3])
 
     def test_partial_dict_fills_defaults(self):
-        cfg = config_from_dict({"motion": "static", "seed": 7})
-        assert cfg.motion == "static" and cfg.seed == 7
+        cfg = config_from_dict({"motion": "static", "window": 7})
+        assert cfg.motion == "static" and cfg.window == 7
         assert cfg.tau_l2 == 2.5
 
     def test_file_round_trip_with_infinite_bucket(self, tmp_path):
-        cfg = RunConfig(buckets=(0.0, 2.0, float("inf")), horizons=(0.5, 1.5))
+        cfg = RunConfig(buckets=(0.0, 2.0, float("inf")), fan_angles=(-15.0, 15.0))
         p = tmp_path / "config.json"
         write_config(p, cfg)
         # the file is valid strict JSON: "inf" is stored as a string
@@ -140,9 +163,9 @@ class TestSerialization:
             read_config(p)
 
     def test_tuple_fields_from_lists(self):
-        cfg = config_from_dict({"fan_angles": [-20, 0, 20], "horizons": [1, 2, 4]})
+        cfg = config_from_dict({"fan_angles": [-20, 0, 20], "buckets": [0, 1, "inf"]})
         assert cfg.fan_angles == (-20.0, 0.0, 20.0)
-        assert cfg.horizons == (1.0, 2.0, 4.0)
+        assert cfg.buckets == (0.0, 1.0, math.inf)
 
 
 class TestEagerValidation:
@@ -166,10 +189,8 @@ class TestEagerValidation:
             ({"obs_noise": 0.0}, "config: obs_noise must be positive"),
             ({"base_iou": 1.5}, "config: base_iou must be in \\[0, 1\\]"),
             ({"window": 0}, "config: window must be at least 1"),
-            ({"seed": -1}, "config: seed must be non-negative"),
             ({"buckets": (2.0, 1.0)}, "config: buckets must be strictly increasing"),
             ({"buckets": (0.0,)}, "config: buckets must be strictly increasing"),
-            ({"horizons": (0.0,)}, "config: horizons must be positive"),
             ({"fan_angles": ()}, "config: fan_angles must be a non-empty list"),
             ({"dt": "x"}, "config: dt must be a number"),
             ({"k": True}, "config: k must be an integer"),

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox, iou
+from bevtrack.config import DEFAULT_BUCKETS, RunConfig
 from bevtrack.errors import MissingGroundTruth
 from bevtrack.evaluation import (
-    DEFAULT_BUCKETS,
     EvalReport,
     OcclusionEvent,
     count_lost,
@@ -45,7 +45,7 @@ class TestMatchFrames:
         assert m == {0: [(1, 8), (2, 7)]}
 
     def test_empty_frames_present(self):
-        m = match_frames([(0, 1, B(0))], [(1, 7, B(0))])
+        m = match_frames([(0, 1, B(0))], [(1, 7, B(0))], iou_threshold=0.5)
         assert m == {0: [], 1: []}
 
     def test_matches_brute_force(self):
@@ -77,7 +77,7 @@ class TestMatchFrames:
     def test_pairs_sorted_by_gt_id(self):
         gt = [(0, 5, B(20)), (0, 2, B(0))]
         hyp = [(0, 9, B(20)), (0, 3, B(0))]
-        m = match_frames(gt, hyp)
+        m = match_frames(gt, hyp, iou_threshold=0.5)
         assert m[0] == [(2, 3), (5, 9)]
 
 
@@ -146,38 +146,38 @@ class TestOcclusionComponents:
 
     def test_missing_interior_frames_count_hidden(self):
         sig = [(0, 1, 1.0), (1, 1, 1.0), (5, 1, 1.0), (6, 1, 1.0)]
-        evs = occlusion_components(sig, fps=10.0)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
         assert len(evs) == 1
         assert (evs[0].start_frame, evs[0].end_frame) == (2, 4)
 
     def test_flicker_merges_within_window(self):
         sig = vis_signal([1, 1, 0, 0, 1, 0, 0, 0, 1, 1])  # 1-frame flicker at 4
-        evs = occlusion_components(sig, fps=10.0, window=5)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
         assert len(evs) == 1
         assert (evs[0].start_frame, evs[0].end_frame) == (2, 7)
         assert evs[0].duration_s == pytest.approx(0.6)
 
     def test_no_merge_when_gap_reaches_window(self):
         sig = vis_signal([1, 1, 0, 0, 1, 1, 0, 0, 1, 1])
-        evs = occlusion_components(sig, fps=10.0, window=2)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=2)
         assert [(e.start_frame, e.end_frame) for e in evs] == [(2, 3), (6, 7)]
 
     def test_boundary_runs_dropped(self):
         sig = vis_signal([0, 0, 1, 1, 0, 0, 1, 0, 0])
-        evs = occlusion_components(sig, fps=10.0, window=1)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=1)
         assert [(e.start_frame, e.end_frame) for e in evs] == [(4, 5)]
 
     def test_threshold_inclusive_visible(self):
         sig = vis_signal([1, 0.1, 1])  # exactly at the threshold: visible
-        assert occlusion_components(sig, fps=10.0, threshold=0.1) == []
+        assert occlusion_components(sig, fps=10.0, threshold=0.1, window=5) == []
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            occlusion_components(vis_signal([1, 0, 1]), fps=10.0, window=0)
+            occlusion_components(vis_signal([1, 0, 1]), fps=10.0, threshold=0.1, window=0)
 
     def test_per_identity_independence(self):
         sig = vis_signal([1, 0, 0, 1], aid=1) + vis_signal([1, 1, 0, 1], aid=2)
-        evs = occlusion_components(sig, fps=10.0, window=1)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=1)
         assert [(e.agent_id, e.start_frame, e.end_frame) for e in evs] == [
             (1, 1, 2),
             (2, 2, 2),
@@ -185,12 +185,12 @@ class TestOcclusionComponents:
 
     def test_idempotent_after_zeroing_merged_runs(self):
         sig = vis_signal([1, 1, 0, 0, 1, 0, 0, 0, 1, 1])
-        evs = occlusion_components(sig, fps=10.0, window=5)
+        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
         hidden = set()
         for ev in evs:
             hidden.update(range(ev.start_frame, ev.end_frame + 1))
         sig2 = [(f, a, 0.0 if f in hidden else v) for f, a, v in sig]
-        evs2 = occlusion_components(sig2, fps=10.0, window=5)
+        evs2 = occlusion_components(sig2, fps=10.0, threshold=0.1, window=5)
         assert evs2 == evs
 
 
@@ -314,20 +314,23 @@ class TestEvaluateTrackingAndReport:
 
     def test_report_fields(self):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, fps=10.0, buckets=(0.0, 1.0, float("inf")))
+        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig(buckets=(0.0, 1.0, float("inf"))))
         assert rep.idsw == 0 and rep.idtr == 0
         assert rep.id_lost_short == 1 and rep.id_lost_long == 0
         assert rep.n_gt == 10 and rep.n_hyp == 7 and rep.n_matched == 7
         assert rep.buckets[0].total == 1 and rep.buckets[0].recovered == 1
 
-    def test_forecasts_require_gt_positions(self):
+    def test_reads_vis_threshold_from_config(self):
         gt, hyp, vis = self.make_inputs()
-        with pytest.raises(ValueError):
-            evaluate_tracking(gt, hyp, vis, fps=10.0, forecasts={})
+        vis = [(f, a, 0.2 if v == 0.0 else v) for f, a, v in vis]
+        # 0.2 is hidden at the default cutoff 0.25 and visible at 0.1
+        for cfg, events in ((RunConfig(), 1), (RunConfig(vis_threshold=0.1), 0)):
+            rep = evaluate_tracking(gt, hyp, vis, 10.0, cfg)
+            assert sum(b.total for b in rep.buckets) == events
 
     def test_json_round_trip(self, tmp_path):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, fps=10.0, buckets=(0.0, 1.0, float("inf")))
+        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig(buckets=(0.0, 1.0, float("inf"))))
         p = tmp_path / "report.json"
         rep.write_json(p)
         d = json.loads(p.read_text())
@@ -338,7 +341,7 @@ class TestEvaluateTrackingAndReport:
 
     def test_csv_headers_and_values(self, tmp_path):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, fps=10.0)
+        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig())
         p = tmp_path / "report.csv"
         rep.write_csv(p)
         with open(p, newline="") as f:
@@ -350,26 +353,3 @@ class TestEvaluateTrackingAndReport:
         assert row["recall_0_0.5"] == "1.000000"
         assert row["recall_4_6"] == ""  # empty bucket
         assert "recall_6_inf" in row
-
-    def test_fde_in_outputs(self, tmp_path):
-        gt, hyp, vis = self.make_inputs()
-        fc = Forecast(
-            origin=(2.0, 0.0), velocities=np.zeros((1, 2)), created_frame=0, end_frame=10, fps=10.0
-        )
-        rep = evaluate_tracking(
-            gt,
-            hyp,
-            vis,
-            fps=10.0,
-            forecasts={1: fc},
-            gt_positions={(10, 1): np.zeros(2)},
-            horizons=(1.0,),
-        )
-        assert rep.fde[1.0] == pytest.approx(2.0, abs=1e-12)
-        d = rep.to_dict()
-        assert d["fde"]["1.0"] == pytest.approx(2.0)
-        p = tmp_path / "r.csv"
-        rep.write_csv(p)
-        with open(p, newline="") as f:
-            row = next(csv.DictReader(f))
-        assert row["fde_1"] == "2.000000"
