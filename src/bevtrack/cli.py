@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
     sp.add_argument("--out", required=True, help="homography output file")
-    sp.add_argument("--max-spacing", type=_positive, default=0.2)
+    sp.add_argument("--max-spacing", type=_positive, help="overrides the config's max_spacing")
     sp.add_argument(
         "--image", type=_positive_int, nargs=2, metavar=("W", "H"), default=(1920, 1080)
     )
@@ -159,6 +159,8 @@ def _config_from_args(args) -> RunConfig:
         over["buckets"] = _parse_buckets(args.buckets)
     if getattr(args, "vis_threshold", None) is not None:
         over["vis_threshold"] = args.vis_threshold
+    if getattr(args, "max_spacing", None) is not None:
+        over["max_spacing"] = args.max_spacing
     return cfg.override(**over) if over else cfg
 
 
@@ -220,10 +222,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    cfg = _config_from_args(args)
     cloud = mot_io.read_cloud(args.cloud)
     px, pts = mot_io.read_correspondences(args.correspondences)
     cal = calibrate_from_cloud(cloud, px, pts, seed=args.seed)
-    save_homography(args.out, cal.homography, args.max_spacing, tuple(args.image))
+    save_homography(args.out, cal.homography, cfg.max_spacing, tuple(args.image))
     n = cal.plane.normal
     print(f"plane normal: {n[0]:.6f} {n[1]:.6f} {n[2]:.6f}")
     print(f"plane offset: {cal.plane.offset:.6f}")

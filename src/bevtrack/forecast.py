@@ -2,7 +2,8 @@
 
 A raw track history (irregular frames, pixel noise) is resampled onto a
 uniform step grid ending at the last observation and run through a forward
-constant-velocity Kalman filter. The filter's last state, one position and one
+constant-velocity Kalman filter, whose gains do not depend on the data and are
+computed once per config. The filter's last state, one position and one
 velocity at the last observed frame, is all a forecast reads: the RunConfig's
 motion model turns it into k constant-velocity branches, each an origin plus a
 velocity, valid up to the horizon's end frame. The tracker never re-seeds a
@@ -12,6 +13,7 @@ forecast dies once the frame passes its end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,19 +22,10 @@ import numpy as np
 from .config import RunConfig
 
 
-def _filter_last_state(z: np.ndarray, dt: float, process_noise: float, obs_noise: float):
-    """Forward constant-velocity Kalman pass over (N, 2) grid positions.
-
-    The state is [x, y, vx, vy], white-acceleration process noise
-    (process_noise, m/s^2) and observation noise obs_noise (meters). On
-    noiseless constant-velocity input every innovation is zero, so the last
-    state is the last point and the true velocity. Returns the last
-    posterior (position, velocity); a single point has zero velocity.
-    """
-    n = z.shape[0]
-    if n == 1:
-        return z[0].copy(), np.zeros(2)
-
+@functools.lru_cache(maxsize=8)
+def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float):
+    """(f, h, gains): transition and observation matrices and the gain at each of
+    `steps` grid points. No gain reads the data, and a shorter pass's are a prefix."""
     f = np.eye(4)
     f[0, 2] = dt
     f[1, 3] = dt
@@ -47,19 +40,42 @@ def _filter_last_state(z: np.ndarray, dt: float, process_noise: float, obs_noise
     q[np.ix_([1, 3], [1, 3])] = q1
     r = obs_noise**2 * np.eye(2)
 
+    p = np.diag([obs_noise**2, obs_noise**2, (2.0 * obs_noise / dt) ** 2, (2.0 * obs_noise / dt) ** 2])
+    gains = []
+    for k in range(steps):
+        if k > 0:
+            p = f @ p @ f.T + q
+        s = h @ p @ h.T + r
+        gain = p @ h.T @ np.linalg.inv(s)
+        p = (np.eye(4) - gain @ h) @ p
+        gains.append(gain)
+    for a in (f, h, *gains):
+        a.flags.writeable = False  # the cache hands these same arrays to every caller
+    return f, h, tuple(gains)
+
+
+def _filter_last_state(z: np.ndarray, config: RunConfig):
+    """Forward constant-velocity Kalman pass over (N, 2) grid positions, N <= obs_len.
+
+    The state is [x, y, vx, vy], white-acceleration process noise
+    (process_noise, m/s^2) and observation noise obs_noise (meters). On
+    noiseless constant-velocity input every innovation is zero, so the last
+    state is the last point and the true velocity. Returns the last
+    posterior (position, velocity); a single point has zero velocity.
+    """
+    n = z.shape[0]
+    if n == 1:
+        return z[0].copy(), np.zeros(2)
+
+    dt = config.dt
+    f, h, gains = _filter_gains(config.obs_len, dt, config.process_noise, config.obs_noise)
     x = np.zeros(4)
     x[:2] = z[0]
     x[2:] = (z[1] - z[0]) / dt
-    p = np.diag([obs_noise**2, obs_noise**2, (2.0 * obs_noise / dt) ** 2, (2.0 * obs_noise / dt) ** 2])
     for k in range(n):
         if k > 0:
             x = f @ x
-            p = f @ p @ f.T + q
-        innov = z[k] - h @ x
-        s = h @ p @ h.T + r
-        gain = p @ h.T @ np.linalg.inv(s)
-        x = x + gain @ innov
-        p = (np.eye(4) - gain @ h) @ p
+        x = x + gains[k] @ (z[k] - h @ x)
     return x[:2], x[2:]
 
 
@@ -81,7 +97,7 @@ def preprocess(history, config: RunConfig, fps: float) -> tuple[np.ndarray, np.n
     if len(history) == 0:
         raise ValueError("history must be non-empty")
     frames = np.array([f for f, _ in history], dtype=float)
-    pos = np.array([list(p) for _, p in history], dtype=float)
+    pos = np.array([p for _, p in history], dtype=float)
     if np.any(np.diff(frames) <= 0):
         raise ValueError("history frames must be strictly increasing")
 
@@ -89,7 +105,7 @@ def preprocess(history, config: RunConfig, fps: float) -> tuple[np.ndarray, np.n
     grid = last - config.dt * fps * np.arange(config.obs_len)[::-1]  # ascending, ends at last
     grid = grid[grid >= frames[0] - 1e-9]  # never empty: it ends at the last observation
     z = np.stack([np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])], axis=1)
-    position, velocity = _filter_last_state(z, config.dt, config.process_noise, config.obs_noise)
+    position, velocity = _filter_last_state(z, config)
     return position, velocity, int(round(last))
 
 
@@ -98,9 +114,9 @@ class Forecast:
     """k constant-velocity branches leaving one origin at created_frame.
 
     Branch b sits at origin + ((f - created_frame) / fps) * velocities[b] at
-    every frame created_frame < f <= end_frame. alive and visible_streak are
-    the per-branch pruning state the tracker updates; they default to all
-    alive with zero streaks.
+    every frame created_frame < f <= end_frame. A forecast is pure data: the
+    tracker copies its branches into one table and keeps their pruning state
+    there.
     """
 
     origin: np.ndarray  # (2,) BEV point at created_frame
@@ -108,28 +124,21 @@ class Forecast:
     created_frame: int
     end_frame: int  # last frame the branches cover
     fps: float
-    alive: np.ndarray = None  # (k,) bool
-    visible_streak: np.ndarray = None  # (k,) consecutive frames in visible freespace
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.velocities = np.asarray(self.velocities, dtype=float)
         if self.origin.shape != (2,) or self.velocities.shape[1:] != (2,):
             raise ValueError("origin must be (2,) and velocities (k, 2)")
-        k = len(self.velocities)
-        if k == 0:
+        if len(self.velocities) == 0:
             raise ValueError("a forecast needs at least one branch")
         if self.end_frame <= self.created_frame:
             raise ValueError("end_frame must be after created_frame")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
-        if self.alive is None:
-            self.alive = np.ones(k, dtype=bool)
-        if self.visible_streak is None:
-            self.visible_streak = np.zeros(k, dtype=int)
 
     def points(self, frame: int) -> np.ndarray:
-        """(k, 2) BEV points of every branch, alive or not, at the given frame."""
+        """(k, 2) BEV points of every branch at the given frame."""
         return self.origin + ((frame - self.created_frame) / self.fps) * self.velocities
 
 

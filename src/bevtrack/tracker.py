@@ -2,17 +2,19 @@
 
 The built-in base association (a stand-in for any upstream online tracker) is
 frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
-and are forecast forward in the BEV plane; at every frame each forecast is
-evaluated at that frame, pruned against visible freespace, and offered the
-unmatched detections through a gated geometric+appearance score solved as a
-maximum-score assignment. Track ids are never reissued. Per frame, one
-px_to_bev call lifts the detections and one try_bev_to_px call maps all alive
-branches (FrameGeometry); overlaps come from one kernel, iou_matrix.
+and are forecast forward in the BEV plane. Their branches are the rows of one
+BranchTable; at every frame all rows are evaluated at that frame, pruned
+against visible freespace in one call, and offered the unmatched detections
+through a gated geometric+appearance score solved as a maximum-score
+assignment. Track ids are never reissued. Per frame, one px_to_bev call lifts
+the detections and one try_bev_to_px call maps every branch (FrameGeometry);
+overlaps come from one kernel, iou_matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -53,7 +55,6 @@ class Track:
     history: list  # [(frame, Detection)]
     last_appearance: Optional[np.ndarray]
     forecast: Optional[Forecast] = None  # None while active
-    inactive_since: Optional[int] = None
     source_binding: Optional[int] = None  # upstream id in ingestion mode
 
     @property
@@ -67,9 +68,6 @@ class Track:
     @property
     def last_box(self) -> PixelBox:
         return self.history[-1][1].box
-
-    def bev_history(self):
-        return [(f, d.bev) for f, d in self.history if d.bev is not None]
 
 
 @dataclass
@@ -103,47 +101,94 @@ class SceneModel:
 
 
 @dataclass
-class FrameGeometry:
-    """Alive branches of inactive tracks at one frame, one row each, grouped by track.
+class BranchTable:
+    """Every branch of every inactive track, one row each, as a struct of arrays.
 
-    A row's predicted box is the track's last box moved so its bottom-centre
+    Row r is branch ``branch[r]`` of track ``owner[r]`` at
+    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. alive
+    and streak are the pruning state; a pruned row stays until its track leaves.
+    """
+
+    fps: float
+    owner: np.ndarray  # (R,) track id
+    branch: np.ndarray  # (R,) branch index within the track's forecast
+    origin: np.ndarray  # (R, 2) BEV point at created
+    velocity: np.ndarray  # (R, 2) m/s
+    created: np.ndarray  # (R,) the track's last observed frame
+    end: np.ndarray  # (R,) last frame the branch covers
+    size: np.ndarray  # (R, 2) width and height of the track's last box
+    alive: np.ndarray  # (R,) bool
+    streak: np.ndarray  # (R,) consecutive frames in visible freespace
+
+    @classmethod
+    def of(cls, tracks, fps: float) -> BranchTable:
+        """Rows for the tracks' forecasts, in track order: all alive, zero streaks."""
+        fcs = [t.forecast for t in tracks]
+        k = np.array([len(fc.velocities) for fc in fcs], dtype=int)
+
+        def per_track(values, dtype, *shape):
+            return np.repeat(np.array(values, dtype=dtype).reshape(len(k), *shape), k, axis=0)
+
+        return cls(
+            fps,
+            owner=per_track([t.id for t in tracks], int),
+            branch=np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k),
+            origin=per_track([fc.origin for fc in fcs], float, 2),
+            velocity=np.concatenate([np.zeros((0, 2))] + [fc.velocities for fc in fcs]),
+            created=per_track([fc.created_frame for fc in fcs], int),
+            end=per_track([fc.end_frame for fc in fcs], int),
+            size=per_track([(t.last_box.width, t.last_box.height) for t in tracks], float, 2),
+            alive=np.ones(k.sum(), dtype=bool),
+            streak=np.zeros(k.sum(), dtype=int),
+        )
+
+    def __len__(self) -> int:
+        return len(self.owner)
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+    def rows(self, keep: np.ndarray) -> BranchTable:
+        return BranchTable(self.fps, *(c[keep] for c in self._columns()))
+
+    def extend(self, other: BranchTable) -> BranchTable:
+        return BranchTable(
+            self.fps, *(np.concatenate([a, b]) for a, b in zip(self._columns(), other._columns()))
+        )
+
+    def points(self, frame: int) -> np.ndarray:
+        """(R, 2) BEV points of every row at the given frame."""
+        return self.origin + ((frame - self.created) / self.fps)[:, None] * self.velocity
+
+
+@dataclass
+class FrameGeometry:
+    """A BranchTable's rows at one frame, in table order.
+
+    A row's predicted box is its track's last box moved so its bottom-centre
     sits on the pixel of the row's point; a point with no pixel preimage has
     NaN box coordinates, which overlap nothing.
     """
 
-    rows: dict  # track id -> (R,) row indices
-    branch: np.ndarray  # (B,) branch index within the track's forecast
-    points: np.ndarray  # (B, 2) BEV points
-    boxes: np.ndarray  # (B, 4) predicted left, top, width, height
-    visible: np.ndarray  # (B,) on visible freespace and not occluded by a closer detection
-
-    def alive_rows(self, track: Track) -> np.ndarray:
-        """The track's rows whose branch is still alive; pruning may kill some after building."""
-        r = self.rows[track.id]
-        return r[track.forecast.alive[self.branch[r]]]
+    table: BranchTable
+    points: np.ndarray  # (R, 2) BEV points
+    boxes: np.ndarray  # (R, 4) predicted left, top, width, height
+    visible: np.ndarray  # (R,) on visible freespace and not occluded by a closer detection
 
 
-def frame_geometry(tracks, det_boxes, scene: SceneModel, frame: int, config: RunConfig):
-    """The tracks' FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections.
+def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int, config: RunConfig):
+    """The table's FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections.
 
     A detection occludes a row when its bottom edge is lower (larger v) and its
     IoU with the row's box is at least config.occlusion_iou.
     """
-    rows, branch, points, sizes = {}, [], [], []
-    for tr in tracks:
-        bi = np.flatnonzero(tr.forecast.alive)
-        rows[tr.id] = np.arange(len(sizes), len(sizes) + len(bi))
-        branch.append(bi)
-        points.append(tr.forecast.points(frame)[bi])
-        sizes.extend([(tr.last_box.width, tr.last_box.height)] * len(bi))
-    pts = np.concatenate(points)
+    pts = table.points(frame)
     px, valid = scene.lh.try_bev_to_px(pts, ego=scene.ego, frame=frame)
-    wh = np.array(sizes, dtype=float).reshape(-1, 2)
-    boxes = np.concatenate([px - wh / (2.0, 1.0), wh], axis=1)  # u - w / 2, v - h
+    boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
     closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
     occluded = (closer & (iou_matrix(boxes, det_boxes) >= config.occlusion_iou)).any(axis=1)
     visible = valid & scene.contains(pts) & ~occluded
-    return FrameGeometry(rows, np.concatenate(branch), pts, boxes, visible)
+    return FrameGeometry(table, pts, boxes, visible)
 
 
 def build_cost_matrix(
@@ -155,8 +200,8 @@ def build_cost_matrix(
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its alive branches, the first branch on a
-    tie. Zero means "forbidden". ``geometry``, built for at least these
-    tracks, supplies the branch points and boxes.
+    tie. Zero means "forbidden". ``geometry``, whose table holds these
+    tracks' rows, supplies the branch points and boxes.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -168,16 +213,17 @@ def build_cost_matrix(
     if n == 0 or m == 0:
         return scores, best_branch
     det_boxes = ltwh([d.box for d in detections])
-    rows = [geometry.alive_rows(tr) for tr in tracks]
-    owner = np.repeat(np.arange(n), [len(r) for r in rows])
-    rows = np.concatenate(rows)
+    table = geometry.table
+    index = {tr.id: i for i, tr in enumerate(tracks)}
+    owner = np.array([index.get(tid, -1) for tid in table.owner.tolist()], dtype=int)
+    rows = table.alive & (owner >= 0)
     d_iou = iou_matrix(geometry.boxes[rows], det_boxes)
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
     diff = geometry.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
-    per_branch = np.zeros((n, max(len(tr.forecast.alive) for tr in tracks), m))
-    per_branch[owner, geometry.branch[rows]] = s
+    per_branch = np.zeros((n, table.branch.max(initial=0) + 1, m))
+    per_branch[owner[rows], table.branch[rows]] = s
     best = per_branch.max(axis=1)
     ok = best > 0.0
 
@@ -209,21 +255,18 @@ def assign(scores: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def prune_forecasts(track: Track, geometry: FrameGeometry, config: RunConfig, fps: float) -> None:
-    """Kill branches that linger in visible freespace.
+def prune_forecasts(geometry: FrameGeometry, config: RunConfig, fps: float) -> None:
+    """Kill the table's branches that linger in visible freespace.
 
     A branch point is visible when it lies on an occupied freespace cell and
     its predicted box overlaps no closer detection (larger bottom edge) with
-    IoU >= occlusion_iou. Each branch carries a consecutive-visible counter;
-    exceeding tau_vis * fps kills the branch. ``geometry``, built for the
-    frame with this track in it, holds each branch's visibility; only
-    branches alive at the call are updated.
+    IoU >= occlusion_iou. Each alive row of ``geometry.table`` counts its
+    consecutive visible frames; exceeding tau_vis * fps kills the row. Dead
+    rows keep their state.
     """
-    rows = geometry.alive_rows(track)
-    bi, visible = geometry.branch[rows], geometry.visible[rows]
-    fc = track.forecast
-    fc.visible_streak[bi] = np.where(visible, fc.visible_streak[bi] + 1, 0)
-    fc.alive[bi] = ~(visible & (fc.visible_streak[bi] > config.tau_vis * fps))
+    table, visible = geometry.table, geometry.visible
+    table.streak = np.where(table.alive, np.where(visible, table.streak + 1, 0), table.streak)
+    table.alive = table.alive & ~(visible & (table.streak > config.tau_vis * fps))
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -250,6 +293,7 @@ class Tracker:
         self.tracks: dict[int, Track] = {}
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
+        self.branches = BranchTable.of([], scene.fps)  # the inactive tracks' branches
 
     # -- helpers -------------------------------------------------------------
 
@@ -257,13 +301,16 @@ class Tracker:
         track.history.append((frame, det))
         track.last_appearance = det.appearance
         track.forecast = None
-        track.inactive_since = None
         track.source_binding = det.source_id
 
     def _deactivate(self, track: Track, frame: int):
-        state = preprocess(track.bev_history(), self.config, self.scene.fps)
-        track.forecast = forecast(state, self.config, self.scene.fps)
-        track.inactive_since = frame
+        # The filter's grid starts at `first`; interpolating it reads no
+        # observation before the last one at or before that frame.
+        cfg, fps = self.config, self.scene.fps
+        first = track.last_frame - cfg.dt * fps * (cfg.obs_len - 1)
+        i = max(bisect.bisect_right(track.history, first, key=lambda h: h[0]) - 1, 0)
+        state = preprocess([(f, d.bev) for f, d in track.history[i:]], cfg, fps)
+        track.forecast = forecast(state, cfg, fps)
         track.source_binding = None
 
     def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
@@ -291,6 +338,43 @@ class Tracker:
             matches[tid] = j
             used_dets.add(j)
         return matches
+
+    def _advance_inactive(self, detections, det_boxes, matched_dets: set, frame: int, events):
+        """Prune, expire and re-associate the inactive tracks: one pass over the table.
+
+        Only removed tracks are looped over, in id order, so their events
+        interleave. Removed and re-associated tracks leave the table.
+        """
+        cfg = self.config
+        table = self.branches
+        geometry = frame_geometry(table, det_boxes, self.scene, frame, cfg)
+        prune_forecasts(geometry, cfg, self.scene.fps)
+        owner = table.owner
+        ids = set(owner.tolist())
+        dead = set(owner[table.end < frame].tolist())
+        pruned = ids - set(owner[table.alive].tolist())
+        expired = set(owner[frame - table.created > cfg.tau_max * self.scene.fps].tolist())
+        gone = dead | pruned | expired  # and, below, the re-associated: their rows leave
+        for tid in sorted(gone):
+            reason = "dead" if tid in dead else "pruned" if tid in pruned else "expired"
+            del self.tracks[tid]
+            events.append(_event(frame, tid, reason="removed_" + reason))
+        survivors = [self.tracks[tid] for tid in sorted(ids - gone)]
+
+        free_dets = [j for j in range(len(detections)) if j not in matched_dets]
+        if survivors and free_dets:
+            dets = [detections[j] for j in free_dets]
+            scores, best_branch = build_cost_matrix(survivors, dets, cfg, geometry)
+            for i, jj in assign(scores):
+                tr = survivors[i]
+                j = free_dets[jj]
+                score, branch = float(scores[i, jj]), int(best_branch[i, jj])
+                events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
+                self._activate(tr, detections[j], frame)
+                matched_dets.add(j)
+                gone.add(tr.id)
+        if gone:
+            self.branches = table.rows(~np.isin(owner, list(gone)))
 
     # -- the per-frame update --------------------------------------------------
 
@@ -332,6 +416,7 @@ class Tracker:
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
         matches = self._base_association(active, detections, det_boxes)
         matched_dets = set(matches.values())
+        deactivated = []
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
@@ -339,52 +424,15 @@ class Tracker:
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
                 self._deactivate(tr, frame)
+                deactivated.append(tr)
                 events.append(_event(frame, tr.id, reason="inactive"))
             else:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="terminated"))
-
-        # Drop forecasts past their end, then prune and expire the inactive set,
-        # one track at a time in id order so the removal events interleave.
-        inactive = sorted((t for t in self.tracks.values() if not t.active), key=lambda t: t.id)
-        live = [t for t in inactive if frame <= t.forecast.end_frame]
-        geometry = frame_geometry(live, det_boxes, self.scene, frame, cfg) if live else None
-        survivors = []
-        for tr in inactive:
-            if frame > tr.forecast.end_frame:
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="removed_dead"))
-                continue
-            prune_forecasts(tr, geometry, cfg, self.scene.fps)
-            if not tr.forecast.alive.any():
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="removed_pruned"))
-            elif frame - tr.last_frame > cfg.tau_max * self.scene.fps:
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="removed_expired"))
-            else:
-                survivors.append(tr)
-
-        # Re-associate leftover detections to forecast tracks.
-        free_dets = [j for j in range(len(detections)) if j not in matched_dets]
-        if survivors and free_dets:
-            dets = [detections[j] for j in free_dets]
-            scores, best_branch = build_cost_matrix(survivors, dets, cfg, geometry)
-            for i, jj in assign(scores):
-                tr = survivors[i]
-                j = free_dets[jj]
-                events.append(
-                    _event(
-                        frame,
-                        tr.id,
-                        j,
-                        score=float(scores[i, jj]),
-                        branch_id=int(best_branch[i, jj]),
-                        reason="reassociated",
-                    )
-                )
-                self._activate(tr, detections[j], frame)
-                matched_dets.add(j)
+        if deactivated:
+            self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
+        if len(self.branches):
+            self._advance_inactive(detections, det_boxes, matched_dets, frame, events)
 
         # Anything still unmatched founds a new track.
         for j, det in enumerate(detections):

@@ -124,6 +124,41 @@ class TestCalibrate:
         # camera 6 m above the plane: recovered offset is printed
         assert "plane offset: 6.000000" in text
 
+    def calibrate(self, sim_dir, out, *extra):
+        return main(
+            [
+                "calibrate",
+                "--cloud", os.path.join(sim_dir, "cloud.txt"),
+                "--correspondences", os.path.join(sim_dir, "correspondences.txt"),
+                "--out", str(out),
+                *extra,
+            ]
+        )
+
+    def test_max_spacing_from_config_unless_flag_given(self, sim_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_spacing": 0.5}))
+        assert self.calibrate(sim_dir, tmp_path / "cfg.txt", "--config", str(cfg)) == 0
+        assert load_homography(str(tmp_path / "cfg.txt"))[1] == 0.5
+        flag = ("--config", str(cfg), "--max-spacing", "0.3")
+        assert self.calibrate(sim_dir, tmp_path / "flag.txt", *flag) == 0
+        assert load_homography(str(tmp_path / "flag.txt"))[1] == 0.3
+        # Default flags write what the old --max-spacing default of 0.2 wrote.
+        assert self.calibrate(sim_dir, tmp_path / "default.txt") == 0
+        assert self.calibrate(sim_dir, tmp_path / "old.txt", "--max-spacing", "0.2") == 0
+        old = (tmp_path / "old.txt").read_bytes()
+        assert (tmp_path / "default.txt").read_bytes() == old
+
+    @pytest.mark.parametrize("config", [None, {"max_spacing": 0}, {"tau_vis": "x"}])
+    def test_missing_or_invalid_config_is_code_1(self, sim_dir, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        out = tmp_path / "h.txt"
+        assert self.calibrate(sim_dir, out, "--config", str(path)) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrack:
     def test_outputs_and_events(self, track_dir):

@@ -6,7 +6,7 @@ import pytest
 
 from bevtrack.boxes import PixelBox
 from bevtrack.config import RunConfig
-from bevtrack.forecast import Forecast, forecast, predicted_box, preprocess
+from bevtrack.forecast import Forecast, _filter_last_state, forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 
@@ -268,6 +268,59 @@ class TestFilterLastState:
         assert wins >= 40
 
 
+def per_call_filter_last_state(z, dt, process_noise, obs_noise):
+    """The forward filter that recomputes its covariance and gains on every call."""
+    n = z.shape[0]
+    if n == 1:
+        return z[0].copy(), np.zeros(2)
+
+    f = np.eye(4)
+    f[0, 2] = dt
+    f[1, 3] = dt
+    h = np.zeros((2, 4))
+    h[0, 0] = 1.0
+    h[1, 1] = 1.0
+    q1 = process_noise**2 * np.array(
+        [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
+    )
+    q = np.zeros((4, 4))
+    q[np.ix_([0, 2], [0, 2])] = q1
+    q[np.ix_([1, 3], [1, 3])] = q1
+    r = obs_noise**2 * np.eye(2)
+
+    x = np.zeros(4)
+    x[:2] = z[0]
+    x[2:] = (z[1] - z[0]) / dt
+    p = np.diag([obs_noise**2, obs_noise**2, (2.0 * obs_noise / dt) ** 2, (2.0 * obs_noise / dt) ** 2])
+    for k in range(n):
+        if k > 0:
+            x = f @ x
+            p = f @ p @ f.T + q
+        innov = z[k] - h @ x
+        s = h @ p @ h.T + r
+        gain = p @ h.T @ np.linalg.inv(s)
+        x = x + gain @ innov
+        p = (np.eye(4) - gain @ h) @ p
+    return x[:2], x[2:]
+
+
+class TestCachedGainsMatchPerCallFilter:
+    @pytest.mark.parametrize(
+        "dt,process_noise,obs_noise", [(0.4, 0.1, 0.25), (0.3, 1.5, 0.05), (0.05, 0.01, 2.0)]
+    )
+    def test_every_length_up_to_obs_len(self, dt, process_noise, obs_noise):
+        # Short grids read a prefix of the obs_len gain sequence; every length
+        # must give the per-call filter's floats exactly.
+        rng = np.random.default_rng(7)
+        cfg = RunConfig(obs_len=9, dt=dt, process_noise=process_noise, obs_noise=obs_noise)
+        for n in range(1, cfg.obs_len + 1):
+            for _ in range(10):
+                z = rng.uniform(-20.0, 20.0, 2) + np.cumsum(rng.normal(0.0, 1.0, (n, 2)), axis=0)
+                got = _filter_last_state(z, cfg)
+                want = per_call_filter_last_state(z, dt, process_noise, obs_noise)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 STATE = (np.array([3.95, 11.975]), np.array([1.0, 0.5]), 79)
 
 
@@ -372,11 +425,6 @@ class TestForecastValidation:
         )
         args.update(kw)
         return Forecast(**args)
-
-    def test_defaults_all_alive(self):
-        fc = self.make(velocities=[[1.0, 0.0], [0.0, 1.0]])
-        assert fc.alive.tolist() == [True, True]
-        assert fc.visible_streak.tolist() == [0, 0]
 
     def test_rejects_no_branches(self):
         with pytest.raises(ValueError):

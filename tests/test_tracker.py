@@ -7,10 +7,11 @@ import pytest
 from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.errors import NonMonotonicFrame
-from bevtrack.forecast import Forecast
+from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.tracker import (
+    BranchTable,
     Detection,
     SceneModel,
     Track,
@@ -41,16 +42,22 @@ def det_at(frame, u, v, w=12.0, h=24.0, app=None, source=None):
     return Detection(frame=frame, box=box_at(u, v, w, h), appearance=app, source_id=source)
 
 
-def cost_matrix(tracks, detections, config, scene, frame):
-    """build_cost_matrix on the frame's geometry for these tracks and detections."""
-    g = frame_geometry(tracks, ltwh([d.box for d in detections]), scene, frame, config)
+def table_of(tracks):
+    """The tracks' branch table at their forecasts' frame rate."""
+    return BranchTable.of(tracks, tracks[0].forecast.fps)
+
+
+def cost_matrix(tracks, detections, config, scene, frame, table=None):
+    """build_cost_matrix on the frame's geometry for these tracks (or this table) and detections."""
+    table = table_of(tracks) if table is None else table
+    g = frame_geometry(table, ltwh([d.box for d in detections]), scene, frame, config)
     return build_cost_matrix(tracks, detections, config, g)
 
 
-def prune(track, scene, detections, frame, config):
-    """prune_forecasts on the frame's geometry for this track and the detections."""
-    g = frame_geometry([track], ltwh([d.box for d in detections]), scene, frame, config)
-    prune_forecasts(track, g, config, scene.fps)
+def prune(table, scene, detections, frame, config):
+    """prune_forecasts on the frame's geometry for this table and the detections."""
+    g = frame_geometry(table, ltwh([d.box for d in detections]), scene, frame, config)
+    prune_forecasts(g, config, scene.fps)
 
 
 def unit(*v):
@@ -76,7 +83,6 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
         history=[(created, d)],
         last_appearance=app,
         forecast=fc,
-        inactive_since=created + 1,
     )
 
 
@@ -187,10 +193,11 @@ class TestCostMatrix:
     def test_pruned_branch_not_scored(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0), (57.0, 100.0)])
-        tr.forecast.alive[0] = False  # the exact branch was pruned
+        table = table_of([tr])
+        table.alive[0] = False  # the exact branch was pruned
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1, table=table)
         assert branch[0, 0] == 1
         assert scores[0, 0] == pytest.approx(iou(box_at(57, 100), det.box), abs=1e-12)
 
@@ -254,54 +261,94 @@ class TestAssign:
 
 
 class TestPruneForecasts:
-    def make_track(self, n_points=30, at=(52.0, 100.0)):
+    def make_table(self, n_points=30, at=(52.0, 100.0)):
+        """The branch table of one track with one branch resting at `at`."""
         fc = Forecast(
             origin=at, velocities=np.zeros((1, 2)), created_frame=0, end_frame=n_points, fps=10.0
         )
         d = Detection(frame=0, box=box_at(*at), appearance=None, bev=np.array(at))
-        return Track(id=1, history=[(0, d)], last_appearance=None, forecast=fc, inactive_since=1)
+        tr = Track(id=1, history=[(0, d)], last_appearance=None, forecast=fc)
+        return table_of([tr])
 
     def test_visible_streak_kills_after_limit(self):
         scene = make_scene(fps=10.0)
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)  # limit: 5 consecutive calls
-        tr = self.make_track()
+        tb = self.make_table()
         for i in range(5):
-            prune(tr, scene, [], frame=1, config=cfg)
-            assert tr.forecast.alive[0], f"died too early at call {i + 1}"
-        prune(tr, scene, [], frame=1, config=cfg)
-        assert not tr.forecast.alive[0]
+            prune(tb, scene, [], frame=1, config=cfg)
+            assert tb.alive[0], f"died too early at call {i + 1}"
+        prune(tb, scene, [], frame=1, config=cfg)
+        assert not tb.alive[0]
 
     def test_covering_detection_resets_streak(self):
         scene = make_scene(fps=10.0)
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tr = self.make_track()
+        tb = self.make_table()
         cover = det_at(1, 52, 103)  # closer (bottom 103 > 100), heavy overlap
         for _ in range(4):
-            prune(tr, scene, [], frame=1, config=cfg)
-        assert tr.forecast.visible_streak[0] == 4
-        prune(tr, scene, [cover], frame=1, config=cfg)
-        assert tr.forecast.visible_streak[0] == 0
+            prune(tb, scene, [], frame=1, config=cfg)
+        assert tb.streak[0] == 4
+        prune(tb, scene, [cover], frame=1, config=cfg)
+        assert tb.streak[0] == 0
         for _ in range(5):
-            prune(tr, scene, [], frame=1, config=cfg)
-        assert tr.forecast.alive[0]
+            prune(tb, scene, [], frame=1, config=cfg)
+        assert tb.alive[0]
 
     def test_farther_detection_does_not_cover(self):
         scene = make_scene(fps=10.0)
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tr = self.make_track()
+        tb = self.make_table()
         behind = det_at(1, 52, 97)  # bottom 97 < 100: farther than the forecast
-        prune(tr, scene, [behind], frame=1, config=cfg)
-        assert tr.forecast.visible_streak[0] == 1
+        prune(tb, scene, [behind], frame=1, config=cfg)
+        assert tb.streak[0] == 1
 
     def test_masked_out_cell_is_not_visible(self):
         mask = np.zeros((200, 200), dtype=bool)
         scene = make_scene(fps=10.0, mask=mask)
         cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tr = self.make_track()
+        tb = self.make_table()
         for _ in range(10):
-            prune(tr, scene, [], frame=1, config=cfg)
-        assert tr.forecast.alive[0]
-        assert tr.forecast.visible_streak[0] == 0
+            prune(tb, scene, [], frame=1, config=cfg)
+        assert tb.alive[0]
+        assert tb.streak[0] == 0
+
+
+class TestDeactivateReadsTheWindowTail:
+    """_deactivate filters only the history from the last observation at or
+    before the grid's first point on; that must equal the whole history."""
+
+    def check(self, frames, cfg, fps, rng):
+        history = [(int(f), rng.uniform(-10.0, 10.0, 2)) for f in frames]
+        tk = Tracker(make_scene(fps=fps), cfg)
+        dets = [(f, Detection(frame=f, box=box_at(50, 100), bev=p)) for f, p in history]
+        tr = Track(id=1, history=dets, last_appearance=None)
+        tk._deactivate(tr, history[-1][0] + 1)
+        want = forecast(preprocess(history, cfg, fps), cfg, fps)
+        assert np.array_equal(tr.forecast.origin, want.origin)
+        assert np.array_equal(tr.forecast.velocities, want.velocities)
+        assert (tr.forecast.created_frame, tr.forecast.end_frame) == (
+            want.created_frame, want.end_frame
+        )
+        first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
+        return frames[0] > first, frames[0] < first and first not in frames
+
+    def test_straddling_gap_and_short_history(self):
+        rng = np.random.default_rng(3)
+        cfg = RunConfig(obs_len=8, dt=0.5)  # at 10 fps the grid starts 35 frames back
+        # observations at 20 and 50 straddle the first grid point, frame 45
+        assert self.check([0, 10, 20, 50, 60, 70, 80], cfg, 10.0, rng) == (False, True)
+        assert self.check([50, 60, 70, 80], cfg, 10.0, rng) == (True, False)  # shorter
+        assert self.check([30, 45, 80], cfg, 10.0, rng) == (False, False)  # one at 45
+
+    def test_random_gapped_histories(self):
+        rng = np.random.default_rng(4)
+        short = straddled = 0
+        for _ in range(300):
+            cfg = RunConfig(obs_len=int(rng.integers(1, 10)), dt=float(rng.choice([0.1, 0.3, 0.5])))
+            frames = np.cumsum(rng.integers(1, 12, int(rng.integers(1, 30))))
+            s, g = self.check(frames, cfg, float(rng.choice([10.0, 20.0, 30.0])), rng)
+            short, straddled = short + s, straddled + g
+        assert short > 30 and straddled > 30
 
 
 def small_config(**kw):
@@ -399,14 +446,33 @@ class TestTrackerLifecycle:
         tk = Tracker(make_scene(fps=10.0), small_config())
         pruned = inactive_track(1, 52, 100, [(0.0, 0.0)])
         pruned.forecast.end_frame = 50
-        pruned.forecast.visible_streak[0] = 10  # at the tau_vis * fps limit
         dead = inactive_track(2, 80, 100, [(0.0, 0.0)])
         tk.tracks = {1: pruned, 2: dead}
+        tk.branches = table_of([pruned, dead])
+        tk.branches.streak[0] = 10  # at the tau_vis * fps limit
         tk.next_id = 3
         _, events = tk.step([], 5)
         assert [(e["track_id"], e["reason"]) for e in events] == [
             (1, "removed_pruned"),
             (2, "removed_dead"),
+        ]
+
+    def test_removal_reason_precedence(self):
+        # At frame 25 every track is past its 20-frame patience; track 1's
+        # forecast has also ended and tracks 1 and 2 reach the visible limit:
+        # dead wins over pruned, and pruned over expired.
+        tk = Tracker(make_scene(fps=10.0), small_config())
+        tracks = [inactive_track(tid, 52, 100, [(0.0, 0.0)]) for tid in (1, 2, 3)]
+        tracks[1].forecast.end_frame = tracks[2].forecast.end_frame = 50
+        tk.tracks = {tr.id: tr for tr in tracks}
+        tk.branches = table_of(tracks)
+        tk.branches.streak[:2] = 10  # at the tau_vis * fps limit
+        tk.next_id = 4
+        _, events = tk.step([], 25)
+        assert [(e["track_id"], e["reason"]) for e in events] == [
+            (1, "removed_dead"),
+            (2, "removed_pruned"),
+            (3, "removed_expired"),
         ]
 
     def test_pruned_when_lingering_in_freespace(self):

@@ -2,7 +2,8 @@
 
 ``ScalarTracker`` is the per-pair, per-branch tracker that the array code
 replaced (scalar ``iou``, one ``px_to_bev`` per detection, one ``bev_to_px``
-per branch), kept here as the reference. The array code does the same float
+per branch, per-track pruning state, the whole history filtered on every
+deactivation), kept here as the reference. The array code does the same float
 operations, so on seeded crowd scenes both must give equal outputs and equal
 events, score floats included.
 """
@@ -16,11 +17,12 @@ from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
-from bevtrack.forecast import Forecast, predicted_box
+from bevtrack.forecast import Forecast, forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
 from bevtrack.tracker import (
+    BranchTable,
     Detection,
     SceneModel,
     Track,
@@ -42,12 +44,11 @@ def scalar_contains(scene, point) -> bool:
     return False
 
 
-def scalar_branch_boxes(track, scene, frame):
-    """(branch_index, point, predicted box or None) for alive branches."""
-    fc = track.forecast
+def scalar_branch_boxes(track, alive, scene, frame):
+    """(branch_index, point, predicted box or None) for the branches where alive holds."""
     out = []
-    for bi, pt in enumerate(fc.points(frame)):
-        if not fc.alive[bi]:
+    for bi, pt in enumerate(track.forecast.points(frame)):
+        if not alive[bi]:
             continue
         try:
             pb = predicted_box(track.last_box, pt, scene.lh, ego=scene.ego, frame=frame)
@@ -57,12 +58,13 @@ def scalar_branch_boxes(track, scene, frame):
     return out
 
 
-def scalar_cost_matrix(tracks, detections, config, scene, frame):
+def scalar_cost_matrix(tracks, alive, detections, config, scene, frame):
+    """alive: each track's (k,) alive flags."""
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
     for i, tr in enumerate(tracks):
-        branches = scalar_branch_boxes(tr, scene, frame)
+        branches = scalar_branch_boxes(tr, alive[i], scene, frame)
         for j, det in enumerate(detections):
             if tr.last_appearance is not None and det.appearance is not None:
                 app = float(tr.last_appearance @ det.appearance)
@@ -84,10 +86,10 @@ def scalar_cost_matrix(tracks, detections, config, scene, frame):
     return scores, best_branch
 
 
-def scalar_prune(track, scene, detections, frame, config):
+def scalar_prune(track, alive, streak, scene, detections, frame, config):
+    """Update the track's (k,) alive flags and visible streaks in place."""
     limit = config.tau_vis * scene.fps
-    fc = track.forecast
-    for bi, pt, pb in scalar_branch_boxes(track, scene, frame):
+    for bi, pt, pb in scalar_branch_boxes(track, alive, scene, frame):
         visible = scalar_contains(scene, pt) and pb is not None
         if visible:
             for det in detections:
@@ -95,11 +97,11 @@ def scalar_prune(track, scene, detections, frame, config):
                     visible = False
                     break
         if visible:
-            fc.visible_streak[bi] += 1
-            if fc.visible_streak[bi] > limit:
-                fc.alive[bi] = False
+            streak[bi] += 1
+            if streak[bi] > limit:
+                alive[bi] = False
         else:
-            fc.visible_streak[bi] = 0
+            streak[bi] = 0
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -114,6 +116,18 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
 
 
 class ScalarTracker(Tracker):
+    def __init__(self, scene, config=None):
+        super().__init__(scene, config)
+        self.prune_state = {}  # track id -> ((k,) alive, (k,) visible streak)
+
+    def _deactivate(self, track, frame):
+        history = [(f, d.bev) for f, d in track.history if d.bev is not None]
+        track.forecast = forecast(preprocess(history, self.config, self.scene.fps),
+                                  self.config, self.scene.fps)
+        track.source_binding = None
+        k = len(track.forecast.velocities)
+        self.prune_state[track.id] = (np.ones(k, dtype=bool), np.zeros(k, dtype=int))
+
     def scalar_base_association(self, active, detections):
         matches = {}
         if self.config.ingest_ids:
@@ -166,8 +180,9 @@ class ScalarTracker(Tracker):
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
-            scalar_prune(tr, self.scene, detections, frame, cfg)
-            if not tr.forecast.alive.any():
+            alive, streak = self.prune_state[tr.id]
+            scalar_prune(tr, alive, streak, self.scene, detections, frame, cfg)
+            if not alive.any():
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_pruned"))
             elif frame - tr.last_frame > cfg.tau_max * self.scene.fps:
@@ -178,7 +193,8 @@ class ScalarTracker(Tracker):
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            scores, best_branch = scalar_cost_matrix(survivors, dets, cfg, self.scene, frame)
+            alive = [self.prune_state[tr.id][0] for tr in survivors]
+            scores, best_branch = scalar_cost_matrix(survivors, alive, dets, cfg, self.scene, frame)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]
@@ -338,7 +354,11 @@ class TestStepMatchesScalarReference:
 
 
 def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
-    """Inactive tracks with k branches (some dead) near random detections."""
+    """Inactive tracks with k branches (some dead) near random detections.
+
+    Returns (scene, tracks, detections, state), where state holds each
+    track's ((k,) alive, (k,) visible streak).
+    """
     scene = SceneModel(
         mask=rng.random((40, 40)) < 0.7,
         cell_size=5.0,
@@ -357,47 +377,51 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         d = Detection(frame=1, box=PixelBox(u - w / 2.0, v - h, w, h), appearance=app())
         d.bev = np.array([u, v]) + rng.normal(0.0, 1.0, 2)
         dets.append(d)
-    tracks = []
+    tracks, state = [], []
     for t in range(n_tracks):
         near = dets[rng.integers(n_dets)].bev
         pts = near + rng.normal(0.0, 3.0, (k, 2))
         fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
-        fc.alive[:] = rng.random(k) < 0.8
-        fc.alive[rng.integers(k)] = True
-        fc.visible_streak[:] = rng.integers(0, 12, k)
+        alive = rng.random(k) < 0.8
+        alive[rng.integers(k)] = True
+        state.append((alive, rng.integers(0, 12, k)))
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
         last = Detection(frame=0, box=box, appearance=app(), bev=np.zeros(2))
         tracks.append(
-            Track(id=t + 1, history=[(0, last)], last_appearance=last.appearance,
-                  forecast=fc, inactive_since=1)
+            Track(id=t + 1, history=[(0, last)], last_appearance=last.appearance, forecast=fc)
         )
-    return scene, tracks, dets
+    return scene, tracks, dets, state
 
 
-def copy_tracks(tracks):
-    return [
-        Track(
-            id=t.id, history=list(t.history), last_appearance=t.last_appearance,
-            forecast=Forecast(t.forecast.origin, t.forecast.velocities, t.forecast.created_frame,
-                              t.forecast.end_frame, t.forecast.fps, t.forecast.alive.copy(),
-                              t.forecast.visible_streak.copy()),
-            inactive_since=t.inactive_since,
-        )
-        for t in tracks
-    ]
+def table_of(tracks, state):
+    """The tracks' branch table, carrying their pruning state."""
+    table = BranchTable.of(tracks, fps=1.0)
+    table.alive[:] = np.concatenate([alive for alive, _ in state])
+    table.streak[:] = np.concatenate([streak for _, streak in state])
+    return table
+
+
+def copy_state(state):
+    return [(alive.copy(), streak.copy()) for alive, streak in state]
+
+
+def track_rows(table, track):
+    """The track's rows in branch order."""
+    rows = np.flatnonzero(table.owner == track.id)
+    return rows[np.argsort(table.branch[rows])]
 
 
 class TestCostMatrixMatchesScalarReference:
     def test_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            scene, tracks, dets = random_instance(rng)
+            scene, tracks, dets, state = random_instance(rng)
             # The gate sits exactly on one pair's similarity, so a product that
             # rounds differently from the 1-D one flips that pair.
             tau_app = float(tracks[0].last_appearance @ dets[0].appearance)
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
-            want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
-            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
+            want = scalar_cost_matrix(tracks, [a for a, _ in state], dets, cfg, scene, 1)
+            g = frame_geometry(table_of(tracks, state), ltwh([d.box for d in dets]), scene, 1, cfg)
             got = build_cost_matrix(tracks, dets, cfg, g)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -405,23 +429,24 @@ class TestCostMatrixMatchesScalarReference:
     def test_geometry_built_before_a_kill_skips_the_dead_branch(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
-            scene, tracks, dets = random_instance(rng)
+            scene, tracks, dets, state = random_instance(rng)
             cfg = RunConfig(tau_app=-1.0, tau_iou=0.0)
-            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
-            for tr in tracks:
-                tr.forecast.alive[rng.integers(3)] = False
-            want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
+            table = table_of(tracks, state)
+            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
+            for tr, (alive, _) in zip(tracks, state):
+                b = rng.integers(3)
+                alive[b] = table.alive[track_rows(table, tr)[b]] = False
+            want = scalar_cost_matrix(tracks, [a for a, _ in state], dets, cfg, scene, 1)
             got = build_cost_matrix(tracks, dets, cfg, g)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
     def test_ties_go_to_the_first_branch(self):
-        scene, tracks, dets = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
-        fc = tracks[0].forecast
-        fc.velocities[:] = dets[0].bev  # three identical branches
-        fc.alive[:] = True
+        scene, tracks, dets, state = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
+        tracks[0].forecast.velocities[:] = dets[0].bev  # three identical branches
+        state[0][0][:] = True
         cfg = RunConfig(tau_app=-1.0)
-        g = frame_geometry(tracks, ltwh([d.box for d in dets[:1]]), scene, 1, cfg)
+        g = frame_geometry(table_of(tracks, state), ltwh([d.box for d in dets[:1]]), scene, 1, cfg)
         scores, branch = build_cost_matrix(tracks, dets[:1], cfg, g)
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
@@ -430,15 +455,16 @@ class TestPruneMatchesScalarReference:
     def test_random_instances(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            scene, tracks, dets = random_instance(rng)
+            scene, tracks, dets, state = random_instance(rng)
             cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
-            ref = copy_tracks(tracks)
-            for got, want in zip(tracks, ref):
-                g = frame_geometry([got], ltwh([d.box for d in dets]), scene, 1, cfg)
-                prune_forecasts(got, g, cfg, scene.fps)
-                scalar_prune(want, scene, dets, 1, cfg)
-                assert np.array_equal(got.forecast.alive, want.forecast.alive)
-                assert np.array_equal(got.forecast.visible_streak, want.forecast.visible_streak)
+            table, ref = table_of(tracks, state), copy_state(state)
+            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
+            prune_forecasts(g, cfg, scene.fps)
+            for tr, (alive, streak) in zip(tracks, ref):
+                scalar_prune(tr, alive, streak, scene, dets, 1, cfg)
+                rows = track_rows(table, tr)
+                assert np.array_equal(table.alive[rows], alive)
+                assert np.array_equal(table.streak[rows], streak)
 
     def test_shared_geometry_leaves_dead_branches_alone(self):
         # One geometry serves several prune calls; a branch killed after it was
@@ -446,17 +472,42 @@ class TestPruneMatchesScalarReference:
         rng = np.random.default_rng(14)
         killed = 0
         for _ in range(100):
-            scene, tracks, dets = random_instance(rng)
+            scene, tracks, dets, state = random_instance(rng)
             cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
-            ref = copy_tracks(tracks)
-            g = frame_geometry(tracks, ltwh([d.box for d in dets]), scene, 1, cfg)
-            for got, want in zip(tracks, ref):
-                for _ in range(2):
-                    before = want.forecast.alive.copy()
-                    prune_forecasts(got, g, cfg, scene.fps)
-                    scalar_prune(want, scene, dets, 1, cfg)
-                    killed += (before & ~want.forecast.alive).sum()
-                    got.forecast.alive[0] = want.forecast.alive[0] = False
-                assert np.array_equal(got.forecast.alive, want.forecast.alive)
-                assert np.array_equal(got.forecast.visible_streak, want.forecast.visible_streak)
+            table, ref = table_of(tracks, state), copy_state(state)
+            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
+            for _ in range(2):
+                prune_forecasts(g, cfg, scene.fps)
+                for tr, (alive, streak) in zip(tracks, ref):
+                    before = alive.copy()
+                    scalar_prune(tr, alive, streak, scene, dets, 1, cfg)
+                    killed += (before & ~alive).sum()
+                    alive[0] = False
+                table.alive[table.branch == 0] = False
+            for tr, (alive, streak) in zip(tracks, ref):
+                rows = track_rows(table, tr)
+                assert np.array_equal(table.alive[rows], alive)
+                assert np.array_equal(table.streak[rows], streak)
         assert killed > 0
+
+
+class TestBranchTableLifecycle:
+    @pytest.mark.parametrize("case", ["fan", "short_fan", "kalman_cv"])
+    def test_rows_are_the_inactive_tracks_branches(self, crowd_sims, case):
+        # After every step the table holds k rows, branches 0..k-1, for each
+        # inactive track and none for active or removed ones.
+        cfg, appearance, ingest, ego, seeds = CASES[case]
+        sim = crowd_sims(seeds[0], ego)
+        lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+        tracker = Tracker(build_scene_model(sim.scenario, lh, cfg.cell_size), cfg)
+        by_frame = detections(sim, appearance, ingest)
+        k = len(cfg.fan_angles) if cfg.motion == "fan" else 1
+        seen = set()
+        for f in range(sim.scenario.n_frames):
+            _, events = tracker.step(by_frame.get(f, []), f)
+            seen.update(e["reason"] for e in events)
+            inactive = sorted(t.id for t in tracker.tracks.values() if not t.active)
+            order = np.lexsort((tracker.branches.branch, tracker.branches.owner))
+            assert tracker.branches.owner[order].tolist() == np.repeat(inactive, k).tolist()
+            assert tracker.branches.branch[order].tolist() == list(range(k)) * len(inactive)
+        assert {"inactive", "reassociated", "removed_pruned"} <= seen
