@@ -59,12 +59,14 @@ from .simulator import (
     write_scenario,
 )
 from .tracker import (
+    BranchTable,
     Detection,
     SceneModel,
     Track,
     Tracker,
     assign,
     build_cost_matrix,
+    frame_geometry,
     prune_forecasts,
 )
 
@@ -73,6 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentSpec",
     "BevTrackError",
+    "BranchTable",
     "CameraSpec",
     "DEFAULT_BUCKETS",
     "DegenerateInput",
@@ -115,6 +118,7 @@ __all__ = [
     "fde",
     "fit_ground_plane",
     "forecast",
+    "frame_geometry",
     "generate",
     "id_recall",
     "iou",

@@ -14,7 +14,7 @@ Exit codes: 0 on success, 1 on validation/data errors, 2 on argument errors.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
@@ -188,27 +188,19 @@ def _simulate(args, cfg: RunConfig):
         sc = replace(sc, seed=args.seed)
     sim = generate(sc)
     os.makedirs(args.out, exist_ok=True)
-    mot_io.write_detections(
-        os.path.join(args.out, "det.txt"),
-        [mot_io.MotRecord(frame=d.frame, track_id=-1, box=d.box) for d in sim.detections],
-    )
-    mot_io.write_appearance(
-        os.path.join(args.out, "appearance.txt"), [d.appearance for d in sim.detections]
-    )
-    mot_io.write_gt(os.path.join(args.out, "gt.txt"), mot_io.gt_from_sim(sim))
-    mot_io.write_cloud(os.path.join(args.out, "cloud.txt"), sim.cloud)
-    mot_io.write_correspondences(
-        os.path.join(args.out, "correspondences.txt"), sim.cloud_pixels, sim.cloud
-    )
-    save_homography(
-        os.path.join(args.out, "homography.txt"),
-        sim.homography,
-        cfg.max_spacing,
-        (sc.camera.image_width, sc.camera.image_height),
-    )
-    write_scenario(os.path.join(args.out, "scenario.json"), sc)
+    out = functools.partial(os.path.join, args.out)
+    dets = [mot_io.MotRecord(d.frame, -1, d.box) for d in sim.detections]
+    mot_io.write_detections(out("det.txt"), dets)
+    mot_io.write_appearance(out("appearance.txt"), [d.appearance for d in sim.detections])
+    gt = [mot_io.GtRecord(g.frame, g.agent_id, g.box, g.visibility) for g in sim.gt]
+    mot_io.write_gt(out("gt.txt"), gt)
+    mot_io.write_cloud(out("cloud.txt"), sim.cloud)
+    mot_io.write_correspondences(out("correspondences.txt"), sim.cloud_pixels, sim.cloud)
+    image_size = (sc.camera.image_width, sc.camera.image_height)
+    save_homography(out("homography.txt"), sim.homography, cfg.max_spacing, image_size)
+    write_scenario(out("scenario.json"), sc)
     if sc.camera_path is not None:
-        mot_io.write_ego(os.path.join(args.out, "ego.txt"), sim.ego)
+        mot_io.write_ego(out("ego.txt"), sim.ego)
     return sim
 
 
@@ -260,9 +252,6 @@ def _load_tracker_inputs(args, cfg: RunConfig):
                 f"{args.appearance}: {len(appearance)} descriptor rows for "
                 f"{len(records)} detections"
             )
-        for row, vec in enumerate(appearance, start=1):
-            if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-6:
-                raise ParseError(f"{args.appearance}:{row}: descriptor is not unit length")
     ego = mot_io.read_ego(args.ego) if args.ego else None
     return lh, records, appearance, ego
 
@@ -286,6 +275,9 @@ def _cmd_track(args) -> int:
         )
         by_frame.setdefault(r.frame, []).append(det)
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
+    if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
+        reach = frames[0] if frames[0] < 0 else frames[-1]
+        raise ParseError(f"{args.ego}: {len(ego)} offsets, detections reach frame {reach}")
     outputs, events = Tracker(scene, cfg).run(by_frame, frames)
     os.makedirs(args.out, exist_ok=True)
     mot_io.write_detections(
@@ -344,17 +336,18 @@ def _cmd_forecast(args) -> int:
             forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
         except ValueError as e:
             raise ParseError(f"--horizon: {e}") from e
-    with open(args.out, "w") as f:
-        for tid, fc in forecasts.items():
-            row = {
-                "id": tid,
-                "created_frame": fc.created_frame,
-                "end_frame": fc.end_frame,
-                "fps": fc.fps,
-                "origin": fc.origin.tolist(),
-                "velocities": fc.velocities.tolist(),
-            }
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = [
+        {
+            "id": tid,
+            "created_frame": fc.created_frame,
+            "end_frame": fc.end_frame,
+            "fps": fc.fps,
+            "origin": fc.origin.tolist(),
+            "velocities": fc.velocities.tolist(),
+        }
+        for tid, fc in forecasts.items()
+    ]
+    mot_io.write_events(args.out, rows)
     print(f"forecasted identities: {len(by_id)}")
     print(f"wrote {args.out}")
     return 0

@@ -11,13 +11,13 @@ the evaluation read this record directly.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ParseError
+from .mot_io import read_json, write_json
 
 MOTION_KINDS = ("static", "kalman_cv", "fan")
 DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
@@ -163,17 +163,10 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def read_config(path) -> RunConfig:
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return config_from_dict(d)
+    return config_from_dict(read_json(path))
 
 
 def write_config(path, cfg: RunConfig) -> None:
     d = cfg.to_dict()
     d["buckets"] = [("inf" if b == float("inf") else b) for b in d["buckets"]]
-    with open(path, "w") as f:
-        json.dump(d, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, d)

@@ -21,7 +21,6 @@ Record conventions: ground truth and hypotheses are sequences of
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
 from .config import RunConfig
 from .errors import MissingGroundTruth
+from .mot_io import write_json
 
 _BIG = 1e6
 
@@ -330,9 +330,7 @@ class EvalReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
     def write_csv(self, path) -> None:
         row = self.to_dict()

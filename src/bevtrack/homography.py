@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInput, ParseError
+from .mot_io import _lines, _numbers, _write_rows
 
 RANK_RTOL = 1e-9  # relative cutoff on the second-smallest singular value of the DLT system
 
@@ -128,6 +129,11 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
     return HomographyFit(h, rmse)
 
 
+# The homography file, line by line: literal words, and <...> for a number.
+_HOMOGRAPHY_LINES = ("H", *["<h> <h> <h>"] * 3, "max_spacing <m>", "image <w> <h>")
+_HOMOGRAPHY_FMT = "H\n" + "%.17g %.17g %.17g\n" * 3 + "max_spacing %.17g\nimage %d %d"
+
+
 def save_homography(path, h: Homography, max_spacing: float, image_size: tuple[int, int]) -> None:
     """Write the homography text format.
 
@@ -135,50 +141,35 @@ def save_homography(path, h: Homography, max_spacing: float, image_size: tuple[i
     "max_spacing <meters>", line 6 "image <width> <height>". Floats use 17
     significant digits so the matrix round-trips bit-exactly.
     """
-    lines = ["H"]
-    for row in h.m:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    lines.append(f"max_spacing {max_spacing:.17g}")
-    lines.append(f"image {int(image_size[0])} {int(image_size[1])}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_rows(path, _HOMOGRAPHY_FMT, [(*h.m.ravel().tolist(), max_spacing, *image_size)])
 
 
 def load_homography(path) -> tuple[Homography, float, tuple[int, int]]:
     """Read the homography text format; returns (homography, max_spacing, (w, h)).
 
-    Blank lines are skipped; an error names the line's number in the file.
+    Blank lines are skipped and lines after the sixth ignored; an error names
+    the file and, where it is one line's fault, the line's number in the file.
     """
-    with open(path) as f:
-        lines = [(n, ln.strip()) for n, ln in enumerate(f.read().splitlines(), 1) if ln.strip()]
+    lines = list(_lines(path))
     if len(lines) < 6:
         raise ParseError(f"{path}: expected 6 lines, got {len(lines)}")
-
-    def number(n: int, text: str, kind=float):
-        try:
-            return kind(text)
-        except ValueError as e:
-            raise ParseError(f"{path}:{n}: {e}") from e
-
-    (n, head), *matrix, (n_sp, spacing_line), (n_im, image_line) = lines[:6]
-    if head != "H":
-        raise ParseError(f"{path}:{n}: expected header 'H', got {head!r}")
-    rows = []
-    for n, line in matrix:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{n}: expected 3 numbers")
-        rows.append([number(n, p) for p in parts])
-    sp = spacing_line.split()
-    if len(sp) != 2 or sp[0] != "max_spacing":
-        raise ParseError(f"{path}:{n_sp}: expected 'max_spacing <m>'")
-    im = image_line.split()
-    if len(im) != 3 or im[0] != "image":
-        raise ParseError(f"{path}:{n_im}: expected 'image <w> <h>'")
-    spacing = number(n_sp, sp[1])
-    size = (number(n_im, im[1], int), number(n_im, im[2], int))
+    values = []
+    for (n, parts), pattern in zip(lines, _HOMOGRAPHY_LINES):
+        want = pattern.split()
+        if len(parts) != len(want) or any(p != w for p, w in zip(parts, want) if w[0] != "<"):
+            raise ParseError(f"{path}:{n}: expected '{pattern}'")
+        numbers = [p for p, w in zip(parts, want) if w[0] == "<"]
+        # max_spacing and the image size get range checks of their own below
+        values.append(_numbers(path, n, numbers, finite=pattern[0] == "<"))
+    _, *matrix, (spacing,), size = values
+    (n_sp, sp), (n_im, im) = lines[4:6]
     if not 0 < spacing < np.inf:
         raise ParseError(f"{path}:{n_sp}: max_spacing must be positive and finite, got {sp[1]}")
-    if min(size) <= 0:
-        raise ParseError(f"{path}:{n_im}: image size must be positive, got {im[1]} {im[2]}")
-    return Homography(np.array(rows)), spacing, size
+    if not all(v.is_integer() and v > 0 for v in size):
+        raise ParseError(
+            f"{path}:{n_im}: image size must be positive integers, got {im[1]} {im[2]}"
+        )
+    try:
+        return Homography(np.array(matrix)), spacing, (int(size[0]), int(size[1]))
+    except (DegenerateInput, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from e

@@ -2,17 +2,22 @@
 
 Detections and tracker outputs use the 10-column MOT CSV layout
 ``frame,id,left,top,width,height,conf,x,y,z`` (id and world columns are -1
-when unknown). Ground truth uses the 9-column layout
-``frame,id,left,top,width,height,flag,class,visibility``. Point clouds are
-``x y z`` rows; pixel/ground correspondences are ``u v x y z`` rows; camera
-egomotion is one cumulative ``dx dy`` offset per frame. Floats round-trip
-exactly (shortest repr that restores the value).
+when unknown); ground truth uses ``frame,id,left,top,width,height,flag,class,
+visibility``. Frame and id are integers. Point clouds are ``x y z`` rows,
+pixel/ground correspondences ``u v x y z`` rows, appearance one unit-length
+descriptor per row, and camera egomotion one cumulative ``dx dy`` offset per
+frame from ``0 0``. ``_read_rows`` reads every
+row file: blank lines are skipped, and a wrong field count or a non-finite
+number is ``ParseError("<file>:<line>: ...")``. ``_write_rows`` writes every
+one with a ``%`` format string per row kind, ``%.17g`` for floats so they
+round-trip bit-exactly. Whole-file JSON goes through ``read_json``/``write_json``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,42 +29,85 @@ from .egomotion import EgomotionTrack
 from .errors import NonPositiveBox, ParseError
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _lines(path, sep=None):
+    """(1-based line number, fields) for each non-blank line of the file."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                yield lineno, line.strip().split(sep)
+
+
+def _numbers(path, lineno: int, parts, finite: bool = True) -> list:
+    """The fields as floats, finite unless told otherwise, or ParseError naming the line."""
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError as e:
+        raise ParseError(f"{path}:{lineno}: {e}") from e
+    if finite and not all(map(math.isfinite, vals)):
+        raise ParseError(f"{path}:{lineno}: non-finite value")
+    return vals
 
 
 def _read_rows(path, sep=None, n_fields=None):
     """(line number, finite floats) for each non-blank line, checking the field count."""
+    for lineno, parts in _lines(path, sep):
+        if n_fields is not None and len(parts) != n_fields:
+            kind = "comma-separated fields" if sep == "," else "fields"
+            raise ParseError(f"{path}:{lineno}: expected {n_fields} {kind}, got {len(parts)}")
+        yield lineno, _numbers(path, lineno, parts)
+
+
+def _write_rows(path, fmt: str, rows) -> None:
+    """One line ``fmt % row`` per row (a tuple or list of values)."""
+    line = fmt + "\n"
+    with open(path, "w") as f:
+        f.writelines(line % tuple(row) for row in rows)
+
+
+def _read_array(path, k: int, what: str) -> tuple[int, np.ndarray]:
+    """(first row's line number, non-empty (N, k) array) of a whitespace-separated file."""
+    rows = list(_read_rows(path, None, k))
+    if not rows:
+        raise ParseError(f"{path}: empty {what}")
+    return rows[0][0], np.array([vals for _, vals in rows])
+
+
+def read_json(path):
+    """A whole JSON file; bad JSON is ParseError("<path>: ...")."""
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(sep)
-            if n_fields is not None and len(parts) != n_fields:
-                kind = "comma-separated fields" if sep == "," else "fields"
-                raise ParseError(f"{path}:{lineno}: expected {n_fields} {kind}, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            yield lineno, vals
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: {e}") from e
 
 
-def _box_rows(path, n_fields: int):
-    """MOT CSV rows as floats; a box of non-positive size is dropped with a warning."""
+def write_json(path, obj) -> None:
+    """A whole JSON file: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _box_rows(path, n_fields: int) -> list:
+    """MOT CSV rows as (frame, id, floats); a box of non-positive size is dropped with a warning."""
+    rows = []  # a list, not a generator, so stacklevel=3 names the reader's caller
     for lineno, vals in _read_rows(path, ",", n_fields):
+        for name, v in (("frame", vals[0]), ("id", vals[1])):
+            if not v.is_integer():
+                raise ParseError(f"{path}:{lineno}: {name} must be an integer")
         if vals[4] <= 0 or vals[5] <= 0:
             warnings.warn(
                 f"{path}:{lineno}: dropping box with non-positive size", NonPositiveBox, stacklevel=3
             )
             continue
-        yield vals
+        rows.append((int(vals[0]), int(vals[1]), vals))
+    return rows
 
 
 # -- detections / tracker outputs ----------------------------------------------------
+
+_DET_FMT = "%d,%d," + ",".join(["%.17g"] * 8)
+_ltwh = operator.attrgetter("left", "top", "width", "height")
 
 
 @dataclass(frozen=True)
@@ -77,44 +125,24 @@ def records_from_outputs(outputs: Sequence) -> list:
 
 def write_detections(path, records: Sequence) -> None:
     rows = sorted(records, key=lambda r: (r.frame, r.track_id))
-    with open(path, "w") as f:
-        for r in rows:
-            b = r.box
-            f.write(
-                ",".join(
-                    [
-                        str(int(r.frame)),
-                        str(int(r.track_id)),
-                        _fmt(b.left),
-                        _fmt(b.top),
-                        _fmt(b.width),
-                        _fmt(b.height),
-                        _fmt(b.confidence),
-                        _fmt(r.world[0]),
-                        _fmt(r.world[1]),
-                        _fmt(r.world[2]),
-                    ]
-                )
-                + "\n"
-            )
+    _write_rows(
+        path,
+        _DET_FMT,
+        ((r.frame, r.track_id, *_ltwh(r.box), r.box.confidence, *r.world) for r in rows),
+    )
 
 
 def read_detections(path) -> list:
     """Rows with non-positive width or height are dropped with a warning."""
-    out = []
-    for vals in _box_rows(path, 10):
-        out.append(
-            MotRecord(
-                frame=int(vals[0]),
-                track_id=int(vals[1]),
-                box=PixelBox(vals[2], vals[3], vals[4], vals[5], confidence=vals[6]),
-                world=(vals[7], vals[8], vals[9]),
-            )
-        )
-    return out
+    return [
+        MotRecord(frame, track_id, PixelBox(*vals[2:6], confidence=vals[6]), tuple(vals[7:]))
+        for frame, track_id, vals in _box_rows(path, 10)
+    ]
 
 
 # -- ground truth ---------------------------------------------------------------------
+
+_GT_FMT = "%d,%d,%.17g,%.17g,%.17g,%.17g,1,1,%.17g"
 
 
 @dataclass(frozen=True)
@@ -127,45 +155,13 @@ class GtRecord:
 
 def write_gt(path, records: Sequence) -> None:
     rows = sorted(records, key=lambda r: (r.frame, r.track_id))
-    with open(path, "w") as f:
-        for r in rows:
-            b = r.box
-            f.write(
-                ",".join(
-                    [
-                        str(int(r.frame)),
-                        str(int(r.track_id)),
-                        _fmt(b.left),
-                        _fmt(b.top),
-                        _fmt(b.width),
-                        _fmt(b.height),
-                        "1",
-                        "1",
-                        _fmt(r.visibility),
-                    ]
-                )
-                + "\n"
-            )
+    _write_rows(path, _GT_FMT, ((r.frame, r.track_id, *_ltwh(r.box), r.visibility) for r in rows))
 
 
 def read_gt(path) -> list:
-    out = []
-    for vals in _box_rows(path, 9):
-        out.append(
-            GtRecord(
-                frame=int(vals[0]),
-                track_id=int(vals[1]),
-                box=PixelBox(vals[2], vals[3], vals[4], vals[5]),
-                visibility=vals[8],
-            )
-        )
-    return out
-
-
-def gt_from_sim(sim) -> list:
     return [
-        GtRecord(frame=g.frame, track_id=g.agent_id, box=g.box, visibility=g.visibility)
-        for g in sim.gt
+        GtRecord(frame, track_id, PixelBox(*vals[2:6]), visibility=vals[8])
+        for frame, track_id, vals in _box_rows(path, 9)
     ]
 
 
@@ -176,16 +172,11 @@ def write_cloud(path, points: np.ndarray) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise ValueError("cloud points must be (N, 3)")
-    with open(path, "w") as f:
-        for p in pts:
-            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+    _write_rows(path, "%.17g %.17g %.17g", pts.tolist())
 
 
 def read_cloud(path) -> np.ndarray:
-    rows = [vals for _, vals in _read_rows(path, None, 3)]
-    if not rows:
-        raise ParseError(f"{path}: empty point cloud")
-    return np.array(rows)
+    return _read_array(path, 3, "point cloud")[1]
 
 
 def write_correspondences(path, pixels: np.ndarray, points: np.ndarray) -> None:
@@ -194,15 +185,11 @@ def write_correspondences(path, pixels: np.ndarray, points: np.ndarray) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(px) != len(pts) or px.shape[1] != 2 or pts.shape[1] != 3:
         raise ValueError("need matching (N, 2) pixels and (N, 3) points")
-    with open(path, "w") as f:
-        for p, q in zip(px, pts):
-            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])}\n")
+    _write_rows(path, "%.17g %.17g %.17g %.17g %.17g", np.hstack([px, pts]).tolist())
 
 
 def read_correspondences(path):
-    rows = np.array([vals for _, vals in _read_rows(path, None, 5)])
-    if not len(rows):
-        raise ParseError(f"{path}: empty correspondence file")
+    rows = _read_array(path, 5, "correspondence file")[1]
     return rows[:, :2].copy(), rows[:, 2:].copy()
 
 
@@ -211,46 +198,39 @@ def read_correspondences(path):
 
 def write_appearance(path, vectors: Sequence) -> None:
     """One descriptor per detection row, same order as the detection file."""
-    with open(path, "w") as f:
-        for v in vectors:
-            f.write(" ".join(_fmt(x) for x in np.asarray(v, dtype=float)) + "\n")
+    rows = [np.asarray(v, dtype=float).tolist() for v in vectors]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("descriptors must all have one length")
+    _write_rows(path, " ".join(["%.17g"] * (len(rows[0]) if rows else 0)), rows)
 
 
 def read_appearance(path) -> list:
-    out = [np.array(vals) for _, vals in _read_rows(path)]
-    if out and any(len(v) != len(out[0]) for v in out):
-        raise ParseError(f"{path}: inconsistent descriptor lengths")
+    """Unit-length descriptors, one per row, all of one length."""
+    out = []
+    for lineno, vals in _read_rows(path):
+        if out and len(vals) != len(out[0]):
+            raise ParseError(
+                f"{path}:{lineno}: inconsistent descriptor lengths "
+                f"({len(vals)} values, earlier rows have {len(out[0])})"
+            )
+        out.append(np.array(vals))
+        if abs(float(np.linalg.norm(out[-1])) - 1.0) > 1e-6:
+            raise ParseError(f"{path}:{lineno}: descriptor is not unit length")
     return out
 
 
 def write_ego(path, ego: EgomotionTrack) -> None:
-    with open(path, "w") as f:
-        for row in ego.offsets:
-            f.write(f"{_fmt(row[0])} {_fmt(row[1])}\n")
+    _write_rows(path, "%.17g %.17g", ego.offsets.tolist())
 
 
 def read_ego(path) -> EgomotionTrack:
-    rows = [vals for _, vals in _read_rows(path, None, 2)]
-    if not rows:
-        raise ParseError(f"{path}: empty egomotion file")
-    return EgomotionTrack(np.array(rows))
+    first, offsets = _read_array(path, 2, "egomotion file")
+    try:
+        return EgomotionTrack(offsets)
+    except ValueError as e:
+        raise ParseError(f"{path}:{first}: {e}") from e
 
 
 def write_events(path, events: Sequence) -> None:
-    with open(path, "w") as f:
-        for ev in events:
-            f.write(json.dumps(ev, sort_keys=True) + "\n")
-
-
-def read_events(path) -> list:
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-    return out
+    """One JSON object per line, keys sorted: tracker events, or ``forecast`` rows."""
+    _write_rows(path, "%s", ((json.dumps(ev, sort_keys=True),) for ev in events))

@@ -27,7 +27,6 @@ is checked field by field before any frame is generated.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ from .config import VISIBILITY_CUTOFF, _is_number
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
 from .homography import Homography
+from .mot_io import read_json, write_json
 from .tracker import SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
@@ -625,15 +625,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def read_scenario(path) -> Scenario:
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return scenario_from_dict(d)
+    return scenario_from_dict(read_json(path))
 
 
 def write_scenario(path, s: Scenario) -> None:
-    with open(path, "w") as f:
-        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, scenario_to_dict(s))

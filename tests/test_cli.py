@@ -11,7 +11,7 @@ from bevtrack.config import RunConfig
 from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import load_homography
 from bevtrack.linearized import linearize
-from bevtrack.mot_io import read_detections, read_events
+from bevtrack.mot_io import read_detections
 from bevtrack.simulator import AgentSpec, CameraSpec, Occluder, Scenario, write_scenario
 
 
@@ -166,7 +166,8 @@ class TestTrack:
         assert len(recs) > 0
         ids = {r.track_id for r in recs}
         assert ids == {1}  # the occluded walker keeps one identity
-        events = read_events(os.path.join(track_dir, "events.jsonl"))
+        with open(os.path.join(track_dir, "events.jsonl")) as f:
+            events = [json.loads(line) for line in f]
         reasons = {e["reason"] for e in events}
         assert "new" in reasons and "reassociated" in reasons
 

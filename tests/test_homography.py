@@ -158,6 +158,25 @@ class TestHomographyIO:
         h, spacing, size = load_homography(path)
         assert np.array_equal(h.m, np.eye(3)) and spacing == 0.2 and size == (10, 20)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_reports_its_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"H\n\n1 0 0\n0 {value} 0\n0 0 1\nmax_spacing 0.2\nimage 10 10\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:4: non-finite value$"):
+            load_homography(path)
+
+    def test_singular_matrix_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("H\n1 0 0\n2 0 0\n0 0 1\nmax_spacing 0.2\nimage 10 10\n")
+        with pytest.raises(ParseError, match=r"bad\.txt: homography matrix is singular"):
+            load_homography(path)
+
+    def test_integer_valued_image_size_accepted(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage 1920.0 1.08e3\n")
+        _, _, size = load_homography(path)
+        assert size == (1920, 1080) and all(type(v) is int for v in size)
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("H\n1 0 0\n")

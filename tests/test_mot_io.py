@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonPositiveBox, ParseError
+from bevtrack.homography import Homography, save_homography
 from bevtrack.mot_io import (
     GtRecord,
     MotRecord,
@@ -12,8 +15,8 @@ from bevtrack.mot_io import (
     read_correspondences,
     read_detections,
     read_ego,
-    read_events,
     read_gt,
+    read_json,
     records_from_outputs,
     write_appearance,
     write_cloud,
@@ -22,6 +25,7 @@ from bevtrack.mot_io import (
     write_ego,
     write_events,
     write_gt,
+    write_json,
 )
 
 
@@ -87,6 +91,23 @@ class TestDetections:
         p.write_text("\n0,1,10,20,30,60,1,-1,-1,-1\n\n")
         assert len(read_detections(p)) == 1
 
+    @pytest.mark.parametrize(
+        "row, name",
+        [("0.5,1,10,20,30,60,1,-1,-1,-1", "frame"), ("3,-1.25,10,20,30,60,1,-1,-1,-1", "id")],
+    )
+    def test_frame_and_id_must_be_integers(self, tmp_path, row, name):
+        p = tmp_path / "det.txt"
+        p.write_text(f"0,1,10,20,30,60,1,-1,-1,-1\n\n{row}\n")
+        with pytest.raises(ParseError, match=rf"det\.txt:3: {name} must be an integer$"):
+            read_detections(p)
+
+    def test_integer_valued_floats_accepted(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("1.0,-1.0,10,20,30,60,1,-1,-1,-1\n2e1,7,10,20,30,60,1,-1,-1,-1\n")
+        back = read_detections(p)
+        assert [(r.frame, r.track_id) for r in back] == [(1, -1), (20, 7)]
+        assert all(type(r.frame) is int and type(r.track_id) is int for r in back)
+
     def test_records_from_outputs(self):
         outs = [(3, 7, PixelBox(1.0, 2.0, 3.0, 4.0))]
         recs = records_from_outputs(outs)
@@ -109,6 +130,15 @@ class TestGt:
         p = tmp_path / "gt.txt"
         p.write_text("0,1,5,6,7,8,1,1\n")
         with pytest.raises(ParseError, match="expected 9"):
+            read_gt(p)
+
+    @pytest.mark.parametrize(
+        "row, name", [("1.5,1,5,6,7,8,1,1,1", "frame"), ("1,0.1,5,6,7,8,1,1,1", "id")]
+    )
+    def test_frame_and_id_must_be_integers(self, tmp_path, row, name):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"1,1,5,6,7,8,1,1,1\n{row}\n")
+        with pytest.raises(ParseError, match=rf"gt\.txt:2: {name} must be an integer$"):
             read_gt(p)
 
     def test_flag_and_class_columns_written_as_one(self, tmp_path):
@@ -171,8 +201,20 @@ class TestAppearance:
 
     def test_inconsistent_lengths_rejected(self, tmp_path):
         p = tmp_path / "app.txt"
-        p.write_text("1 2 3\n4 5\n")
+        p.write_text("1 0 0\n0 1\n")
         with pytest.raises(ParseError, match="inconsistent"):
+            read_appearance(p)
+
+    def test_inconsistent_length_names_its_line(self, tmp_path):
+        p = tmp_path / "app.txt"
+        p.write_text("1 0\n\n0 1\n0 0 1\n")
+        with pytest.raises(ParseError, match=r"app\.txt:4: inconsistent descriptor lengths"):
+            read_appearance(p)
+
+    def test_non_unit_descriptor_names_its_line(self, tmp_path):
+        p = tmp_path / "app.txt"
+        p.write_text("\n0 0 1\n2 0 0\n")
+        with pytest.raises(ParseError, match=r"app\.txt:3: descriptor is not unit length$"):
             read_appearance(p)
 
     def test_empty_file_gives_empty_list(self, tmp_path):
@@ -201,19 +243,229 @@ class TestEgo:
         with pytest.raises(ParseError, match="empty"):
             read_ego(p)
 
+    def test_first_offset_must_be_zero(self, tmp_path):
+        p = tmp_path / "ego.txt"
+        p.write_text("\n0.5 0\n1 0\n")
+        with pytest.raises(ParseError, match=r"ego\.txt:2: offset at frame 0 must be \(0, 0\)"):
+            read_ego(p)
+
 
 class TestEvents:
-    def test_round_trip(self, tmp_path):
+    def test_one_sorted_object_per_line(self, tmp_path):
         events = [
             {"frame": 0, "track_id": 1, "detection_index": 0, "score": None, "branch_id": None, "reason": "new"},
             {"frame": 5, "track_id": 1, "detection_index": 2, "score": 3.25, "branch_id": 1, "reason": "reassociated"},
         ]
         p = tmp_path / "events.jsonl"
         write_events(p, events)
-        assert read_events(p) == events
+        lines = p.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == events
+        assert lines[0].startswith('{"branch_id": null, "detection_index": 0, "frame": 0')
 
-    def test_bad_json_reports_line(self, tmp_path):
-        p = tmp_path / "events.jsonl"
-        p.write_text('{"frame": 0}\n{broken\n')
-        with pytest.raises(ParseError, match="events.jsonl:2"):
-            read_events(p)
+
+class TestJson:
+    def test_layout(self, tmp_path):
+        p = tmp_path / "x.json"
+        write_json(p, {"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+        assert p.read_text() == (
+            '{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
+            '  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        )
+        assert read_json(p) == {"a": {"c": "x", "d": None}, "b": [1, 2.5]}
+
+    def test_bad_json_names_the_file(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text('{"a": 1,\n')
+        with pytest.raises(ParseError, match=r"^.*x\.json: "):
+            read_json(p)
+
+
+# -- the writers before they shared one format string per row kind ---------------------
+# Kept verbatim as the reference: every writer must produce these bytes.
+
+
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def ref_write_detections(path, records) -> None:
+    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
+    with open(path, "w") as f:
+        for r in rows:
+            b = r.box
+            f.write(
+                ",".join(
+                    [
+                        str(int(r.frame)),
+                        str(int(r.track_id)),
+                        _fmt(b.left),
+                        _fmt(b.top),
+                        _fmt(b.width),
+                        _fmt(b.height),
+                        _fmt(b.confidence),
+                        _fmt(r.world[0]),
+                        _fmt(r.world[1]),
+                        _fmt(r.world[2]),
+                    ]
+                )
+                + "\n"
+            )
+
+
+def ref_write_gt(path, records) -> None:
+    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
+    with open(path, "w") as f:
+        for r in rows:
+            b = r.box
+            f.write(
+                ",".join(
+                    [
+                        str(int(r.frame)),
+                        str(int(r.track_id)),
+                        _fmt(b.left),
+                        _fmt(b.top),
+                        _fmt(b.width),
+                        _fmt(b.height),
+                        "1",
+                        "1",
+                        _fmt(r.visibility),
+                    ]
+                )
+                + "\n"
+            )
+
+
+def ref_write_cloud(path, points) -> None:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with open(path, "w") as f:
+        for p in pts:
+            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+
+
+def ref_write_correspondences(path, pixels, points) -> None:
+    px = np.atleast_2d(np.asarray(pixels, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with open(path, "w") as f:
+        for p, q in zip(px, pts):
+            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])}\n")
+
+
+def ref_write_appearance(path, vectors) -> None:
+    with open(path, "w") as f:
+        for v in vectors:
+            f.write(" ".join(_fmt(x) for x in np.asarray(v, dtype=float)) + "\n")
+
+
+def ref_write_ego(path, ego) -> None:
+    with open(path, "w") as f:
+        for row in ego.offsets:
+            f.write(f"{_fmt(row[0])} {_fmt(row[1])}\n")
+
+
+def ref_write_events(path, events) -> None:
+    with open(path, "w") as f:
+        for ev in events:
+            f.write(json.dumps(ev, sort_keys=True) + "\n")
+
+
+def ref_save_homography(path, h, max_spacing, image_size) -> None:
+    lines = ["H"]
+    for row in h.m:
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    lines.append(f"max_spacing {max_spacing:.17g}")
+    lines.append(f"image {int(image_size[0])} {int(image_size[1])}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+# Values whose text is easy to get wrong: signed zero, subnormals, the ends of the
+# float range, integer-valued floats (printed without a point), and values that
+# need all 17 digits.
+SPECIAL = (-0.0, 0.0, 5e-324, -2.5e-320, 1e308, -1e308, 3.0, -7.0, 1e16, 2.0**53 + 2.0, 0.1, 1 / 3)
+POSITIVE = (5e-324, 2.5e-320, 1e308, 3.0, 1e16, 0.1, 1 / 3)
+
+
+class TestWritersMatchReference:
+    """Byte equality with the reference writers on seeded random rows."""
+
+    @staticmethod
+    def value(rng, choices=SPECIAL):
+        """A special value or a random one, as a Python float or an np.float64."""
+        v = float(rng.choice(choices)) if rng.random() < 0.5 else float(rng.normal(0.0, 1e3))
+        if choices is POSITIVE:
+            v = abs(v) or 1.0
+        return np.float64(v) if rng.random() < 0.5 else v
+
+    def values(self, rng, n, choices=SPECIAL):
+        return [self.value(rng, choices) for _ in range(n)]
+
+    @staticmethod
+    def frame_id(rng):
+        """Integers as int, np.int64 or an integer-valued float."""
+        kind = (int, np.int64, float)[int(rng.integers(3))]
+        return kind(int(rng.integers(0, 500))), kind(int(rng.integers(-1, 50)))
+
+    def box(self, rng, conf):
+        left, top = self.values(rng, 2)
+        w, h = self.values(rng, 2, POSITIVE)
+        return PixelBox(left, top, w, h, confidence=conf)
+
+    @staticmethod
+    def assert_same(tmp_path, write, ref, *args):
+        write(tmp_path / "new.txt", *args)
+        ref(tmp_path / "ref.txt", *args)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_detections(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(60):
+            frame, tid = self.frame_id(rng)
+            conf = 1.0 if rng.random() < 0.3 else self.value(rng)
+            world = (-1.0, -1.0, -1.0) if rng.random() < 0.3 else tuple(self.values(rng, 3))
+            records.append(MotRecord(frame, tid, self.box(rng, conf), world))
+        self.assert_same(tmp_path, write_detections, ref_write_detections, records)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gt(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(60):
+            frame, tid = self.frame_id(rng)
+            records.append(GtRecord(frame, tid, self.box(rng, 1.0), self.value(rng)))
+        self.assert_same(tmp_path, write_gt, ref_write_gt, records)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cloud_and_correspondences(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        pts = np.array(self.values(rng, 90)).reshape(30, 3)
+        px = np.array(self.values(rng, 60)).reshape(30, 2)
+        self.assert_same(tmp_path, write_cloud, ref_write_cloud, pts)
+        self.assert_same(tmp_path, write_cloud, ref_write_cloud, pts.tolist())
+        self.assert_same(tmp_path, write_correspondences, ref_write_correspondences, px, pts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 16])
+    def test_appearance(self, tmp_path, seed, dim):
+        rng = np.random.default_rng(seed)
+        vectors = [self.values(rng, dim) for _ in range(20)]
+        vectors = [np.array(v) if i % 2 else v for i, v in enumerate(vectors)]
+        self.assert_same(tmp_path, write_appearance, ref_write_appearance, vectors)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ego(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ego = EgomotionTrack(np.vstack([[-0.0, 0.0], np.reshape(self.values(rng, 58), (29, 2))]))
+        self.assert_same(tmp_path, write_ego, ref_write_ego, ego)
+
+    def test_events(self, tmp_path):
+        events = [{"frame": 3, "score": 1 / 3, "reason": "new", "branch_id": None}] * 3
+        self.assert_same(tmp_path, write_events, ref_write_events, events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_homography(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        h = Homography(np.eye(3) + np.array(self.values(rng, 9)).reshape(3, 3) * 1e-3)
+        spacing, size = self.value(rng, POSITIVE), self.frame_id(rng)
+        self.assert_same(tmp_path, save_homography, ref_save_homography, h, spacing, size)

@@ -86,6 +86,29 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     )
 
 
+def test_geometry_from_top_level_names():
+    # frame_geometry and BranchTable build the geometry that both exported
+    # functions take; everything here comes from the package namespace.
+    import bevtrack as bt
+
+    lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
+    mask = np.ones((200, 200), bool)
+    scene = bt.SceneModel(mask=mask, cell_size=1.0, origin=np.zeros(2), lh=lh, fps=1.0)
+    # seen at (50, 100) on frame 0, forecast at 1 m/s along x; a detection at (51, 100) on frame 1
+    seen = bt.Detection(0, bt.PixelBox(44.0, 76.0, 12.0, 24.0), bev=np.array([50.0, 100.0]))
+    fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
+    track = bt.Track(id=1, history=[(0, seen)], last_appearance=None, forecast=fc)
+    dets = [bt.Detection(1, bt.PixelBox(45.0, 76.0, 12.0, 24.0), bev=np.array([51.0, 100.0]))]
+    config = bt.RunConfig()
+    table = bt.BranchTable.of([track], fps=1.0)
+    geometry = bt.frame_geometry(table, bt.ltwh([d.box for d in dets]), scene, 1, config)
+    bt.prune_forecasts(geometry, config, scene.fps)
+    assert table.alive.tolist() == [True] and table.streak.tolist() == [1]
+    scores, branch = bt.build_cost_matrix([track], dets, config, geometry)
+    assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
+    assert {"BranchTable", "frame_geometry"} <= set(bt.__all__)
+
+
 class TestDetectionValidation:
     def test_appearance_must_be_unit(self):
         with pytest.raises(ValueError):
