@@ -6,8 +6,11 @@ with a fresh id. The walkthrough shows how the same frames produce the switch
 counts, lost-interval split, occlusion events, and bucketed identity recall.
 """
 
+import numpy as np
+
 from bevtrack.boxes import PixelBox
 from bevtrack.evaluation import (
+    box_records,
     count_lost,
     count_switches,
     id_recall,
@@ -38,10 +41,12 @@ def report(name, gt, vis, hyp):
     # only visible ground truth takes part in matching
     visible = {(f, i) for f, i, v in vis if v >= 0.25}
     gt_vis = [(f, i, b) for f, i, b in gt if (f, i) in visible]
-    matches = match_frames(gt_vis, hyp, iou_threshold=0.5)
+    # the metrics take arrays: (frame, id, box) for boxes, (frame, id, fraction) for visibility
+    matches = match_frames(box_records(gt_vis), box_records(hyp), iou_threshold=0.5)
     idsw, idtr = count_switches(matches)
     short, long_ = count_lost(matches, fps=FPS)
-    events = occlusion_components(vis, fps=FPS, threshold=0.25, window=5)
+    vis_arrays = tuple(np.array(column) for column in zip(*vis))
+    events = occlusion_components(vis_arrays, fps=FPS, threshold=0.25, window=5)
     buckets = id_recall(events, matches, buckets=(0.0, 1.0, 2.0, float("inf")))
     print(f"{name}:")
     print(f"  identity switches {idsw}, transfers {idtr}")

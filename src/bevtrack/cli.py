@@ -35,7 +35,7 @@ from .experiments import (
 from .evaluation import evaluate_tracking
 from .forecast import forecast as run_forecast
 from .forecast import preprocess
-from .homography import load_homography, save_homography
+from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
 from .linearized import linearize
 from .simulator import build_scene_model, generate, read_scenario, write_scenario
 from .tracker import Detection, SceneModel, Tracker
@@ -57,7 +57,7 @@ def _checked(kind, accept, expected: str):
 
 
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
-_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_image_side = _checked(int, lambda v: 0 < v <= MAX_IMAGE_SIDE, f"1 to {MAX_IMAGE_SIDE} pixels")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="homography output file")
     sp.add_argument("--max-spacing", type=_positive, help="overrides the config's max_spacing")
     sp.add_argument(
-        "--image", type=_positive_int, nargs=2, metavar=("W", "H"), default=(1920, 1080)
+        "--image", type=_image_side, nargs=2, metavar=("W", "H"), default=(1920, 1080)
     )
 
     sp = sub.add_parser("track", help="run the tracker over a detection file")
@@ -192,8 +192,7 @@ def _simulate(args, cfg: RunConfig):
     dets = [mot_io.MotRecord(d.frame, -1, d.box) for d in sim.detections]
     mot_io.write_detections(out("det.txt"), dets)
     mot_io.write_appearance(out("appearance.txt"), [d.appearance for d in sim.detections])
-    gt = [mot_io.GtRecord(g.frame, g.agent_id, g.box, g.visibility) for g in sim.gt]
-    mot_io.write_gt(out("gt.txt"), gt)
+    mot_io.write_gt(out("gt.txt"), sim.gt)
     mot_io.write_cloud(out("cloud.txt"), sim.cloud)
     mot_io.write_correspondences(out("correspondences.txt"), sim.cloud_pixels, sim.cloud)
     image_size = (sc.camera.image_width, sc.camera.image_height)
@@ -294,14 +293,8 @@ def _cmd_track(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     gt = mot_io.read_gt(args.gt)
-    hyp = mot_io.read_detections(args.hyp)
-    report = evaluate_tracking(
-        [(g.frame, g.track_id, g.box) for g in gt],
-        [(r.frame, r.track_id, r.box) for r in hyp],
-        [(g.frame, g.track_id, g.visibility) for g in gt],
-        args.fps,
-        cfg,
-    )
+    hyp = [(r.frame, r.track_id, r.box) for r in mot_io.read_detections(args.hyp)]
+    report = evaluate_tracking(gt, hyp, args.fps, cfg)
     report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)

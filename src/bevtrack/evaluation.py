@@ -14,24 +14,26 @@ survival through occlusions rather than frame-level coverage:
 ``evaluate_tracking`` reads its IoU and visibility thresholds, merge window and
 buckets from a RunConfig; the functions it calls take them as arguments.
 
-Record conventions: ground truth and hypotheses are sequences of
-``(frame, id, PixelBox)``; visibility records are ``(frame, id, fraction)``.
+Record conventions: boxes are ``(frame, id, (N, 4) ltwh box)`` arrays and
+visibility is ``(frame, id, fraction)`` arrays; ``evaluate_tracking`` takes
+both from one GtTable and converts the tracker's ``(frame, id, PixelBox)``
+outputs once. Matches are three sorted arrays (``Matches``).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
-from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
+from .boxes import iou, iou_matrix, ltwh  # noqa: F401
 from .config import RunConfig
 from .errors import MissingGroundTruth
-from .mot_io import write_json
+from .mot_io import GtTable, write_json
 
 _BIG = 1e6
 
@@ -39,89 +41,78 @@ _BIG = 1e6
 # -- frame matching ----------------------------------------------------------------
 
 
-def match_frames(gt_records: Sequence, hyp_records: Sequence, iou_threshold: float) -> dict:
+class Matches(NamedTuple):
+    """Matched (frame, gt id, hyp id) triples as three arrays, sorted in that order."""
+
+    frame: np.ndarray
+    gt_id: np.ndarray
+    hyp_id: np.ndarray
+
+
+def box_records(records: Sequence) -> tuple:
+    """(frame (N,), id (N,), box (N, 4)) arrays of (frame, id, PixelBox) triples."""
+    frames, ids, boxes = zip(*records) if records else ((), (), ())
+    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), ltwh(boxes)
+
+
+def match_frames(gt: tuple, hyp: tuple, iou_threshold: float) -> Matches:
     """Per-frame gt/hyp correspondence: maximum matches, then maximum total IoU.
 
-    Pairs below the IoU threshold are never matched. Returns
-    ``{frame: [(gt_id, hyp_id), ...]}`` with pairs sorted by gt id.
+    gt and hyp are (frame, id, (N, 4) box) arrays. Each frame's rows enter the
+    assignment in (id, input) order. Pairs below the IoU threshold are never
+    matched.
     """
-    by_frame_gt: dict[int, list] = {}
-    by_frame_hyp: dict[int, list] = {}
-    for frame, gid, box in gt_records:
-        by_frame_gt.setdefault(int(frame), []).append((int(gid), box))
-    for frame, hid, box in hyp_records:
-        by_frame_hyp.setdefault(int(frame), []).append((int(hid), box))
-
-    matches: dict[int, list] = {}
-    for frame in sorted(set(by_frame_gt) | set(by_frame_hyp)):
-        gts = sorted(by_frame_gt.get(frame, []), key=lambda e: e[0])
-        hyps = sorted(by_frame_hyp.get(frame, []), key=lambda e: e[0])
-        if not gts or not hyps:
-            matches[frame] = []
-            continue
-        ov = iou_matrix(ltwh([b for _, b in gts]), ltwh([b for _, b in hyps]))
+    (gf, gid, gbox), (hf, hid, hbox) = gt, hyp
+    g_order, h_order = np.lexsort((gid, gf)), np.lexsort((hid, hf))  # stable
+    g_frames, h_frames = gf[g_order], hf[h_order]
+    both = np.intersect1d(g_frames, h_frames)
+    g_lo, g_hi = np.searchsorted(g_frames, both), np.searchsorted(g_frames, both, "right")
+    h_lo, h_hi = np.searchsorted(h_frames, both), np.searchsorted(h_frames, both, "right")
+    g_rows, h_rows = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for gs, ge, hs, he in zip(g_lo.tolist(), g_hi.tolist(), h_lo.tolist(), h_hi.tolist()):
+        gi, hi = g_order[gs:ge], h_order[hs:he]
+        ov = iou_matrix(gbox[gi], hbox[hi])
         cost = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
         rows, cols = linear_sum_assignment(cost)
-        matches[frame] = sorted(
-            (gts[i][0], hyps[j][0]) for i, j in zip(rows, cols) if cost[i, j] < _BIG
-        )
-    return matches
+        ok = cost[rows, cols] < _BIG
+        g_rows.append(gi[rows[ok]])
+        h_rows.append(hi[cols[ok]])
+    gm, hm = np.concatenate(g_rows), np.concatenate(h_rows)
+    frame, gt_id, hyp_id = gf[gm], gid[gm], hid[hm]
+    order = np.lexsort((hyp_id, gt_id, frame))
+    return Matches(frame[order], gt_id[order], hyp_id[order])
 
 
-def _gt_timelines(matches: dict) -> dict:
-    """Per gt id: sorted list of (frame, hyp_id) over its matched frames."""
-    lines: dict[int, list] = {}
-    for frame in sorted(matches):
-        for gid, hid in matches[frame]:
-            lines.setdefault(gid, []).append((frame, hid))
-    return lines
+def _changes(key: np.ndarray, value: np.ndarray) -> int:
+    """Value changes along each key's timeline, its matches in match order (a stable sort)."""
+    order = np.argsort(key, kind="stable")
+    k, v = key[order], value[order]
+    return int(((k[1:] == k[:-1]) & (v[1:] != v[:-1])).sum())
 
 
-def _hyp_timelines(matches: dict) -> dict:
-    lines: dict[int, list] = {}
-    for frame in sorted(matches):
-        for gid, hid in matches[frame]:
-            lines.setdefault(hid, []).append((frame, gid))
-    return lines
-
-
-def count_switches(matches: dict) -> tuple[int, int]:
+def count_switches(matches: Matches) -> tuple[int, int]:
     """(idsw, idtr).
 
     idsw: a ground-truth identity changes its matched hypothesis id between
     consecutive matched frames. idtr: a hypothesis id changes the ground-truth
     identity it covers (two objects sharing one track id over time).
     """
-    idsw = 0
-    for line in _gt_timelines(matches).values():
-        for (_, prev), (_, cur) in zip(line, line[1:]):
-            if cur != prev:
-                idsw += 1
-    idtr = 0
-    for line in _hyp_timelines(matches).values():
-        for (_, prev), (_, cur) in zip(line, line[1:]):
-            if cur != prev:
-                idtr += 1
-    return idsw, idtr
+    return _changes(matches.gt_id, matches.hyp_id), _changes(matches.hyp_id, matches.gt_id)
 
 
-def count_lost(matches: dict, fps: float, short_max_s: float = 2.0) -> tuple[int, int]:
+def count_lost(matches: Matches, fps: float, short_max_s: float = 2.0) -> tuple[int, int]:
     """(short, long) lost intervals per ground-truth identity.
 
     An interval is a gap between consecutive matched frames of the same gt id;
     its duration is the frame difference over fps. Gaps of at most
     ``short_max_s`` seconds count as short.
     """
-    short = 0
-    long_ = 0
-    for line in _gt_timelines(matches).values():
-        for (prev_f, _), (cur_f, _) in zip(line, line[1:]):
-            if cur_f - prev_f > 1:
-                if (cur_f - prev_f) / fps <= short_max_s:
-                    short += 1
-                else:
-                    long_ += 1
-    return short, long_
+    order = np.argsort(matches.gt_id, kind="stable")
+    gid, frame = matches.gt_id[order], matches.frame[order]
+    step = frame[1:] - frame[:-1]
+    gaps = step[(gid[1:] == gid[:-1]) & (step > 1)]
+    short = int((gaps / fps <= short_max_s).sum())
+    return short, len(gaps) - short
 
 
 # -- occlusion events ---------------------------------------------------------------
@@ -137,76 +128,57 @@ class OcclusionEvent:
     duration_s: float
 
 
-def occlusion_components(vis_records: Sequence, fps: float, threshold: float, window: int) -> list:
+def occlusion_components(vis: tuple, fps: float, threshold: float, window: int) -> list:
     """Extract occlusion events from per-frame ground-truth visibility.
 
-    Per identity, frames spanning its first to last record are binarized as
-    visible (fraction >= threshold) or hidden; frames missing from the records
-    inside the span count as hidden. Hidden runs separated by fewer than
-    ``window`` visible frames merge into one event (brief flickers of
-    visibility do not split an occlusion). Runs touching the span boundary are
-    dropped; the rest become events with their flanking visible frames.
+    vis is (frame, id, visibility) arrays; of two rows for one (frame, id),
+    the later counts. Per identity, frames spanning its first to last record
+    are binarized as visible (fraction >= threshold) or hidden; frames missing
+    from the records inside the span count as hidden. Hidden runs separated by
+    fewer than ``window`` visible frames merge into one event (brief flickers
+    of visibility do not split an occlusion). Runs touching the span boundary
+    are dropped; the rest become events with their flanking visible frames.
+
+    So an event lies between two consecutive solid blocks of one identity:
+    runs of visible frames at least ``window`` long or touching the span ends.
 
     The extraction is idempotent: re-running it on a signal whose merged runs
     were zeroed out yields the same events.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    per_id: dict[int, dict[int, float]] = {}
-    for frame, aid, vis in vis_records:
-        per_id.setdefault(int(aid), {})[int(frame)] = float(vis)
-
-    events: list[OcclusionEvent] = []
-    for aid in sorted(per_id):
-        frames = per_id[aid]
-        lo, hi = min(frames), max(frames)
-        visible = np.array(
-            [frames.get(f, 0.0) >= threshold for f in range(lo, hi + 1)], dtype=bool
-        )
-        runs = _hidden_runs(visible)
-        runs = _merge_runs(runs, window)
-        for start, end in runs:
-            if start == 0 or end == len(visible) - 1:
-                continue  # no visible flank inside the span
-            events.append(
-                OcclusionEvent(
-                    agent_id=aid,
-                    start_frame=lo + start,
-                    end_frame=lo + end,
-                    pre_frame=lo + start - 1,
-                    post_frame=lo + end + 1,
-                    duration_s=(end - start + 1) / fps,
-                )
-            )
-    return events
+    frame, aid, fraction = (np.asarray(c) for c in vis)
+    order = np.lexsort((frame, aid))  # stable: of two rows for one (frame, id), the later is last
+    aid, frame, visible = aid[order], frame[order], fraction[order] >= threshold
+    first, last = _runs(_starts(aid))
+    span_lo, span_hi = (np.repeat(frame[i], last - first + 1) for i in (first, last))
+    keep = visible & _starts(aid[::-1], frame[::-1])[::-1]  # the last row of each (id, frame)
+    aid, frame, span_lo, span_hi = aid[keep], frame[keep], span_lo[keep], span_hi[keep]
+    first, last = _runs(_starts(aid, frame - np.arange(len(frame))))  # blocks of visible frames
+    lo, hi = frame[first], frame[last]
+    solid = (hi - lo + 1 >= window) | (lo == span_lo[first]) | (hi == span_hi[last])
+    ids, pre, post = aid[first[solid]], hi[solid], lo[solid]
+    pair = ids[1:] == ids[:-1]  # consecutive solid blocks of one identity
+    ids, pre, post = ids[1:][pair], pre[:-1][pair], post[1:][pair]
+    durations = (post - pre - 1) / fps
+    return [
+        OcclusionEvent(a, p + 1, q - 1, p, q, d)
+        for a, p, q, d in zip(ids.tolist(), pre.tolist(), post.tolist(), durations.tolist())
+    ]
 
 
-def _hidden_runs(visible: np.ndarray) -> list:
-    """Maximal runs of False as inclusive (start, end) index pairs."""
-    runs = []
-    start = None
-    for i, v in enumerate(visible):
-        if not v and start is None:
-            start = i
-        elif v and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(visible) - 1))
-    return runs
+def _starts(*columns) -> np.ndarray:
+    """Per row, whether a run starts there: the first row, or a column changes value."""
+    out = np.arange(len(columns[0])) == 0
+    for c in columns:
+        out[1:] |= c[1:] != c[:-1]
+    return out
 
 
-def _merge_runs(runs: list, window: int) -> list:
-    if not runs:
-        return []
-    merged = [runs[0]]
-    for start, end in runs[1:]:
-        prev_start, prev_end = merged[-1]
-        if start - prev_end - 1 < window:
-            merged[-1] = (prev_start, end)
-        else:
-            merged.append((start, end))
-    return merged
+def _runs(starts: np.ndarray):
+    """(first, last) row of each run, from _starts."""
+    first = np.flatnonzero(starts)
+    return first, np.append(first[1:], len(starts))[: len(first)] - 1
 
 
 # -- bucketed identity recall --------------------------------------------------------
@@ -224,36 +196,47 @@ class RecallBucket:
         return self.recovered / self.total if self.total else None
 
 
-def id_recall(events: Sequence, matches: dict, buckets: Sequence) -> list:
+def _keys(gt_id, frame) -> np.ndarray:
+    """(gt id, frame) pairs as one structured array, which sorts and compares as pairs."""
+    out = np.empty(len(gt_id), dtype=[("gt_id", np.int64), ("frame", np.int64)])
+    out["gt_id"], out["frame"] = gt_id, frame
+    return out
+
+
+def id_recall(events: Sequence, matches: Matches, buckets: Sequence) -> list:
     """Fraction of occlusion events whose identity survives, by duration bucket.
 
     An event counts as recovered when its ground-truth identity is matched at
-    both flanking visible frames and to the same hypothesis id.
+    both flanking visible frames and to the same hypothesis id (where a frame
+    matches the identity twice, the later match in match order counts).
     """
     edges = list(buckets)
-    if len(edges) < 2 or any(nxt <= prev for prev, nxt in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(nxt > prev for prev, nxt in zip(edges, edges[1:])):
         raise ValueError("buckets must be strictly increasing with at least two edges")
-    lines = _gt_timelines(matches)
-    per_gt = {gid: dict(line) for gid, line in lines.items()}
-    totals = [0] * (len(edges) - 1)
-    recovered = [0] * (len(edges) - 1)
-    for ev in events:
-        b = None
-        for k in range(len(edges) - 1):
-            if edges[k] <= ev.duration_s < edges[k + 1]:
-                b = k
-                break
-        if b is None:
-            continue
-        totals[b] += 1
-        line = per_gt.get(ev.agent_id, {})
-        pre = line.get(ev.pre_frame)
-        post = line.get(ev.post_frame)
-        if pre is not None and post is not None and pre == post:
-            recovered[b] += 1
+    order = np.lexsort((matches.frame, matches.gt_id))  # stable: match order within a key
+    keys, hyp = _keys(matches.gt_id[order], matches.frame[order]), matches.hyp_id[order]
+    aid = np.array([ev.agent_id for ev in events], dtype=np.int64)
+
+    def last_match(frames):
+        """Index in keys of the identity's last match at each frame, and whether there is one."""
+        q = _keys(aid, np.array(frames, dtype=np.int64))
+        k = np.searchsorted(keys, q, "right") - 1
+        ok = k >= 0
+        ok[ok] = keys[k[ok]] == q[ok]
+        return k, ok
+
+    pre, pre_ok = last_match([ev.pre_frame for ev in events])
+    post, post_ok = last_match([ev.post_frame for ev in events])
+    same = pre_ok & post_ok
+    same[same] = hyp[pre[same]] == hyp[post[same]]
+    durations = np.array([ev.duration_s for ev in events], dtype=float)
+    b = np.searchsorted(np.array(edges, dtype=float), durations, "right") - 1
+    inside = (b >= 0) & (b < len(edges) - 1)
+    totals = np.bincount(b[inside], minlength=len(edges) - 1)
+    recovered = np.bincount(b[inside & same], minlength=len(edges) - 1)
     return [
-        RecallBucket(lo=edges[k], hi=edges[k + 1], total=totals[k], recovered=recovered[k])
-        for k in range(len(edges) - 1)
+        RecallBucket(lo=lo, hi=hi, total=t, recovered=r)
+        for lo, hi, t, r in zip(edges, edges[1:], totals.tolist(), recovered.tolist())
     ]
 
 
@@ -348,20 +331,21 @@ class EvalReport:
 
 
 def evaluate_tracking(
-    gt_records: Sequence,
-    hyp_records: Sequence,
-    vis_records: Sequence,
-    fps: float,
-    config: RunConfig,
+    gt: GtTable, hyp_records: Sequence, fps: float, config: RunConfig
 ) -> EvalReport:
     """Full metric pass: matching, identity errors, bucketed event recall.
 
-    Reads iou_threshold, vis_threshold, window and buckets from config.
+    hyp_records are (frame, id, PixelBox) triples; the ground truth's own
+    visibility gives the occlusion events. Reads iou_threshold, vis_threshold,
+    window and buckets from config.
     """
-    matches = match_frames(gt_records, hyp_records, config.iou_threshold)
+    matches = match_frames(
+        (gt.frame, gt.agent_id, gt.box), box_records(hyp_records), config.iou_threshold
+    )
     idsw, idtr = count_switches(matches)
     lost_s, lost_l = count_lost(matches, fps)
-    events = occlusion_components(vis_records, fps, config.vis_threshold, config.window)
+    vis = (gt.frame, gt.agent_id, gt.visibility)
+    events = occlusion_components(vis, fps, config.vis_threshold, config.window)
     bucket_rows = id_recall(events, matches, config.buckets)
     return EvalReport(
         idsw=idsw,
@@ -369,7 +353,7 @@ def evaluate_tracking(
         id_lost_short=lost_s,
         id_lost_long=lost_l,
         buckets=bucket_rows,
-        n_gt=len(gt_records),
+        n_gt=len(gt),
         n_hyp=len(hyp_records),
-        n_matched=sum(len(v) for v in matches.values()),
+        n_matched=len(matches.frame),
     )

@@ -331,10 +331,7 @@ def pixel_baseline_config(config: RunConfig) -> RunConfig:
 
 def evaluate_sim(sim: SimOutput, outputs: list, config: RunConfig) -> EvalReport:
     """Score the tracker's (frame, id, box) outputs against the simulated ground truth."""
-    gt_records = [(g.frame, g.agent_id, g.box) for g in sim.gt]
-    return evaluate_tracking(
-        gt_records, outputs, sim.visibility_records(), sim.scenario.fps, config
-    )
+    return evaluate_tracking(sim.gt, outputs, sim.scenario.fps, config)
 
 
 def aggregate_buckets(reports: list) -> list:

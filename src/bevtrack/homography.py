@@ -10,6 +10,7 @@ from .errors import DegenerateInput, ParseError
 from .mot_io import _lines, _numbers, _write_rows
 
 RANK_RTOL = 1e-9  # relative cutoff on the second-smallest singular value of the DLT system
+MAX_IMAGE_SIDE = 65536  # pixels; the linearized map keeps arrays one entry per column
 
 
 class Homography:
@@ -169,6 +170,8 @@ def load_homography(path) -> tuple[Homography, float, tuple[int, int]]:
         raise ParseError(
             f"{path}:{n_im}: image size must be positive integers, got {im[1]} {im[2]}"
         )
+    if max(size) > MAX_IMAGE_SIDE:
+        raise ParseError(f"{path}:{n_im}: image size {im[1]} {im[2]} too large")
     try:
         return Homography(np.array(matrix)), spacing, (int(size[0]), int(size[1]))
     except (DegenerateInput, ValueError) as e:

@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from .errors import HorizonInsideFootprint, OutOfDomain
-from .homography import Homography
+from .homography import MAX_IMAGE_SIDE, Homography
 
 _EDGE_TOL = 1e-9  # slack when deciding which piece a query point belongs to
 
@@ -51,6 +51,8 @@ class LinearizedHomography:
         w, ht = int(image_size[0]), int(image_size[1])
         if w <= 0 or ht <= 0:
             raise ValueError("image size must be positive")
+        if max(w, ht) > MAX_IMAGE_SIDE:
+            raise ValueError(f"image size {w} x {ht} too large (at most {MAX_IMAGE_SIDE} a side)")
         self.h = h
         self.max_spacing = float(max_spacing)
         self.image_size = (w, ht)

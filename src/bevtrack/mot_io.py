@@ -95,6 +95,8 @@ def _box_rows(path, n_fields: int) -> list:
         for name, v in (("frame", vals[0]), ("id", vals[1])):
             if not v.is_integer():
                 raise ParseError(f"{path}:{lineno}: {name} must be an integer")
+            if abs(v) > 2**53:  # beyond it a float skips integers
+                raise ParseError(f"{path}:{lineno}: {name} must be at most 2**53 in size")
         if vals[4] <= 0 or vals[5] <= 0:
             warnings.warn(
                 f"{path}:{lineno}: dropping box with non-positive size", NonPositiveBox, stacklevel=3
@@ -145,24 +147,33 @@ def read_detections(path) -> list:
 _GT_FMT = "%d,%d,%.17g,%.17g,%.17g,%.17g,1,1,%.17g"
 
 
-@dataclass(frozen=True)
-class GtRecord:
-    frame: int
-    track_id: int
-    box: PixelBox
-    visibility: float
+@dataclass
+class GtTable:
+    """Ground truth, one row per (frame, agent) entry, as a struct of arrays."""
+
+    frame: np.ndarray  # (N,) int
+    agent_id: np.ndarray  # (N,) int
+    box: np.ndarray  # (N, 4) left, top, width, height
+    bev: np.ndarray  # (N, 2) world-fixed ground point; NaN when read from a file
+    visibility: np.ndarray  # (N,) unoccluded fraction of the box
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
-def write_gt(path, records: Sequence) -> None:
-    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
-    _write_rows(path, _GT_FMT, ((r.frame, r.track_id, *_ltwh(r.box), r.visibility) for r in rows))
+def write_gt(path, gt: GtTable) -> None:
+    """Rows in (frame, id) order; rows of one (frame, id) keep the table's order."""
+    order = np.lexsort((gt.agent_id, gt.frame))
+    columns = (gt.frame[order], gt.agent_id[order], *gt.box[order].T, gt.visibility[order])
+    _write_rows(path, _GT_FMT, zip(*(c.tolist() for c in columns)))
 
 
-def read_gt(path) -> list:
-    return [
-        GtRecord(frame, track_id, PixelBox(*vals[2:6]), visibility=vals[8])
-        for frame, track_id, vals in _box_rows(path, 9)
-    ]
+def read_gt(path) -> GtTable:
+    """The file's rows in file order; the file has no BEV column, so bev is NaN."""
+    rows = _box_rows(path, 9)
+    frame, agent_id = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
+    vals = np.array([v for _, _, v in rows], dtype=float).reshape(-1, 9)
+    return GtTable(frame, agent_id, vals[:, 2:6], np.full((len(rows), 2), np.nan), vals[:, 8])
 
 
 # -- point clouds and correspondences -------------------------------------------------

@@ -16,9 +16,11 @@ block, one stacked product projects every agent box, one array test keeps for
 each box the covers that stand lower and overlap it, one exact sweep
 (``covered_fractions``) per cover count gives the covered boxes' visibility,
 and one ``rng.normal`` call draws the noise of every detection, in the order
-one detection at a time draws it. The ground cloud is rejection-sampled in
-blocks of draws; with cloud noise, one draw at a time, so each kept point's
-noise still follows its pair.
+one detection at a time draws it. The ground truth is one GtTable, a struct
+of arrays with a row per agent and frame in (frame, agent id) order; each
+block fills its rows' boxes and visibility, and no object is built per row.
+The ground cloud is rejection-sampled in blocks of draws; with cloud noise,
+one draw at a time, so each kept point's noise still follows its pair.
 Every output is bit-identical to one frame, one agent and one draw at a time.
 
 Everything is deterministic for a fixed scenario seed. A scenario from JSON
@@ -39,8 +41,8 @@ from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
 from .config import VISIBILITY_CUTOFF, _is_number
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
-from .homography import Homography
-from .mot_io import read_json, write_json
+from .homography import MAX_IMAGE_SIDE, Homography
+from .mot_io import GtTable, read_json, write_json
 from .tracker import SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
@@ -109,7 +111,8 @@ class Scenario:
             _check(0 < getattr(cam, name) < math.inf, f"camera.{name} must be positive and finite")
         _check(math.isfinite(cam.tilt_deg), "camera.tilt_deg must be finite")
         for name in ("image_width", "image_height"):
-            _check(getattr(cam, name) >= 1, f"camera.{name} must be at least 1")
+            v = getattr(cam, name)
+            _check(1 <= v <= MAX_IMAGE_SIDE, f"camera.{name} must be in [1, {MAX_IMAGE_SIDE}]")
         for name in ("fps", "duration", "ground_extent"):
             _check(0 < getattr(self, name) < math.inf, f"{name} must be positive and finite")
         _check(math.isfinite(self.duration * self.fps), "duration * fps must be finite")
@@ -158,26 +161,14 @@ class SimDetection:
 
 
 @dataclass
-class GtEntry:
-    frame: int
-    agent_id: int
-    box: PixelBox
-    bev: np.ndarray  # world-fixed ground point
-    visibility: float
-
-
-@dataclass
 class SimOutput:
     scenario: Scenario
     detections: list
-    gt: list
+    gt: GtTable  # every agent at every frame, in (frame, agent id) order
     cloud: np.ndarray  # (N, 3) camera-frame ground points
     cloud_pixels: np.ndarray  # (N, 2) pixels of the same points
     homography: Homography  # exact pixel -> camera-foot BEV
     ego: EgomotionTrack
-
-    def visibility_records(self):
-        return [(g.frame, g.agent_id, g.visibility) for g in self.gt]
 
 
 # -- camera geometry --------------------------------------------------------------
@@ -296,9 +287,10 @@ def generate(scenario: Scenario) -> SimOutput:
     noisy = scales > 0
 
     detections: list[SimDetection] = []
-    gt: list[GtEntry] = []
     times = np.arange(n_frames) / scenario.fps
     paths = np.array([agent_position(a, times) for a in agents]).reshape(len(agents), n_frames, 2)
+    boxes_ltwh = np.empty((n_frames, len(agents), 4))  # filled block by block
+    visibilities = np.empty((n_frames, len(agents)))
     half_w = np.array([a.width for a in agents], dtype=float) / 2.0
     # z of each agent's four box corners: two at the feet, two at the head
     corner_z = np.array([a.height for a in agents], dtype=float)[:, None] * [0.0, 0.0, 1.0, 1.0]
@@ -333,10 +325,8 @@ def generate(scenario: Scenario) -> SimOutput:
             rows, ci = np.nonzero(hit[fi, ai])
             chosen = covers[fi[rows], ci].reshape(-1, c, 4)
             visibility[fi, ai] = 1.0 - covered_fractions(ltwh[fi, ai], chosen)
-        bevs = paths[:, frames].transpose(1, 0, 2)
-        cells = zip(np.ndindex(count.shape), ltwh.reshape(-1, 4), visibility.ravel())
-        for (f, i), box, vis in cells:
-            gt.append(GtEntry(f0 + f, agents[i].id, PixelBox(*box), bevs[f, i].copy(), vis))
+        boxes_ltwh[frames] = ltwh
+        visibilities[frames] = visibility
 
         in_frame = (rects[..., 2:] > 0).all(-1) & (lo < [cam.image_width, cam.image_height]).all(-1)
         fe, ae = np.nonzero((visibility >= VISIBILITY_CUTOFF) & in_frame)
@@ -353,6 +343,13 @@ def generate(scenario: Scenario) -> SimOutput:
 
     cloud_cam, cloud_px = _sample_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise
+    )
+    gt = GtTable(
+        frame=np.repeat(np.arange(n_frames), len(agents)),
+        agent_id=np.tile(np.array([a.id for a in agents], dtype=np.int64), n_frames),
+        box=boxes_ltwh.reshape(-1, 4),
+        bev=paths.transpose(1, 0, 2).reshape(-1, 2),
+        visibility=visibilities.ravel(),
     )
     return SimOutput(
         scenario=scenario,

@@ -379,13 +379,24 @@ class Tracker:
     # -- the per-frame update --------------------------------------------------
 
     def run(self, by_frame: dict, frames) -> tuple[list, list]:
-        """step() over frames in order, with by_frame's detections (none if absent)."""
-        outputs: list = []
-        events: list = []
-        for f in frames:
+        """step() over the ascending sequence frames, with by_frame's detections (none if absent).
+
+        While no track is held, a frame without detections is skipped (its
+        step would return nothing): the run jumps to the next detection frame.
+        """
+        outputs, events = [], []
+        busy = sorted(f for f, dets in by_frame.items() if dets)
+        i = 0
+        while i < len(frames):
+            f = frames[i]
+            if not self.tracks and not by_frame.get(f):
+                k = bisect.bisect_left(busy, f)
+                i = bisect.bisect_left(frames, busy[k]) if k < len(busy) else len(frames)
+                continue
             out, ev = self.step(by_frame.get(f, []), f)
             outputs.extend(out)
             events.extend(ev)
+            i += 1
         return outputs, events
 
     def step(self, detections: list[Detection], frame: int):

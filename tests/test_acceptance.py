@@ -17,6 +17,7 @@ import pytest
 from bevtrack.boxes import PixelBox, iou
 from bevtrack.config import DEFAULT_BUCKETS, RunConfig
 from bevtrack.evaluation import (
+    box_records,
     count_lost,
     count_switches,
     fde,
@@ -57,6 +58,8 @@ from bevtrack.tracker import (
 )
 from bevtrack.egomotion import EgomotionTrack, estimate_egomotion
 
+from test_evaluation import vis_arrays
+from test_evaluation_reference import frames_of
 from test_tracker import cost_matrix, inactive_track, make_scene
 
 
@@ -135,23 +138,22 @@ def endpoint_recall(sims, outputs_per_scene, cfg, min_s=0.0):
         lh = linearize(
             sim.homography, (cam.image_width, cam.image_height), cfg.max_spacing
         )
+        gt = sim.gt
         events = occlusion_components(
-            sim.visibility_records(),
+            (gt.frame, gt.agent_id, gt.visibility),
             sim.scenario.fps,
             threshold=VISIBILITY_CUTOFF,
             window=cfg.window,
         )
         matches = match_frames(
-            [(g.frame, g.agent_id, g.box) for g in sim.gt],
-            [(f, i, b) for f, i, b in outputs],
-            cfg.iou_threshold,
+            (gt.frame, gt.agent_id, gt.box), box_records(outputs), cfg.iou_threshold
         )
         per_gt = {}
-        for fr, pairs in matches.items():
+        for fr, pairs in frames_of(matches).items():
             for gid, hid in pairs:
                 per_gt.setdefault(gid, {})[fr] = hid
         hyp_by = {(f, i): b for f, i, b in outputs}
-        gt_by = {(g.frame, g.agent_id): g for g in sim.gt}
+        gt_by = {key: k for k, key in enumerate(zip(gt.frame.tolist(), gt.agent_id.tolist()))}
         for ev in events:
             if ev.duration_s <= min_s:
                 continue
@@ -160,11 +162,11 @@ def endpoint_recall(sims, outputs_per_scene, cfg, min_s=0.0):
             if hid is None:
                 continue
             box = hyp_by.get((ev.post_frame, hid))
-            g = gt_by.get((ev.post_frame, ev.agent_id))
-            if box is None or g is None:
+            k = gt_by.get((ev.post_frame, ev.agent_id))
+            if box is None or k is None:
                 continue
             bev = lh.px_to_bev(np.array([box.bottom_center]))[0]
-            if iou(box, g.box) > 0.5 or float(np.linalg.norm(bev - g.bev)) < 2.0:
+            if iou(box, PixelBox(*gt.box[k])) > 0.5 or float(np.linalg.norm(bev - gt.bev[k])) < 2.0:
                 recovered += 1
     return recovered, total
 
@@ -541,10 +543,11 @@ def test_metrics_match_naive_recomputation():
     for trial in range(50):
         rng = np.random.default_rng(7000 + trial)
         gt, hyp, vis = random_tracking_fixture(rng)
-        matches = match_frames(gt, hyp, 0.5)
-        assert count_switches(matches) == brute_switch_counts(matches)
-        assert count_lost(matches, fps=20.0) == brute_lost_counts(matches, fps=20.0)
-        events = occlusion_components(vis, fps=20.0, threshold=0.1, window=5)
+        matches = match_frames(box_records(gt), box_records(hyp), 0.5)
+        by_frame = frames_of(matches)
+        assert count_switches(matches) == brute_switch_counts(by_frame)
+        assert count_lost(matches, fps=20.0) == brute_lost_counts(by_frame, fps=20.0)
+        events = occlusion_components(vis_arrays(vis), fps=20.0, threshold=0.1, window=5)
         got = [
             (e.agent_id, e.start_frame, e.end_frame, e.pre_frame, e.post_frame, e.duration_s)
             for e in events
@@ -553,7 +556,7 @@ def test_metrics_match_naive_recomputation():
         buckets = id_recall(events, matches, DEFAULT_BUCKETS)
         assert [
             (b.lo, b.hi, b.total, b.recovered) for b in buckets
-        ] == brute_id_recall(events, matches, DEFAULT_BUCKETS)
+        ] == brute_id_recall(events, by_frame, DEFAULT_BUCKETS)
     elapsed = time.perf_counter() - t0
     criterion(
         "metric-oracles",

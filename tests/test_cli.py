@@ -1,18 +1,20 @@
 import copy
 import json
 import os
+import time
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from bevtrack.cli import main
+from bevtrack.cli import _free_scene, main
 from bevtrack.config import RunConfig
 from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import load_homography
 from bevtrack.linearized import linearize
-from bevtrack.mot_io import read_detections
+from bevtrack.mot_io import read_detections, records_from_outputs, write_detections, write_events
 from bevtrack.simulator import AgentSpec, CameraSpec, Occluder, Scenario, write_scenario
+from bevtrack.tracker import Detection, Tracker
 
 
 def small_scenario():
@@ -203,6 +205,40 @@ class TestTrack:
         assert code == 0
         ids = {r.track_id for r in read_detections(os.path.join(out, "track.txt"))}
         assert len(ids) >= 2
+
+    def test_idle_gap_is_skipped_not_stepped(self, sim_dir, tmp_path):
+        """Detections at frames 0-2 and 10**9: the run jumps the idle gap, and
+        writes what stepping every frame writes with the far frame at 20,000."""
+        far = 10**9
+        rows = open(os.path.join(sim_dir, "det.txt")).read().splitlines()
+        near = [r for r in rows if int(r.split(",")[0]) <= 2]
+        last = [r.split(",", 1)[1] for r in rows if int(r.split(",")[0]) == 3]
+        det = tmp_path / "det.txt"
+        det.write_text("\n".join(near + [f"{far},{r}" for r in last]) + "\n")
+        out = tmp_path / "out"
+        homography = os.path.join(sim_dir, "homography.txt")
+        t0 = time.perf_counter()
+        args = ["track", "--det", str(det), "--homography", homography, "--out", str(out)]
+        assert main(args) == 0
+        assert time.perf_counter() - t0 < 30.0  # stepping every frame would take hours
+
+        cfg = RunConfig()
+        h, max_spacing, image_size = load_homography(homography)
+        tracker = Tracker(_free_scene(linearize(h, image_size, max_spacing), cfg, 20.0), cfg)
+        by_frame = {}
+        for r in read_detections(det):
+            frame = 20000 if r.frame == far else r.frame
+            by_frame.setdefault(frame, []).append(Detection(frame=frame, box=r.box))
+        outputs, events = [], []
+        for f in range(20001):
+            o, e = tracker.step(by_frame.get(f, []), f)
+            outputs += [(far if fr == 20000 else fr, i, b) for fr, i, b in o]
+            events += [{**ev, "frame": far if ev["frame"] == 20000 else ev["frame"]} for ev in e]
+        assert any(ev["reason"].startswith("removed_") for ev in events)  # then idle
+        write_detections(tmp_path / "track.txt", records_from_outputs(outputs))
+        write_events(tmp_path / "events.jsonl", events)
+        for name in ("track.txt", "events.jsonl"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_ingest_mode_heals_upstream_ids(self, sim_dir, tmp_path):
         # fabricate upstream ids that change across the occlusion gap
@@ -669,7 +705,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "flag", [("--max-spacing", "0"), ("--max-spacing", "-1"), ("--max-spacing", "nan"),
                  ("--max-spacing", "inf"), ("--image", "0", "10"), ("--image", "-5", "10"),
-                 ("--image", "10", "wide")],
+                 ("--image", "10", "wide"), ("--image", "65537", "10")],
     )
     def test_calibrate_non_positive_geometry_exits_2(self, sim_dir, tmp_path, capsys, flag):
         out = tmp_path / "h.txt"
@@ -708,7 +744,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize(
         "line, value", [(5, "max_spacing 0"), (5, "max_spacing nan"), (6, "image 0 1080"),
-                        (6, "image -5 10"), (5, "max_spacing abc"), (6, "image wide 1080")],
+                        (6, "image -5 10"), (5, "max_spacing abc"), (6, "image wide 1080"),
+                        (6, "image 1000000000000000 1080")],
     )
     def test_bad_homography_file_is_code_1(self, sim_dir, tmp_path, capsys, line, value):
         with open(os.path.join(sim_dir, "homography.txt")) as f:

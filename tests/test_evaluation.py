@@ -11,7 +11,9 @@ from bevtrack.config import DEFAULT_BUCKETS, RunConfig
 from bevtrack.errors import MissingGroundTruth
 from bevtrack.evaluation import (
     EvalReport,
+    Matches,
     OcclusionEvent,
+    box_records,
     count_lost,
     count_switches,
     evaluate_tracking,
@@ -21,32 +23,58 @@ from bevtrack.evaluation import (
     occlusion_components,
 )
 from bevtrack.forecast import Forecast
+from bevtrack.mot_io import GtTable
+from test_evaluation_reference import table_of
 
 
 def B(left, top=0.0, w=10.0, h=10.0):
     return PixelBox(left, top, w, h)
 
 
+def match_lists(gt, hyp, iou_threshold):
+    """match_frames on (frame, id, PixelBox) lists, as a list of (frame, gt id, hyp id)."""
+    m = match_frames(box_records(gt), box_records(hyp), iou_threshold)
+    return list(zip(m.frame.tolist(), m.gt_id.tolist(), m.hyp_id.tolist()))
+
+
+def matches_of(by_frame: dict) -> Matches:
+    """Matches from ``{frame: [(gt_id, hyp_id), ...]}``, sorted as match_frames sorts them."""
+    rows = sorted((f, g, h) for f, pairs in by_frame.items() for g, h in pairs)
+    return Matches(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def vis_arrays(records) -> tuple:
+    """(frame, id, visibility) arrays of (frame, id, visibility) records."""
+    frames, ids, vis = zip(*records) if records else ((), (), ())
+    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), np.array(vis, float)
+
+
+def gt_table(gt, vis) -> GtTable:
+    """A GtTable of gt (frame, id, box) and vis (frame, id, fraction) lists of the same rows."""
+    assert [(f, i) for f, i, _ in gt] == [(f, i) for f, i, _ in vis]
+    return table_of([(f, i, b, v) for (f, i, b), (_, _, v) in zip(gt, vis)])
+
+
 class TestMatchFrames:
     def test_single_pair_above_threshold(self):
-        m = match_frames([(0, 1, B(0))], [(0, 7, B(1))], iou_threshold=0.5)
-        assert m == {0: [(1, 7)]}
+        m = match_lists([(0, 1, B(0))], [(0, 7, B(1))], iou_threshold=0.5)
+        assert m == [(0, 1, 7)]
 
     def test_below_threshold_unmatched(self):
-        m = match_frames([(0, 1, B(0))], [(0, 7, B(8))], iou_threshold=0.5)
-        assert m == {0: []}
+        m = match_lists([(0, 1, B(0))], [(0, 7, B(8))], iou_threshold=0.5)
+        assert m == []
 
     def test_maximum_matches_beat_greedy_iou(self):
         # hyp 7 overlaps both gts, hyp 8 only gt 1; taking the single best
         # IoU pair (1, 7) would strand gt 2
         gt = [(0, 1, B(0)), (0, 2, B(6))]
         hyp = [(0, 7, B(3)), (0, 8, B(1))]
-        m = match_frames(gt, hyp, iou_threshold=0.5)
-        assert m == {0: [(1, 8), (2, 7)]}
+        m = match_lists(gt, hyp, iou_threshold=0.5)
+        assert m == [(0, 1, 8), (0, 2, 7)]
 
-    def test_empty_frames_present(self):
-        m = match_frames([(0, 1, B(0))], [(1, 7, B(0))], iou_threshold=0.5)
-        assert m == {0: [], 1: []}
+    def test_frames_with_one_side_match_nothing(self):
+        m = match_lists([(0, 1, B(0))], [(1, 7, B(0))], iou_threshold=0.5)
+        assert m == []
 
     def test_matches_brute_force(self):
         # maximum cardinality, then maximum total IoU, on random frames
@@ -55,7 +83,7 @@ class TestMatchFrames:
             n, m_ = rng.integers(1, 5, 2)
             gts = [(0, i + 1, B(rng.uniform(0, 30), rng.uniform(0, 5))) for i in range(n)]
             hyps = [(0, 100 + j, B(rng.uniform(0, 30), rng.uniform(0, 5))) for j in range(m_)]
-            got = match_frames(gts, hyps, iou_threshold=0.3)[0]
+            got = [(g, h) for _, g, h in match_lists(gts, hyps, iou_threshold=0.3)]
 
             gb = {g[1]: g[2] for g in gts}
             hb = {h[1]: h[2] for h in hyps}
@@ -77,56 +105,56 @@ class TestMatchFrames:
     def test_pairs_sorted_by_gt_id(self):
         gt = [(0, 5, B(20)), (0, 2, B(0))]
         hyp = [(0, 9, B(20)), (0, 3, B(0))]
-        m = match_frames(gt, hyp, iou_threshold=0.5)
-        assert m[0] == [(2, 3), (5, 9)]
+        m = match_lists(gt, hyp, iou_threshold=0.5)
+        assert m == [(0, 2, 3), (0, 5, 9)]
 
 
 class TestCountSwitches:
     def test_no_switch(self):
         m = {0: [(1, 10)], 1: [(1, 10)], 2: [(1, 10)]}
-        assert count_switches(m) == (0, 0)
+        assert count_switches(matches_of(m)) == (0, 0)
 
     def test_idsw_counts_gt_side_changes(self):
         m = {0: [(1, 10)], 1: [(1, 11)], 2: [(1, 11)], 3: [(1, 10)]}
-        assert count_switches(m) == (2, 0)
+        assert count_switches(matches_of(m)) == (2, 0)
 
     def test_idtr_counts_hyp_side_changes(self):
         # one hypothesis id drifts from covering gt 1 to covering gt 2
         m = {0: [(1, 10)], 1: [(2, 10)]}
-        assert count_switches(m) == (0, 1)
+        assert count_switches(matches_of(m)) == (0, 1)
 
     def test_gap_with_same_id_is_not_a_switch(self):
         m = {0: [(1, 10)], 5: [(1, 10)]}
-        assert count_switches(m) == (0, 0)
+        assert count_switches(matches_of(m)) == (0, 0)
 
     def test_mixed(self):
         m = {
             0: [(1, 10), (2, 20)],
             1: [(1, 20), (2, 10)],  # both gts swap their hyps
         }
-        assert count_switches(m) == (2, 2)
+        assert count_switches(matches_of(m)) == (2, 2)
 
 
 class TestCountLost:
     def test_no_gaps(self):
         m = {f: [(1, 10)] for f in range(5)}
-        assert count_lost(m, fps=10.0) == (0, 0)
+        assert count_lost(matches_of(m), fps=10.0) == (0, 0)
 
     def test_short_gap(self):
         m = {0: [(1, 10)], 6: [(1, 10)]}  # 0.6 s at 10 fps
-        assert count_lost(m, fps=10.0) == (1, 0)
+        assert count_lost(matches_of(m), fps=10.0) == (1, 0)
 
     def test_long_gap(self):
         m = {0: [(1, 10)], 25: [(1, 10)]}  # 2.5 s
-        assert count_lost(m, fps=10.0) == (0, 1)
+        assert count_lost(matches_of(m), fps=10.0) == (0, 1)
 
     def test_boundary_is_short(self):
         m = {0: [(1, 10)], 20: [(1, 10)]}  # exactly 2.0 s
-        assert count_lost(m, fps=10.0) == (1, 0)
+        assert count_lost(matches_of(m), fps=10.0) == (1, 0)
 
     def test_multiple_identities(self):
         m = {0: [(1, 10), (2, 20)], 6: [(1, 10)], 30: [(2, 20)]}
-        assert count_lost(m, fps=10.0) == (1, 1)
+        assert count_lost(matches_of(m), fps=10.0) == (1, 1)
 
 
 def vis_signal(values, aid=1, start=0):
@@ -136,7 +164,7 @@ def vis_signal(values, aid=1, start=0):
 class TestOcclusionComponents:
     def test_simple_event(self):
         sig = vis_signal([1, 1, 1, 0.05, 0.0, 0.05, 1, 1, 1, 1])
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=5)
         assert len(evs) == 1
         ev = evs[0]
         assert (ev.start_frame, ev.end_frame) == (3, 5)
@@ -146,38 +174,39 @@ class TestOcclusionComponents:
 
     def test_missing_interior_frames_count_hidden(self):
         sig = [(0, 1, 1.0), (1, 1, 1.0), (5, 1, 1.0), (6, 1, 1.0)]
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=5)
         assert len(evs) == 1
         assert (evs[0].start_frame, evs[0].end_frame) == (2, 4)
 
     def test_flicker_merges_within_window(self):
         sig = vis_signal([1, 1, 0, 0, 1, 0, 0, 0, 1, 1])  # 1-frame flicker at 4
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=5)
         assert len(evs) == 1
         assert (evs[0].start_frame, evs[0].end_frame) == (2, 7)
         assert evs[0].duration_s == pytest.approx(0.6)
 
     def test_no_merge_when_gap_reaches_window(self):
         sig = vis_signal([1, 1, 0, 0, 1, 1, 0, 0, 1, 1])
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=2)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=2)
         assert [(e.start_frame, e.end_frame) for e in evs] == [(2, 3), (6, 7)]
 
     def test_boundary_runs_dropped(self):
         sig = vis_signal([0, 0, 1, 1, 0, 0, 1, 0, 0])
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=1)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=1)
         assert [(e.start_frame, e.end_frame) for e in evs] == [(4, 5)]
 
     def test_threshold_inclusive_visible(self):
         sig = vis_signal([1, 0.1, 1])  # exactly at the threshold: visible
-        assert occlusion_components(sig, fps=10.0, threshold=0.1, window=5) == []
+        assert occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=5) == []
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            occlusion_components(vis_signal([1, 0, 1]), fps=10.0, threshold=0.1, window=0)
+            sig = vis_arrays(vis_signal([1, 0, 1]))
+            occlusion_components(sig, fps=10.0, threshold=0.1, window=0)
 
     def test_per_identity_independence(self):
         sig = vis_signal([1, 0, 0, 1], aid=1) + vis_signal([1, 1, 0, 1], aid=2)
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=1)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=1)
         assert [(e.agent_id, e.start_frame, e.end_frame) for e in evs] == [
             (1, 1, 2),
             (2, 2, 2),
@@ -185,12 +214,12 @@ class TestOcclusionComponents:
 
     def test_idempotent_after_zeroing_merged_runs(self):
         sig = vis_signal([1, 1, 0, 0, 1, 0, 0, 0, 1, 1])
-        evs = occlusion_components(sig, fps=10.0, threshold=0.1, window=5)
+        evs = occlusion_components(vis_arrays(sig), fps=10.0, threshold=0.1, window=5)
         hidden = set()
         for ev in evs:
             hidden.update(range(ev.start_frame, ev.end_frame + 1))
         sig2 = [(f, a, 0.0 if f in hidden else v) for f, a, v in sig]
-        evs2 = occlusion_components(sig2, fps=10.0, threshold=0.1, window=5)
+        evs2 = occlusion_components(vis_arrays(sig2), fps=10.0, threshold=0.1, window=5)
         assert evs2 == evs
 
 
@@ -209,26 +238,26 @@ class TestIdRecall:
     def test_recovered_when_same_hyp_flanks(self):
         ev = make_event(duration=0.3)
         matches = {2: [(1, 7)], 6: [(1, 7)]}
-        buckets = id_recall([ev], matches, buckets=(0.0, 1.0, float("inf")))
+        buckets = id_recall([ev], matches_of(matches), buckets=(0.0, 1.0, float("inf")))
         assert buckets[0].total == 1 and buckets[0].recovered == 1
         assert buckets[0].recall == 1.0
 
     def test_not_recovered_on_switch(self):
         ev = make_event(duration=0.3)
         matches = {2: [(1, 7)], 6: [(1, 8)]}
-        buckets = id_recall([ev], matches, buckets=(0.0, float("inf")))
+        buckets = id_recall([ev], matches_of(matches), buckets=(0.0, float("inf")))
         assert buckets[0].recovered == 0
 
     def test_not_recovered_when_endpoint_unmatched(self):
         ev = make_event(duration=0.3)
         matches = {2: [(1, 7)], 6: []}
-        buckets = id_recall([ev], matches, buckets=(0.0, float("inf")))
+        buckets = id_recall([ev], matches_of(matches), buckets=(0.0, float("inf")))
         assert buckets[0].total == 1 and buckets[0].recovered == 0
 
     def test_bucketing_by_duration(self):
         evs = [make_event(aid=1, duration=0.3), make_event(aid=2, duration=1.5)]
         matches = {2: [(1, 7), (2, 9)], 6: [(1, 7), (2, 9)]}
-        buckets = id_recall(evs, matches, buckets=DEFAULT_BUCKETS)
+        buckets = id_recall(evs, matches_of(matches), buckets=DEFAULT_BUCKETS)
         by_range = {(b.lo, b.hi): b for b in buckets}
         assert by_range[(0.0, 0.5)].total == 1
         assert by_range[(1.0, 2.0)].total == 1
@@ -237,17 +266,17 @@ class TestIdRecall:
 
     def test_infinite_upper_edge_catches_long_events(self):
         ev = make_event(duration=99.0)
-        buckets = id_recall([ev], {}, buckets=(0.0, 6.0, float("inf")))
+        buckets = id_recall([ev], matches_of({}), buckets=(0.0, 6.0, float("inf")))
         assert buckets[1].total == 1
 
     def test_bucket_validation(self):
         with pytest.raises(ValueError):
-            id_recall([], {}, buckets=(1.0, 0.5))
+            id_recall([], matches_of({}), buckets=(1.0, 0.5))
         with pytest.raises(ValueError):
-            id_recall([], {}, buckets=(1.0,))
+            id_recall([], matches_of({}), buckets=(1.0,))
         # strictly increasing required
         with pytest.raises(ValueError):
-            id_recall([], {}, buckets=(0.0, 1.0, 1.0))
+            id_recall([], matches_of({}), buckets=(0.0, 1.0, 1.0))
 
 
 class TestFde:
@@ -314,7 +343,8 @@ class TestEvaluateTrackingAndReport:
 
     def test_report_fields(self):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig(buckets=(0.0, 1.0, float("inf"))))
+        cfg = RunConfig(buckets=(0.0, 1.0, float("inf")))
+        rep = evaluate_tracking(gt_table(gt, vis), hyp, 10.0, cfg)
         assert rep.idsw == 0 and rep.idtr == 0
         assert rep.id_lost_short == 1 and rep.id_lost_long == 0
         assert rep.n_gt == 10 and rep.n_hyp == 7 and rep.n_matched == 7
@@ -325,12 +355,13 @@ class TestEvaluateTrackingAndReport:
         vis = [(f, a, 0.2 if v == 0.0 else v) for f, a, v in vis]
         # 0.2 is hidden at the default cutoff 0.25 and visible at 0.1
         for cfg, events in ((RunConfig(), 1), (RunConfig(vis_threshold=0.1), 0)):
-            rep = evaluate_tracking(gt, hyp, vis, 10.0, cfg)
+            rep = evaluate_tracking(gt_table(gt, vis), hyp, 10.0, cfg)
             assert sum(b.total for b in rep.buckets) == events
 
     def test_json_round_trip(self, tmp_path):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig(buckets=(0.0, 1.0, float("inf"))))
+        cfg = RunConfig(buckets=(0.0, 1.0, float("inf")))
+        rep = evaluate_tracking(gt_table(gt, vis), hyp, 10.0, cfg)
         p = tmp_path / "report.json"
         rep.write_json(p)
         d = json.loads(p.read_text())
@@ -341,7 +372,7 @@ class TestEvaluateTrackingAndReport:
 
     def test_csv_headers_and_values(self, tmp_path):
         gt, hyp, vis = self.make_inputs()
-        rep = evaluate_tracking(gt, hyp, vis, 10.0, RunConfig())
+        rep = evaluate_tracking(gt_table(gt, vis), hyp, 10.0, RunConfig())
         p = tmp_path / "report.csv"
         rep.write_csv(p)
         with open(p, newline="") as f:

@@ -1,0 +1,325 @@
+"""The array evaluator against a list-based reference copy.
+
+The ``reference_*`` functions are the evaluator as it was before it worked on
+arrays: ground truth, hypotheses and visibility as lists of records, matches
+as ``{frame: [(gt_id, hyp_id), ...]}`` and per-identity timelines as dicts.
+``evaluate_tracking`` must give the same report on seeded random inputs
+built to reach the corners: duplicate (frame, id) rows, frames with one side
+only, equal IoUs, one-box frames, frames with no row at all and rows whose
+ids are out of order.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
+
+from bevtrack.boxes import PixelBox, iou_matrix, ltwh
+from bevtrack.config import DEFAULT_BUCKETS, RunConfig
+from bevtrack.evaluation import (
+    EvalReport,
+    Matches,
+    OcclusionEvent,
+    RecallBucket,
+    box_records,
+    evaluate_tracking,
+)
+from bevtrack.mot_io import GtTable
+
+_BIG = 1e6
+
+
+def reference_match_frames(gt_records, hyp_records, iou_threshold):
+    by_frame_gt, by_frame_hyp = {}, {}
+    for frame, gid, box in gt_records:
+        by_frame_gt.setdefault(int(frame), []).append((int(gid), box))
+    for frame, hid, box in hyp_records:
+        by_frame_hyp.setdefault(int(frame), []).append((int(hid), box))
+    matches = {}
+    for frame in sorted(set(by_frame_gt) | set(by_frame_hyp)):
+        gts = sorted(by_frame_gt.get(frame, []), key=lambda e: e[0])
+        hyps = sorted(by_frame_hyp.get(frame, []), key=lambda e: e[0])
+        if not gts or not hyps:
+            matches[frame] = []
+            continue
+        ov = iou_matrix(ltwh([b for _, b in gts]), ltwh([b for _, b in hyps]))
+        cost = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
+        rows, cols = linear_sum_assignment(cost)
+        matches[frame] = sorted(
+            (gts[i][0], hyps[j][0]) for i, j in zip(rows, cols) if cost[i, j] < _BIG
+        )
+    return matches
+
+
+def _timelines(matches, gt_side: bool):
+    lines = {}
+    for frame in sorted(matches):
+        for gid, hid in matches[frame]:
+            key, other = (gid, hid) if gt_side else (hid, gid)
+            lines.setdefault(key, []).append((frame, other))
+    return lines
+
+
+def reference_count_switches(matches):
+    counts = []
+    for gt_side in (True, False):
+        n = 0
+        for line in _timelines(matches, gt_side).values():
+            n += sum(1 for (_, prev), (_, cur) in zip(line, line[1:]) if cur != prev)
+        counts.append(n)
+    return tuple(counts)
+
+
+def reference_count_lost(matches, fps, short_max_s=2.0):
+    short = long_ = 0
+    for line in _timelines(matches, True).values():
+        for (prev_f, _), (cur_f, _) in zip(line, line[1:]):
+            if cur_f - prev_f > 1:
+                if (cur_f - prev_f) / fps <= short_max_s:
+                    short += 1
+                else:
+                    long_ += 1
+    return short, long_
+
+
+def _hidden_runs(visible):
+    runs, start = [], None
+    for i, v in enumerate(visible):
+        if not v and start is None:
+            start = i
+        elif v and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(visible) - 1))
+    return runs
+
+
+def _merge_runs(runs, window):
+    if not runs:
+        return []
+    merged = [runs[0]]
+    for start, end in runs[1:]:
+        prev_start, prev_end = merged[-1]
+        if start - prev_end - 1 < window:
+            merged[-1] = (prev_start, end)
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def reference_occlusion_components(vis_records, fps, threshold, window):
+    per_id = {}
+    for frame, aid, vis in vis_records:
+        per_id.setdefault(int(aid), {})[int(frame)] = float(vis)
+    events = []
+    for aid in sorted(per_id):
+        frames = per_id[aid]
+        lo, hi = min(frames), max(frames)
+        visible = [frames.get(f, 0.0) >= threshold for f in range(lo, hi + 1)]
+        for start, end in _merge_runs(_hidden_runs(visible), window):
+            if start == 0 or end == len(visible) - 1:
+                continue
+            events.append(
+                OcclusionEvent(
+                    agent_id=aid,
+                    start_frame=lo + start,
+                    end_frame=lo + end,
+                    pre_frame=lo + start - 1,
+                    post_frame=lo + end + 1,
+                    duration_s=(end - start + 1) / fps,
+                )
+            )
+    return events
+
+
+def reference_id_recall(events, matches, buckets):
+    edges = list(buckets)
+    per_gt = {gid: dict(line) for gid, line in _timelines(matches, True).items()}
+    totals = [0] * (len(edges) - 1)
+    recovered = [0] * (len(edges) - 1)
+    for ev in events:
+        inside = [k for k in range(len(edges) - 1) if edges[k] <= ev.duration_s < edges[k + 1]]
+        if not inside:
+            continue
+        b = inside[0]
+        totals[b] += 1
+        line = per_gt.get(ev.agent_id, {})
+        pre, post = line.get(ev.pre_frame), line.get(ev.post_frame)
+        if pre is not None and post is not None and pre == post:
+            recovered[b] += 1
+    return [
+        RecallBucket(lo=edges[k], hi=edges[k + 1], total=totals[k], recovered=recovered[k])
+        for k in range(len(edges) - 1)
+    ]
+
+
+def reference_evaluate(rows, hyp, fps, config) -> EvalReport:
+    """The list-based pass over ground-truth rows (frame, id, PixelBox, visibility)."""
+    gt = [(f, i, b) for f, i, b, _ in rows]
+    vis = [(f, i, v) for f, i, _, v in rows]
+    matches = reference_match_frames(gt, hyp, config.iou_threshold)
+    idsw, idtr = reference_count_switches(matches)
+    lost_s, lost_l = reference_count_lost(matches, fps)
+    events = reference_occlusion_components(vis, fps, config.vis_threshold, config.window)
+    return EvalReport(
+        idsw=idsw,
+        idtr=idtr,
+        id_lost_short=lost_s,
+        id_lost_long=lost_l,
+        buckets=reference_id_recall(events, matches, config.buckets),
+        n_gt=len(gt),
+        n_hyp=len(hyp),
+        n_matched=sum(len(v) for v in matches.values()),
+    )
+
+
+def frames_of(m: Matches) -> dict:
+    """``{frame: [(gt_id, hyp_id), ...]}`` of frames with matches, the reference's shape."""
+    out = {}
+    for f, g, h in zip(m.frame.tolist(), m.gt_id.tolist(), m.hyp_id.tolist()):
+        out.setdefault(f, []).append((g, h))
+    return out
+
+
+def table_of(rows) -> GtTable:
+    frame, agent_id, box = box_records([(f, i, b) for f, i, b, _ in rows])
+    visibility = np.array([v for *_, v in rows], dtype=float)
+    return GtTable(frame, agent_id, box, np.full((len(rows), 2), np.nan), visibility)
+
+
+# -- seeded random inputs ----------------------------------------------------------
+
+VIS_LEVELS = (0.0, 0.1, 0.2, 0.25, 0.3, 1.0)  # both thresholds used below are levels
+
+
+def grid_box(x, y) -> PixelBox:
+    """A box on a 2 px grid, so equal IoUs are common."""
+    return PixelBox(2.0 * round(x / 2.0), 2.0 * round(y / 2.0), 12.0, 24.0)
+
+
+def random_case(seed: int):
+    """(gt rows, hyp triples, fps, config): one random evaluation input."""
+    rng = np.random.default_rng(seed)
+    n_frames = int(rng.integers(5, 90))
+    frame0 = int(rng.choice([0, -40, 10**6]))
+    silent = set(rng.choice(n_frames, size=n_frames // 8, replace=False).tolist())
+    ids = rng.choice(np.arange(-5, 400), size=int(rng.integers(1, 7)), replace=False).tolist()
+    rows, hyp = [], []
+    next_hyp = 1000
+    for gid in ids:
+        x, y = rng.uniform(0.0, 120.0, 2)
+        vx = float(rng.choice([0.0, 1.0, 3.0]))
+        lost = range(int(rng.integers(0, n_frames)), n_frames)[: int(rng.choice([0, 5, 45]))]
+        hid = int(rng.choice([next_hyp, -7])) if rng.random() < 0.1 else next_hyp
+        next_hyp += 1
+        for k in range(n_frames):
+            x += vx
+            if k in silent or rng.random() < 0.1:
+                continue  # a frame missing from the records
+            f = frame0 + k
+            box = grid_box(x, y)
+            v = float(rng.choice(VIS_LEVELS, p=[0.15, 0.1, 0.1, 0.1, 0.1, 0.45]))
+            rows.append((f, gid, box, v))
+            if rng.random() < 0.06:  # a second row for this (frame, id)
+                other = box if rng.random() < 0.5 else grid_box(x + 4.0, y)
+                rows.append((f, gid, other, float(rng.choice(VIS_LEVELS))))
+                if other is not box and rng.random() < 0.7:  # both rows can be matched
+                    hyp.append((f, 5000 + gid, other))
+            if v < 0.25 or rng.random() < 0.15 or k in lost:
+                continue  # hidden, or a dropout
+            if rng.random() < 0.04:
+                hid, next_hyp = next_hyp, next_hyp + 1  # a relabel: a switch
+            hyp.append((f, hid, grid_box(x + rng.uniform(-3, 3), y + rng.uniform(-3, 3))))
+            if rng.random() < 0.02:
+                hyp.append((f, hid, grid_box(x, y)))  # a duplicate hypothesis row
+    for _ in range(int(rng.integers(0, 6))):  # clutter, some on frames with no ground truth
+        f = frame0 + int(rng.integers(-3, n_frames + 3))
+        hyp.append((f, int(rng.integers(2000, 2005)), grid_box(*rng.uniform(0, 150, 2))))
+    for rec in (rows, hyp):  # ids out of order within and across frames
+        for _ in range(len(rec) // 10):
+            i, j = rng.integers(0, len(rec), 2)
+            rec[i], rec[j] = rec[j], rec[i]
+    config = RunConfig(
+        iou_threshold=float(rng.choice([0.3, 0.5])),
+        vis_threshold=float(rng.choice([0.1, 0.25])),
+        window=int(rng.choice([1, 3, 5])),
+        buckets=DEFAULT_BUCKETS if rng.random() < 0.5 else (0.0, 0.5, 2.0, float("inf")),
+    )
+    return rows, hyp, float(rng.choice([10.0, 20.0])), config
+
+
+SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_evaluate_tracking_matches_list_reference(seed):
+    rows, hyp, fps, config = random_case(seed)
+    want = reference_evaluate(rows, hyp, fps, config).to_dict()
+    assert evaluate_tracking(table_of(rows), hyp, fps, config).to_dict() == want
+
+
+def case_features(rows, hyp, fps, config) -> set:
+    """Which corner cases one input reaches."""
+    found = set()
+    matches = reference_match_frames([r[:3] for r in rows], hyp, config.iou_threshold)
+    vis_rows = [(f, i, v) for f, i, _, v in rows]
+    for ev in reference_occlusion_components(vis_rows, fps, config.vis_threshold, config.window):
+        for f in (ev.pre_frame, ev.post_frame):
+            if [g for g, _ in matches.get(f, [])].count(ev.agent_id) > 1:
+                found.add("identity matched twice at an event flank")
+    keys = [(f, i) for f, i, _, _ in rows]
+    gt_frames, hyp_frames = {f for f, _ in keys}, {f for f, _, _ in hyp}
+    if len(set(keys)) < len(keys):
+        found.add("duplicate gt rows")
+    vis = {}
+    for f, i, _, v in rows:
+        if (f, i) in vis and (vis[(f, i)] >= config.vis_threshold) != (v >= config.vis_threshold):
+            found.add("later vis row decides")
+        vis[(f, i)] = v
+    if len({(f, i) for f, i, _ in hyp}) < len(hyp):
+        found.add("duplicate hyp rows")
+    if gt_frames - hyp_frames:
+        found.add("gt-only frame")
+    if hyp_frames - gt_frames:
+        found.add("hyp-only frame")
+    if keys != sorted(keys):
+        found.add("ids out of order")
+    all_frames = gt_frames | hyp_frames
+    if len(all_frames) < max(all_frames) - min(all_frames) + 1:
+        found.add("frame with no row")
+    for f in gt_frames & hyp_frames:
+        g = [b for ff, _, b, _ in rows if ff == f]
+        h = [b for ff, _, b in hyp if ff == f]
+        if len(g) == len(h) == 1:
+            found.add("one-box frame")
+        ov = iou_matrix(ltwh(g), ltwh(h))
+        live = ov[ov >= config.iou_threshold]
+        if len(live) > len(np.unique(live)):
+            found.add("equal IoUs")
+    return found
+
+
+def test_random_cases_cover_the_corners():
+    found, reports = set(), []
+    for seed in SEEDS:
+        rows, hyp, fps, config = random_case(seed)
+        found |= case_features(rows, hyp, fps, config)
+        reports.append(reference_evaluate(rows, hyp, fps, config))
+    assert found == {
+        "duplicate gt rows",
+        "later vis row decides",
+        "duplicate hyp rows",
+        "gt-only frame",
+        "hyp-only frame",
+        "ids out of order",
+        "frame with no row",
+        "one-box frame",
+        "equal IoUs",
+        "identity matched twice at an event flank",
+    }
+    # and every metric moves somewhere
+    for field in ("idsw", "idtr", "id_lost_short", "id_lost_long"):
+        assert any(getattr(r, field) > 0 for r in reports), field
+    buckets = [b for r in reports for b in r.buckets]
+    assert any(b.recovered > 0 for b in buckets)
+    assert any(b.total > b.recovered for b in buckets)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bevtrack.errors import DegenerateInput, ParseError
+from bevtrack.linearized import LinearizedHomography
 from bevtrack.homography import (
+    MAX_IMAGE_SIDE,
     Homography,
     estimate_homography,
     load_homography,
@@ -132,6 +134,24 @@ class TestHomographyIO:
         path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage {size}\n")
         with pytest.raises(ParseError, match=r"bad\.txt:6: image size must be positive"):
             load_homography(path)
+
+    @pytest.mark.parametrize("size", ["1000000000000000 1080", f"10 {MAX_IMAGE_SIDE + 1}"])
+    def test_image_size_above_the_bound_reports_line_6(self, tmp_path, size):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage {size}\n")
+        with pytest.raises(ParseError, match=rf"bad\.txt:6: image size {size} too large"):
+            load_homography(path)
+
+    def test_image_size_at_the_bound_accepted(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text(f"H\n1 0 0\n0 1 0\n0 0 1\nmax_spacing 0.2\nimage {MAX_IMAGE_SIDE} 1\n")
+        assert load_homography(path)[2] == (MAX_IMAGE_SIDE, 1)
+
+    @pytest.mark.parametrize("size", [(10**15, 1080), (10, MAX_IMAGE_SIDE + 1)])
+    def test_linearized_refuses_an_image_above_the_bound(self, size):
+        # refused before any per-column array is built
+        with pytest.raises(ValueError, match="too large"):
+            LinearizedHomography(Homography(np.eye(3)), size)
 
     @pytest.mark.parametrize(
         "spacing, image, line",

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonPositiveBox, ParseError
 from bevtrack.homography import Homography, save_homography
 from bevtrack.mot_io import (
-    GtRecord,
     MotRecord,
     read_appearance,
     read_cloud,
@@ -27,6 +27,9 @@ from bevtrack.mot_io import (
     write_gt,
     write_json,
 )
+from test_evaluation_reference import table_of
+
+GtRow = namedtuple("GtRow", "frame track_id box visibility")
 
 
 def rec(frame, tid, left=10.0, top=20.0, w=30.0, h=60.0, conf=0.9):
@@ -118,13 +121,16 @@ class TestDetections:
 class TestGt:
     def test_round_trip(self, tmp_path):
         records = [
-            GtRecord(frame=0, track_id=1, box=PixelBox(5.0, 6.0, 7.0, 8.0), visibility=0.75),
-            GtRecord(frame=0, track_id=2, box=PixelBox(50.0, 60.0, 7.0, 8.0), visibility=1.0),
+            GtRow(frame=0, track_id=1, box=PixelBox(5.0, 6.0, 7.0, 8.0), visibility=0.75),
+            GtRow(frame=0, track_id=2, box=PixelBox(50.0, 60.0, 7.0, 8.0), visibility=1.0),
         ]
         p = tmp_path / "gt.txt"
-        write_gt(p, records)
+        write_gt(p, table_of(records))
         back = read_gt(p)
-        assert back == records
+        assert back.frame.tolist() == [0, 0] and back.agent_id.tolist() == [1, 2]
+        assert back.box.tolist() == [[5.0, 6.0, 7.0, 8.0], [50.0, 60.0, 7.0, 8.0]]
+        assert back.visibility.tolist() == [0.75, 1.0]
+        assert np.isnan(back.bev).all() and back.bev.shape == (2, 2)
 
     def test_nine_fields_required(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -141,9 +147,17 @@ class TestGt:
         with pytest.raises(ParseError, match=rf"gt\.txt:2: {name} must be an integer$"):
             read_gt(p)
 
+    @pytest.mark.parametrize("row, name", [("1e300,1,5,6,7,8,1,1,1", "frame"),
+                                           ("1,-9007199254740994,5,6,7,8,1,1,1", "id")])
+    def test_frame_and_id_beyond_2_53_are_refused(self, tmp_path, row, name):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"{row}\n")
+        with pytest.raises(ParseError, match=rf"gt\.txt:1: {name} must be at most 2\*\*53"):
+            read_gt(p)
+
     def test_flag_and_class_columns_written_as_one(self, tmp_path):
         p = tmp_path / "gt.txt"
-        write_gt(p, [GtRecord(frame=0, track_id=1, box=PixelBox(5, 6, 7, 8), visibility=0.5)])
+        write_gt(p, table_of([GtRow(0, 1, PixelBox(5, 6, 7, 8), visibility=0.5)]))
         parts = p.read_text().strip().split(",")
         assert parts[6] == "1" and parts[7] == "1"
         assert parts[8] == "0.5"
@@ -433,8 +447,10 @@ class TestWritersMatchReference:
         records = []
         for _ in range(60):
             frame, tid = self.frame_id(rng)
-            records.append(GtRecord(frame, tid, self.box(rng, 1.0), self.value(rng)))
-        self.assert_same(tmp_path, write_gt, ref_write_gt, records)
+            records.append(GtRow(frame, tid, self.box(rng, 1.0), self.value(rng)))
+        write_gt(tmp_path / "new.txt", table_of(records))
+        ref_write_gt(tmp_path / "ref.txt", records)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cloud_and_correspondences(self, tmp_path, seed):

@@ -34,6 +34,18 @@ from bevtrack.simulator import (
 from test_simulator_reference import reference_agent_box, reference_occluder_rect
 
 
+def gt_bev(sim, frame: int, agent_id: int) -> np.ndarray:
+    """The BEV point of the one ground-truth row of an agent at a frame."""
+    (k,) = np.flatnonzero((sim.gt.frame == frame) & (sim.gt.agent_id == agent_id))
+    return sim.gt.bev[k]
+
+
+def gt_visibility(sim) -> dict:
+    """{(frame, agent id): visibility} of the ground truth."""
+    gt = sim.gt
+    return dict(zip(zip(gt.frame.tolist(), gt.agent_id.tolist()), gt.visibility.tolist()))
+
+
 def make_camera():
     return CameraSpec(height=6.0, tilt_deg=30.0, focal=1000.0, image_width=1920, image_height=1080)
 
@@ -121,12 +133,10 @@ class TestGenerateGeometry:
         sim = generate(scn)
         h = sim.homography
         for det in sim.detections:
-            g = next(
-                g for g in sim.gt if g.frame == det.frame and g.agent_id == det.agent_id
-            )
+            bev = gt_bev(sim, det.frame, det.agent_id)
             lifted = h.apply(np.array(det.box.bottom_center))
-            assert lifted[1] == pytest.approx(g.bev[1], abs=1e-9)
-            assert abs(lifted[0] - g.bev[0]) < 0.15
+            assert lifted[1] == pytest.approx(bev[1], abs=1e-9)
+            assert abs(lifted[0] - bev[0]) < 0.15
 
     def test_on_axis_agent_lifts_exactly(self):
         center = AgentSpec(id=1, waypoints=((0.0, 10.0),), speed=1.0)
@@ -150,9 +160,9 @@ class TestGenerateGeometry:
     def test_gt_bev_matches_waypoint_kinematics(self):
         scn = make_scenario([WALKER])
         sim = generate(scn)
-        for g in sim.gt:
-            want = agent_position(WALKER, g.frame / scn.fps)
-            assert np.allclose(g.bev, want, atol=1e-12)
+        for frame, bev in zip(sim.gt.frame.tolist(), sim.gt.bev):
+            want = agent_position(WALKER, frame / scn.fps)
+            assert np.allclose(bev, want, atol=1e-12)
 
     def test_moving_camera_keeps_world_fixed_bev(self):
         # with egomotion, lifting bottom-centers and adding the camera offset
@@ -163,15 +173,13 @@ class TestGenerateGeometry:
         sim = generate(scn)
         lh = linearize(sim.homography, (1920, 1080), 0.2)
         for det in sim.detections:
-            g = next(
-                g for g in sim.gt if g.frame == det.frame and g.agent_id == det.agent_id
-            )
+            bev = gt_bev(sim, det.frame, det.agent_id)
             lifted = lh.px_to_bev(
                 np.array(det.box.bottom_center), ego=sim.ego, frame=det.frame
             )
-            assert lifted[1] == pytest.approx(g.bev[1], abs=1e-9)
+            assert lifted[1] == pytest.approx(bev[1], abs=1e-9)
             # the camera drifts almost 4 m sideways: larger off-axis bias
-            assert abs(lifted[0] - g.bev[0]) < 0.2
+            assert abs(lifted[0] - bev[0]) < 0.2
 
     def test_cloud_lies_on_the_ground_plane(self):
         scn = make_scenario([WALKER])
@@ -195,19 +203,19 @@ class TestGenerateGeometry:
 class TestVisibilityAndEmission:
     def test_open_walker_fully_visible(self):
         sim = generate(make_scenario([WALKER]))
-        assert all(g.visibility == 1.0 for g in sim.gt)
+        assert (sim.gt.visibility == 1.0).all()
         assert len(sim.detections) == 20
 
     def test_visibility_matches_covered_fraction_recomputation(self):
         wall = Occluder(x_min=-1.0, x_max=1.0, y_min=8.0, y_max=8.3, height=3.3)
         scn = make_scenario([WALKER], occluders=(wall,))
         sim = generate(scn)
-        for g in sim.gt:
-            box = reference_agent_box(scn.camera, WALKER, g.bev, (0.0, 0.0))
+        for bev, visibility in zip(sim.gt.bev, sim.gt.visibility):
+            box = reference_agent_box(scn.camera, WALKER, bev, (0.0, 0.0))
             rect = reference_occluder_rect(scn.camera, wall, (0.0, 0.0))
             covers = [rect] if rect[3] > box.bottom else []
             want = 1.0 - covered_fraction(box, covers)
-            assert g.visibility == pytest.approx(want, abs=1e-12)
+            assert visibility == pytest.approx(want, abs=1e-12)
 
     def test_emission_respects_cutoff(self):
         wall = Occluder(x_min=-1.0, x_max=1.0, y_min=8.0, y_max=8.3, height=3.3)
@@ -215,14 +223,14 @@ class TestVisibilityAndEmission:
         scn = make_scenario([fast], occluders=(wall,))
         sim = generate(scn)
         emitted = {(d.frame, d.agent_id) for d in sim.detections}
-        for g in sim.gt:
-            if g.visibility >= VISIBILITY_CUTOFF:
-                assert (g.frame, g.agent_id) in emitted
+        for key, visibility in gt_visibility(sim).items():
+            if visibility >= VISIBILITY_CUTOFF:
+                assert key in emitted
             else:
-                assert (g.frame, g.agent_id) not in emitted
+                assert key not in emitted
         # the wide wall must actually hide the walker for part of the pass
-        assert any(g.visibility < VISIBILITY_CUTOFF for g in sim.gt)
-        assert any(g.visibility >= VISIBILITY_CUTOFF for g in sim.gt)
+        assert (sim.gt.visibility < VISIBILITY_CUTOFF).any()
+        assert (sim.gt.visibility >= VISIBILITY_CUTOFF).any()
 
     def test_agents_occlude_each_other(self):
         # two walkers on the same camera ray, the nearer one (larger bottom)
@@ -230,7 +238,7 @@ class TestVisibilityAndEmission:
         near = AgentSpec(id=1, waypoints=((0.0, 9.0),), speed=1.0)
         far = AgentSpec(id=2, waypoints=((0.0, 10.5),), speed=1.0)
         sim = generate(make_scenario([near, far]))
-        vis = {(g.frame, g.agent_id): g.visibility for g in sim.gt}
+        vis = gt_visibility(sim)
         assert vis[(0, 1)] == 1.0
         assert vis[(0, 2)] < 1.0
 
@@ -263,9 +271,9 @@ class TestVisibilityAndEmission:
 
     def test_visibility_records(self):
         sim = generate(make_scenario([WALKER]))
-        recs = sim.visibility_records()
-        assert len(recs) == 20
-        assert recs[0] == (0, 1, 1.0)
+        gt = sim.gt
+        assert len(gt) == 20
+        assert (gt.frame[0], gt.agent_id[0], gt.visibility[0]) == (0, 1, 1.0)
 
 
 class TestBuildSceneModel:
@@ -454,6 +462,8 @@ class TestScenarioJson:
              r"scenario\.agents\[0\]\.speed must be positive and finite"),
             (lambda d: d["camera"].update(focal=-100), InvalidScenario,
              r"scenario\.camera\.focal must be positive"),
+            (lambda d: d["camera"].update(image_width=10**15), InvalidScenario,
+             r"scenario\.camera\.image_width must be in \[1, 65536\]"),
             (lambda d: d.update(seed=-1), InvalidScenario, r"scenario\.seed must be non-negative"),
             (lambda d: d["occluders"][0].update(height=float("inf")), InvalidScenario,
              r"scenario\.occluders\[0\]: every field must be finite"),

@@ -11,6 +11,7 @@ ground cloud.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
     AgentSpec,
     CameraSpec,
-    GtEntry,
     Occluder,
     Scenario,
     SimDetection,
@@ -30,6 +30,15 @@ from bevtrack.simulator import (
     generate,
 )
 from test_boxes import reference_covered_fraction
+
+
+@dataclass
+class ReferenceGt:
+    frame: int
+    agent_id: int
+    box: PixelBox
+    bev: np.ndarray
+    visibility: float
 
 
 def reference_project_points(cam, world, cam_xy):
@@ -148,7 +157,7 @@ def reference_generate(scenario):
                 if other != a.id and b.bottom > box.bottom
             ]
             visibility = 1.0 - reference_covered_fraction(box, covers)
-            gt.append(GtEntry(f, a.id, box, positions[a.id].copy(), visibility))
+            gt.append(ReferenceGt(f, a.id, box, positions[a.id].copy(), visibility))
             in_frame = box.right > 0 and box.left < img_w and box.bottom > 0 and box.top < img_h
             if visibility >= VISIBILITY_CUTOFF and in_frame:
                 if scenario.detection_noise > 0:
@@ -252,11 +261,12 @@ def test_generate_matches_per_agent_reference(seed):
     sim = generate(scenario)
 
     assert len(sim.gt) == len(gt)
-    for got, want in zip(sim.gt, gt):
-        assert (got.frame, got.agent_id, got.box) == (want.frame, want.agent_id, want.box)
-        assert np.array_equal(got.bev, want.bev)
+    assert sim.gt.frame.tolist() == [g.frame for g in gt]
+    assert sim.gt.agent_id.tolist() == [g.agent_id for g in gt]
+    assert sim.gt.box.tolist() == [[g.box.left, g.box.top, g.box.width, g.box.height] for g in gt]
+    assert np.array_equal(sim.gt.bev, np.reshape([g.bev for g in gt], (-1, 2)))
     # every visibility to the bit, 1.0 for the boxes with no cover included
-    got_vis = np.array([g.visibility for g in sim.gt], dtype=float)
+    got_vis = sim.gt.visibility
     want_vis = np.array([g.visibility for g in gt], dtype=float)
     assert np.array_equal(got_vis.view(np.uint64), want_vis.view(np.uint64))
     assert len(sim.detections) == len(dets)
@@ -287,7 +297,7 @@ def test_zero_width_cover_on_the_centre_column_hides_nothing():
         cloud_points=30,
     )
     gt = reference_generate(scenario)[0]
-    got_vis = np.array([g.visibility for g in generate(scenario).gt])
+    got_vis = generate(scenario).gt.visibility
     want_vis = np.array([g.visibility for g in gt])
     assert np.array_equal(got_vis.view(np.uint64), want_vis.view(np.uint64))
     assert any(0.0 < v < 1.0 for v in want_vis)
