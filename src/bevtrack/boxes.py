@@ -18,7 +18,7 @@ class PixelBox:
     confidence: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+        if not (self.width > 0 and self.height > 0):  # NaN fails too
             raise ValueError("box width and height must be positive")
 
     @property

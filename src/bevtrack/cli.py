@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 
@@ -171,19 +170,9 @@ def _parse_buckets(text: str) -> tuple:
         raise ParseError(f"invalid bucket list {text!r}: {e}") from e
 
 
-def _resolve_scenario(name: str) -> str:
-    if os.path.exists(name):
-        return name
-    base = name if name.endswith(".json") else name + ".json"
-    ref = resources.files("bevtrack").joinpath("data", base)
-    if ref.is_file():
-        return str(ref)
-    raise ParseError(f"scenario {name!r}: no such file or bundled scenario")
-
-
 def _simulate(args, cfg: RunConfig):
     """Generate --scenario, reseeded by --seed if given, and write its files to --out."""
-    sc = read_scenario(_resolve_scenario(args.scenario))
+    sc = read_scenario(args.scenario)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
     sim = generate(sc)
@@ -259,7 +248,7 @@ def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
     lh, records, appearance, ego = _load_tracker_inputs(args, cfg)
     if args.scenario:
-        sc = read_scenario(_resolve_scenario(args.scenario))
+        sc = read_scenario(args.scenario)
         scene = build_scene_model(sc, lh, cfg.cell_size)
         scene.ego = ego
     else:

@@ -12,12 +12,11 @@ the evaluation read this record directly.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError
-from .mot_io import read_json, write_json
+from .mot_io import _TYPE_CHECKS, _check_keys, _is_number, _record_to_dict, read_json, write_json
 
 MOTION_KINDS = ("static", "kalman_cv", "fan")
 DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
@@ -25,20 +24,6 @@ DEFAULT_BUCKETS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, float("inf"))
 # counts a frame below it as occluded, so an occlusion event's flanks are the
 # frames with detections.
 VISIBILITY_CUTOFF = 0.25
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# Each field's accepted values, keyed by the type of its default.
-_TYPE_CHECKS = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_number, v)), "a list of numbers"),
-}
 
 
 @dataclass(frozen=True)
@@ -85,7 +70,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            accepts, expected = _TYPE_CHECKS[type(f.default)]
+            accepts, expected = _TYPE_CHECKS[f.type]
             if not accepts(getattr(self, f.name)):
                 raise ParseError(f"config: {f.name} must be {expected}")
         for name in ("cell_size", "max_spacing", "dt", "obs_noise", "tau_max", "tau_vis"):
@@ -133,31 +118,21 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for name in _TUPLE_FIELDS:
-            d[name] = list(d[name])
-        return d
+        return _record_to_dict(self)
 
     def override(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
 
 
-_FIELDS = {f.name for f in fields(RunConfig)}
-_TUPLE_FIELDS = {"fan_angles", "buckets"}
-
-
 def config_from_dict(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ParseError("config: expected a JSON object")
-    unknown = set(d) - _FIELDS
-    if unknown:
-        raise ParseError(f"config: unknown field '{sorted(unknown)[0]}'")
+    _check_keys(d, RunConfig, "config")
     kwargs = dict(d)
-    for name in _TUPLE_FIELDS & set(kwargs):
-        if isinstance(kwargs[name], list):  # anything else is left for RunConfig to reject
-            kwargs[name] = tuple(
+    for f in fields(RunConfig):
+        # a list for a tuple field becomes a tuple; anything else is left for RunConfig to reject
+        if f.type == "tuple" and isinstance(d.get(f.name), list):
+            kwargs[f.name] = tuple(
                 math.inf if v in ("inf", "Infinity") else float(v) if _is_number(v) else v
-                for v in kwargs[name]
+                for v in d[f.name]
             )
     return RunConfig(**kwargs)
 

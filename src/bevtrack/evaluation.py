@@ -23,7 +23,7 @@ outputs once. Matches are three sorted arrays (``Matches``).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -292,25 +292,11 @@ class EvalReport:
     n_matched: int
 
     def to_dict(self) -> dict:
-        return {
-            "idsw": self.idsw,
-            "idtr": self.idtr,
-            "id_lost_short": self.id_lost_short,
-            "id_lost_long": self.id_lost_long,
-            "n_gt": self.n_gt,
-            "n_hyp": self.n_hyp,
-            "n_matched": self.n_matched,
-            "id_recall": [
-                {
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "total": b.total,
-                    "recovered": b.recovered,
-                    "recall": b.recall,
-                }
-                for b in self.buckets
-            ],
-        }
+        """The counts, then ``id_recall``: each bucket with its recall."""
+        d = asdict(self)
+        rows = zip(d.pop("buckets"), self.buckets)
+        d["id_recall"] = [{**row, "recall": b.recall} for row, b in rows]
+        return d
 
     def write_json(self, path) -> None:
         write_json(path, self.to_dict())

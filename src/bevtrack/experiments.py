@@ -33,7 +33,7 @@ from .simulator import (
     _occluder_rects,
     _uncovered,
     build_scene_model,
-    generate,
+    read_scenario,
 )
 from .tracker import Detection, SceneModel, Tracker
 
@@ -182,31 +182,7 @@ def junction_suite() -> list:
 
 def crossing_scenario() -> Scenario:
     """Two walkers crossing behind one central wall; the bundled demo scene."""
-    a1 = AgentSpec(
-        id=1,
-        waypoints=((-7.5, 8.9), (10.0, 12.4)),
-        speed=1.1,
-        appearance_seed=11,
-    )
-    a2 = AgentSpec(
-        id=2,
-        waypoints=((7.0, 9.6), (-9.0, 12.8)),
-        speed=1.3,
-        appearance_seed=12,
-    )
-    wall = Occluder(x_min=-2.0, x_max=2.0, y_min=8.0, y_max=8.3, height=3.3)
-    return Scenario(
-        camera=default_camera(),
-        ground_extent=40.0,
-        agents=(a1, a2),
-        occluders=(wall,),
-        fps=20.0,
-        duration=14.0,
-        detection_noise=0.5,
-        appearance_noise=0.05,
-        seed=7,
-        cloud_points=1500,
-    )
+    return read_scenario("crossing")
 
 
 # -- calibration glue -------------------------------------------------------------------
@@ -216,7 +192,6 @@ def crossing_scenario() -> Scenario:
 class CalibrationResult:
     plane: GroundPlane
     fit: HomographyFit
-    rotation: np.ndarray
 
     @property
     def homography(self) -> Homography:
@@ -227,7 +202,6 @@ def calibrate_from_cloud(
     cloud: np.ndarray,
     corr_pixels: np.ndarray,
     corr_points: np.ndarray,
-    inlier_tol: float = 0.05,
     seed: int = 0,
 ) -> CalibrationResult:
     """Plane fit on the cloud, then a pixel->in-plane homography from pairs.
@@ -235,18 +209,17 @@ def calibrate_from_cloud(
     The recovered BEV frame matches any other frame on the same plane up to
     an in-plane rigid motion; distances and velocities are preserved.
     """
-    plane = fit_ground_plane(cloud, inlier_tol=inlier_tol, seed=seed)
+    plane = fit_ground_plane(cloud, seed=seed)
     rotation, _ = align_to_xy(plane, cloud[:1])
     aligned = np.asarray(corr_points, dtype=float) @ rotation.T
     fit = estimate_homography(np.asarray(corr_pixels, dtype=float), aligned[:, :2])
-    return CalibrationResult(plane=plane, fit=fit, rotation=rotation)
+    return CalibrationResult(plane=plane, fit=fit)
 
 
-def rigid_align_2d(src: np.ndarray, dst: np.ndarray, allow_reflection: bool = False):
+def rigid_align_2d(src: np.ndarray, dst: np.ndarray):
     """Least-squares rotation+translation taking src points onto dst points.
 
-    Returns (rotation (2,2), translation (2,), transformed src). Set
-    allow_reflection to include improper maps.
+    Returns (rotation (2,2), translation (2,), transformed src).
     """
     a = np.asarray(src, dtype=float)
     b = np.asarray(dst, dtype=float)
@@ -254,8 +227,6 @@ def rigid_align_2d(src: np.ndarray, dst: np.ndarray, allow_reflection: bool = Fa
     h = (a - ca).T @ (b - cb)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
-    if allow_reflection:
-        d = 1.0
     rot = vt.T @ np.diag([1.0, d]) @ u.T
     trans = cb - rot @ ca
     return rot, trans, a @ rot.T + trans
@@ -264,15 +235,10 @@ def rigid_align_2d(src: np.ndarray, dst: np.ndarray, allow_reflection: bool = Fa
 # -- runners ------------------------------------------------------------------------------
 
 
-def sim_detections_by_frame(sim: SimOutput, with_appearance: bool = True) -> dict:
+def sim_detections_by_frame(sim: SimOutput) -> dict:
     out: dict[int, list] = {}
     for d in sim.detections:
-        det = Detection(
-            frame=d.frame,
-            box=d.box,
-            appearance=d.appearance if with_appearance else None,
-        )
-        out.setdefault(d.frame, []).append(det)
+        out.setdefault(d.frame, []).append(Detection(d.frame, d.box, d.appearance))
     return out
 
 
@@ -281,7 +247,6 @@ def run_tracker(
     config: RunConfig,
     lh: Optional[LinearizedHomography] = None,
     scene: Optional[SceneModel] = None,
-    with_appearance: bool = True,
 ):
     """Track the simulated detections; returns (outputs, events, tracker).
 
@@ -295,7 +260,7 @@ def run_tracker(
     if scene is None:
         scene = build_scene_model(sim.scenario, lh, config.cell_size)
     tracker = Tracker(scene, config)
-    by_frame = sim_detections_by_frame(sim, with_appearance)
+    by_frame = sim_detections_by_frame(sim)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
     return outputs, events, tracker
 

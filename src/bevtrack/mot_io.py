@@ -10,13 +10,18 @@ frame from ``0 0``. ``_read_rows`` reads every
 row file: blank lines are skipped, and a wrong field count or a non-finite
 number is ``ParseError("<file>:<line>: ...")``. ``_write_rows`` writes every
 one with a ``%`` format string per row kind, ``%.17g`` for floats so they
-round-trip bit-exactly. Whole-file JSON goes through ``read_json``/``write_json``.
+round-trip bit-exactly. Whole-file JSON goes through ``read_json``/``write_json``;
+a dataclass record is read from a JSON object by ``_record_from_dict``, which
+takes its keys and scalar types from the fields, and written by ``_record_to_dict``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -104,6 +109,71 @@ def _box_rows(path, n_fields: int) -> list:
             continue
         rows.append((int(vals[0]), int(vals[1]), vals))
     return rows
+
+
+# -- dataclass records as JSON objects -------------------------------------------------
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# A field's accepted values and what an error says it expects, keyed by its annotation:
+# a string, as every module that defines a record postpones evaluating annotations.
+_TYPE_CHECKS = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, tuple) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
+def _scalar(kind: str, v, where: str):
+    """v checked against a "float" or "int" annotation, and made that type."""
+    accepts, expected = _TYPE_CHECKS[kind]
+    if not accepts(v):
+        raise ParseError(f"{where} must be {expected}, got {v!r}")
+    return {"float": float, "int": int}[kind](v)
+
+
+def _check_keys(d, cls, where: str, required=()) -> None:
+    """ParseError unless d is a JSON object with every field of cls that has no
+    default, and every name in required, and no key that is not a field of cls."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    fields = dataclasses.fields(cls)
+    no_default = (f for f in fields if f.default is f.default_factory is dataclasses.MISSING)
+    missing = ({f.name for f in no_default} | set(required)) - set(d)
+    if missing:
+        raise ParseError(f"{where}: missing field '{sorted(missing)[0]}'")
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ParseError(f"{where}: unknown field '{sorted(unknown)[0]}'")
+
+
+def _record_from_dict(cls, d, where: str, parsers=None, required=()):
+    """cls from the JSON object d, checked by ``_check_keys``; each present field, in
+    field order, read by ``parsers[name](value, f"{where}.{name}")`` or else as the
+    scalar its annotation names ("float" or "int"), each absent one left at its default."""
+    _check_keys(d, cls, where, required)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in d:
+            parse = (parsers or {}).get(f.name) or functools.partial(_scalar, f.type)
+            kwargs[f.name] = parse(d[f.name], f"{where}.{f.name}")
+    return cls(**kwargs)
+
+
+def _record_to_dict(v):
+    """A dataclass record as ``asdict`` gives it, with a list for every tuple or array in it."""
+    if dataclasses.is_dataclass(v):
+        v = dataclasses.asdict(v)
+    if isinstance(v, dict):
+        return {k: _record_to_dict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_record_to_dict(x) for x in v]
+    return v
 
 
 # -- detections / tracker outputs ----------------------------------------------------

@@ -23,26 +23,37 @@ The ground cloud is rejection-sampled in blocks of draws; with cloud noise,
 one draw at a time, so each kept point's noise still follows its pair.
 Every output is bit-identical to one frame, one agent and one draw at a time.
 
-Everything is deterministic for a fixed scenario seed. A scenario from JSON
-is checked field by field before any frame is generated.
+Everything is deterministic for a fixed scenario seed. A JSON scenario holds
+the fields of the dataclasses below, which its reader and writer take from the
+classes themselves; every value is checked before any frame is generated, and
+``read_scenario`` also takes the name of a bundled scenario.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 # covered_fraction goes uncalled here; the benchmark tracer wraps it as this module's.
 from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
-from .config import VISIBILITY_CUTOFF, _is_number
+from .config import VISIBILITY_CUTOFF
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
 from .homography import MAX_IMAGE_SIDE, Homography
-from .mot_io import GtTable, read_json, write_json
+from .mot_io import (
+    GtTable,
+    _is_number,
+    _record_from_dict,
+    _record_to_dict,
+    read_json,
+    write_json,
+)
 from .tracker import SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
@@ -473,42 +484,6 @@ def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneMo
 
 # -- scenario JSON ------------------------------------------------------------------
 
-_CAMERA_FIELDS = {"height", "tilt_deg", "focal", "image_width", "image_height"}
-_AGENT_FIELDS = {"id", "waypoints", "speed", "height", "width", "appearance_seed"}
-_OCCLUDER_FIELDS = {"x_min", "x_max", "y_min", "y_max", "height"}
-_SCENARIO_REQUIRED = {"camera", "ground_extent", "agents", "fps", "duration"}
-_SCENARIO_OPTIONAL = {
-    "occluders",
-    "detection_noise",
-    "appearance_noise",
-    "seed",
-    "camera_path",
-    "cloud_points",
-    "cloud_noise",
-    "appearance_dim",
-}
-
-
-def _check_keys(d: dict, required: set, optional: set, where: str):
-    if not isinstance(d, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    missing = required - set(d)
-    if missing:
-        raise ParseError(f"{where}: missing field '{sorted(missing)[0]}'")
-    unknown = set(d) - required - optional
-    if unknown:
-        raise ParseError(f"{where}: unknown field '{sorted(unknown)[0]}'")
-
-
-def _field(d: dict, key: str, where: str, kind=float, default=None):
-    """d[key], or default when absent, as a float or an int; ParseError naming it otherwise."""
-    v = d.get(key, default)
-    if kind is int and not (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
-        raise ParseError(f"{where}.{key} must be an integer, got {v!r}")
-    if kind is float and not _is_number(v):
-        raise ParseError(f"{where}.{key} must be a number, got {v!r}")
-    return kind(v)
-
 
 def _list(v, where: str) -> list:
     if not isinstance(v, list):
@@ -523,105 +498,53 @@ def _pairs(v, where: str) -> tuple:
     return tuple((float(x), float(y)) for x, y in v)
 
 
+def _each(parse):
+    """A parser of a JSON list that reads item i with parse(item, f"{where}[{i}]")."""
+    return lambda v, where: tuple(parse(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where)))
+
+
+def _agent(d, where: str) -> AgentSpec:
+    if isinstance(d, dict) and "id" in d:
+        d = {"appearance_seed": d["id"], **d}
+    return _record_from_dict(AgentSpec, d, where, {"waypoints": _pairs})
+
+
+_SCENARIO_PARSERS = {
+    "camera": functools.partial(_record_from_dict, CameraSpec),
+    "agents": _each(_agent),
+    "occluders": _each(functools.partial(_record_from_dict, Occluder)),
+    "camera_path": lambda v, where: None if v is None else _pairs(v, where),
+}
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from parsed JSON.
 
-    A malformed field raises ParseError and a value out of range raises
-    InvalidScenario; either message starts with the field's path, such as
-    ``scenario.agents[0].speed``.
+    The keys are the fields of Scenario, CameraSpec, AgentSpec and Occluder, with
+    their defaults, but for two rules: fps and duration are required, and an
+    agent's appearance_seed defaults to its id. A malformed field raises
+    ParseError and a value out of range InvalidScenario; either message starts
+    with the field's path, such as ``scenario.agents[0].speed``.
     """
-    _check_keys(d, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenario")
-    camd = d["camera"]
-    _check_keys(camd, _CAMERA_FIELDS, set(), "scenario.camera")
-    agents = []
-    for i, ad in enumerate(_list(d["agents"], "scenario.agents")):
-        where = f"scenario.agents[{i}]"
-        _check_keys(ad, {"id", "waypoints", "speed"}, _AGENT_FIELDS, where)
-        agents.append(
-            AgentSpec(
-                id=_field(ad, "id", where, int),
-                waypoints=_pairs(ad["waypoints"], f"{where}.waypoints"),
-                speed=_field(ad, "speed", where),
-                height=_field(ad, "height", where, default=1.7),
-                width=_field(ad, "width", where, default=0.6),
-                appearance_seed=_field(ad, "appearance_seed", where, int, ad["id"]),
-            )
-        )
-    occluders = []
-    for i, od in enumerate(_list(d.get("occluders", []), "scenario.occluders")):
-        where = f"scenario.occluders[{i}]"
-        _check_keys(od, _OCCLUDER_FIELDS, set(), where)
-        occluders.append(Occluder(**{k: _field(od, k, where) for k in _OCCLUDER_FIELDS}))
-    path = d.get("camera_path")
-    return Scenario(
-        camera=CameraSpec(
-            height=_field(camd, "height", "scenario.camera"),
-            tilt_deg=_field(camd, "tilt_deg", "scenario.camera"),
-            focal=_field(camd, "focal", "scenario.camera"),
-            image_width=_field(camd, "image_width", "scenario.camera", int),
-            image_height=_field(camd, "image_height", "scenario.camera", int),
-        ),
-        ground_extent=_field(d, "ground_extent", "scenario"),
-        agents=tuple(agents),
-        occluders=tuple(occluders),
-        fps=_field(d, "fps", "scenario"),
-        duration=_field(d, "duration", "scenario"),
-        detection_noise=_field(d, "detection_noise", "scenario", default=0.0),
-        appearance_noise=_field(d, "appearance_noise", "scenario", default=0.0),
-        seed=_field(d, "seed", "scenario", int, 0),
-        camera_path=_pairs(path, "scenario.camera_path") if path is not None else None,
-        cloud_points=_field(d, "cloud_points", "scenario", int, 2000),
-        cloud_noise=_field(d, "cloud_noise", "scenario", default=0.0),
-        appearance_dim=_field(d, "appearance_dim", "scenario", int, 16),
-    )
+    return _record_from_dict(Scenario, d, "scenario", _SCENARIO_PARSERS, ("fps", "duration"))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    d = {
-        "camera": {
-            "height": s.camera.height,
-            "tilt_deg": s.camera.tilt_deg,
-            "focal": s.camera.focal,
-            "image_width": s.camera.image_width,
-            "image_height": s.camera.image_height,
-        },
-        "ground_extent": s.ground_extent,
-        "agents": [
-            {
-                "id": a.id,
-                "waypoints": [list(w) for w in a.waypoints],
-                "speed": a.speed,
-                "height": a.height,
-                "width": a.width,
-                "appearance_seed": a.appearance_seed,
-            }
-            for a in s.agents
-        ],
-        "occluders": [
-            {
-                "x_min": o.x_min,
-                "x_max": o.x_max,
-                "y_min": o.y_min,
-                "y_max": o.y_max,
-                "height": o.height,
-            }
-            for o in s.occluders
-        ],
-        "fps": s.fps,
-        "duration": s.duration,
-        "detection_noise": s.detection_noise,
-        "appearance_noise": s.appearance_noise,
-        "seed": s.seed,
-        "cloud_points": s.cloud_points,
-        "cloud_noise": s.cloud_noise,
-        "appearance_dim": s.appearance_dim,
-    }
-    if s.camera_path is not None:
-        d["camera_path"] = [list(p) for p in s.camera_path]
+    """Every field of the scenario; camera_path only for a moving camera."""
+    d = _record_to_dict(s)
+    if s.camera_path is None:
+        del d["camera_path"]
     return d
 
 
 def read_scenario(path) -> Scenario:
+    """A scenario JSON file, or the bundled scenario of that name (``crossing``)."""
+    if not os.path.exists(path):
+        name = os.fspath(path)
+        ref = resources.files("bevtrack").joinpath("data", name.removesuffix(".json") + ".json")
+        if not ref.is_file():
+            raise ParseError(f"scenario {name!r}: no such file or bundled scenario")
+        path = str(ref)
     return scenario_from_dict(read_json(path))
 
 

@@ -45,7 +45,7 @@ class Detection:
         if self.appearance is not None:
             self.appearance = np.asarray(self.appearance, dtype=float)
             norm = float(np.linalg.norm(self.appearance))
-            if abs(norm - 1.0) > 1e-6:
+            if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("appearance descriptor must be unit length")
 
 

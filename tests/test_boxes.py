@@ -78,6 +78,11 @@ class TestPixelBox:
         with pytest.raises(ValueError):
             PixelBox(0.0, 0.0, 5.0, -1.0)
 
+    @pytest.mark.parametrize("w, h", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_size_rejected(self, w, h):
+        with pytest.raises(ValueError, match="must be positive"):
+            PixelBox(0.0, 0.0, w, h)
+
     def test_with_bottom_center_moves_box(self):
         b = PixelBox(10.0, 20.0, 30.0, 40.0, confidence=0.7)
         m = b.with_bottom_center(100.0, 200.0)

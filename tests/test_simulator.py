@@ -437,6 +437,16 @@ class TestScenarioJson:
         with pytest.raises(ParseError, match="broken.json"):
             read_scenario(p)
 
+    def test_bundled_scenario_read_by_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert read_scenario("crossing") == read_scenario("crossing.json") == crossing_scenario()
+        assert crossing_scenario().agents[0].waypoints == ((-7.5, 8.9), (10.0, 12.4))
+        with pytest.raises(ParseError, match="^scenario 'nowhere': no such file or bundled"):
+            read_scenario("nowhere")
+        (tmp_path / "crossing").write_text("{}")  # a file of that name comes first
+        with pytest.raises(ParseError, match="missing field 'agents'"):
+            read_scenario("crossing")
+
     @pytest.mark.parametrize(
         "edit, error, message",
         [

@@ -114,6 +114,11 @@ class TestDetectionValidation:
         with pytest.raises(ValueError):
             det_at(0, 50, 100, app=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("app", [np.full(4, np.nan), np.array([1.0, np.nan])])
+    def test_nan_appearance_rejected(self, app):
+        with pytest.raises(ValueError, match="unit length"):
+            det_at(0, 50, 100, app=app)
+
     def test_appearance_optional(self):
         d = det_at(0, 50, 100, app=None)
         assert d.appearance is None
