@@ -228,7 +228,7 @@ def _free_scene(lh, cfg: RunConfig, fps: float, ego=None) -> SceneModel:
     )
 
 
-def _load_tracker_inputs(args, cfg: RunConfig):
+def _load_tracker_inputs(args):
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
     records = mot_io.read_detections(args.det)
@@ -246,7 +246,7 @@ def _load_tracker_inputs(args, cfg: RunConfig):
 
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
-    lh, records, appearance, ego = _load_tracker_inputs(args, cfg)
+    lh, records, appearance, ego = _load_tracker_inputs(args)
     if args.scenario:
         sc = read_scenario(args.scenario)
         scene = build_scene_model(sc, lh, cfg.cell_size)

@@ -46,11 +46,9 @@ class Homography:
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         """Exact projective map, pixels (..., 2) -> BEV (..., 2). No linearization."""
         p = np.asarray(pixels, dtype=float)
-        u, v = p[..., 0], p[..., 1]
-        w = self.m[2, 0] * u + self.m[2, 1] * v + self.m[2, 2]
-        x = (self.m[0, 0] * u + self.m[0, 1] * v + self.m[0, 2]) / w
-        y = (self.m[1, 0] * u + self.m[1, 1] * v + self.m[1, 2]) / w
-        return np.stack([x, y], axis=-1)
+        # Row i of m as m[i, 0] * u + m[i, 1] * v + m[i, 2], all three rows at once.
+        q = p[..., 0:1] * self.m[:, 0] + p[..., 1:2] * self.m[:, 1] + self.m[:, 2]
+        return q[..., :2] / q[..., 2:]
 
     def __repr__(self):
         return f"Homography({self.m.tolist()!r})"

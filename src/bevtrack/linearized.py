@@ -18,6 +18,13 @@ w^2 = sqrt(K)/max_spacing on the ground side of the horizon.
 
 The ground side is assumed below the horizon row, the standard orientation
 for a camera above the plane looking forward.
+
+Cached once per integer pixel column: v_T, the anchor (the exact map at v_T),
+the tangent (d BEV / dv there) and whether the column has a threshold of its
+own. Per query point, with the same closed forms: v_T always, the anchor and
+tangent only where the linear piece reads them (above v_T in px_to_bev, off
+the exact piece in try_bev_to_px). A point of an undefined column takes all
+three from the cached nearest integer column.
 """
 
 from __future__ import annotations
@@ -58,22 +65,23 @@ class LinearizedHomography:
         self.image_size = (w, ht)
         m = h.m
         self._affine = abs(m[2, 0]) <= 1e-15 and abs(m[2, 1]) <= 1e-15
+        self._projective = abs(m[2, 1]) > 1e-15  # the denominator varies along a column
+        self._sigma = 1.0 if m[2, 1] > 0 else -1.0  # its sign on the ground side, if so
         self.linearization_needed = not self._affine
 
         cols = np.arange(w, dtype=float)
-        v_t, anchor, tangent, defined = self._analytic_pieces(cols)
-        if not np.all(defined):
-            n_bad = int((~defined).sum())
+        v_t, defined, terms = self._thresholds(cols)
+        anchor, tangent = self._linear_piece(terms, v_t, slice(None))
+        bad = np.flatnonzero(~defined)
+        if bad.size:
             good = np.flatnonzero(defined)
             if good.size == 0:
                 raise OutOfDomain("no pixel column admits a linearization threshold")
-            bad = np.flatnonzero(~defined)
             nearest = good[np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)]
-            v_t[bad] = v_t[nearest]
-            tangent[bad] = tangent[nearest]
-            anchor[bad] = anchor[nearest]
+            for values in (v_t, tangent, anchor):
+                values[bad] = values[nearest]
             warnings.warn(
-                f"{n_bad} pixel column(s) have no usable threshold; nearest column reused",
+                f"{bad.size} pixel column(s) have no usable threshold; nearest column reused",
                 HorizonInsideFootprint,
             )
         self.column_v_t = v_t
@@ -83,85 +91,67 @@ class LinearizedHomography:
 
     # -- per-column closed forms -------------------------------------------------
 
-    def _column_coeffs(self, u: np.ndarray):
+    def _thresholds(self, u: np.ndarray):
+        """Threshold rows of (possibly fractional) columns u, before any fallback.
+
+        Returns (v_t, defined, terms): terms holds, per point, the column
+        values that _linear_piece reads: (b1, b2), (alpha, beta) and the
+        denominator there (w_t, or d(u) when it is constant along the column).
+        """
         m = self.h.m
-        a1, a2, c = m[0, 1], m[1, 1], m[2, 1]
-        b1 = m[0, 0] * u + m[0, 2]
-        b2 = m[1, 0] * u + m[1, 2]
-        d = m[2, 0] * u + m[2, 2]
-        alpha = a1 * d - b1 * c
-        beta = a2 * d - b2 * c
-        return a1, a2, c, b1, b2, d, alpha, beta
-
-    def _analytic_pieces(self, u: np.ndarray):
-        """Threshold row, anchor and tangent for (possibly fractional) columns u."""
-        u = np.asarray(u, dtype=float)
-        a1, a2, c, b1, b2, d, alpha, beta = self._column_coeffs(u)
-        k = alpha * alpha + beta * beta
-        v_t = np.full(u.shape, -np.inf)
-        anchor = np.zeros(u.shape + (2,))
-        tangent = np.zeros(u.shape + (2,))
+        c = m[2, 1]
+        coef = u[:, None] * m[:, 0] + m[:, 2]  # b1, b2, d: the row-wise m00 * u + m02
+        b, d = coef[:, :2], coef[:, 2]
+        ab = m[:2, 1] * d[:, None] - b * c  # alpha, beta: a1 * d - b1 * c
+        sq = ab * ab
+        k = sq[:, 0] + sq[:, 1]
         defined = k > 1e-30
-
-        if self._affine:
-            # No horizon: the exact map is affine, the "linear piece" coincides
-            # with it. The threshold is set to the top row by convention.
-            v_t[:] = 0.0
-            w0 = d  # c == 0
-            tangent[..., 0] = np.where(defined, alpha / (w0 * w0), 0.0)
-            tangent[..., 1] = np.where(defined, beta / (w0 * w0), 0.0)
-            anchor[..., 0] = b1 / w0
-            anchor[..., 1] = b2 / w0
-            return v_t, anchor, tangent, defined
-
-        if abs(c) > 1e-15:
-            sigma = 1.0 if c > 0 else -1.0
+        if self._projective:
             with np.errstate(invalid="ignore", divide="ignore"):
-                w_t = sigma * np.sqrt(np.sqrt(k) / self.max_spacing)
-                vt = (w_t - d) / c
-                ax = (a1 * vt + b1) / w_t
-                ay = (a2 * vt + b2) / w_t
-                tx = alpha / (w_t * w_t)
-                ty = beta / (w_t * w_t)
-            v_t = np.where(defined, vt, -np.inf)
-            anchor[..., 0] = np.where(defined, ax, 0.0)
-            anchor[..., 1] = np.where(defined, ay, 0.0)
-            tangent[..., 0] = np.where(defined, tx, 0.0)
-            tangent[..., 1] = np.where(defined, ty, 0.0)
-            return v_t, anchor, tangent, defined
-
+                w_t = self._sigma * np.sqrt(np.sqrt(k) / self.max_spacing)
+                return (w_t - d) / c, defined, (b, ab, w_t)
+        if self._affine:
+            # No horizon: the linear piece is the exact, affine map; v_t is row 0 by convention.
+            return np.zeros(u.shape), defined, (b, ab, d)
         # c == 0 with a u-dependent denominator: each column maps affinely in v
         # with constant derivative sqrt(k)/d^2; columns whose derivative already
         # respects max_spacing never need the linear piece, the rest have no
         # threshold of their own.
         with np.errstate(invalid="ignore", divide="ignore"):
-            deriv = np.sqrt(k) / (d * d)
-            ok = defined & (np.abs(d) > 1e-15) & (deriv <= self.max_spacing)
-            tangent[..., 0] = np.where(ok, alpha / (d * d), 0.0)
-            tangent[..., 1] = np.where(ok, beta / (d * d), 0.0)
-            anchor[..., 0] = np.where(ok, b1 / d, 0.0)
-            anchor[..., 1] = np.where(ok, b2 / d, 0.0)
-        return v_t, anchor, tangent, ok
+            defined &= (np.abs(d) > 1e-15) & (np.sqrt(k) / (d * d) <= self.max_spacing)
+        return np.full(u.shape, -np.inf), defined, (b, ab, d)
 
-    def _pieces(self, u: np.ndarray):
-        """Like _analytic_pieces but falls back to the cached nearest defined column."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v_t, anchor, tangent, defined = self._analytic_pieces(u)
-        if not np.all(defined):
+    def _linear_piece(self, terms, v_t: np.ndarray, rows):
+        """(n, 2) anchor and tangent (d BEV / d v) at the given rows of a _thresholds result."""
+        b, ab, den = (t[rows] for t in terms)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self._projective:  # (a1 * v_t + b1) / w_t
+                anchor = (self.h.m[:2, 1] * v_t[rows][:, None] + b) / den[:, None]
+            else:
+                anchor = b / den[:, None]
+            return anchor, ab / (den * den)[:, None]
+
+    def _borrow(self, u: np.ndarray, defined: np.ndarray, *pairs) -> None:
+        """Give points of undefined columns each cache's values at the nearest integer column."""
+        if not defined.all():
             bad = ~defined
             idx = np.clip(np.rint(u[bad]).astype(int), 0, self.image_size[0] - 1)
-            v_t[bad] = self.column_v_t[idx]
-            anchor[bad] = self.column_anchor[idx]
-            tangent[bad] = self.column_tangent[idx]
-        return v_t, anchor, tangent
+            for values, cache in pairs:
+                values[bad] = cache[idx]
 
-    def _ground_sign(self, u: np.ndarray) -> np.ndarray:
-        m = self.h.m
-        c = m[2, 1]
-        if abs(c) > 1e-15:
-            return np.full(np.shape(u), 1.0 if c > 0 else -1.0)
-        d = m[2, 0] * np.asarray(u, dtype=float) + m[2, 2]
-        return np.sign(d)
+    def _query_pieces(self, u: np.ndarray):
+        """Query columns' threshold rows and denominators, and their linear piece at some rows."""
+        v_t, defined, terms = self._thresholds(u)
+        self._borrow(u, defined, (v_t, self.column_v_t))
+
+        def linear(rows):
+            anchor, tangent = self._linear_piece(terms, v_t, rows)
+            self._borrow(
+                u[rows], defined[rows], (anchor, self.column_anchor), (tangent, self.column_tangent)
+            )
+            return anchor, tangent
+
+        return v_t, terms[-1], linear
 
     # -- forward / inverse maps --------------------------------------------------
 
@@ -177,14 +167,16 @@ class LinearizedHomography:
         single = p.ndim == 1
         pts = np.atleast_2d(p).astype(float)
         u, v = pts[:, 0], pts[:, 1]
-        v_t, anchor, tangent = self._pieces(u)
+        v_t, _, linear = self._query_pieces(u)
         below = v >= v_t  # exact projective region (towards the camera)
-        out = np.empty_like(pts)
-        if np.any(below):
-            out[below] = self.h.apply(pts[below])
-        if not np.all(below):
+        if below.all():
+            out = self.h.apply(pts)
+        else:
             up = ~below
-            out[up] = anchor[up] + (v[up] - v_t[up])[:, None] * tangent[up]
+            out = np.empty_like(pts)
+            out[below] = self.h.apply(pts[below])
+            anchor, tangent = linear(up)
+            out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
         if ego is not None:
             out = out + ego.offset(frame)
         return out[0] if single else out
@@ -209,21 +201,22 @@ class LinearizedHomography:
         u = q[:, 0] / wq_safe
         v = q[:, 1] / wq_safe
 
-        v_t, anchor, tangent = self._pieces(u)
+        v_t, den, linear = self._query_pieces(u)
         m = self.h.m
         w_img = m[2, 0] * u + m[2, 1] * v + m[2, 2]
-        side_ok = self._ground_sign(u) * w_img > 0
-        use_exact = finite & side_ok & (v >= v_t - _EDGE_TOL)
-
-        diff = pts - anchor
-        tt = np.sum(tangent * tangent, axis=1)
-        tt_safe = np.where(tt > 0, tt, 1.0)
-        t = np.sum(diff * tangent, axis=1) / tt_safe
-        use_linear = finite & ~use_exact & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(v_t)
-
-        valid = use_exact | use_linear
-        out = np.stack([u, np.where(use_exact, v, v_t + t)], axis=1)
-        if not valid.all():
+        ground_sign = self._sigma if self._projective else np.sign(den)
+        valid = finite & (ground_sign * w_img > 0) & (v >= v_t - _EDGE_TOL)  # exact piece
+        out = np.stack([u, v], axis=1)
+        rest = ~valid
+        if rest.any():
+            anchor, tangent = linear(rest)
+            diff = pts[rest] - anchor
+            tt = np.sum(tangent * tangent, axis=1)
+            tt_safe = np.where(tt > 0, tt, 1.0)
+            t = np.sum(diff * tangent, axis=1) / tt_safe
+            vt = v_t[rest]
+            valid[rest] = finite[rest] & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(vt)
+            out[rest, 1] = vt + t
             out[~valid] = np.nan
         return out, valid
 

@@ -242,7 +242,11 @@ def agent_position(agent: AgentSpec, t) -> np.ndarray:
     out = np.empty((len(s), 2))
     out[:] = wps[0]
     seg = np.diff(wps, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg_len = np.linalg.norm(seg, axis=1)
+        far = np.isinf(seg_len)  # squares past the float range: measure scaled down
+        scale = np.abs(seg[far]).max(axis=1, initial=0.0)
+        seg_len[far] = np.linalg.norm(seg[far] / scale[:, None], axis=1) * scale
     todo = np.ones(len(s), dtype=bool)
     for i, L in enumerate(seg_len):
         here = todo & (s <= L) if i < len(seg_len) - 1 else todo
@@ -312,9 +316,10 @@ def generate(scenario: Scenario) -> SimOutput:
         x, y = paths[:, frames].transpose(2, 1, 0)  # (frames, agents)
         corner_x = np.stack([x - half_w, x + half_w] * 2, axis=-1)
         corners = np.stack(np.broadcast_arrays(corner_x, y[..., None], corner_z), axis=-1)
-        px, _ = project_points(cam, corners, ego.offsets[frames, None, None])
-        lo, hi = px.min(axis=-2), px.max(axis=-2)
-        ltwh = np.concatenate([lo, hi - lo], axis=-1)  # (frames, agents, 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # far off: no finite box, an error below
+            px, _ = project_points(cam, corners, ego.offsets[frames, None, None])
+            lo, hi = px.min(axis=-2), px.max(axis=-2)
+            ltwh = np.concatenate([lo, hi - lo], axis=-1)  # (frames, agents, 4)
         sized = (ltwh[..., 2:] > 0).all(axis=-1)
         if not sized.all():
             f, i = np.argwhere(~sized)[0]

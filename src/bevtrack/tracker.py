@@ -8,13 +8,14 @@ against visible freespace in one call, and offered the unmatched detections
 through a gated geometric+appearance score solved as a maximum-score
 assignment. Track ids are never reissued. Per frame, one px_to_bev call lifts
 the detections and one try_bev_to_px call maps every branch (FrameGeometry);
-overlaps come from one kernel, iou_matrix.
+overlaps come from one kernel, iou_matrix, once per frame for the branches:
+occlusion tests read it whole, the cost matrix its free-detection columns.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -172,7 +173,7 @@ class FrameGeometry:
 
     table: BranchTable
     points: np.ndarray  # (R, 2) BEV points
-    boxes: np.ndarray  # (R, 4) predicted left, top, width, height
+    overlap: np.ndarray  # (R, M) IoU of each row's predicted box with each detection
     visible: np.ndarray  # (R,) on visible freespace and not occluded by a closer detection
 
 
@@ -186,9 +187,10 @@ def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int,
     px, valid = scene.lh.try_bev_to_px(pts, ego=scene.ego, frame=frame)
     boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
     closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
-    occluded = (closer & (iou_matrix(boxes, det_boxes) >= config.occlusion_iou)).any(axis=1)
+    overlap = iou_matrix(boxes, det_boxes)
+    occluded = (closer & (overlap >= config.occlusion_iou)).any(axis=1)
     visible = valid & scene.contains(pts) & ~occluded
-    return FrameGeometry(table, pts, boxes, visible)
+    return FrameGeometry(table, pts, overlap, visible)
 
 
 def build_cost_matrix(
@@ -201,7 +203,8 @@ def build_cost_matrix(
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its alive branches, the first branch on a
     tie. Zero means "forbidden". ``geometry``, whose table holds these
-    tracks' rows, supplies the branch points and boxes.
+    tracks' rows and whose overlap columns are these detections, supplies
+    the branch points and overlaps.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -212,12 +215,11 @@ def build_cost_matrix(
     best_branch = np.full((n, m), -1, dtype=int)
     if n == 0 or m == 0:
         return scores, best_branch
-    det_boxes = ltwh([d.box for d in detections])
     table = geometry.table
     index = {tr.id: i for i, tr in enumerate(tracks)}
     owner = np.array([index.get(tid, -1) for tid in table.owner.tolist()], dtype=int)
     rows = table.alive & (owner >= 0)
-    d_iou = iou_matrix(geometry.boxes[rows], det_boxes)
+    d_iou = geometry.overlap[rows]
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
     diff = geometry.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
@@ -364,7 +366,8 @@ class Tracker:
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            scores, best_branch = build_cost_matrix(survivors, dets, cfg, geometry)
+            free = replace(geometry, overlap=geometry.overlap[:, free_dets])
+            scores, best_branch = build_cost_matrix(survivors, dets, cfg, free)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import time
 from importlib import resources
 
@@ -547,6 +549,27 @@ class TestInputErrors:
         assert_one_error_line(err)
         assert err.startswith(f"error: {message} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("agent, waypoint", [(0, 0), (1, 0)])
+    def test_far_waypoint_prints_only_the_error_line(self, tmp_path, agent, waypoint):
+        # Run in a fresh process: stderr holds exactly what a user sees,
+        # numpy warnings included, with no warning capture in between.
+        d = crossing_dict()
+        d["agents"][agent]["waypoints"][waypoint][1] = 1e308
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(d))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "bevtrack.cli", "simulate", "--scenario", str(scenario),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"error: scenario.agents[{agent}] has no image box (zero or NaN size) at frame 0"
+        ]
 
     def test_camera_seeing_too_little_ground_is_code_1(self, tmp_path, capsys):
         # tilted up until about 1 in 220 ground draws lands in the image: fewer

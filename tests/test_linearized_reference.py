@@ -1,0 +1,344 @@
+"""The pixel<->BEV map against the per-point closed forms it replaced.
+
+The reference_* functions are the map as it was when every query built the
+threshold row, anchor and tangent of every point (``_analytic_pieces`` and
+``_pieces``), and chose the ground side with ``_ground_sign``. Today's map
+builds the threshold row of every point and the anchor and tangent only
+where the linear piece reads them. On seeded random homographies of all
+three camera cases (a denominator varying along columns, an affine map, and
+a denominator constant along each column but not across them) both must give
+the same bytes: BEV points, pixels (NaN included) and valid flags.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from bevtrack.egomotion import EgomotionTrack
+from bevtrack.errors import HorizonInsideFootprint
+from bevtrack.homography import Homography
+from bevtrack.linearized import linearize
+from bevtrack.simulator import CameraSpec, true_homography
+
+_EDGE_TOL = 1e-9
+
+
+# -- the reference map ------------------------------------------------------------
+
+
+def reference_column_coeffs(m, u):
+    a1, a2, c = m[0, 1], m[1, 1], m[2, 1]
+    b1 = m[0, 0] * u + m[0, 2]
+    b2 = m[1, 0] * u + m[1, 2]
+    d = m[2, 0] * u + m[2, 2]
+    alpha = a1 * d - b1 * c
+    beta = a2 * d - b2 * c
+    return a1, a2, c, b1, b2, d, alpha, beta
+
+
+def reference_analytic_pieces(lh, u):
+    u = np.asarray(u, dtype=float)
+    m = lh.h.m
+    a1, a2, c, b1, b2, d, alpha, beta = reference_column_coeffs(m, u)
+    k = alpha * alpha + beta * beta
+    v_t = np.full(u.shape, -np.inf)
+    anchor = np.zeros(u.shape + (2,))
+    tangent = np.zeros(u.shape + (2,))
+    defined = k > 1e-30
+
+    if abs(m[2, 0]) <= 1e-15 and abs(m[2, 1]) <= 1e-15:
+        v_t[:] = 0.0
+        w0 = d
+        tangent[..., 0] = np.where(defined, alpha / (w0 * w0), 0.0)
+        tangent[..., 1] = np.where(defined, beta / (w0 * w0), 0.0)
+        anchor[..., 0] = b1 / w0
+        anchor[..., 1] = b2 / w0
+        return v_t, anchor, tangent, defined
+
+    if abs(c) > 1e-15:
+        sigma = 1.0 if c > 0 else -1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w_t = sigma * np.sqrt(np.sqrt(k) / lh.max_spacing)
+            vt = (w_t - d) / c
+            ax = (a1 * vt + b1) / w_t
+            ay = (a2 * vt + b2) / w_t
+            tx = alpha / (w_t * w_t)
+            ty = beta / (w_t * w_t)
+        v_t = np.where(defined, vt, -np.inf)
+        anchor[..., 0] = np.where(defined, ax, 0.0)
+        anchor[..., 1] = np.where(defined, ay, 0.0)
+        tangent[..., 0] = np.where(defined, tx, 0.0)
+        tangent[..., 1] = np.where(defined, ty, 0.0)
+        return v_t, anchor, tangent, defined
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        deriv = np.sqrt(k) / (d * d)
+        ok = defined & (np.abs(d) > 1e-15) & (deriv <= lh.max_spacing)
+        tangent[..., 0] = np.where(ok, alpha / (d * d), 0.0)
+        tangent[..., 1] = np.where(ok, beta / (d * d), 0.0)
+        anchor[..., 0] = np.where(ok, b1 / d, 0.0)
+        anchor[..., 1] = np.where(ok, b2 / d, 0.0)
+    return v_t, anchor, tangent, ok
+
+
+def reference_columns(lh):
+    """The cached (v_t, anchor, tangent, defined) of every integer column."""
+    cols = np.arange(lh.image_size[0], dtype=float)
+    v_t, anchor, tangent, defined = reference_analytic_pieces(lh, cols)
+    if not np.all(defined):
+        good = np.flatnonzero(defined)
+        bad = np.flatnonzero(~defined)
+        nearest = good[np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)]
+        v_t[bad] = v_t[nearest]
+        tangent[bad] = tangent[nearest]
+        anchor[bad] = anchor[nearest]
+    return v_t, anchor, tangent, defined
+
+
+def reference_pieces(lh, cache, u, seen):
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v_t, anchor, tangent, defined = reference_analytic_pieces(lh, u)
+    if not np.all(defined):
+        seen.add("fallback")
+        bad = ~defined
+        idx = np.clip(np.rint(u[bad]).astype(int), 0, lh.image_size[0] - 1)
+        v_t[bad] = cache[0][idx]
+        anchor[bad] = cache[1][idx]
+        tangent[bad] = cache[2][idx]
+    return v_t, anchor, tangent
+
+
+def reference_ground_sign(lh, u):
+    m = lh.h.m
+    c = m[2, 1]
+    if abs(c) > 1e-15:
+        return np.full(np.shape(u), 1.0 if c > 0 else -1.0)
+    d = m[2, 0] * np.asarray(u, dtype=float) + m[2, 2]
+    return np.sign(d)
+
+
+def reference_px_to_bev(lh, cache, pixels, seen, ego=None, frame=0):
+    p = np.asarray(pixels, dtype=float)
+    single = p.ndim == 1
+    pts = np.atleast_2d(p).astype(float)
+    u, v = pts[:, 0], pts[:, 1]
+    v_t, anchor, tangent = reference_pieces(lh, cache, u, seen)
+    below = v >= v_t
+    out = np.empty_like(pts)
+    if np.any(below):
+        seen.add("exact")
+        out[below] = lh.h.apply(pts[below])
+    if not np.all(below):
+        seen.add("linear")
+        up = ~below
+        out[up] = anchor[up] + (v[up] - v_t[up])[:, None] * tangent[up]
+    if ego is not None:
+        out = out + ego.offset(frame)
+    return out[0] if single else out
+
+
+def reference_try_bev_to_px(lh, cache, bev, seen, ego=None, frame=0):
+    pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
+    if ego is not None:
+        pts = pts - ego.offset(frame)
+    ones = np.ones((pts.shape[0], 1))
+    q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ lh.h.inv.T)[:, 0, :]
+    wq = q[:, 2]
+    finite = np.abs(wq) > 1e-12 * np.abs(q).max(axis=1)
+    wq_safe = np.where(finite, wq, 1.0)
+    u = q[:, 0] / wq_safe
+    v = q[:, 1] / wq_safe
+
+    v_t, anchor, tangent = reference_pieces(lh, cache, u, seen)
+    m = lh.h.m
+    w_img = m[2, 0] * u + m[2, 1] * v + m[2, 2]
+    side_ok = reference_ground_sign(lh, u) * w_img > 0
+    use_exact = finite & side_ok & (v >= v_t - _EDGE_TOL)
+
+    diff = pts - anchor
+    tt = np.sum(tangent * tangent, axis=1)
+    tt_safe = np.where(tt > 0, tt, 1.0)
+    t = np.sum(diff * tangent, axis=1) / tt_safe
+    use_linear = finite & ~use_exact & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(v_t)
+
+    valid = use_exact | use_linear
+    for name, rows in (("exact", use_exact), ("linear", use_linear), ("invalid", ~valid)):
+        if rows.any():
+            seen.add(name)
+    out = np.stack([u, np.where(use_exact, v, v_t + t)], axis=1)
+    if not valid.all():
+        out[~valid] = np.nan
+    return out, valid
+
+
+# -- seeded cameras and query points ----------------------------------------------
+
+
+def _rigid(angle, shift):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, shift[0]], [s, c, shift[1]], [0.0, 0.0, 1.0]])
+
+
+def random_camera(kind, seed):
+    """The LinearizedHomography of one camera case, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    w, ht = int(rng.integers(64, 700)), int(rng.integers(48, 500))
+    spacing = float(rng.uniform(0.05, 0.5))
+    if kind in ("pinhole", "rolled", "upside_down"):
+        cam = CameraSpec(
+            height=float(rng.uniform(1.5, 12.0)),
+            tilt_deg=float(rng.uniform(8.0, 60.0)),
+            focal=float(rng.uniform(0.6, 1.6) * w),
+            image_width=w,
+            image_height=ht,
+        )
+        m = true_homography(cam).m
+        if kind == "rolled":  # pixel roll about the centre and a BEV pose: h20 != 0
+            centre = np.array([w / 2.0, ht / 2.0])
+            roll = _rigid(rng.uniform(-0.3, 0.3), (0.0, 0.0))
+            roll[:2, 2] = centre - roll[:2, :2] @ centre
+            pose = _rigid(rng.uniform(-math.pi, math.pi), rng.uniform(-5, 5, 2))
+            m = pose @ m @ roll
+        elif kind == "upside_down":  # rows counted upwards: the sign of c flips
+            m = m @ np.diag([1.0, -1.0, 1.0])
+    elif kind == "affine":
+        m = np.vstack([rng.uniform(-0.05, 0.05, (2, 3)) + [[0, 0, 0], [0, 0, 10]], [0, 0, 1.0]])
+        m[:2, :2] += np.diag([0.02, -0.02])
+    elif kind == "c_zero":
+        # Denominator g u + 1: with a small spacing budget the leftmost
+        # columns have no threshold of their own and borrow the nearest one.
+        g = float(rng.uniform(0.02, 0.08))
+        s = float(rng.uniform(0.05, 0.15))
+        m = np.array([[s, 0.0, rng.uniform(-1, 1)], [0.0, s, rng.uniform(-1, 1)], [g, 0.0, 1.0]])
+        spacing = s / (g * rng.uniform(10.0, 40.0) + 1.0)
+    else:
+        raise ValueError(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonInsideFootprint)
+        return linearize(Homography(m), (w, ht), spacing)
+
+
+def query_pixels(lh, rng, n=300):
+    """Pixels inside and far beyond the image, near and above the horizon, and non-finite."""
+    w, ht = lh.image_size
+    inside = np.stack([rng.uniform(0, w, n), rng.uniform(0, ht, n)], axis=1)
+    beyond = np.stack([rng.uniform(-w, 2 * w, n), rng.uniform(-2 * ht, 2 * ht, n)], axis=1)
+    m = lh.h.m
+    u = rng.uniform(-w / 2, 1.5 * w, n)
+    near = np.zeros((0, 2))
+    if abs(m[2, 1]) > 1e-15:  # the horizon row solves m20 u + m21 v + m22 == 0
+        v_h = -(m[2, 0] * u + m[2, 2]) / m[2, 1]
+        near = np.stack([u, v_h + rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-6, 2, n)], axis=1)
+    # Integer columns and threshold rows hit the junction exactly.
+    cols = rng.integers(0, w, n // 4)
+    junction = np.stack([cols.astype(float), lh.column_v_t[cols]], axis=1)
+    pts = np.concatenate([inside, beyond, near, junction])
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    # Non-finite columns are undefined on every camera; rows above the
+    # borrowed threshold reach the linear piece with a borrowed anchor.
+    nan, inf = np.nan, np.inf
+    odd = [[nan, -1e6], [nan, 0.0], [nan, ht], [inf, -1e6], [-inf, 0.0], [0.0, nan]]
+    return np.concatenate([pts, odd])
+
+
+def query_bev(lh, rng, pixels):
+    """BEV points in the footprint, the far field, behind the camera and at w == 0."""
+    with np.errstate(all="ignore"):
+        exact = lh.h.apply(pixels)  # above the horizon this lands behind the camera
+        foot = lh.px_to_bev(pixels)
+    span = np.abs(foot[np.all(np.isfinite(foot), axis=1)]).max()
+    box = rng.uniform(-span, span, (200, 2))
+    r = lh.h.inv[2]
+    norm = math.hypot(r[0], r[1])
+    line = np.zeros((0, 2))
+    if norm > 0:
+        n_hat = r[:2] / norm
+        s = rng.uniform(-100, 100, (50, 1))
+        line = -r[2] / norm * n_hat + s * np.array([-n_hat[1], n_hat[0]])
+    pts = np.concatenate([exact, foot, foot + rng.normal(0, 1.0, foot.shape), box, line])
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    # Non-finite points have undefined columns on every camera.
+    return np.concatenate([pts, [[np.nan, 1.0], [np.inf, 5.0], [-np.inf, -np.inf]]])
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+KINDS = ("pinhole", "rolled", "upside_down", "affine", "c_zero")
+SEEDS = range(6)
+
+
+def compare_camera(kind, seed):
+    """Assert byte-equal maps on one camera; return the pieces the queries reached."""
+    lh = random_camera(kind, seed)
+    cache = reference_columns(lh)
+    for got, want in zip(
+        (lh.column_v_t, lh.column_anchor, lh.column_tangent, lh.column_defined), cache
+    ):
+        assert same_bytes(got, want)
+    rng = np.random.default_rng(1000 + seed)
+    pixels = query_pixels(lh, rng)
+    bev = query_bev(lh, rng, pixels)
+    ego = EgomotionTrack(np.array([[0.0, 0.0], [0.4, -1.3], rng.normal(0, 3, 2)]))
+    seen = set()
+    with np.errstate(all="ignore"):
+        for frame, e in ((0, None), (2, ego)):
+            got = lh.px_to_bev(pixels, ego=e, frame=frame)
+            assert same_bytes(got, reference_px_to_bev(lh, cache, pixels, seen, e, frame))
+            got_px, got_valid = lh.try_bev_to_px(bev, ego=e, frame=frame)
+            want_px, want_valid = reference_try_bev_to_px(lh, cache, bev, seen, e, frame)
+            assert same_bytes(got_px, want_px)
+            assert same_bytes(got_valid, want_valid)
+            for i in rng.choice(len(pixels), 25, replace=False):
+                got = lh.px_to_bev(pixels[i], ego=e, frame=frame)
+                assert got.shape == (2,)
+                assert same_bytes(got, reference_px_to_bev(lh, cache, pixels[i], seen, e, frame))
+            for i in rng.choice(len(bev), 25, replace=False):
+                got_px, got_valid = lh.try_bev_to_px(bev[i], ego=e, frame=frame)
+                want_px, want_valid = reference_try_bev_to_px(lh, cache, bev[i], seen, e, frame)
+                assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
+    return seen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_map_matches_reference(kind, seed):
+    compare_camera(kind, seed)
+
+
+def test_camera_cases_are_what_they_claim():
+    for seed in SEEDS:
+        for kind in ("pinhole", "rolled", "upside_down"):
+            m = random_camera(kind, seed).h.m
+            assert abs(m[2, 1]) > 1e-15
+        flipped = random_camera("upside_down", seed).h.m[2, 1]
+        assert np.sign(flipped) == -np.sign(random_camera("pinhole", seed).h.m[2, 1])
+        assert abs(random_camera("rolled", seed).h.m[2, 0]) > 1e-15
+        lh = random_camera("affine", seed)
+        assert not lh.linearization_needed
+        lh = random_camera("c_zero", seed)
+        assert abs(lh.h.m[2, 1]) <= 1e-15 < abs(lh.h.m[2, 0])
+        assert not lh.column_defined.all() and lh.column_defined.any()
+
+
+def test_every_piece_occurs():
+    seen = set()
+    for kind in KINDS:
+        seen |= compare_camera(kind, 0)
+    assert seen == {"exact", "linear", "invalid", "fallback"}
+
+
+def test_fallback_on_finite_columns():
+    # The c_zero cameras borrow for finite, in-image columns, not only for
+    # non-finite points.
+    lh = random_camera("c_zero", 0)
+    cache = reference_columns(lh)
+    seen = set()
+    u = np.arange(lh.image_size[0], dtype=float) + 0.25
+    pixels = np.stack([u, np.full(u.shape, lh.image_size[1] / 2.0)], axis=1)
+    assert same_bytes(lh.px_to_bev(pixels), reference_px_to_bev(lh, cache, pixels, seen))
+    assert "fallback" in seen

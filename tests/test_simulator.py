@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestAgentPosition:
         assert np.allclose(agent_position(a, 1.0), [2.0, 0.0])
         assert np.allclose(agent_position(a, 2.0), [4.0, 0.0])
         assert np.allclose(agent_position(a, 2.5), [4.0, 1.0])
+
+    def test_segment_longer_than_the_float_squares_keeps_its_speed(self):
+        # |segment|^2 overflows; the length is measured scaled down instead.
+        a = AgentSpec(id=1, waypoints=((0.0, 0.0), (0.0, 1e308)), speed=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos = agent_position(a, np.array([0.0, 2.0]))
+        assert np.allclose(pos, [[0.0, 0.0], [0.0, 3.0]], rtol=1e-12, atol=0.0)
 
     def test_clamps_at_the_end(self):
         a = AgentSpec(id=1, waypoints=((0.0, 0.0), (4.0, 0.0)), speed=2.0)
