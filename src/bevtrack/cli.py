@@ -215,17 +215,12 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _free_scene(lh, cfg: RunConfig, fps: float, ego=None) -> SceneModel:
+def _free_scene(lh, cfg: RunConfig, fps: float) -> SceneModel:
     extent = 60.0
     n = int(math.ceil(extent / cfg.cell_size))
-    return SceneModel(
-        mask=np.ones((n, n), dtype=bool),
-        cell_size=cfg.cell_size,
-        origin=np.array([-extent / 2.0, 0.0]),
-        lh=lh,
-        fps=fps,
-        ego=ego,
-    )
+    mask = np.ones((n, n), dtype=bool)
+    origin = np.array([-extent / 2.0, 0.0])
+    return SceneModel(mask=mask, cell_size=cfg.cell_size, origin=origin, lh=lh, fps=fps)
 
 
 def _load_tracker_inputs(args):
@@ -248,11 +243,10 @@ def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
     lh, records, appearance, ego = _load_tracker_inputs(args)
     if args.scenario:
-        sc = read_scenario(args.scenario)
-        scene = build_scene_model(sc, lh, cfg.cell_size)
-        scene.ego = ego
+        scene = build_scene_model(read_scenario(args.scenario), lh, cfg.cell_size)
     else:
-        scene = _free_scene(lh, cfg, args.fps, ego)
+        scene = _free_scene(lh, cfg, args.fps)
+    scene.ego = ego  # camera motion comes from --ego alone, with or without --scenario
     by_frame: dict[int, list] = {}
     for i, r in enumerate(records):
         det = Detection(

@@ -45,17 +45,17 @@ class EgomotionTrack:
         return self.offsets[frame]
 
 
-def estimate_egomotion(prev_pixels, cur_pixels, lh_prev, lh_cur, trim_fraction: float = 0.0) -> np.ndarray:
+def estimate_egomotion(prev_pixels, cur_pixels, lh, trim_fraction: float = 0.0) -> np.ndarray:
     """Estimate the camera translation between two frames from ground correspondences.
 
     Each ground point appears at prev_pixels[i] in the earlier frame and
-    cur_pixels[i] in the later one. Lifting both through their frames'
-    homographies gives camera-relative BEV positions whose mean displacement
-    is the negated camera motion.
+    cur_pixels[i] in the later one. The camera translates without rotating,
+    so one map serves both frames: lifting both gives camera-relative BEV
+    positions whose mean displacement is the negated camera motion.
 
     Args:
         prev_pixels, cur_pixels: (N, 2) pixel points, N >= 1, same order.
-        lh_prev, lh_cur: LinearizedHomography for each frame.
+        lh: the camera's LinearizedHomography.
         trim_fraction: optional fraction of the most deviant displacement
             vectors (by distance from the componentwise median) to drop before
             averaging, for outlier-laden correspondence sets.
@@ -69,7 +69,7 @@ def estimate_egomotion(prev_pixels, cur_pixels, lh_prev, lh_cur, trim_fraction: 
         raise DegenerateInput("need matching, non-empty (N, 2) pixel arrays")
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError("trim_fraction must be in [0, 1)")
-    disp = lh_cur.px_to_bev(p1) - lh_prev.px_to_bev(p0)
+    disp = lh.px_to_bev(p1) - lh.px_to_bev(p0)
     if trim_fraction > 0.0 and disp.shape[0] > 2:
         med = np.median(disp, axis=0)
         dev = np.linalg.norm(disp - med, axis=1)

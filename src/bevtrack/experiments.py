@@ -279,14 +279,7 @@ def pixel_baseline_scene(scenario: Scenario, cell_px: float = 16.0) -> SceneMode
     ny = int(math.ceil(cam.image_height / cell_px))
     occ = _occluder_rects(cam, scenario.occluders, (0.0, 0.0))
     mask = _uncovered(_cell_centres(np.zeros(2), nx, ny, cell_px), occ).reshape(ny, nx)
-    return SceneModel(
-        mask=mask,
-        cell_size=cell_px,
-        origin=np.zeros(2),
-        lh=lh,
-        fps=scenario.fps,
-        ego=None,
-    )
+    return SceneModel(mask=mask, cell_size=cell_px, origin=np.zeros(2), lh=lh, fps=scenario.fps)
 
 
 def pixel_baseline_config(config: RunConfig) -> RunConfig:

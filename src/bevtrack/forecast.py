@@ -178,8 +178,8 @@ def forecast(state, config: RunConfig, fps: float, horizon_s: float = None) -> F
     )
 
 
-def predicted_box(last_box, point: np.ndarray, lh, ego=None, frame: int = 0):
+def predicted_box(last_box, point: np.ndarray, lh):
     """Translate the last observed box so its bottom-center sits at the
-    pixel image of the given BEV point."""
-    px = lh.bev_to_px(np.asarray(point, dtype=float), ego=ego, frame=frame)
+    pixel image of the given camera-relative BEV point."""
+    px = lh.bev_to_px(np.asarray(point, dtype=float))
     return last_box.with_bottom_center(px[0], px[1])

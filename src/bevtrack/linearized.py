@@ -1,4 +1,4 @@
-"""Piecewise pixel<->BEV mapping that stays finite near the horizon.
+"""Piecewise pixel<->camera-relative BEV mapping that stays finite near the horizon.
 
 A projective pixel->BEV homography blows up hyperbolically as the denominator
 row approaches zero (the horizon). Along each pixel column the BEV image of
@@ -142,6 +142,10 @@ class LinearizedHomography:
     def _query_pieces(self, u: np.ndarray):
         """Query columns' threshold rows and denominators, and their linear piece at some rows."""
         v_t, defined, terms = self._thresholds(u)
+        finite = np.isfinite(u)
+        if not finite.all():  # borrows nothing: a NaN threshold row makes the point NaN
+            v_t[~finite] = np.nan
+            defined = defined | ~finite
         self._borrow(u, defined, (v_t, self.column_v_t))
 
         def linear(rows):
@@ -155,13 +159,12 @@ class LinearizedHomography:
 
     # -- forward / inverse maps --------------------------------------------------
 
-    def px_to_bev(self, pixels, ego=None, frame: int = 0) -> np.ndarray:
-        """Map pixel points to BEV meters; total on the whole image plane.
+    def px_to_bev(self, pixels) -> np.ndarray:
+        """Map pixel points to camera-relative BEV meters; total on the whole image plane.
 
         Above the per-column threshold (towards the horizon) the first-order
-        Taylor extension is used, below it the exact projective map. When an
-        egomotion track is given, its cumulative offset at ``frame`` is added
-        so outputs are in the world-fixed BEV frame.
+        Taylor extension is used, below it the exact projective map. A point
+        whose column is not finite maps to NaN.
         """
         p = np.asarray(pixels, dtype=float)
         single = p.ndim == 1
@@ -177,11 +180,9 @@ class LinearizedHomography:
             out[below] = self.h.apply(pts[below])
             anchor, tangent = linear(up)
             out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
-        if ego is not None:
-            out = out + ego.offset(frame)
         return out[0] if single else out
 
-    def try_bev_to_px(self, bev, ego=None, frame: int = 0):
+    def try_bev_to_px(self, bev):
         """Inverse of px_to_bev for (N, 2) BEV points: (pixels (N, 2), valid (N,)).
 
         Never raises: a point with no pixel preimage (behind the horizon of the
@@ -189,8 +190,6 @@ class LinearizedHomography:
         camera) is not valid and its pixel is NaN.
         """
         pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
-        if ego is not None:
-            pts = pts - ego.offset(frame)
         ones = np.ones((pts.shape[0], 1))
         # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
         # take another BLAS kernel and round differently from a lone point.
@@ -220,13 +219,13 @@ class LinearizedHomography:
             out[~valid] = np.nan
         return out, valid
 
-    def bev_to_px(self, bev, ego=None, frame: int = 0) -> np.ndarray:
+    def bev_to_px(self, bev) -> np.ndarray:
         """Inverse of px_to_bev for one (2,) point or an (N, 2) array.
 
         Raises:
             OutOfDomain: a point is not valid in try_bev_to_px.
         """
-        out, valid = self.try_bev_to_px(bev, ego=ego, frame=frame)
+        out, valid = self.try_bev_to_px(bev)
         if not valid.all():
             idx = np.flatnonzero(~valid).tolist()
             raise OutOfDomain(f"BEV points with no pixel preimage at indices {idx}")

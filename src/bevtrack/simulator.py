@@ -467,11 +467,11 @@ def _uncovered(px: np.ndarray, rects) -> np.ndarray:
 
 
 def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneModel:
-    """Rasterize the camera's visible-ground footprint into a freespace mask.
+    """The scenario's SceneModel: a world-fixed freespace mask, and its camera_path's ego_track().
 
     A cell is freespace when its center projects inside the image and the
     pixel is not covered by an occluder's silhouette (ground behind an
-    occluder lands inside it). Built for the frame-0 camera position.
+    occluder lands inside it), seen from the frame-0 camera position.
     """
     cam = scenario.camera
     e = scenario.ground_extent
@@ -482,8 +482,9 @@ def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneMo
     u, v = px[:, 0], px[:, 1]
     in_image = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height)
     mask = (valid & in_image & _uncovered(px, occ_rects)).reshape(n, n)
+    ego = None if scenario.camera_path is None else scenario.ego_track()
     return SceneModel(
-        mask=mask, cell_size=cell_size, origin=origin, lh=lh, fps=scenario.fps, ego=None
+        mask=mask, cell_size=cell_size, origin=origin, lh=lh, fps=scenario.fps, ego=ego
     )
 
 

@@ -10,6 +10,8 @@ assignment. Track ids are never reissued. Per frame, one px_to_bev call lifts
 the detections and one try_bev_to_px call maps every branch (FrameGeometry);
 overlaps come from one kernel, iou_matrix, once per frame for the branches:
 occlusion tests read it whole, the cost matrix its free-detection columns.
+Tracks, forecasts and the freespace mask are world-fixed, the map camera-relative:
+SceneModel.px_to_world and world_to_px apply the camera offset, and nothing else does.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F40
 class Detection:
     """A single-frame observation: box, unit appearance descriptor, BEV point.
 
-    bev is filled in by the tracker (bottom-center through the scene's
-    homography); source_id carries the upstream track id in ingestion mode.
+    bev is filled in by the tracker (the bottom-center's world-fixed BEV
+    point); source_id carries the upstream track id in ingestion mode.
     """
 
     frame: int
@@ -73,7 +75,7 @@ class Track:
 
 @dataclass
 class SceneModel:
-    """Static scene context: BEV freespace mask, mapping, frame rate, egomotion."""
+    """World-fixed BEV freespace mask, camera-relative map, frame rate, camera egomotion."""
 
     mask: np.ndarray  # (ny, nx) bool, True where ground is visible to the camera
     cell_size: float
@@ -99,6 +101,17 @@ class SceneModel:
         j, i = cell[inside].astype(int).T
         out[inside] = self.mask[i, j]
         return bool(out) if p.ndim == 1 else out
+
+    def px_to_world(self, pixels, frame: int) -> np.ndarray:
+        """World-fixed BEV points of (N, 2) pixels seen at a frame."""
+        bev = self.lh.px_to_bev(pixels)
+        return bev if self.ego is None else bev + self.ego.offset(frame)
+
+    def world_to_px(self, points: np.ndarray, frame: int):
+        """try_bev_to_px of (N, 2) world-fixed BEV points seen at a frame."""
+        if self.ego is not None:
+            points = points - self.ego.offset(frame)
+        return self.lh.try_bev_to_px(points)
 
 
 @dataclass
@@ -184,7 +197,7 @@ def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int,
     IoU with the row's box is at least config.occlusion_iou.
     """
     pts = table.points(frame)
-    px, valid = scene.lh.try_bev_to_px(pts, ego=scene.ego, frame=frame)
+    px, valid = scene.world_to_px(pts, frame)
     boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
     closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
     overlap = iou_matrix(boxes, det_boxes)
@@ -422,7 +435,7 @@ class Tracker:
         det_boxes = ltwh([d.box for d in detections])
         if detections:
             bottom_centres = det_boxes[:, :2] + det_boxes[:, 2:] / (2.0, 1.0)
-            bev = self.scene.lh.px_to_bev(bottom_centres, ego=self.scene.ego, frame=frame)
+            bev = self.scene.px_to_world(bottom_centres, frame)
             for det, p in zip(detections, bev):
                 det.bev = p
 

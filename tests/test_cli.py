@@ -477,6 +477,33 @@ class TestPipeline:
         buckets = json.loads(low.read_text())["id_recall"]
         assert [(b["recovered"], b["total"]) for b in buckets if b["total"]] == [(0, 2)]
 
+    @pytest.mark.parametrize("pan", [None, (0.0, 0.02)])
+    def test_pipeline_equals_simulate_then_track(self, tmp_path, pan):
+        # pipeline tracks a moving camera with the scenario's own camera path;
+        # track takes the same offsets from the ego.txt that simulate writes.
+        scenario = "crossing"
+        if pan is not None:
+            d = crossing_dict()
+            n_frames = round(d["duration"] * d["fps"])
+            d["camera_path"] = [list(pan)] * (n_frames - 1)
+            scenario = str(tmp_path / "panned.json")
+            with open(scenario, "w") as f:
+                json.dump(d, f)
+        piped, sim, trk = (str(tmp_path / name) for name in ("pipe", "sim", "trk"))
+        assert main(["pipeline", "--scenario", scenario, "--out", piped]) == 0
+        assert main(["simulate", "--scenario", scenario, "--out", sim]) == 0
+        ego = os.path.join(sim, "ego.txt")
+        assert os.path.exists(ego) == (pan is not None)
+        files = {"det": "det.txt", "appearance": "appearance.txt",
+                 "homography": "homography.txt", "scenario": "scenario.json"}
+        if pan is not None:
+            files["ego"] = "ego.txt"
+        args = [a for k, name in files.items() for a in ("--" + k, os.path.join(sim, name))]
+        assert main(["track", *args, "--out", trk]) == 0
+        for name in ("track.txt", "events.jsonl"):
+            got = open(os.path.join(trk, name), "rb").read()
+            assert got == open(os.path.join(piped, name), "rb").read(), name
+
 
 class TestInputErrors:
     def track_args(self, sim_dir, tmp_path, det, appearance=None):

@@ -49,14 +49,14 @@ class TestEstimateEgomotion:
     def test_exact_recovery_noiseless(self, lh, rng):
         delta = np.array([0.8, 1.7])
         prev_px, cur_px = self.make_pairs(lh, rng, delta)
-        got = estimate_egomotion(prev_px, cur_px, lh, lh)
+        got = estimate_egomotion(prev_px, cur_px, lh)
         assert np.allclose(got, delta, atol=1e-9)
 
     def test_noise_averages_out(self, lh, rng):
         delta = np.array([-0.4, 2.0])
         prev_px, cur_px = self.make_pairs(lh, rng, delta, n=500)
         cur_px = cur_px + rng.normal(0, 0.5, cur_px.shape)
-        got = estimate_egomotion(prev_px, cur_px, lh, lh)
+        got = estimate_egomotion(prev_px, cur_px, lh)
         assert np.linalg.norm(got - delta) < 0.05
 
     def test_trimming_rejects_outliers(self, lh, rng):
@@ -65,26 +65,26 @@ class TestEstimateEgomotion:
         # corrupt 8 correspondences badly
         bad = rng.choice(50, size=8, replace=False)
         cur_px[bad] += rng.uniform(80, 160, (8, 2))
-        naive = estimate_egomotion(prev_px, cur_px, lh, lh)
-        robust = estimate_egomotion(prev_px, cur_px, lh, lh, trim_fraction=0.2)
+        naive = estimate_egomotion(prev_px, cur_px, lh)
+        robust = estimate_egomotion(prev_px, cur_px, lh, trim_fraction=0.2)
         assert np.linalg.norm(naive - delta) > 0.1
         assert np.linalg.norm(robust - delta) < 1e-6
 
     def test_single_point(self, lh):
         p = np.array([[960.0, 700.0]])
-        got = estimate_egomotion(p, p, lh, lh)
+        got = estimate_egomotion(p, p, lh)
         assert np.allclose(got, 0.0)
 
     def test_mismatched_shapes(self, lh):
         with pytest.raises(DegenerateInput):
-            estimate_egomotion(np.zeros((3, 2)), np.zeros((4, 2)), lh, lh)
+            estimate_egomotion(np.zeros((3, 2)), np.zeros((4, 2)), lh)
         with pytest.raises(DegenerateInput):
-            estimate_egomotion(np.zeros((0, 2)), np.zeros((0, 2)), lh, lh)
+            estimate_egomotion(np.zeros((0, 2)), np.zeros((0, 2)), lh)
 
     def test_trim_fraction_validation(self, lh):
         p = np.zeros((3, 2)) + [960.0, 700.0]
         with pytest.raises(ValueError):
-            estimate_egomotion(p, p, lh, lh, trim_fraction=1.0)
+            estimate_egomotion(p, p, lh, trim_fraction=1.0)
 
     def test_simulated_correspondences_round_trip(self, lh):
         # A camera that translates (0.3, 0.5) per frame; correspondences sampled
@@ -107,5 +107,5 @@ class TestEstimateEgomotion:
             seed=3,
         )
         prev_px, cur_px = sample_ground_correspondences(scn, 2, 3, n=80, seed=11)
-        got = estimate_egomotion(prev_px, cur_px, lh, lh)
+        got = estimate_egomotion(prev_px, cur_px, lh)
         assert np.allclose(got, [0.3, 0.5], atol=1e-6)

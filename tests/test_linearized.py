@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import brentq
 
 from bevtrack.config import RunConfig
-from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import HorizonInsideFootprint, OutOfDomain
 from bevtrack.experiments import calibrated_lh, crossing_scenario
 from bevtrack.homography import Homography
@@ -83,13 +82,6 @@ class TestForwardMap:
         out = lh.px_to_bev(pts)
         assert np.all(np.isfinite(out))
 
-    def test_ego_offset_added(self, lh):
-        ego = EgomotionTrack(np.array([[0.0, 0.0], [1.5, -2.0]]))
-        p = np.array([800.0, 900.0])
-        base = lh.px_to_bev(p)
-        moved = lh.px_to_bev(p, ego=ego, frame=1)
-        assert np.allclose(moved - base, [1.5, -2.0])
-
 
 class TestInverseMap:
     def test_round_trip_grid(self, lh):
@@ -116,13 +108,6 @@ class TestInverseMap:
         vt = np.interp(u, np.arange(1920), lh.column_v_t)
         assert px[1] < vt
         assert np.allclose(lh.px_to_bev(px), p, atol=1e-6)
-
-    def test_ego_offset_subtracted(self, lh):
-        ego = EgomotionTrack(np.array([[0.0, 0.0], [2.0, 1.0]]))
-        p = np.array([1.0, 12.0])
-        px_world = lh.bev_to_px(p + np.array([2.0, 1.0]), ego=ego, frame=1)
-        px_static = lh.bev_to_px(p)
-        assert np.allclose(px_world, px_static, atol=1e-9)
 
 
 class TestAffineAndEdgeCases:

@@ -7,7 +7,9 @@ builds the threshold row of every point and the anchor and tangent only
 where the linear piece reads them. On seeded random homographies of all
 three camera cases (a denominator varying along columns, an affine map, and
 a denominator constant along each column but not across them) both must give
-the same bytes: BEV points, pixels (NaN included) and valid flags.
+the same bytes: BEV points, pixels (NaN included) and valid flags. The one
+exception is a pixel whose column is not finite: the reference borrowed the
+cached piece of the column it cast to, today's map gives NaN.
 """
 
 import math
@@ -236,8 +238,8 @@ def query_pixels(lh, rng, n=300):
     junction = np.stack([cols.astype(float), lh.column_v_t[cols]], axis=1)
     pts = np.concatenate([inside, beyond, near, junction])
     pts = pts[np.all(np.isfinite(pts), axis=1)]
-    # Non-finite columns are undefined on every camera; rows above the
-    # borrowed threshold reach the linear piece with a borrowed anchor.
+    # Non-finite columns map to NaN (the reference borrows column 0's piece
+    # for them); a finite column with a NaN row is NaN on either piece.
     nan, inf = np.nan, np.inf
     odd = [[nan, -1e6], [nan, 0.0], [nan, ht], [inf, -1e6], [-inf, 0.0], [0.0, nan]]
     return np.concatenate([pts, odd])
@@ -284,21 +286,31 @@ def compare_camera(kind, seed):
     pixels = query_pixels(lh, rng)
     bev = query_bev(lh, rng, pixels)
     ego = EgomotionTrack(np.array([[0.0, 0.0], [0.4, -1.3], rng.normal(0, 3, 2)]))
+    finite = np.isfinite(pixels[:, 0])
     seen = set()
     with np.errstate(all="ignore"):
         for frame, e in ((0, None), (2, ego)):
-            got = lh.px_to_bev(pixels, ego=e, frame=frame)
-            assert same_bytes(got, reference_px_to_bev(lh, cache, pixels, seen, e, frame))
-            got_px, got_valid = lh.try_bev_to_px(bev, ego=e, frame=frame)
+            # The map is camera-relative; the offset is applied here as
+            # SceneModel applies it, with the reference's operations.
+            got = lh.px_to_bev(pixels)
+            got = got if e is None else got + e.offset(frame)
+            want = reference_px_to_bev(lh, cache, pixels, seen, e, frame)
+            assert same_bytes(got[finite], want[finite])
+            assert np.isnan(got[~finite]).all()
+            rel = bev if e is None else bev - e.offset(frame)
+            got_px, got_valid = lh.try_bev_to_px(rel)
             want_px, want_valid = reference_try_bev_to_px(lh, cache, bev, seen, e, frame)
             assert same_bytes(got_px, want_px)
             assert same_bytes(got_valid, want_valid)
             for i in rng.choice(len(pixels), 25, replace=False):
-                got = lh.px_to_bev(pixels[i], ego=e, frame=frame)
+                got = lh.px_to_bev(pixels[i])
                 assert got.shape == (2,)
-                assert same_bytes(got, reference_px_to_bev(lh, cache, pixels[i], seen, e, frame))
+                got = got if e is None else got + e.offset(frame)
+                want = reference_px_to_bev(lh, cache, pixels[i], seen, e, frame)
+                assert same_bytes(got, want) if finite[i] else np.isnan(got).all()
             for i in rng.choice(len(bev), 25, replace=False):
-                got_px, got_valid = lh.try_bev_to_px(bev[i], ego=e, frame=frame)
+                rel = bev[i] if e is None else bev[i] - e.offset(frame)
+                got_px, got_valid = lh.try_bev_to_px(rel)
                 want_px, want_valid = reference_try_bev_to_px(lh, cache, bev[i], seen, e, frame)
                 assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
     return seen

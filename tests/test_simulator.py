@@ -183,9 +183,7 @@ class TestGenerateGeometry:
         lh = linearize(sim.homography, (1920, 1080), 0.2)
         for det in sim.detections:
             bev = gt_bev(sim, det.frame, det.agent_id)
-            lifted = lh.px_to_bev(
-                np.array(det.box.bottom_center), ego=sim.ego, frame=det.frame
-            )
+            lifted = lh.px_to_bev(np.array(det.box.bottom_center)) + sim.ego.offset(det.frame)
             assert lifted[1] == pytest.approx(bev[1], abs=1e-9)
             # the camera drifts almost 4 m sideways: larger off-axis bias
             assert abs(lifted[0] - bev[0]) < 0.2

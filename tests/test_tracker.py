@@ -6,6 +6,7 @@ import pytest
 
 from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
+from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonMonotonicFrame
 from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
@@ -140,6 +141,27 @@ class TestSceneModel:
         assert not s.contains(np.array([11.0, 25.0]))
         assert not s.contains(np.array([9.0, 25.0]))  # outside the grid
         assert not s.contains(np.array([200.0, 200.0]))
+
+    def moving(self, lh, offset):
+        ego = EgomotionTrack(np.array([[0.0, 0.0], offset]))
+        mask = np.ones((2, 2), dtype=bool)
+        return SceneModel(mask=mask, cell_size=1.0, origin=np.zeros(2), lh=lh, fps=10.0, ego=ego)
+
+    def test_ego_offset_added(self, lh):
+        # The map is camera-relative; the scene adds the camera's offset.
+        p = np.array([[800.0, 900.0]])
+        scene = self.moving(lh, [1.5, -2.0])
+        assert np.array_equal(scene.px_to_world(p, 0), lh.px_to_bev(p))
+        moved = scene.px_to_world(p, 1)
+        assert np.allclose(moved - lh.px_to_bev(p), [1.5, -2.0])
+
+    def test_ego_offset_subtracted(self, lh):
+        p = np.array([[1.0, 12.0]])
+        scene = self.moving(lh, [2.0, 1.0])
+        px_world, valid = scene.world_to_px(p + np.array([2.0, 1.0]), 1)
+        assert valid.all()
+        assert np.allclose(px_world, lh.bev_to_px(p), atol=1e-9)
+        assert all(map(np.array_equal, scene.world_to_px(p, 0), lh.try_bev_to_px(p)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -50,8 +50,9 @@ def scalar_branch_boxes(track, alive, scene, frame):
     for bi, pt in enumerate(track.forecast.points(frame)):
         if not alive[bi]:
             continue
+        rel = pt if scene.ego is None else pt - scene.ego.offset(frame)
         try:
-            pb = predicted_box(track.last_box, pt, scene.lh, ego=scene.ego, frame=frame)
+            pb = predicted_box(track.last_box, rel, scene.lh)
         except OutOfDomain:
             pb = None
         out.append((bi, pt, pb))
@@ -155,10 +156,11 @@ class ScalarTracker(Tracker):
     def step(self, detections, frame):
         events = []
         cfg = self.config
+        ego = self.scene.ego
         for det in detections:
-            det.bev = self.scene.lh.px_to_bev(
-                np.array(det.box.bottom_center), ego=self.scene.ego, frame=frame
-            )
+            det.bev = self.scene.lh.px_to_bev(np.array(det.box.bottom_center))
+            if ego is not None:
+                det.bev = det.bev + ego.offset(frame)
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
         matches = self.scalar_base_association(active, detections)
         matched_dets = set(matches.values())
