@@ -67,7 +67,6 @@ from .tracker import (
     assign,
     build_cost_matrix,
     frame_geometry,
-    prune_forecasts,
 )
 
 __version__ = "0.1.0"
@@ -130,7 +129,6 @@ __all__ = [
     "occlusion_components",
     "predicted_box",
     "preprocess",
-    "prune_forecasts",
     "read_config",
     "read_scenario",
     "sample_ground_correspondences",

@@ -36,7 +36,7 @@ from .forecast import forecast as run_forecast
 from .forecast import preprocess
 from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
 from .linearized import linearize
-from .simulator import build_scene_model, generate, read_scenario, write_scenario
+from .simulator import generate, read_scenario, write_scenario
 from .tracker import Detection, SceneModel, Tracker
 
 
@@ -92,16 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--det", required=True, help="MOT detection file")
     sp.add_argument("--homography", required=True, help="homography file")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--scenario", help="scenario JSON for the freespace mask")
     sp.add_argument("--appearance", help="descriptor sidecar, one row per detection")
     sp.add_argument("--ego", help="cumulative camera offsets, one dx dy row per frame")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
     sp.add_argument("--k", type=int, help="number of forecast branches")
     sp.add_argument("--no-forecast", action="store_true", help="drop occluded tracks")
     sp.add_argument("--ingest", action="store_true", help="respect upstream ids in the file")
-    sp.add_argument(
-        "--fps", type=_positive, default=20.0, help="frame rate; a --scenario's own fps wins"
-    )
+    sp.add_argument("--fps", type=_positive, default=20.0, help="frame rate")
 
     sp = sub.add_parser("evaluate", help="score tracking output against ground truth")
     add_common(sp)
@@ -215,14 +212,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _free_scene(lh, cfg: RunConfig, fps: float) -> SceneModel:
-    extent = 60.0
-    n = int(math.ceil(extent / cfg.cell_size))
-    mask = np.ones((n, n), dtype=bool)
-    origin = np.array([-extent / 2.0, 0.0])
-    return SceneModel(mask=mask, cell_size=cfg.cell_size, origin=origin, lh=lh, fps=fps)
-
-
 def _load_tracker_inputs(args):
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
@@ -242,11 +231,7 @@ def _load_tracker_inputs(args):
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
     lh, records, appearance, ego = _load_tracker_inputs(args)
-    if args.scenario:
-        scene = build_scene_model(read_scenario(args.scenario), lh, cfg.cell_size)
-    else:
-        scene = _free_scene(lh, cfg, args.fps)
-    scene.ego = ego  # camera motion comes from --ego alone, with or without --scenario
+    scene = SceneModel(lh, args.fps, ego)
     by_frame: dict[int, list] = {}
     for i, r in enumerate(records):
         det = Detection(

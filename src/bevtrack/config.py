@@ -1,12 +1,12 @@
 """Run configuration: one flat record covering tracking and evaluation knobs.
 
 Defaults reproduce the reference operating point: eight observed steps at
-0.4 s spacing, a 6 s reassociation window, a 1 s visibility patience, and the
-geometric/appearance gates used throughout the experiments. Configs load from
-JSON; unknown keys are rejected so typos fail loudly. Every field's type and
-range is checked at construction, so a malformed value fails with
-ParseError("config: <field> ...") before any run starts. The tracker and
-the evaluation read this record directly.
+0.4 s spacing, a 6 s reassociation window, and the geometric/appearance
+gates used throughout the experiments. Configs load from JSON; unknown keys
+are rejected so typos fail loudly. Every field's type and range is checked
+at construction, so a malformed value fails with ParseError("config:
+<field> ...") before any run starts. The tracker and the evaluation read
+this record directly.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ class RunConfig:
 
     Gates: tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
     appearance cosine similarity, tau_iou the minimum predicted-box IoU (0
-    disables that gate), tau_max the inactive patience (seconds), tau_vis the
-    time a branch may sit in visible freespace before it is pruned (seconds),
-    occlusion_iou the overlap with a closer detection that counts as cover.
+    disables that gate), tau_max the inactive patience (seconds): an
+    inactive track leaves when it runs out or its forecast ends.
     """
 
     # motion / forecasting
@@ -55,25 +54,24 @@ class RunConfig:
     tau_app: float = 0.8
     tau_iou: float = 0.2
     tau_max: float = 6.0
-    tau_vis: float = 1.0
-    occlusion_iou: float = 0.25
     base_iou: float = 0.5
     ingest_ids: bool = False
     # geometry
     max_spacing: float = 0.2
-    cell_size: float = 0.5
     # evaluation
     iou_threshold: float = 0.5
     vis_threshold: float = VISIBILITY_CUTOFF
     window: int = 5
     buckets: tuple = DEFAULT_BUCKETS
+    # Not a field: it can't be set, and JSON rejects it. Only benchmarks/pipeline.py reads it.
+    cell_size = 0.5
 
     def __post_init__(self):
         for f in fields(self):
             accepts, expected = _TYPE_CHECKS[f.type]
             if not accepts(getattr(self, f.name)):
                 raise ParseError(f"config: {f.name} must be {expected}")
-        for name in ("cell_size", "max_spacing", "dt", "obs_noise", "tau_max", "tau_vis"):
+        for name in ("max_spacing", "dt", "obs_noise", "tau_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParseError(f"config: {name} must be positive and finite")
         # The forecast filter starts from velocity variance (2 * obs_noise / dt)**2
@@ -84,7 +82,7 @@ class RunConfig:
             )
         if self.tau_max / self.dt == math.inf:
             raise ParseError("config: tau_max is too long for dt: tau_max / dt overflows")
-        for name in ("process_noise", "tau_l2", "tau_iou", "occlusion_iou"):
+        for name in ("process_noise", "tau_l2", "tau_iou"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParseError(f"config: {name} must be non-negative and finite")
         for name in ("base_iou", "iou_threshold", "vis_threshold"):
@@ -92,8 +90,6 @@ class RunConfig:
                 raise ParseError(f"config: {name} must be in [0, 1]")
         if not -1 <= self.tau_app <= 1:
             raise ParseError("config: tau_app is a cosine similarity, must be in [-1, 1]")
-        if self.tau_vis > self.tau_max:
-            raise ParseError("config: tau_vis cannot exceed tau_max")
         for name in ("obs_len", "k", "window"):
             if getattr(self, name) < 1:
                 raise ParseError(f"config: {name} must be at least 1")

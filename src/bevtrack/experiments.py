@@ -29,9 +29,6 @@ from .simulator import (
     Occluder,
     Scenario,
     SimOutput,
-    _cell_centres,
-    _occluder_rects,
-    _uncovered,
     build_scene_model,
     read_scenario,
 )
@@ -258,28 +255,23 @@ def run_tracker(
             sim.homography, (cam.image_width, cam.image_height), config.max_spacing
         )
     if scene is None:
-        scene = build_scene_model(sim.scenario, lh, config.cell_size)
+        scene = build_scene_model(sim.scenario, lh)
     tracker = Tracker(scene, config)
     by_frame = sim_detections_by_frame(sim)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
     return outputs, events, tracker
 
 
-def pixel_baseline_scene(scenario: Scenario, cell_px: float = 16.0) -> SceneModel:
+def pixel_baseline_scene(scenario: Scenario) -> SceneModel:
     """Scene model for extrapolation directly in image coordinates.
 
-    The identity mapping makes "BEV" equal to pixels; freespace is the image
-    minus the occluder silhouettes.
+    The identity mapping makes "BEV" equal to pixels.
     """
     cam = scenario.camera
     lh = linearize(
         Homography(np.eye(3)), (cam.image_width, cam.image_height), max_spacing=1e9
     )
-    nx = int(math.ceil(cam.image_width / cell_px))
-    ny = int(math.ceil(cam.image_height / cell_px))
-    occ = _occluder_rects(cam, scenario.occluders, (0.0, 0.0))
-    mask = _uncovered(_cell_centres(np.zeros(2), nx, ny, cell_px), occ).reshape(ny, nx)
-    return SceneModel(mask=mask, cell_size=cell_px, origin=np.zeros(2), lh=lh, fps=scenario.fps)
+    return SceneModel(lh=lh, fps=scenario.fps)
 
 
 def pixel_baseline_config(config: RunConfig) -> RunConfig:

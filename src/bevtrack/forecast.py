@@ -7,8 +7,8 @@ computed once per config. The filter's last state, one position and one
 velocity at the last observed frame, is all a forecast reads: the RunConfig's
 motion model turns it into k constant-velocity branches, each an origin plus a
 velocity, valid up to the horizon's end frame. The tracker never re-seeds a
-forecast mid-occlusion; branches only disappear by being pruned, and the whole
-forecast dies once the frame passes its end.
+forecast mid-occlusion; every branch lives until the frame passes the
+forecast's end or the track's patience runs out.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ class Forecast:
 
     Branch b sits at origin + ((f - created_frame) / fps) * velocities[b] at
     every frame created_frame < f <= end_frame. A forecast is pure data: the
-    tracker copies its branches into one table and keeps their pruning state
-    there.
+    tracker copies its branches into one table.
     """
 
     origin: np.ndarray  # (2,) BEV point at created_frame

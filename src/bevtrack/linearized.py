@@ -141,8 +141,8 @@ class LinearizedHomography:
 
     def _query_pieces(self, u: np.ndarray):
         """Query columns' threshold rows and denominators, and their linear piece at some rows."""
-        v_t, defined, terms = self._thresholds(u)
         finite = np.isfinite(u)
+        v_t, defined, terms = self._thresholds(np.where(finite, u, 0.0))
         if not finite.all():  # borrows nothing: a NaN threshold row makes the point NaN
             v_t[~finite] = np.nan
             defined = defined | ~finite
@@ -190,12 +190,14 @@ class LinearizedHomography:
         camera) is not valid and its pixel is NaN.
         """
         pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
+        given = np.isfinite(pts).all(axis=1)
+        pts[~given] = 0.0  # a non-finite point is invalid; as 0 it keeps the product warning-free
         ones = np.ones((pts.shape[0], 1))
         # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
         # take another BLAS kernel and round differently from a lone point.
         q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
         wq = q[:, 2]
-        finite = np.abs(wq) > 1e-12 * np.abs(q).max(axis=1)
+        finite = given & (np.abs(wq) > 1e-12 * np.abs(q).max(axis=1))
         wq_safe = np.where(finite, wq, 1.0)
         u = q[:, 0] / wq_safe
         v = q[:, 1] / wq_safe

@@ -98,7 +98,7 @@ def fit_ground_plane(
     rng = np.random.default_rng(seed)
     n = pts.shape[0]
     best_count = -1
-    best_mask = None
+    best_inliers = None
     for _ in range(max_iterations):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
@@ -108,21 +108,21 @@ def fit_ground_plane(
             continue  # collinear sample, no plane
         cand = cand / norm
         dist = np.abs(pts @ cand - cand @ p0)
-        mask = dist <= inlier_tol
-        count = int(mask.sum())
+        inliers = dist <= inlier_tol
+        count = int(inliers.sum())
         if count > best_count:
             best_count = count
-            best_mask = mask
+            best_inliers = inliers
 
-    if best_mask is None or best_count < 3:
+    if best_inliers is None or best_count < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
 
-    normal, offset = _tls_plane(pts[best_mask])
+    normal, offset = _tls_plane(pts[best_inliers])
     # One consolidation round: re-collect inliers under the refined plane, refit.
     dist = np.abs(pts @ normal - offset)
-    mask = dist <= inlier_tol
-    if mask.sum() >= 3:
-        normal, offset = _tls_plane(pts[mask])
+    inliers = dist <= inlier_tol
+    if inliers.sum() >= 3:
+        normal, offset = _tls_plane(pts[inliers])
     return GroundPlane(normal, offset)
 
 

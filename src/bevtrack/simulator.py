@@ -103,7 +103,7 @@ def _finite_pairs(points) -> bool:
 @dataclass(frozen=True)
 class Scenario:
     camera: CameraSpec
-    ground_extent: float  # mask covers x in [-E/2, E/2], y in [0, E]
+    ground_extent: float  # ground plane x in [-E/2, E/2], y in [0, E]
     agents: tuple
     occluders: tuple = ()
     fps: float = 20.0
@@ -451,41 +451,13 @@ def sample_ground_correspondences(
     return np.array(out_a), np.array(out_b)
 
 
-def _cell_centres(origin, nx: int, ny: int, cell_size: float) -> np.ndarray:
-    """(ny * nx, 2) centres of a grid's cells, row-major: cell (i, j) is row i * nx + j."""
-    idx = np.stack(np.meshgrid(np.arange(nx), np.arange(ny)), axis=-1).reshape(-1, 2)
-    return origin + (idx + 0.5) * cell_size
+def build_scene_model(scenario: Scenario, lh, *_) -> SceneModel:
+    """The scenario's SceneModel: the map lh, its frame rate and its camera_path's ego_track().
 
-
-def _uncovered(px: np.ndarray, rects) -> np.ndarray:
-    """True for each (N, 2) pixel that lies in none of the closed (u0, v0, u1, v1) rects."""
-    u, v = px[:, 0], px[:, 1]
-    free = np.ones(len(px), dtype=bool)
-    for r in rects:
-        free &= ~((r[0] <= u) & (u <= r[2]) & (r[1] <= v) & (v <= r[3]))
-    return free
-
-
-def build_scene_model(scenario: Scenario, lh, cell_size: float = 0.5) -> SceneModel:
-    """The scenario's SceneModel: a world-fixed freespace mask, and its camera_path's ego_track().
-
-    A cell is freespace when its center projects inside the image and the
-    pixel is not covered by an occluder's silhouette (ground behind an
-    occluder lands inside it), seen from the frame-0 camera position.
+    A third argument is ignored; benchmarks/pipeline.py still passes one.
     """
-    cam = scenario.camera
-    e = scenario.ground_extent
-    origin = np.array([-e / 2.0, 0.0])
-    n = int(math.ceil(e / cell_size))
-    occ_rects = _occluder_rects(cam, scenario.occluders, (0.0, 0.0))
-    px, valid = lh.try_bev_to_px(_cell_centres(origin, n, n, cell_size))
-    u, v = px[:, 0], px[:, 1]
-    in_image = (0 <= u) & (u < cam.image_width) & (0 <= v) & (v < cam.image_height)
-    mask = (valid & in_image & _uncovered(px, occ_rects)).reshape(n, n)
     ego = None if scenario.camera_path is None else scenario.ego_track()
-    return SceneModel(
-        mask=mask, cell_size=cell_size, origin=origin, lh=lh, fps=scenario.fps, ego=ego
-    )
+    return SceneModel(lh=lh, fps=scenario.fps, ego=ego)
 
 
 # -- scenario JSON ------------------------------------------------------------------

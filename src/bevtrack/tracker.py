@@ -2,16 +2,16 @@
 
 The built-in base association (a stand-in for any upstream online tracker) is
 frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
-and are forecast forward in the BEV plane. Their branches are the rows of one
-BranchTable; at every frame all rows are evaluated at that frame, pruned
-against visible freespace in one call, and offered the unmatched detections
-through a gated geometric+appearance score solved as a maximum-score
-assignment. Track ids are never reissued. Per frame, one px_to_bev call lifts
-the detections and one try_bev_to_px call maps every branch (FrameGeometry);
-overlaps come from one kernel, iou_matrix, once per frame for the branches:
-occlusion tests read it whole, the cost matrix its free-detection columns.
-Tracks, forecasts and the freespace mask are world-fixed, the map camera-relative:
-SceneModel.px_to_world and world_to_px apply the camera offset, and nothing else does.
+and are forecast forward in the BEV plane until the forecast ends or the
+patience tau_max runs out. Their branches are the rows of one BranchTable; at
+every frame all rows are evaluated at that frame and offered the unmatched
+detections through a gated geometric+appearance score solved as a
+maximum-score assignment. Track ids are never reissued. Per frame, one
+px_to_bev call lifts the detections and one try_bev_to_px call maps every
+branch (FrameGeometry); overlaps come from one kernel, iou_matrix, once per
+frame for the branches. Tracks and forecasts are world-fixed, the map
+camera-relative: SceneModel.px_to_world and world_to_px apply the camera
+offset, and nothing else does.
 """
 
 from __future__ import annotations
@@ -75,32 +75,15 @@ class Track:
 
 @dataclass
 class SceneModel:
-    """World-fixed BEV freespace mask, camera-relative map, frame rate, camera egomotion."""
+    """Camera-relative map, frame rate, camera egomotion."""
 
-    mask: np.ndarray  # (ny, nx) bool, True where ground is visible to the camera
-    cell_size: float
-    origin: np.ndarray  # BEV coords of the mask's (0, 0) cell corner
     lh: object  # LinearizedHomography
     fps: float
     ego: object = None  # EgomotionTrack or None
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.origin = np.asarray(self.origin, dtype=float)
-        if self.mask.ndim != 2 or self.mask.size == 0:
-            raise ValueError("mask must be a non-empty 2D array")
-        if self.cell_size <= 0 or self.fps <= 0:
-            raise ValueError("cell_size and fps must be positive")
-
-    def contains(self, points):
-        """True where a BEV point, (2,) or (N, 2), lies on a visible-freespace cell."""
-        p = np.asarray(points, dtype=float)
-        cell = np.floor((p - self.origin) / self.cell_size)  # (column, row)
-        inside = ((cell >= 0) & (cell < self.mask.shape[::-1])).all(axis=-1)
-        out = np.zeros(inside.shape, dtype=bool)
-        j, i = cell[inside].astype(int).T
-        out[inside] = self.mask[i, j]
-        return bool(out) if p.ndim == 1 else out
+        if not self.fps > 0:
+            raise ValueError("fps must be positive")
 
     def px_to_world(self, pixels, frame: int) -> np.ndarray:
         """World-fixed BEV points of (N, 2) pixels seen at a frame."""
@@ -119,8 +102,8 @@ class BranchTable:
     """Every branch of every inactive track, one row each, as a struct of arrays.
 
     Row r is branch ``branch[r]`` of track ``owner[r]`` at
-    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. alive
-    and streak are the pruning state; a pruned row stays until its track leaves.
+    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. Rows
+    stay until their track leaves.
     """
 
     fps: float
@@ -131,12 +114,10 @@ class BranchTable:
     created: np.ndarray  # (R,) the track's last observed frame
     end: np.ndarray  # (R,) last frame the branch covers
     size: np.ndarray  # (R, 2) width and height of the track's last box
-    alive: np.ndarray  # (R,) bool
-    streak: np.ndarray  # (R,) consecutive frames in visible freespace
 
     @classmethod
     def of(cls, tracks, fps: float) -> BranchTable:
-        """Rows for the tracks' forecasts, in track order: all alive, zero streaks."""
+        """Rows for the tracks' forecasts, in track order."""
         fcs = [t.forecast for t in tracks]
         k = np.array([len(fc.velocities) for fc in fcs], dtype=int)
 
@@ -152,8 +133,6 @@ class BranchTable:
             created=per_track([fc.created_frame for fc in fcs], int),
             end=per_track([fc.end_frame for fc in fcs], int),
             size=per_track([(t.last_box.width, t.last_box.height) for t in tracks], float, 2),
-            alive=np.ones(k.sum(), dtype=bool),
-            streak=np.zeros(k.sum(), dtype=int),
         )
 
     def __len__(self) -> int:
@@ -187,23 +166,14 @@ class FrameGeometry:
     table: BranchTable
     points: np.ndarray  # (R, 2) BEV points
     overlap: np.ndarray  # (R, M) IoU of each row's predicted box with each detection
-    visible: np.ndarray  # (R,) on visible freespace and not occluded by a closer detection
 
 
-def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int, config: RunConfig):
-    """The table's FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections.
-
-    A detection occludes a row when its bottom edge is lower (larger v) and its
-    IoU with the row's box is at least config.occlusion_iou.
-    """
+def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int) -> FrameGeometry:
+    """The table's FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections."""
     pts = table.points(frame)
-    px, valid = scene.world_to_px(pts, frame)
+    px, _ = scene.world_to_px(pts, frame)
     boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
-    closer = det_boxes[:, 1] + det_boxes[:, 3] > boxes[:, 1:2] + boxes[:, 3:4]
-    overlap = iou_matrix(boxes, det_boxes)
-    occluded = (closer & (overlap >= config.occlusion_iou)).any(axis=1)
-    visible = valid & scene.contains(pts) & ~occluded
-    return FrameGeometry(table, pts, overlap, visible)
+    return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes))
 
 
 def build_cost_matrix(
@@ -214,7 +184,7 @@ def build_cost_matrix(
     Per branch the score is IoU(predicted box, detection box) plus the
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
-    entry is the best (max) over its alive branches, the first branch on a
+    entry is the best (max) over its branches, the first branch on a
     tie. Zero means "forbidden". ``geometry``, whose table holds these
     tracks' rows and whose overlap columns are these detections, supplies
     the branch points and overlaps.
@@ -231,7 +201,7 @@ def build_cost_matrix(
     table = geometry.table
     index = {tr.id: i for i, tr in enumerate(tracks)}
     owner = np.array([index.get(tid, -1) for tid in table.owner.tolist()], dtype=int)
-    rows = table.alive & (owner >= 0)
+    rows = owner >= 0
     d_iou = geometry.overlap[rows]
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
     diff = geometry.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
@@ -270,18 +240,8 @@ def assign(scores: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def prune_forecasts(geometry: FrameGeometry, config: RunConfig, fps: float) -> None:
-    """Kill the table's branches that linger in visible freespace.
-
-    A branch point is visible when it lies on an occupied freespace cell and
-    its predicted box overlaps no closer detection (larger bottom edge) with
-    IoU >= occlusion_iou. Each alive row of ``geometry.table`` counts its
-    consecutive visible frames; exceeding tau_vis * fps kills the row. Dead
-    rows keep their state.
-    """
-    table, visible = geometry.table, geometry.visible
-    table.streak = np.where(table.alive, np.where(visible, table.streak + 1, 0), table.streak)
-    table.alive = table.alive & ~(visible & (table.streak > config.tau_vis * fps))
+def prune_forecasts(*_) -> None:  # uncalled; only benchmarks/tracing.py wraps the name
+    """Placeholder: branches are never pruned."""
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
@@ -355,23 +315,21 @@ class Tracker:
         return matches
 
     def _advance_inactive(self, detections, det_boxes, matched_dets: set, frame: int, events):
-        """Prune, expire and re-associate the inactive tracks: one pass over the table.
+        """Expire and re-associate the inactive tracks: one pass over the table.
 
         Only removed tracks are looped over, in id order, so their events
         interleave. Removed and re-associated tracks leave the table.
         """
         cfg = self.config
         table = self.branches
-        geometry = frame_geometry(table, det_boxes, self.scene, frame, cfg)
-        prune_forecasts(geometry, cfg, self.scene.fps)
+        geometry = frame_geometry(table, det_boxes, self.scene, frame)
         owner = table.owner
         ids = set(owner.tolist())
         dead = set(owner[table.end < frame].tolist())
-        pruned = ids - set(owner[table.alive].tolist())
         expired = set(owner[frame - table.created > cfg.tau_max * self.scene.fps].tolist())
-        gone = dead | pruned | expired  # and, below, the re-associated: their rows leave
+        gone = dead | expired  # and, below, the re-associated: their rows leave
         for tid in sorted(gone):
-            reason = "dead" if tid in dead else "pruned" if tid in pruned else "expired"
+            reason = "dead" if tid in dead else "expired"
             del self.tracks[tid]
             events.append(_event(frame, tid, reason="removed_" + reason))
         survivors = [self.tracks[tid] for tid in sorted(ids - gone)]

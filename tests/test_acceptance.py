@@ -714,20 +714,27 @@ def test_egomotion_recovery():
 def test_panning_camera_recalls_like_static(junction_runs):
     # run_tracker takes the camera path from the scenario itself; the static
     # suite recovers every turn behind its wall, and so must a panning camera.
+    # The panned wall-shadow crossings, tracked with the default config, must
+    # recover most of their events too.
     cfg = junction_runs["cfg"].override(motion="fan", k=3)
     t0 = time.perf_counter()
     pan = (0.02, 0.0)
-    scenes = [replace(sc, camera_path=(pan,) * (sc.n_frames - 1)) for sc in junction_suite()]
-    sims = [generate(sc) for sc in scenes]
-    panned = _track_suite(sims, cfg)
+
+    def panned(scenes, config):
+        scenes = [replace(sc, camera_path=(pan,) * (sc.n_frames - 1)) for sc in scenes]
+        run = _track_suite([generate(sc) for sc in scenes], config)
+        return recall_over(aggregate_buckets(run.reports)), sum(r.idsw for r in run.reports)
+
+    (rec, tot), idsw = panned(junction_suite(), cfg)
+    (lin_rec, lin_tot), lin_idsw = panned(linear_suite(20), junction_runs["cfg"])
     elapsed = time.perf_counter() - t0
-    rec, tot = recall_over(aggregate_buckets(panned.reports))
     static_rec, static_tot = recall_over(aggregate_buckets(junction_runs["fan"].reports))
-    idsw = sum(rep.idsw for rep in panned.reports)
     ok = tot == static_tot and rec == tot == static_rec and idsw == 0
+    ok = ok and lin_rec >= 0.9 * lin_tot and lin_idsw <= 5
     criterion(
         "moving-camera",
         ok,
         f"turn scenes panned 0.02 m/frame sideways recall {rec}/{tot} with {idsw} switches, "
-        f"static camera {static_rec}/{static_tot}, {elapsed:.1f}s",
+        f"static camera {static_rec}/{static_tot}; panned crossings {lin_rec}/{lin_tot} "
+        f"with {lin_idsw} switches, {elapsed:.1f}s",
     )

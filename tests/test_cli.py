@@ -9,14 +9,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bevtrack.cli import _free_scene, main
+from bevtrack.cli import main
 from bevtrack.config import RunConfig
 from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import load_homography
 from bevtrack.linearized import linearize
 from bevtrack.mot_io import read_detections, records_from_outputs, write_detections, write_events
 from bevtrack.simulator import AgentSpec, CameraSpec, Occluder, Scenario, write_scenario
-from bevtrack.tracker import Detection, Tracker
+from bevtrack.tracker import Detection, SceneModel, Tracker
 
 
 def small_scenario():
@@ -59,7 +59,7 @@ def track_dir(tmp_path_factory, sim_dir):
             "--det", os.path.join(sim_dir, "det.txt"),
             "--appearance", os.path.join(sim_dir, "appearance.txt"),
             "--homography", os.path.join(sim_dir, "homography.txt"),
-            "--scenario", os.path.join(sim_dir, "scenario.json"),
+            "--fps", "10",
             "--out", out,
         ]
     )
@@ -153,7 +153,7 @@ class TestCalibrate:
         old = (tmp_path / "old.txt").read_bytes()
         assert (tmp_path / "default.txt").read_bytes() == old
 
-    @pytest.mark.parametrize("config", [None, {"max_spacing": 0}, {"tau_vis": "x"}])
+    @pytest.mark.parametrize("config", [None, {"max_spacing": 0}, {"tau_l2": "x"}])
     def test_missing_or_invalid_config_is_code_1(self, sim_dir, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
         if config is not None:
@@ -190,7 +190,7 @@ class TestTrack:
 
         default = events()
         assert events("--fps", "20") == default
-        # tau_vis * fps and the forecast speeds follow the frame rate
+        # the patience tau_max * fps and the forecast speeds follow the frame rate
         assert events("--fps", "10") != default
 
     def test_no_forecast_fragments_identity(self, sim_dir, tmp_path):
@@ -226,7 +226,7 @@ class TestTrack:
 
         cfg = RunConfig()
         h, max_spacing, image_size = load_homography(homography)
-        tracker = Tracker(_free_scene(linearize(h, image_size, max_spacing), cfg, 20.0), cfg)
+        tracker = Tracker(SceneModel(linearize(h, image_size, max_spacing), 20.0), cfg)
         by_frame = {}
         for r in read_detections(det):
             frame = 20000 if r.frame == far else r.frame
@@ -262,7 +262,7 @@ class TestTrack:
                 "track",
                 "--det", str(det_path),
                 "--homography", os.path.join(sim_dir, "homography.txt"),
-                "--scenario", os.path.join(sim_dir, "scenario.json"),
+                "--fps", "10",
                 "--out", out,
                 "--ingest",
             ]
@@ -480,7 +480,8 @@ class TestPipeline:
     @pytest.mark.parametrize("pan", [None, (0.0, 0.02)])
     def test_pipeline_equals_simulate_then_track(self, tmp_path, pan):
         # pipeline tracks a moving camera with the scenario's own camera path;
-        # track takes the same offsets from the ego.txt that simulate writes.
+        # track takes the same offsets from the ego.txt that simulate writes,
+        # and needs no scenario: both track with the map, frame rate and ego alone.
         scenario = "crossing"
         if pan is not None:
             d = crossing_dict()
@@ -494,8 +495,7 @@ class TestPipeline:
         assert main(["simulate", "--scenario", scenario, "--out", sim]) == 0
         ego = os.path.join(sim, "ego.txt")
         assert os.path.exists(ego) == (pan is not None)
-        files = {"det": "det.txt", "appearance": "appearance.txt",
-                 "homography": "homography.txt", "scenario": "scenario.json"}
+        files = {"det": "det.txt", "appearance": "appearance.txt", "homography": "homography.txt"}
         if pan is not None:
             files["ego"] = "ego.txt"
         args = [a for k, name in files.items() for a in ("--" + k, os.path.join(sim, name))]
@@ -511,7 +511,6 @@ class TestInputErrors:
             "track",
             "--det", str(det),
             "--homography", os.path.join(sim_dir, "homography.txt"),
-            "--scenario", os.path.join(sim_dir, "scenario.json"),
             "--out", str(tmp_path / "o"),
         ]
         if appearance is not None:
@@ -632,8 +631,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("cell_size", 0, "cell_size must be positive"),
-            ("cell_size", -0.5, "cell_size must be positive"),
+            ("cell_size", 0, "unknown field 'cell_size'"),
+            ("cell_size", -0.5, "unknown field 'cell_size'"),
             ("max_spacing", 0, "max_spacing must be positive"),
             ("dt", 0, "dt must be positive"),
             ("obs_len", 0, "obs_len must be at least 1"),

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -29,9 +29,8 @@ class TestDefaults:
         assert cfg.motion == "kalman_cv" and cfg.k == 1
         assert cfg.obs_len == 8 and cfg.dt == 0.4
         assert cfg.tau_l2 == 2.5 and cfg.tau_app == 0.8 and cfg.tau_iou == 0.2
-        assert cfg.tau_max == 6.0 and cfg.tau_vis == 1.0
-        assert cfg.occlusion_iou == 0.25 and cfg.base_iou == 0.5
-        assert cfg.max_spacing == 0.2 and cfg.cell_size == 0.5
+        assert cfg.tau_max == 6.0 and cfg.base_iou == 0.5
+        assert cfg.max_spacing == 0.2
         assert cfg.buckets == DEFAULT_BUCKETS
         assert cfg.forecast_enabled and not cfg.ingest_ids
 
@@ -43,7 +42,7 @@ class TestDefaults:
     def test_thresholds_view(self):
         # the matching gates are read straight off RunConfig
         th = RunConfig()
-        assert th.tau_l2 == 2.5 and th.tau_vis == 1.0 and th.occlusion_iou == 0.25
+        assert th.tau_l2 == 2.5 and th.tau_iou == 0.2 and th.tau_app == 0.8
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
         det.bev = np.array([52.0, 100.0])
@@ -172,20 +171,20 @@ class TestEagerValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"cell_size": 0.0}, "config: cell_size must be positive"),
+            ({"max_spacing": math.inf}, "config: max_spacing must be positive and finite"),
             ({"max_spacing": -0.2}, "config: max_spacing must be positive"),
             ({"dt": float("nan")}, "config: dt must be positive"),
             ({"obs_len": 0}, "config: obs_len must be at least 1"),
             ({"k": 0}, "config: k must be at least 1"),
             ({"motion": "transformer"}, "config: motion must be one of"),
             ({"motion": "fan", "k": 2}, "config: fan requires k == len"),
-            ({"tau_vis": 10.0}, "config: tau_vis cannot exceed tau_max"),
+            ({"process_noise": -1.0}, "config: process_noise must be non-negative"),
             ({"tau_l2": -0.1}, "config: tau_l2 must be non-negative"),
             ({"tau_app": 1.5}, "config: tau_app is a cosine similarity"),
             ({"tau_max": 0.0}, "config: tau_max must be positive"),
-            ({"tau_vis": 7.0, "tau_max": 6.0}, "config: tau_vis cannot exceed tau_max"),
+            ({"vis_threshold": 1.5}, "config: vis_threshold must be in \\[0, 1\\]"),
             ({"tau_iou": -0.5}, "config: tau_iou must be non-negative"),
-            ({"occlusion_iou": math.inf}, "config: occlusion_iou must be non-negative and finite"),
+            ({"tau_l2": math.inf}, "config: tau_l2 must be non-negative and finite"),
             ({"obs_noise": 0.0}, "config: obs_noise must be positive"),
             ({"base_iou": 1.5}, "config: base_iou must be in \\[0, 1\\]"),
             ({"window": 0}, "config: window must be at least 1"),
@@ -197,7 +196,7 @@ class TestEagerValidation:
             ({"forecast_enabled": "no"}, "config: forecast_enabled must be true or false"),
             ({"fan_angles": [0.0]}, "config: fan_angles must be a list of numbers"),
             ({"tau_max": 1e308}, "config: tau_max is too long for dt"),
-            ({"tau_max": 1e300, "tau_vis": 1.0, "dt": 1e-10}, "config: tau_max is too long for dt"),
+            ({"tau_max": 1e300, "dt": 1e-10}, "config: tau_max is too long for dt"),
             ({"dt": 1e-300}, "config: dt is too small for obs_noise"),
             ({"dt": 1e-150, "obs_noise": 1e10}, "config: dt is too small for obs_noise"),
         ],
@@ -207,8 +206,19 @@ class TestEagerValidation:
             RunConfig(**kwargs)
 
     def test_override_is_validated(self):
-        with pytest.raises(ParseError, match="cell_size"):
-            RunConfig().override(cell_size=-1.0)
+        with pytest.raises(ParseError, match="max_spacing"):
+            RunConfig().override(max_spacing=-1.0)
+
+    def test_cell_size_is_not_a_field(self):
+        # A read-only class attribute, kept for the benchmark's set-up call.
+        assert RunConfig().cell_size == 0.5
+        assert "cell_size" not in RunConfig().to_dict()
+        with pytest.raises(TypeError):
+            RunConfig(cell_size=1.0)
+        with pytest.raises(FrozenInstanceError):
+            RunConfig().cell_size = 1.0
+        with pytest.raises(ParseError, match="unknown field 'cell_size'"):
+            config_from_dict({"cell_size": 0.5})
 
     def test_from_dict_is_validated(self):
         with pytest.raises(ParseError, match="obs_len"):

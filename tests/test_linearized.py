@@ -82,6 +82,15 @@ class TestForwardMap:
         out = lh.px_to_bev(pts)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_column_is_nan_without_warning(self, lh):
+        assert np.isnan(lh.px_to_bev(np.array([np.inf, 10.0]))).all()
+        # the finite row of the same call is untouched
+        pts = np.array([[-np.inf, 10.0], [500.0, 100.0]])
+        out = lh.px_to_bev(pts)
+        assert np.isnan(out[0]).all()
+        assert np.array_equal(out[1], lh.px_to_bev(pts[1]))
+
 
 class TestInverseMap:
     def test_round_trip_grid(self, lh):
@@ -94,6 +103,16 @@ class TestInverseMap:
         bev = np.stack([rng.uniform(-8, 8, 100), rng.uniform(5, 15, 100)], axis=1)
         px = lh.bev_to_px(bev)
         assert np.allclose(true_h.apply(px), bev, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_point_is_invalid_without_warning(self, lh):
+        px, valid = lh.try_bev_to_px(np.array([[np.inf, 5.0]]))
+        assert valid.tolist() == [False] and np.isnan(px).all()
+        # the finite row of the same call is untouched
+        pts = np.array([[np.nan, 5.0], [0.0, 10.0], [-np.inf, np.inf]])
+        px, valid = lh.try_bev_to_px(pts)
+        assert valid.tolist() == [False, True, False] and np.isnan(px[[0, 2]]).all()
+        assert np.array_equal(px[1], lh.bev_to_px(pts[1]))
 
     def test_behind_camera_raises(self, lh):
         with pytest.raises(OutOfDomain):

@@ -20,18 +20,13 @@ from bevtrack.tracker import (
     assign,
     build_cost_matrix,
     frame_geometry,
-    prune_forecasts,
 )
 
 
-def make_scene(fps=10.0, size=200, mask=None, cell=1.0, origin=(0.0, 0.0)):
+def make_scene(fps=10.0, size=200):
     """Identity-homography scene: BEV coordinates equal pixel coordinates."""
     lh = linearize(Homography(np.eye(3)), (size, size), max_spacing=1e9)
-    if mask is None:
-        mask = np.ones((size, size), dtype=bool)
-    return SceneModel(
-        mask=mask, cell_size=cell, origin=np.asarray(origin, float), lh=lh, fps=fps
-    )
+    return SceneModel(lh=lh, fps=fps)
 
 
 def box_at(u, v, w=12.0, h=24.0):
@@ -48,17 +43,10 @@ def table_of(tracks):
     return BranchTable.of(tracks, tracks[0].forecast.fps)
 
 
-def cost_matrix(tracks, detections, config, scene, frame, table=None):
-    """build_cost_matrix on the frame's geometry for these tracks (or this table) and detections."""
-    table = table_of(tracks) if table is None else table
-    g = frame_geometry(table, ltwh([d.box for d in detections]), scene, frame, config)
+def cost_matrix(tracks, detections, config, scene, frame):
+    """build_cost_matrix on the frame's geometry for these tracks and detections."""
+    g = frame_geometry(table_of(tracks), ltwh([d.box for d in detections]), scene, frame)
     return build_cost_matrix(tracks, detections, config, g)
-
-
-def prune(table, scene, detections, frame, config):
-    """prune_forecasts on the frame's geometry for this table and the detections."""
-    g = frame_geometry(table, ltwh([d.box for d in detections]), scene, frame, config)
-    prune_forecasts(g, config, scene.fps)
 
 
 def unit(*v):
@@ -88,13 +76,12 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
 
 
 def test_geometry_from_top_level_names():
-    # frame_geometry and BranchTable build the geometry that both exported
-    # functions take; everything here comes from the package namespace.
+    # frame_geometry and BranchTable build the geometry that build_cost_matrix
+    # takes; everything here comes from the package namespace.
     import bevtrack as bt
 
     lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
-    mask = np.ones((200, 200), bool)
-    scene = bt.SceneModel(mask=mask, cell_size=1.0, origin=np.zeros(2), lh=lh, fps=1.0)
+    scene = bt.SceneModel(lh=lh, fps=1.0)
     # seen at (50, 100) on frame 0, forecast at 1 m/s along x; a detection at (51, 100) on frame 1
     seen = bt.Detection(0, bt.PixelBox(44.0, 76.0, 12.0, 24.0), bev=np.array([50.0, 100.0]))
     fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
@@ -102,12 +89,12 @@ def test_geometry_from_top_level_names():
     dets = [bt.Detection(1, bt.PixelBox(45.0, 76.0, 12.0, 24.0), bev=np.array([51.0, 100.0]))]
     config = bt.RunConfig()
     table = bt.BranchTable.of([track], fps=1.0)
-    geometry = bt.frame_geometry(table, bt.ltwh([d.box for d in dets]), scene, 1, config)
-    bt.prune_forecasts(geometry, config, scene.fps)
-    assert table.alive.tolist() == [True] and table.streak.tolist() == [1]
+    geometry = bt.frame_geometry(table, bt.ltwh([d.box for d in dets]), scene, 1)
+    assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
     scores, branch = bt.build_cost_matrix([track], dets, config, geometry)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
     assert {"BranchTable", "frame_geometry"} <= set(bt.__all__)
+    assert "prune_forecasts" not in bt.__all__
 
 
 class TestDetectionValidation:
@@ -126,26 +113,9 @@ class TestDetectionValidation:
 
 
 class TestSceneModel:
-    def test_contains_respects_origin_and_cell(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[2, 1] = True  # covers bev x in [12,14), y in [24,26)
-        s = SceneModel(
-            mask=mask,
-            cell_size=2.0,
-            origin=np.array([10.0, 20.0]),
-            lh=None,
-            fps=10.0,
-        )
-        assert s.contains(np.array([13.0, 25.0]))
-        assert not s.contains(np.array([13.0, 23.0]))
-        assert not s.contains(np.array([11.0, 25.0]))
-        assert not s.contains(np.array([9.0, 25.0]))  # outside the grid
-        assert not s.contains(np.array([200.0, 200.0]))
-
     def moving(self, lh, offset):
         ego = EgomotionTrack(np.array([[0.0, 0.0], offset]))
-        mask = np.ones((2, 2), dtype=bool)
-        return SceneModel(mask=mask, cell_size=1.0, origin=np.zeros(2), lh=lh, fps=10.0, ego=ego)
+        return SceneModel(lh=lh, fps=10.0, ego=ego)
 
     def test_ego_offset_added(self, lh):
         # The map is camera-relative; the scene adds the camera's offset.
@@ -164,10 +134,9 @@ class TestSceneModel:
         assert all(map(np.array_equal, scene.world_to_px(p, 0), lh.try_bev_to_px(p)))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SceneModel(mask=np.zeros((0, 3), dtype=bool), cell_size=1.0, origin=np.zeros(2), lh=None, fps=10.0)
-        with pytest.raises(ValueError):
-            SceneModel(mask=np.ones((2, 2), dtype=bool), cell_size=0.0, origin=np.zeros(2), lh=None, fps=10.0)
+        for fps in (0.0, -10.0, math.nan):
+            with pytest.raises(ValueError, match="fps must be positive"):
+                SceneModel(lh=None, fps=fps)
 
 
 class TestCostMatrix:
@@ -240,17 +209,6 @@ class TestCostMatrix:
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
-    def test_pruned_branch_not_scored(self):
-        scene = make_scene()
-        tr = inactive_track(1, 50, 100, [(52.0, 100.0), (57.0, 100.0)])
-        table = table_of([tr])
-        table.alive[0] = False  # the exact branch was pruned
-        det = det_at(1, 52, 100)
-        det.bev = np.array([52.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1, table=table)
-        assert branch[0, 0] == 1
-        assert scores[0, 0] == pytest.approx(iou(box_at(57, 100), det.box), abs=1e-12)
-
     def test_matches_direct_formula_on_random_instances(self, rng):
         scene = make_scene()
         cfg = RunConfig()
@@ -310,59 +268,6 @@ class TestAssign:
         assert assign(s) == [(0, 1)]
 
 
-class TestPruneForecasts:
-    def make_table(self, n_points=30, at=(52.0, 100.0)):
-        """The branch table of one track with one branch resting at `at`."""
-        fc = Forecast(
-            origin=at, velocities=np.zeros((1, 2)), created_frame=0, end_frame=n_points, fps=10.0
-        )
-        d = Detection(frame=0, box=box_at(*at), appearance=None, bev=np.array(at))
-        tr = Track(id=1, history=[(0, d)], last_appearance=None, forecast=fc)
-        return table_of([tr])
-
-    def test_visible_streak_kills_after_limit(self):
-        scene = make_scene(fps=10.0)
-        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)  # limit: 5 consecutive calls
-        tb = self.make_table()
-        for i in range(5):
-            prune(tb, scene, [], frame=1, config=cfg)
-            assert tb.alive[0], f"died too early at call {i + 1}"
-        prune(tb, scene, [], frame=1, config=cfg)
-        assert not tb.alive[0]
-
-    def test_covering_detection_resets_streak(self):
-        scene = make_scene(fps=10.0)
-        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tb = self.make_table()
-        cover = det_at(1, 52, 103)  # closer (bottom 103 > 100), heavy overlap
-        for _ in range(4):
-            prune(tb, scene, [], frame=1, config=cfg)
-        assert tb.streak[0] == 4
-        prune(tb, scene, [cover], frame=1, config=cfg)
-        assert tb.streak[0] == 0
-        for _ in range(5):
-            prune(tb, scene, [], frame=1, config=cfg)
-        assert tb.alive[0]
-
-    def test_farther_detection_does_not_cover(self):
-        scene = make_scene(fps=10.0)
-        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tb = self.make_table()
-        behind = det_at(1, 52, 97)  # bottom 97 < 100: farther than the forecast
-        prune(tb, scene, [behind], frame=1, config=cfg)
-        assert tb.streak[0] == 1
-
-    def test_masked_out_cell_is_not_visible(self):
-        mask = np.zeros((200, 200), dtype=bool)
-        scene = make_scene(fps=10.0, mask=mask)
-        cfg = RunConfig(tau_vis=0.5, tau_max=6.0)
-        tb = self.make_table()
-        for _ in range(10):
-            prune(tb, scene, [], frame=1, config=cfg)
-        assert tb.alive[0]
-        assert tb.streak[0] == 0
-
-
 class TestDeactivateReadsTheWindowTail:
     """_deactivate filters only the history from the last observation at or
     before the grid's first point on; that must equal the whole history."""
@@ -402,7 +307,7 @@ class TestDeactivateReadsTheWindowTail:
 
 
 def small_config(**kw):
-    return RunConfig(tau_max=2.0, tau_vis=1.0, dt=0.3, **kw)
+    return RunConfig(tau_max=2.0, dt=0.3, **kw)
 
 
 def walker_dets(frame, x0=50.0, v=1.0, y=100.0, app=None):
@@ -491,63 +396,36 @@ class TestTrackerLifecycle:
         assert "removed_dead" in reasons and "removed_expired" not in reasons
 
     def test_removals_interleave_in_id_order(self):
-        # track 1 is pruned and track 2 is dead in the same frame: one loop in
+        # track 1 expires and track 2 is dead in the same frame: one loop in
         # id order logs track 1 first
         tk = Tracker(make_scene(fps=10.0), small_config())
-        pruned = inactive_track(1, 52, 100, [(0.0, 0.0)])
-        pruned.forecast.end_frame = 50
-        dead = inactive_track(2, 80, 100, [(0.0, 0.0)])
-        tk.tracks = {1: pruned, 2: dead}
-        tk.branches = table_of([pruned, dead])
-        tk.branches.streak[0] = 10  # at the tau_vis * fps limit
+        expired = inactive_track(1, 52, 100, [(0.0, 0.0)])  # 25 frames unseen > 20
+        expired.forecast.end_frame = 50
+        dead = inactive_track(2, 80, 100, [(0.0, 0.0)], created=10)  # forecast ended at 11
+        tk.tracks = {1: expired, 2: dead}
+        tk.branches = table_of([expired, dead])
         tk.next_id = 3
-        _, events = tk.step([], 5)
+        _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [
-            (1, "removed_pruned"),
+            (1, "removed_expired"),
             (2, "removed_dead"),
         ]
 
     def test_removal_reason_precedence(self):
         # At frame 25 every track is past its 20-frame patience; track 1's
-        # forecast has also ended and tracks 1 and 2 reach the visible limit:
-        # dead wins over pruned, and pruned over expired.
+        # forecast has also ended: dead wins over expired.
         tk = Tracker(make_scene(fps=10.0), small_config())
         tracks = [inactive_track(tid, 52, 100, [(0.0, 0.0)]) for tid in (1, 2, 3)]
         tracks[1].forecast.end_frame = tracks[2].forecast.end_frame = 50
         tk.tracks = {tr.id: tr for tr in tracks}
         tk.branches = table_of(tracks)
-        tk.branches.streak[:2] = 10  # at the tau_vis * fps limit
         tk.next_id = 4
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [
             (1, "removed_dead"),
-            (2, "removed_pruned"),
+            (2, "removed_expired"),
             (3, "removed_expired"),
         ]
-
-    def test_pruned_when_lingering_in_freespace(self):
-        # visible limit tau_vis * fps = 10 consecutive frames
-        tk = Tracker(make_scene(fps=10.0), small_config())
-        for f in range(5):
-            tk.step(walker_dets(f), f)
-        tk.step([], 5)
-        for f in range(6, 15):
-            _, events = tk.step([], f)
-            assert all(e["reason"] != "removed_pruned" for e in events)
-        _, events = tk.step([], 15)
-        assert [e["reason"] for e in events] == ["removed_pruned"]
-        assert tk.tracks == {}
-
-    def test_occluded_forecast_survives_lingering(self):
-        # same timeline, but the forecast region is not visible freespace
-        tk = Tracker(make_scene(fps=10.0, mask=np.zeros((200, 200), dtype=bool)), small_config())
-        for f in range(5):
-            tk.step(walker_dets(f), f)
-        tk.step([], 5)
-        for f in range(6, 16):
-            _, events = tk.step([], f)
-            assert all(e["reason"] != "removed_pruned" for e in events)
-        assert 1 in tk.tracks
 
     def test_non_monotonic_frame_rejected(self):
         tk = Tracker(make_scene(), small_config())

@@ -2,13 +2,11 @@
 
 ``ScalarTracker`` is the per-pair, per-branch tracker that the array code
 replaced (scalar ``iou``, one ``px_to_bev`` per detection, one ``bev_to_px``
-per branch, per-track pruning state, the whole history filtered on every
-deactivation), kept here as the reference. The array code does the same float
-operations, so on seeded crowd scenes both must give equal outputs and equal
-events, score floats included.
+per branch, the whole history filtered on every deactivation), kept here as
+the reference. The array code does the same float operations, so on seeded
+crowd scenes both must give equal outputs and equal events, score floats
+included.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -30,26 +28,15 @@ from bevtrack.tracker import (
     assign,
     build_cost_matrix,
     frame_geometry,
-    prune_forecasts,
 )
 
 # -- the scalar reference ----------------------------------------------------------
 
 
-def scalar_contains(scene, point) -> bool:
-    j = int(math.floor((point[0] - scene.origin[0]) / scene.cell_size))
-    i = int(math.floor((point[1] - scene.origin[1]) / scene.cell_size))
-    if 0 <= i < scene.mask.shape[0] and 0 <= j < scene.mask.shape[1]:
-        return bool(scene.mask[i, j])
-    return False
-
-
-def scalar_branch_boxes(track, alive, scene, frame):
-    """(branch_index, point, predicted box or None) for the branches where alive holds."""
+def scalar_branch_boxes(track, scene, frame):
+    """(branch_index, point, predicted box or None) for each of the track's branches."""
     out = []
     for bi, pt in enumerate(track.forecast.points(frame)):
-        if not alive[bi]:
-            continue
         rel = pt if scene.ego is None else pt - scene.ego.offset(frame)
         try:
             pb = predicted_box(track.last_box, rel, scene.lh)
@@ -59,13 +46,12 @@ def scalar_branch_boxes(track, alive, scene, frame):
     return out
 
 
-def scalar_cost_matrix(tracks, alive, detections, config, scene, frame):
-    """alive: each track's (k,) alive flags."""
+def scalar_cost_matrix(tracks, detections, config, scene, frame):
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
     for i, tr in enumerate(tracks):
-        branches = scalar_branch_boxes(tr, alive[i], scene, frame)
+        branches = scalar_branch_boxes(tr, scene, frame)
         for j, det in enumerate(detections):
             if tr.last_appearance is not None and det.appearance is not None:
                 app = float(tr.last_appearance @ det.appearance)
@@ -87,24 +73,6 @@ def scalar_cost_matrix(tracks, alive, detections, config, scene, frame):
     return scores, best_branch
 
 
-def scalar_prune(track, alive, streak, scene, detections, frame, config):
-    """Update the track's (k,) alive flags and visible streaks in place."""
-    limit = config.tau_vis * scene.fps
-    for bi, pt, pb in scalar_branch_boxes(track, alive, scene, frame):
-        visible = scalar_contains(scene, pt) and pb is not None
-        if visible:
-            for det in detections:
-                if det.box.bottom > pb.bottom and iou(pb, det.box) >= config.occlusion_iou:
-                    visible = False
-                    break
-        if visible:
-            streak[bi] += 1
-            if streak[bi] > limit:
-                alive[bi] = False
-        else:
-            streak[bi] = 0
-
-
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
     return {
         "frame": frame,
@@ -117,17 +85,11 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
 
 
 class ScalarTracker(Tracker):
-    def __init__(self, scene, config=None):
-        super().__init__(scene, config)
-        self.prune_state = {}  # track id -> ((k,) alive, (k,) visible streak)
-
     def _deactivate(self, track, frame):
         history = [(f, d.bev) for f, d in track.history if d.bev is not None]
         track.forecast = forecast(preprocess(history, self.config, self.scene.fps),
                                   self.config, self.scene.fps)
         track.source_binding = None
-        k = len(track.forecast.velocities)
-        self.prune_state[track.id] = (np.ones(k, dtype=bool), np.zeros(k, dtype=int))
 
     def scalar_base_association(self, active, detections):
         matches = {}
@@ -182,12 +144,7 @@ class ScalarTracker(Tracker):
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
                 continue
-            alive, streak = self.prune_state[tr.id]
-            scalar_prune(tr, alive, streak, self.scene, detections, frame, cfg)
-            if not alive.any():
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="removed_pruned"))
-            elif frame - tr.last_frame > cfg.tau_max * self.scene.fps:
+            if frame - tr.last_frame > cfg.tau_max * self.scene.fps:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_expired"))
             else:
@@ -195,8 +152,7 @@ class ScalarTracker(Tracker):
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            alive = [self.prune_state[tr.id][0] for tr in survivors]
-            scores, best_branch = scalar_cost_matrix(survivors, alive, dets, cfg, self.scene, frame)
+            scores, best_branch = scalar_cost_matrix(survivors, dets, cfg, self.scene, frame)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]
@@ -299,7 +255,7 @@ def detections(sim, appearance, ingest):
 
 def run(tracker_cls, sim, cfg, appearance, ingest, ego):
     lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-    scene = build_scene_model(sim.scenario, lh, cfg.cell_size)
+    scene = build_scene_model(sim.scenario, lh)
     scene.ego = sim.ego if ego else None
     by_frame = detections(sim, appearance, ingest)
     tracker = tracker_cls(scene, cfg)
@@ -352,22 +308,12 @@ class TestStepMatchesScalarReference:
         assert {"inactive", "reassociated"} <= reasons
 
 
-# -- the cost matrix and pruning on random instances ----------------------------------
+# -- the cost matrix on random instances ---------------------------------------------
 
 
 def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
-    """Inactive tracks with k branches (some dead) near random detections.
-
-    Returns (scene, tracks, detections, state), where state holds each
-    track's ((k,) alive, (k,) visible streak).
-    """
-    scene = SceneModel(
-        mask=rng.random((40, 40)) < 0.7,
-        cell_size=5.0,
-        origin=np.zeros(2),
-        lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9),
-        fps=10.0,
-    )
+    """Inactive tracks with k branches near random detections: (scene, tracks, detections)."""
+    scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=10.0)
 
     def app():
         a = rng.uniform(0.1, 1.0, dim)
@@ -379,118 +325,43 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         d = Detection(frame=1, box=PixelBox(u - w / 2.0, v - h, w, h), appearance=app())
         d.bev = np.array([u, v]) + rng.normal(0.0, 1.0, 2)
         dets.append(d)
-    tracks, state = [], []
+    tracks = []
     for t in range(n_tracks):
         near = dets[rng.integers(n_dets)].bev
         pts = near + rng.normal(0.0, 3.0, (k, 2))
         fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
-        alive = rng.random(k) < 0.8
-        alive[rng.integers(k)] = True
-        state.append((alive, rng.integers(0, 12, k)))
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
         last = Detection(frame=0, box=box, appearance=app(), bev=np.zeros(2))
         tracks.append(
             Track(id=t + 1, history=[(0, last)], last_appearance=last.appearance, forecast=fc)
         )
-    return scene, tracks, dets, state
+    return scene, tracks, dets
 
 
-def table_of(tracks, state):
-    """The tracks' branch table, carrying their pruning state."""
-    table = BranchTable.of(tracks, fps=1.0)
-    table.alive[:] = np.concatenate([alive for alive, _ in state])
-    table.streak[:] = np.concatenate([streak for _, streak in state])
-    return table
-
-
-def copy_state(state):
-    return [(alive.copy(), streak.copy()) for alive, streak in state]
-
-
-def track_rows(table, track):
-    """The track's rows in branch order."""
-    rows = np.flatnonzero(table.owner == track.id)
-    return rows[np.argsort(table.branch[rows])]
+def geometry(tracks, dets, scene):
+    return frame_geometry(BranchTable.of(tracks, fps=1.0), ltwh([d.box for d in dets]), scene, 1)
 
 
 class TestCostMatrixMatchesScalarReference:
     def test_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            scene, tracks, dets, state = random_instance(rng)
+            scene, tracks, dets = random_instance(rng)
             # The gate sits exactly on one pair's similarity, so a product that
             # rounds differently from the 1-D one flips that pair.
             tau_app = float(tracks[0].last_appearance @ dets[0].appearance)
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
-            want = scalar_cost_matrix(tracks, [a for a, _ in state], dets, cfg, scene, 1)
-            g = frame_geometry(table_of(tracks, state), ltwh([d.box for d in dets]), scene, 1, cfg)
-            got = build_cost_matrix(tracks, dets, cfg, g)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-
-    def test_geometry_built_before_a_kill_skips_the_dead_branch(self):
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            scene, tracks, dets, state = random_instance(rng)
-            cfg = RunConfig(tau_app=-1.0, tau_iou=0.0)
-            table = table_of(tracks, state)
-            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
-            for tr, (alive, _) in zip(tracks, state):
-                b = rng.integers(3)
-                alive[b] = table.alive[track_rows(table, tr)[b]] = False
-            want = scalar_cost_matrix(tracks, [a for a, _ in state], dets, cfg, scene, 1)
-            got = build_cost_matrix(tracks, dets, cfg, g)
+            want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
+            got = build_cost_matrix(tracks, dets, cfg, geometry(tracks, dets, scene))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
     def test_ties_go_to_the_first_branch(self):
-        scene, tracks, dets, state = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
+        scene, tracks, dets = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
         tracks[0].forecast.velocities[:] = dets[0].bev  # three identical branches
-        state[0][0][:] = True
         cfg = RunConfig(tau_app=-1.0)
-        g = frame_geometry(table_of(tracks, state), ltwh([d.box for d in dets[:1]]), scene, 1, cfg)
-        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, g)
+        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, geometry(tracks, dets[:1], scene))
         assert scores[0, 0] > 0 and branch[0, 0] == 0
-
-
-class TestPruneMatchesScalarReference:
-    def test_random_instances(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            scene, tracks, dets, state = random_instance(rng)
-            cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
-            table, ref = table_of(tracks, state), copy_state(state)
-            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
-            prune_forecasts(g, cfg, scene.fps)
-            for tr, (alive, streak) in zip(tracks, ref):
-                scalar_prune(tr, alive, streak, scene, dets, 1, cfg)
-                rows = track_rows(table, tr)
-                assert np.array_equal(table.alive[rows], alive)
-                assert np.array_equal(table.streak[rows], streak)
-
-    def test_shared_geometry_leaves_dead_branches_alone(self):
-        # One geometry serves several prune calls; a branch killed after it was
-        # built (by an earlier call or otherwise) must stay dead and keep its streak.
-        rng = np.random.default_rng(14)
-        killed = 0
-        for _ in range(100):
-            scene, tracks, dets, state = random_instance(rng)
-            cfg = RunConfig(occlusion_iou=float(rng.choice([0.0, 0.1, 0.25])), tau_vis=1.0)
-            table, ref = table_of(tracks, state), copy_state(state)
-            g = frame_geometry(table, ltwh([d.box for d in dets]), scene, 1, cfg)
-            for _ in range(2):
-                prune_forecasts(g, cfg, scene.fps)
-                for tr, (alive, streak) in zip(tracks, ref):
-                    before = alive.copy()
-                    scalar_prune(tr, alive, streak, scene, dets, 1, cfg)
-                    killed += (before & ~alive).sum()
-                    alive[0] = False
-                table.alive[table.branch == 0] = False
-            for tr, (alive, streak) in zip(tracks, ref):
-                rows = track_rows(table, tr)
-                assert np.array_equal(table.alive[rows], alive)
-                assert np.array_equal(table.streak[rows], streak)
-        assert killed > 0
 
 
 class TestBranchTableLifecycle:
@@ -501,7 +372,7 @@ class TestBranchTableLifecycle:
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
         lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-        tracker = Tracker(build_scene_model(sim.scenario, lh, cfg.cell_size), cfg)
+        tracker = Tracker(build_scene_model(sim.scenario, lh), cfg)
         by_frame = detections(sim, appearance, ingest)
         k = len(cfg.fan_angles) if cfg.motion == "fan" else 1
         seen = set()
@@ -512,4 +383,6 @@ class TestBranchTableLifecycle:
             order = np.lexsort((tracker.branches.branch, tracker.branches.owner))
             assert tracker.branches.owner[order].tolist() == np.repeat(inactive, k).tolist()
             assert tracker.branches.branch[order].tolist() == list(range(k)) * len(inactive)
-        assert {"inactive", "reassociated", "removed_pruned"} <= seen
+        # Rows leave on re-association, and with short_fan's 2 s patience on removal too.
+        assert {"inactive", "reassociated"} <= seen
+        assert ("removed_dead" in seen) == (case == "short_fan")
