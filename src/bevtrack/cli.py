@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--appearance", help="descriptor sidecar, one row per detection")
     sp.add_argument("--ego", help="cumulative camera offsets, one dx dy row per frame")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
-    sp.add_argument("--k", type=int, help="number of forecast branches")
+    sp.add_argument("--k", type=int, help="checked only; fan forecasts one branch per fan angle")
     sp.add_argument("--no-forecast", action="store_true", help="drop occluded tracks")
     sp.add_argument("--ingest", action="store_true", help="respect upstream ids in the file")
     sp.add_argument("--fps", type=_positive, default=20.0, help="frame rate")

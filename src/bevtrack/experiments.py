@@ -32,7 +32,7 @@ from .simulator import (
     build_scene_model,
     read_scenario,
 )
-from .tracker import Detection, SceneModel, Tracker
+from .tracker import SceneModel, Tracker
 
 
 def default_camera() -> CameraSpec:
@@ -233,9 +233,10 @@ def rigid_align_2d(src: np.ndarray, dst: np.ndarray):
 
 
 def sim_detections_by_frame(sim: SimOutput) -> dict:
+    """The simulator's own detections grouped by frame; the tracker only reads them."""
     out: dict[int, list] = {}
     for d in sim.detections:
-        out.setdefault(d.frame, []).append(Detection(d.frame, d.box, d.appearance))
+        out.setdefault(d.frame, []).append(d)
     return out
 
 

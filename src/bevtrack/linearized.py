@@ -37,6 +37,9 @@ from .errors import HorizonInsideFootprint, OutOfDomain
 from .homography import MAX_IMAGE_SIDE, Homography
 
 _EDGE_TOL = 1e-9  # slack when deciding which piece a query point belongs to
+# The maps' arithmetic itself makes a non-finite or overflowing query NaN or
+# invalid; the queries run it under these settings, so it warns of nothing.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class LinearizedHomography:
@@ -170,16 +173,17 @@ class LinearizedHomography:
         single = p.ndim == 1
         pts = np.atleast_2d(p).astype(float)
         u, v = pts[:, 0], pts[:, 1]
-        v_t, _, linear = self._query_pieces(u)
-        below = v >= v_t  # exact projective region (towards the camera)
-        if below.all():
-            out = self.h.apply(pts)
-        else:
-            up = ~below
-            out = np.empty_like(pts)
-            out[below] = self.h.apply(pts[below])
-            anchor, tangent = linear(up)
-            out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
+        with np.errstate(**_QUIET):
+            v_t, _, linear = self._query_pieces(u)
+            below = v >= v_t  # exact projective region (towards the camera)
+            if below.all():
+                out = self.h.apply(pts)
+            else:
+                up = ~below
+                out = np.empty_like(pts)
+                out[below] = self.h.apply(pts[below])
+                anchor, tangent = linear(up)
+                out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
         return out[0] if single else out
 
     def try_bev_to_px(self, bev):
@@ -190,35 +194,32 @@ class LinearizedHomography:
         camera) is not valid and its pixel is NaN.
         """
         pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
-        given = np.isfinite(pts).all(axis=1)
-        pts[~given] = 0.0  # a non-finite point is invalid; as 0 it keeps the product warning-free
         ones = np.ones((pts.shape[0], 1))
-        # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
-        # take another BLAS kernel and round differently from a lone point.
-        q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
-        wq = q[:, 2]
-        finite = given & (np.abs(wq) > 1e-12 * np.abs(q).max(axis=1))
-        wq_safe = np.where(finite, wq, 1.0)
-        u = q[:, 0] / wq_safe
-        v = q[:, 1] / wq_safe
+        with np.errstate(**_QUIET):
+            # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
+            # take another BLAS kernel and round differently from a lone point.
+            q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
+            wq = q[:, 2]
+            finite = np.isfinite(pts).all(axis=1) & (np.abs(wq) > 1e-12 * np.abs(q).max(axis=1))
+            u = q[:, 0] / wq
+            v = q[:, 1] / wq
 
-        v_t, den, linear = self._query_pieces(u)
-        m = self.h.m
-        w_img = m[2, 0] * u + m[2, 1] * v + m[2, 2]
-        ground_sign = self._sigma if self._projective else np.sign(den)
-        valid = finite & (ground_sign * w_img > 0) & (v >= v_t - _EDGE_TOL)  # exact piece
-        out = np.stack([u, v], axis=1)
-        rest = ~valid
-        if rest.any():
-            anchor, tangent = linear(rest)
-            diff = pts[rest] - anchor
-            tt = np.sum(tangent * tangent, axis=1)
-            tt_safe = np.where(tt > 0, tt, 1.0)
-            t = np.sum(diff * tangent, axis=1) / tt_safe
-            vt = v_t[rest]
-            valid[rest] = finite[rest] & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(vt)
-            out[rest, 1] = vt + t
-            out[~valid] = np.nan
+            v_t, den, linear = self._query_pieces(u)
+            m = self.h.m
+            w_img = m[2, 0] * u + m[2, 1] * v + m[2, 2]
+            ground_sign = self._sigma if self._projective else np.sign(den)
+            valid = finite & (ground_sign * w_img > 0) & (v >= v_t - _EDGE_TOL)  # exact piece
+            out = np.stack([u, v], axis=1)
+            rest = ~valid
+            if rest.any():
+                anchor, tangent = linear(rest)
+                diff = pts[rest] - anchor
+                tt = np.sum(tangent * tangent, axis=1)
+                t = np.sum(diff * tangent, axis=1) / tt
+                vt = v_t[rest]
+                valid[rest] = finite[rest] & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(vt)
+                out[rest, 1] = vt + t
+                out[~valid] = np.nan
         return out, valid
 
     def bev_to_px(self, bev) -> np.ndarray:

@@ -107,6 +107,8 @@ def _box_rows(path, n_fields: int) -> list:
                 f"{path}:{lineno}: dropping box with non-positive size", NonPositiveBox, stacklevel=3
             )
             continue
+        if not (math.isfinite(vals[2] + vals[4]) and math.isfinite(vals[3] + vals[5])):
+            raise ParseError(f"{path}:{lineno}: left + width or top + height is not finite")
         rows.append((int(vals[0]), int(vals[1]), vals))
     return rows
 

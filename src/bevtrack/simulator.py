@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -54,7 +54,7 @@ from .mot_io import (
     read_json,
     write_json,
 )
-from .tracker import SceneModel
+from .tracker import Detection, SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
 
@@ -163,12 +163,9 @@ class Scenario:
         return EgomotionTrack.from_deltas(np.asarray(self.camera_path, dtype=float))
 
 
-@dataclass
-class SimDetection:
-    frame: int
-    box: PixelBox
-    appearance: np.ndarray
-    agent_id: int  # for debugging only; hidden in the MOT export
+@dataclass(frozen=True)
+class SimDetection(Detection):
+    agent_id: int = field(kw_only=True)  # the agent shown; hidden in the MOT export
 
 
 @dataclass
@@ -355,7 +352,8 @@ def generate(scenario: Scenario) -> SimOutput:
         app = base_appearance[ae] + noise[:, 4:]
         app /= np.sqrt([v.dot(v) for v in app])[:, None]  # each row's own dot, as linalg.norm
         for k, (f, i) in enumerate(zip(fe.tolist(), ae.tolist())):
-            detections.append(SimDetection(f0 + f, PixelBox(*boxes[k]), app[k], agents[i].id))
+            box = PixelBox(*boxes[k])
+            detections.append(SimDetection(f0 + f, box, app[k], agent_id=agents[i].id))
 
     cloud_cam, cloud_px = _sample_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise

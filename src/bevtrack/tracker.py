@@ -7,17 +7,18 @@ patience tau_max runs out. Their branches are the rows of one BranchTable; at
 every frame all rows are evaluated at that frame and offered the unmatched
 detections through a gated geometric+appearance score solved as a
 maximum-score assignment. Track ids are never reissued. Per frame, one
-px_to_bev call lifts the detections and one try_bev_to_px call maps every
-branch (FrameGeometry); overlaps come from one kernel, iou_matrix, once per
-frame for the branches. Tracks and forecasts are world-fixed, the map
+px_to_bev call lifts the detections and, if any are left for the inactive
+tracks, one try_bev_to_px call maps every branch (FrameGeometry); overlaps
+come from one kernel, iou_matrix, once per frame for the branches. Tracks and forecasts are world-fixed, the map
 camera-relative: SceneModel.px_to_world and world_to_px apply the camera
-offset, and nothing else does.
+offset, and nothing else does. Detections are read-only: each Track keeps its
+own lifted points, so trackers may share one frame's detection list.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,23 +31,21 @@ from .errors import NonMonotonicFrame
 from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True)
 class Detection:
-    """A single-frame observation: box, unit appearance descriptor, BEV point.
-
-    bev is filled in by the tracker (the bottom-center's world-fixed BEV
-    point); source_id carries the upstream track id in ingestion mode.
+    """A read-only single-frame observation: box, unit appearance descriptor and,
+    in ingestion mode, the upstream track id. The tracker never writes to one: it
+    lifts the box's bottom-centre to BEV itself and keeps the point in the Track.
     """
 
     frame: int
     box: PixelBox
     appearance: Optional[np.ndarray] = None  # None disables the appearance gate
-    bev: Optional[np.ndarray] = None
     source_id: Optional[int] = None
 
     def __post_init__(self):
         if self.appearance is not None:
-            self.appearance = np.asarray(self.appearance, dtype=float)
+            object.__setattr__(self, "appearance", np.asarray(self.appearance, dtype=float))
             norm = float(np.linalg.norm(self.appearance))
             if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("appearance descriptor must be unit length")
@@ -54,8 +53,11 @@ class Detection:
 
 @dataclass
 class Track:
+    """A track's own state: its world-fixed BEV points, last box and last descriptor."""
+
     id: int
-    history: list  # [(frame, Detection)]
+    points: list  # [(frame, world BEV point)], one per matched frame
+    last_box: PixelBox
     last_appearance: Optional[np.ndarray]
     forecast: Optional[Forecast] = None  # None while active
     source_binding: Optional[int] = None  # upstream id in ingestion mode
@@ -66,11 +68,7 @@ class Track:
 
     @property
     def last_frame(self) -> int:
-        return self.history[-1][0]
-
-    @property
-    def last_box(self) -> PixelBox:
-        return self.history[-1][1].box
+        return self.points[-1][0]
 
 
 @dataclass
@@ -156,7 +154,7 @@ class BranchTable:
 
 @dataclass
 class FrameGeometry:
-    """A BranchTable's rows at one frame, in table order.
+    """A BranchTable's rows at one frame, in table order, against M detections.
 
     A row's predicted box is its track's last box moved so its bottom-centre
     sits on the pixel of the row's point; a point with no pixel preimage has
@@ -166,14 +164,17 @@ class FrameGeometry:
     table: BranchTable
     points: np.ndarray  # (R, 2) BEV points
     overlap: np.ndarray  # (R, M) IoU of each row's predicted box with each detection
+    det_points: np.ndarray  # (M, 2) the detections' world-fixed BEV points
 
 
-def frame_geometry(table: BranchTable, det_boxes, scene: SceneModel, frame: int) -> FrameGeometry:
-    """The table's FrameGeometry, mapped with one try_bev_to_px call, against (M, 4) detections."""
+def frame_geometry(
+    table: BranchTable, det_boxes, det_points, scene: SceneModel, frame: int
+) -> FrameGeometry:
+    """The table's FrameGeometry against detections' (M, 4) boxes and (M, 2) BEV points."""
     pts = table.points(frame)
     px, _ = scene.world_to_px(pts, frame)
     boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
-    return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes))
+    return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes), det_points)
 
 
 def build_cost_matrix(
@@ -187,7 +188,7 @@ def build_cost_matrix(
     entry is the best (max) over its branches, the first branch on a
     tie. Zero means "forbidden". ``geometry``, whose table holds these
     tracks' rows and whose overlap columns are these detections, supplies
-    the branch points and overlaps.
+    the branch points, the overlaps and the detections' BEV points.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -204,7 +205,7 @@ def build_cost_matrix(
     rows = owner >= 0
     d_iou = geometry.overlap[rows]
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = geometry.points[rows][:, None, :] - np.array([d.bev for d in detections])[None, :, :]
+    diff = geometry.points[rows][:, None, :] - geometry.det_points[None, :, :]
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
     per_branch = np.zeros((n, table.branch.max(initial=0) + 1, m))
@@ -272,8 +273,9 @@ class Tracker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _activate(self, track: Track, det: Detection, frame: int):
-        track.history.append((frame, det))
+    def _activate(self, track: Track, det: Detection, point: np.ndarray, frame: int):
+        track.points.append((frame, point))
+        track.last_box = det.box
         track.last_appearance = det.appearance
         track.forecast = None
         track.source_binding = det.source_id
@@ -283,8 +285,8 @@ class Tracker:
         # observation before the last one at or before that frame.
         cfg, fps = self.config, self.scene.fps
         first = track.last_frame - cfg.dt * fps * (cfg.obs_len - 1)
-        i = max(bisect.bisect_right(track.history, first, key=lambda h: h[0]) - 1, 0)
-        state = preprocess([(f, d.bev) for f, d in track.history[i:]], cfg, fps)
+        i = max(bisect.bisect_right(track.points, first, key=lambda p: p[0]) - 1, 0)
+        state = preprocess(track.points[i:], cfg, fps)
         track.forecast = forecast(state, cfg, fps)
         track.source_binding = None
 
@@ -314,7 +316,7 @@ class Tracker:
             used_dets.add(j)
         return matches
 
-    def _advance_inactive(self, detections, det_boxes, matched_dets: set, frame: int, events):
+    def _advance_inactive(self, detections, det_boxes, bev, matched_dets: set, frame: int, events):
         """Expire and re-associate the inactive tracks: one pass over the table.
 
         Only removed tracks are looped over, in id order, so their events
@@ -322,7 +324,6 @@ class Tracker:
         """
         cfg = self.config
         table = self.branches
-        geometry = frame_geometry(table, det_boxes, self.scene, frame)
         owner = table.owner
         ids = set(owner.tolist())
         dead = set(owner[table.end < frame].tolist())
@@ -337,14 +338,14 @@ class Tracker:
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            free = replace(geometry, overlap=geometry.overlap[:, free_dets])
+            free = frame_geometry(table, det_boxes[free_dets], bev[free_dets], self.scene, frame)
             scores, best_branch = build_cost_matrix(survivors, dets, cfg, free)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]
                 score, branch = float(scores[i, jj]), int(best_branch[i, jj])
                 events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
-                self._activate(tr, detections[j], frame)
+                self._activate(tr, detections[j], bev[j], frame)
                 matched_dets.add(j)
                 gone.add(tr.id)
         if gone:
@@ -390,12 +391,10 @@ class Tracker:
         events = []
         cfg = self.config
 
+        # The detections' world-fixed BEV points: this step's own, never written back.
         det_boxes = ltwh([d.box for d in detections])
-        if detections:
-            bottom_centres = det_boxes[:, :2] + det_boxes[:, 2:] / (2.0, 1.0)
-            bev = self.scene.px_to_world(bottom_centres, frame)
-            for det, p in zip(detections, bev):
-                det.bev = p
+        bottom_centres = det_boxes[:, :2] + det_boxes[:, 2:] / (2.0, 1.0)
+        bev = self.scene.px_to_world(bottom_centres, frame) if detections else bottom_centres
 
         # Base association keeps visible tracks alive.
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
@@ -405,7 +404,7 @@ class Tracker:
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
-                self._activate(tr, detections[j], frame)
+                self._activate(tr, detections[j], bev[j], frame)
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
                 self._deactivate(tr, frame)
@@ -417,7 +416,7 @@ class Tracker:
         if deactivated:
             self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
         if len(self.branches):
-            self._advance_inactive(detections, det_boxes, matched_dets, frame, events)
+            self._advance_inactive(detections, det_boxes, bev, matched_dets, frame, events)
 
         # Anything still unmatched founds a new track.
         for j, det in enumerate(detections):
@@ -425,12 +424,8 @@ class Tracker:
                 continue
             tid = self.next_id
             self.next_id += 1
-            self.tracks[tid] = Track(
-                id=tid,
-                history=[(frame, det)],
-                last_appearance=det.appearance,
-                source_binding=det.source_id,
-            )
+            self.tracks[tid] = Track(tid, [], det.box, det.appearance)
+            self._activate(self.tracks[tid], det, bev[j], frame)
             events.append(_event(frame, tid, j, reason="new"))
 
         outputs = [

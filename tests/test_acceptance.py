@@ -599,8 +599,7 @@ def test_association_score_formula():
 
         tr = inactive_track(1, 200, 200, [bp], app=a1, w=tw, h=thh)
         det = Detection(frame=1, box=PixelBox(u - dw / 2.0, v - dhh, dw, dhh), appearance=a2)
-        det.bev = np.array([u, v])
-        scores, _ = cost_matrix([tr], [det], cfg, scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], [(u, v)], cfg, scene, frame=1)
 
         overlap = rect_iou((bp[0] - tw / 2.0, bp[1] - thh, tw, thh), (u - dw / 2.0, v - dhh, dw, dhh))
         l2 = math.hypot(bp[0] - u, bp[1] - v)

@@ -45,9 +45,9 @@ class TestDefaults:
         assert th.tau_l2 == 2.5 and th.tau_iou == 0.2 and th.tau_app == 0.8
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
-        det.bev = np.array([52.0, 100.0])
         for tau_l2 in (2.5, 4.0):
-            scores, _ = cost_matrix([tr], [det], RunConfig(tau_l2=tau_l2), make_scene(), 1)
+            cfg = RunConfig(tau_l2=tau_l2)
+            scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], cfg, make_scene(), 1)
             # identical boxes: IoU 1 plus the full distance bonus tau_l2
             assert scores[0, 0] == pytest.approx(1.0 + tau_l2, abs=1e-12)
 

@@ -86,6 +86,15 @@ class TestDefects:
         err = run_one_error(capsys, track_args(crossing / "sim", {"det": det}, tmp_path / "o"))
         assert err == f"error: {det}:5: {name} must be an integer"
 
+    def test_box_edge_overflow_in_detections(self, crossing, tmp_path, capsys):
+        def overflow(lines):
+            set_field(4, 3, "1e308", ",")(lines)
+            set_field(4, 5, "1e308", ",")(lines)
+
+        det = edited(crossing, tmp_path, "det.txt", overflow)
+        err = run_one_error(capsys, track_args(crossing / "sim", {"det": det}, tmp_path / "o"))
+        assert err == f"error: {det}:5: left + width or top + height is not finite"
+
     def test_fractional_frame_in_ground_truth(self, crossing, tmp_path, capsys):
         gt = edited(crossing, tmp_path, "gt.txt", set_field(9, 0, "0.5", ","))
         err = run_one_error(capsys, evaluate_args(crossing, gt, tmp_path / "r.json"))

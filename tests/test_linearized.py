@@ -85,6 +85,9 @@ class TestForwardMap:
     @pytest.mark.filterwarnings("error")
     def test_infinite_column_is_nan_without_warning(self, lh):
         assert np.isnan(lh.px_to_bev(np.array([np.inf, 10.0]))).all()
+        # an infinite row, and a column whose terms overflow
+        for p in ([5.0, np.inf], [1e300, 5.0], [-1e300, 5.0]):
+            assert np.isnan(lh.px_to_bev(np.array(p))).all(), p
         # the finite row of the same call is untouched
         pts = np.array([[-np.inf, 10.0], [500.0, 100.0]])
         out = lh.px_to_bev(pts)
@@ -108,6 +111,9 @@ class TestInverseMap:
     def test_infinite_point_is_invalid_without_warning(self, lh):
         px, valid = lh.try_bev_to_px(np.array([[np.inf, 5.0]]))
         assert valid.tolist() == [False] and np.isnan(px).all()
+        # points whose homogeneous product overflows
+        px, valid = lh.try_bev_to_px(np.array([[1e308, 1e308], [1e200, 5.0], [-1e308, 1e300]]))
+        assert valid.tolist() == [False] * 3 and np.isnan(px).all()
         # the finite row of the same call is untouched
         pts = np.array([[np.nan, 5.0], [0.0, 10.0], [-np.inf, np.inf]])
         px, valid = lh.try_bev_to_px(pts)

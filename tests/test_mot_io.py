@@ -36,6 +36,9 @@ def rec(frame, tid, left=10.0, top=20.0, w=30.0, h=60.0, conf=0.9):
     return MotRecord(frame=frame, track_id=tid, box=PixelBox(left, top, w, h, conf))
 
 
+OVERFLOW = r"left \+ width or top \+ height is not finite"
+
+
 class TestDetections:
     def test_round_trip_exact(self, tmp_path):
         # values with no short decimal representation survive exactly
@@ -75,11 +78,22 @@ class TestDetections:
         with pytest.raises(ParseError, match="det.txt:2"):
             read_detections(p)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,2,nan,20,30,60,1,-1,-1,-1", "non-finite value"),
+            ("0,2,inf,20,30,60,1,-1,-1,-1", "non-finite value"),
+            ("0,2,-inf,20,30,60,1,-1,-1,-1", "non-finite value"),
+            # finite fields whose box edges overflow
+            ("5,-1,100,1e308,10,1e308,1,-1,-1,-1", OVERFLOW),
+            ("5,-1,1e308,0,1e308,1,1,-1,-1,-1", OVERFLOW),
+        ],
+        ids=["nan", "inf", "-inf", "bottom_overflow", "right_overflow"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, row, message):
         p = tmp_path / "det.txt"
-        p.write_text(f"0,1,10,20,30,60,1,-1,-1,-1\n0,2,{value},20,30,60,1,-1,-1,-1\n")
-        with pytest.raises(ParseError, match="det.txt:2: non-finite value"):
+        p.write_text(f"0,1,10,20,30,60,1,-1,-1,-1\n{row}\n")
+        with pytest.raises(ParseError, match=f"det.txt:2: {message}"):
             read_detections(p)
 
     def test_non_positive_box_warned_and_dropped(self, tmp_path):
@@ -131,6 +145,12 @@ class TestGt:
         assert back.box.tolist() == [[5.0, 6.0, 7.0, 8.0], [50.0, 60.0, 7.0, 8.0]]
         assert back.visibility.tolist() == [0.75, 1.0]
         assert np.isnan(back.bev).all() and back.bev.shape == (2, 2)
+
+    def test_box_edge_overflow_refused(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,5,6,7,8,1,1,1\n2,1,5,1e308,7,1e308,1,1,1\n")
+        with pytest.raises(ParseError, match=rf"gt\.txt:2: {OVERFLOW}$"):
+            read_gt(p)
 
     def test_nine_fields_required(self, tmp_path):
         p = tmp_path / "gt.txt"

@@ -174,7 +174,7 @@ def reference_generate(scenario):
                 if scenario.appearance_noise > 0:
                     app = app + rng.normal(0.0, scenario.appearance_noise, size=app.shape)
                 app = app / np.linalg.norm(app)
-                detections.append(SimDetection(f, noisy, app, a.id))
+                detections.append(SimDetection(f, noisy, app, agent_id=a.id))
     cloud, pixels = reference_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise
     )

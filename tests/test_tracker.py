@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,9 +9,16 @@ from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonMonotonicFrame
+from bevtrack.experiments import (
+    crossing_scenario,
+    pixel_baseline_config,
+    pixel_baseline_scene,
+    sim_detections_by_frame,
+)
 from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
+from bevtrack.simulator import build_scene_model, generate
 from bevtrack.tracker import (
     BranchTable,
     Detection,
@@ -43,9 +51,12 @@ def table_of(tracks):
     return BranchTable.of(tracks, tracks[0].forecast.fps)
 
 
-def cost_matrix(tracks, detections, config, scene, frame):
-    """build_cost_matrix on the frame's geometry for these tracks and detections."""
-    g = frame_geometry(table_of(tracks), ltwh([d.box for d in detections]), scene, frame)
+def cost_matrix(tracks, detections, points, config, scene, frame):
+    """build_cost_matrix on the frame's geometry for these tracks and for
+    detections whose bottom-centres lift to the given BEV points."""
+    boxes = ltwh([d.box for d in detections])
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    g = frame_geometry(table_of(tracks), boxes, pts, scene, frame)
     return build_cost_matrix(tracks, detections, config, g)
 
 
@@ -56,9 +67,6 @@ def unit(*v):
 
 def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     """A track whose forecast sits at the given branch points one frame after created."""
-    d = Detection(
-        frame=created, box=box_at(u, v, w, h), appearance=app, bev=np.array([u, v], float)
-    )
     # At 1 fps one frame is one second, so points(created + 1) is exactly branch_pts.
     fc = Forecast(
         origin=np.zeros(2),
@@ -69,7 +77,8 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     )
     return Track(
         id=tid,
-        history=[(created, d)],
+        points=[(created, np.array([u, v], float))],
+        last_box=box_at(u, v, w, h),
         last_appearance=app,
         forecast=fc,
     )
@@ -83,14 +92,17 @@ def test_geometry_from_top_level_names():
     lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
     scene = bt.SceneModel(lh=lh, fps=1.0)
     # seen at (50, 100) on frame 0, forecast at 1 m/s along x; a detection at (51, 100) on frame 1
-    seen = bt.Detection(0, bt.PixelBox(44.0, 76.0, 12.0, 24.0), bev=np.array([50.0, 100.0]))
+    seen = bt.PixelBox(44.0, 76.0, 12.0, 24.0)
     fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
-    track = bt.Track(id=1, history=[(0, seen)], last_appearance=None, forecast=fc)
-    dets = [bt.Detection(1, bt.PixelBox(45.0, 76.0, 12.0, 24.0), bev=np.array([51.0, 100.0]))]
+    track = bt.Track(1, [(0, np.array([50.0, 100.0]))], seen, last_appearance=None, forecast=fc)
+    dets = [bt.Detection(1, bt.PixelBox(45.0, 76.0, 12.0, 24.0))]
     config = bt.RunConfig()
     table = bt.BranchTable.of([track], fps=1.0)
-    geometry = bt.frame_geometry(table, bt.ltwh([d.box for d in dets]), scene, 1)
+    geometry = bt.frame_geometry(
+        table, bt.ltwh([d.box for d in dets]), np.array([[51.0, 100.0]]), scene, 1
+    )
     assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
+    assert geometry.det_points.tolist() == [[51.0, 100.0]]
     scores, branch = bt.build_cost_matrix([track], dets, config, geometry)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
     assert {"BranchTable", "frame_geometry"} <= set(bt.__all__)
@@ -110,6 +122,13 @@ class TestDetectionValidation:
     def test_appearance_optional(self):
         d = det_at(0, 50, 100, app=None)
         assert d.appearance is None
+
+    @pytest.mark.parametrize("name", ["frame", "box", "appearance", "source_id"])
+    def test_fields_are_read_only(self, name):
+        d = det_at(0, 50, 100, app=unit(1, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
+        assert not hasattr(d, "bev")
 
 
 class TestSceneModel:
@@ -144,8 +163,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
-        det.bev = np.array([52.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
         # identical predicted and detected boxes: IoU 1; L2 0: bonus tau_l2
         assert scores[0, 0] == pytest.approx(1.0 + 2.5, abs=1e-12)
         assert branch[0, 0] == 0
@@ -154,8 +172,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 56, 100)  # 4 px to the right of the branch point
-        det.bev = np.array([56.0, 100.0])
-        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], [(56.0, 100.0)], RunConfig(), scene, frame=1)
         # 12x24 boxes offset 4 px: IoU (8*24)/(2*288-192) = 0.5; L2 = 4 > tau_l2
         assert scores[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -163,8 +180,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 63, 100)  # 11 px offset: IoU (1*24)/(552) < tau_iou
-        det.bev = np.array([63.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], [(63.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         assert branch[0, 0] == -1
 
@@ -173,8 +189,7 @@ class TestCostMatrix:
         cfg = RunConfig(tau_l2=20.0, tau_iou=0.0)
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 70, 100)  # disjoint boxes, BEV distance 18
-        det.bev = np.array([70.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], cfg, scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], [(70.0, 100.0)], cfg, scene, frame=1)
         assert scores[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert branch[0, 0] == 0
 
@@ -183,29 +198,25 @@ class TestCostMatrix:
         a, b = unit(1, 0, 0), unit(0, 1, 0)  # cosine 0 < tau_app
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=a)
         det = det_at(1, 52, 100, app=b)
-        det.bev = np.array([52.0, 100.0])
-        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         # same geometry with an agreeing descriptor passes
         det2 = det_at(1, 52, 100, app=a)
-        det2.bev = np.array([52.0, 100.0])
-        scores2, _ = cost_matrix([tr], [det2], RunConfig(), scene, frame=1)
+        scores2, _ = cost_matrix([tr], [det2], [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores2[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_missing_appearance_skips_gate(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(1, 0, 0))
         det = det_at(1, 52, 100, app=None)
-        det.bev = np.array([52.0, 100.0])
-        scores, _ = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_best_branch_selected(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(57.0, 100.0), (52.0, 100.0)])
         det = det_at(1, 52, 100)
-        det.bev = np.array([52.0, 100.0])
-        scores, branch = cost_matrix([tr], [det], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -217,8 +228,7 @@ class TestCostMatrix:
             tr = inactive_track(1, *rng.uniform(40, 160, 2), [tuple(bp)])
             du, dv = rng.uniform(40, 160, 2)
             det = det_at(1, du, dv)
-            det.bev = np.array([du, dv])
-            scores, _ = cost_matrix([tr], [det], cfg, scene, frame=1)
+            scores, _ = cost_matrix([tr], [det], [(du, dv)], cfg, scene, frame=1)
             pb = box_at(bp[0], bp[1])
             d_iou = iou(pb, det.box)
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
@@ -275,8 +285,7 @@ class TestDeactivateReadsTheWindowTail:
     def check(self, frames, cfg, fps, rng):
         history = [(int(f), rng.uniform(-10.0, 10.0, 2)) for f in frames]
         tk = Tracker(make_scene(fps=fps), cfg)
-        dets = [(f, Detection(frame=f, box=box_at(50, 100), bev=p)) for f, p in history]
-        tr = Track(id=1, history=dets, last_appearance=None)
+        tr = Track(id=1, points=list(history), last_box=box_at(50, 100), last_appearance=None)
         tk._deactivate(tr, history[-1][0] + 1)
         want = forecast(preprocess(history, cfg, fps), cfg, fps)
         assert np.array_equal(tr.forecast.origin, want.origin)
@@ -322,11 +331,13 @@ class TestTrackerLifecycle:
         assert [e["reason"] for e in events] == ["new", "new"]
         assert events[0]["detection_index"] == 0 and events[1]["detection_index"] == 1
 
-    def test_detection_bev_filled_in(self):
+    def test_track_keeps_its_bev_points(self):
         tk = Tracker(make_scene(), small_config())
-        d = det_at(0, 50, 100)
-        tk.step([d], 0)
-        assert np.allclose(d.bev, [50.0, 100.0])  # identity homography
+        tk.step([det_at(0, 50, 100)], 0)
+        tk.step([det_at(1, 51, 100)], 1)
+        points = tk.tracks[1].points
+        assert [f for f, _ in points] == [0, 1]
+        assert np.allclose([p for _, p in points], [[50.0, 100.0], [51.0, 100.0]])  # identity map
 
     def test_active_continuation_keeps_id(self):
         tk = Tracker(make_scene(), small_config())
@@ -470,3 +481,30 @@ class TestIngestMode:
         assert tk.tracks[1].source_binding == 11
         _, events = tk.step([det_at(10, 60, 100, source=11)], 10)
         assert events[0]["reason"] == "active" and events[0]["track_id"] == 1
+
+
+def test_trackers_sharing_one_frame_dict_match_their_solo_runs():
+    # A BEV tracker and a pixel-space tracker stepped in turn on the same
+    # detection objects: neither may see what the other made of them.
+    sim = generate(crossing_scenario())
+    cam = sim.scenario.camera
+    lh = linearize(sim.homography, (cam.image_width, cam.image_height), RunConfig().max_spacing)
+    frames = range(sim.scenario.n_frames)
+
+    def trackers():
+        return [
+            Tracker(build_scene_model(sim.scenario, lh), RunConfig()),
+            Tracker(pixel_baseline_scene(sim.scenario), pixel_baseline_config(RunConfig())),
+        ]
+
+    alone = [tk.run(sim_detections_by_frame(sim), frames) for tk in trackers()]
+    shared, paired = sim_detections_by_frame(sim), trackers()
+    together = [([], []) for _ in paired]
+    for f in frames:
+        for tk, (outputs, events) in zip(paired, together):
+            out, ev = tk.step(shared.get(f, []), f)
+            outputs.extend(out)
+            events.extend(ev)
+    assert [e["reason"] for e in alone[0][1]].count("reassociated") == 2
+    assert together[0] == alone[0]
+    assert together[1] == alone[1]

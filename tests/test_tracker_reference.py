@@ -46,13 +46,14 @@ def scalar_branch_boxes(track, scene, frame):
     return out
 
 
-def scalar_cost_matrix(tracks, detections, config, scene, frame):
+def scalar_cost_matrix(tracks, detections, points, config, scene, frame):
+    """Scores against detections whose bottom-centres lift to the given BEV points."""
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
     for i, tr in enumerate(tracks):
         branches = scalar_branch_boxes(tr, scene, frame)
-        for j, det in enumerate(detections):
+        for j, (det, p) in enumerate(zip(detections, points)):
             if tr.last_appearance is not None and det.appearance is not None:
                 app = float(tr.last_appearance @ det.appearance)
                 if app < config.tau_app:
@@ -63,7 +64,7 @@ def scalar_cost_matrix(tracks, detections, config, scene, frame):
                 d_iou = iou(pb, det.box) if pb is not None else 0.0
                 if d_iou < config.tau_iou:
                     continue
-                d_l2 = float(np.linalg.norm(pt - det.bev))
+                d_l2 = float(np.linalg.norm(pt - p))
                 s = d_iou + max(config.tau_l2 - d_l2, 0.0)
                 if s > best:
                     best = s
@@ -86,8 +87,7 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
 
 class ScalarTracker(Tracker):
     def _deactivate(self, track, frame):
-        history = [(f, d.bev) for f, d in track.history if d.bev is not None]
-        track.forecast = forecast(preprocess(history, self.config, self.scene.fps),
+        track.forecast = forecast(preprocess(track.points, self.config, self.scene.fps),
                                   self.config, self.scene.fps)
         track.source_binding = None
 
@@ -119,17 +119,17 @@ class ScalarTracker(Tracker):
         events = []
         cfg = self.config
         ego = self.scene.ego
+        bev = []
         for det in detections:
-            det.bev = self.scene.lh.px_to_bev(np.array(det.box.bottom_center))
-            if ego is not None:
-                det.bev = det.bev + ego.offset(frame)
+            p = self.scene.lh.px_to_bev(np.array(det.box.bottom_center))
+            bev.append(p if ego is None else p + ego.offset(frame))
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
         matches = self.scalar_base_association(active, detections)
         matched_dets = set(matches.values())
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
-                self._activate(tr, detections[j], frame)
+                self._activate(tr, detections[j], bev[j], frame)
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
                 self._deactivate(tr, frame)
@@ -151,8 +151,8 @@ class ScalarTracker(Tracker):
                 survivors.append(tr)
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
-            dets = [detections[j] for j in free_dets]
-            scores, best_branch = scalar_cost_matrix(survivors, dets, cfg, self.scene, frame)
+            dets, pts = [detections[j] for j in free_dets], [bev[j] for j in free_dets]
+            scores, best_branch = scalar_cost_matrix(survivors, dets, pts, cfg, self.scene, frame)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]
@@ -166,7 +166,7 @@ class ScalarTracker(Tracker):
                         reason="reassociated",
                     )
                 )
-                self._activate(tr, detections[j], frame)
+                self._activate(tr, detections[j], bev[j], frame)
                 matched_dets.add(j)
         for j, det in enumerate(detections):
             if j in matched_dets:
@@ -174,8 +174,8 @@ class ScalarTracker(Tracker):
             tid = self.next_id
             self.next_id += 1
             self.tracks[tid] = Track(
-                id=tid, history=[(frame, det)], last_appearance=det.appearance,
-                source_binding=det.source_id,
+                id=tid, points=[(frame, bev[j])], last_box=det.box,
+                last_appearance=det.appearance, source_binding=det.source_id,
             )
             events.append(_event(frame, tid, j, reason="new"))
         outputs = [
@@ -260,8 +260,7 @@ def run(tracker_cls, sim, cfg, appearance, ingest, ego):
     by_frame = detections(sim, appearance, ingest)
     tracker = tracker_cls(scene, cfg)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
-    bev = [d.bev for f in sorted(by_frame) for d in by_frame[f]]
-    return outputs, events, bev
+    return outputs, events, {t.id: t.points for t in tracker.tracks.values()}
 
 
 # name -> (config, appearance, ingest ids, ego, seeds); the two motion models
@@ -302,7 +301,11 @@ class TestStepMatchesScalarReference:
         got = run(Tracker, sim, cfg, appearance, ingest, ego)
         assert got[0] == want[0]
         assert got[1] == want[1]  # score floats included
-        assert all(np.array_equal(g, w) for g, w in zip(got[2], want[2]))
+        # and the BEV points kept by every track still held at the end
+        assert got[2].keys() == want[2].keys()
+        for tid, points in want[2].items():
+            assert [f for f, _ in got[2][tid]] == [f for f, _ in points]
+            assert np.array_equal([p for _, p in got[2][tid]], [p for _, p in points])
         # the scenes exercise what the array code replaced
         reasons = {e["reason"] for e in want[1]}
         assert {"inactive", "reassociated"} <= reasons
@@ -312,55 +315,56 @@ class TestStepMatchesScalarReference:
 
 
 def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
-    """Inactive tracks with k branches near random detections: (scene, tracks, detections)."""
+    """Inactive tracks with k branches near random detections.
+
+    Returns (scene, tracks, detections, the detections' (M, 2) BEV points).
+    """
     scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=10.0)
 
     def app():
         a = rng.uniform(0.1, 1.0, dim)
         return a / np.linalg.norm(a)
 
-    dets = []
+    dets, points = [], []
     for _ in range(n_dets):
         u, v, w, h = rng.uniform(40, 160), rng.uniform(40, 160), rng.uniform(8, 16), rng.uniform(16, 32)
-        d = Detection(frame=1, box=PixelBox(u - w / 2.0, v - h, w, h), appearance=app())
-        d.bev = np.array([u, v]) + rng.normal(0.0, 1.0, 2)
-        dets.append(d)
+        dets.append(Detection(frame=1, box=PixelBox(u - w / 2.0, v - h, w, h), appearance=app()))
+        points.append(np.array([u, v]) + rng.normal(0.0, 1.0, 2))
     tracks = []
     for t in range(n_tracks):
-        near = dets[rng.integers(n_dets)].bev
+        near = points[rng.integers(n_dets)]
         pts = near + rng.normal(0.0, 3.0, (k, 2))
         fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
-        last = Detection(frame=0, box=box, appearance=app(), bev=np.zeros(2))
-        tracks.append(
-            Track(id=t + 1, history=[(0, last)], last_appearance=last.appearance, forecast=fc)
-        )
-    return scene, tracks, dets
+        tracks.append(Track(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
+    return scene, tracks, dets, np.array(points)
 
 
-def geometry(tracks, dets, scene):
-    return frame_geometry(BranchTable.of(tracks, fps=1.0), ltwh([d.box for d in dets]), scene, 1)
+def geometry(tracks, dets, points, scene):
+    table = BranchTable.of(tracks, fps=1.0)
+    return frame_geometry(table, ltwh([d.box for d in dets]), points, scene, 1)
 
 
 class TestCostMatrixMatchesScalarReference:
     def test_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            scene, tracks, dets = random_instance(rng)
+            scene, tracks, dets, points = random_instance(rng)
             # The gate sits exactly on one pair's similarity, so a product that
             # rounds differently from the 1-D one flips that pair.
             tau_app = float(tracks[0].last_appearance @ dets[0].appearance)
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
-            want = scalar_cost_matrix(tracks, dets, cfg, scene, 1)
-            got = build_cost_matrix(tracks, dets, cfg, geometry(tracks, dets, scene))
+            want = scalar_cost_matrix(tracks, dets, points, cfg, scene, 1)
+            got = build_cost_matrix(tracks, dets, cfg, geometry(tracks, dets, points, scene))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
     def test_ties_go_to_the_first_branch(self):
-        scene, tracks, dets = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
-        tracks[0].forecast.velocities[:] = dets[0].bev  # three identical branches
+        scene, tracks, dets, points = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
+        tracks[0].forecast.velocities[:] = points[0]  # three identical branches
         cfg = RunConfig(tau_app=-1.0)
-        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, geometry(tracks, dets[:1], scene))
+        g = geometry(tracks, dets[:1], points[:1], scene)
+        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, g)
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
