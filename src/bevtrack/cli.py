@@ -58,6 +58,7 @@ def _checked(kind, accept, expected: str):
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
 _image_side = _checked(int, lambda v: 0 < v <= MAX_IMAGE_SIDE, f"1 to {MAX_IMAGE_SIDE} pixels")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="estimate the ground homography from a cloud")
     add_common(sp)
-    sp.add_argument("--seed", type=int, default=0, help="RANSAC seed of the plane fit")
+    sp.add_argument("--seed", type=_seed, default=0, help="RANSAC seed of the plane fit")
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
     sp.add_argument("--out", required=True, help="homography output file")

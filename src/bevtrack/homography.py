@@ -100,21 +100,13 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
     pn, t_px = _normalize_points(px)
     bn, t_bev = _normalize_points(bv)
 
+    # Rows [0, -p, y' p] and [p, 0, -x' p] per pair, p the homogeneous pixel.
+    ph = np.column_stack([pn, np.ones(n)])
     a = np.zeros((2 * n, 9))
-    x, y = pn[:, 0], pn[:, 1]
-    xp, yp = bn[:, 0], bn[:, 1]
-    a[0::2, 3] = -x
-    a[0::2, 4] = -y
-    a[0::2, 5] = -1.0
-    a[0::2, 6] = yp * x
-    a[0::2, 7] = yp * y
-    a[0::2, 8] = yp
-    a[1::2, 0] = x
-    a[1::2, 1] = y
-    a[1::2, 2] = 1.0
-    a[1::2, 6] = -xp * x
-    a[1::2, 7] = -xp * y
-    a[1::2, 8] = -xp
+    a[0::2, 3:6] = -ph
+    a[0::2, 6:] = bn[:, 1:] * ph
+    a[1::2, :3] = ph
+    a[1::2, 6:] = -bn[:, :1] * ph
 
     # The reduced SVD skips the unused 2N x 2N U; with N == 4 the system is
     # 8 x 9 and only the full V^T holds the null vector.

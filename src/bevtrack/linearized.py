@@ -167,7 +167,7 @@ class LinearizedHomography:
 
         Above the per-column threshold (towards the horizon) the first-order
         Taylor extension is used, below it the exact projective map. A point
-        whose column is not finite maps to NaN.
+        whose column or row is not finite maps to NaN.
         """
         p = np.asarray(pixels, dtype=float)
         single = p.ndim == 1
@@ -184,6 +184,7 @@ class LinearizedHomography:
                 out[below] = self.h.apply(pts[below])
                 anchor, tangent = linear(up)
                 out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
+        out[~np.isfinite(v)] = np.nan  # not an infinite point on either piece
         return out[0] if single else out
 
     def try_bev_to_px(self, bev):

@@ -1,8 +1,9 @@
 """Ground-plane fitting and alignment.
 
 A plane is stored as a unit normal plus offset so that ``normal @ p == offset``
-for points p on the plane. Fitting is RANSAC over 3-point samples followed by
-a total-least-squares refinement on the consensus set.
+for points p on the plane. Fitting is RANSAC over 3-point samples, drawn one at
+a time and scored in blocks (the first candidate with the most inliers wins),
+followed by a total-least-squares refinement on the consensus set.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 from .errors import DegenerateInput
 
 COLLINEAR_RTOL = 1e-9  # relative singular-value cutoff for "all points on a line"
+RANSAC_BLOCK = 16  # candidate planes scored together
+POINT_CHUNK = 4096  # points per distance product, so a block's distances stay in cache
 
 
 @dataclass(frozen=True)
@@ -55,17 +58,19 @@ def _tls_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Total-least-squares plane: normal is the smallest right singular vector."""
     centroid = points.mean(axis=0)
     _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normal = vt[-1]
-    normal = normal / np.linalg.norm(normal)
-    normal, offset = _orient(normal, float(normal @ centroid))
-    return normal, offset
+    normal = vt[-1] / np.linalg.norm(vt[-1])
+    return _orient(normal, float(normal @ centroid))
 
 
 def _check_not_collinear(points: np.ndarray) -> None:
-    centered = points - points.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    svals = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
     if svals[1] <= COLLINEAR_RTOL * svals[0]:
         raise DegenerateInput("points are collinear (or coincident) within tolerance")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (B, 3) arrays, rounded as a[i] @ b[i] is."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def fit_ground_plane(
@@ -79,7 +84,7 @@ def fit_ground_plane(
     Args:
         points: (N, 3) array of 3D points, N >= 3.
         inlier_tol: absolute point-to-plane distance for inlier counting, meters.
-        max_iterations: number of RANSAC samples.
+        max_iterations: RANSAC samples, drawn singly and scored RANSAC_BLOCK at a time.
         seed: RNG seed; identical inputs and seed give identical output.
 
     Returns:
@@ -97,30 +102,31 @@ def fit_ground_plane(
 
     rng = np.random.default_rng(seed)
     n = pts.shape[0]
-    best_count = -1
-    best_inliers = None
-    for _ in range(max_iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        p0, p1, p2 = pts[idx]
+    best_count, best = -1, None
+    for start in range(0, max_iterations, RANSAC_BLOCK):
+        size = min(RANSAC_BLOCK, max_iterations - start)
+        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(size)])
+        p0, p1, p2 = pts[idx].transpose(1, 0, 2)  # (size, 3) each
         cand = np.cross(p1 - p0, p2 - p0)
-        norm = np.linalg.norm(cand)
-        if norm < 1e-12:
-            continue  # collinear sample, no plane
-        cand = cand / norm
-        dist = np.abs(pts @ cand - cand @ p0)
-        inliers = dist <= inlier_tol
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-
-    if best_inliers is None or best_count < 3:
+        norm = np.sqrt(_row_dots(cand, cand))
+        keep = norm >= 1e-12  # a collinear sample gives no plane
+        cand, p0 = cand[keep] / norm[keep, None], p0[keep]
+        off, counts = _row_dots(cand, p0)[:, None], 0
+        for lo in range(0, n, POINT_CHUNK):
+            # Per-candidate matrix-vector products round as pts @ cand; a matrix product may not.
+            dist = np.matmul(pts[lo : lo + POINT_CHUNK], cand[:, :, None])[:, :, 0]
+            dist -= off
+            counts += np.count_nonzero(np.abs(dist, out=dist) <= inlier_tol, axis=1)
+        if counts.max(initial=-1) > best_count:
+            i = int(np.argmax(counts))  # the first of tied candidates, as in sequence
+            best_count, best = int(counts[i]), (cand[i], p0[i])
+    if best_count < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
 
-    normal, offset = _tls_plane(pts[best_inliers])
+    cand, p0 = best
+    normal, offset = _tls_plane(pts[np.abs(pts @ cand - cand @ p0) <= inlier_tol])
     # One consolidation round: re-collect inliers under the refined plane, refit.
-    dist = np.abs(pts @ normal - offset)
-    inliers = dist <= inlier_tol
+    inliers = np.abs(pts @ normal - offset) <= inlier_tol
     if inliers.sum() >= 3:
         normal, offset = _tls_plane(pts[inliers])
     return GroundPlane(normal, offset)

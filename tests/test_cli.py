@@ -754,7 +754,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "flag", [("--max-spacing", "0"), ("--max-spacing", "-1"), ("--max-spacing", "nan"),
                  ("--max-spacing", "inf"), ("--image", "0", "10"), ("--image", "-5", "10"),
-                 ("--image", "10", "wide"), ("--image", "65537", "10")],
+                 ("--image", "10", "wide"), ("--image", "65537", "10"), ("--seed", "-1")],
     )
     def test_calibrate_non_positive_geometry_exits_2(self, sim_dir, tmp_path, capsys, flag):
         out = tmp_path / "h.txt"

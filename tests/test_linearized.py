@@ -86,7 +86,7 @@ class TestForwardMap:
     def test_infinite_column_is_nan_without_warning(self, lh):
         assert np.isnan(lh.px_to_bev(np.array([np.inf, 10.0]))).all()
         # an infinite row, and a column whose terms overflow
-        for p in ([5.0, np.inf], [1e300, 5.0], [-1e300, 5.0]):
+        for p in ([5.0, np.inf], [5.0, -np.inf], [1e300, 5.0], [-1e300, 5.0]):
             assert np.isnan(lh.px_to_bev(np.array(p))).all(), p
         # the finite row of the same call is untouched
         pts = np.array([[-np.inf, 10.0], [500.0, 100.0]])
