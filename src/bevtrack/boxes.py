@@ -59,13 +59,16 @@ def ltwh(boxes) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) pairwise iou of (N, 4) and (M, 4) left-top-width-height arrays.
+    """(..., N, M) pairwise iou of (..., N, 4) and (..., M, 4) left-top-width-height
+    arrays, leading axes broadcast.
 
     The same float operations as ``iou``, so every entry is bit-identical to
     the scalar result; rows with NaN coordinates overlap nothing.
     """
-    al, at, aw, ah = np.asarray(a, dtype=float).T[:, :, None]
-    bl, bt, bw, bh = np.asarray(b, dtype=float).T[:, None, :]
+    a = np.asarray(a, dtype=float)[..., :, None, :]
+    b = np.asarray(b, dtype=float)[..., None, :, :]
+    al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
     ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
     inter = iw * ih

@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import mot_io
+from .boxes import PixelBox
 from .config import RunConfig, read_config
 from .errors import BevTrackError, ParseError
 from .experiments import (
@@ -176,7 +177,7 @@ def _simulate(args, cfg: RunConfig):
     sim = generate(sc)
     os.makedirs(args.out, exist_ok=True)
     out = functools.partial(os.path.join, args.out)
-    dets = [mot_io.MotRecord(d.frame, -1, d.box) for d in sim.detections]
+    dets = mot_io.records_from_outputs([(d.frame, -1, d.box) for d in sim.detections])
     mot_io.write_detections(out("det.txt"), dets)
     mot_io.write_appearance(out("appearance.txt"), [d.appearance for d in sim.detections])
     mot_io.write_gt(out("gt.txt"), sim.gt)
@@ -216,42 +217,47 @@ def _cmd_calibrate(args) -> int:
 def _load_tracker_inputs(args):
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
-    records = mot_io.read_detections(args.det)
+    dets = mot_io.read_detections(args.det)
     appearance = None
     if args.appearance:
         appearance = mot_io.read_appearance(args.appearance)
-        if len(appearance) != len(records):
+        if len(appearance) != len(dets):
             raise ParseError(
                 f"{args.appearance}: {len(appearance)} descriptor rows for "
-                f"{len(records)} detections"
+                f"{len(dets)} detections"
             )
     ego = mot_io.read_ego(args.ego) if args.ego else None
-    return lh, records, appearance, ego
+    return lh, dets, appearance, ego
+
+
+def _write_outputs(out_dir, outputs: list, events: list) -> None:
+    """The tracker's track.txt and events.jsonl."""
+    track = mot_io.records_from_outputs(outputs)
+    mot_io.write_detections(os.path.join(out_dir, "track.txt"), track)
+    mot_io.write_events(os.path.join(out_dir, "events.jsonl"), events)
 
 
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
-    lh, records, appearance, ego = _load_tracker_inputs(args)
+    lh, dets, appearance, ego = _load_tracker_inputs(args)
     scene = SceneModel(lh, args.fps, ego)
     by_frame: dict[int, list] = {}
-    for i, r in enumerate(records):
+    columns = (dets.frame, dets.track_id, dets.box, dets.confidence)
+    for i, (frame, tid, box, conf) in enumerate(zip(*(c.tolist() for c in columns))):
         det = Detection(
-            frame=r.frame,
-            box=r.box,
+            frame=frame,
+            box=PixelBox(*box, confidence=conf),
             appearance=appearance[i] if appearance else None,
-            source_id=r.track_id if cfg.ingest_ids and r.track_id >= 0 else None,
+            source_id=tid if cfg.ingest_ids and tid >= 0 else None,
         )
-        by_frame.setdefault(r.frame, []).append(det)
+        by_frame.setdefault(frame, []).append(det)
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
     if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
         reach = frames[0] if frames[0] < 0 else frames[-1]
         raise ParseError(f"{args.ego}: {len(ego)} offsets, detections reach frame {reach}")
     outputs, events = Tracker(scene, cfg).run(by_frame, frames)
     os.makedirs(args.out, exist_ok=True)
-    mot_io.write_detections(
-        os.path.join(args.out, "track.txt"), mot_io.records_from_outputs(outputs)
-    )
-    mot_io.write_events(os.path.join(args.out, "events.jsonl"), events)
+    _write_outputs(args.out, outputs, events)
     n_ids = len({i for _, i, _ in outputs})
     print(f"tracked boxes: {len(outputs)}")
     print(f"identities: {n_ids}")
@@ -259,11 +265,26 @@ def _cmd_track(args) -> int:
     return 0
 
 
+def _check_identities(path, frame: np.ndarray, ids: np.ndarray, need_ids: bool = True) -> None:
+    """ParseError naming the frame and id of the first row with id -1 (when identities
+    are needed), or of a second row for one (frame, id)."""
+    if need_ids and (ids < 0).any():
+        k = np.flatnonzero(ids < 0)[0]
+        raise ParseError(f"{path}: frame {frame[k]} has id {ids[k]}: needs identities (id >= 0)")
+    order = np.lexsort((ids, frame))
+    f, i = frame[order], ids[order]
+    dup = np.flatnonzero((f[1:] == f[:-1]) & (i[1:] == i[:-1]))
+    if len(dup):
+        raise ParseError(f"{path}: frame {f[dup[0]]}: id {i[dup[0]]} has two rows in one frame")
+
+
 def _cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     gt = mot_io.read_gt(args.gt)
-    hyp = [(r.frame, r.track_id, r.box) for r in mot_io.read_detections(args.hyp)]
-    report = evaluate_tracking(gt, hyp, args.fps, cfg)
+    _check_identities(args.gt, gt.frame, gt.agent_id, need_ids=False)
+    hyp = mot_io.read_detections(args.hyp)
+    _check_identities(args.hyp, hyp.frame, hyp.track_id)
+    report = evaluate_tracking(gt, (hyp.frame, hyp.track_id, hyp.box), args.fps, cfg)
     report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
@@ -281,19 +302,16 @@ def _cmd_forecast(args) -> int:
     cfg = _config_from_args(args)
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
-    records = mot_io.read_detections(args.det)
-    if any(r.track_id < 0 for r in records):
-        raise ParseError(f"{args.det}: forecasting needs identities (id column >= 0)")
-    by_id: dict[int, list] = {}
-    for r in records:
-        by_id.setdefault(r.track_id, []).append(r)
+    dets = mot_io.read_detections(args.det)
+    _check_identities(args.det, dets.frame, dets.track_id)
+    order = np.lexsort((dets.frame, dets.track_id))
+    frames, box = dets.frame[order].tolist(), dets.box[order]
+    feet = np.column_stack([box[:, 0] + box[:, 2] / 2.0, box[:, 1] + box[:, 3]])
+    ids, starts = np.unique(dets.track_id[order], return_index=True)
     forecasts = {}
-    for tid in sorted(by_id):
-        rows = sorted(by_id[tid], key=lambda r: r.frame)
-        if len({r.frame for r in rows}) < len(rows):
-            raise ParseError(f"{args.det}: id {tid} has two rows in one frame")
-        points = lh.px_to_bev(np.array([r.box.bottom_center for r in rows]))
-        state = preprocess([(r.frame, p) for r, p in zip(rows, points)], cfg, args.fps)
+    for tid, lo, hi in zip(ids.tolist(), starts.tolist(), [*starts[1:].tolist(), len(frames)]):
+        points = lh.px_to_bev(feet[lo:hi])
+        state = preprocess(list(zip(frames[lo:hi], points)), cfg, args.fps)
         try:
             forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
         except ValueError as e:
@@ -309,8 +327,8 @@ def _cmd_forecast(args) -> int:
         }
         for tid, fc in forecasts.items()
     ]
-    mot_io.write_events(args.out, rows)
-    print(f"forecasted identities: {len(by_id)}")
+    mot_io.write_json_lines(args.out, rows)
+    print(f"forecasted identities: {len(forecasts)}")
     print(f"wrote {args.out}")
     return 0
 
@@ -329,10 +347,7 @@ def _cmd_pipeline(args) -> int:
             (cam.image_width, cam.image_height),
         )
     outputs, events, _ = run_tracker(sim, cfg, lh=lh)
-    mot_io.write_detections(
-        os.path.join(args.out, "track.txt"), mot_io.records_from_outputs(outputs)
-    )
-    mot_io.write_events(os.path.join(args.out, "events.jsonl"), events)
+    _write_outputs(args.out, outputs, events)
     report = evaluate_sim(sim, outputs, cfg)
     report.write_json(os.path.join(args.out, "report.json"))
     report.write_csv(os.path.join(args.out, "report.csv"))
@@ -361,10 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BevTrackError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (BevTrackError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,8 +16,11 @@ buckets from a RunConfig; the functions it calls take them as arguments.
 
 Record conventions: boxes are ``(frame, id, (N, 4) ltwh box)`` arrays and
 visibility is ``(frame, id, fraction)`` arrays; ``evaluate_tracking`` takes
-both from one GtTable and converts the tracker's ``(frame, id, PixelBox)``
-outputs once. Matches are three sorted arrays (``Matches``).
+the ground truth's from one GtTable and the hypotheses as such arrays
+(``box_records`` of tracker outputs, or a MotTable's columns). Matches are
+three sorted arrays (``Matches``). ``match_frames`` scores consecutive frames
+in blocks of at most MATCH_BLOCK IoU cells, one ``iou_matrix`` call a block,
+and solves each frame's assignment on its own.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
-from .boxes import iou, iou_matrix, ltwh  # noqa: F401
+from .boxes import iou, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import MissingGroundTruth
-from .mot_io import GtTable, write_json
+# box_records, the hypotheses' converter, is part of this module's interface.
+from .mot_io import GtTable, box_records, write_json  # noqa: F401
 
 _BIG = 1e6
+MATCH_BLOCK = 16384  # IoU cells scored together; bounds the padded per-block arrays
 
 
 # -- frame matching ----------------------------------------------------------------
@@ -49,10 +54,18 @@ class Matches(NamedTuple):
     hyp_id: np.ndarray
 
 
-def box_records(records: Sequence) -> tuple:
-    """(frame (N,), id (N,), box (N, 4)) arrays of (frame, id, PixelBox) triples."""
-    frames, ids, boxes = zip(*records) if records else ((), (), ())
-    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), ltwh(boxes)
+def _blocks(n_gt: list, n_hyp: list) -> list:
+    """(start, stop) of runs of consecutive frames, each padded to its largest frame
+    in at most MATCH_BLOCK cells; a frame over the budget is a block of its own."""
+    if n_gt and len(n_gt) * max(n_gt) * max(n_hyp) <= MATCH_BLOCK:
+        return [(0, len(n_gt))]  # what the loop gives when nothing splits
+    blocks, start, g, h = [], 0, 0, 0
+    for k, (a, b) in enumerate(zip(n_gt, n_hyp)):
+        g, h = max(g, a), max(h, b)
+        if k > start and (k - start + 1) * g * h > MATCH_BLOCK:
+            blocks.append((start, k))
+            start, g, h = k, a, b
+    return blocks + [(start, len(n_gt))] if n_gt else blocks
 
 
 def match_frames(gt: tuple, hyp: tuple, iou_threshold: float) -> Matches:
@@ -60,25 +73,35 @@ def match_frames(gt: tuple, hyp: tuple, iou_threshold: float) -> Matches:
 
     gt and hyp are (frame, id, (N, 4) box) arrays. Each frame's rows enter the
     assignment in (id, input) order. Pairs below the IoU threshold are never
-    matched.
+    matched. Frames with rows on both sides are scored in blocks (``_blocks``):
+    each frame is padded by repeating its last row, one ``iou_matrix`` call
+    scores the block, and the padding is sliced off before the frame's
+    assignment.
     """
     (gf, gid, gbox), (hf, hid, hbox) = gt, hyp
     g_order, h_order = np.lexsort((gid, gf)), np.lexsort((hid, hf))  # stable
     g_frames, h_frames = gf[g_order], hf[h_order]
+    g_box, h_box = gbox[g_order], hbox[h_order]
     both = np.intersect1d(g_frames, h_frames)
-    g_lo, g_hi = np.searchsorted(g_frames, both), np.searchsorted(g_frames, both, "right")
-    h_lo, h_hi = np.searchsorted(h_frames, both), np.searchsorted(h_frames, both, "right")
+    g_lo, h_lo = np.searchsorted(g_frames, both), np.searchsorted(h_frames, both)
+    n_g = np.searchsorted(g_frames, both, "right") - g_lo
+    n_h = np.searchsorted(h_frames, both, "right") - h_lo
     g_rows, h_rows = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for gs, ge, hs, he in zip(g_lo.tolist(), g_hi.tolist(), h_lo.tolist(), h_hi.tolist()):
-        gi, hi = g_order[gs:ge], h_order[hs:he]
-        ov = iou_matrix(gbox[gi], hbox[hi])
+    for start, stop in _blocks(n_g.tolist(), n_h.tolist()):
+        lo_g, lo_h, ng, nh = g_lo[start:stop], h_lo[start:stop], n_g[start:stop], n_h[start:stop]
+        gi = lo_g[:, None] + np.minimum(np.arange(ng.max()), ng[:, None] - 1)
+        hi = lo_h[:, None] + np.minimum(np.arange(nh.max()), nh[:, None] - 1)
+        ov = iou_matrix(g_box[gi], h_box[hi])
         cost = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
-        rows, cols = linear_sum_assignment(cost)
-        ok = cost[rows, cols] < _BIG
-        g_rows.append(gi[rows[ok]])
-        h_rows.append(hi[cols[ok]])
+        sizes = zip(ng.tolist(), nh.tolist())
+        pairs = [linear_sum_assignment(cost[k, :a, :b]) for k, (a, b) in enumerate(sizes)]
+        rows, cols = (np.concatenate(side) for side in zip(*pairs))
+        k = np.repeat(np.arange(stop - start), np.minimum(ng, nh))  # each pair's frame
+        ok = cost[k, rows, cols] < _BIG
+        g_rows.append(gi[k, rows][ok])
+        h_rows.append(hi[k, cols][ok])
     gm, hm = np.concatenate(g_rows), np.concatenate(h_rows)
-    frame, gt_id, hyp_id = gf[gm], gid[gm], hid[hm]
+    frame, gt_id, hyp_id = g_frames[gm], gid[g_order[gm]], hid[h_order[hm]]
     order = np.lexsort((hyp_id, gt_id, frame))
     return Matches(frame[order], gt_id[order], hyp_id[order])
 
@@ -316,18 +339,14 @@ class EvalReport:
             writer.writerow(row)
 
 
-def evaluate_tracking(
-    gt: GtTable, hyp_records: Sequence, fps: float, config: RunConfig
-) -> EvalReport:
+def evaluate_tracking(gt: GtTable, hyp: tuple, fps: float, config: RunConfig) -> EvalReport:
     """Full metric pass: matching, identity errors, bucketed event recall.
 
-    hyp_records are (frame, id, PixelBox) triples; the ground truth's own
-    visibility gives the occlusion events. Reads iou_threshold, vis_threshold,
-    window and buckets from config.
+    hyp is (frame, id, (N, 4) box) arrays (``box_records`` of the tracker's
+    outputs); the ground truth's own visibility gives the occlusion events.
+    Reads iou_threshold, vis_threshold, window and buckets from config.
     """
-    matches = match_frames(
-        (gt.frame, gt.agent_id, gt.box), box_records(hyp_records), config.iou_threshold
-    )
+    matches = match_frames((gt.frame, gt.agent_id, gt.box), hyp, config.iou_threshold)
     idsw, idtr = count_switches(matches)
     lost_s, lost_l = count_lost(matches, fps)
     vis = (gt.frame, gt.agent_id, gt.visibility)
@@ -340,6 +359,6 @@ def evaluate_tracking(
         id_lost_long=lost_l,
         buckets=bucket_rows,
         n_gt=len(gt),
-        n_hyp=len(hyp_records),
+        n_hyp=len(hyp[0]),
         n_matched=len(matches.frame),
     )

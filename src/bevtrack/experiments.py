@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .evaluation import EvalReport, RecallBucket, evaluate_tracking
+from .evaluation import EvalReport, RecallBucket, box_records, evaluate_tracking
 from .homography import Homography, HomographyFit, estimate_homography
 from .linearized import LinearizedHomography, linearize
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
@@ -282,7 +282,7 @@ def pixel_baseline_config(config: RunConfig) -> RunConfig:
 
 def evaluate_sim(sim: SimOutput, outputs: list, config: RunConfig) -> EvalReport:
     """Score the tracker's (frame, id, box) outputs against the simulated ground truth."""
-    return evaluate_tracking(sim.gt, outputs, sim.scenario.fps, config)
+    return evaluate_tracking(sim.gt, box_records(outputs), sim.scenario.fps, config)
 
 
 def aggregate_buckets(reports: list) -> list:

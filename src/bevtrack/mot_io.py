@@ -3,16 +3,20 @@
 Detections and tracker outputs use the 10-column MOT CSV layout
 ``frame,id,left,top,width,height,conf,x,y,z`` (id and world columns are -1
 when unknown); ground truth uses ``frame,id,left,top,width,height,flag,class,
-visibility``. Frame and id are integers. Point clouds are ``x y z`` rows,
-pixel/ground correspondences ``u v x y z`` rows, appearance one unit-length
-descriptor per row, and camera egomotion one cumulative ``dx dy`` offset per
-frame from ``0 0``. ``_read_rows`` reads every
-row file: blank lines are skipped, and a wrong field count or a non-finite
-number is ``ParseError("<file>:<line>: ...")``. ``_write_rows`` writes every
-one with a ``%`` format string per row kind, ``%.17g`` for floats so they
-round-trip bit-exactly. Whole-file JSON goes through ``read_json``/``write_json``;
-a dataclass record is read from a JSON object by ``_record_from_dict``, which
-takes its keys and scalar types from the fields, and written by ``_record_to_dict``.
+visibility``. Frame and id are integers. Both are tables, a struct of
+arrays each (``MotTable``, ``GtTable``), read in file order and written column
+by column in (frame, id) order. Point clouds are ``x y z`` rows, pixel/ground
+correspondences ``u v x y z`` rows, appearance one unit-length descriptor per
+row, and camera egomotion one cumulative ``dx dy`` offset per frame from
+``0 0``. ``_read_rows`` reads every row file: blank lines are skipped, and a
+wrong field count or a non-finite number is ``ParseError("<file>:<line>: ...")``.
+``_write_rows`` writes every one with a ``%`` format string per row kind,
+``%.17g`` for floats so they round-trip bit-exactly. Tracker events are one
+JSON object per line, one template over their six keys filled with the text
+``json.dumps(event, sort_keys=True)`` gives. Whole-file JSON goes through
+``read_json``/``write_json``; a dataclass record is read from a JSON object by
+``_record_from_dict``, which takes its keys and scalar types from the fields,
+and written by ``_record_to_dict``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import PixelBox
+from .boxes import ltwh
 from .egomotion import EgomotionTrack
 from .errors import NonPositiveBox, ParseError
 
@@ -93,9 +97,10 @@ def write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _box_rows(path, n_fields: int) -> list:
-    """MOT CSV rows as (frame, id, floats); a box of non-positive size is dropped with a warning."""
-    rows = []  # a list, not a generator, so stacklevel=3 names the reader's caller
+def _box_table(path, n_fields: int) -> tuple:
+    """(frame (N,), id (N,), fields (N, n_fields)) arrays of a MOT CSV file's rows in
+    file order; a box of non-positive size is dropped with a warning."""
+    rows = []
     for lineno, vals in _read_rows(path, ",", n_fields):
         for name, v in (("frame", vals[0]), ("id", vals[1])):
             if not v.is_integer():
@@ -103,14 +108,22 @@ def _box_rows(path, n_fields: int) -> list:
             if abs(v) > 2**53:  # beyond it a float skips integers
                 raise ParseError(f"{path}:{lineno}: {name} must be at most 2**53 in size")
         if vals[4] <= 0 or vals[5] <= 0:
-            warnings.warn(
+            warnings.warn(  # stacklevel 3 names the reader's caller
                 f"{path}:{lineno}: dropping box with non-positive size", NonPositiveBox, stacklevel=3
             )
             continue
         if not (math.isfinite(vals[2] + vals[4]) and math.isfinite(vals[3] + vals[5])):
             raise ParseError(f"{path}:{lineno}: left + width or top + height is not finite")
-        rows.append((int(vals[0]), int(vals[1]), vals))
-    return rows
+        rows.append(vals)
+    table = np.array(rows, dtype=float).reshape(-1, n_fields)
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table
+
+
+def _write_table(path, fmt: str, frame: np.ndarray, ids: np.ndarray, *columns) -> None:
+    """One ``fmt`` row per table row, in (frame, id) order; rows of one (frame, id) keep
+    the table's order."""
+    order = np.lexsort((ids, frame))
+    _write_rows(path, fmt, zip(*(c[order].tolist() for c in (frame, ids, *columns))))
 
 
 # -- dataclass records as JSON objects -------------------------------------------------
@@ -178,45 +191,48 @@ def _record_to_dict(v):
     return v
 
 
-# -- detections / tracker outputs ----------------------------------------------------
+# -- detections / tracker outputs and ground truth ------------------------------------
 
 _DET_FMT = "%d,%d," + ",".join(["%.17g"] * 8)
-_ltwh = operator.attrgetter("left", "top", "width", "height")
-
-
-@dataclass(frozen=True)
-class MotRecord:
-    frame: int
-    track_id: int
-    box: PixelBox
-    world: tuple = (-1.0, -1.0, -1.0)
-
-
-def records_from_outputs(outputs: Sequence) -> list:
-    """Tracker ``(frame, id, box)`` triples to writable records."""
-    return [MotRecord(frame=f, track_id=i, box=b) for f, i, b in outputs]
-
-
-def write_detections(path, records: Sequence) -> None:
-    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
-    _write_rows(
-        path,
-        _DET_FMT,
-        ((r.frame, r.track_id, *_ltwh(r.box), r.box.confidence, *r.world) for r in rows),
-    )
-
-
-def read_detections(path) -> list:
-    """Rows with non-positive width or height are dropped with a warning."""
-    return [
-        MotRecord(frame, track_id, PixelBox(*vals[2:6], confidence=vals[6]), tuple(vals[7:]))
-        for frame, track_id, vals in _box_rows(path, 10)
-    ]
-
-
-# -- ground truth ---------------------------------------------------------------------
-
 _GT_FMT = "%d,%d,%.17g,%.17g,%.17g,%.17g,1,1,%.17g"
+
+
+@dataclass
+class MotTable:
+    """Detections or tracker outputs, one row per box, as a struct of arrays."""
+
+    frame: np.ndarray  # (N,) int
+    track_id: np.ndarray  # (N,) int, -1 when unknown
+    box: np.ndarray  # (N, 4) left, top, width, height
+    confidence: np.ndarray  # (N,)
+    world: np.ndarray  # (N, 3) x, y, z, -1 when unknown
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+
+def box_records(records: Sequence) -> tuple:
+    """(frame (N,), id (N,), box (N, 4)) arrays of (frame, id, PixelBox) triples."""
+    frames, ids, boxes = zip(*records) if records else ((), (), ())
+    return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), ltwh(boxes)
+
+
+def records_from_outputs(outputs: Sequence) -> MotTable:
+    """Tracker ``(frame, id, PixelBox)`` triples as a writable table."""
+    confidence = np.array([b.confidence for _, _, b in outputs], dtype=float)
+    return MotTable(*box_records(outputs), confidence, np.full((len(outputs), 3), -1.0))
+
+
+def write_detections(path, dets: MotTable) -> None:
+    box, world = dets.box.T, dets.world.T
+    _write_table(path, _DET_FMT, dets.frame, dets.track_id, *box, dets.confidence, *world)
+
+
+def read_detections(path) -> MotTable:
+    """The file's rows in file order; rows with non-positive width or height are
+    dropped with a warning."""
+    frame, track_id, vals = _box_table(path, 10)
+    return MotTable(frame, track_id, vals[:, 2:6], vals[:, 6], vals[:, 7:])
 
 
 @dataclass
@@ -234,18 +250,13 @@ class GtTable:
 
 
 def write_gt(path, gt: GtTable) -> None:
-    """Rows in (frame, id) order; rows of one (frame, id) keep the table's order."""
-    order = np.lexsort((gt.agent_id, gt.frame))
-    columns = (gt.frame[order], gt.agent_id[order], *gt.box[order].T, gt.visibility[order])
-    _write_rows(path, _GT_FMT, zip(*(c.tolist() for c in columns)))
+    _write_table(path, _GT_FMT, gt.frame, gt.agent_id, *gt.box.T, gt.visibility)
 
 
 def read_gt(path) -> GtTable:
     """The file's rows in file order; the file has no BEV column, so bev is NaN."""
-    rows = _box_rows(path, 9)
-    frame, agent_id = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
-    vals = np.array([v for _, _, v in rows], dtype=float).reshape(-1, 9)
-    return GtTable(frame, agent_id, vals[:, 2:6], np.full((len(rows), 2), np.nan), vals[:, 8])
+    frame, agent_id, vals = _box_table(path, 9)
+    return GtTable(frame, agent_id, vals[:, 2:6], np.full((len(frame), 2), np.nan), vals[:, 8])
 
 
 # -- point clouds and correspondences -------------------------------------------------
@@ -297,7 +308,7 @@ def read_appearance(path) -> list:
                 f"({len(vals)} values, earlier rows have {len(out[0])})"
             )
         out.append(np.array(vals))
-        if abs(float(np.linalg.norm(out[-1])) - 1.0) > 1e-6:
+        if abs(math.sqrt(out[-1].dot(out[-1])) - 1.0) > 1e-6:  # np.linalg.norm's operations
             raise ParseError(f"{path}:{lineno}: descriptor is not unit length")
     return out
 
@@ -314,6 +325,37 @@ def read_ego(path) -> EgomotionTrack:
         raise ParseError(f"{path}:{first}: {e}") from e
 
 
+_EVENT_KEYS = ("branch_id", "detection_index", "frame", "reason", "score", "track_id")
+_EVENT_FMT = "{" + ", ".join(f'"{k}": %s' for k in _EVENT_KEYS) + "}"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(v) -> str:
+    """A float (np.float64 too) or an integer (a numpy one too) as ``json.dumps`` writes it."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    return int.__repr__(operator.index(v))
+
+
 def write_events(path, events: Sequence) -> None:
-    """One JSON object per line, keys sorted: tracker events, or ``forecast`` rows."""
-    _write_rows(path, "%s", ((json.dumps(ev, sort_keys=True),) for ev in events))
+    """Tracker events, one per line: one template over the six keys, filled column by
+    column. Values are null, integers (numpy ones too) or floats, each with the text
+    ``json.dumps(event, sort_keys=True)`` gives; the reason is a JSON string."""
+    columns = []
+    for key in _EVENT_KEYS:
+        values = [ev[key] for ev in events]
+        if key == "reason":
+            text = {r: json.dumps(r) for r in set(values)}
+            columns.append([text[r] for r in values])
+        else:  # null and plain integers, the bulk, without a call
+            columns.append([
+                "null" if v is None else int.__repr__(v) if type(v) is int else _json_number(v)
+                for v in values
+            ])
+    _write_rows(path, _EVENT_FMT, zip(*columns))
+
+
+def write_json_lines(path, objects: Sequence) -> None:
+    """One JSON object per line, keys sorted: the ``forecast`` rows."""
+    _write_rows(path, "%s", ((json.dumps(obj, sort_keys=True),) for obj in objects))

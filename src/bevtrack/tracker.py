@@ -18,6 +18,7 @@ own lifted points, so trackers may share one frame's detection list.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -45,9 +46,10 @@ class Detection:
 
     def __post_init__(self):
         if self.appearance is not None:
-            object.__setattr__(self, "appearance", np.asarray(self.appearance, dtype=float))
-            norm = float(np.linalg.norm(self.appearance))
-            if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+            a = np.asarray(self.appearance, dtype=float)
+            object.__setattr__(self, "appearance", a)
+            v = a.ravel("K")  # then np.linalg.norm's operations, without its call overhead
+            if not abs(math.sqrt(v.dot(v)) - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("appearance descriptor must be unit length")
 
 

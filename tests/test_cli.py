@@ -9,6 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from bevtrack.boxes import PixelBox
 from bevtrack.cli import main
 from bevtrack.config import RunConfig
 from bevtrack.forecast import forecast, preprocess
@@ -168,8 +169,7 @@ class TestTrack:
     def test_outputs_and_events(self, track_dir):
         recs = read_detections(os.path.join(track_dir, "track.txt"))
         assert len(recs) > 0
-        ids = {r.track_id for r in recs}
-        assert ids == {1}  # the occluded walker keeps one identity
+        assert set(recs.track_id.tolist()) == {1}  # the occluded walker keeps one identity
         with open(os.path.join(track_dir, "events.jsonl")) as f:
             events = [json.loads(line) for line in f]
         reasons = {e["reason"] for e in events}
@@ -205,7 +205,7 @@ class TestTrack:
             ]
         )
         assert code == 0
-        ids = {r.track_id for r in read_detections(os.path.join(out, "track.txt"))}
+        ids = set(read_detections(os.path.join(out, "track.txt")).track_id.tolist())
         assert len(ids) >= 2
 
     def test_idle_gap_is_skipped_not_stepped(self, sim_dir, tmp_path):
@@ -228,9 +228,10 @@ class TestTrack:
         h, max_spacing, image_size = load_homography(homography)
         tracker = Tracker(SceneModel(linearize(h, image_size, max_spacing), 20.0), cfg)
         by_frame = {}
-        for r in read_detections(det):
-            frame = 20000 if r.frame == far else r.frame
-            by_frame.setdefault(frame, []).append(Detection(frame=frame, box=r.box))
+        dets = read_detections(det)
+        for frame, box in zip(dets.frame.tolist(), dets.box.tolist()):
+            frame = 20000 if frame == far else frame
+            by_frame.setdefault(frame, []).append(Detection(frame=frame, box=PixelBox(*box)))
         outputs, events = [], []
         for f in range(20001):
             o, e = tracker.step(by_frame.get(f, []), f)
@@ -245,15 +246,12 @@ class TestTrack:
     def test_ingest_mode_heals_upstream_ids(self, sim_dir, tmp_path):
         # fabricate upstream ids that change across the occlusion gap
         recs = read_detections(os.path.join(sim_dir, "det.txt"))
-        frames = sorted({r.frame for r in recs})
+        frames = sorted(set(recs.frame.tolist()))
         split = frames[len(frames) // 2]
         lines = []
-        for r in recs:
-            upstream = 50 if r.frame < split else 60
-            b = r.box
-            lines.append(
-                f"{r.frame},{upstream},{b.left},{b.top},{b.width},{b.height},1,-1,-1,-1"
-            )
+        for frame, (left, top, width, height) in zip(recs.frame.tolist(), recs.box.tolist()):
+            upstream = 50 if frame < split else 60
+            lines.append(f"{frame},{upstream},{left},{top},{width},{height},1,-1,-1,-1")
         det_path = tmp_path / "upstream.txt"
         det_path.write_text("\n".join(lines) + "\n")
         out = str(tmp_path / "ingest")
@@ -268,7 +266,7 @@ class TestTrack:
             ]
         )
         assert code == 0
-        ids = {r.track_id for r in read_detections(os.path.join(out, "track.txt"))}
+        ids = set(read_detections(os.path.join(out, "track.txt")).track_id.tolist())
         assert ids == {1}
 
 
@@ -363,8 +361,8 @@ class TestForecastCommand:
         h, max_spacing, image_size = load_homography(homography)
         lh = linearize(h, image_size, max_spacing)
         cfg = RunConfig(motion=motion)
-        points = lh.px_to_bev(np.array([r.box.bottom_center for r in recs]))
-        state = preprocess([(r.frame, p) for r, p in zip(recs, points)], cfg, 10.0)
+        points = lh.px_to_bev(np.array([PixelBox(*b).bottom_center for b in recs.box.tolist()]))
+        state = preprocess(list(zip(recs.frame.tolist(), points)), cfg, 10.0)
         expected = listed_points(forecast(state, cfg, 10.0, 2.0))
 
         frames = np.arange(row["created_frame"] + 1, row["end_frame"] + 1)
@@ -542,6 +540,34 @@ class TestInputErrors:
         assert err.startswith(f"error: {app}:3: descriptor is not unit length")
         assert "Traceback" not in err
 
+    def evaluate(self, gt, hyp, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--gt", str(gt), "--hyp", str(hyp), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_evaluate_hypotheses_without_identities_is_code_1(self, sim_dir, tmp_path, capsys):
+        # det.txt has id -1 on every row: scored, it read as one identity
+        gt, det = (os.path.join(sim_dir, name) for name in ("gt.txt", "det.txt"))
+        assert self.evaluate(gt, det, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        first = read_detections(det).frame[0]
+        assert err.startswith(f"error: {det}: frame {first} has id -1: needs identities"), err
+
+    @pytest.mark.parametrize("side", ["gt", "hyp"])
+    def test_evaluate_two_rows_of_one_frame_and_id_is_code_1(
+        self, sim_dir, track_dir, tmp_path, capsys, side
+    ):
+        files = {"gt": os.path.join(sim_dir, "gt.txt"), "hyp": os.path.join(track_dir, "track.txt")}
+        rows = open(files[side]).read().splitlines()
+        frame, tid = rows[5].split(",")[:2]
+        files[side] = tmp_path / f"{side}.txt"
+        files[side].write_text("\n".join(rows + rows[5:6]) + "\n")
+        assert self.evaluate(files["gt"], files["hyp"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == f"error: {files[side]}: frame {frame}: id {tid} has two rows in one frame\n"
 
     @pytest.mark.parametrize(
         "edit, message",

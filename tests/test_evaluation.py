@@ -339,7 +339,7 @@ class TestEvaluateTrackingAndReport:
             vis.append((f, 1, 0.0 if 3 <= f <= 5 else 1.0))
             if not 3 <= f <= 5:
                 hyp.append((f, 7, B(float(f))))
-        return gt, hyp, vis
+        return gt, box_records(hyp), vis
 
     def test_report_fields(self):
         gt, hyp, vis = self.make_inputs()

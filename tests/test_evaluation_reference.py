@@ -7,6 +7,10 @@ as ``{frame: [(gt_id, hyp_id), ...]}`` and per-identity timelines as dicts.
 built to reach the corners: duplicate (frame, id) rows, frames with one side
 only, equal IoUs, one-box frames, frames with no row at all and rows whose
 ids are out of order.
+
+``loop_match_frames`` is the array matcher as it was before it scored frames
+in blocks: one ``iou_matrix`` call per frame. ``match_frames`` must return the
+same arrays for every block size.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from bevtrack.boxes import PixelBox, iou_matrix, ltwh
 from bevtrack.config import DEFAULT_BUCKETS, RunConfig
+from bevtrack import evaluation
 from bevtrack.evaluation import (
     EvalReport,
     Matches,
@@ -22,6 +27,7 @@ from bevtrack.evaluation import (
     RecallBucket,
     box_records,
     evaluate_tracking,
+    match_frames,
 )
 from bevtrack.mot_io import GtTable
 
@@ -255,7 +261,7 @@ SEEDS = range(200)
 def test_evaluate_tracking_matches_list_reference(seed):
     rows, hyp, fps, config = random_case(seed)
     want = reference_evaluate(rows, hyp, fps, config).to_dict()
-    assert evaluate_tracking(table_of(rows), hyp, fps, config).to_dict() == want
+    assert evaluate_tracking(table_of(rows), box_records(hyp), fps, config).to_dict() == want
 
 
 def case_features(rows, hyp, fps, config) -> set:
@@ -323,3 +329,121 @@ def test_random_cases_cover_the_corners():
     buckets = [b for r in reports for b in r.buckets]
     assert any(b.recovered > 0 for b in buckets)
     assert any(b.total > b.recovered for b in buckets)
+
+
+# -- block matching against the per-frame loop ---------------------------------------
+
+
+def loop_match_frames(gt, hyp, iou_threshold) -> Matches:
+    (gf, gid, gbox), (hf, hid, hbox) = gt, hyp
+    g_order, h_order = np.lexsort((gid, gf)), np.lexsort((hid, hf))
+    g_frames, h_frames = gf[g_order], hf[h_order]
+    both = np.intersect1d(g_frames, h_frames)
+    g_lo, g_hi = np.searchsorted(g_frames, both), np.searchsorted(g_frames, both, "right")
+    h_lo, h_hi = np.searchsorted(h_frames, both), np.searchsorted(h_frames, both, "right")
+    g_rows, h_rows = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for gs, ge, hs, he in zip(g_lo.tolist(), g_hi.tolist(), h_lo.tolist(), h_hi.tolist()):
+        gi, hi = g_order[gs:ge], h_order[hs:he]
+        ov = iou_matrix(gbox[gi], hbox[hi])
+        cost = np.where(ov >= iou_threshold, 1.0 - ov, _BIG)
+        rows, cols = linear_sum_assignment(cost)
+        ok = cost[rows, cols] < _BIG
+        g_rows.append(gi[rows[ok]])
+        h_rows.append(hi[cols[ok]])
+    gm, hm = np.concatenate(g_rows), np.concatenate(h_rows)
+    frame, gt_id, hyp_id = gf[gm], gid[gm], hid[hm]
+    order = np.lexsort((hyp_id, gt_id, frame))
+    return Matches(frame[order], gt_id[order], hyp_id[order])
+
+
+def frame_case(seed: int, n_frames: int = 60, max_rows: int = 12):
+    """(gt, hyp) (frame, id, box) arrays: per frame 0 to max_rows - 1 rows a side on
+    the 2 px grid, so one side is often empty and IoUs tie; rows in random order."""
+    rng = np.random.default_rng(seed)
+    sides = ([], [])
+    for f in range(n_frames):
+        centres = rng.uniform(0.0, 60.0, (max_rows, 2))
+        for rows, jitter in zip(sides, (0.0, 4.0)):
+            n = int(rng.integers(0, max_rows))
+            ids = rng.choice(40, size=n, replace=False).tolist()
+            for i, (x, y) in zip(ids, centres[:n] + rng.uniform(-jitter, jitter, (n, 2))):
+                rows.append((f, i, grid_box(x, y)))
+    for rows in sides:
+        rng.shuffle(rows)
+    return tuple(box_records(rows) for rows in sides)
+
+
+def assert_same_matches(got: Matches, want: Matches) -> None:
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("block", [None, 1, 50, 300])
+def test_match_frames_equals_per_frame_loop(monkeypatch, seed, block):
+    if block is not None:
+        monkeypatch.setattr(evaluation, "MATCH_BLOCK", block)
+    gt, hyp = frame_case(seed)
+    threshold = (0.3, 0.5)[seed % 2]
+    assert_same_matches(match_frames(gt, hyp, threshold), loop_match_frames(gt, hyp, threshold))
+
+
+def test_blocks_end_mid_run_and_hold_the_budget(monkeypatch):
+    monkeypatch.setattr(evaluation, "MATCH_BLOCK", 300)
+    rng = np.random.default_rng(5)
+    n_gt, n_hyp = rng.integers(1, 12, 60).tolist(), rng.integers(1, 12, 60).tolist()
+    n_gt[20], n_hyp[20] = 20, 20  # 400 cells, over the budget: a block of its own
+    blocks = evaluation._blocks(n_gt, n_hyp)
+    assert blocks[0][0] == 0 and blocks[-1][1] == 60
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))  # consecutive, covering
+    assert (20, 21) in blocks and len(blocks) > 5
+    for start, stop in blocks:
+        cells = (stop - start) * max(n_gt[start:stop]) * max(n_hyp[start:stop])
+        assert cells <= 300 or stop - start == 1
+    assert evaluation._blocks([2] * 50, [3] * 50) == [(0, 50)]  # 300 cells: one block
+    assert evaluation._blocks([2] * 51, [3] * 51) == [(0, 50), (50, 51)]
+    assert evaluation._blocks([], []) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frame_over_the_cell_budget(seed):
+    """A 130 x 130 frame (16,900 cells) among small frames."""
+    rng = np.random.default_rng(seed)
+    n = 130
+    assert n * n > evaluation.MATCH_BLOCK
+    big = [grid_box(*xy) for xy in rng.uniform(0.0, 600.0, (n, 2))]
+    near = [grid_box(b.left + rng.uniform(-4, 4), b.top + rng.uniform(-4, 4)) for b in big]
+    small_gt, small_hyp = frame_case(seed, n_frames=6)
+    big_gt = box_records([(3, 100 + i, b) for i, b in enumerate(big)])
+    big_hyp = box_records([(3, 100 + i, b) for i, b in enumerate(near)])
+    gt = tuple(np.concatenate(c) for c in zip(small_gt, big_gt))
+    hyp = tuple(np.concatenate(c) for c in zip(small_hyp, big_hyp))
+    want = loop_match_frames(gt, hyp, 0.3)
+    assert (want.frame == 3).sum() > 50
+    assert_same_matches(match_frames(gt, hyp, 0.3), want)
+
+
+def test_empty_inputs():
+    gt, hyp = frame_case(0)
+    empty = box_records([])
+    hyp_elsewhere = (hyp[0] + 1000, hyp[1], hyp[2])  # no frame in common
+    for g, h in ((empty, empty), (gt, empty), (empty, hyp), (gt, hyp_elsewhere)):
+        got = match_frames(g, h, 0.5)
+        assert len(got.frame) == 0
+        assert_same_matches(got, loop_match_frames(g, h, 0.5))
+
+
+def test_frame_cases_reach_one_sided_frames_and_ties():
+    found = set()
+    for seed in range(12):
+        (gf, _, gbox), (hf, _, hbox) = frame_case(seed)
+        if set(gf.tolist()) - set(hf.tolist()):
+            found.add("gt-only frame")
+        if set(hf.tolist()) - set(gf.tolist()):
+            found.add("hyp-only frame")
+        for f in np.intersect1d(gf, hf).tolist():
+            ov = iou_matrix(gbox[gf == f], hbox[hf == f])
+            live = ov[ov >= 0.3]
+            if len(live) > len(np.unique(live)):
+                found.add("equal IoUs")
+    assert found == {"gt-only frame", "hyp-only frame", "equal IoUs"}

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from bevtrack.boxes import PixelBox
+from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonPositiveBox, ParseError
+from bevtrack.evaluation import box_records
+from bevtrack.experiments import crossing_scenario, run_tracker, sim_detections_by_frame
 from bevtrack.homography import Homography, save_homography
+from bevtrack.simulator import generate
+from bevtrack.tracker import Tracker
 from bevtrack.mot_io import (
-    MotRecord,
+    MotTable,
     read_appearance,
     read_cloud,
     read_correspondences,
@@ -30,10 +35,18 @@ from bevtrack.mot_io import (
 from test_evaluation_reference import table_of
 
 GtRow = namedtuple("GtRow", "frame track_id box visibility")
+DetRow = namedtuple("DetRow", "frame track_id box world", defaults=[(-1.0, -1.0, -1.0)])
 
 
 def rec(frame, tid, left=10.0, top=20.0, w=30.0, h=60.0, conf=0.9):
-    return MotRecord(frame=frame, track_id=tid, box=PixelBox(left, top, w, h, conf))
+    return DetRow(frame=frame, track_id=tid, box=PixelBox(left, top, w, h, conf))
+
+
+def det_table(rows) -> MotTable:
+    """The MotTable of DetRows, in their order."""
+    frame, track_id, box = box_records([(r.frame, r.track_id, r.box) for r in rows])
+    confidence = np.array([r.box.confidence for r in rows], dtype=float)
+    return MotTable(frame, track_id, box, confidence, np.array([r.world for r in rows]).reshape(-1, 3))
 
 
 OVERFLOW = r"left \+ width or top \+ height is not finite"
@@ -47,24 +60,22 @@ class TestDetections:
             rec(1, 2),
         ]
         p = tmp_path / "det.txt"
-        write_detections(p, records)
+        write_detections(p, det_table(records))
         back = read_detections(p)
         assert len(back) == 2
-        for a, b in zip(records, back):
-            assert b.frame == a.frame and b.track_id == a.track_id
-            assert b.box.left == a.box.left  # bit-exact via %.17g
-            assert b.box.top == a.box.top
-            assert b.box.width == a.box.width
-            assert b.box.height == a.box.height
-            assert b.box.confidence == a.box.confidence
-            assert b.world == (-1.0, -1.0, -1.0)
+        assert back.frame.tolist() == [0, 1] and back.track_id.tolist() == [1, 2]
+        for a, box, conf in zip(records, back.box.tolist(), back.confidence.tolist()):
+            b = a.box
+            assert box == [b.left, b.top, b.width, b.height]  # bit-exact via %.17g
+            assert conf == b.confidence
+        assert back.world.tolist() == [[-1.0, -1.0, -1.0]] * 2
 
     def test_rows_sorted_by_frame_then_id(self, tmp_path):
         records = [rec(1, 2), rec(0, 9), rec(0, 3)]
         p = tmp_path / "det.txt"
-        write_detections(p, records)
+        write_detections(p, det_table(records))
         back = read_detections(p)
-        assert [(r.frame, r.track_id) for r in back] == [(0, 3), (0, 9), (1, 2)]
+        assert list(zip(back.frame.tolist(), back.track_id.tolist())) == [(0, 3), (0, 9), (1, 2)]
 
     def test_ten_fields_required(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -101,7 +112,7 @@ class TestDetections:
         p.write_text("0,1,10,20,30,60,1,-1,-1,-1\n0,2,10,20,0,60,1,-1,-1,-1\n")
         with pytest.warns(NonPositiveBox):
             back = read_detections(p)
-        assert [r.track_id for r in back] == [1]
+        assert back.track_id.tolist() == [1]
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -122,14 +133,18 @@ class TestDetections:
         p = tmp_path / "det.txt"
         p.write_text("1.0,-1.0,10,20,30,60,1,-1,-1,-1\n2e1,7,10,20,30,60,1,-1,-1,-1\n")
         back = read_detections(p)
-        assert [(r.frame, r.track_id) for r in back] == [(1, -1), (20, 7)]
-        assert all(type(r.frame) is int and type(r.track_id) is int for r in back)
+        assert list(zip(back.frame.tolist(), back.track_id.tolist())) == [(1, -1), (20, 7)]
+        assert back.frame.dtype == back.track_id.dtype == np.int64
 
     def test_records_from_outputs(self):
-        outs = [(3, 7, PixelBox(1.0, 2.0, 3.0, 4.0))]
-        recs = records_from_outputs(outs)
-        assert recs[0].frame == 3 and recs[0].track_id == 7
-        assert recs[0].box == outs[0][2]
+        outs = [(3, 7, PixelBox(1.0, 2.0, 3.0, 4.0, confidence=0.5))]
+        table = records_from_outputs(outs)
+        assert table.frame.tolist() == [3] and table.track_id.tolist() == [7]
+        assert table.box.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        assert table.confidence.tolist() == [0.5]
+        assert table.world.tolist() == [[-1.0, -1.0, -1.0]]
+        empty = records_from_outputs([])
+        assert len(empty) == 0 and empty.box.shape == (0, 4) and empty.world.shape == (0, 3)
 
 
 class TestGt:
@@ -296,6 +311,25 @@ class TestEvents:
         assert [json.loads(line) for line in lines] == events
         assert lines[0].startswith('{"branch_id": null, "detection_index": 0, "frame": 0')
 
+    def test_numpy_frames_written_as_integers(self, tmp_path):
+        """A run over an np.arange of frames gives events whose frame is np.int64."""
+        sim = generate(crossing_scenario())
+        outputs, events, tracker = run_tracker(sim, RunConfig())
+        frames = np.arange(sim.scenario.n_frames)
+        rerun = Tracker(tracker.scene, tracker.config)
+        np_outputs, np_events = rerun.run(sim_detections_by_frame(sim), frames)
+        assert any(type(ev["frame"]) is np.int64 for ev in np_events)
+        write_events(tmp_path / "np.jsonl", np_events)
+        write_events(tmp_path / "int.jsonl", events)
+        assert (tmp_path / "np.jsonl").read_bytes() == (tmp_path / "int.jsonl").read_bytes()
+        write_detections(tmp_path / "np.txt", records_from_outputs(np_outputs))
+        write_detections(tmp_path / "int.txt", records_from_outputs(outputs))
+        assert (tmp_path / "np.txt").read_bytes() == (tmp_path / "int.txt").read_bytes()
+
+    def test_empty(self, tmp_path):
+        write_events(tmp_path / "events.jsonl", [])
+        assert (tmp_path / "events.jsonl").read_text() == ""
+
 
 class TestJson:
     def test_layout(self, tmp_path):
@@ -344,6 +378,17 @@ def ref_write_detections(path, records) -> None:
                 )
                 + "\n"
             )
+
+
+def record_write_detections(path, records) -> None:
+    """The record writer the table writer replaced: a stable sort on (frame, id),
+    then one ``%``-format row per record."""
+    line = "%d,%d," + ",".join(["%.17g"] * 8) + "\n"
+    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
+    with open(path, "w") as f:
+        for r in rows:
+            b = r.box
+            f.write(line % (r.frame, r.track_id, b.left, b.top, b.width, b.height, b.confidence, *r.world))
 
 
 def ref_write_gt(path, records) -> None:
@@ -416,6 +461,8 @@ def ref_save_homography(path, h, max_spacing, image_size) -> None:
 # float range, integer-valued floats (printed without a point), and values that
 # need all 17 digits.
 SPECIAL = (-0.0, 0.0, 5e-324, -2.5e-320, 1e308, -1e308, 3.0, -7.0, 1e16, 2.0**53 + 2.0, 0.1, 1 / 3)
+REASONS = ("active", "inactive", "terminated", "reassociated", "new", "removed_dead",
+           "removed_expired")
 POSITIVE = (5e-324, 2.5e-320, 1e308, 3.0, 1e16, 0.1, 1 / 3)
 
 
@@ -458,8 +505,11 @@ class TestWritersMatchReference:
             frame, tid = self.frame_id(rng)
             conf = 1.0 if rng.random() < 0.3 else self.value(rng)
             world = (-1.0, -1.0, -1.0) if rng.random() < 0.3 else tuple(self.values(rng, 3))
-            records.append(MotRecord(frame, tid, self.box(rng, conf), world))
-        self.assert_same(tmp_path, write_detections, ref_write_detections, records)
+            records.append(DetRow(frame, tid, self.box(rng, conf), world))
+        write_detections(tmp_path / "new.txt", det_table(records))
+        for ref in (ref_write_detections, record_write_detections):
+            ref(tmp_path / "ref.txt", records)
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gt(self, tmp_path, seed):
@@ -496,7 +546,24 @@ class TestWritersMatchReference:
         self.assert_same(tmp_path, write_ego, ref_write_ego, ego)
 
     def test_events(self, tmp_path):
-        events = [{"frame": 3, "score": 1 / 3, "reason": "new", "branch_id": None}] * 3
+        """Seeded events of every reason; scores are the special floats, NaN and the
+        infinities, and random ones, as Python floats or np.float64."""
+        rng = np.random.default_rng(0)
+        events = []
+        for k in range(480):  # json.dumps takes no numpy integer: those have their own test
+            frame, tid = (int(v) for v in self.frame_id(rng))
+            score = self.value(rng, SPECIAL + (float("nan"), float("inf"), float("-inf")))
+            events.append(
+                {
+                    "frame": frame,
+                    "track_id": tid,
+                    "detection_index": None if rng.random() < 0.3 else int(rng.integers(0, 60)),
+                    "score": None if rng.random() < 0.3 else score,
+                    "branch_id": None if rng.random() < 0.5 else int(rng.integers(0, 3)),
+                    "reason": REASONS[k % len(REASONS)],
+                }
+            )
+        assert {type(ev["score"]) for ev in events} == {type(None), float, np.float64}
         self.assert_same(tmp_path, write_events, ref_write_events, events)
 
     @pytest.mark.parametrize("seed", range(4))
