@@ -35,8 +35,8 @@ class PixelBox:
 
     @property
     def bottom_center(self) -> tuple[float, float]:
-        """The box's ground contact point, used for BEV localization."""
-        return (self.left + self.width / 2.0, self.top + self.height)
+        """The box's ground contact point, used for BEV localization (``bottom_centers``)."""
+        return tuple(bottom_centers(ltwh([self]))[0].tolist())
 
     def with_bottom_center(self, u: float, v: float) -> "PixelBox":
         """Same size, translated so the bottom-center lands on (u, v)."""
@@ -56,6 +56,11 @@ def iou(a: PixelBox, b: PixelBox) -> float:
 def ltwh(boxes) -> np.ndarray:
     """(N, 4) left, top, width, height array of a sequence of PixelBoxes."""
     return np.array([(b.left, b.top, b.width, b.height) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def bottom_centers(boxes: np.ndarray) -> np.ndarray:
+    """(N, 2) bottom centres, ``(left + width / 2, top + height)``, of (N, 4) ltwh boxes."""
+    return boxes[:, :2] + boxes[:, 2:] / (2.0, 1.0)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

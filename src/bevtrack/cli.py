@@ -23,15 +23,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import mot_io
-from .boxes import PixelBox
+from .boxes import PixelBox, bottom_centers
 from .config import RunConfig, read_config
 from .errors import BevTrackError, ParseError
-from .experiments import (
-    calibrate_from_cloud,
-    calibrated_lh,
-    evaluate_sim,
-    run_tracker,
-)
+from .experiments import calibrate_from_cloud, calibrated_lh, run_tracker
 from .evaluation import evaluate_tracking
 from .forecast import forecast as run_forecast
 from .forecast import preprocess
@@ -230,11 +225,12 @@ def _load_tracker_inputs(args):
     return lh, dets, appearance, ego
 
 
-def _write_outputs(out_dir, outputs: list, events: list) -> None:
-    """The tracker's track.txt and events.jsonl."""
+def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.MotTable:
+    """The tracker's track.txt and events.jsonl; returns the outputs' table."""
     track = mot_io.records_from_outputs(outputs)
     mot_io.write_detections(os.path.join(out_dir, "track.txt"), track)
     mot_io.write_events(os.path.join(out_dir, "events.jsonl"), events)
+    return track
 
 
 def _cmd_track(args) -> int:
@@ -305,8 +301,7 @@ def _cmd_forecast(args) -> int:
     dets = mot_io.read_detections(args.det)
     _check_identities(args.det, dets.frame, dets.track_id)
     order = np.lexsort((dets.frame, dets.track_id))
-    frames, box = dets.frame[order].tolist(), dets.box[order]
-    feet = np.column_stack([box[:, 0] + box[:, 2] / 2.0, box[:, 1] + box[:, 3]])
+    frames, feet = dets.frame[order].tolist(), bottom_centers(dets.box[order])
     ids, starts = np.unique(dets.track_id[order], return_index=True)
     forecasts = {}
     for tid, lo, hi in zip(ids.tolist(), starts.tolist(), [*starts[1:].tolist(), len(frames)]):
@@ -347,8 +342,9 @@ def _cmd_pipeline(args) -> int:
             (cam.image_width, cam.image_height),
         )
     outputs, events, _ = run_tracker(sim, cfg, lh=lh)
-    _write_outputs(args.out, outputs, events)
-    report = evaluate_sim(sim, outputs, cfg)
+    track = _write_outputs(args.out, outputs, events)
+    hyp = (track.frame, track.track_id, track.box)
+    report = evaluate_tracking(sim.gt, hyp, sim.scenario.fps, cfg)
     report.write_json(os.path.join(args.out, "report.json"))
     report.write_csv(os.path.join(args.out, "report.csv"))
     print(f"idsw: {report.idsw}  idtr: {report.idtr}")

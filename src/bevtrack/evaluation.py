@@ -57,8 +57,6 @@ class Matches(NamedTuple):
 def _blocks(n_gt: list, n_hyp: list) -> list:
     """(start, stop) of runs of consecutive frames, each padded to its largest frame
     in at most MATCH_BLOCK cells; a frame over the budget is a block of its own."""
-    if n_gt and len(n_gt) * max(n_gt) * max(n_hyp) <= MATCH_BLOCK:
-        return [(0, len(n_gt))]  # what the loop gives when nothing splits
     blocks, start, g, h = [], 0, 0, 0
     for k, (a, b) in enumerate(zip(n_gt, n_hyp)):
         g, h = max(g, a), max(h, b)

@@ -1,18 +1,19 @@
 """Plain-text interchange formats.
 
 Detections and tracker outputs use the 10-column MOT CSV layout
-``frame,id,left,top,width,height,conf,x,y,z`` (id and world columns are -1
-when unknown); ground truth uses ``frame,id,left,top,width,height,flag,class,
-visibility``. Frame and id are integers. Both are tables, a struct of
-arrays each (``MotTable``, ``GtTable``), read in file order and written column
-by column in (frame, id) order. Point clouds are ``x y z`` rows, pixel/ground
-correspondences ``u v x y z`` rows, appearance one unit-length descriptor per
-row, and camera egomotion one cumulative ``dx dy`` offset per frame from
-``0 0``. ``_read_rows`` reads every row file: blank lines are skipped, and a
-wrong field count or a non-finite number is ``ParseError("<file>:<line>: ...")``.
-``_write_rows`` writes every one with a ``%`` format string per row kind,
-``%.17g`` for floats so they round-trip bit-exactly. Tracker events are one
-JSON object per line, one template over their six keys filled with the text
+``frame,id,left,top,width,height,conf,x,y,z`` (id and world columns are -1 when
+unknown); ground truth uses ``frame,id,left,top,width,height,flag,class,
+visibility``. Frame and id are integers. Both are tables, a struct of arrays
+each (``MotTable``, ``GtTable``), read in file order and written column by
+column in (frame, id) order, ROW_BLOCK rows at a time. Point clouds are
+``x y z`` rows, pixel/ground correspondences ``u v x y z`` rows, appearance one
+unit-length descriptor per row, and camera egomotion one cumulative ``dx dy``
+offset per frame from ``0 0``. ``_read_rows`` reads every row file: blank lines
+are skipped, and a wrong field count or a non-finite number is
+``ParseError("<file>:<line>: ...")``. ``_write_rows`` writes every one with a
+``%`` format string per row kind, ``%.17g`` for floats so they round-trip
+bit-exactly. Tracker events are one JSON object per line, one template over
+exactly their six keys filled, ROW_BLOCK events at a time, with the text
 ``json.dumps(event, sort_keys=True)`` gives. Whole-file JSON goes through
 ``read_json``/``write_json``; a dataclass record is read from a JSON object by
 ``_record_from_dict``, which takes its keys and scalar types from the fields,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -119,11 +121,20 @@ def _box_table(path, n_fields: int) -> tuple:
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table
 
 
+ROW_BLOCK = 4096  # rows a writer turns into text together; bounds its column lists
+
+
+def _row_blocks(n: int):
+    """Slices of range(n), ROW_BLOCK rows each."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
+
+
 def _write_table(path, fmt: str, frame: np.ndarray, ids: np.ndarray, *columns) -> None:
-    """One ``fmt`` row per table row, in (frame, id) order; rows of one (frame, id) keep
-    the table's order."""
-    order = np.lexsort((ids, frame))
-    _write_rows(path, fmt, zip(*(c[order].tolist() for c in (frame, ids, *columns))))
+    """One ``fmt`` row per table row, in (frame, id) order, ROW_BLOCK rows at a time;
+    rows of one (frame, id) keep the table's order."""
+    order, columns = np.lexsort((ids, frame)), (frame, ids, *columns)
+    blocks = (zip(*(c[order[s]].tolist() for c in columns)) for s in _row_blocks(len(order)))
+    _write_rows(path, fmt, itertools.chain.from_iterable(blocks))
 
 
 # -- dataclass records as JSON objects -------------------------------------------------
@@ -330,8 +341,11 @@ _EVENT_FMT = "{" + ", ".join(f'"{k}": %s' for k in _EVENT_KEYS) + "}"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_number(v) -> str:
-    """A float (np.float64 too) or an integer (a numpy one too) as ``json.dumps`` writes it."""
+def _json_value(v) -> str:
+    """None, a float (np.float64 too) or an integer (a numpy one too) as ``json.dumps``
+    writes it."""
+    if v is None:
+        return "null"
     if isinstance(v, float):
         text = float.__repr__(v)
         return _NON_FINITE.get(text, text)
@@ -340,20 +354,29 @@ def _json_number(v) -> str:
 
 def write_events(path, events: Sequence) -> None:
     """Tracker events, one per line: one template over the six keys, filled column by
-    column. Values are null, integers (numpy ones too) or floats, each with the text
-    ``json.dumps(event, sort_keys=True)`` gives; the reason is a JSON string."""
+    column, ROW_BLOCK events at a time (``_event_rows``). An event with other keys is a
+    ValueError, so no field is left out unseen."""
+    keys = set(_EVENT_KEYS)
+    for i, ev in enumerate(events):
+        if ev.keys() != keys:
+            raise ValueError(f"event {i} has keys {sorted(ev)}, expected {list(_EVENT_KEYS)}")
+    blocks = (_event_rows(events[s]) for s in _row_blocks(len(events)))
+    _write_rows(path, _EVENT_FMT, itertools.chain.from_iterable(blocks))
+
+
+def _event_rows(events: Sequence) -> zip:
+    """The template's values of each event, each with the text ``json.dumps(event,
+    sort_keys=True)`` gives: null, integers (numpy ones too) or floats, and the reason
+    as a JSON string."""
     columns = []
     for key in _EVENT_KEYS:
         values = [ev[key] for ev in events]
         if key == "reason":
             text = {r: json.dumps(r) for r in set(values)}
             columns.append([text[r] for r in values])
-        else:  # null and plain integers, the bulk, without a call
-            columns.append([
-                "null" if v is None else int.__repr__(v) if type(v) is int else _json_number(v)
-                for v in values
-            ])
-    _write_rows(path, _EVENT_FMT, zip(*columns))
+        else:
+            columns.append([_json_value(v) for v in values])
+    return zip(*columns)
 
 
 def write_json_lines(path, objects: Sequence) -> None:

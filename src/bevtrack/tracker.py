@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
-from .boxes import PixelBox, iou, iou_matrix, ltwh  # noqa: F401
+from .boxes import PixelBox, bottom_centers, iou, iou_matrix, ltwh  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame
 from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F401
@@ -395,8 +395,8 @@ class Tracker:
 
         # The detections' world-fixed BEV points: this step's own, never written back.
         det_boxes = ltwh([d.box for d in detections])
-        bottom_centres = det_boxes[:, :2] + det_boxes[:, 2:] / (2.0, 1.0)
-        bev = self.scene.px_to_world(bottom_centres, frame) if detections else bottom_centres
+        feet = bottom_centers(det_boxes)
+        bev = self.scene.px_to_world(feet, frame) if detections else feet
 
         # Base association keeps visible tracks alive.
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, covered_fraction, covered_fractions, iou, iou_matrix, ltwh
+from bevtrack.boxes import (
+    PixelBox,
+    bottom_centers,
+    covered_fraction,
+    covered_fractions,
+    iou,
+    iou_matrix,
+    ltwh,
+)
 
 
 def grid_covered_fraction(box, covers, n=400):
@@ -71,6 +79,13 @@ class TestPixelBox:
         assert b.bottom == 60.0
         assert b.area == 1200.0
         assert b.bottom_center == (25.0, 60.0)
+
+    def test_bottom_centers_is_the_scalar_formula(self):
+        rng = np.random.default_rng(3)
+        boxes = np.column_stack([rng.uniform(-1e3, 1e3, (200, 2)), rng.uniform(0.1, 300, (200, 2))])
+        want = [[left + w / 2.0, top + h] for left, top, w, h in boxes.tolist()]
+        assert bottom_centers(boxes).tolist() == want
+        assert bottom_centers(np.zeros((0, 4))).shape == (0, 2)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):

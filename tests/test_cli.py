@@ -361,7 +361,8 @@ class TestForecastCommand:
         h, max_spacing, image_size = load_homography(homography)
         lh = linearize(h, image_size, max_spacing)
         cfg = RunConfig(motion=motion)
-        points = lh.px_to_bev(np.array([PixelBox(*b).bottom_center for b in recs.box.tolist()]))
+        feet = [(left + w / 2.0, top + h) for left, top, w, h in recs.box.tolist()]
+        points = lh.px_to_bev(np.array(feet))
         state = preprocess(list(zip(recs.frame.tolist(), points)), cfg, 10.0)
         expected = listed_points(forecast(state, cfg, 10.0, 2.0))
 

@@ -4,6 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from bevtrack import mot_io
 from bevtrack.boxes import PixelBox
 from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
@@ -326,6 +327,16 @@ class TestEvents:
         write_detections(tmp_path / "int.txt", records_from_outputs(outputs))
         assert (tmp_path / "np.txt").read_bytes() == (tmp_path / "int.txt").read_bytes()
 
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_other_keys_refused(self, tmp_path, change):
+        """A key the template lacks would drop out of the file unseen; a missing one too."""
+        ev = {"frame": 0, "track_id": 1, "detection_index": 0, "score": None, "branch_id": None, "reason": "new"}
+        odd = {**ev, "weight": 0.5} if change == "extra" else {k: v for k, v in ev.items() if k != "score"}
+        p = tmp_path / "events.jsonl"
+        with pytest.raises(ValueError, match=r"^event 1 has keys \[.*\], expected \['branch_id'"):
+            write_events(p, [ev, odd])
+        assert not p.exists()
+
     def test_empty(self, tmp_path):
         write_events(tmp_path / "events.jsonl", [])
         assert (tmp_path / "events.jsonl").read_text() == ""
@@ -565,6 +576,15 @@ class TestWritersMatchReference:
             )
         assert {type(ev["score"]) for ev in events} == {type(None), float, np.float64}
         self.assert_same(tmp_path, write_events, ref_write_events, events)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_rows_in_blocks(self, tmp_path, monkeypatch, block):
+        """The bytes do not depend on how many rows a writer turns into text at once:
+        60 table rows and 480 events end mid-block at 7."""
+        monkeypatch.setattr(mot_io, "ROW_BLOCK", block)
+        self.test_detections(tmp_path, 0)
+        self.test_gt(tmp_path, 1)
+        self.test_events(tmp_path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_homography(self, tmp_path, seed):
