@@ -301,27 +301,16 @@ def _cmd_forecast(args) -> int:
     dets = mot_io.read_detections(args.det)
     _check_identities(args.det, dets.frame, dets.track_id)
     order = np.lexsort((dets.frame, dets.track_id))
-    frames, feet = dets.frame[order].tolist(), bottom_centers(dets.box[order])
+    frames, points = dets.frame[order].tolist(), lh.px_to_bev(bottom_centers(dets.box[order]))
     ids, starts = np.unique(dets.track_id[order], return_index=True)
     forecasts = {}
     for tid, lo, hi in zip(ids.tolist(), starts.tolist(), [*starts[1:].tolist(), len(frames)]):
-        points = lh.px_to_bev(feet[lo:hi])
-        state = preprocess(list(zip(frames[lo:hi], points)), cfg, args.fps)
+        state = preprocess(list(zip(frames[lo:hi], points[lo:hi])), cfg, args.fps)
         try:
             forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
         except ValueError as e:
             raise ParseError(f"--horizon: {e}") from e
-    rows = [
-        {
-            "id": tid,
-            "created_frame": fc.created_frame,
-            "end_frame": fc.end_frame,
-            "fps": fc.fps,
-            "origin": fc.origin.tolist(),
-            "velocities": fc.velocities.tolist(),
-        }
-        for tid, fc in forecasts.items()
-    ]
+    rows = [{"id": tid, **mot_io._record_to_dict(fc)} for tid, fc in forecasts.items()]
     mot_io.write_json_lines(args.out, rows)
     print(f"forecasted identities: {len(forecasts)}")
     print(f"wrote {args.out}")
@@ -334,13 +323,8 @@ def _cmd_pipeline(args) -> int:
     lh = None
     if args.estimate_homography:
         lh = calibrated_lh(sim, cfg)
-        cam = sim.scenario.camera
-        save_homography(
-            os.path.join(args.out, "homography_estimated.txt"),
-            lh.h,
-            cfg.max_spacing,
-            (cam.image_width, cam.image_height),
-        )
+        out = os.path.join(args.out, "homography_estimated.txt")
+        save_homography(out, lh.h, lh.max_spacing, lh.image_size)
     outputs, events, _ = run_tracker(sim, cfg, lh=lh)
     track = _write_outputs(args.out, outputs, events)
     hyp = (track.frame, track.track_id, track.box)

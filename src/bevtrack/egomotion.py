@@ -39,10 +39,13 @@ class EgomotionTrack:
     def __len__(self):
         return self.offsets.shape[0]
 
-    def offset(self, frame: int) -> np.ndarray:
-        if not 0 <= frame < len(self):
-            raise ValueError(f"frame {frame} outside egomotion track of length {len(self)}")
-        return self.offsets[frame]
+    def offset(self, frame) -> np.ndarray:
+        """The (2,) offset at an int frame, or the (N, 2) offsets at (N,) frames."""
+        f = np.asarray(frame)
+        outside = f[(f < 0) | (f >= len(self))]
+        if outside.size:
+            raise ValueError(f"frame {outside[0]} outside egomotion track of length {len(self)}")
+        return self.offsets[f]
 
 
 def estimate_egomotion(prev_pixels, cur_pixels, lh, trim_fraction: float = 0.0) -> np.ndarray:

@@ -29,6 +29,7 @@ import json
 import math
 import numbers
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,10 +132,18 @@ def _row_blocks(n: int):
 
 def _write_table(path, fmt: str, frame: np.ndarray, ids: np.ndarray, *columns) -> None:
     """One ``fmt`` row per table row, in (frame, id) order, ROW_BLOCK rows at a time;
-    rows of one (frame, id) keep the table's order."""
-    order, columns = np.lexsort((ids, frame)), (frame, ids, *columns)
-    blocks = (zip(*(c[order[s]].tolist() for c in columns)) for s in _row_blocks(len(order)))
-    _write_rows(path, fmt, itertools.chain.from_iterable(blocks))
+    rows of one (frame, id) keep the table's order. A column after the id whose rows
+    all hold the same bits (so 0.0 never stands for -0.0) is formatted once, into fmt."""
+    parts, kept = re.split(r"(%[^%a-z]*[a-z])", fmt), [frame, ids]  # conversion k: parts[2k + 1]
+    for k, c in enumerate(columns, start=2):
+        bits = c.view(f"u{c.itemsize}")
+        if len(c) and (bits == bits[0]).all():
+            parts[2 * k + 1] %= c[:1].tolist()[0]
+        else:
+            kept.append(c)
+    order = np.lexsort((ids, frame))
+    blocks = (zip(*(c[order[s]].tolist() for c in kept)) for s in _row_blocks(len(order)))
+    _write_rows(path, "".join(parts), itertools.chain.from_iterable(blocks))
 
 
 # -- dataclass records as JSON objects -------------------------------------------------

@@ -6,13 +6,14 @@ and are forecast forward in the BEV plane until the forecast ends or the
 patience tau_max runs out. Their branches are the rows of one BranchTable; at
 every frame all rows are evaluated at that frame and offered the unmatched
 detections through a gated geometric+appearance score solved as a
-maximum-score assignment. Track ids are never reissued. Per frame, one
-px_to_bev call lifts the detections and, if any are left for the inactive
-tracks, one try_bev_to_px call maps every branch (FrameGeometry); overlaps
-come from one kernel, iou_matrix, once per frame for the branches. Tracks and forecasts are world-fixed, the map
-camera-relative: SceneModel.px_to_world and world_to_px apply the camera
-offset, and nothing else does. Detections are read-only: each Track keeps its
-own lifted points, so trackers may share one frame's detection list.
+maximum-score assignment. Track ids are never reissued. A track keeps its
+detections' pixel feet; a step lifts in one px_to_world call only the points a
+decision reads: the filter windows of the tracks going inactive and, while the
+table has rows, the unmatched detections. Against those, one try_bev_to_px
+call maps every branch and one iou_matrix call gives the overlaps
+(FrameGeometry). Tracks and forecasts are world-fixed, the map camera-relative:
+SceneModel.px_to_world and world_to_px apply the camera offset, and nothing
+else does. Detections are read-only, so trackers may share them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F40
 @dataclass(frozen=True)
 class Detection:
     """A read-only single-frame observation: box, unit appearance descriptor and,
-    in ingestion mode, the upstream track id. The tracker never writes to one: it
-    lifts the box's bottom-centre to BEV itself and keeps the point in the Track.
-    """
+    in ingestion mode, the upstream track id. The tracker never writes to one."""
 
     frame: int
     box: PixelBox
@@ -55,10 +54,10 @@ class Detection:
 
 @dataclass
 class Track:
-    """A track's own state: its world-fixed BEV points, last box and last descriptor."""
+    """A track's own state: its detections' pixel feet, last box and last descriptor."""
 
     id: int
-    points: list  # [(frame, world BEV point)], one per matched frame
+    feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame
     last_box: PixelBox
     last_appearance: Optional[np.ndarray]
     forecast: Optional[Forecast] = None  # None while active
@@ -70,7 +69,7 @@ class Track:
 
     @property
     def last_frame(self) -> int:
-        return self.points[-1][0]
+        return self.feet[-1][0]
 
 
 @dataclass
@@ -85,10 +84,10 @@ class SceneModel:
         if not self.fps > 0:
             raise ValueError("fps must be positive")
 
-    def px_to_world(self, pixels, frame: int) -> np.ndarray:
-        """World-fixed BEV points of (N, 2) pixels seen at a frame."""
+    def px_to_world(self, pixels, frames) -> np.ndarray:
+        """World-fixed BEV points of (N, 2) pixels seen at one frame or at (N,) frames."""
         bev = self.lh.px_to_bev(pixels)
-        return bev if self.ego is None else bev + self.ego.offset(frame)
+        return bev if self.ego is None else bev + self.ego.offset(frames)
 
     def world_to_px(self, points: np.ndarray, frame: int):
         """try_bev_to_px of (N, 2) world-fixed BEV points seen at a frame."""
@@ -248,14 +247,8 @@ def prune_forecasts(*_) -> None:  # uncalled; only benchmarks/tracing.py wraps t
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
-    return {
-        "frame": frame,
-        "track_id": track_id,
-        "detection_index": detection_index,
-        "score": score,
-        "branch_id": branch_id,
-        "reason": reason,
-    }
+    return dict(frame=frame, track_id=track_id, detection_index=detection_index, score=score,
+                branch_id=branch_id, reason=reason)
 
 
 class Tracker:
@@ -275,21 +268,24 @@ class Tracker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _activate(self, track: Track, det: Detection, point: np.ndarray, frame: int):
-        track.points.append((frame, point))
+    def _activate(self, track: Track, det: Detection, foot, frame: int):
+        track.feet.append((frame, foot))
         track.last_box = det.box
         track.last_appearance = det.appearance
         track.forecast = None
         track.source_binding = det.source_id
 
-    def _deactivate(self, track: Track, frame: int):
-        # The filter's grid starts at `first`; interpolating it reads no
-        # observation before the last one at or before that frame.
-        cfg, fps = self.config, self.scene.fps
-        first = track.last_frame - cfg.dt * fps * (cfg.obs_len - 1)
-        i = max(bisect.bisect_right(track.points, first, key=lambda p: p[0]) - 1, 0)
-        state = preprocess(track.points[i:], cfg, fps)
-        track.forecast = forecast(state, cfg, fps)
+    def _window(self, track: Track) -> list:
+        # The filter's grid starts at `first`; interpolating it reads no foot
+        # before the last one at or before that frame.
+        cfg = self.config
+        first = track.last_frame - cfg.dt * self.scene.fps * (cfg.obs_len - 1)
+        return track.feet[max(bisect.bisect_right(track.feet, first, key=lambda p: p[0]) - 1, 0) :]
+
+    def _deactivate(self, track: Track, history):
+        """Forecast the track from its window's (frame, world point) pairs."""
+        state = preprocess(history, self.config, self.scene.fps)
+        track.forecast = forecast(state, self.config, self.scene.fps)
         track.source_binding = None
 
     def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
@@ -318,8 +314,10 @@ class Tracker:
             used_dets.add(j)
         return matches
 
-    def _advance_inactive(self, detections, det_boxes, bev, matched_dets: set, frame: int, events):
+    def _advance_inactive(self, detections, det_boxes, feet, free_dets, free_bev, matched_dets,
+                          frame, events):
         """Expire and re-associate the inactive tracks: one pass over the table.
+        The free detections, free_dets, have the world points free_bev.
 
         Only removed tracks are looped over, in id order, so their events
         interleave. Removed and re-associated tracks leave the table.
@@ -337,17 +335,16 @@ class Tracker:
             events.append(_event(frame, tid, reason="removed_" + reason))
         survivors = [self.tracks[tid] for tid in sorted(ids - gone)]
 
-        free_dets = [j for j in range(len(detections)) if j not in matched_dets]
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
-            free = frame_geometry(table, det_boxes[free_dets], bev[free_dets], self.scene, frame)
+            free = frame_geometry(table, det_boxes[free_dets], free_bev, self.scene, frame)
             scores, best_branch = build_cost_matrix(survivors, dets, cfg, free)
             for i, jj in assign(scores):
                 tr = survivors[i]
                 j = free_dets[jj]
                 score, branch = float(scores[i, jj]), int(best_branch[i, jj])
                 events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
-                self._activate(tr, detections[j], bev[j], frame)
+                self._activate(tr, detections[j], feet[j], frame)
                 matched_dets.add(j)
                 gone.add(tr.id)
         if gone:
@@ -392,33 +389,44 @@ class Tracker:
         self.last_step_frame = frame
         events = []
         cfg = self.config
-
-        # The detections' world-fixed BEV points: this step's own, never written back.
+        if detections and self.scene.ego is not None:
+            self.scene.ego.offset(frame)  # a frame the camera track lacks is an error here
         det_boxes = ltwh([d.box for d in detections])
-        feet = bottom_centers(det_boxes)
-        bev = self.scene.px_to_world(feet, frame) if detections else feet
+        feet = bottom_centers(det_boxes).tolist()
 
-        # Base association keeps visible tracks alive.
-        active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
+        # Base association keeps visible tracks alive; self.tracks holds ids ascending.
+        active = [t for t in self.tracks.values() if t.active]
         matches = self._base_association(active, detections, det_boxes)
         matched_dets = set(matches.values())
         deactivated = []
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
-                self._activate(tr, detections[j], bev[j], frame)
+                self._activate(tr, detections[j], feet[j], frame)
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
-                self._deactivate(tr, frame)
                 deactivated.append(tr)
                 events.append(_event(frame, tr.id, reason="inactive"))
             else:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="terminated"))
+
+        # The step's one lift: windows of the tracks going inactive, then the table's detections.
+        windows = [self._window(tr) for tr in deactivated]
+        rows = [row for window in windows for row in window]
+        free_dets = [j for j in range(len(detections)) if j not in matched_dets]
+        if deactivated or len(self.branches):
+            rows += [(frame, feet[j]) for j in free_dets]
+        world = self.scene.px_to_world([p for _, p in rows], [f for f, _ in rows]) if rows else []
+        lo = 0
+        for tr, window in zip(deactivated, windows):
+            self._deactivate(tr, list(zip((f for f, _ in window), world[lo : lo + len(window)])))
+            lo += len(window)
         if deactivated:
             self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
         if len(self.branches):
-            self._advance_inactive(detections, det_boxes, bev, matched_dets, frame, events)
+            self._advance_inactive(detections, det_boxes, feet, free_dets, world[lo:], matched_dets,
+                                   frame, events)
 
         # Anything still unmatched founds a new track.
         for j, det in enumerate(detections):
@@ -427,12 +435,8 @@ class Tracker:
             tid = self.next_id
             self.next_id += 1
             self.tracks[tid] = Track(tid, [], det.box, det.appearance)
-            self._activate(self.tracks[tid], det, bev[j], frame)
+            self._activate(self.tracks[tid], det, feet[j], frame)
             events.append(_event(frame, tid, j, reason="new"))
 
-        outputs = [
-            (frame, t.id, t.last_box)
-            for t in sorted(self.tracks.values(), key=lambda t: t.id)
-            if t.active and t.last_frame == frame
-        ]
-        return outputs, events
+        live = (t for t in self.tracks.values() if t.active and t.last_frame == frame)
+        return [(frame, t.id, t.last_box) for t in live], events

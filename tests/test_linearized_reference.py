@@ -23,6 +23,7 @@ from bevtrack.errors import HorizonInsideFootprint
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import CameraSpec, true_homography
+from bevtrack.tracker import SceneModel
 
 _EDGE_TOL = 1e-9
 
@@ -354,3 +355,59 @@ def test_fallback_on_finite_columns():
     pixels = np.stack([u, np.full(u.shape, lh.image_size[1] / 2.0)], axis=1)
     assert same_bytes(lh.px_to_bev(pixels), reference_px_to_bev(lh, cache, pixels, seen))
     assert "fallback" in seen
+
+
+class TestRowsLiftAlone:
+    """px_to_bev maps row by row: a batch lifts each row to the bits it lifts to
+    alone, whatever the other rows are. Tracker.step lifts the feet of several
+    tracks and frames in one px_to_world call and gives the same points as one
+    call per frame only because of it."""
+
+    @staticmethod
+    def mixed_pixels(lh, seed):
+        """query_pixels shuffled, so rows of both pieces, borrowed columns and
+        non-finite rows sit side by side in one batch."""
+        rng = np.random.default_rng(3000 + seed)
+        pixels = query_pixels(lh, rng, n=40)
+        return pixels[rng.permutation(len(pixels))], rng
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_equals_rows_alone(self, kind, seed):
+        lh = random_camera(kind, seed)
+        pixels, _ = self.mixed_pixels(lh, seed)
+        batch = lh.px_to_bev(pixels)
+        for i, p in enumerate(pixels):
+            assert same_bytes(batch[i], lh.px_to_bev(p))  # a (2,) point
+            assert same_bytes(batch[i : i + 1], lh.px_to_bev(pixels[i : i + 1]))
+        assert np.isnan(batch).any() and np.isfinite(batch).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_per_row_frames_equal_per_frame_calls(self, kind, seed):
+        lh = random_camera(kind, seed)
+        pixels, rng = self.mixed_pixels(lh, seed)
+        ego = EgomotionTrack(np.vstack([[0.0, 0.0], rng.normal(0.0, 3.0, (5, 2))]))
+        scene = SceneModel(lh, fps=10.0, ego=ego)
+        frames = rng.integers(0, len(ego), len(pixels))
+        got = scene.px_to_world(pixels, frames)
+        for f in range(len(ego)):
+            rows = frames == f
+            assert rows.any()
+            assert same_bytes(got[rows], scene.px_to_world(pixels[rows], f))
+        with pytest.raises(ValueError, match="frame 6 outside egomotion track of length 6"):
+            scene.px_to_world(pixels[:3], [0, 6, -1])
+        with pytest.raises(ValueError, match="frame -1 outside egomotion track of length 6"):
+            scene.px_to_world(pixels[:2], [-1, 2])
+
+    def test_the_batches_reach_every_piece(self):
+        # finite rows on the exact and the linear piece and in borrowed columns
+        seen = set()
+        for kind in KINDS:
+            for seed in range(3):
+                lh = random_camera(kind, seed)
+                pixels = self.mixed_pixels(lh, seed)[0]
+                with np.errstate(all="ignore"):
+                    cache = reference_columns(lh)
+                    reference_px_to_bev(lh, cache, pixels[np.isfinite(pixels).all(axis=1)], seen)
+        assert {"exact", "linear", "fallback"} <= seen

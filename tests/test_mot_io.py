@@ -592,3 +592,69 @@ class TestWritersMatchReference:
         h = Homography(np.eye(3) + np.array(self.values(rng, 9)).reshape(3, 3) * 1e-3)
         spacing, size = self.value(rng, POSITIVE), self.frame_id(rng)
         self.assert_same(tmp_path, save_homography, ref_save_homography, h, spacing, size)
+
+
+def per_row_write(path, fmt, frame, ids, *columns) -> None:
+    """Every row formatted in full, in (frame, id) order: what folding a constant
+    column into the row template must reproduce."""
+    with open(path, "w") as f:
+        for i in np.lexsort((ids, frame)):
+            f.write(fmt % tuple(c[i].item() for c in (frame, ids, *columns)) + "\n")
+
+
+DET_ROW = "%d,%d," + ",".join(["%.17g"] * 8)
+GT_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,1,1,%.17g"
+NAN = float("nan")
+
+
+class TestConstantColumnsFormattedOnce:
+    """A column whose rows all hold the same bits is formatted once; the bytes are
+    those of formatting every row, also where 0.0 and -0.0 or NaN and a number meet."""
+
+    @staticmethod
+    def column(rng, n, kind):
+        if kind == "random":
+            return rng.normal(0.0, 1e3, n)
+        if kind == "signed_zeros":  # equal under ==, but not the same text
+            return rng.choice([0.0, -0.0], n)
+        if kind == "nan_and_numbers":
+            return rng.choice([NAN, 1.0, -1.0], n)
+        return np.full(n, kind)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (1.0, -1.0, -1.0, -1.0),  # tracker outputs: every column after the box
+            ("random", -1.0, "random", "random"),  # one constant
+            (0.0, -0.0, NAN, 5e-324),  # several, of values whose text is easy to get wrong
+            ("signed_zeros", "signed_zeros", -0.0, "random"),
+            ("nan_and_numbers", NAN, "signed_zeros", 1e308),
+            ("random", "random", "random", "random"),  # none
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 37])
+    def test_detections(self, tmp_path, kinds, n):
+        rng = np.random.default_rng(n)
+        frame, ids = rng.integers(0, 5, n), rng.integers(-1, 9, n)
+        box = rng.normal(0.0, 1e3, (n, 4))
+        box[:, 2] = 3.0  # constant box columns too
+        cols = [self.column(rng, n, k) for k in kinds]
+        world = np.stack(cols[1:], axis=1).reshape(n, 3)
+        write_detections(tmp_path / "new.txt", MotTable(frame, ids, box, cols[0], world))
+        per_row_write(tmp_path / "ref.txt", DET_ROW, frame, ids, *box.T, cols[0], *world.T)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("visibility", [1.0, -0.0, NAN, "signed_zeros", "nan_and_numbers"])
+    def test_gt(self, tmp_path, visibility):
+        rng = np.random.default_rng(5)
+        frame, ids, box = rng.integers(0, 5, 40), rng.integers(0, 9, 40), rng.normal(0, 9, (40, 4))
+        vis = self.column(rng, 40, visibility)
+        write_gt(tmp_path / "new.txt", mot_io.GtTable(frame, ids, box, np.zeros((40, 2)), vis))
+        per_row_write(tmp_path / "ref.txt", GT_ROW, frame, ids, *box.T, vis)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    def test_mixed_columns_are_really_mixed(self):
+        rng = np.random.default_rng(0)
+        zeros, nans = self.column(rng, 37, "signed_zeros"), self.column(rng, 37, "nan_and_numbers")
+        assert (zeros == 0.0).all() and len(set(np.signbit(zeros).tolist())) == 2
+        assert np.isnan(nans).any() and not np.isnan(nans).all()

@@ -77,7 +77,7 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     )
     return Track(
         id=tid,
-        points=[(created, np.array([u, v], float))],
+        feet=[(created, (u, v))],
         last_box=box_at(u, v, w, h),
         last_appearance=app,
         forecast=fc,
@@ -278,15 +278,45 @@ class TestAssign:
         assert assign(s) == [(0, 1)]
 
 
+class TestEgoFrameOutsideTrack:
+    """A step with detections at a frame the camera track lacks raises, also where
+    the step lifts nothing: a continued track or a new one reads no BEV point."""
+
+    @staticmethod
+    def tracker(held: bool):
+        scene = make_scene()
+        tk = Tracker(scene, small_config())
+        if held:
+            tk.step([det_at(-3, 50, 100)], -3)  # before the scene has a camera track
+        scene.ego = EgomotionTrack(np.zeros((4, 2)))
+        return tk
+
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("frame", [4, 9, -1])
+    def test_detections_at_the_frame_raise(self, held, frame):
+        tk = self.tracker(held)
+        with pytest.raises(ValueError, match=f"frame {frame} outside egomotion track of length 4"):
+            tk.step([det_at(frame, 50, 100)], frame)
+
+    def test_a_frame_without_detections_does_not(self):
+        scene = make_scene()
+        scene.ego = EgomotionTrack(np.zeros((4, 2)))
+        tk = Tracker(scene, small_config())
+        for f in range(4):
+            tk.step(walker_dets(f), f)
+        _, events = tk.step([], 9)  # track 1 goes inactive, forecast from frames 0 to 3
+        assert [e["reason"] for e in events] == ["inactive"]
+
+
 class TestDeactivateReadsTheWindowTail:
-    """_deactivate filters only the history from the last observation at or
+    """A deactivation filters only the window, the feet from the last one at or
     before the grid's first point on; that must equal the whole history."""
 
     def check(self, frames, cfg, fps, rng):
         history = [(int(f), rng.uniform(-10.0, 10.0, 2)) for f in frames]
         tk = Tracker(make_scene(fps=fps), cfg)
-        tr = Track(id=1, points=list(history), last_box=box_at(50, 100), last_appearance=None)
-        tk._deactivate(tr, history[-1][0] + 1)
+        tr = Track(id=1, feet=list(history), last_box=box_at(50, 100), last_appearance=None)
+        tk._deactivate(tr, tk._window(tr))  # the identity scene: each foot is its world point
         want = forecast(preprocess(history, cfg, fps), cfg, fps)
         assert np.array_equal(tr.forecast.origin, want.origin)
         assert np.array_equal(tr.forecast.velocities, want.velocities)
@@ -335,9 +365,10 @@ class TestTrackerLifecycle:
         tk = Tracker(make_scene(), small_config())
         tk.step([det_at(0, 50, 100)], 0)
         tk.step([det_at(1, 51, 100)], 1)
-        points = tk.tracks[1].points
-        assert [f for f, _ in points] == [0, 1]
-        assert np.allclose([p for _, p in points], [[50.0, 100.0], [51.0, 100.0]])  # identity map
+        feet = tk.tracks[1].feet
+        assert feet == [(0, [50.0, 100.0]), (1, [51.0, 100.0])]  # the boxes' bottom-centres
+        points = tk.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
+        assert np.allclose(points, [[50.0, 100.0], [51.0, 100.0]])  # identity map
 
     def test_active_continuation_keeps_id(self):
         tk = Tracker(make_scene(), small_config())

@@ -86,8 +86,19 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
 
 
 class ScalarTracker(Tracker):
+    """Lifts every detection as it comes and keeps each track's BEV points,
+    ``points[track id]``, beside the track's pixel feet."""
+
+    def __init__(self, scene, config):
+        super().__init__(scene, config)
+        self.points = {}
+
+    def _keep(self, track, det, point, frame):
+        self._activate(track, det, det.box.bottom_center, frame)
+        self.points.setdefault(track.id, []).append((frame, point))
+
     def _deactivate(self, track, frame):
-        track.forecast = forecast(preprocess(track.points, self.config, self.scene.fps),
+        track.forecast = forecast(preprocess(self.points[track.id], self.config, self.scene.fps),
                                   self.config, self.scene.fps)
         track.source_binding = None
 
@@ -129,7 +140,7 @@ class ScalarTracker(Tracker):
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
-                self._activate(tr, detections[j], bev[j], frame)
+                self._keep(tr, detections[j], bev[j], frame)
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
                 self._deactivate(tr, frame)
@@ -166,17 +177,15 @@ class ScalarTracker(Tracker):
                         reason="reassociated",
                     )
                 )
-                self._activate(tr, detections[j], bev[j], frame)
+                self._keep(tr, detections[j], bev[j], frame)
                 matched_dets.add(j)
         for j, det in enumerate(detections):
             if j in matched_dets:
                 continue
             tid = self.next_id
             self.next_id += 1
-            self.tracks[tid] = Track(
-                id=tid, points=[(frame, bev[j])], last_box=det.box,
-                last_appearance=det.appearance, source_binding=det.source_id,
-            )
+            self.tracks[tid] = Track(id=tid, feet=[], last_box=det.box, last_appearance=None)
+            self._keep(self.tracks[tid], det, bev[j], frame)
             events.append(_event(frame, tid, j, reason="new"))
         outputs = [
             (frame, t.id, t.last_box)
@@ -260,7 +269,7 @@ def run(tracker_cls, sim, cfg, appearance, ingest, ego):
     by_frame = detections(sim, appearance, ingest)
     tracker = tracker_cls(scene, cfg)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
-    return outputs, events, {t.id: t.points for t in tracker.tracks.values()}
+    return outputs, events, tracker
 
 
 # name -> (config, appearance, ingest ids, ego, seeds); the two motion models
@@ -301,11 +310,16 @@ class TestStepMatchesScalarReference:
         got = run(Tracker, sim, cfg, appearance, ingest, ego)
         assert got[0] == want[0]
         assert got[1] == want[1]  # score floats included
-        # and the BEV points kept by every track still held at the end
-        assert got[2].keys() == want[2].keys()
-        for tid, points in want[2].items():
-            assert [f for f, _ in got[2][tid]] == [f for f, _ in points]
-            assert np.array_equal([p for _, p in got[2][tid]], [p for _, p in points])
+        # and every track still held at the end keeps feet that lift to the
+        # reference's BEV points
+        ref, tracker = want[2], got[2]
+        assert tracker.tracks.keys() == ref.tracks.keys()
+        for tid in ref.tracks:
+            feet, points = tracker.tracks[tid].feet, ref.points[tid]
+            assert [(f, tuple(p)) for f, p in feet] == ref.tracks[tid].feet
+            assert [f for f, _ in feet] == [f for f, _ in points]
+            lifted = tracker.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
+            assert np.array_equal(lifted, [p for _, p in points])
         # the scenes exercise what the array code replaced
         reasons = {e["reason"] for e in want[1]}
         assert {"inactive", "reassociated"} <= reasons
@@ -390,3 +404,25 @@ class TestBranchTableLifecycle:
         # Rows leave on re-association, and with short_fan's 2 s patience on removal too.
         assert {"inactive", "reassociated"} <= seen
         assert ("removed_dead" in seen) == (case == "short_fan")
+
+
+class TestTrackOrder:
+    @pytest.mark.parametrize("case", ["short_fan", "short_cv"])
+    def test_ids_ascend_after_every_step(self, crowd_sims, case):
+        # step lists the active tracks and the outputs in self.tracks' order,
+        # which is id order only if no track is ever re-inserted: ids are
+        # issued increasing, and removal and re-association keep the rest in place.
+        cfg, appearance, ingest, ego, seeds = CASES[case]
+        sim = crowd_sims(seeds[0], ego)
+        lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+        tracker = Tracker(build_scene_model(sim.scenario, lh), cfg)
+        by_frame = detections(sim, appearance, ingest)
+        seen = set()
+        for f in range(sim.scenario.n_frames):
+            outputs, events = tracker.step(by_frame.get(f, []), f)
+            seen.update(e["reason"] for e in events)
+            ids = list(tracker.tracks)
+            assert ids == sorted(ids) and [t.id for t in tracker.tracks.values()] == ids
+            assert [tid for _, tid, _ in outputs] == sorted(tid for _, tid, _ in outputs)
+        # short_fan's forecasts end (removed_dead), short_cv's patience runs out
+        assert {"reassociated", "new"} <= seen and seen & {"removed_dead", "removed_expired"}
