@@ -11,13 +11,12 @@ suite aimed at long-gap identity survival close the loop.
 
 from .boxes import PixelBox, covered_fraction, iou, iou_matrix, ltwh
 from .config import DEFAULT_BUCKETS, RunConfig, config_from_dict, read_config, write_config
-from .egomotion import EgomotionTrack, estimate_egomotion
+from .egomotion import EgomotionTrack
 from .errors import (
     BevTrackError,
     DegenerateInput,
     HorizonInsideFootprint,
     InvalidScenario,
-    MissingGroundTruth,
     NonMonotonicFrame,
     NonPositiveBox,
     OutOfDomain,
@@ -30,7 +29,6 @@ from .evaluation import (
     count_lost,
     count_switches,
     evaluate_tracking,
-    fde,
     id_recall,
     match_frames,
     occlusion_components,
@@ -54,7 +52,6 @@ from .simulator import (
     build_scene_model,
     generate,
     read_scenario,
-    sample_ground_correspondences,
     true_homography,
     write_scenario,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "HorizonInsideFootprint",
     "InvalidScenario",
     "LinearizedHomography",
-    "MissingGroundTruth",
     "NonMonotonicFrame",
     "NonPositiveBox",
     "Occluder",
@@ -111,10 +107,8 @@ __all__ = [
     "count_lost",
     "count_switches",
     "covered_fraction",
-    "estimate_egomotion",
     "estimate_homography",
     "evaluate_tracking",
-    "fde",
     "fit_ground_plane",
     "forecast",
     "frame_geometry",
@@ -131,7 +125,6 @@ __all__ = [
     "preprocess",
     "read_config",
     "read_scenario",
-    "sample_ground_correspondences",
     "save_homography",
     "true_homography",
     "write_config",

@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--appearance", help="descriptor sidecar, one row per detection")
     sp.add_argument("--ego", help="cumulative camera offsets, one dx dy row per frame")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
-    sp.add_argument("--k", type=int, help="checked only; fan forecasts one branch per fan angle")
     sp.add_argument("--no-forecast", action="store_true", help="drop occluded tracks")
     sp.add_argument("--ingest", action="store_true", help="respect upstream ids in the file")
     sp.add_argument("--fps", type=_positive, default=20.0, help="frame rate")
@@ -117,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--homography", required=True)
     sp.add_argument("--out", required=True, help="JSONL output path")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
-    sp.add_argument("--k", type=int)
     sp.add_argument("--fps", type=_positive, default=20.0)
     sp.add_argument("--horizon", type=_positive, help="seconds ahead; defaults to tau_max")
 
@@ -127,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
-    sp.add_argument("--k", type=int)
     sp.add_argument("--no-forecast", action="store_true")
     sp.add_argument(
         "--estimate-homography",
@@ -142,8 +139,6 @@ def _config_from_args(args) -> RunConfig:
     over = {}
     if getattr(args, "motion", None):
         over["motion"] = args.motion
-    if getattr(args, "k", None) is not None:
-        over["k"] = args.k
     if getattr(args, "no_forecast", False):
         over["forecast_enabled"] = False
     if getattr(args, "ingest", False):
@@ -236,6 +231,9 @@ def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.MotTable:
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
     lh, dets, appearance, ego = _load_tracker_inputs(args)
+    if cfg.ingest_ids:  # an inactive track's kept upstream id must name one row a frame
+        bound = dets.track_id >= 0
+        _check_identities(args.det, dets.frame[bound], dets.track_id[bound], need_ids=False)
     scene = SceneModel(lh, args.fps, ego)
     by_frame: dict[int, list] = {}
     columns = (dets.frame, dets.track_id, dets.box, dets.confidence)

@@ -36,8 +36,8 @@ class RunConfig:
 
     Gates: tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
     appearance cosine similarity, tau_iou the minimum predicted-box IoU (0
-    disables that gate), tau_max the inactive patience (seconds): an
-    inactive track leaves when it runs out or its forecast ends.
+    disables that gate). tau_max is the forecast horizon (seconds): an
+    inactive track leaves on the frame after its forecast ends.
     """
 
     # motion / forecasting

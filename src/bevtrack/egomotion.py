@@ -1,15 +1,15 @@
 """Camera egomotion as per-frame BEV translations.
 
-The camera is assumed to translate on the ground plane without rotating;
-estimating only a translation between corresponding ground points is robust
-to sparse, noisy correspondences.
+The camera is assumed to translate on the ground plane without rotating, so
+one camera-relative map serves every frame: adding a frame's offset to a
+lifted point makes it world-fixed. Offsets come from a scenario's camera path
+or from an ``--ego`` file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInput
 
 
 class EgomotionTrack:
@@ -46,36 +46,3 @@ class EgomotionTrack:
         if outside.size:
             raise ValueError(f"frame {outside[0]} outside egomotion track of length {len(self)}")
         return self.offsets[f]
-
-
-def estimate_egomotion(prev_pixels, cur_pixels, lh, trim_fraction: float = 0.0) -> np.ndarray:
-    """Estimate the camera translation between two frames from ground correspondences.
-
-    Each ground point appears at prev_pixels[i] in the earlier frame and
-    cur_pixels[i] in the later one. The camera translates without rotating,
-    so one map serves both frames: lifting both gives camera-relative BEV
-    positions whose mean displacement is the negated camera motion.
-
-    Args:
-        prev_pixels, cur_pixels: (N, 2) pixel points, N >= 1, same order.
-        lh: the camera's LinearizedHomography.
-        trim_fraction: optional fraction of the most deviant displacement
-            vectors (by distance from the componentwise median) to drop before
-            averaging, for outlier-laden correspondence sets.
-
-    Returns:
-        (2,) camera translation in BEV meters from the earlier to the later frame.
-    """
-    p0 = np.atleast_2d(np.asarray(prev_pixels, dtype=float))
-    p1 = np.atleast_2d(np.asarray(cur_pixels, dtype=float))
-    if p0.shape != p1.shape or p0.shape[0] < 1 or p0.shape[1] != 2:
-        raise DegenerateInput("need matching, non-empty (N, 2) pixel arrays")
-    if not 0.0 <= trim_fraction < 1.0:
-        raise ValueError("trim_fraction must be in [0, 1)")
-    disp = lh.px_to_bev(p1) - lh.px_to_bev(p0)
-    if trim_fraction > 0.0 and disp.shape[0] > 2:
-        med = np.median(disp, axis=0)
-        dev = np.linalg.norm(disp - med, axis=1)
-        keep = max(1, disp.shape[0] - int(np.ceil(trim_fraction * disp.shape[0])))
-        disp = disp[np.argsort(dev, kind="stable")[:keep]]
-    return -disp.mean(axis=0)

@@ -29,10 +29,6 @@ class InvalidScenario(BevTrackError):
     """Scenario violates a structural invariant (bad fps, empty waypoints, ...)."""
 
 
-class MissingGroundTruth(BevTrackError):
-    """Ground truth lacks entries required by a metric (offending ids in args)."""
-
-
 class HorizonInsideFootprint(UserWarning):
     """Some pixel columns have no usable linearization threshold of their own."""
 

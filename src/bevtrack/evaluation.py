@@ -7,9 +7,7 @@ survival through occlusions rather than frame-level coverage:
 - identity switches and transfers,
 - lost intervals split into short and long gaps,
 - occlusion events extracted from ground-truth visibility, with identity
-  recall bucketed by event duration,
-- final displacement error of forecast branches against ground truth, scored
-  on its own by ``fde``.
+  recall bucketed by event duration.
 
 ``evaluate_tracking`` reads its IoU and visibility thresholds, merge window and
 buckets from a RunConfig; the functions it calls take them as arguments.
@@ -35,7 +33,6 @@ from scipy.optimize import linear_sum_assignment
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
 from .boxes import iou, iou_matrix  # noqa: F401
 from .config import RunConfig
-from .errors import MissingGroundTruth
 # box_records, the hypotheses' converter, is part of this module's interface.
 from .mot_io import GtTable, box_records, write_json  # noqa: F401
 
@@ -259,43 +256,6 @@ def id_recall(events: Sequence, matches: Matches, buckets: Sequence) -> list:
         RecallBucket(lo=lo, hi=hi, total=t, recovered=r)
         for lo, hi, t, r in zip(edges, edges[1:], totals.tolist(), recovered.tolist())
     ]
-
-
-# -- forecast displacement -----------------------------------------------------------
-
-
-def fde(forecasts: dict, gt_positions: dict, horizons: Sequence, fps: float) -> dict:
-    """Final displacement error of forecasts against BEV ground truth.
-
-    ``forecasts`` maps an identity to a Forecast; ``gt_positions`` maps
-    ``(frame, id)`` to a BEV point. For each horizon the error of one identity
-    is the minimum over branches of the distance at the target frame
-    ``created_frame + round(h * fps)``; the result is the mean over
-    identities. Raises MissingGroundTruth when the target frame of an identity
-    has no ground truth, and when a forecast is too short for the horizon.
-    """
-    out = {}
-    for h in horizons:
-        steps = int(round(h * fps))
-        if steps < 1:
-            raise ValueError(f"horizon {h} is below one frame at {fps} fps")
-        errs = []
-        for aid in sorted(forecasts):
-            fc = forecasts[aid]
-            target = fc.created_frame + steps
-            key = (target, aid)
-            if key not in gt_positions:
-                raise MissingGroundTruth(
-                    f"no ground truth for id {aid} at frame {target}"
-                )
-            gt = np.asarray(gt_positions[key], dtype=float)
-            if target > fc.end_frame:
-                raise MissingGroundTruth(
-                    f"forecast for id {aid} is shorter than horizon {h}s"
-                )
-            errs.append(min(float(np.linalg.norm(p - gt)) for p in fc.points(target)))
-        out[float(h)] = float(np.mean(errs)) if errs else float("nan")
-    return out
 
 
 # -- report --------------------------------------------------------------------------

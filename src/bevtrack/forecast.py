@@ -8,7 +8,7 @@ velocity at the last observed frame, is all a forecast reads: the RunConfig's
 motion model turns it into k constant-velocity branches, each an origin plus a
 velocity, valid up to the horizon's end frame. The tracker never re-seeds a
 forecast mid-occlusion; every branch lives until the frame passes the
-forecast's end or the track's patience runs out.
+forecast's end, when its track leaves.
 """
 
 from __future__ import annotations

@@ -407,48 +407,6 @@ def _sample_ground_cloud(scenario: Scenario, rng, n: int, noise: float):
     return np.concatenate(pts), np.concatenate(pixels)
 
 
-def sample_ground_correspondences(
-    scenario: Scenario,
-    frame_a: int,
-    frame_b: int,
-    n: int,
-    seed: int = 0,
-    world_noise: float = 0.0,
-):
-    """Pixel pairs of static ground points seen in two frames of a moving camera.
-
-    world_noise perturbs each lifted point independently per frame (models
-    localization noise of sigma meters in BEV).
-    """
-    cam = scenario.camera
-    ego = scenario.ego_track()
-    ca, cb = ego.offset(frame_a), ego.offset(frame_b)
-    rng = np.random.default_rng(seed)
-    e = scenario.ground_extent
-    out_a, out_b = [], []
-    guard = 0
-    while len(out_a) < n and guard < 500 * n:
-        guard += 1
-        x = rng.uniform(-e / 2.0, e / 2.0)
-        y = rng.uniform(0.5, e)
-        base = np.array([x, y, 0.0])
-        pa = base.copy()
-        pb = base.copy()
-        if world_noise > 0:
-            pa[:2] += rng.normal(0.0, world_noise, size=2)
-            pb[:2] += rng.normal(0.0, world_noise, size=2)
-        ua, _ = project_points(cam, pa[None, :], ca)
-        ub, _ = project_points(cam, pb[None, :], cb)
-        ok_a = 0 <= ua[0, 0] < cam.image_width and 0 <= ua[0, 1] < cam.image_height
-        ok_b = 0 <= ub[0, 0] < cam.image_width and 0 <= ub[0, 1] < cam.image_height
-        if ok_a and ok_b:
-            out_a.append(ua[0])
-            out_b.append(ub[0])
-    if len(out_a) < n:
-        raise InvalidScenario("frames share too little visible ground for correspondences")
-    return np.array(out_a), np.array(out_b)
-
-
 def build_scene_model(scenario: Scenario, lh, *_) -> SceneModel:
     """The scenario's SceneModel: the map lh, its frame rate and its camera_path's ego_track().
 

@@ -2,11 +2,13 @@
 
 The built-in base association (a stand-in for any upstream online tracker) is
 frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
-and are forecast forward in the BEV plane until the forecast ends or the
-patience tau_max runs out. Their branches are the rows of one BranchTable; at
-every frame all rows are evaluated at that frame and offered the unmatched
-detections through a gated geometric+appearance score solved as a
-maximum-score assignment. Track ids are never reissued. A track keeps its
+and are forecast forward in the BEV plane for the horizon tau_max; a track
+leaves on the frame after its forecast ends. Their branches are the rows of
+one BranchTable; at every frame all rows are evaluated at that frame and
+offered the unmatched detections through a gated geometric+appearance score
+solved as a maximum-score assignment. In ingestion mode a track keeps its
+upstream id while inactive, and a detection carrying that id brings it back
+before the gates. Track ids are never reissued. A track keeps its
 detections' pixel feet; a step lifts in one px_to_world call only the points a
 decision reads: the filter windows of the tracks going inactive and, while the
 table has rows, the unmatched detections. Against those, one try_bev_to_px
@@ -61,7 +63,7 @@ class Track:
     last_box: PixelBox
     last_appearance: Optional[np.ndarray]
     forecast: Optional[Forecast] = None  # None while active
-    source_binding: Optional[int] = None  # upstream id in ingestion mode
+    source_binding: Optional[int] = None  # upstream id of the last match, kept while inactive
 
     @property
     def active(self) -> bool:
@@ -286,7 +288,6 @@ class Tracker:
         """Forecast the track from its window's (frame, world point) pairs."""
         state = preprocess(history, self.config, self.scene.fps)
         track.forecast = forecast(state, self.config, self.scene.fps)
-        track.source_binding = None
 
     def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
         """IoU-greedy (or upstream-id) matching, by (-iou, track id, detection index)."""
@@ -316,37 +317,46 @@ class Tracker:
 
     def _advance_inactive(self, detections, det_boxes, feet, free_dets, free_bev, matched_dets,
                           frame, events):
-        """Expire and re-associate the inactive tracks: one pass over the table.
+        """Remove and re-associate the inactive tracks: one pass over the table.
         The free detections, free_dets, have the world points free_bev.
 
-        Only removed tracks are looped over, in id order, so their events
-        interleave. Removed and re-associated tracks leave the table.
+        A track whose forecast has ended leaves (removed_dead); removals are
+        logged in id order. In ingestion mode a free detection carrying an
+        inactive track's upstream id re-associates it before the gates.
+        Removed and re-associated tracks leave the table.
         """
         cfg = self.config
         table = self.branches
         owner = table.owner
-        ids = set(owner.tolist())
-        dead = set(owner[table.end < frame].tolist())
-        expired = set(owner[frame - table.created > cfg.tau_max * self.scene.fps].tolist())
-        gone = dead | expired  # and, below, the re-associated: their rows leave
+        gone = set(owner[table.end < frame].tolist())  # and, below, the re-associated
         for tid in sorted(gone):
-            reason = "dead" if tid in dead else "expired"
             del self.tracks[tid]
-            events.append(_event(frame, tid, reason="removed_" + reason))
-        survivors = [self.tracks[tid] for tid in sorted(ids - gone)]
+            events.append(_event(frame, tid, reason="removed_dead"))
+        survivors = [self.tracks[tid] for tid in sorted(set(owner.tolist()) - gone)]
+
+        def reassociate(tr, j, score=None, branch=None):
+            events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
+            self._activate(tr, detections[j], feet[j], frame)
+            matched_dets.add(j)
+            gone.add(tr.id)
+
+        if cfg.ingest_ids and survivors and free_dets:
+            bound = {t.source_binding: t for t in survivors if t.source_binding is not None}
+            for j in free_dets:
+                tr = bound.get(detections[j].source_id)
+                if tr is not None and not tr.active:
+                    reassociate(tr, j)
+            survivors = [t for t in survivors if not t.active]
+            keep = [i for i, j in enumerate(free_dets) if j not in matched_dets]
+            free_dets, free_bev = [free_dets[i] for i in keep], free_bev[keep]
 
         if survivors and free_dets:
             dets = [detections[j] for j in free_dets]
             free = frame_geometry(table, det_boxes[free_dets], free_bev, self.scene, frame)
             scores, best_branch = build_cost_matrix(survivors, dets, cfg, free)
             for i, jj in assign(scores):
-                tr = survivors[i]
-                j = free_dets[jj]
-                score, branch = float(scores[i, jj]), int(best_branch[i, jj])
-                events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
-                self._activate(tr, detections[j], feet[j], frame)
-                matched_dets.add(j)
-                gone.add(tr.id)
+                reassociate(survivors[i], free_dets[jj], float(scores[i, jj]),
+                            int(best_branch[i, jj]))
         if gone:
             self.branches = table.rows(~np.isin(owner, list(gone)))
 

@@ -270,6 +270,23 @@ class TestTrack:
         assert ids == {1}
 
 
+    def test_ingest_refuses_two_rows_of_one_upstream_id(self, sim_dir, tmp_path, capsys):
+        # An inactive track keeps its upstream id, so an id must name one box a
+        # frame. Rows with id -1 carry no id and may repeat.
+        rows = open(os.path.join(sim_dir, "det.txt")).read().splitlines()  # ids are -1
+        frame, rest = rows[3].split(",-1,", 1)
+        args = ["track", "--homography", os.path.join(sim_dir, "homography.txt"), "--ingest"]
+        cases = [("anonymous", rows[3:4], 0), ("upstream", [f"{frame},5,{rest}"] * 2, 1)]
+        for name, extra, code in cases:
+            det = tmp_path / f"{name}.txt"
+            det.write_text("\n".join(rows + extra) + "\n")
+            capsys.readouterr()
+            assert main(args + ["--det", str(det), "--out", str(tmp_path / name)]) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {det}: frame {frame}: id 5 has two rows in one frame\n"
+        assert not (tmp_path / "upstream").exists()
+
+
 class TestEvaluate:
     def test_report_written(self, sim_dir, track_dir, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -83,8 +83,10 @@ class TestMotionRules:
                     RunConfig(motion=motion, k=k)
 
     def test_single_branch_k_above_1_is_cli_code_1(self, tmp_path, capsys):
+        config = tmp_path / "k3.json"
+        config.write_text('{"k": 3}')
         code = main(
-            ["pipeline", "--scenario", "crossing", "--motion", "kalman_cv", "--k", "3",
+            ["pipeline", "--scenario", "crossing", "--motion", "kalman_cv", "--config", str(config),
              "--out", str(tmp_path / "o")]
         )
         assert code == 1

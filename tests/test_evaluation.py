@@ -8,7 +8,6 @@ import pytest
 
 from bevtrack.boxes import PixelBox, iou
 from bevtrack.config import DEFAULT_BUCKETS, RunConfig
-from bevtrack.errors import MissingGroundTruth
 from bevtrack.evaluation import (
     EvalReport,
     Matches,
@@ -17,12 +16,10 @@ from bevtrack.evaluation import (
     count_lost,
     count_switches,
     evaluate_tracking,
-    fde,
     id_recall,
     match_frames,
     occlusion_components,
 )
-from bevtrack.forecast import Forecast
 from bevtrack.mot_io import GtTable
 from test_evaluation_reference import table_of
 
@@ -277,56 +274,6 @@ class TestIdRecall:
         # strictly increasing required
         with pytest.raises(ValueError):
             id_recall([], matches_of({}), buckets=(0.0, 1.0, 1.0))
-
-
-class TestFde:
-    def make_forecast(self, velocities, origin=(0.0, 0.0), created=100, n=10):
-        """Constant-velocity branches covering frames created+1 .. created+n at 10 fps."""
-        return Forecast(
-            origin=origin,
-            velocities=np.array(velocities, dtype=float),
-            created_frame=created,
-            end_frame=created + n,
-            fps=10.0,
-        )
-
-    def test_single_branch_exact(self):
-        # 10 m/s from x=0: frame 100 + k sits at x=k, so x=10 at frame 110
-        fc = self.make_forecast([(10.0, 0.0)])
-        out = fde({1: fc}, {(110, 1): np.array([7.0, 0.0])}, horizons=(1.0,), fps=10.0)
-        assert out[1.0] == pytest.approx(3.0, abs=1e-12)  # |10 - 7|
-
-    def test_min_over_branches(self):
-        fc = self.make_forecast([(4.0, 0.0), (0.0, 0.0)], origin=(1.0, 0.0))
-        out = fde({1: fc}, {(110, 1): np.array([0.0, 0.0])}, horizons=(1.0,), fps=10.0)
-        assert out[1.0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_mean_over_identities(self):
-        def fc_at(x):
-            return self.make_forecast([(0.0, 0.0)], origin=(x, 0.0))
-
-        gt = {(110, 1): np.zeros(2), (110, 2): np.zeros(2)}
-        out = fde({1: fc_at(2.0), 2: fc_at(4.0)}, gt, horizons=(1.0,), fps=10.0)
-        assert out[1.0] == pytest.approx(3.0, abs=1e-12)
-
-    def test_missing_ground_truth_raises(self):
-        fc = self.make_forecast([(1.0, 0.0)])
-        with pytest.raises(MissingGroundTruth):
-            fde({1: fc}, {}, horizons=(1.0,), fps=10.0)
-
-    def test_short_forecast_raises(self):
-        fc = self.make_forecast([(1.0, 0.0)], n=5)  # 5 frames < 10
-        with pytest.raises(MissingGroundTruth):
-            fde({1: fc}, {(110, 1): np.zeros(2)}, horizons=(1.0,), fps=10.0)
-
-    def test_subframe_horizon_rejected(self):
-        fc = self.make_forecast([(1.0, 0.0)])
-        with pytest.raises(ValueError):
-            fde({1: fc}, {(110, 1): np.zeros(2)}, horizons=(0.01,), fps=10.0)
-
-    def test_no_forecasts_gives_nan(self):
-        out = fde({}, {}, horizons=(1.0,), fps=10.0)
-        assert math.isnan(out[1.0])
 
 
 class TestEvaluateTrackingAndReport:

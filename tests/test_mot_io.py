@@ -472,8 +472,7 @@ def ref_save_homography(path, h, max_spacing, image_size) -> None:
 # float range, integer-valued floats (printed without a point), and values that
 # need all 17 digits.
 SPECIAL = (-0.0, 0.0, 5e-324, -2.5e-320, 1e308, -1e308, 3.0, -7.0, 1e16, 2.0**53 + 2.0, 0.1, 1 / 3)
-REASONS = ("active", "inactive", "terminated", "reassociated", "new", "removed_dead",
-           "removed_expired")
+REASONS = ("active", "inactive", "terminated", "reassociated", "new", "removed_dead")
 POSITIVE = (5e-324, 2.5e-320, 1e308, 3.0, 1e16, 0.1, 1 / 3)
 
 

@@ -415,17 +415,17 @@ class TestTrackerLifecycle:
         _, events = tk.step(walker_dets(2), 2)
         assert events[0]["track_id"] == 2  # ids are never reissued
 
-    def test_expiry_after_patience(self):
-        # patience tau_max * fps = 20 frames; the forecast grid covers 21, so
-        # a 21-frame gap expires the track while its forecast is still alive.
+    def test_track_outlives_patience_to_its_forecast_end(self):
+        # tau_max * fps is 20 frames, but the forecast grid covers 7 steps of 3
+        # frames, 21: the walker is re-associated 21 frames after it was last seen.
         tk = Tracker(make_scene(fps=10.0), small_config())
         for f in range(5):
             tk.step(walker_dets(f), f)
         tk.step([], 5)
+        assert tk.tracks[1].forecast.end_frame == 25
         outputs, events = tk.step(walker_dets(25), 25)
-        reasons = [e["reason"] for e in events]
-        assert "removed_expired" in reasons
-        assert events[-1]["reason"] == "new" and events[-1]["track_id"] == 2
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
+        assert [tid for _, tid, _ in outputs] == [1]
 
     def test_dead_forecast_removal(self):
         # a 22-frame gap outruns the 21-frame forecast: removed as dead
@@ -434,28 +434,29 @@ class TestTrackerLifecycle:
             tk.step(walker_dets(f), f)
         tk.step([], 5)
         _, events = tk.step(walker_dets(26), 26)
-        reasons = [e["reason"] for e in events]
-        assert "removed_dead" in reasons and "removed_expired" not in reasons
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
 
-    def test_removals_interleave_in_id_order(self):
-        # track 1 expires and track 2 is dead in the same frame: one loop in
-        # id order logs track 1 first
+    def test_removals_logged_in_id_order(self):
+        # tracks 3 and 1 end in the same frame; the table holds them out of id
+        # order, and the log lists them in id order
         tk = Tracker(make_scene(fps=10.0), small_config())
-        expired = inactive_track(1, 52, 100, [(0.0, 0.0)])  # 25 frames unseen > 20
-        expired.forecast.end_frame = 50
-        dead = inactive_track(2, 80, 100, [(0.0, 0.0)], created=10)  # forecast ended at 11
-        tk.tracks = {1: expired, 2: dead}
-        tk.branches = table_of([expired, dead])
-        tk.next_id = 3
+        dead3 = inactive_track(3, 52, 100, [(0.0, 0.0)], created=10)  # forecast ended at 11
+        alive = inactive_track(2, 80, 100, [(0.0, 0.0)])
+        alive.forecast.end_frame = 50
+        dead1 = inactive_track(1, 120, 100, [(0.0, 0.0)], created=5)
+        tk.tracks = {1: dead1, 2: alive, 3: dead3}
+        tk.branches = table_of([dead3, alive, dead1])
+        tk.next_id = 4
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [
-            (1, "removed_expired"),
-            (2, "removed_dead"),
+            (1, "removed_dead"),
+            (3, "removed_dead"),
         ]
+        assert list(tk.tracks) == [2] and tk.branches.owner.tolist() == [2]
 
-    def test_removal_reason_precedence(self):
-        # At frame 25 every track is past its 20-frame patience; track 1's
-        # forecast has also ended: dead wins over expired.
+    def test_patience_alone_removes_nothing(self):
+        # At frame 25 every track is 25 frames unseen, past tau_max * fps = 20
+        # frames; only track 1, whose forecast has ended, leaves.
         tk = Tracker(make_scene(fps=10.0), small_config())
         tracks = [inactive_track(tid, 52, 100, [(0.0, 0.0)]) for tid in (1, 2, 3)]
         tracks[1].forecast.end_frame = tracks[2].forecast.end_frame = 50
@@ -463,11 +464,29 @@ class TestTrackerLifecycle:
         tk.branches = table_of(tracks)
         tk.next_id = 4
         _, events = tk.step([], 25)
-        assert [(e["track_id"], e["reason"]) for e in events] == [
-            (1, "removed_dead"),
-            (2, "removed_expired"),
-            (3, "removed_expired"),
-        ]
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead")]
+        assert list(tk.tracks) == [2, 3] and tk.branches.owner.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("fps", [7.5, 10.0, 12.5, 20.0, 24.0, 25.0, 29.97, 30.0])
+    def test_unseen_walker_leaves_once_after_its_forecast_ends(self, fps):
+        # One exit rule at any frame rate: a walker seen for 6 frames and never
+        # again leaves exactly once, as removed_dead, the frame after its
+        # forecast's end, also where the forecast grid overshoots tau_max * fps.
+        rng = np.random.default_rng(int(fps * 100))
+        draws = [(0.4, 6.0)] + [(rng.uniform(0.1, 1.0), rng.uniform(0.2, 4.0)) for _ in range(10)]
+        overshoots = 0
+        for dt, tau_max in draws:
+            cfg = RunConfig(dt=dt, tau_max=tau_max)
+            seen = {f: walker_dets(f) for f in range(6)}
+            history = [(f, np.array(d[0].box.bottom_center)) for f, d in seen.items()]
+            end = forecast(preprocess(history, cfg, fps), cfg, fps).end_frame
+            overshoots += end - 5 > tau_max * fps
+            tk = Tracker(make_scene(fps=fps), cfg)
+            _, events = tk.run(seen, range(end + 10))
+            leave = [(e["frame"], e["reason"]) for e in events if e["reason"].startswith("removed")]
+            assert leave == [(end + 1, "removed_dead")], (dt, tau_max)
+            assert tk.tracks == {} and "terminated" not in {e["reason"] for e in events}
+        assert overshoots > 0  # some grids outrun tau_max * fps: no patience clock may fire first
 
     def test_non_monotonic_frame_rejected(self):
         tk = Tracker(make_scene(), small_config())
@@ -512,6 +531,55 @@ class TestIngestMode:
         assert tk.tracks[1].source_binding == 11
         _, events = tk.step([det_at(10, 60, 100, source=11)], 10)
         assert events[0]["reason"] == "active" and events[0]["track_id"] == 1
+
+
+    @pytest.mark.parametrize("source, want", [(7, 1), (8, 2)])
+    def test_upstream_id_back_after_a_gap_the_gates_reject(self, source, want):
+        # The detection comes back 100 px from the forecast, where the gates
+        # reject it. Under the upstream id the track had, its kept binding
+        # brings the track back before the gates; under another id it founds
+        # a new track.
+        tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
+        for f in range(5):
+            tk.step([det_at(f, 50.0 + f, 100, source=7)], f)
+        tk.step([], 5)
+        assert tk.tracks[1].source_binding == 7
+        outputs, events = tk.step([det_at(9, 159, 100, source=source)], 9)
+        assert [tid for _, tid, _ in outputs] == [want]
+        if want == 1:
+            assert events == [dict(frame=9, track_id=1, detection_index=0, score=None,
+                                   branch_id=None, reason="reassociated")]
+            assert len(tk.branches) == 0 and tk.tracks[1].active
+        else:
+            assert [e["reason"] for e in events] == ["new"] and not tk.tracks[1].active
+
+    def test_bindings_come_before_closer_forecasts(self):
+        # Two inactive tracks come back with their upstream ids swapped in
+        # place: each detection sits on the other track's forecast, and each
+        # track still takes the detection that carries its own id.
+        tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
+        for f in range(5):
+            tk.step([det_at(f, 50.0 + f, 100, source=7), det_at(f, 150.0 + f, 100, source=8)], f)
+        tk.step([], 5)
+        outputs, events = tk.step([det_at(9, 59, 100, source=8), det_at(9, 159, 100, source=7)], 9)
+        assert [(e["track_id"], e["detection_index"], e["score"], e["reason"]) for e in events] == [
+            (2, 0, None, "reassociated"),
+            (1, 1, None, "reassociated"),
+        ]
+        assert [(tid, box.bottom_center[0]) for _, tid, box in outputs] == [(1, 159.0), (2, 59.0)]
+        assert len(tk.branches) == 0 and tk.tracks[1].active and tk.tracks[2].active
+
+    def test_binding_leaves_with_its_track(self):
+        # The upstream id comes back one frame after the forecast has ended:
+        # the track has left (removed_dead) and its id founds a new track.
+        tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
+        for f in range(5):
+            tk.step([det_at(f, 50.0 + f, 100, source=7)], f)
+        tk.step([], 5)
+        assert tk.tracks[1].forecast.end_frame == 25
+        outputs, events = tk.step([det_at(26, 76, 100, source=7)], 26)
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
+        assert [tid for _, tid, _ in outputs] == [2] and tk.tracks[2].source_binding == 7
 
 
 def test_trackers_sharing_one_frame_dict_match_their_solo_runs():

@@ -100,7 +100,6 @@ class ScalarTracker(Tracker):
     def _deactivate(self, track, frame):
         track.forecast = forecast(preprocess(self.points[track.id], self.config, self.scene.fps),
                                   self.config, self.scene.fps)
-        track.source_binding = None
 
     def scalar_base_association(self, active, detections):
         matches = {}
@@ -154,13 +153,20 @@ class ScalarTracker(Tracker):
             if frame > tr.forecast.end_frame:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
-                continue
-            if frame - tr.last_frame > cfg.tau_max * self.scene.fps:
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="removed_expired"))
             else:
                 survivors.append(tr)
         free_dets = [j for j in range(len(detections)) if j not in matched_dets]
+        if cfg.ingest_ids:  # an upstream id an inactive track holds brings it back
+            for j in list(free_dets):
+                source = detections[j].source_id
+                for tr in survivors:
+                    if source is not None and tr.source_binding == source:
+                        events.append(_event(frame, tr.id, j, reason="reassociated"))
+                        self._keep(tr, detections[j], bev[j], frame)
+                        matched_dets.add(j)
+                        free_dets.remove(j)
+                        survivors.remove(tr)
+                        break
         if survivors and free_dets:
             dets, pts = [detections[j] for j in free_dets], [bev[j] for j in free_dets]
             scores, best_branch = scalar_cost_matrix(survivors, dets, pts, cfg, self.scene, frame)
@@ -236,11 +242,12 @@ def crowd(seed, n_walkers=24, n_walls=3, duration=5.0, pan=False):
     )
 
 
-def upstream_ids(sim):
-    """Agent id, plus 1000 for every gap the agent came back from (a forgetful upstream)."""
+def upstream_ids(sim, bridge):
+    """Agent id, plus 1000 for every gap of more than bridge frames the agent came
+    back from: an upstream that keeps ids through gaps of at most bridge frames."""
     out, last, gaps = {}, {}, {}
     for d in sorted(sim.detections, key=lambda d: (d.agent_id, d.frame)):
-        if d.agent_id in last and d.frame > last[d.agent_id] + 1:
+        if d.agent_id in last and d.frame > last[d.agent_id] + 1 + bridge:
             gaps[d.agent_id] = gaps.get(d.agent_id, 0) + 1
         last[d.agent_id] = d.frame
         out[(d.frame, d.agent_id)] = d.agent_id + 1000 * gaps.get(d.agent_id, 0)
@@ -248,7 +255,7 @@ def upstream_ids(sim):
 
 
 def detections(sim, appearance, ingest):
-    ids = upstream_ids(sim) if ingest else {}
+    ids = {} if ingest is None else upstream_ids(sim, ingest)
     by_frame = {}
     for d in sim.detections:
         by_frame.setdefault(d.frame, []).append(
@@ -272,18 +279,22 @@ def run(tracker_cls, sim, cfg, appearance, ingest, ego):
     return outputs, events, tracker
 
 
-# name -> (config, appearance, ingest ids, ego, seeds); the two motion models
-# run on two seeds, the gate and input variations on one.
+# name -> (config, appearance, upstream ids (None, or the gaps in frames they
+# bridge), ego, seeds); the two motion models run on two seeds, the gate and
+# input variations on one.
 CASES = {
-    "kalman_cv": (RunConfig(), True, False, False, (3, 4)),
-    "fan": (RunConfig(motion="fan", k=3), True, False, False, (3, 4)),
-    "fan_no_iou_gate": (RunConfig(motion="fan", k=3, tau_iou=0.0), True, False, False, (3,)),
-    "ingest_ids": (RunConfig(ingest_ids=True), True, True, False, (3,)),
-    "no_appearance": (RunConfig(motion="fan", k=3), False, False, False, (3,)),
-    "ego": (RunConfig(motion="fan", k=3), True, False, True, (3,)),
-    # short patience: forecasts end (removed_dead) or expire inside the scene
-    "short_fan": (RunConfig(motion="fan", k=3, tau_max=2.0), True, False, False, (3,)),
-    "short_cv": (RunConfig(tau_max=2.0, dt=0.3), True, False, False, (3,)),
+    "kalman_cv": (RunConfig(), True, None, False, (3, 4)),
+    "fan": (RunConfig(motion="fan", k=3), True, None, False, (3, 4)),
+    "fan_no_iou_gate": (RunConfig(motion="fan", k=3, tau_iou=0.0), True, None, False, (3,)),
+    "ingest_ids": (RunConfig(ingest_ids=True), True, 0, False, (3,)),
+    # the upstream keeps its ids through gaps of up to 10 frames
+    "ingest_bridged": (RunConfig(ingest_ids=True), True, 10, False, (3, 4)),
+    "no_appearance": (RunConfig(motion="fan", k=3), False, None, False, (3,)),
+    "ego": (RunConfig(motion="fan", k=3), True, None, True, (3,)),
+    # short horizons: forecasts end (removed_dead) inside the scene; short_cv's
+    # 7 steps of 6 frames cover 42 frames, past its 2 s at 20 fps
+    "short_fan": (RunConfig(motion="fan", k=3, tau_max=2.0), True, None, False, (3,)),
+    "short_cv": (RunConfig(tau_max=2.0, dt=0.3), True, None, False, (3,)),
 }
 
 
@@ -323,6 +334,9 @@ class TestStepMatchesScalarReference:
         # the scenes exercise what the array code replaced
         reasons = {e["reason"] for e in want[1]}
         assert {"inactive", "reassociated"} <= reasons
+        # and a bridging upstream brings tracks back by their kept ids
+        by_binding = [e for e in want[1] if e["reason"] == "reassociated" and e["score"] is None]
+        assert bool(by_binding) == bool(ingest)
 
 
 # -- the cost matrix on random instances ---------------------------------------------
@@ -424,5 +438,5 @@ class TestTrackOrder:
             ids = list(tracker.tracks)
             assert ids == sorted(ids) and [t.id for t in tracker.tracks.values()] == ids
             assert [tid for _, tid, _ in outputs] == sorted(tid for _, tid, _ in outputs)
-        # short_fan's forecasts end (removed_dead), short_cv's patience runs out
-        assert {"reassociated", "new"} <= seen and seen & {"removed_dead", "removed_expired"}
+        # short_fan's and short_cv's forecasts end inside the scene (removed_dead)
+        assert {"reassociated", "new", "removed_dead"} <= seen
