@@ -28,7 +28,7 @@ def describe(outputs, events, report, label):
 def main():
     scenario = crossing_scenario()
     sim = generate(scenario)
-    n_det = len(sim.detections)
+    n_det = len(sim.table)
     print(f"simulated {scenario.n_frames} frames, {n_det} detections, "
           f"{len(scenario.agents)} walkers, one wall\n")
 

@@ -58,6 +58,7 @@ from .simulator import (
 from .tracker import (
     BranchTable,
     Detection,
+    DetectionTable,
     SceneModel,
     Track,
     Tracker,
@@ -76,6 +77,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DegenerateInput",
     "Detection",
+    "DetectionTable",
     "EgomotionTrack",
     "EvalReport",
     "Forecast",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a detection table holds one per row
 class PixelBox:
     """left/top corner plus positive width/height, MOT convention (v grows down)."""
 

@@ -33,7 +33,7 @@ from .forecast import preprocess
 from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
 from .linearized import linearize
 from .simulator import generate, read_scenario, write_scenario
-from .tracker import Detection, SceneModel, Tracker
+from .tracker import DetectionTable, SceneModel, Tracker
 
 
 def _checked(kind, accept, expected: str):
@@ -167,9 +167,10 @@ def _simulate(args, cfg: RunConfig):
     sim = generate(sc)
     os.makedirs(args.out, exist_ok=True)
     out = functools.partial(os.path.join, args.out)
-    dets = mot_io.records_from_outputs([(d.frame, -1, d.box) for d in sim.detections])
+    t, n = sim.table, len(sim.table)
+    dets = mot_io.MotTable(t.frame, np.full(n, -1), t.box, np.ones(n), np.full((n, 3), -1.0))
     mot_io.write_detections(out("det.txt"), dets)
-    mot_io.write_appearance(out("appearance.txt"), [d.appearance for d in sim.detections])
+    mot_io.write_appearance(out("appearance.txt"), t.appearance)
     mot_io.write_gt(out("gt.txt"), sim.gt)
     mot_io.write_cloud(out("cloud.txt"), sim.cloud)
     mot_io.write_correspondences(out("correspondences.txt"), sim.cloud_pixels, sim.cloud)
@@ -184,7 +185,7 @@ def _simulate(args, cfg: RunConfig):
 def _cmd_simulate(args) -> int:
     sim = _simulate(args, _config_from_args(args))
     print(f"frames: {sim.scenario.n_frames}")
-    print(f"detections: {len(sim.detections)}")
+    print(f"detections: {len(sim.table)}")
     print(f"ground-truth rows: {len(sim.gt)}")
     print(f"wrote {args.out}")
     return 0
@@ -235,16 +236,14 @@ def _cmd_track(args) -> int:
         bound = dets.track_id >= 0
         _check_identities(args.det, dets.frame[bound], dets.track_id[bound], need_ids=False)
     scene = SceneModel(lh, args.fps, ego)
-    by_frame: dict[int, list] = {}
-    columns = (dets.frame, dets.track_id, dets.box, dets.confidence)
-    for i, (frame, tid, box, conf) in enumerate(zip(*(c.tolist() for c in columns))):
-        det = Detection(
-            frame=frame,
-            box=PixelBox(*box, confidence=conf),
-            appearance=appearance[i] if appearance else None,
-            source_id=tid if cfg.ingest_ids and tid >= 0 else None,
-        )
-        by_frame.setdefault(frame, []).append(det)
+    boxes = map(PixelBox, *dets.box.T.tolist(), dets.confidence.tolist())
+    by_frame = DetectionTable(
+        dets.frame,
+        dets.box,
+        np.array(appearance) if appearance else None,
+        dets.track_id if cfg.ingest_ids else None,
+        pixel_boxes=tuple(boxes),
+    ).by_frame()
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
     if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
         reach = frames[0] if frames[0] < 0 else frames[-1]

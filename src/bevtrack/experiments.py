@@ -233,11 +233,10 @@ def rigid_align_2d(src: np.ndarray, dst: np.ndarray):
 
 
 def sim_detections_by_frame(sim: SimOutput) -> dict:
-    """The simulator's own detections grouped by frame; the tracker only reads them."""
-    out: dict[int, list] = {}
-    for d in sim.detections:
-        out.setdefault(d.frame, []).append(d)
-    return out
+    """{frame: DetectionTable} of the simulator's detection table: read-only slices cut
+    where the frame column changes, each holding its rows' PixelBoxes. The table
+    builds those once, from its box rows, for every slice and for sim.detections."""
+    return sim.table.by_frame()
 
 
 def run_tracker(

@@ -16,7 +16,12 @@ block, one stacked product projects every agent box, one array test keeps for
 each box the covers that stand lower and overlap it, one exact sweep
 (``covered_fractions``) per cover count gives the covered boxes' visibility,
 and one ``rng.normal`` call draws the noise of every detection, in the order
-one detection at a time draws it. The ground truth is one GtTable, a struct
+one detection at a time draws it. The detections are one read-only
+DetectionTable (frame, box, appearance, agent id) in (frame, agent id) order,
+whose rows each block appends as arrays; every descriptor's unit norm is
+checked once, over the whole table. ``SimOutput.detections`` views the table
+as SimDetection objects, built on first read around the table's own PixelBoxes;
+nothing in the library reads it. The ground truth is one GtTable, a struct
 of arrays with a row per agent and frame in (frame, agent id) order; each
 block fills its rows' boxes and visibility, and no object is built per row.
 The ground cloud is rejection-sampled in blocks of draws; with cloud noise,
@@ -41,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 # covered_fraction goes uncalled here; the benchmark tracer wraps it as this module's.
-from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
+from .boxes import covered_fraction, covered_fractions  # noqa: F401
 from .config import VISIBILITY_CUTOFF
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
@@ -54,7 +59,7 @@ from .mot_io import (
     read_json,
     write_json,
 )
-from .tracker import Detection, SceneModel
+from .tracker import Detection, DetectionTable, SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
 
@@ -171,12 +176,20 @@ class SimDetection(Detection):
 @dataclass
 class SimOutput:
     scenario: Scenario
-    detections: list
+    table: DetectionTable  # every detection, in (frame, agent id) order
     gt: GtTable  # every agent at every frame, in (frame, agent id) order
     cloud: np.ndarray  # (N, 3) camera-frame ground points
     cloud_pixels: np.ndarray  # (N, 2) pixels of the same points
     homography: Homography  # exact pixel -> camera-foot BEV
     ego: EgomotionTrack
+
+    @functools.cached_property
+    def detections(self) -> list:
+        """The table's rows as SimDetections, built on first read; each holds the
+        table's PixelBox and a view of its descriptor row."""
+        t = self.table
+        rows = zip(t.frame.tolist(), t.boxes(), t.appearance, t.agent_id.tolist())
+        return [SimDetection(f, box, a, agent_id=i) for f, box, a, i in rows]
 
 
 # -- camera geometry --------------------------------------------------------------
@@ -298,7 +311,9 @@ def generate(scenario: Scenario) -> SimOutput:
     scales = np.array([scenario.detection_noise] * 4 + [scenario.appearance_noise] * dim)
     noisy = scales > 0
 
-    detections: list[SimDetection] = []
+    agent_ids = np.array([a.id for a in agents], dtype=np.int64)
+    # (frames, boxes, descriptors, agent ids) of each block's detections, after an empty block
+    blocks = [(agent_ids[:0], np.zeros((0, 4)), np.zeros((0, dim)), agent_ids[:0])]
     times = np.arange(n_frames) / scenario.fps
     paths = np.array([agent_position(a, times) for a in agents]).reshape(len(agents), n_frames, 2)
     boxes_ltwh = np.empty((n_frames, len(agents), 4))  # filled block by block
@@ -350,24 +365,24 @@ def generate(scenario: Scenario) -> SimOutput:
         boxes = ltwh[fe, ae] + noise[:, :4]
         boxes[:, 2:] = np.maximum(boxes[:, 2:], 1.0)
         app = base_appearance[ae] + noise[:, 4:]
-        app /= np.sqrt([v.dot(v) for v in app])[:, None]  # each row's own dot, as linalg.norm
-        for k, (f, i) in enumerate(zip(fe.tolist(), ae.tolist())):
-            box = PixelBox(*boxes[k])
-            detections.append(SimDetection(f0 + f, box, app[k], agent_id=agents[i].id))
+        # stacked (1, D) @ (D, 1) products round like each row's own dot, as linalg.norm
+        app /= np.sqrt(app[:, None, :] @ app[:, :, None])[:, 0]
+        blocks.append((f0 + fe, boxes, app, agent_ids[ae]))
 
     cloud_cam, cloud_px = _sample_ground_cloud(
         scenario, rng, scenario.cloud_points, scenario.cloud_noise
     )
     gt = GtTable(
         frame=np.repeat(np.arange(n_frames), len(agents)),
-        agent_id=np.tile(np.array([a.id for a in agents], dtype=np.int64), n_frames),
+        agent_id=np.tile(agent_ids, n_frames),
         box=boxes_ltwh.reshape(-1, 4),
         bev=paths.transpose(1, 0, 2).reshape(-1, 2),
         visibility=visibilities.ravel(),
     )
+    frame, box, appearance, agent = (np.concatenate(c) for c in zip(*blocks))
     return SimOutput(
         scenario=scenario,
-        detections=detections,
+        table=DetectionTable(frame, box, appearance, agent_id=agent),
         gt=gt,
         cloud=cloud_cam,
         cloud_pixels=cloud_px,

@@ -15,14 +15,18 @@ table has rows, the unmatched detections. Against those, one try_bev_to_px
 call maps every branch and one iou_matrix call gives the overlaps
 (FrameGeometry). Tracks and forecasts are world-fixed, the map camera-relative:
 SceneModel.px_to_world and world_to_px apply the camera offset, and nothing
-else does. Detections are read-only, so trackers may share them.
+else does. A step reads one frame's detections as a DetectionTable, columns
+that nothing writes to, so trackers may share them: boxes, descriptors and
+source ids come from the columns, and each row's PixelBox, which a track keeps
+and the step outputs, is built once per table. A list of Detection objects is
+made into one table at the entry.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,7 +42,8 @@ from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F40
 @dataclass(frozen=True)
 class Detection:
     """A read-only single-frame observation: box, unit appearance descriptor and,
-    in ingestion mode, the upstream track id. The tracker never writes to one."""
+    in ingestion mode, the upstream track id (non-negative). The tracker reads a
+    list of them as one DetectionTable (``DetectionTable.of``)."""
 
     frame: int
     box: PixelBox
@@ -52,6 +57,125 @@ class Detection:
             v = a.ravel("K")  # then np.linalg.norm's operations, without its call overhead
             if not abs(math.sqrt(v.dot(v)) - 1.0) <= 1e-6:  # NaN fails too
                 raise ValueError("appearance descriptor must be unit length")
+        if self.source_id is not None and self.source_id < 0:
+            raise ValueError(f"source id must be non-negative, got {self.source_id}")
+
+
+def _read_only(column, dtype):
+    """A read-only view of the column as an array of dtype; the column itself stays writable."""
+    view = np.asarray(column, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(eq=False)
+class DetectionTable:
+    """Detections as read-only columns, one row per detection, in row order.
+
+    A row's descriptor may be NaN throughout: that detection has none, and
+    skips the appearance gate. A source id below 0 is no upstream id. The
+    check, on by default, makes each column a read-only view, raises
+    ValueError naming the first row with a non-positive box size or a
+    descriptor whose norm is not 1 within 1e-6, and fills ``foot`` with
+    ``bottom_centers(box)``; ``check=False`` is for parts of a checked table,
+    which share its read-only columns.
+    """
+
+    frame: np.ndarray  # (N,) int
+    box: np.ndarray  # (N, 4) left, top, width, height
+    appearance: Optional[np.ndarray] = None  # (N, D) unit rows; None: no descriptors
+    source_id: Optional[np.ndarray] = None  # (N,) int upstream ids; None: no ids
+    agent_id: Optional[np.ndarray] = None  # (N,) int simulated agent; None outside the simulator
+    foot: Optional[np.ndarray] = None  # (N, 2) the boxes' bottom centres, set by the check
+    pixel_boxes: Optional[tuple] = None  # each row's PixelBox; None until boxes() builds them
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool):
+        if not check:
+            return
+        for name, dtype in (("frame", np.int64), ("box", float), ("appearance", float),
+                            ("source_id", np.int64), ("agent_id", np.int64)):
+            if getattr(self, name) is not None:
+                setattr(self, name, _read_only(getattr(self, name), dtype))
+        n, a = len(self.frame), self.appearance
+        sized = (self.source_id, self.agent_id, self.pixel_boxes)
+        if (self.frame.ndim != 1 or self.box.shape != (n, 4)
+                or any(c is not None and len(c) != n for c in sized)
+                or (a is not None and (a.ndim != 2 or len(a) != n or a.shape[1] < 1))):
+            raise ValueError(f"need {n} rows in every column, (N, 4) boxes and (N, D >= 1) "
+                             "descriptors")
+        bad = np.flatnonzero(~(self.box[:, 2:] > 0).all(axis=1))  # NaN fails too
+        if len(bad):
+            raise ValueError(f"row {bad[0]}: box width and height must be positive")
+        self.foot = _read_only(bottom_centers(self.box), float)
+        if a is not None:
+            # stacked (1, D) @ (D, 1) products round like each row's own dot, as linalg.norm
+            unit = np.abs(np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0, 0] - 1.0) <= 1e-6
+            bad = np.flatnonzero(~(unit | np.isnan(a).all(axis=1)))
+            if len(bad):
+                raise ValueError(f"row {bad[0]}: appearance descriptor must be unit length")
+
+    @classmethod
+    def of(cls, detections) -> DetectionTable:
+        """detections itself if it is a table, else the table of a sequence of
+        Detections, whose rows hold their boxes; no Detections give one shared
+        empty table."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        dets = list(detections)
+        if not dets:
+            return _NO_DETECTIONS
+        descriptors = [d.appearance for d in dets]
+        appearance = None
+        if any(a is not None for a in descriptors):
+            blank = np.full(np.shape(next(a for a in descriptors if a is not None)), np.nan)
+            appearance = np.array([blank if a is None else a for a in descriptors])
+        sources = [-1 if d.source_id is None else d.source_id for d in dets]
+        return cls(
+            frame=[d.frame for d in dets],
+            box=ltwh([d.box for d in dets]),
+            appearance=appearance,
+            source_id=sources if any(s >= 0 for s in sources) else None,
+            pixel_boxes=tuple(d.box for d in dets),
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def rows(self, index) -> DetectionTable:
+        """The rows ``index`` selects (a slice or a sequence of row numbers), read-only."""
+        columns = (self.frame, self.box, self.appearance, self.source_id, self.agent_id, self.foot)
+        boxes = self.boxes()
+        if isinstance(index, slice):  # views of read-only columns, read-only too
+            parts = [None if c is None else c[index] for c in columns]
+            return DetectionTable(*parts, boxes[index], check=False)
+        index = np.asarray(index, dtype=np.intp)
+        parts = [None if c is None else _read_only(c[index], c.dtype) for c in columns]
+        return DetectionTable(*parts, tuple(map(boxes.__getitem__, index.tolist())), check=False)
+
+    def boxes(self) -> tuple:
+        """Each row's PixelBox: pixel_boxes, built from the box column on first read."""
+        if self.pixel_boxes is None:
+            self.pixel_boxes = tuple(PixelBox(*b) for b in self.box.tolist())
+        return self.pixel_boxes
+
+    def by_frame(self) -> dict:
+        """{frame: the frame's rows}, in row order; each part holds its rows' boxes()."""
+        table = self
+        if (np.diff(self.frame) < 0).any():
+            table = self.rows(np.argsort(self.frame, kind="stable"))
+        cuts = [0, *(np.flatnonzero(np.diff(table.frame)) + 1).tolist(), len(table)]
+        frames = table.frame[cuts[:-1]].tolist() if len(table) else []
+        return {f: table.rows(slice(lo, hi)) for f, lo, hi in zip(frames, cuts, cuts[1:])}
+
+    def sources(self) -> list:
+        """Each row's upstream id, or None."""
+        if self.source_id is None:
+            return [None] * len(self)
+        return [s if s >= 0 else None for s in self.source_id.tolist()]
+
+
+_NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), pixel_boxes=())
 
 
 @dataclass
@@ -61,7 +185,7 @@ class Track:
     id: int
     feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame
     last_box: PixelBox
-    last_appearance: Optional[np.ndarray]
+    last_appearance: Optional[np.ndarray]  # NaN throughout when the detection had none
     forecast: Optional[Forecast] = None  # None while active
     source_binding: Optional[int] = None  # upstream id of the last match, kept while inactive
 
@@ -181,7 +305,7 @@ def frame_geometry(
 
 
 def build_cost_matrix(
-    tracks: list[Track], detections: list[Detection], config: RunConfig, geometry: FrameGeometry
+    tracks: list[Track], detections, config: RunConfig, geometry: FrameGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
@@ -189,14 +313,16 @@ def build_cost_matrix(
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its branches, the first branch on a
-    tie. Zero means "forbidden". ``geometry``, whose table holds these
-    tracks' rows and whose overlap columns are these detections, supplies
-    the branch points, the overlaps and the detections' BEV points.
+    tie. Zero means "forbidden". ``detections`` is a DetectionTable or a
+    list of Detections; ``geometry``, whose table holds these tracks' rows
+    and whose overlap columns are these detections, supplies the branch
+    points, the overlaps and the detections' BEV points.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
         attaining each entry (-1 where the score is 0).
     """
+    detections = DetectionTable.of(detections)
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
@@ -217,12 +343,12 @@ def build_cost_matrix(
     ok = best > 0.0
 
     ti = [i for i, tr in enumerate(tracks) if tr.last_appearance is not None]
-    dj = [j for j, d in enumerate(detections) if d.appearance is not None]
-    if ti and dj:
+    if ti and detections.appearance is not None:
         a = np.array([tracks[i].last_appearance for i in ti])[:, None, None, :]
-        b = np.array([detections[j].appearance for j in dj])[None, :, :, None]
-        # One stacked product per pair, rounding like the 1-D tr @ det product.
-        ok[np.ix_(ti, dj)] &= (a @ b)[..., 0, 0] >= config.tau_app
+        b = detections.appearance[None, :, :, None]
+        # One stacked product per pair, rounding like the 1-D tr @ det product. A row
+        # of NaN, no descriptor, on either side gives NaN, which the gate lets pass.
+        ok[ti] &= ~((a @ b)[..., 0, 0] < config.tau_app)
 
     scores[ok] = best[ok]
     best_branch[ok] = per_branch.argmax(axis=1)[ok]
@@ -270,12 +396,11 @@ class Tracker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _activate(self, track: Track, det: Detection, foot, frame: int):
+    def _activate(self, track: Track, row: tuple, frame: int):
+        """Give the track a detection's (foot, PixelBox, descriptor, source id)."""
+        foot, track.last_box, track.last_appearance, track.source_binding = row
         track.feet.append((frame, foot))
-        track.last_box = det.box
-        track.last_appearance = det.appearance
         track.forecast = None
-        track.source_binding = det.source_id
 
     def _window(self, track: Track) -> list:
         # The filter's grid starts at `first`; interpolating it reads no foot
@@ -289,19 +414,19 @@ class Tracker:
         state = preprocess(history, self.config, self.scene.fps)
         track.forecast = forecast(state, self.config, self.scene.fps)
 
-    def _base_association(self, active: list[Track], detections: list[Detection], det_boxes):
+    def _base_association(self, active: list[Track], dets: DetectionTable, sources: list):
         """IoU-greedy (or upstream-id) matching, by (-iou, track id, detection index)."""
         matches = {}
         if self.config.ingest_ids:
             by_source = {t.source_binding: t for t in active if t.source_binding is not None}
-            for j, det in enumerate(detections):
-                tr = by_source.get(det.source_id)
+            for j, source in enumerate(sources):
+                tr = by_source.get(source)
                 if tr is not None and tr.id not in matches:
                     matches[tr.id] = j
             return matches
-        if not active or not detections:
+        if not active or not sources:
             return matches
-        ov = iou_matrix(ltwh([t.last_box for t in active]), det_boxes)
+        ov = iou_matrix(ltwh([t.last_box for t in active]), dets.box)
         ti, dj = np.nonzero(ov >= self.config.base_iou)
         # active is in id order, so its index orders pairs like the track id.
         order = np.lexsort((dj, ti, -ov[ti, dj])).tolist()
@@ -315,8 +440,8 @@ class Tracker:
             used_dets.add(j)
         return matches
 
-    def _advance_inactive(self, detections, det_boxes, feet, free_dets, free_bev, matched_dets,
-                          frame, events):
+    def _advance_inactive(self, dets, det_rows, sources, free_dets, free_bev, matched_dets, frame,
+                          events):
         """Remove and re-associate the inactive tracks: one pass over the table.
         The free detections, free_dets, have the world points free_bev.
 
@@ -336,14 +461,14 @@ class Tracker:
 
         def reassociate(tr, j, score=None, branch=None):
             events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
-            self._activate(tr, detections[j], feet[j], frame)
+            self._activate(tr, det_rows[j], frame)
             matched_dets.add(j)
             gone.add(tr.id)
 
         if cfg.ingest_ids and survivors and free_dets:
             bound = {t.source_binding: t for t in survivors if t.source_binding is not None}
             for j in free_dets:
-                tr = bound.get(detections[j].source_id)
+                tr = bound.get(sources[j])
                 if tr is not None and not tr.active:
                     reassociate(tr, j)
             survivors = [t for t in survivors if not t.active]
@@ -351,9 +476,8 @@ class Tracker:
             free_dets, free_bev = [free_dets[i] for i in keep], free_bev[keep]
 
         if survivors and free_dets:
-            dets = [detections[j] for j in free_dets]
-            free = frame_geometry(table, det_boxes[free_dets], free_bev, self.scene, frame)
-            scores, best_branch = build_cost_matrix(survivors, dets, cfg, free)
+            free = frame_geometry(table, dets.box[free_dets], free_bev, self.scene, frame)
+            scores, best_branch = build_cost_matrix(survivors, dets.rows(free_dets), cfg, free)
             for i, jj in assign(scores):
                 reassociate(survivors[i], free_dets[jj], float(scores[i, jj]),
                             int(best_branch[i, jj]))
@@ -383,8 +507,12 @@ class Tracker:
             i += 1
         return outputs, events
 
-    def step(self, detections: list[Detection], frame: int):
-        """Process one frame of detections.
+    def step(self, detections, frame: int):
+        """Process one frame of detections: a DetectionTable of the frame's rows, or a
+        list of Detections, read as one (``DetectionTable.of``).
+
+        In ingestion mode two detections with one source id are a ValueError,
+        raised before the tracker changes.
 
         Returns:
             (outputs, events): outputs is [(frame, track_id, PixelBox)] for the
@@ -396,23 +524,32 @@ class Tracker:
             raise NonMonotonicFrame(
                 f"frame {frame} not after last processed frame {self.last_step_frame}"
             )
+        cfg = self.config
+        dets = DetectionTable.of(detections)
+        if cfg.ingest_ids and dets.source_id is not None:
+            ids = np.sort(dets.source_id[dets.source_id >= 0])
+            twice = ids[1:][ids[1:] == ids[:-1]]
+            if len(twice):
+                raise ValueError(f"frame {frame}: source id {twice[0]} on two detections")
         self.last_step_frame = frame
         events = []
-        cfg = self.config
-        if detections and self.scene.ego is not None:
+        n = len(dets)
+        if n and self.scene.ego is not None:
             self.scene.ego.offset(frame)  # a frame the camera track lacks is an error here
-        det_boxes = ltwh([d.box for d in detections])
-        feet = bottom_centers(det_boxes).tolist()
+        feet = dets.foot.tolist()
+        sources = dets.sources()
+        descriptors = [None] * n if dets.appearance is None else list(dets.appearance)
+        det_rows = list(zip(feet, dets.boxes(), descriptors, sources))  # what a track keeps
 
         # Base association keeps visible tracks alive; self.tracks holds ids ascending.
         active = [t for t in self.tracks.values() if t.active]
-        matches = self._base_association(active, detections, det_boxes)
+        matches = self._base_association(active, dets, sources)
         matched_dets = set(matches.values())
         deactivated = []
         for tr in active:
             if tr.id in matches:
                 j = matches[tr.id]
-                self._activate(tr, detections[j], feet[j], frame)
+                self._activate(tr, det_rows[j], frame)
                 events.append(_event(frame, tr.id, j, reason="active"))
             elif cfg.forecast_enabled:
                 deactivated.append(tr)
@@ -424,7 +561,7 @@ class Tracker:
         # The step's one lift: windows of the tracks going inactive, then the table's detections.
         windows = [self._window(tr) for tr in deactivated]
         rows = [row for window in windows for row in window]
-        free_dets = [j for j in range(len(detections)) if j not in matched_dets]
+        free_dets = [j for j in range(n) if j not in matched_dets]
         if deactivated or len(self.branches):
             rows += [(frame, feet[j]) for j in free_dets]
         world = self.scene.px_to_world([p for _, p in rows], [f for f, _ in rows]) if rows else []
@@ -435,17 +572,17 @@ class Tracker:
         if deactivated:
             self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
         if len(self.branches):
-            self._advance_inactive(detections, det_boxes, feet, free_dets, world[lo:], matched_dets,
+            self._advance_inactive(dets, det_rows, sources, free_dets, world[lo:], matched_dets,
                                    frame, events)
 
         # Anything still unmatched founds a new track.
-        for j, det in enumerate(detections):
+        for j in range(n):
             if j in matched_dets:
                 continue
             tid = self.next_id
             self.next_id += 1
-            self.tracks[tid] = Track(tid, [], det.box, det.appearance)
-            self._activate(self.tracks[tid], det, feet[j], frame)
+            self.tracks[tid] = Track(tid, [], None, None)
+            self._activate(self.tracks[tid], det_rows[j], frame)
             events.append(_event(frame, tid, j, reason="new"))
 
         live = (t for t in self.tracks.values() if t.active and t.last_frame == frame)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bevtrack.boxes import covered_fraction
+from bevtrack.boxes import covered_fraction, ltwh
 from bevtrack.errors import InvalidScenario, ParseError
 from bevtrack.experiments import crossing_scenario, pixel_baseline_scene
 from bevtrack.linearized import linearize
@@ -125,6 +125,21 @@ class TestGenerateGeometry:
             assert da.box == db.box
             assert np.array_equal(da.appearance, db.appearance)
         assert np.array_equal(a.cloud, b.cloud)
+
+    def test_detections_view_is_the_table_row_by_row(self):
+        scn = make_scenario([WALKER], detection_noise=0.4, appearance_noise=0.05)
+        sim = generate(scn)
+        t = sim.table
+        assert len(sim.detections) == len(t) > 0 and sim.detections is sim.detections
+
+        def bits(v):
+            return np.asarray(v, dtype=float).view(np.uint64).tolist()
+
+        for k, d in enumerate(sim.detections):
+            assert (d.frame, d.agent_id, d.source_id) == (t.frame[k], t.agent_id[k], None)
+            assert d.box is t.boxes()[k]
+            assert bits(ltwh([d.box])[0]) == bits(t.box[k])
+            assert bits(d.appearance) == bits(t.appearance[k])
 
     def test_bottom_center_lifts_back_to_ground_position(self):
         # The box bottom edge sits exactly on the agent's ground row, so the

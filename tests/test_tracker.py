@@ -11,6 +11,7 @@ from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonMonotonicFrame
 from bevtrack.experiments import (
     crossing_scenario,
+    default_camera,
     pixel_baseline_config,
     pixel_baseline_scene,
     sim_detections_by_frame,
@@ -18,10 +19,11 @@ from bevtrack.experiments import (
 from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
-from bevtrack.simulator import build_scene_model, generate
+from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
 from bevtrack.tracker import (
     BranchTable,
     Detection,
+    DetectionTable,
     SceneModel,
     Track,
     Tracker,
@@ -54,7 +56,7 @@ def table_of(tracks):
 def cost_matrix(tracks, detections, points, config, scene, frame):
     """build_cost_matrix on the frame's geometry for these tracks and for
     detections whose bottom-centres lift to the given BEV points."""
-    boxes = ltwh([d.box for d in detections])
+    boxes = DetectionTable.of(detections).box
     pts = np.array(points, dtype=float).reshape(-1, 2)
     g = frame_geometry(table_of(tracks), boxes, pts, scene, frame)
     return build_cost_matrix(tracks, detections, config, g)
@@ -129,6 +131,67 @@ class TestDetectionValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(d, name, None)
         assert not hasattr(d, "bev")
+
+
+class TestDetectionTable:
+    def table(self, appearance=None, box=None, **kw):
+        box = box if box is not None else [ltwh([box_at(50.0 + 30 * j, 100)])[0] for j in range(3)]
+        return DetectionTable(frame=[0, 0, 1], box=box, appearance=appearance, **kw)
+
+    def test_non_unit_descriptor_names_its_row(self):
+        app = [unit(1, 0), unit(0, 1), [1.0, 1.0]]
+        with pytest.raises(ValueError, match=r"^row 2: appearance descriptor must be unit length$"):
+            self.table(app)
+
+    @pytest.mark.parametrize("row", [[1.0, np.nan], [np.inf, 0.0]])
+    def test_partly_non_finite_descriptor_rejected(self, row):
+        with pytest.raises(ValueError, match=r"^row 1: appearance descriptor"):
+            self.table([unit(1, 0), row, unit(0, 1)])
+
+    def test_row_of_nan_skips_the_appearance_gate(self):
+        # The track's descriptor disagrees with row 0's; row 1 has none.
+        tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(0, 1))
+        box = ltwh([box_at(52, 100)] * 2)
+        dets = DetectionTable([1, 1], box, [unit(1, 0), [np.nan, np.nan]])
+        scores, _ = cost_matrix([tr], dets, [(52.0, 100.0)] * 2, RunConfig(), make_scene(), 1)
+        assert scores[0, 0] == 0.0 and scores[0, 1] == pytest.approx(3.5, abs=1e-12)
+        # so does a track whose last detection had none
+        tr.last_appearance = dets.appearance[1]
+        scores, _ = cost_matrix([tr], dets, [(52.0, 100.0)] * 2, RunConfig(), make_scene(), 1)
+        assert scores[0].tolist() == pytest.approx([3.5, 3.5], abs=1e-12)
+
+    def test_non_positive_box_names_its_row(self):
+        box = [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, np.nan, 1.0]]
+        with pytest.raises(ValueError, match=r"^row 1: box width and height must be positive$"):
+            self.table(box=box)
+
+    def test_columns_of_other_lengths_rejected(self):
+        with pytest.raises(ValueError, match="need 3 rows in every column"):
+            self.table(source_id=[1, 2])
+        with pytest.raises(ValueError, match="need 3 rows in every column"):
+            self.table(box=np.ones((3, 5)))
+
+    def test_checked_columns_are_read_only_views(self):
+        box = np.array([ltwh([box_at(50.0 + 30 * j, 100)])[0] for j in range(3)])
+        t = self.table(box=box, source_id=[4, -1, 5])
+        with pytest.raises(ValueError, match="read-only"):
+            t.box[0, 0] = 1.0
+        box[0, 0] = 7.0  # the caller's array stays writable
+        assert t.sources() == [4, None, 5]
+
+    def test_of_a_table_is_the_table_and_of_detections_shares_their_boxes(self):
+        t = self.table()
+        assert DetectionTable.of(t) is t
+        dets = [det_at(3, 50, 100, source=2), det_at(3, 80, 100, app=unit(0, 1))]
+        u = DetectionTable.of(dets)
+        assert u.frame.tolist() == [3, 3] and u.sources() == [2, None]
+        assert all(a is d.box for a, d in zip(u.boxes(), dets))
+        assert np.isnan(u.appearance[0]).all() and u.appearance[1].tolist() == [0.0, 1.0]
+        assert len(DetectionTable.of([])) == 0
+
+    def test_negative_source_id_rejected(self):
+        with pytest.raises(ValueError, match="source id must be non-negative"):
+            det_at(0, 50, 100, source=-1)
 
 
 class TestSceneModel:
@@ -569,6 +632,25 @@ class TestIngestMode:
         assert [(tid, box.bottom_center[0]) for _, tid, box in outputs] == [(1, 159.0), (2, 59.0)]
         assert len(tk.branches) == 0 and tk.tracks[1].active and tk.tracks[2].active
 
+    @pytest.mark.parametrize("as_table", [False, True])
+    def test_two_detections_with_one_source_id_refused(self, as_table):
+        # Two tracks would share one binding, and base association would keep
+        # the last: the frame is refused and the tracker left as it was.
+        tk = Tracker(make_scene(), small_config(ingest_ids=True))
+        frame0 = [det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7)]
+        frame0 = DetectionTable.of(frame0) if as_table else frame0
+        with pytest.raises(ValueError, match=r"^frame 0: source id 7 on two detections$"):
+            tk.step(frame0, 0)
+        assert tk.tracks == {} and tk.last_step_frame is None
+        outputs, events = tk.step([det_at(1, 51, 100, source=7)], 1)
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "new")]
+        assert tk.tracks[1].source_binding == 7
+
+    def test_one_source_id_refused_only_in_ingest_mode(self):
+        tk = Tracker(make_scene(), small_config())
+        _, events = tk.step([det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7)], 0)
+        assert [e["reason"] for e in events] == ["new", "new"]
+
     def test_binding_leaves_with_its_track(self):
         # The upstream id comes back one frame after the forecast has ended:
         # the track has left (removed_dead) and its id founds a new track.
@@ -584,7 +666,8 @@ class TestIngestMode:
 
 def test_trackers_sharing_one_frame_dict_match_their_solo_runs():
     # A BEV tracker and a pixel-space tracker stepped in turn on the same
-    # detection objects: neither may see what the other made of them.
+    # read-only slices: neither may see what the other made of them, and
+    # every output box is its detection's own PixelBox.
     sim = generate(crossing_scenario())
     cam = sim.scenario.camera
     lh = linearize(sim.homography, (cam.image_width, cam.image_height), RunConfig().max_spacing)
@@ -598,6 +681,7 @@ def test_trackers_sharing_one_frame_dict_match_their_solo_runs():
 
     alone = [tk.run(sim_detections_by_frame(sim), frames) for tk in trackers()]
     shared, paired = sim_detections_by_frame(sim), trackers()
+    before = {f: [c.copy() for c in (t.frame, t.box, t.appearance)] for f, t in shared.items()}
     together = [([], []) for _ in paired]
     for f in frames:
         for tk, (outputs, events) in zip(paired, together):
@@ -607,3 +691,58 @@ def test_trackers_sharing_one_frame_dict_match_their_solo_runs():
     assert [e["reason"] for e in alone[0][1]].count("reassociated") == 2
     assert together[0] == alone[0]
     assert together[1] == alone[1]
+    for f, t in shared.items():
+        assert all(np.array_equal(a, b) for a, b in zip(before[f], (t.frame, t.box, t.appearance)))
+    for outputs, _ in together:
+        assert all(any(box is b for b in shared[f].boxes()) for f, _, box in outputs)
+
+
+def test_slices_are_read_only():
+    sim = generate(crossing_scenario())
+    t = sim_detections_by_frame(sim)[5]
+    for column in (t.frame, t.box, t.appearance, t.agent_id, t.rows([1, 0]).box):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    rows = np.flatnonzero(sim.table.frame == 5).tolist()
+    assert t.frame.tolist() == [5] * len(rows)
+    assert all(a is b for a, b in zip(t.boxes(), (sim.table.boxes()[j] for j in rows)))
+
+
+def random_scenario(rng):
+    """A few walkers on random legs, one wall; 3 s at 10 fps."""
+    agents = []
+    for a in range(int(rng.integers(3, 7))):
+        legs = tuple(map(tuple, rng.uniform([-5.0, 7.0], [5.0, 16.0], size=(3, 2)).tolist()))
+        speed = float(rng.uniform(0.8, 1.6))
+        agents.append(AgentSpec(a + 1, legs, speed, appearance_seed=int(rng.integers(2**31))))
+    x = float(rng.uniform(-2.0, 2.0))
+    wall = Occluder(x - 1.5, x + 1.5, 10.0, 10.3, 3.3)
+    return Scenario(default_camera(), 40.0, tuple(agents), (wall,), fps=10.0, duration=3.0,
+                    detection_noise=0.5, appearance_noise=0.05, seed=int(rng.integers(2**31)),
+                    cloud_points=50)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ingest", [False, True])
+def test_table_and_detection_lists_give_the_same_run(seed, ingest):
+    # The same detections as per-frame slices of one table and as lists of
+    # Detection objects: some frames dropped, some rows without a descriptor
+    # or an upstream id.
+    rng = np.random.default_rng(seed)
+    sim = generate(random_scenario(rng))
+    t = sim.table
+    n_frames = sim.scenario.n_frames
+    keep = ~np.isin(t.frame, rng.choice(n_frames, size=n_frames // 4, replace=False))
+    appearance = np.where(rng.random((len(t), 1)) < 0.2, np.nan, t.appearance)
+    source = np.where(rng.random(len(t)) < 0.2, -1, t.agent_id)
+    table = DetectionTable(t.frame[keep], t.box[keep], appearance[keep], source[keep])
+    lists = {}
+    for f, box, a, s in zip(table.frame.tolist(), table.boxes(), table.appearance,
+                            table.sources()):
+        lists.setdefault(f, []).append(Detection(f, box, None if np.isnan(a[0]) else a, s))
+    cfg = RunConfig(ingest_ids=ingest)
+    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+    runs = [Tracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+            for by_frame in (table.by_frame(), lists)]
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) > 0 and set(range(n_frames)) - set(lists)

@@ -94,7 +94,9 @@ class ScalarTracker(Tracker):
         self.points = {}
 
     def _keep(self, track, det, point, frame):
-        self._activate(track, det, det.box.bottom_center, frame)
+        track.feet.append((frame, det.box.bottom_center))
+        track.last_box, track.last_appearance = det.box, det.appearance
+        track.forecast, track.source_binding = None, det.source_id
         self.points.setdefault(track.id, []).append((frame, point))
 
     def _deactivate(self, track, frame):
