@@ -10,13 +10,13 @@ import numpy as np
 
 from bevtrack.boxes import PixelBox
 from bevtrack.evaluation import (
-    box_records,
     count_lost,
     count_switches,
     id_recall,
     match_frames,
     occlusion_components,
 )
+from bevtrack.mot_io import box_records
 
 FPS = 20.0
 

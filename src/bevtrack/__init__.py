@@ -57,7 +57,6 @@ from .simulator import (
 )
 from .tracker import (
     BranchTable,
-    Detection,
     DetectionTable,
     SceneModel,
     Track,
@@ -76,7 +75,6 @@ __all__ = [
     "CameraSpec",
     "DEFAULT_BUCKETS",
     "DegenerateInput",
-    "Detection",
     "DetectionTable",
     "EgomotionTrack",
     "EvalReport",

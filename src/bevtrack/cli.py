@@ -236,14 +236,11 @@ def _cmd_track(args) -> int:
         bound = dets.track_id >= 0
         _check_identities(args.det, dets.frame[bound], dets.track_id[bound], need_ids=False)
     scene = SceneModel(lh, args.fps, ego)
-    boxes = map(PixelBox, *dets.box.T.tolist(), dets.confidence.tolist())
-    by_frame = DetectionTable(
-        dets.frame,
-        dets.box,
-        np.array(appearance) if appearance else None,
-        dets.track_id if cfg.ingest_ids else None,
-        pixel_boxes=tuple(boxes),
-    ).by_frame()
+    boxes = tuple(map(PixelBox, *dets.box.T.tolist(), dets.confidence.tolist()))
+    appearance = np.array(appearance) if appearance else None
+    sources = dets.track_id if cfg.ingest_ids else None
+    table = DetectionTable(dets.frame, dets.box, appearance, sources, pixel_boxes=boxes)
+    by_frame = table.by_frame()
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
     if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
         reach = frames[0] if frames[0] < 0 else frames[-1]

@@ -15,10 +15,10 @@ buckets from a RunConfig; the functions it calls take them as arguments.
 Record conventions: boxes are ``(frame, id, (N, 4) ltwh box)`` arrays and
 visibility is ``(frame, id, fraction)`` arrays; ``evaluate_tracking`` takes
 the ground truth's from one GtTable and the hypotheses as such arrays
-(``box_records`` of tracker outputs, or a MotTable's columns). Matches are
-three sorted arrays (``Matches``). ``match_frames`` scores consecutive frames
-in blocks of at most MATCH_BLOCK IoU cells, one ``iou_matrix`` call a block,
-and solves each frame's assignment on its own.
+(``mot_io.box_records`` of tracker outputs, or a MotTable's columns).
+Matches are three sorted arrays (``Matches``). ``match_frames`` scores
+consecutive frames in blocks of at most MATCH_BLOCK IoU cells, one
+``iou_matrix`` call a block, and solves each frame's assignment on its own.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from scipy.optimize import linear_sum_assignment
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
 from .boxes import iou, iou_matrix  # noqa: F401
 from .config import RunConfig
-# box_records, the hypotheses' converter, is part of this module's interface.
-from .mot_io import GtTable, box_records, write_json  # noqa: F401
+from .mot_io import GtTable, write_json
 
 _BIG = 1e6
 MATCH_BLOCK = 16384  # IoU cells scored together; bounds the padded per-block arrays
@@ -300,7 +299,7 @@ class EvalReport:
 def evaluate_tracking(gt: GtTable, hyp: tuple, fps: float, config: RunConfig) -> EvalReport:
     """Full metric pass: matching, identity errors, bucketed event recall.
 
-    hyp is (frame, id, (N, 4) box) arrays (``box_records`` of the tracker's
+    hyp is (frame, id, (N, 4) box) arrays (``mot_io.box_records`` of the tracker's
     outputs); the ground truth's own visibility gives the occlusion events.
     Reads iou_threshold, vis_threshold, window and buckets from config.
     """

@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .evaluation import EvalReport, RecallBucket, box_records, evaluate_tracking
+from .evaluation import EvalReport, RecallBucket, evaluate_tracking
 from .homography import Homography, HomographyFit, estimate_homography
 from .linearized import LinearizedHomography, linearize
+from .mot_io import box_records
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
 from .simulator import (
     AgentSpec,
@@ -234,8 +235,7 @@ def rigid_align_2d(src: np.ndarray, dst: np.ndarray):
 
 def sim_detections_by_frame(sim: SimOutput) -> dict:
     """{frame: DetectionTable} of the simulator's detection table: read-only slices cut
-    where the frame column changes, each holding its rows' PixelBoxes. The table
-    builds those once, from its box rows, for every slice and for sim.detections."""
+    where the frame column changes, sharing the table's PixelBoxes (``by_frame``)."""
     return sim.table.by_frame()
 
 

@@ -20,8 +20,8 @@ one detection at a time draws it. The detections are one read-only
 DetectionTable (frame, box, appearance, agent id) in (frame, agent id) order,
 whose rows each block appends as arrays; every descriptor's unit norm is
 checked once, over the whole table. ``SimOutput.detections`` views the table
-as SimDetection objects, built on first read around the table's own PixelBoxes;
-nothing in the library reads it. The ground truth is one GtTable, a struct
+as SimDetection records, built on first read around the table's own PixelBoxes;
+nothing in the library reads them. The ground truth is one GtTable, a struct
 of arrays with a row per agent and frame in (frame, agent id) order; each
 block fills its rows' boxes and visibility, and no object is built per row.
 The ground cloud is rejection-sampled in blocks of draws; with cloud noise,
@@ -39,14 +39,14 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 # covered_fraction goes uncalled here; the benchmark tracer wraps it as this module's.
-from .boxes import covered_fraction, covered_fractions  # noqa: F401
+from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
 from .config import VISIBILITY_CUTOFF
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
@@ -59,7 +59,7 @@ from .mot_io import (
     read_json,
     write_json,
 )
-from .tracker import Detection, DetectionTable, SceneModel
+from .tracker import DetectionTable, SceneModel
 
 FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
 
@@ -169,8 +169,13 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class SimDetection(Detection):
-    agent_id: int = field(kw_only=True)  # the agent shown; hidden in the MOT export
+class SimDetection:
+    """One row of a SimOutput's table; the table has checked it."""
+
+    frame: int
+    box: PixelBox
+    appearance: np.ndarray  # unit descriptor
+    agent_id: int  # the agent shown; hidden in the MOT export
 
 
 @dataclass
@@ -189,7 +194,7 @@ class SimOutput:
         table's PixelBox and a view of its descriptor row."""
         t = self.table
         rows = zip(t.frame.tolist(), t.boxes(), t.appearance, t.agent_id.tolist())
-        return [SimDetection(f, box, a, agent_id=i) for f, box, a, i in rows]
+        return [SimDetection(*row) for row in rows]
 
 
 # -- camera geometry --------------------------------------------------------------
@@ -332,12 +337,13 @@ def generate(scenario: Scenario) -> SimOutput:
             px, _ = project_points(cam, corners, ego.offsets[frames, None, None])
             lo, hi = px.min(axis=-2), px.max(axis=-2)
             ltwh = np.concatenate([lo, hi - lo], axis=-1)  # (frames, agents, 4)
-        sized = (ltwh[..., 2:] > 0).all(axis=-1)
+            rects = np.concatenate([lo, lo + ltwh[..., 2:]], axis=-1)
+        sized = (ltwh[..., 2:] > 0).all(axis=-1) & np.isfinite(rects).all(axis=-1)
         if not sized.all():
             f, i = np.argwhere(~sized)[0]
             name = f"scenario.agents[{scenario.agents.index(agents[i])}]"
-            raise InvalidScenario(f"{name} has no image box (zero or NaN size) at frame {f0 + f}")
-        rects = np.concatenate([lo, lo + ltwh[..., 2:]], axis=-1)
+            raise InvalidScenario(f"{name} has no image box (zero, NaN or infinite size) at frame "
+                                  f"{f0 + f}")
         # Covers of box i: occluders and agents lower in the image (cb > bb) whose
         # clip against the box has positive area; no other cover changes the sweep.
         # The clip test min(r) > max(l), in u and in v, is spelled out pairwise to

@@ -8,24 +8,22 @@ one BranchTable; at every frame all rows are evaluated at that frame and
 offered the unmatched detections through a gated geometric+appearance score
 solved as a maximum-score assignment. In ingestion mode a track keeps its
 upstream id while inactive, and a detection carrying that id brings it back
-before the gates. Track ids are never reissued. A track keeps its
-detections' pixel feet; a step lifts in one px_to_world call only the points a
-decision reads: the filter windows of the tracks going inactive and, while the
+before the gates. Track ids are never reissued. A track keeps only its filter
+window's pixel feet; a step lifts in one px_to_world call only the points a
+decision reads: the windows of the tracks going inactive and, while the
 table has rows, the unmatched detections. Against those, one try_bev_to_px
 call maps every branch and one iou_matrix call gives the overlaps
 (FrameGeometry). Tracks and forecasts are world-fixed, the map camera-relative:
 SceneModel.px_to_world and world_to_px apply the camera offset, and nothing
-else does. A step reads one frame's detections as a DetectionTable, columns
-that nothing writes to, so trackers may share them: boxes, descriptors and
-source ids come from the columns, and each row's PixelBox, which a track keeps
-and the step outputs, is built once per table. A list of Detection objects is
-made into one table at the entry.
+else does. A step reads one frame's detections as a DetectionTable, its only
+input (an empty list stands for none): read-only columns that trackers may
+share, and each row's PixelBox, built once per table, which a track keeps
+and the step outputs.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import InitVar, dataclass, fields
 from typing import Optional
 
@@ -39,33 +37,17 @@ from .errors import NonMonotonicFrame
 from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A read-only single-frame observation: box, unit appearance descriptor and,
-    in ingestion mode, the upstream track id (non-negative). The tracker reads a
-    list of them as one DetectionTable (``DetectionTable.of``)."""
-
-    frame: int
-    box: PixelBox
-    appearance: Optional[np.ndarray] = None  # None disables the appearance gate
-    source_id: Optional[int] = None
-
-    def __post_init__(self):
-        if self.appearance is not None:
-            a = np.asarray(self.appearance, dtype=float)
-            object.__setattr__(self, "appearance", a)
-            v = a.ravel("K")  # then np.linalg.norm's operations, without its call overhead
-            if not abs(math.sqrt(v.dot(v)) - 1.0) <= 1e-6:  # NaN fails too
-                raise ValueError("appearance descriptor must be unit length")
-        if self.source_id is not None and self.source_id < 0:
-            raise ValueError(f"source id must be non-negative, got {self.source_id}")
-
-
 def _read_only(column, dtype):
     """A read-only view of the column as an array of dtype; the column itself stays writable."""
     view = np.asarray(column, dtype=dtype).view()
     view.flags.writeable = False
     return view
+
+
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """ValueError naming the first row where bad holds."""
+    if bad.any():
+        raise ValueError(f"row {np.argmax(bad)}: {message}")
 
 
 @dataclass(eq=False)
@@ -75,10 +57,11 @@ class DetectionTable:
     A row's descriptor may be NaN throughout: that detection has none, and
     skips the appearance gate. A source id below 0 is no upstream id. The
     check, on by default, makes each column a read-only view, raises
-    ValueError naming the first row with a non-positive box size or a
-    descriptor whose norm is not 1 within 1e-6, and fills ``foot`` with
-    ``bottom_centers(box)``; ``check=False`` is for parts of a checked table,
-    which share its read-only columns.
+    ValueError naming the first row whose frame or id is not an integer,
+    whose box has a non-positive size or a non-finite value or edge (left +
+    width, top + height), or whose descriptor's norm is not 1 within 1e-6,
+    and fills ``foot`` with ``bottom_centers(box)``; ``check=False`` is for
+    parts of a checked table, which share its read-only columns.
     """
 
     frame: np.ndarray  # (N,) int
@@ -95,8 +78,13 @@ class DetectionTable:
             return
         for name, dtype in (("frame", np.int64), ("box", float), ("appearance", float),
                             ("source_id", np.int64), ("agent_id", np.int64)):
-            if getattr(self, name) is not None:
-                setattr(self, name, _read_only(getattr(self, name), dtype))
+            column = getattr(self, name)
+            if column is None:
+                continue
+            if dtype is np.int64:
+                v = np.asarray(column, dtype=float)
+                _refuse(~(np.isfinite(v) & (v == np.floor(v))), f"{name} must be an integer")
+            setattr(self, name, _read_only(column, dtype))
         n, a = len(self.frame), self.appearance
         sized = (self.source_id, self.agent_id, self.pixel_boxes)
         if (self.frame.ndim != 1 or self.box.shape != (n, 4)
@@ -104,40 +92,15 @@ class DetectionTable:
                 or (a is not None and (a.ndim != 2 or len(a) != n or a.shape[1] < 1))):
             raise ValueError(f"need {n} rows in every column, (N, 4) boxes and (N, D >= 1) "
                              "descriptors")
-        bad = np.flatnonzero(~(self.box[:, 2:] > 0).all(axis=1))  # NaN fails too
-        if len(bad):
-            raise ValueError(f"row {bad[0]}: box width and height must be positive")
+        _refuse(~(self.box[:, 2:] > 0).all(axis=1), "box width and height must be positive")
+        with np.errstate(over="ignore"):
+            edges = np.concatenate([self.box, self.box[:, :2] + self.box[:, 2:]], axis=1)
+        _refuse(~np.isfinite(edges).all(axis=1), "box values and edges must be finite")
         self.foot = _read_only(bottom_centers(self.box), float)
         if a is not None:
             # stacked (1, D) @ (D, 1) products round like each row's own dot, as linalg.norm
             unit = np.abs(np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0, 0] - 1.0) <= 1e-6
-            bad = np.flatnonzero(~(unit | np.isnan(a).all(axis=1)))
-            if len(bad):
-                raise ValueError(f"row {bad[0]}: appearance descriptor must be unit length")
-
-    @classmethod
-    def of(cls, detections) -> DetectionTable:
-        """detections itself if it is a table, else the table of a sequence of
-        Detections, whose rows hold their boxes; no Detections give one shared
-        empty table."""
-        if isinstance(detections, DetectionTable):
-            return detections
-        dets = list(detections)
-        if not dets:
-            return _NO_DETECTIONS
-        descriptors = [d.appearance for d in dets]
-        appearance = None
-        if any(a is not None for a in descriptors):
-            blank = np.full(np.shape(next(a for a in descriptors if a is not None)), np.nan)
-            appearance = np.array([blank if a is None else a for a in descriptors])
-        sources = [-1 if d.source_id is None else d.source_id for d in dets]
-        return cls(
-            frame=[d.frame for d in dets],
-            box=ltwh([d.box for d in dets]),
-            appearance=appearance,
-            source_id=sources if any(s >= 0 for s in sources) else None,
-            pixel_boxes=tuple(d.box for d in dets),
-        )
+            _refuse(~(unit | np.isnan(a).all(axis=1)), "appearance descriptor must be unit length")
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -180,10 +143,10 @@ _NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), p
 
 @dataclass
 class Track:
-    """A track's own state: its detections' pixel feet, last box and last descriptor."""
+    """A track's own state: its filter window's pixel feet, last box and last descriptor."""
 
     id: int
-    feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame
+    feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame of the window
     last_box: PixelBox
     last_appearance: Optional[np.ndarray]  # NaN throughout when the detection had none
     forecast: Optional[Forecast] = None  # None while active
@@ -313,16 +276,15 @@ def build_cost_matrix(
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its branches, the first branch on a
-    tie. Zero means "forbidden". ``detections`` is a DetectionTable or a
-    list of Detections; ``geometry``, whose table holds these tracks' rows
-    and whose overlap columns are these detections, supplies the branch
-    points, the overlaps and the detections' BEV points.
+    tie. Zero means "forbidden". ``geometry``, whose table holds these
+    tracks' rows and whose overlap columns are the DetectionTable
+    ``detections``, supplies the branch points, the overlaps and the
+    detections' BEV points.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
         attaining each entry (-1 where the score is 0).
     """
-    detections = DetectionTable.of(detections)
     n, m = len(tracks), len(detections)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
@@ -393,21 +355,19 @@ class Tracker:
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
         self.branches = BranchTable.of([], scene.fps)  # the inactive tracks' branches
+        self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # in frames
 
     # -- helpers -------------------------------------------------------------
 
     def _activate(self, track: Track, row: tuple, frame: int):
-        """Give the track a detection's (foot, PixelBox, descriptor, source id)."""
+        """Give the track a detection's (foot, PixelBox, descriptor, source id). It keeps
+        its filter window: the grid starts window_span frames back, and interpolating it
+        reads no foot before the last one at or before that frame."""
         foot, track.last_box, track.last_appearance, track.source_binding = row
         track.feet.append((frame, foot))
+        while len(track.feet) > 1 and track.feet[1][0] <= frame - self.window_span:
+            del track.feet[0]
         track.forecast = None
-
-    def _window(self, track: Track) -> list:
-        # The filter's grid starts at `first`; interpolating it reads no foot
-        # before the last one at or before that frame.
-        cfg = self.config
-        first = track.last_frame - cfg.dt * self.scene.fps * (cfg.obs_len - 1)
-        return track.feet[max(bisect.bisect_right(track.feet, first, key=lambda p: p[0]) - 1, 0) :]
 
     def _deactivate(self, track: Track, history):
         """Forecast the track from its window's (frame, world point) pairs."""
@@ -508,8 +468,8 @@ class Tracker:
         return outputs, events
 
     def step(self, detections, frame: int):
-        """Process one frame of detections: a DetectionTable of the frame's rows, or a
-        list of Detections, read as one (``DetectionTable.of``).
+        """Process one frame of detections: a DetectionTable of the frame's rows, or an
+        empty list (or tuple) for none; anything else is a TypeError.
 
         In ingestion mode two detections with one source id are a ValueError,
         raised before the tracker changes.
@@ -520,12 +480,15 @@ class Tracker:
             log records (dicts with frame/track_id/detection_index/score/
             branch_id/reason).
         """
+        empty = isinstance(detections, (list, tuple)) and not detections
+        dets = _NO_DETECTIONS if empty else detections
+        if not isinstance(dets, DetectionTable):
+            raise TypeError(f"need a DetectionTable or an empty list, not {type(dets).__name__}")
         if self.last_step_frame is not None and frame <= self.last_step_frame:
             raise NonMonotonicFrame(
                 f"frame {frame} not after last processed frame {self.last_step_frame}"
             )
         cfg = self.config
-        dets = DetectionTable.of(detections)
         if cfg.ingest_ids and dets.source_id is not None:
             ids = np.sort(dets.source_id[dets.source_id >= 0])
             twice = ids[1:][ids[1:] == ids[:-1]]
@@ -559,16 +522,15 @@ class Tracker:
                 events.append(_event(frame, tr.id, reason="terminated"))
 
         # The step's one lift: windows of the tracks going inactive, then the table's detections.
-        windows = [self._window(tr) for tr in deactivated]
-        rows = [row for window in windows for row in window]
+        rows = [row for tr in deactivated for row in tr.feet]
         free_dets = [j for j in range(n) if j not in matched_dets]
         if deactivated or len(self.branches):
             rows += [(frame, feet[j]) for j in free_dets]
         world = self.scene.px_to_world([p for _, p in rows], [f for f, _ in rows]) if rows else []
         lo = 0
-        for tr, window in zip(deactivated, windows):
-            self._deactivate(tr, list(zip((f for f, _ in window), world[lo : lo + len(window)])))
-            lo += len(window)
+        for tr in deactivated:
+            self._deactivate(tr, list(zip((f for f, _ in tr.feet), world[lo : lo + len(tr.feet)])))
+            lo += len(tr.feet)
         if deactivated:
             self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
         if len(self.branches):

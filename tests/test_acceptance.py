@@ -17,7 +17,6 @@ import pytest
 from bevtrack.boxes import PixelBox, iou
 from bevtrack.config import DEFAULT_BUCKETS, RunConfig
 from bevtrack.evaluation import (
-    box_records,
     count_lost,
     count_switches,
     id_recall,
@@ -41,6 +40,7 @@ from bevtrack.experiments import (
 from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
+from bevtrack.mot_io import box_records
 from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
     generate,
@@ -48,14 +48,13 @@ from bevtrack.simulator import (
     true_homography,
 )
 from bevtrack.tracker import (
-    Detection,
     SceneModel,
     assign,
 )
 
 from test_evaluation import vis_arrays
 from test_evaluation_reference import frames_of
-from test_tracker import cost_matrix, inactive_track, make_scene
+from test_tracker import cost_matrix, inactive_track, make_scene, table
 
 
 def criterion(name: str, ok: bool, detail: str) -> None:
@@ -593,8 +592,8 @@ def test_association_score_formula():
         a2 = np.array([math.cos(ang + phi), math.sin(ang + phi)])
 
         tr = inactive_track(1, 200, 200, [bp], app=a1, w=tw, h=thh)
-        det = Detection(frame=1, box=PixelBox(u - dw / 2.0, v - dhh, dw, dhh), appearance=a2)
-        scores, _ = cost_matrix([tr], [det], [(u, v)], cfg, scene, frame=1)
+        det = table((1, PixelBox(u - dw / 2.0, v - dhh, dw, dhh), a2, None))
+        scores, _ = cost_matrix([tr], det, [(u, v)], cfg, scene, frame=1)
 
         overlap = rect_iou((bp[0] - tw / 2.0, bp[1] - thh, tw, thh), (u - dw / 2.0, v - dhh, dw, dhh))
         l2 = math.hypot(bp[0] - u, bp[1] - v)

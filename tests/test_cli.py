@@ -9,7 +9,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox
 from bevtrack.cli import main
 from bevtrack.config import RunConfig
 from bevtrack.forecast import forecast, preprocess
@@ -17,7 +16,7 @@ from bevtrack.homography import load_homography
 from bevtrack.linearized import linearize
 from bevtrack.mot_io import read_detections, records_from_outputs, write_detections, write_events
 from bevtrack.simulator import AgentSpec, CameraSpec, Occluder, Scenario, write_scenario
-from bevtrack.tracker import Detection, SceneModel, Tracker
+from bevtrack.tracker import DetectionTable, SceneModel, Tracker
 
 
 def small_scenario():
@@ -227,11 +226,8 @@ class TestTrack:
         cfg = RunConfig()
         h, max_spacing, image_size = load_homography(homography)
         tracker = Tracker(SceneModel(linearize(h, image_size, max_spacing), 20.0), cfg)
-        by_frame = {}
         dets = read_detections(det)
-        for frame, box in zip(dets.frame.tolist(), dets.box.tolist()):
-            frame = 20000 if frame == far else frame
-            by_frame.setdefault(frame, []).append(Detection(frame=frame, box=PixelBox(*box)))
+        by_frame = DetectionTable(np.where(dets.frame == far, 20000, dets.frame), dets.box).by_frame()
         outputs, events = [], []
         for f in range(20001):
             o, e = tracker.step(by_frame.get(f, []), f)
@@ -604,6 +600,8 @@ class TestInputErrors:
             (lambda d: d.update(ground_extent=0.25), "scenario.ground_extent must be at least"),
             (lambda d: d["agents"][1]["waypoints"][0].__setitem__(1, 1e308),
              "scenario.agents[1] has no image box"),
+            # a head so high that the box's height overflows to inf
+            (lambda d: d["agents"][0].update(height=1e308), "scenario.agents[0] has no image box"),
         ],
     )
     def test_bad_scenario_field_is_code_1(self, tmp_path, capsys, edit, message):
@@ -638,7 +636,8 @@ class TestInputErrors:
         )
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
-            f"error: scenario.agents[{agent}] has no image box (zero or NaN size) at frame 0"
+            f"error: scenario.agents[{agent}] has no image box (zero, NaN or infinite size) at "
+            "frame 0"
         ]
 
     def test_camera_seeing_too_little_ground_is_code_1(self, tmp_path, capsys):

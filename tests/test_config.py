@@ -20,7 +20,7 @@ from bevtrack.errors import ParseError
 from bevtrack.forecast import forecast
 from bevtrack.tracker import Tracker
 
-from test_tracker import cost_matrix, det_at, inactive_track, make_scene, walker_dets
+from test_tracker import cost_matrix, det_at, inactive_track, make_scene, table, walker_dets
 
 
 class TestDefaults:
@@ -44,10 +44,10 @@ class TestDefaults:
         th = RunConfig()
         assert th.tau_l2 == 2.5 and th.tau_iou == 0.2 and th.tau_app == 0.8
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
-        det = det_at(1, 52, 100)
+        det = table(det_at(1, 52, 100))
         for tau_l2 in (2.5, 4.0):
             cfg = RunConfig(tau_l2=tau_l2)
-            scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], cfg, make_scene(), 1)
+            scores, _ = cost_matrix([tr], det, [(52.0, 100.0)], cfg, make_scene(), 1)
             # identical boxes: IoU 1 plus the full distance bonus tau_l2
             assert scores[0, 0] == pytest.approx(1.0 + tau_l2, abs=1e-12)
 

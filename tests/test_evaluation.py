@@ -12,7 +12,6 @@ from bevtrack.evaluation import (
     EvalReport,
     Matches,
     OcclusionEvent,
-    box_records,
     count_lost,
     count_switches,
     evaluate_tracking,
@@ -20,7 +19,7 @@ from bevtrack.evaluation import (
     match_frames,
     occlusion_components,
 )
-from bevtrack.mot_io import GtTable
+from bevtrack.mot_io import GtTable, box_records
 from test_evaluation_reference import table_of
 
 

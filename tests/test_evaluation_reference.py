@@ -25,11 +25,10 @@ from bevtrack.evaluation import (
     Matches,
     OcclusionEvent,
     RecallBucket,
-    box_records,
     evaluate_tracking,
     match_frames,
 )
-from bevtrack.mot_io import GtTable
+from bevtrack.mot_io import GtTable, box_records
 
 _BIG = 1e6
 

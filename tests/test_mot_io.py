@@ -9,13 +9,13 @@ from bevtrack.boxes import PixelBox
 from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonPositiveBox, ParseError
-from bevtrack.evaluation import box_records
 from bevtrack.experiments import crossing_scenario, run_tracker, sim_detections_by_frame
 from bevtrack.homography import Homography, save_homography
 from bevtrack.simulator import generate
 from bevtrack.tracker import Tracker
 from bevtrack.mot_io import (
     MotTable,
+    box_records,
     read_appearance,
     read_cloud,
     read_correspondences,

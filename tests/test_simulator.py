@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -136,10 +137,11 @@ class TestGenerateGeometry:
             return np.asarray(v, dtype=float).view(np.uint64).tolist()
 
         for k, d in enumerate(sim.detections):
-            assert (d.frame, d.agent_id, d.source_id) == (t.frame[k], t.agent_id[k], None)
+            assert (d.frame, d.agent_id) == (t.frame[k], t.agent_id[k])
             assert d.box is t.boxes()[k]
             assert bits(ltwh([d.box])[0]) == bits(t.box[k])
             assert bits(d.appearance) == bits(t.appearance[k])
+        assert [f.name for f in dataclasses.fields(d)] == ["frame", "box", "appearance", "agent_id"]
 
     def test_bottom_center_lifts_back_to_ground_position(self):
         # The box bottom edge sits exactly on the agent's ground row, so the

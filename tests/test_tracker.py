@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -11,7 +10,6 @@ from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import NonMonotonicFrame
 from bevtrack.experiments import (
     crossing_scenario,
-    default_camera,
     pixel_baseline_config,
     pixel_baseline_scene,
     sim_detections_by_frame,
@@ -19,10 +17,9 @@ from bevtrack.experiments import (
 from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
-from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
+from bevtrack.simulator import build_scene_model, generate
 from bevtrack.tracker import (
     BranchTable,
-    Detection,
     DetectionTable,
     SceneModel,
     Track,
@@ -45,7 +42,17 @@ def box_at(u, v, w=12.0, h=24.0):
 
 
 def det_at(frame, u, v, w=12.0, h=24.0, app=None, source=None):
-    return Detection(frame=frame, box=box_at(u, v, w, h), appearance=app, source_id=source)
+    """A detection row: (frame, box, descriptor or None, source id or None)."""
+    return frame, box_at(u, v, w, h), app, source
+
+
+def table(*rows):
+    """The DetectionTable of detection rows, holding their boxes."""
+    frame, box, app, source = zip(*rows)
+    dims = [len(a) for a in app if a is not None]
+    appearance = [np.full(dims[0], np.nan) if a is None else a for a in app] if dims else None
+    source = [-1 if s is None else s for s in source]
+    return DetectionTable(frame, ltwh(box), appearance, source, pixel_boxes=box)
 
 
 def table_of(tracks):
@@ -56,9 +63,8 @@ def table_of(tracks):
 def cost_matrix(tracks, detections, points, config, scene, frame):
     """build_cost_matrix on the frame's geometry for these tracks and for
     detections whose bottom-centres lift to the given BEV points."""
-    boxes = DetectionTable.of(detections).box
     pts = np.array(points, dtype=float).reshape(-1, 2)
-    g = frame_geometry(table_of(tracks), boxes, pts, scene, frame)
+    g = frame_geometry(table_of(tracks), detections.box, pts, scene, frame)
     return build_cost_matrix(tracks, detections, config, g)
 
 
@@ -97,46 +103,25 @@ def test_geometry_from_top_level_names():
     seen = bt.PixelBox(44.0, 76.0, 12.0, 24.0)
     fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
     track = bt.Track(1, [(0, np.array([50.0, 100.0]))], seen, last_appearance=None, forecast=fc)
-    dets = [bt.Detection(1, bt.PixelBox(45.0, 76.0, 12.0, 24.0))]
+    dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
     config = bt.RunConfig()
-    table = bt.BranchTable.of([track], fps=1.0)
-    geometry = bt.frame_geometry(
-        table, bt.ltwh([d.box for d in dets]), np.array([[51.0, 100.0]]), scene, 1
-    )
+    branches = bt.BranchTable.of([track], fps=1.0)
+    geometry = bt.frame_geometry(branches, dets.box, np.array([[51.0, 100.0]]), scene, 1)
     assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
     assert geometry.det_points.tolist() == [[51.0, 100.0]]
     scores, branch = bt.build_cost_matrix([track], dets, config, geometry)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
-    assert {"BranchTable", "frame_geometry"} <= set(bt.__all__)
-    assert "prune_forecasts" not in bt.__all__
+    assert {"BranchTable", "DetectionTable", "frame_geometry"} <= set(bt.__all__)
+    assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
 
 
-class TestDetectionValidation:
-    def test_appearance_must_be_unit(self):
-        with pytest.raises(ValueError):
-            det_at(0, 50, 100, app=np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("app", [np.full(4, np.nan), np.array([1.0, np.nan])])
-    def test_nan_appearance_rejected(self, app):
-        with pytest.raises(ValueError, match="unit length"):
-            det_at(0, 50, 100, app=app)
-
-    def test_appearance_optional(self):
-        d = det_at(0, 50, 100, app=None)
-        assert d.appearance is None
-
-    @pytest.mark.parametrize("name", ["frame", "box", "appearance", "source_id"])
-    def test_fields_are_read_only(self, name):
-        d = det_at(0, 50, 100, app=unit(1, 0))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(d, name, None)
-        assert not hasattr(d, "bev")
+BOXES = np.tile([10.0, 20.0, 12.0, 24.0], (3, 1))  # three valid rows
 
 
 class TestDetectionTable:
-    def table(self, appearance=None, box=None, **kw):
+    def table(self, appearance=None, box=None, frame=(0, 0, 1), **kw):
         box = box if box is not None else [ltwh([box_at(50.0 + 30 * j, 100)])[0] for j in range(3)]
-        return DetectionTable(frame=[0, 0, 1], box=box, appearance=appearance, **kw)
+        return DetectionTable(frame=frame, box=box, appearance=appearance, **kw)
 
     def test_non_unit_descriptor_names_its_row(self):
         app = [unit(1, 0), unit(0, 1), [1.0, 1.0]]
@@ -173,25 +158,41 @@ class TestDetectionTable:
 
     def test_checked_columns_are_read_only_views(self):
         box = np.array([ltwh([box_at(50.0 + 30 * j, 100)])[0] for j in range(3)])
-        t = self.table(box=box, source_id=[4, -1, 5])
-        with pytest.raises(ValueError, match="read-only"):
-            t.box[0, 0] = 1.0
+        t = self.table([unit(1, 0)] * 3, box=box, source_id=[4, -1, 5], agent_id=[1, 2, 3])
+        for column in (t.frame, t.box, t.appearance, t.source_id, t.agent_id, t.foot):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
         box[0, 0] = 7.0  # the caller's array stays writable
         assert t.sources() == [4, None, 5]
 
-    def test_of_a_table_is_the_table_and_of_detections_shares_their_boxes(self):
-        t = self.table()
-        assert DetectionTable.of(t) is t
-        dets = [det_at(3, 50, 100, source=2), det_at(3, 80, 100, app=unit(0, 1))]
-        u = DetectionTable.of(dets)
-        assert u.frame.tolist() == [3, 3] and u.sources() == [2, None]
-        assert all(a is d.box for a, d in zip(u.boxes(), dets))
-        assert np.isnan(u.appearance[0]).all() and u.appearance[1].tolist() == [0.0, 1.0]
-        assert len(DetectionTable.of([])) == 0
+    # A NaN or -inf width or height is refused as non-positive.
+    @pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (0, -np.inf),
+                                              (1, np.nan), (1, np.inf), (1, -np.inf),
+                                              (2, np.inf), (3, np.inf)])
+    def test_non_finite_box_value_names_its_row(self, field, value):
+        box = BOXES.copy()
+        box[2, field] = value
+        with pytest.raises(ValueError, match=r"^row 2: box values and edges must be finite$"):
+            self.table(box=box)
 
-    def test_negative_source_id_rejected(self):
-        with pytest.raises(ValueError, match="source id must be non-negative"):
-            det_at(0, 50, 100, source=-1)
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_box_edge_beyond_the_floats_names_its_row(self, edge):
+        # left + width (or top + height) overflows to inf although every value is finite
+        box = BOXES.copy()
+        box[1, edge] = box[1, edge + 2] = 1e308
+        with pytest.raises(ValueError, match=r"^row 1: box values and edges must be finite$"):
+            self.table(box=box)
+
+    @pytest.mark.parametrize("name", ["frame", "source_id", "agent_id"])
+    @pytest.mark.parametrize("value", [1.5, np.nan, np.inf])
+    def test_non_integer_frame_or_id_names_its_row(self, name, value):
+        with pytest.raises(ValueError, match=rf"^row 1: {name} must be an integer$"):
+            self.table(**{name: [0.0, value, 1.0]})
+
+    def test_integral_floats_are_integers(self):
+        t = DetectionTable([0.0, 3.0, -1.0], BOXES, source_id=[4.0, -1.0, 5.0], agent_id=[1.0] * 3)
+        assert t.frame.tolist() == [0, 3, -1] and t.sources() == [4, None, 5]
+        assert t.frame.dtype == t.source_id.dtype == t.agent_id.dtype == np.int64
 
 
 class TestSceneModel:
@@ -226,7 +227,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
-        scores, branch = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
         # identical predicted and detected boxes: IoU 1; L2 0: bonus tau_l2
         assert scores[0, 0] == pytest.approx(1.0 + 2.5, abs=1e-12)
         assert branch[0, 0] == 0
@@ -235,7 +236,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 56, 100)  # 4 px to the right of the branch point
-        scores, _ = cost_matrix([tr], [det], [(56.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), [(56.0, 100.0)], RunConfig(), scene, frame=1)
         # 12x24 boxes offset 4 px: IoU (8*24)/(2*288-192) = 0.5; L2 = 4 > tau_l2
         assert scores[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -243,7 +244,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 63, 100)  # 11 px offset: IoU (1*24)/(552) < tau_iou
-        scores, branch = cost_matrix([tr], [det], [(63.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), [(63.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         assert branch[0, 0] == -1
 
@@ -252,7 +253,7 @@ class TestCostMatrix:
         cfg = RunConfig(tau_l2=20.0, tau_iou=0.0)
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 70, 100)  # disjoint boxes, BEV distance 18
-        scores, branch = cost_matrix([tr], [det], [(70.0, 100.0)], cfg, scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), [(70.0, 100.0)], cfg, scene, frame=1)
         assert scores[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert branch[0, 0] == 0
 
@@ -261,25 +262,25 @@ class TestCostMatrix:
         a, b = unit(1, 0, 0), unit(0, 1, 0)  # cosine 0 < tau_app
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=a)
         det = det_at(1, 52, 100, app=b)
-        scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         # same geometry with an agreeing descriptor passes
         det2 = det_at(1, 52, 100, app=a)
-        scores2, _ = cost_matrix([tr], [det2], [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores2, _ = cost_matrix([tr], table(det2), [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores2[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_missing_appearance_skips_gate(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(1, 0, 0))
         det = det_at(1, 52, 100, app=None)
-        scores, _ = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_best_branch_selected(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(57.0, 100.0), (52.0, 100.0)])
         det = det_at(1, 52, 100)
-        scores, branch = cost_matrix([tr], [det], [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -291,9 +292,9 @@ class TestCostMatrix:
             tr = inactive_track(1, *rng.uniform(40, 160, 2), [tuple(bp)])
             du, dv = rng.uniform(40, 160, 2)
             det = det_at(1, du, dv)
-            scores, _ = cost_matrix([tr], [det], [(du, dv)], cfg, scene, frame=1)
+            scores, _ = cost_matrix([tr], table(det), [(du, dv)], cfg, scene, frame=1)
             pb = box_at(bp[0], bp[1])
-            d_iou = iou(pb, det.box)
+            d_iou = iou(pb, box_at(du, dv))
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
             want = d_iou + max(cfg.tau_l2 - d_l2, 0.0) if d_iou >= cfg.tau_iou else 0.0
             assert scores[0, 0] == pytest.approx(want, abs=1e-12)
@@ -350,7 +351,7 @@ class TestEgoFrameOutsideTrack:
         scene = make_scene()
         tk = Tracker(scene, small_config())
         if held:
-            tk.step([det_at(-3, 50, 100)], -3)  # before the scene has a camera track
+            tk.step(table(det_at(-3, 50, 100)), -3)  # before the scene has a camera track
         scene.ego = EgomotionTrack(np.zeros((4, 2)))
         return tk
 
@@ -359,7 +360,7 @@ class TestEgoFrameOutsideTrack:
     def test_detections_at_the_frame_raise(self, held, frame):
         tk = self.tracker(held)
         with pytest.raises(ValueError, match=f"frame {frame} outside egomotion track of length 4"):
-            tk.step([det_at(frame, 50, 100)], frame)
+            tk.step(table(det_at(frame, 50, 100)), frame)
 
     def test_a_frame_without_detections_does_not(self):
         scene = make_scene()
@@ -372,14 +373,16 @@ class TestEgoFrameOutsideTrack:
 
 
 class TestDeactivateReadsTheWindowTail:
-    """A deactivation filters only the window, the feet from the last one at or
-    before the grid's first point on; that must equal the whole history."""
+    """A track keeps only its window, the feet from the last one at or before the
+    grid's first point on; filtering it must equal filtering the whole history."""
 
     def check(self, frames, cfg, fps, rng):
         history = [(int(f), rng.uniform(-10.0, 10.0, 2)) for f in frames]
         tk = Tracker(make_scene(fps=fps), cfg)
-        tr = Track(id=1, feet=list(history), last_box=box_at(50, 100), last_appearance=None)
-        tk._deactivate(tr, tk._window(tr))  # the identity scene: each foot is its world point
+        tr = Track(id=1, feet=[], last_box=None, last_appearance=None)
+        for f, foot in history:
+            tk._activate(tr, (foot, box_at(50, 100), None, None), f)
+        tk._deactivate(tr, tr.feet)  # the identity scene: each foot is its world point
         want = forecast(preprocess(history, cfg, fps), cfg, fps)
         assert np.array_equal(tr.forecast.origin, want.origin)
         assert np.array_equal(tr.forecast.velocities, want.velocities)
@@ -387,6 +390,8 @@ class TestDeactivateReadsTheWindowTail:
             want.created_frame, want.end_frame
         )
         first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
+        start = max([k for k, f in enumerate(frames) if f <= first], default=0)
+        assert [f for f, _ in tr.feet] == [f for f, _ in history[start:]]
         return frames[0] > first, frames[0] < first and first not in frames
 
     def test_straddling_gap_and_short_history(self):
@@ -413,21 +418,21 @@ def small_config(**kw):
 
 
 def walker_dets(frame, x0=50.0, v=1.0, y=100.0, app=None):
-    return [det_at(frame, x0 + v * frame, y, app=app)]
+    return table(det_at(frame, x0 + v * frame, y, app=app))
 
 
 class TestTrackerLifecycle:
     def test_new_tracks_and_outputs_sorted(self):
         tk = Tracker(make_scene(), small_config())
-        outputs, events = tk.step([det_at(0, 50, 100), det_at(0, 120, 100)], 0)
+        outputs, events = tk.step(table(det_at(0, 50, 100), det_at(0, 120, 100)), 0)
         assert [tid for _, tid, _ in outputs] == [1, 2]
         assert [e["reason"] for e in events] == ["new", "new"]
         assert events[0]["detection_index"] == 0 and events[1]["detection_index"] == 1
 
     def test_track_keeps_its_bev_points(self):
         tk = Tracker(make_scene(), small_config())
-        tk.step([det_at(0, 50, 100)], 0)
-        tk.step([det_at(1, 51, 100)], 1)
+        tk.step(table(det_at(0, 50, 100)), 0)
+        tk.step(table(det_at(1, 51, 100)), 1)
         feet = tk.tracks[1].feet
         assert feet == [(0, [50.0, 100.0]), (1, [51.0, 100.0])]  # the boxes' bottom-centres
         points = tk.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
@@ -442,9 +447,9 @@ class TestTrackerLifecycle:
 
     def test_base_association_prefers_higher_overlap(self):
         tk = Tracker(make_scene(), small_config())
-        tk.step([det_at(0, 50, 100), det_at(0, 80, 100)], 0)
+        tk.step(table(det_at(0, 50, 100), det_at(0, 80, 100)), 0)
         # det 0 overlaps track 1 fully; det 1 nudged from track 2
-        _, events = tk.step([det_at(1, 50, 100), det_at(1, 82, 100)], 1)
+        _, events = tk.step(table(det_at(1, 50, 100), det_at(1, 82, 100)), 1)
         by_tid = {e["track_id"]: e for e in events if e["reason"] == "active"}
         assert by_tid[1]["detection_index"] == 0
         assert by_tid[2]["detection_index"] == 1
@@ -541,7 +546,7 @@ class TestTrackerLifecycle:
         for dt, tau_max in draws:
             cfg = RunConfig(dt=dt, tau_max=tau_max)
             seen = {f: walker_dets(f) for f in range(6)}
-            history = [(f, np.array(d[0].box.bottom_center)) for f, d in seen.items()]
+            history = [(f, d.foot[0]) for f, d in seen.items()]
             end = forecast(preprocess(history, cfg, fps), cfg, fps).end_frame
             overshoots += end - 5 > tau_max * fps
             tk = Tracker(make_scene(fps=fps), cfg)
@@ -559,26 +564,43 @@ class TestTrackerLifecycle:
         with pytest.raises(NonMonotonicFrame):
             tk.step(walker_dets(4), 4)
 
+    @pytest.mark.parametrize("detections", [[det_at(0, 50, 100)], None, iter([]), {}],
+                             ids=["rows", "none", "iterator", "dict"])
+    def test_step_reads_a_table_or_an_empty_list(self, detections):
+        tk = Tracker(make_scene(), small_config())
+        assert tk.step([], 0) == ([], []) and tk.step((), 1) == ([], [])
+        with pytest.raises(TypeError, match=r"^need a DetectionTable or an empty list, not "):
+            tk.step(detections, 2)
+        assert tk.last_step_frame == 1
+
+    def test_track_keeps_only_its_window(self):
+        # dt 0.3 s at 10 fps and obs_len 8: the grid starts 21 frames back, and
+        # the window holds the feet from the last one at or before that frame.
+        tk = Tracker(make_scene(), small_config())
+        for f in range(100):
+            tk.step(walker_dets(f), f)
+            assert [g for g, _ in tk.tracks[1].feet] == list(range(max(f - 21, 0), f + 1))
+
     def test_outputs_only_tracks_seen_this_frame(self):
         tk = Tracker(make_scene(), small_config())
-        tk.step([det_at(0, 50, 100), det_at(0, 120, 100)], 0)
-        outputs, _ = tk.step([det_at(1, 50, 100)], 1)
+        tk.step(table(det_at(0, 50, 100), det_at(0, 120, 100)), 0)
+        outputs, _ = tk.step(table(det_at(1, 50, 100)), 1)
         assert [tid for _, tid, _ in outputs] == [1]
 
 
 class TestIngestMode:
     def test_binding_overrides_geometry(self):
         tk = Tracker(make_scene(), small_config(ingest_ids=True))
-        tk.step([det_at(0, 50, 100, source=7)], 0)
+        tk.step(table(det_at(0, 50, 100, source=7)), 0)
         # the upstream id jumps across the image; the binding keeps the track
-        outputs, events = tk.step([det_at(1, 150, 100, source=7)], 1)
+        outputs, events = tk.step(table(det_at(1, 150, 100, source=7)), 1)
         assert [tid for _, tid, _ in outputs] == [1]
         assert events[0]["reason"] == "active"
 
     def test_new_upstream_id_founds_new_track(self):
         tk = Tracker(make_scene(), small_config(ingest_ids=True))
-        tk.step([det_at(0, 50, 100, source=7)], 0)
-        _, events = tk.step([det_at(1, 150, 100, source=8)], 1)
+        tk.step(table(det_at(0, 50, 100, source=7)), 0)
+        _, events = tk.step(table(det_at(1, 150, 100, source=8)), 1)
         reasons = {e["reason"] for e in events}
         assert "inactive" in reasons and "new" in reasons
         assert {t.id for t in tk.tracks.values()} == {1, 2}
@@ -586,13 +608,13 @@ class TestIngestMode:
     def test_reassociation_rebinds_upstream_id(self):
         tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
         for f in range(5):
-            tk.step([det_at(f, 50.0 + f, 100, source=7)], f)
+            tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
         # the upstream tracker reappears under a fresh id where the forecast is
-        _, events = tk.step([det_at(9, 59, 100, source=11)], 9)
+        _, events = tk.step(table(det_at(9, 59, 100, source=11)), 9)
         assert [e["reason"] for e in events] == ["reassociated"]
         assert tk.tracks[1].source_binding == 11
-        _, events = tk.step([det_at(10, 60, 100, source=11)], 10)
+        _, events = tk.step(table(det_at(10, 60, 100, source=11)), 10)
         assert events[0]["reason"] == "active" and events[0]["track_id"] == 1
 
 
@@ -604,10 +626,10 @@ class TestIngestMode:
         # a new track.
         tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
         for f in range(5):
-            tk.step([det_at(f, 50.0 + f, 100, source=7)], f)
+            tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
         assert tk.tracks[1].source_binding == 7
-        outputs, events = tk.step([det_at(9, 159, 100, source=source)], 9)
+        outputs, events = tk.step(table(det_at(9, 159, 100, source=source)), 9)
         assert [tid for _, tid, _ in outputs] == [want]
         if want == 1:
             assert events == [dict(frame=9, track_id=1, detection_index=0, score=None,
@@ -622,9 +644,9 @@ class TestIngestMode:
         # track still takes the detection that carries its own id.
         tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
         for f in range(5):
-            tk.step([det_at(f, 50.0 + f, 100, source=7), det_at(f, 150.0 + f, 100, source=8)], f)
+            tk.step(table(det_at(f, 50.0 + f, 100, source=7), det_at(f, 150.0 + f, 100, source=8)), f)
         tk.step([], 5)
-        outputs, events = tk.step([det_at(9, 59, 100, source=8), det_at(9, 159, 100, source=7)], 9)
+        outputs, events = tk.step(table(det_at(9, 59, 100, source=8), det_at(9, 159, 100, source=7)), 9)
         assert [(e["track_id"], e["detection_index"], e["score"], e["reason"]) for e in events] == [
             (2, 0, None, "reassociated"),
             (1, 1, None, "reassociated"),
@@ -632,23 +654,21 @@ class TestIngestMode:
         assert [(tid, box.bottom_center[0]) for _, tid, box in outputs] == [(1, 159.0), (2, 59.0)]
         assert len(tk.branches) == 0 and tk.tracks[1].active and tk.tracks[2].active
 
-    @pytest.mark.parametrize("as_table", [False, True])
-    def test_two_detections_with_one_source_id_refused(self, as_table):
+    def test_two_detections_with_one_source_id_refused(self):
         # Two tracks would share one binding, and base association would keep
         # the last: the frame is refused and the tracker left as it was.
         tk = Tracker(make_scene(), small_config(ingest_ids=True))
-        frame0 = [det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7)]
-        frame0 = DetectionTable.of(frame0) if as_table else frame0
+        frame0 = table(det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7))
         with pytest.raises(ValueError, match=r"^frame 0: source id 7 on two detections$"):
             tk.step(frame0, 0)
         assert tk.tracks == {} and tk.last_step_frame is None
-        outputs, events = tk.step([det_at(1, 51, 100, source=7)], 1)
+        outputs, events = tk.step(table(det_at(1, 51, 100, source=7)), 1)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "new")]
         assert tk.tracks[1].source_binding == 7
 
     def test_one_source_id_refused_only_in_ingest_mode(self):
         tk = Tracker(make_scene(), small_config())
-        _, events = tk.step([det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7)], 0)
+        _, events = tk.step(table(det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7)), 0)
         assert [e["reason"] for e in events] == ["new", "new"]
 
     def test_binding_leaves_with_its_track(self):
@@ -656,10 +676,10 @@ class TestIngestMode:
         # the track has left (removed_dead) and its id founds a new track.
         tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
         for f in range(5):
-            tk.step([det_at(f, 50.0 + f, 100, source=7)], f)
+            tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
         assert tk.tracks[1].forecast.end_frame == 25
-        outputs, events = tk.step([det_at(26, 76, 100, source=7)], 26)
+        outputs, events = tk.step(table(det_at(26, 76, 100, source=7)), 26)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
         assert [tid for _, tid, _ in outputs] == [2] and tk.tracks[2].source_binding == 7
 
@@ -706,43 +726,3 @@ def test_slices_are_read_only():
     rows = np.flatnonzero(sim.table.frame == 5).tolist()
     assert t.frame.tolist() == [5] * len(rows)
     assert all(a is b for a, b in zip(t.boxes(), (sim.table.boxes()[j] for j in rows)))
-
-
-def random_scenario(rng):
-    """A few walkers on random legs, one wall; 3 s at 10 fps."""
-    agents = []
-    for a in range(int(rng.integers(3, 7))):
-        legs = tuple(map(tuple, rng.uniform([-5.0, 7.0], [5.0, 16.0], size=(3, 2)).tolist()))
-        speed = float(rng.uniform(0.8, 1.6))
-        agents.append(AgentSpec(a + 1, legs, speed, appearance_seed=int(rng.integers(2**31))))
-    x = float(rng.uniform(-2.0, 2.0))
-    wall = Occluder(x - 1.5, x + 1.5, 10.0, 10.3, 3.3)
-    return Scenario(default_camera(), 40.0, tuple(agents), (wall,), fps=10.0, duration=3.0,
-                    detection_noise=0.5, appearance_noise=0.05, seed=int(rng.integers(2**31)),
-                    cloud_points=50)
-
-
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("ingest", [False, True])
-def test_table_and_detection_lists_give_the_same_run(seed, ingest):
-    # The same detections as per-frame slices of one table and as lists of
-    # Detection objects: some frames dropped, some rows without a descriptor
-    # or an upstream id.
-    rng = np.random.default_rng(seed)
-    sim = generate(random_scenario(rng))
-    t = sim.table
-    n_frames = sim.scenario.n_frames
-    keep = ~np.isin(t.frame, rng.choice(n_frames, size=n_frames // 4, replace=False))
-    appearance = np.where(rng.random((len(t), 1)) < 0.2, np.nan, t.appearance)
-    source = np.where(rng.random(len(t)) < 0.2, -1, t.agent_id)
-    table = DetectionTable(t.frame[keep], t.box[keep], appearance[keep], source[keep])
-    lists = {}
-    for f, box, a, s in zip(table.frame.tolist(), table.boxes(), table.appearance,
-                            table.sources()):
-        lists.setdefault(f, []).append(Detection(f, box, None if np.isnan(a[0]) else a, s))
-    cfg = RunConfig(ingest_ids=ingest)
-    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-    runs = [Tracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
-            for by_frame in (table.by_frame(), lists)]
-    assert runs[0] == runs[1]
-    assert len(runs[0][0]) > 0 and set(range(n_frames)) - set(lists)

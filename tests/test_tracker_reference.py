@@ -3,15 +3,18 @@
 ``ScalarTracker`` is the per-pair, per-branch tracker that the array code
 replaced (scalar ``iou``, one ``px_to_bev`` per detection, one ``bev_to_px``
 per branch, the whole history filtered on every deactivation), kept here as
-the reference. The array code does the same float operations, so on seeded
-crowd scenes both must give equal outputs and equal events, score floats
-included.
+the reference. It reads each frame's DetectionTable as per-row ``Row``
+records. The array code does the same float operations, so on seeded crowd
+scenes both must give equal outputs and equal events, score floats included.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, iou, ltwh
+from bevtrack.boxes import PixelBox, iou
 from bevtrack.config import RunConfig
 from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
@@ -21,7 +24,7 @@ from bevtrack.linearized import linearize
 from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
 from bevtrack.tracker import (
     BranchTable,
-    Detection,
+    DetectionTable,
     SceneModel,
     Track,
     Tracker,
@@ -31,6 +34,25 @@ from bevtrack.tracker import (
 )
 
 # -- the scalar reference ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Row:
+    """One detection as the scalar reference reads it."""
+
+    frame: int
+    box: PixelBox
+    appearance: Optional[np.ndarray]  # None: no descriptor
+    source_id: Optional[int]  # None: no upstream id
+
+
+def rows_of(table):
+    """The table's rows as Row records (none for an empty frame), holding its boxes."""
+    if not len(table):
+        return []
+    app = table.appearance
+    app = [None] * len(table) if app is None else [None if np.isnan(a).all() else a for a in app]
+    return list(map(Row, table.frame.tolist(), table.boxes(), app, table.sources()))
 
 
 def scalar_branch_boxes(track, scene, frame):
@@ -127,7 +149,8 @@ class ScalarTracker(Tracker):
             used_dets.add(j)
         return matches
 
-    def step(self, detections, frame):
+    def step(self, table, frame):
+        detections = rows_of(table)
         events = []
         cfg = self.config
         ego = self.scene.ego
@@ -245,30 +268,28 @@ def crowd(seed, n_walkers=24, n_walls=3, duration=5.0, pan=False):
 
 
 def upstream_ids(sim, bridge):
-    """Agent id, plus 1000 for every gap of more than bridge frames the agent came
-    back from: an upstream that keeps ids through gaps of at most bridge frames."""
-    out, last, gaps = {}, {}, {}
-    for d in sorted(sim.detections, key=lambda d: (d.agent_id, d.frame)):
-        if d.agent_id in last and d.frame > last[d.agent_id] + 1 + bridge:
-            gaps[d.agent_id] = gaps.get(d.agent_id, 0) + 1
-        last[d.agent_id] = d.frame
-        out[(d.frame, d.agent_id)] = d.agent_id + 1000 * gaps.get(d.agent_id, 0)
+    """Each row's agent id, plus 1000 for every gap of more than bridge frames the
+    agent came back from: an upstream that keeps ids through gaps of at most
+    bridge frames."""
+    t = sim.table
+    frames, agents = t.frame.tolist(), t.agent_id.tolist()
+    out, last, gaps = [0] * len(t), {}, {}
+    for j in sorted(range(len(t)), key=lambda j: (agents[j], frames[j])):
+        a, f = agents[j], frames[j]
+        if a in last and f > last[a] + 1 + bridge:
+            gaps[a] = gaps.get(a, 0) + 1
+        last[a] = f
+        out[j] = a + 1000 * gaps.get(a, 0)
     return out
 
 
 def detections(sim, appearance, ingest):
-    ids = {} if ingest is None else upstream_ids(sim, ingest)
-    by_frame = {}
-    for d in sim.detections:
-        by_frame.setdefault(d.frame, []).append(
-            Detection(
-                frame=d.frame,
-                box=d.box,
-                appearance=d.appearance if appearance else None,
-                source_id=ids.get((d.frame, d.agent_id)),
-            )
-        )
-    return by_frame
+    """{frame: DetectionTable} of the simulated detections, with their descriptors
+    or none, and with upstream ids (see upstream_ids) or none."""
+    t = sim.table
+    ids = None if ingest is None else upstream_ids(sim, ingest)
+    app = t.appearance if appearance else None
+    return DetectionTable(t.frame, t.box, app, ids, pixel_boxes=t.boxes()).by_frame()
 
 
 def run(tracker_cls, sim, cfg, appearance, ingest, ego):
@@ -323,13 +344,16 @@ class TestStepMatchesScalarReference:
         got = run(Tracker, sim, cfg, appearance, ingest, ego)
         assert got[0] == want[0]
         assert got[1] == want[1]  # score floats included
-        # and every track still held at the end keeps feet that lift to the
-        # reference's BEV points
+        # and every track still held at the end keeps the tail of the reference's
+        # feet, from the last one at or before its filter grid's start, and they
+        # lift to the reference's BEV points
         ref, tracker = want[2], got[2]
         assert tracker.tracks.keys() == ref.tracks.keys()
-        for tid in ref.tracks:
-            feet, points = tracker.tracks[tid].feet, ref.points[tid]
-            assert [(f, tuple(p)) for f, p in feet] == ref.tracks[tid].feet
+        for tid, track in ref.tracks.items():
+            first = track.last_frame - tracker.window_span
+            start = max([k for k, (f, _) in enumerate(track.feet) if f <= first], default=0)
+            feet, points = tracker.tracks[tid].feet, ref.points[tid][start:]
+            assert [(f, tuple(p)) for f, p in feet] == track.feet[start:]
             assert [f for f, _ in feet] == [f for f, _ in points]
             lifted = tracker.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
             assert np.array_equal(lifted, [p for _, p in points])
@@ -341,13 +365,50 @@ class TestStepMatchesScalarReference:
         assert bool(by_binding) == bool(ingest)
 
 
+def random_scenario(rng):
+    """A few walkers on random legs, one wall; 3 s at 10 fps."""
+    agents = []
+    for a in range(int(rng.integers(3, 7))):
+        legs = tuple(map(tuple, rng.uniform([-5.0, 7.0], [5.0, 16.0], size=(3, 2)).tolist()))
+        speed = float(rng.uniform(0.8, 1.6))
+        agents.append(AgentSpec(a + 1, legs, speed, appearance_seed=int(rng.integers(2**31))))
+    x = float(rng.uniform(-2.0, 2.0))
+    wall = Occluder(x - 1.5, x + 1.5, 10.0, 10.3, 3.3)
+    return Scenario(default_camera(), 40.0, tuple(agents), (wall,), fps=10.0, duration=3.0,
+                    detection_noise=0.5, appearance_noise=0.05, seed=int(rng.integers(2**31)),
+                    cloud_points=50)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ingest", [False, True])
+def test_gapped_table_matches_the_reference(seed, ingest):
+    # Per-frame slices of one table: some frames dropped, some rows without a
+    # descriptor (a row of NaN) or an upstream id (-1).
+    rng = np.random.default_rng(seed)
+    sim = generate(random_scenario(rng))
+    t = sim.table
+    n_frames = sim.scenario.n_frames
+    keep = ~np.isin(t.frame, rng.choice(n_frames, size=n_frames // 4, replace=False))
+    appearance = np.where(rng.random((len(t), 1)) < 0.2, np.nan, t.appearance)
+    source = np.where(rng.random(len(t)) < 0.2, -1, t.agent_id)
+    table = DetectionTable(t.frame[keep], t.box[keep], appearance[keep], source[keep])
+    by_frame = table.by_frame()
+    cfg = RunConfig(ingest_ids=ingest)
+    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+    runs = [tracker_cls(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+            for tracker_cls in (ScalarTracker, Tracker)]
+    assert runs[1] == runs[0]
+    assert len(runs[0][0]) > 0 and set(range(n_frames)) - set(by_frame)
+    assert np.isnan(table.appearance).all(axis=1).any() and (table.source_id < 0).any()
+
+
 # -- the cost matrix on random instances ---------------------------------------------
 
 
 def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
     """Inactive tracks with k branches near random detections.
 
-    Returns (scene, tracks, detections, the detections' (M, 2) BEV points).
+    Returns (scene, tracks, the detections' DetectionTable, their (M, 2) BEV points).
     """
     scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=10.0)
 
@@ -355,10 +416,11 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         a = rng.uniform(0.1, 1.0, dim)
         return a / np.linalg.norm(a)
 
-    dets, points = [], []
+    boxes, descriptors, points = [], [], []
     for _ in range(n_dets):
         u, v, w, h = rng.uniform(40, 160), rng.uniform(40, 160), rng.uniform(8, 16), rng.uniform(16, 32)
-        dets.append(Detection(frame=1, box=PixelBox(u - w / 2.0, v - h, w, h), appearance=app()))
+        boxes.append((u - w / 2.0, v - h, w, h))
+        descriptors.append(app())
         points.append(np.array([u, v]) + rng.normal(0.0, 1.0, 2))
     tracks = []
     for t in range(n_tracks):
@@ -367,12 +429,13 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
         tracks.append(Track(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
+    dets = DetectionTable([1] * n_dets, boxes, descriptors)
     return scene, tracks, dets, np.array(points)
 
 
 def geometry(tracks, dets, points, scene):
     table = BranchTable.of(tracks, fps=1.0)
-    return frame_geometry(table, ltwh([d.box for d in dets]), points, scene, 1)
+    return frame_geometry(table, dets.box, points, scene, 1)
 
 
 class TestCostMatrixMatchesScalarReference:
@@ -382,9 +445,9 @@ class TestCostMatrixMatchesScalarReference:
             scene, tracks, dets, points = random_instance(rng)
             # The gate sits exactly on one pair's similarity, so a product that
             # rounds differently from the 1-D one flips that pair.
-            tau_app = float(tracks[0].last_appearance @ dets[0].appearance)
+            tau_app = float(tracks[0].last_appearance @ dets.appearance[0])
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
-            want = scalar_cost_matrix(tracks, dets, points, cfg, scene, 1)
+            want = scalar_cost_matrix(tracks, rows_of(dets), points, cfg, scene, 1)
             got = build_cost_matrix(tracks, dets, cfg, geometry(tracks, dets, points, scene))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -393,8 +456,8 @@ class TestCostMatrixMatchesScalarReference:
         scene, tracks, dets, points = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
         tracks[0].forecast.velocities[:] = points[0]  # three identical branches
         cfg = RunConfig(tau_app=-1.0)
-        g = geometry(tracks, dets[:1], points[:1], scene)
-        scores, branch = build_cost_matrix(tracks, dets[:1], cfg, g)
+        first = dets.rows(slice(0, 1))
+        scores, branch = build_cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
