@@ -16,6 +16,7 @@ import pytest
 
 from bevtrack.boxes import PixelBox, iou
 from bevtrack.config import RunConfig
+from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
 from bevtrack.forecast import Forecast, forecast, predicted_box, preprocess
@@ -379,11 +380,9 @@ def random_scenario(rng):
                     cloud_points=50)
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("ingest", [False, True])
-def test_gapped_table_matches_the_reference(seed, ingest):
-    # Per-frame slices of one table: some frames dropped, some rows without a
-    # descriptor (a row of NaN) or an upstream id (-1).
+def gapped_table(seed):
+    """(sim, table): per-frame slices of one table of a random_scenario, some frames
+    dropped, some rows without a descriptor (a row of NaN) or an upstream id (-1)."""
     rng = np.random.default_rng(seed)
     sim = generate(random_scenario(rng))
     t = sim.table
@@ -391,7 +390,14 @@ def test_gapped_table_matches_the_reference(seed, ingest):
     keep = ~np.isin(t.frame, rng.choice(n_frames, size=n_frames // 4, replace=False))
     appearance = np.where(rng.random((len(t), 1)) < 0.2, np.nan, t.appearance)
     source = np.where(rng.random(len(t)) < 0.2, -1, t.agent_id)
-    table = DetectionTable(t.frame[keep], t.box[keep], appearance[keep], source[keep])
+    return sim, DetectionTable(t.frame[keep], t.box[keep], appearance[keep], source[keep])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ingest", [False, True])
+def test_gapped_table_matches_the_reference(seed, ingest):
+    sim, table = gapped_table(seed)
+    n_frames = sim.scenario.n_frames
     by_frame = table.by_frame()
     cfg = RunConfig(ingest_ids=ingest)
     lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
@@ -505,3 +511,81 @@ class TestTrackOrder:
             assert [tid for _, tid, _ in outputs] == sorted(tid for _, tid, _ in outputs)
         # short_fan's and short_cv's forecasts end inside the scene (removed_dead)
         assert {"reassociated", "new", "removed_dead"} <= seen
+
+
+# -- metamorphic relations: what must not change ------------------------------------
+
+
+def partition(outputs):
+    """The tracks' (frame, box) rows, as a set of sets: blind to the ids."""
+    rows = {}
+    for f, tid, box in outputs:
+        rows.setdefault(tid, set()).add((f, box))
+    return {frozenset(r) for r in rows.values()}
+
+
+def metamorphic_input(source, crowd_sims):
+    """(scene factory, {frame: DetectionTable}, config, n_frames) of one source: a
+    crowd case, a whole random_scenario table, or a gapped one (with upstream ids
+    in ingestion mode)."""
+    kind, name, seed = source
+    if kind == "crowd":
+        cfg, appearance, ingest, ego, _ = CASES[name]
+        sim = crowd_sims(seed, ego)
+        by_frame = detections(sim, appearance, ingest)
+    else:
+        ego, cfg = False, RunConfig(ingest_ids=name == "ingest")
+        if kind == "random":
+            sim = generate(random_scenario(np.random.default_rng(seed)))
+            by_frame = sim.table.by_frame()
+        else:
+            sim, table = gapped_table(seed)
+            by_frame = table.by_frame()
+    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+
+    def scene(shift=0):
+        """The scene model; a moving camera's track starts shift frames late."""
+        s = build_scene_model(sim.scenario, lh)
+        s.ego = None
+        if ego:
+            s.ego = EgomotionTrack(np.concatenate([np.zeros((shift, 2)), sim.ego.offsets]))
+        return s
+
+    return scene, by_frame, cfg, sim.scenario.n_frames
+
+
+METAMORPHIC_SOURCES = [
+    *[("crowd", c, 3) for c in sorted(CASES)],
+    *[("random", mode, seed) for mode in ("plain", "ingest") for seed in range(6)],
+    *[("gapped", mode, seed) for mode in ("plain", "ingest") for seed in range(6)],
+]
+METAMORPHIC_IDS = ["-".join(map(str, s)) for s in METAMORPHIC_SOURCES]
+
+
+@pytest.mark.parametrize("source", METAMORPHIC_SOURCES, ids=METAMORPHIC_IDS)
+def test_shuffling_rows_within_frames_keeps_the_partition(crowd_sims, source):
+    # Ids and detection indices may change with the row order; which rows
+    # share a track may not.
+    scene, by_frame, cfg, n_frames = metamorphic_input(source, crowd_sims)
+    want, _ = Tracker(scene(), cfg).run(by_frame, range(n_frames))
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        shuffled = {f: t.rows(rng.permutation(len(t))) for f, t in by_frame.items()}
+        got, _ = Tracker(scene(), cfg).run(shuffled, range(n_frames))
+        assert partition(got) == partition(want)
+    assert len(want) == sum(map(len, by_frame.values()))  # every row is in a track
+
+
+@pytest.mark.parametrize("source", METAMORPHIC_SOURCES, ids=METAMORPHIC_IDS)
+def test_shifting_every_frame_shifts_outputs_and_events(crowd_sims, source):
+    scene, by_frame, cfg, n_frames = metamorphic_input(source, crowd_sims)
+    want = Tracker(scene(), cfg).run(by_frame, range(n_frames))
+    for shift in (1000, 123457):
+        moved = {
+            f + shift: DetectionTable(t.frame + shift, t.box, t.appearance, t.source_id,
+                                      pixel_boxes=t.boxes())
+            for f, t in by_frame.items()
+        }
+        outputs, events = Tracker(scene(shift), cfg).run(moved, range(shift, shift + n_frames))
+        assert [(f - shift, tid, box) for f, tid, box in outputs] == want[0]
+        assert [{**e, "frame": e["frame"] - shift} for e in events] == want[1]
