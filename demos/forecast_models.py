@@ -32,7 +32,7 @@ def main():
     noisy = [(f, (x + rng.normal(0, 0.03), y + rng.normal(0, 0.03))) for f, (x, y) in seen]
 
     base = RunConfig(obs_len=8, dt=0.4, fan_angles=(-30.0, 0.0, 30.0))
-    state = preprocess(noisy, base, fps)
+    state = preprocess([f for f, _ in noisy], [p for _, p in noisy], base, fps)
     _, vel, last_frame = state
     print(f"history: {len(noisy)} frames, filtered over {base.obs_len} steps of {base.dt}s")
     print(f"filtered end velocity: ({vel[0]:+.2f}, {vel[1]:+.2f}) m/s")

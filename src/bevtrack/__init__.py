@@ -59,8 +59,8 @@ from .tracker import (
     BranchTable,
     DetectionTable,
     SceneModel,
-    Track,
     Tracker,
+    TrackTable,
     assign,
     build_cost_matrix,
     frame_geometry,
@@ -97,7 +97,7 @@ __all__ = [
     "Scenario",
     "SceneModel",
     "SimOutput",
-    "Track",
+    "TrackTable",
     "Tracker",
     "align_to_xy",
     "assign",

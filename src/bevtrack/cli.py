@@ -295,11 +295,11 @@ def _cmd_forecast(args) -> int:
     dets = mot_io.read_detections(args.det)
     _check_identities(args.det, dets.frame, dets.track_id)
     order = np.lexsort((dets.frame, dets.track_id))
-    frames, points = dets.frame[order].tolist(), lh.px_to_bev(bottom_centers(dets.box[order]))
+    frames, points = dets.frame[order], lh.px_to_bev(bottom_centers(dets.box[order]))
     ids, starts = np.unique(dets.track_id[order], return_index=True)
     forecasts = {}
     for tid, lo, hi in zip(ids.tolist(), starts.tolist(), [*starts[1:].tolist(), len(frames)]):
-        state = preprocess(list(zip(frames[lo:hi], points[lo:hi])), cfg, args.fps)
+        state = preprocess(frames[lo:hi], points[lo:hi], cfg, args.fps)
         try:
             forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
         except ValueError as e:

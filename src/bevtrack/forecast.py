@@ -79,14 +79,10 @@ def _filter_last_state(z: np.ndarray, config: RunConfig):
     return x[:2], x[2:]
 
 
-def preprocess(history, config: RunConfig, fps: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The filter's last state for a track history.
-
-    Args:
-        history: sequence of (frame, (x, y)) with strictly increasing frames.
-        config: supplies obs_len (grid steps), dt (grid step, seconds),
-            process_noise and obs_noise (filter parameters).
-        fps: frames per second of the source video.
+def preprocess(frames, points, config: RunConfig, fps: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The filter's last state for a track history: (N,) strictly increasing
+    frames and their (N, 2) BEV points, at fps frames per second. config supplies
+    obs_len (grid steps), dt (grid step, seconds), process_noise and obs_noise.
 
     Returns:
         (position, velocity, last_frame): the filter's BEV position (2,) and
@@ -94,17 +90,17 @@ def preprocess(history, config: RunConfig, fps: float) -> tuple[np.ndarray, np.n
         the obs_len grid points spaced dt apart that end at the last
         observation, minus those before the first observation.
     """
-    if len(history) == 0:
+    frames, pos = np.asarray(frames, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(frames) == 0:
         raise ValueError("history must be non-empty")
-    frames = np.array([f for f, _ in history], dtype=float)
-    pos = np.array([p for _, p in history], dtype=float)
-    if np.any(np.diff(frames) <= 0):
+    if (frames[1:] <= frames[:-1]).any():
         raise ValueError("history frames must be strictly increasing")
 
     last = frames[-1]
     grid = last - config.dt * fps * np.arange(config.obs_len)[::-1]  # ascending, ends at last
     grid = grid[grid >= frames[0] - 1e-9]  # never empty: it ends at the last observation
-    z = np.stack([np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])], axis=1)
+    z = np.empty((len(grid), 2))
+    z[:, 0], z[:, 1] = np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])
     position, velocity = _filter_last_state(z, config)
     return position, velocity, int(round(last))
 

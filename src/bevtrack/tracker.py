@@ -3,38 +3,34 @@
 The built-in base association (a stand-in for any upstream online tracker) is
 frame-to-frame IoU-greedy matching. Tracks that miss a detection go inactive
 and are forecast forward in the BEV plane for the horizon tau_max; a track
-leaves on the frame after its forecast ends. Their branches are the rows of
-one BranchTable; at every frame all rows are evaluated at that frame and
+leaves on the frame after its forecast ends. At every frame each branch is
 offered the unmatched detections through a gated geometric+appearance score
 solved as a maximum-score assignment. In ingestion mode a track keeps its
 upstream id while inactive, and a detection carrying that id brings it back
-before the gates. Track ids are never reissued. A track keeps only its filter
-window's pixel feet; a step lifts in one px_to_world call only the points a
-decision reads: the windows of the tracks going inactive and, while the
-table has rows, the unmatched detections. Against those, one try_bev_to_px
-call maps every branch and one iou_matrix call gives the overlaps
-(FrameGeometry). Tracks and forecasts are world-fixed, the map camera-relative:
-SceneModel.px_to_world and world_to_px apply the camera offset, and nothing
-else does. A step reads one frame's detections as a DetectionTable, its only
-input (an empty list stands for none): read-only columns that trackers may
-share, and each row's PixelBox, built once per table, which a track keeps
-and the step outputs.
+before the gates. Track ids are never reissued. Tracks are the rows of one
+TrackTable, their branches those of one BranchTable, and a step works on both
+in array passes. It lifts in one px_to_world call only what a decision reads:
+the pixel feet of the tracks going inactive and, while branches exist, the
+unmatched detections. Tracks and forecasts are world-fixed, the map
+camera-relative: only SceneModel.px_to_world and world_to_px apply the camera
+offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import InitVar, dataclass, fields
+import math
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
-from .boxes import PixelBox, bottom_centers, iou, iou_matrix, ltwh  # noqa: F401
+from .boxes import PixelBox, bottom_centers, iou, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame
-from .forecast import Forecast, forecast, predicted_box, preprocess  # noqa: F401
+from .forecast import forecast, predicted_box, preprocess  # noqa: F401
 
 
 def _read_only(column, dtype):
@@ -131,34 +127,49 @@ class DetectionTable:
         frames = table.frame[cuts[:-1]].tolist() if len(table) else []
         return {f: table.rows(slice(lo, hi)) for f, lo, hi in zip(frames, cuts, cuts[1:])}
 
-    def sources(self) -> list:
-        """Each row's upstream id, or None."""
-        if self.source_id is None:
-            return [None] * len(self)
-        return [s if s >= 0 else None for s in self.source_id.tolist()]
-
 
 _NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), pixel_boxes=())
 
 
 @dataclass
-class Track:
-    """A track's own state: its filter window's pixel feet, last box and last descriptor."""
+class TrackTable:
+    """Every held track, one row each in id order, as a struct of arrays. A track's
+    m-th match sits in slot m % C of its rings, which hold its last C matches."""
 
-    id: int
-    feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame of the window
-    last_box: PixelBox
-    last_appearance: Optional[np.ndarray]  # NaN throughout when the detection had none
-    forecast: Optional[Forecast] = None  # None while active
-    source_binding: Optional[int] = None  # upstream id of the last match, kept while inactive
+    id: np.ndarray  # (T,) ascending
+    active: np.ndarray  # (T,) bool; an inactive track's branches are BranchTable rows
+    box: np.ndarray  # (T, 4) last box: left, top, width, height
+    appearance: np.ndarray  # (T, D) last descriptor, NaN throughout for none; D = 0 before any
+    source: np.ndarray  # (T,) upstream id of the last match, kept while inactive; negative: none
+    frames: np.ndarray  # (T, C) matched frames, a ring
+    feet: np.ndarray  # (T, C, 2) their pixel bottom-centres
+    seen: np.ndarray  # (T,) matches so far
 
-    @property
-    def active(self) -> bool:
-        return self.forecast is None
+    @classmethod
+    def empty(cls, capacity: int) -> TrackTable:
+        """No tracks, with rings of capacity matches."""
+        z = np.zeros
+        return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, capacity), int),
+                   z((0, capacity, 2)), z(0, int))
 
-    @property
-    def last_frame(self) -> int:
-        return self.feet[-1][0]
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def extend(self, ids) -> TrackTable:
+        """This table, then unmatched rows for new tracks with these ids, zeros but the id."""
+        grown = [np.concatenate([c, np.zeros((len(ids), *c.shape[1:]), c.dtype)])
+                 for c in vars(self).values()]
+        grown[0][len(self):] = ids
+        return TrackTable(*grown)
+
+    def matches(self, rows):
+        """(frames (k, C), feet (k, C, 2), held (k, C)) of the tracks at rows, oldest first:
+        row i's matches are frames[i][held[i]], the last in column C - 1."""
+        c = self.frames.shape[1]
+        i = np.arange(c)
+        seen = self.seen[rows][:, None]
+        rows, slot = np.asarray(rows)[:, None], (seen + i) % c
+        return self.frames[rows, slot], self.feet[rows, slot], i >= c - np.minimum(seen, c)
 
 
 @dataclass
@@ -187,12 +198,9 @@ class SceneModel:
 
 @dataclass
 class BranchTable:
-    """Every branch of every inactive track, one row each, as a struct of arrays.
-
-    Row r is branch ``branch[r]`` of track ``owner[r]`` at
-    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. Rows
-    stay until their track leaves.
-    """
+    """Every branch of every inactive track, one row each, as a struct of arrays: row r
+    is branch ``branch[r]`` of track ``owner[r]`` at origin + ((f - created) / fps) *
+    velocity, as in ``Forecast.points``, until its track leaves."""
 
     fps: float
     owner: np.ndarray  # (R,) track id
@@ -204,30 +212,26 @@ class BranchTable:
     size: np.ndarray  # (R, 2) width and height of the track's last box
 
     @classmethod
-    def of(cls, tracks, fps: float) -> BranchTable:
-        """Rows for the tracks' forecasts, in track order."""
-        fcs = [t.forecast for t in tracks]
-        k = np.array([len(fc.velocities) for fc in fcs], dtype=int)
-
-        def per_track(values, dtype, *shape):
-            return np.repeat(np.array(values, dtype=dtype).reshape(len(k), *shape), k, axis=0)
-
+    def of(cls, ids, sizes, forecasts: list, fps: float) -> BranchTable:
+        """Rows for forecasts[i] of track ids[i], whose last box has sizes[i] (width, height)."""
+        k = np.array([len(fc.velocities) for fc in forecasts], dtype=int)
+        track = np.repeat(np.arange(len(k)), k)  # each row's index into the arguments
         return cls(
             fps,
-            owner=per_track([t.id for t in tracks], int),
-            branch=np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k),
-            origin=per_track([fc.origin for fc in fcs], float, 2),
-            velocity=np.concatenate([np.zeros((0, 2))] + [fc.velocities for fc in fcs]),
-            created=per_track([fc.created_frame for fc in fcs], int),
-            end=per_track([fc.end_frame for fc in fcs], int),
-            size=per_track([(t.last_box.width, t.last_box.height) for t in tracks], float, 2),
+            owner=np.asarray(ids, dtype=int)[track],
+            branch=np.arange(len(track)) - (np.cumsum(k) - k)[track],
+            origin=np.array([fc.origin for fc in forecasts]).reshape(-1, 2)[track],
+            velocity=np.concatenate([np.zeros((0, 2))] + [fc.velocities for fc in forecasts]),
+            created=np.array([fc.created_frame for fc in forecasts], dtype=int)[track],
+            end=np.array([fc.end_frame for fc in forecasts], dtype=int)[track],
+            size=np.asarray(sizes, dtype=float).reshape(-1, 2)[track],
         )
 
     def __len__(self) -> int:
         return len(self.owner)
 
     def _columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)[1:]]
+        return list(vars(self).values())[1:]
 
     def rows(self, keep: np.ndarray) -> BranchTable:
         return BranchTable(self.fps, *(c[keep] for c in self._columns()))
@@ -257,9 +261,8 @@ class FrameGeometry:
     det_points: np.ndarray  # (M, 2) the detections' world-fixed BEV points
 
 
-def frame_geometry(
-    table: BranchTable, det_boxes, det_points, scene: SceneModel, frame: int
-) -> FrameGeometry:
+def frame_geometry(table: BranchTable, det_boxes, det_points, scene: SceneModel,
+                   frame: int) -> FrameGeometry:
     """The table's FrameGeometry against detections' (M, 4) boxes and (M, 2) BEV points."""
     pts = table.points(frame)
     px, _ = scene.world_to_px(pts, frame)
@@ -267,50 +270,46 @@ def frame_geometry(
     return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes), det_points)
 
 
-def build_cost_matrix(
-    tracks: list[Track], detections, config: RunConfig, geometry: FrameGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+def build_cost_matrix(track_appearance: np.ndarray, det_appearance: np.ndarray,
+                      config: RunConfig, geometry: FrameGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
     Per branch the score is IoU(predicted box, detection box) plus the
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
-    entry is the best (max) over its branches, the first branch on a
-    tie. Zero means "forbidden". ``geometry``, whose table holds these
-    tracks' rows and whose overlap columns are the DetectionTable
-    ``detections``, supplies the branch points, the overlaps and the
-    detections' BEV points.
+    entry is the best (max) over its branches, the first branch on a tie.
+    Zero means "forbidden". The tracks, with (n, D) descriptors
+    ``track_appearance``, are the owners of ``geometry``'s rows in id order;
+    the detections, with (m, D) ``det_appearance``, its overlap columns. A row
+    of NaN (no descriptor), or a side with no columns, passes the gate.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
         attaining each entry (-1 where the score is 0).
     """
-    n, m = len(tracks), len(detections)
+    n, m = len(track_appearance), len(det_appearance)
     scores = np.zeros((n, m))
     best_branch = np.full((n, m), -1, dtype=int)
     if n == 0 or m == 0:
         return scores, best_branch
     table = geometry.table
-    index = {tr.id: i for i, tr in enumerate(tracks)}
-    owner = np.array([index.get(tid, -1) for tid in table.owner.tolist()], dtype=int)
-    rows = owner >= 0
-    d_iou = geometry.overlap[rows]
+    owner = np.unique(table.owner, return_inverse=True)[1]
+    d_iou = geometry.overlap
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = geometry.points[rows][:, None, :] - geometry.det_points[None, :, :]
+    diff = geometry.points[:, None, :] - geometry.det_points[None, :, :]
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
     per_branch = np.zeros((n, table.branch.max(initial=0) + 1, m))
-    per_branch[owner[rows], table.branch[rows]] = s
+    per_branch[owner, table.branch] = s
     best = per_branch.max(axis=1)
     ok = best > 0.0
 
-    ti = [i for i, tr in enumerate(tracks) if tr.last_appearance is not None]
-    if ti and detections.appearance is not None:
-        a = np.array([tracks[i].last_appearance for i in ti])[:, None, None, :]
-        b = detections.appearance[None, :, :, None]
+    if track_appearance.shape[1] and det_appearance.shape[1]:
+        a = track_appearance[:, None, None, :]
+        b = det_appearance[None, :, :, None]
         # One stacked product per pair, rounding like the 1-D tr @ det product. A row
         # of NaN, no descriptor, on either side gives NaN, which the gate lets pass.
-        ok[ti] &= ~((a @ b)[..., 0, 0] < config.tau_app)
+        ok &= ~((a @ b)[..., 0, 0] < config.tau_app)
 
     scores[ok] = best[ok]
     best_branch[ok] = per_branch.argmax(axis=1)[ok]
@@ -351,98 +350,91 @@ class Tracker:
     def __init__(self, scene: SceneModel, config: RunConfig = None):
         self.scene = scene
         self.config = config or RunConfig()
-        self.tracks: dict[int, Track] = {}
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
-        self.branches = BranchTable.of([], scene.fps)  # the inactive tracks' branches
+        self.branches = BranchTable.of([], [], [], scene.fps)  # the inactive tracks' branches
         self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # in frames
+        # the most matches a filter window holds; preprocess reads no match before it
+        self.tracks = TrackTable.empty(math.ceil(self.window_span) + 1)
 
     # -- helpers -------------------------------------------------------------
 
-    def _activate(self, track: Track, row: tuple, frame: int):
-        """Give the track a detection's (foot, PixelBox, descriptor, source id). It keeps
-        its filter window: the grid starts window_span frames back, and interpolating it
-        reads no foot before the last one at or before that frame."""
-        foot, track.last_box, track.last_appearance, track.source_binding = row
-        track.feet.append((frame, foot))
-        while len(track.feet) > 1 and track.feet[1][0] <= frame - self.window_span:
-            del track.feet[0]
-        track.forecast = None
+    def _take(self, rows, js, dets: DetectionTable, frame: int):
+        """Activate the tracks at rows with dets' rows js (index arrays, or one of each)."""
+        t = self.tracks
+        seen = t.seen[rows]
+        slot = seen % t.frames.shape[1]
+        t.frames[rows, slot] = frame
+        t.feet[rows, slot] = dets.foot.take(js, axis=0)
+        t.seen[rows] = seen + 1
+        t.active[rows] = True
+        t.box[rows] = dets.box.take(js, axis=0)
+        t.appearance[rows] = np.nan if dets.appearance is None else dets.appearance.take(js, 0)
+        t.source[rows] = -1 if dets.source_id is None else dets.source_id[js]
 
-    def _deactivate(self, track: Track, history):
-        """Forecast the track from its window's (frame, world point) pairs."""
-        state = preprocess(history, self.config, self.scene.fps)
-        track.forecast = forecast(state, self.config, self.scene.fps)
-
-    def _base_association(self, active: list[Track], dets: DetectionTable, sources: list):
-        """IoU-greedy (or upstream-id) matching, by (-iou, track id, detection index)."""
-        matches = {}
-        if self.config.ingest_ids:
-            by_source = {t.source_binding: t for t in active if t.source_binding is not None}
-            for j, source in enumerate(sources):
-                tr = by_source.get(source)
-                if tr is not None and tr.id not in matches:
-                    matches[tr.id] = j
+    def _base_association(self, active: np.ndarray, dets: DetectionTable) -> dict:
+        """{index into active: detection index}, by IoU-greedy (or upstream-id) matching
+        in (-iou, track id, detection index) order."""
+        t, matches = self.tracks, {}
+        if self.config.ingest_ids:  # a frame's upstream ids are distinct
+            bound = {s: i for i, s in enumerate(t.source[active].tolist()) if s >= 0}
+            sources = [] if dets.source_id is None else dets.source_id.tolist()
+            return {bound[s]: j for j, s in enumerate(sources) if s in bound}
+        if not len(active) or not len(dets):
             return matches
-        if not active or not sources:
-            return matches
-        ov = iou_matrix(ltwh([t.last_box for t in active]), dets.box)
+        ov = iou_matrix(t.box.take(active, axis=0), dets.box)
         ti, dj = np.nonzero(ov >= self.config.base_iou)
         # active is in id order, so its index orders pairs like the track id.
         order = np.lexsort((dj, ti, -ov[ti, dj])).tolist()
         ti, dj = ti.tolist(), dj.tolist()
         used_dets = set()
         for k in order:
-            tid, j = active[ti[k]].id, dj[k]
-            if tid in matches or j in used_dets:
-                continue
-            matches[tid] = j
-            used_dets.add(j)
+            i, j = ti[k], dj[k]
+            if i not in matches and j not in used_dets:
+                matches[i] = j
+                used_dets.add(j)
         return matches
 
-    def _advance_inactive(self, dets, det_rows, sources, free_dets, free_bev, matched_dets, frame,
-                          events):
-        """Remove and re-associate the inactive tracks: one pass over the table.
-        The free detections, free_dets, have the world points free_bev.
+    def _advance_inactive(self, dets, free, free_bev, frame, events, took, dead):
+        """Remove (removed_dead, in id order, into dead) or re-associate (into took) the
+        inactive tracks; the list free of dets' rows has world points free_bev. In ingestion
+        mode a free detection's upstream id brings its inactive track back before the gates."""
+        cfg, t, table = self.config, self.tracks, self.branches
+        ended = table.end < frame
+        if not free and not ended.any():
+            return
+        owner = np.searchsorted(t.id, table.owner)  # each branch row's track row
+        gone = np.zeros(len(t), bool)  # and, below, the re-associated
+        gone[owner[ended]] = True
+        dead += gone.nonzero()[0].tolist()
+        events += [_event(frame, tid, reason="removed_dead") for tid in t.id[gone].tolist()]
+        held = np.bincount(owner, minlength=len(t)) > 0
 
-        A track whose forecast has ended leaves (removed_dead); removals are
-        logged in id order. In ingestion mode a free detection carrying an
-        inactive track's upstream id re-associates it before the gates.
-        Removed and re-associated tracks leave the table.
-        """
-        cfg = self.config
-        table = self.branches
-        owner = table.owner
-        gone = set(owner[table.end < frame].tolist())  # and, below, the re-associated
-        for tid in sorted(gone):
-            del self.tracks[tid]
-            events.append(_event(frame, tid, reason="removed_dead"))
-        survivors = [self.tracks[tid] for tid in sorted(set(owner.tolist()) - gone)]
+        def reassociate(r, j, score=None, branch=None):
+            events.append(_event(frame, int(t.id[r]), j, score, branch, reason="reassociated"))
+            took.append((r, j))
+            gone[r] = True
 
-        def reassociate(tr, j, score=None, branch=None):
-            events.append(_event(frame, tr.id, j, score, branch, reason="reassociated"))
-            self._activate(tr, det_rows[j], frame)
-            matched_dets.add(j)
-            gone.add(tr.id)
-
-        if cfg.ingest_ids and survivors and free_dets:
-            bound = {t.source_binding: t for t in survivors if t.source_binding is not None}
-            for j in free_dets:
-                tr = bound.get(sources[j])
-                if tr is not None and not tr.active:
-                    reassociate(tr, j)
-            survivors = [t for t in survivors if not t.active]
-            keep = [i for i, j in enumerate(free_dets) if j not in matched_dets]
-            free_dets, free_bev = [free_dets[i] for i in keep], free_bev[keep]
-
-        if survivors and free_dets:
-            free = frame_geometry(table, dets.box[free_dets], free_bev, self.scene, frame)
-            scores, best_branch = build_cost_matrix(survivors, dets.rows(free_dets), cfg, free)
+        if cfg.ingest_ids and free and dets.source_id is not None:  # ids are distinct
+            rows = (held & ~gone).nonzero()[0].tolist()
+            bound = {s: r for s, r in zip(t.source[rows].tolist(), rows) if s >= 0}
+            sources = dets.source_id[free].tolist()
+            for j, s in zip(free, sources):
+                if s in bound:
+                    reassociate(bound[s], j)
+            left = [k for k, s in enumerate(sources) if s not in bound]
+            free, free_bev = [free[k] for k in left], free_bev[left]
+        survivors = (held & ~gone).nonzero()[0]
+        if len(survivors) and free:
+            scored = ~gone[owner]
+            sub = table if scored.all() else table.rows(scored)
+            geometry = frame_geometry(sub, dets.box[free], free_bev, self.scene, frame)
+            app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
+            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry)
             for i, jj in assign(scores):
-                reassociate(survivors[i], free_dets[jj], float(scores[i, jj]),
-                            int(best_branch[i, jj]))
-        if gone:
-            self.branches = table.rows(~np.isin(owner, list(gone)))
+                reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
+        if gone.any():
+            self.branches = table.rows(~gone[owner])
 
     # -- the per-frame update --------------------------------------------------
 
@@ -457,7 +449,7 @@ class Tracker:
         i = 0
         while i < len(frames):
             f = frames[i]
-            if not self.tracks and not by_frame.get(f):
+            if not len(self.tracks) and not by_frame.get(f):
                 k = bisect.bisect_left(busy, f)
                 i = bisect.bisect_left(frames, busy[k]) if k < len(busy) else len(frames)
                 continue
@@ -469,16 +461,15 @@ class Tracker:
 
     def step(self, detections, frame: int):
         """Process one frame of detections: a DetectionTable of the frame's rows, or an
-        empty list (or tuple) for none; anything else is a TypeError.
-
-        In ingestion mode two detections with one source id are a ValueError,
-        raised before the tracker changes.
+        empty list (or tuple) for none; anything else is a TypeError. A row of another
+        frame, and in ingestion mode two detections with one source id, are a
+        ValueError raised before the tracker changes.
 
         Returns:
             (outputs, events): outputs is [(frame, track_id, PixelBox)] for the
-            tracks active after this frame; events is a list of association
-            log records (dicts with frame/track_id/detection_index/score/
-            branch_id/reason).
+            tracks active after this frame, in id order, each with its
+            detection's PixelBox; events is a list of association log records
+            (dicts with frame/track_id/detection_index/score/branch_id/reason).
         """
         empty = isinstance(detections, (list, tuple)) and not detections
         dets = _NO_DETECTIONS if empty else detections
@@ -488,64 +479,77 @@ class Tracker:
             raise NonMonotonicFrame(
                 f"frame {frame} not after last processed frame {self.last_step_frame}"
             )
-        cfg = self.config
+        cfg, t, n = self.config, self.tracks, len(dets)
+        for j, f in enumerate(dets.frame.tolist()):
+            if f != frame:
+                raise ValueError(f"frame {frame}: row {j} is from frame {f}")
         if cfg.ingest_ids and dets.source_id is not None:
             ids = np.sort(dets.source_id[dets.source_id >= 0])
             twice = ids[1:][ids[1:] == ids[:-1]]
             if len(twice):
                 raise ValueError(f"frame {frame}: source id {twice[0]} on two detections")
-        self.last_step_frame = frame
-        events = []
-        n = len(dets)
+        if dets.appearance is not None and not t.appearance.shape[1]:  # the first descriptors
+            t.appearance = np.full((len(t), dets.appearance.shape[1]), np.nan)
         if n and self.scene.ego is not None:
             self.scene.ego.offset(frame)  # a frame the camera track lacks is an error here
-        feet = dets.foot.tolist()
-        sources = dets.sources()
-        descriptors = [None] * n if dets.appearance is None else list(dets.appearance)
-        det_rows = list(zip(feet, dets.boxes(), descriptors, sources))  # what a track keeps
+        self.last_step_frame = frame
+        events, took, dead, lost = [], [], [], []
 
-        # Base association keeps visible tracks alive; self.tracks holds ids ascending.
-        active = [t for t in self.tracks.values() if t.active]
-        matches = self._base_association(active, dets, sources)
-        matched_dets = set(matches.values())
-        deactivated = []
-        for tr in active:
-            if tr.id in matches:
-                j = matches[tr.id]
-                self._activate(tr, det_rows[j], frame)
-                events.append(_event(frame, tr.id, j, reason="active"))
+        # Base association keeps visible tracks alive; rows are in id order.
+        active = t.active.nonzero()[0]
+        matches = self._base_association(active, dets)
+        for i, (r, tid) in enumerate(zip(active.tolist(), t.id[active].tolist())):
+            j = matches.get(i)
+            if j is not None:
+                took.append((r, j))
+                events.append(_event(frame, tid, j, reason="active"))
             elif cfg.forecast_enabled:
-                deactivated.append(tr)
-                events.append(_event(frame, tr.id, reason="inactive"))
+                lost.append(r)
+                events.append(_event(frame, tid, reason="inactive"))
             else:
-                del self.tracks[tr.id]
-                events.append(_event(frame, tr.id, reason="terminated"))
+                dead.append(r)
+                events.append(_event(frame, tid, reason="terminated"))
 
-        # The step's one lift: windows of the tracks going inactive, then the table's detections.
-        rows = [row for tr in deactivated for row in tr.feet]
-        free_dets = [j for j in range(n) if j not in matched_dets]
-        if deactivated or len(self.branches):
-            rows += [(frame, feet[j]) for j in free_dets]
-        world = self.scene.px_to_world([p for _, p in rows], [f for f, _ in rows]) if rows else []
-        lo = 0
-        for tr in deactivated:
-            self._deactivate(tr, list(zip((f for f, _ in tr.feet), world[lo : lo + len(tr.feet)])))
-            lo += len(tr.feet)
-        if deactivated:
-            self.branches = self.branches.extend(BranchTable.of(deactivated, self.scene.fps))
+        # The step's one lift: the matches of the tracks going inactive, then, while
+        # branches exist, the free detections.
+        free = sorted(set(range(n)) - set(matches.values()))
+        world = None  # unread while no detection is free
+        if lost or (free and len(self.branches)):
+            at, pixels = np.full(len(free), frame), dets.foot[free]
+            if lost:
+                frames, feet, held = t.matches(lost)
+                at, pixels = np.concatenate([frames[held], at]), np.concatenate([feet[held], pixels])
+            world = self.scene.px_to_world(pixels, at)
+        if lost:
+            forecasts, lo = [], 0
+            for k in held.sum(axis=1).tolist():
+                state = preprocess(at[lo : lo + k], world[lo : lo + k], cfg, self.scene.fps)
+                forecasts.append(forecast(state, cfg, self.scene.fps))
+                lo += k
+            world = world[lo:]
+            t.active[lost] = False
+            fresh = BranchTable.of(t.id[lost], t.box[lost, 2:], forecasts, self.scene.fps)
+            self.branches = self.branches.extend(fresh)
         if len(self.branches):
-            self._advance_inactive(dets, det_rows, sources, free_dets, world[lo:], matched_dets,
-                                   frame, events)
+            self._advance_inactive(dets, free, world, frame, events, took, dead)
 
         # Anything still unmatched founds a new track.
-        for j in range(n):
-            if j in matched_dets:
-                continue
-            tid = self.next_id
-            self.next_id += 1
-            self.tracks[tid] = Track(tid, [], None, None)
-            self._activate(self.tracks[tid], det_rows[j], frame)
-            events.append(_event(frame, tid, j, reason="new"))
-
-        live = (t for t in self.tracks.values() if t.active and t.last_frame == frame)
-        return [(frame, t.id, t.last_box) for t in live], events
+        new = sorted(set(range(n)) - {j for _, j in took})
+        if new:
+            ids = range(self.next_id, self.next_id + len(new))
+            self.next_id += len(new)
+            events += [_event(frame, i, j, reason="new") for i, j in zip(ids, new)]
+            took += zip(range(len(t), len(t) + len(new)), new)
+            t = self.tracks = t.extend(ids)
+        took.sort()
+        if len(took) < 4:  # a few row writes cost less than one scatter's fixed numpy calls
+            for r, j in took:
+                self._take(r, j, dets, frame)
+        else:
+            self._take(*np.array(list(zip(*took)), dtype=np.intp), dets, frame)
+        if dead:
+            keep = np.ones(len(t), bool)
+            keep[dead] = False
+            self.tracks = TrackTable(*(c[keep] for c in vars(t).values()))
+        ids, boxes = t.id.tolist(), dets.boxes()
+        return [(frame, ids[r], boxes[j]) for r, j in took], events

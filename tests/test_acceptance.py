@@ -628,7 +628,7 @@ def test_forecast_displacement_exactness():
     ):
         history = [(f, (x0 + dx * f / fps, y0 + dy * f / fps)) for f in range(81)]
         cfg = RunConfig(obs_len=8, dt=0.5, tau_max=4.0)  # 8 steps of 0.5 s
-        state = preprocess(history, cfg, fps)
+        state = preprocess([f for f, _ in history], [p for _, p in history], cfg, fps)
         forecasts_cv[aid] = forecast(state, cfg.override(motion="kalman_cv"), fps)
         forecasts_st[aid] = forecast(state, cfg.override(motion="static"), fps)
         for f in range(0, 145):

@@ -376,7 +376,7 @@ class TestForecastCommand:
         cfg = RunConfig(motion=motion)
         feet = [(left + w / 2.0, top + h) for left, top, w, h in recs.box.tolist()]
         points = lh.px_to_bev(np.array(feet))
-        state = preprocess(list(zip(recs.frame.tolist(), points)), cfg, 10.0)
+        state = preprocess(recs.frame, points, cfg, 10.0)
         expected = listed_points(forecast(state, cfg, 10.0, 2.0))
 
         frames = np.arange(row["created_frame"] + 1, row["end_frame"] + 1)

@@ -63,10 +63,10 @@ class TestDefaults:
         for f in range(3):
             tk.step(walker_dets(f), f)
         tk.step([], 3)
-        fc = tk.tracks[1].forecast
+        branches = tk.branches
         # static: one zero-velocity branch; ceil(3.0 / 0.5) = 6 steps of 5 frames
-        assert fc.velocities.tolist() == [[0.0, 0.0]]
-        assert fc.end_frame == 2 + 6 * 5
+        assert branches.owner.tolist() == [1] and branches.velocity.tolist() == [[0.0, 0.0]]
+        assert branches.end.tolist() == [2 + 6 * 5]
 
 
 class TestMotionRules:

@@ -21,13 +21,18 @@ def cv_history(n_frames, fps, vel, start=(0.0, 10.0), first_frame=0, every=1):
     return out
 
 
+def columns(history):
+    """(frames, points) of a [(frame, (x, y))] history."""
+    return [f for f, _ in history], [p for _, p in history]
+
+
 def last_state(points, dt, process_noise=0.1, obs_noise=0.25):
     """The filter's last (position, velocity) for positions one dt grid step apart."""
     hist = [(8 * i, tuple(p)) for i, p in enumerate(points)]
     cfg = RunConfig(
         obs_len=len(points), dt=dt, process_noise=process_noise, obs_noise=obs_noise
     )
-    position, velocity, _ = preprocess(hist, cfg, fps=8 / dt)  # one step is 8 frames
+    position, velocity, _ = preprocess(*columns(hist), cfg, fps=8 / dt)  # one step is 8 frames
     return position, velocity
 
 
@@ -171,7 +176,7 @@ class TestMatchesReference:
             horizon = cfg.tau_max if horizon_s is None else horizon_s
             steps = max(1, math.ceil(horizon / cfg.dt))
             want = reference_forecast(motion, cfg.fan_angles, want_obs, steps)
-            got = forecast(preprocess(hist, cfg, fps), cfg, fps, horizon_s)
+            got = forecast(preprocess(*columns(hist), cfg, fps), cfg, fps, horizon_s)
 
             assert np.array_equal(got.origin, want.origin), trial
             assert np.array_equal(got.velocities, want.velocities), trial
@@ -187,14 +192,14 @@ class TestMatchesReference:
 class TestPreprocess:
     def test_state_at_last_observation(self):
         hist = cv_history(80, fps=20.0, vel=(1.0, 0.5))
-        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        position, velocity, last_frame = preprocess(*columns(hist), RunConfig(), 20.0)
         assert last_frame == 79
         assert position.shape == (2,) and velocity.shape == (2,)
         assert np.allclose(position, (79 / 20.0 * 1.0, 10.0 + 79 / 20.0 * 0.5), atol=1e-9)
 
     def test_constant_velocity_passes_through_exactly(self):
         hist = cv_history(80, fps=20.0, vel=(0.8, -0.2), start=(2.0, 15.0))
-        position, velocity, _ = preprocess(hist, RunConfig(), 20.0)
+        position, velocity, _ = preprocess(*columns(hist), RunConfig(), 20.0)
         assert np.allclose(position, (2.0 + 0.8 * 79 / 20.0, 15.0 - 0.2 * 79 / 20.0), atol=1e-9)
         assert np.allclose(velocity, (0.8, -0.2), atol=1e-9)
 
@@ -203,7 +208,7 @@ class TestPreprocess:
         # linear interpolation, which is exact for constant velocity.
         hist = cv_history(16, fps=20.0, vel=(1.0, 0.0), every=5)
         assert hist[-1][0] == 75
-        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        position, velocity, last_frame = preprocess(*columns(hist), RunConfig(), 20.0)
         assert last_frame == 75
         assert np.allclose(position, (75 / 20.0, 10.0), atol=1e-9)
         assert np.allclose(velocity, (1.0, 0.0), atol=1e-9)
@@ -212,24 +217,24 @@ class TestPreprocess:
         # 17 frames cover 3 of the 8 grid points (last, -8, -16); the filter
         # runs over those three alone and still lands on the exact state.
         hist = cv_history(17, fps=20.0, vel=(1.0, 0.0), first_frame=63)
-        position, velocity, last_frame = preprocess(hist, RunConfig(), 20.0)
+        position, velocity, last_frame = preprocess(*columns(hist), RunConfig(), 20.0)
         assert last_frame == 79
         assert np.allclose(position, (79 / 20.0, 10.0), atol=1e-6)
         assert np.allclose(velocity, (1.0, 0.0), atol=1e-6)
 
     def test_single_observation(self):
-        position, velocity, last_frame = preprocess([(10, (3.0, 7.0))], RunConfig(obs_len=4), 20.0)
+        position, velocity, last_frame = preprocess([10], [(3.0, 7.0)], RunConfig(obs_len=4), 20.0)
         assert position.tolist() == [3.0, 7.0]
         assert velocity.tolist() == [0.0, 0.0]
         assert last_frame == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            preprocess([], RunConfig(), 20.0)
-        with pytest.raises(ValueError):
-            preprocess([(5, (0.0, 0.0)), (5, (1.0, 1.0))], RunConfig(), 20.0)
-        with pytest.raises(ValueError):
-            preprocess([(5, (0.0, 0.0)), (4, (1.0, 1.0))], RunConfig(), 20.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            preprocess([], [], RunConfig(), 20.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            preprocess([5, 5], [(0.0, 0.0), (1.0, 1.0)], RunConfig(), 20.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            preprocess([5, 4], [(0.0, 0.0), (1.0, 1.0)], RunConfig(), 20.0)
 
 
 class TestFilterLastState:
@@ -405,7 +410,7 @@ class TestForecastMatchesStoredPoints:
                 obs_len=int(rng.integers(1, 10)),
                 dt=dt,
             )
-            state = preprocess(hist, cfg, fps)
+            state = preprocess(*columns(hist), cfg, fps)
             horizon = int(rng.integers(1, 8))
             fc = forecast(state, cfg, fps, horizon_s=horizon * dt)
             n = fc.end_frame - fc.created_frame

@@ -1,5 +1,7 @@
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from bevtrack.tracker import (
     BranchTable,
     DetectionTable,
     SceneModel,
-    Track,
     Tracker,
+    TrackTable,
     assign,
     build_cost_matrix,
     frame_geometry,
@@ -55,17 +57,65 @@ def table(*rows):
     return DetectionTable(frame, ltwh(box), appearance, source, pixel_boxes=box)
 
 
+@dataclass
+class Inactive:
+    """An inactive track as a test states it: its last box and descriptor, and its forecast."""
+
+    id: int
+    last_box: PixelBox
+    last_appearance: Optional[np.ndarray]  # None: no descriptor
+    forecast: Forecast
+
+
 def table_of(tracks):
     """The tracks' branch table at their forecasts' frame rate."""
-    return BranchTable.of(tracks, tracks[0].forecast.fps)
+    sizes = [(t.last_box.width, t.last_box.height) for t in tracks]
+    return BranchTable.of([t.id for t in tracks], sizes, [t.forecast for t in tracks],
+                          tracks[0].forecast.fps)
+
+
+def descriptors(tracks):
+    """(n, D) descriptors of the tracks, NaN for none; (n, 0) when none has one."""
+    dims = [len(t.last_appearance) for t in tracks if t.last_appearance is not None]
+    if not dims:
+        return np.zeros((len(tracks), 0))
+    return np.array([np.full(dims[0], np.nan) if t.last_appearance is None else t.last_appearance
+                     for t in tracks])
 
 
 def cost_matrix(tracks, detections, points, config, scene, frame):
-    """build_cost_matrix on the frame's geometry for these tracks and for
-    detections whose bottom-centres lift to the given BEV points."""
+    """build_cost_matrix on the frame's geometry for these tracks (in id order) and
+    for detections whose bottom-centres lift to the given BEV points."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
     g = frame_geometry(table_of(tracks), detections.box, pts, scene, frame)
-    return build_cost_matrix(tracks, detections, config, g)
+    app = detections.appearance
+    app = np.zeros((len(detections), 0)) if app is None else app
+    return build_cost_matrix(descriptors(tracks), app, config, g)
+
+
+def hold(tk, tracks):
+    """Make these inactive tracks the tracker's only ones, their branches in the given order."""
+    ids = sorted(t.id for t in tracks)
+    tk.tracks = TrackTable.empty(tk.tracks.frames.shape[1]).extend(ids)
+    tk.branches = table_of(tracks)
+    tk.next_id = ids[-1] + 1
+
+
+def row(tk, tid):
+    """The track's row in the tracker's table."""
+    (r,) = np.flatnonzero(tk.tracks.id == tid)
+    return r
+
+
+def matches(tk, tid):
+    """The matches the track holds, oldest first, as [(frame, [u, v])]."""
+    frames, feet, held = tk.tracks.matches([row(tk, tid)])
+    return list(zip(frames[held].tolist(), feet[held].tolist()))
+
+
+def end_frames(tk, tid):
+    """The end frames of the track's branches."""
+    return tk.branches.end[tk.branches.owner == tid].tolist()
 
 
 def unit(*v):
@@ -83,13 +133,7 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
         end_frame=created + 1,
         fps=1.0,
     )
-    return Track(
-        id=tid,
-        feet=[(created, (u, v))],
-        last_box=box_at(u, v, w, h),
-        last_appearance=app,
-        forecast=fc,
-    )
+    return Inactive(tid, box_at(u, v, w, h), app, fc)
 
 
 def test_geometry_from_top_level_names():
@@ -99,20 +143,20 @@ def test_geometry_from_top_level_names():
 
     lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
     scene = bt.SceneModel(lh=lh, fps=1.0)
-    # seen at (50, 100) on frame 0, forecast at 1 m/s along x; a detection at (51, 100) on frame 1
-    seen = bt.PixelBox(44.0, 76.0, 12.0, 24.0)
+    # seen in a 12 x 24 box at (50, 100) on frame 0, forecast at 1 m/s along x;
+    # a detection at (51, 100) on frame 1
     fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
-    track = bt.Track(1, [(0, np.array([50.0, 100.0]))], seen, last_appearance=None, forecast=fc)
     dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
     config = bt.RunConfig()
-    branches = bt.BranchTable.of([track], fps=1.0)
+    branches = bt.BranchTable.of([1], [(12.0, 24.0)], [fc], fps=1.0)
     geometry = bt.frame_geometry(branches, dets.box, np.array([[51.0, 100.0]]), scene, 1)
     assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
     assert geometry.det_points.tolist() == [[51.0, 100.0]]
-    scores, branch = bt.build_cost_matrix([track], dets, config, geometry)
+    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
-    assert {"BranchTable", "DetectionTable", "frame_geometry"} <= set(bt.__all__)
+    assert {"BranchTable", "DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
+    assert not hasattr(bt, "Track")
 
 
 BOXES = np.tile([10.0, 20.0, 12.0, 24.0], (3, 1))  # three valid rows
@@ -163,7 +207,7 @@ class TestDetectionTable:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
         box[0, 0] = 7.0  # the caller's array stays writable
-        assert t.sources() == [4, None, 5]
+        assert t.source_id.tolist() == [4, -1, 5]
 
     # A NaN or -inf width or height is refused as non-positive.
     @pytest.mark.parametrize("field, value", [(0, np.nan), (0, np.inf), (0, -np.inf),
@@ -191,7 +235,7 @@ class TestDetectionTable:
 
     def test_integral_floats_are_integers(self):
         t = DetectionTable([0.0, 3.0, -1.0], BOXES, source_id=[4.0, -1.0, 5.0], agent_id=[1.0] * 3)
-        assert t.frame.tolist() == [0, 3, -1] and t.sources() == [4, None, 5]
+        assert t.frame.tolist() == [0, 3, -1] and t.source_id.tolist() == [4, -1, 5]
         assert t.frame.dtype == t.source_id.dtype == t.agent_id.dtype == np.int64
 
 
@@ -373,34 +417,39 @@ class TestEgoFrameOutsideTrack:
 
 
 class TestDeactivateReadsTheWindowTail:
-    """A track keeps only its window, the feet from the last one at or before the
-    grid's first point on; filtering it must equal filtering the whole history."""
+    """A track keeps only its last matches, as many as a filter window can hold: the
+    feet from the last one at or before the grid's first point on. Filtering them
+    must equal filtering the whole history."""
 
     def check(self, frames, cfg, fps, rng):
-        history = [(int(f), rng.uniform(-10.0, 10.0, 2)) for f in frames]
-        tk = Tracker(make_scene(fps=fps), cfg)
-        tr = Track(id=1, feet=[], last_box=None, last_appearance=None)
-        for f, foot in history:
-            tk._activate(tr, (foot, box_at(50, 100), None, None), f)
-        tk._deactivate(tr, tr.feet)  # the identity scene: each foot is its world point
-        want = forecast(preprocess(history, cfg, fps), cfg, fps)
-        assert np.array_equal(tr.forecast.origin, want.origin)
-        assert np.array_equal(tr.forecast.velocities, want.velocities)
-        assert (tr.forecast.created_frame, tr.forecast.end_frame) == (
-            want.created_frame, want.end_frame
-        )
+        # In ingestion mode one upstream id holds the track however far it jumps.
+        tk = Tracker(make_scene(fps=fps), cfg.override(ingest_ids=True))
+        feet = []
+        for f in frames.tolist():
+            dets = table(det_at(f, *rng.uniform(20.0, 180.0, 2), source=1))
+            tk.step(dets, f)
+            feet.append(dets.foot[0])
+        seen = matches(tk, 1)
+        tk.step([], int(frames[-1]) + 1)  # the track goes inactive
+        lifted = tk.scene.px_to_world(np.array(feet), frames)
+        want = forecast(preprocess(frames, lifted, cfg, fps), cfg, fps)
+        b = tk.branches
+        assert np.array_equal(b.origin, np.repeat(want.origin[None], len(b), axis=0))
+        assert np.array_equal(b.velocity, want.velocities)
+        assert set(b.created) == {want.created_frame} and set(b.end) == {want.end_frame}
         first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
         start = max([k for k, f in enumerate(frames) if f <= first], default=0)
-        assert [f for f, _ in tr.feet] == [f for f, _ in history[start:]]
+        held = tk.tracks.frames.shape[1]
+        assert [f for f, _ in seen] == frames[-held:].tolist() and start >= len(frames) - held
         return frames[0] > first, frames[0] < first and first not in frames
 
     def test_straddling_gap_and_short_history(self):
         rng = np.random.default_rng(3)
         cfg = RunConfig(obs_len=8, dt=0.5)  # at 10 fps the grid starts 35 frames back
         # observations at 20 and 50 straddle the first grid point, frame 45
-        assert self.check([0, 10, 20, 50, 60, 70, 80], cfg, 10.0, rng) == (False, True)
-        assert self.check([50, 60, 70, 80], cfg, 10.0, rng) == (True, False)  # shorter
-        assert self.check([30, 45, 80], cfg, 10.0, rng) == (False, False)  # one at 45
+        assert self.check(np.array([0, 10, 20, 50, 60, 70, 80]), cfg, 10.0, rng) == (False, True)
+        assert self.check(np.array([50, 60, 70, 80]), cfg, 10.0, rng) == (True, False)  # shorter
+        assert self.check(np.array([30, 45, 80]), cfg, 10.0, rng) == (False, False)  # one at 45
 
     def test_random_gapped_histories(self):
         rng = np.random.default_rng(4)
@@ -433,7 +482,7 @@ class TestTrackerLifecycle:
         tk = Tracker(make_scene(), small_config())
         tk.step(table(det_at(0, 50, 100)), 0)
         tk.step(table(det_at(1, 51, 100)), 1)
-        feet = tk.tracks[1].feet
+        feet = matches(tk, 1)
         assert feet == [(0, [50.0, 100.0]), (1, [51.0, 100.0])]  # the boxes' bottom-centres
         points = tk.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
         assert np.allclose(points, [[50.0, 100.0], [51.0, 100.0]])  # identity map
@@ -460,7 +509,7 @@ class TestTrackerLifecycle:
             tk.step(walker_dets(f), f)
         _, ev5 = tk.step([], 5)
         assert [e["reason"] for e in ev5] == ["inactive"]
-        assert not tk.tracks[1].active
+        assert not tk.tracks.active[row(tk, 1)]
         for f in (6, 7, 8):
             tk.step([], f)
         # walker reappears where constant velocity predicts: exact score
@@ -472,14 +521,14 @@ class TestTrackerLifecycle:
         assert re[0]["branch_id"] == 0
         assert re[0]["score"] == pytest.approx(3.5, abs=1e-9)
         assert [tid for _, tid, _ in outputs] == [1]
-        assert tk.tracks[1].active
+        assert tk.tracks.active[row(tk, 1)]
 
     def test_forecast_disabled_terminates_on_miss(self):
         tk = Tracker(make_scene(), small_config(forecast_enabled=False))
         tk.step(walker_dets(0), 0)
         _, events = tk.step([], 1)
         assert [e["reason"] for e in events] == ["terminated"]
-        assert tk.tracks == {}
+        assert len(tk.tracks) == 0
         _, events = tk.step(walker_dets(2), 2)
         assert events[0]["track_id"] == 2  # ids are never reissued
 
@@ -490,7 +539,7 @@ class TestTrackerLifecycle:
         for f in range(5):
             tk.step(walker_dets(f), f)
         tk.step([], 5)
-        assert tk.tracks[1].forecast.end_frame == 25
+        assert end_frames(tk, 1) == [25]
         outputs, events = tk.step(walker_dets(25), 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
         assert [tid for _, tid, _ in outputs] == [1]
@@ -512,15 +561,13 @@ class TestTrackerLifecycle:
         alive = inactive_track(2, 80, 100, [(0.0, 0.0)])
         alive.forecast.end_frame = 50
         dead1 = inactive_track(1, 120, 100, [(0.0, 0.0)], created=5)
-        tk.tracks = {1: dead1, 2: alive, 3: dead3}
-        tk.branches = table_of([dead3, alive, dead1])
-        tk.next_id = 4
+        hold(tk, [dead3, alive, dead1])
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [
             (1, "removed_dead"),
             (3, "removed_dead"),
         ]
-        assert list(tk.tracks) == [2] and tk.branches.owner.tolist() == [2]
+        assert tk.tracks.id.tolist() == [2] and tk.branches.owner.tolist() == [2]
 
     def test_patience_alone_removes_nothing(self):
         # At frame 25 every track is 25 frames unseen, past tau_max * fps = 20
@@ -528,12 +575,10 @@ class TestTrackerLifecycle:
         tk = Tracker(make_scene(fps=10.0), small_config())
         tracks = [inactive_track(tid, 52, 100, [(0.0, 0.0)]) for tid in (1, 2, 3)]
         tracks[1].forecast.end_frame = tracks[2].forecast.end_frame = 50
-        tk.tracks = {tr.id: tr for tr in tracks}
-        tk.branches = table_of(tracks)
-        tk.next_id = 4
+        hold(tk, tracks)
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead")]
-        assert list(tk.tracks) == [2, 3] and tk.branches.owner.tolist() == [2, 3]
+        assert tk.tracks.id.tolist() == [2, 3] and tk.branches.owner.tolist() == [2, 3]
 
     @pytest.mark.parametrize("fps", [7.5, 10.0, 12.5, 20.0, 24.0, 25.0, 29.97, 30.0])
     def test_unseen_walker_leaves_once_after_its_forecast_ends(self, fps):
@@ -546,14 +591,14 @@ class TestTrackerLifecycle:
         for dt, tau_max in draws:
             cfg = RunConfig(dt=dt, tau_max=tau_max)
             seen = {f: walker_dets(f) for f in range(6)}
-            history = [(f, d.foot[0]) for f, d in seen.items()]
-            end = forecast(preprocess(history, cfg, fps), cfg, fps).end_frame
+            feet = [d.foot[0] for d in seen.values()]
+            end = forecast(preprocess(list(seen), feet, cfg, fps), cfg, fps).end_frame
             overshoots += end - 5 > tau_max * fps
             tk = Tracker(make_scene(fps=fps), cfg)
             _, events = tk.run(seen, range(end + 10))
             leave = [(e["frame"], e["reason"]) for e in events if e["reason"].startswith("removed")]
             assert leave == [(end + 1, "removed_dead")], (dt, tau_max)
-            assert tk.tracks == {} and "terminated" not in {e["reason"] for e in events}
+            assert len(tk.tracks) == 0 and "terminated" not in {e["reason"] for e in events}
         assert overshoots > 0  # some grids outrun tau_max * fps: no patience clock may fire first
 
     def test_non_monotonic_frame_rejected(self):
@@ -573,13 +618,25 @@ class TestTrackerLifecycle:
             tk.step(detections, 2)
         assert tk.last_step_frame == 1
 
-    def test_track_keeps_only_its_window(self):
+    def test_rows_of_another_frame_refused(self):
+        # A table stepped as another frame: refused, and the tracker left as it was.
+        tk = Tracker(make_scene(), small_config())
+        rows = table(det_at(7, 50, 100), det_at(9, 120, 100))
+        with pytest.raises(ValueError, match=r"^frame 3: row 0 is from frame 7$"):
+            tk.step(rows, 3)
+        with pytest.raises(ValueError, match=r"^frame 7: row 1 is from frame 9$"):
+            tk.step(rows, 7)
+        assert len(tk.tracks) == 0 and tk.last_step_frame is None
+        outputs, _ = tk.step(rows.rows(slice(0, 1)), 7)
+        assert [(f, tid) for f, tid, _ in outputs] == [(7, 1)]
+
+    def test_track_keeps_only_a_window_of_matches(self):
         # dt 0.3 s at 10 fps and obs_len 8: the grid starts 21 frames back, and
         # the window holds the feet from the last one at or before that frame.
         tk = Tracker(make_scene(), small_config())
         for f in range(100):
             tk.step(walker_dets(f), f)
-            assert [g for g, _ in tk.tracks[1].feet] == list(range(max(f - 21, 0), f + 1))
+            assert [g for g, _ in matches(tk, 1)] == list(range(max(f - 21, 0), f + 1))
 
     def test_outputs_only_tracks_seen_this_frame(self):
         tk = Tracker(make_scene(), small_config())
@@ -603,7 +660,7 @@ class TestIngestMode:
         _, events = tk.step(table(det_at(1, 150, 100, source=8)), 1)
         reasons = {e["reason"] for e in events}
         assert "inactive" in reasons and "new" in reasons
-        assert {t.id for t in tk.tracks.values()} == {1, 2}
+        assert tk.tracks.id.tolist() == [1, 2]
 
     def test_reassociation_rebinds_upstream_id(self):
         tk = Tracker(make_scene(fps=10.0), small_config(ingest_ids=True))
@@ -613,7 +670,7 @@ class TestIngestMode:
         # the upstream tracker reappears under a fresh id where the forecast is
         _, events = tk.step(table(det_at(9, 59, 100, source=11)), 9)
         assert [e["reason"] for e in events] == ["reassociated"]
-        assert tk.tracks[1].source_binding == 11
+        assert tk.tracks.source[row(tk, 1)] == 11
         _, events = tk.step(table(det_at(10, 60, 100, source=11)), 10)
         assert events[0]["reason"] == "active" and events[0]["track_id"] == 1
 
@@ -628,15 +685,15 @@ class TestIngestMode:
         for f in range(5):
             tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
-        assert tk.tracks[1].source_binding == 7
+        assert tk.tracks.source[row(tk, 1)] == 7
         outputs, events = tk.step(table(det_at(9, 159, 100, source=source)), 9)
         assert [tid for _, tid, _ in outputs] == [want]
         if want == 1:
             assert events == [dict(frame=9, track_id=1, detection_index=0, score=None,
                                    branch_id=None, reason="reassociated")]
-            assert len(tk.branches) == 0 and tk.tracks[1].active
+            assert len(tk.branches) == 0 and tk.tracks.active[row(tk, 1)]
         else:
-            assert [e["reason"] for e in events] == ["new"] and not tk.tracks[1].active
+            assert [e["reason"] for e in events] == ["new"] and not tk.tracks.active[row(tk, 1)]
 
     def test_bindings_come_before_closer_forecasts(self):
         # Two inactive tracks come back with their upstream ids swapped in
@@ -652,7 +709,7 @@ class TestIngestMode:
             (1, 1, None, "reassociated"),
         ]
         assert [(tid, box.bottom_center[0]) for _, tid, box in outputs] == [(1, 159.0), (2, 59.0)]
-        assert len(tk.branches) == 0 and tk.tracks[1].active and tk.tracks[2].active
+        assert len(tk.branches) == 0 and tk.tracks.active.tolist() == [True, True]
 
     def test_two_detections_with_one_source_id_refused(self):
         # Two tracks would share one binding, and base association would keep
@@ -661,10 +718,10 @@ class TestIngestMode:
         frame0 = table(det_at(0, 50, 100, source=7), det_at(0, 120, 100, source=7))
         with pytest.raises(ValueError, match=r"^frame 0: source id 7 on two detections$"):
             tk.step(frame0, 0)
-        assert tk.tracks == {} and tk.last_step_frame is None
+        assert len(tk.tracks) == 0 and tk.last_step_frame is None
         outputs, events = tk.step(table(det_at(1, 51, 100, source=7)), 1)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "new")]
-        assert tk.tracks[1].source_binding == 7
+        assert tk.tracks.source[row(tk, 1)] == 7
 
     def test_one_source_id_refused_only_in_ingest_mode(self):
         tk = Tracker(make_scene(), small_config())
@@ -678,10 +735,10 @@ class TestIngestMode:
         for f in range(5):
             tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
-        assert tk.tracks[1].forecast.end_frame == 25
+        assert end_frames(tk, 1) == [25]
         outputs, events = tk.step(table(det_at(26, 76, 100, source=7)), 26)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
-        assert [tid for _, tid, _ in outputs] == [2] and tk.tracks[2].source_binding == 7
+        assert [tid for _, tid, _ in outputs] == [2] and tk.tracks.source[row(tk, 2)] == 7
 
 
 def test_trackers_sharing_one_frame_dict_match_their_solo_runs():

@@ -1,10 +1,10 @@
 """The array-native tracker against a scalar reference.
 
-``ScalarTracker`` is the per-pair, per-branch tracker that the array code
-replaced (scalar ``iou``, one ``px_to_bev`` per detection, one ``bev_to_px``
-per branch, the whole history filtered on every deactivation), kept here as
-the reference. It reads each frame's DetectionTable as per-row ``Row``
-records. The array code does the same float operations, so on seeded crowd
+``ScalarTracker`` is the per-track, per-pair, per-branch tracker that the
+array code replaced (one ``RefTrack`` record per track, scalar ``iou``, one
+``px_to_bev`` per detection, one ``bev_to_px`` per branch, the whole history
+filtered on every deactivation), kept here as the reference. It reads each
+frame's DetectionTable as per-row ``Row`` records. The array code does the same float operations, so on seeded crowd
 scenes both must give equal outputs and equal events, score floats included.
 """
 
@@ -27,7 +27,6 @@ from bevtrack.tracker import (
     BranchTable,
     DetectionTable,
     SceneModel,
-    Track,
     Tracker,
     assign,
     build_cost_matrix,
@@ -47,13 +46,35 @@ class Row:
     source_id: Optional[int]  # None: no upstream id
 
 
+@dataclass
+class RefTrack:
+    """A track as the scalar reference keeps it."""
+
+    id: int
+    feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame
+    last_box: PixelBox
+    last_appearance: Optional[np.ndarray]  # None: the last detection had none
+    forecast: Optional[Forecast] = None  # None while active
+    source_binding: Optional[int] = None  # upstream id of the last match, kept while inactive
+
+    @property
+    def active(self) -> bool:
+        return self.forecast is None
+
+    @property
+    def last_frame(self) -> int:
+        return self.feet[-1][0]
+
+
 def rows_of(table):
     """The table's rows as Row records (none for an empty frame), holding its boxes."""
     if not len(table):
         return []
     app = table.appearance
     app = [None] * len(table) if app is None else [None if np.isnan(a).all() else a for a in app]
-    return list(map(Row, table.frame.tolist(), table.boxes(), app, table.sources()))
+    sources = [None] * len(table) if table.source_id is None else table.source_id.tolist()
+    sources = [None if s is None or s < 0 else s for s in sources]
+    return list(map(Row, table.frame.tolist(), table.boxes(), app, sources))
 
 
 def scalar_branch_boxes(track, scene, frame):
@@ -108,13 +129,21 @@ def _event(frame, track_id=None, detection_index=None, score=None, branch_id=Non
     }
 
 
-class ScalarTracker(Tracker):
+class ScalarTracker:
     """Lifts every detection as it comes and keeps each track's BEV points,
     ``points[track id]``, beside the track's pixel feet."""
 
     def __init__(self, scene, config):
-        super().__init__(scene, config)
-        self.points = {}
+        self.scene, self.config = scene, config
+        self.tracks, self.next_id, self.points = {}, 1, {}
+
+    def run(self, by_frame, frames):
+        outputs, events = [], []
+        for f in frames:
+            out, ev = self.step(by_frame.get(f, []), f)
+            outputs.extend(out)
+            events.extend(ev)
+        return outputs, events
 
     def _keep(self, track, det, point, frame):
         track.feet.append((frame, det.box.bottom_center))
@@ -123,8 +152,9 @@ class ScalarTracker(Tracker):
         self.points.setdefault(track.id, []).append((frame, point))
 
     def _deactivate(self, track, frame):
-        track.forecast = forecast(preprocess(self.points[track.id], self.config, self.scene.fps),
-                                  self.config, self.scene.fps)
+        frames, points = zip(*self.points[track.id])
+        state = preprocess(frames, points, self.config, self.scene.fps)
+        track.forecast = forecast(state, self.config, self.scene.fps)
 
     def scalar_base_association(self, active, detections):
         matches = {}
@@ -216,7 +246,7 @@ class ScalarTracker(Tracker):
                 continue
             tid = self.next_id
             self.next_id += 1
-            self.tracks[tid] = Track(id=tid, feet=[], last_box=det.box, last_appearance=None)
+            self.tracks[tid] = RefTrack(id=tid, feet=[], last_box=det.box, last_appearance=None)
             self._keep(self.tracks[tid], det, bev[j], frame)
             events.append(_event(frame, tid, j, reason="new"))
         outputs = [
@@ -346,17 +376,20 @@ class TestStepMatchesScalarReference:
         assert got[0] == want[0]
         assert got[1] == want[1]  # score floats included
         # and every track still held at the end keeps the tail of the reference's
-        # feet, from the last one at or before its filter grid's start, and they
-        # lift to the reference's BEV points
+        # feet, which holds them from the last one at or before its filter grid's
+        # start, and they lift to the reference's BEV points
         ref, tracker = want[2], got[2]
-        assert tracker.tracks.keys() == ref.tracks.keys()
-        for tid, track in ref.tracks.items():
+        assert tracker.tracks.id.tolist() == sorted(ref.tracks)
+        frames, feet, held = tracker.tracks.matches(range(len(ref.tracks)))
+        c = frames.shape[1]
+        for i, (tid, track) in enumerate(sorted(ref.tracks.items())):
             first = track.last_frame - tracker.window_span
             start = max([k for k, (f, _) in enumerate(track.feet) if f <= first], default=0)
-            feet, points = tracker.tracks[tid].feet, ref.points[tid][start:]
-            assert [(f, tuple(p)) for f, p in feet] == track.feet[start:]
-            assert [f for f, _ in feet] == [f for f, _ in points]
-            lifted = tracker.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
+            assert start >= len(track.feet) - c
+            kept, points = (frames[i][held[i]], feet[i][held[i]]), ref.points[tid][-c:]
+            assert list(zip(kept[0].tolist(), map(tuple, kept[1].tolist()))) == track.feet[-c:]
+            assert kept[0].tolist() == [f for f, _ in points]
+            lifted = tracker.scene.px_to_world(kept[1], kept[0])
             assert np.array_equal(lifted, [p for _, p in points])
         # the scenes exercise what the array code replaced
         reasons = {e["reason"] for e in want[1]}
@@ -434,14 +467,21 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         pts = near + rng.normal(0.0, 3.0, (k, 2))
         fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
-        tracks.append(Track(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
+        tracks.append(RefTrack(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
     dets = DetectionTable([1] * n_dets, boxes, descriptors)
     return scene, tracks, dets, np.array(points)
 
 
 def geometry(tracks, dets, points, scene):
-    table = BranchTable.of(tracks, fps=1.0)
+    sizes = [(t.last_box.width, t.last_box.height) for t in tracks]
+    table = BranchTable.of([t.id for t in tracks], sizes, [t.forecast for t in tracks], fps=1.0)
     return frame_geometry(table, dets.box, points, scene, 1)
+
+
+def cost_matrix(tracks, dets, cfg, geometry):
+    """build_cost_matrix on the RefTracks' descriptors."""
+    return build_cost_matrix(np.array([t.last_appearance for t in tracks]), dets.appearance,
+                             cfg, geometry)
 
 
 class TestCostMatrixMatchesScalarReference:
@@ -454,7 +494,7 @@ class TestCostMatrixMatchesScalarReference:
             tau_app = float(tracks[0].last_appearance @ dets.appearance[0])
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
             want = scalar_cost_matrix(tracks, rows_of(dets), points, cfg, scene, 1)
-            got = build_cost_matrix(tracks, dets, cfg, geometry(tracks, dets, points, scene))
+            got = cost_matrix(tracks, dets, cfg, geometry(tracks, dets, points, scene))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -463,7 +503,7 @@ class TestCostMatrixMatchesScalarReference:
         tracks[0].forecast.velocities[:] = points[0]  # three identical branches
         cfg = RunConfig(tau_app=-1.0)
         first = dets.rows(slice(0, 1))
-        scores, branch = build_cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
+        scores, branch = cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
@@ -482,7 +522,7 @@ class TestBranchTableLifecycle:
         for f in range(sim.scenario.n_frames):
             _, events = tracker.step(by_frame.get(f, []), f)
             seen.update(e["reason"] for e in events)
-            inactive = sorted(t.id for t in tracker.tracks.values() if not t.active)
+            inactive = tracker.tracks.id[~tracker.tracks.active].tolist()
             order = np.lexsort((tracker.branches.branch, tracker.branches.owner))
             assert tracker.branches.owner[order].tolist() == np.repeat(inactive, k).tolist()
             assert tracker.branches.branch[order].tolist() == list(range(k)) * len(inactive)
@@ -494,9 +534,9 @@ class TestBranchTableLifecycle:
 class TestTrackOrder:
     @pytest.mark.parametrize("case", ["short_fan", "short_cv"])
     def test_ids_ascend_after_every_step(self, crowd_sims, case):
-        # step lists the active tracks and the outputs in self.tracks' order,
-        # which is id order only if no track is ever re-inserted: ids are
-        # issued increasing, and removal and re-association keep the rest in place.
+        # step lists the active tracks and the outputs in the track table's
+        # row order, which is id order only if no track is ever re-inserted: ids
+        # are issued increasing, and removal and re-association keep the rest in place.
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
         lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
@@ -506,8 +546,8 @@ class TestTrackOrder:
         for f in range(sim.scenario.n_frames):
             outputs, events = tracker.step(by_frame.get(f, []), f)
             seen.update(e["reason"] for e in events)
-            ids = list(tracker.tracks)
-            assert ids == sorted(ids) and [t.id for t in tracker.tracks.values()] == ids
+            ids = tracker.tracks.id.tolist()
+            assert ids == sorted(set(ids))
             assert [tid for _, tid, _ in outputs] == sorted(tid for _, tid, _ in outputs)
         # short_fan's and short_cv's forecasts end inside the scene (removed_dead)
         assert {"reassociated", "new", "removed_dead"} <= seen
