@@ -488,10 +488,10 @@ class Tracker:
             twice = ids[1:][ids[1:] == ids[:-1]]
             if len(twice):
                 raise ValueError(f"frame {frame}: source id {twice[0]} on two detections")
-        if dets.appearance is not None and not t.appearance.shape[1]:  # the first descriptors
-            t.appearance = np.full((len(t), dets.appearance.shape[1]), np.nan)
         if n and self.scene.ego is not None:
             self.scene.ego.offset(frame)  # a frame the camera track lacks is an error here
+        if dets.appearance is not None and not t.appearance.shape[1]:  # the first descriptors
+            t.appearance = np.full((len(t), dets.appearance.shape[1]), np.nan)
         self.last_step_frame = frame
         events, took, dead, lost = [], [], [], []
 

@@ -630,9 +630,10 @@ class TestTrackerLifecycle:
         outputs, _ = tk.step(rows.rows(slice(0, 1)), 7)
         assert [(f, tid) for f, tid, _ in outputs] == [(7, 1)]
 
-    def test_track_keeps_only_a_window_of_matches(self):
-        # dt 0.3 s at 10 fps and obs_len 8: the grid starts 21 frames back, and
-        # the window holds the feet from the last one at or before that frame.
+    def test_track_keeps_only_its_window(self):
+        # dt 0.3 s at 10 fps and obs_len 8: the grid starts 21 frames back, and a
+        # track keeps its last 22 matches: for a walker seen at every frame, its
+        # window, the feet from the last one at or before that frame.
         tk = Tracker(make_scene(), small_config())
         for f in range(100):
             tk.step(walker_dets(f), f)
