@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -146,19 +146,22 @@ class TrackTable:
     seen: np.ndarray  # (T,) matches so far
 
     @classmethod
-    def empty(cls, capacity: int) -> TrackTable:
-        """No tracks, with rings of capacity matches."""
+    def empty(cls) -> TrackTable:
+        """No tracks, with rings of one slot."""
         z = np.zeros
-        return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, capacity), int),
-                   z((0, capacity, 2)), z(0, int))
+        return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, 1), int),
+                   z((0, 1, 2)), z(0, int))
 
     def __len__(self) -> int:
         return len(self.id)
 
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
     def extend(self, ids) -> TrackTable:
         """This table, then unmatched rows for new tracks with these ids, zeros but the id."""
         grown = [np.concatenate([c, np.zeros((len(ids), *c.shape[1:]), c.dtype)])
-                 for c in vars(self).values()]
+                 for c in self._columns()]
         grown[0][len(self):] = ids
         return TrackTable(*grown)
 
@@ -198,9 +201,12 @@ class SceneModel:
 
 @dataclass
 class BranchTable:
-    """Every branch of every inactive track, one row each, as a struct of arrays: row r
-    is branch ``branch[r]`` of track ``owner[r]`` at origin + ((f - created) / fps) *
-    velocity, as in ``Forecast.points``, until its track leaves."""
+    """Every branch of every inactive track, one row each, as a struct of arrays.
+
+    Row r is branch ``branch[r]`` of track ``owner[r]`` at
+    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. Rows
+    stay until their track leaves.
+    """
 
     fps: float
     owner: np.ndarray  # (R,) track id
@@ -231,7 +237,7 @@ class BranchTable:
         return len(self.owner)
 
     def _columns(self) -> list:
-        return list(vars(self).values())[1:]
+        return [getattr(self, f.name) for f in fields(self)[1:]]
 
     def rows(self, keep: np.ndarray) -> BranchTable:
         return BranchTable(self.fps, *(c[keep] for c in self._columns()))
@@ -261,8 +267,9 @@ class FrameGeometry:
     det_points: np.ndarray  # (M, 2) the detections' world-fixed BEV points
 
 
-def frame_geometry(table: BranchTable, det_boxes, det_points, scene: SceneModel,
-                   frame: int) -> FrameGeometry:
+def frame_geometry(
+    table: BranchTable, det_boxes, det_points, scene: SceneModel, frame: int
+) -> FrameGeometry:
     """The table's FrameGeometry against detections' (M, 4) boxes and (M, 2) BEV points."""
     pts = table.points(frame)
     px, _ = scene.world_to_px(pts, frame)
@@ -270,18 +277,21 @@ def frame_geometry(table: BranchTable, det_boxes, det_points, scene: SceneModel,
     return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes), det_points)
 
 
-def build_cost_matrix(track_appearance: np.ndarray, det_appearance: np.ndarray,
-                      config: RunConfig, geometry: FrameGeometry) -> tuple[np.ndarray, np.ndarray]:
+def build_cost_matrix(
+    track_appearance: np.ndarray, det_appearance: np.ndarray, config: RunConfig,
+    geometry: FrameGeometry, owner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
     Per branch the score is IoU(predicted box, detection box) plus the
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its branches, the first branch on a tie.
-    Zero means "forbidden". The tracks, with (n, D) descriptors
-    ``track_appearance``, are the owners of ``geometry``'s rows in id order;
-    the detections, with (m, D) ``det_appearance``, its overlap columns. A row
-    of NaN (no descriptor), or a side with no columns, passes the gate.
+    Zero means "forbidden". The tracks have (n, D) descriptors
+    ``track_appearance``; ``owner`` gives each of ``geometry``'s rows its
+    track, an index into them. The detections, with (m, D) ``det_appearance``,
+    are its overlap columns. A row of NaN (no descriptor), or a side with no
+    columns, passes the gate.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -293,7 +303,8 @@ def build_cost_matrix(track_appearance: np.ndarray, det_appearance: np.ndarray,
     if n == 0 or m == 0:
         return scores, best_branch
     table = geometry.table
-    owner = np.unique(table.owner, return_inverse=True)[1]
+    if len(owner) != len(table) or owner.min(initial=0) < 0:
+        raise ValueError(f"need one track index in [0, {n}) per branch row")
     d_iou = geometry.overlap
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
     diff = geometry.points[:, None, :] - geometry.det_points[None, :, :]
@@ -353,16 +364,22 @@ class Tracker:
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
         self.branches = BranchTable.of([], [], [], scene.fps)  # the inactive tracks' branches
-        self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # in frames
-        # the most matches a filter window holds; preprocess reads no match before it
-        self.tracks = TrackTable.empty(math.ceil(self.window_span) + 1)
+        span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
+        # Rings start at one slot and double, up to the most matches a filter window
+        # holds: preprocess reads no match before the window.
+        self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
+        self.tracks = TrackTable.empty()
 
     # -- helpers -------------------------------------------------------------
 
     def _take(self, rows, js, dets: DetectionTable, frame: int):
-        """Activate the tracks at rows with dets' rows js (index arrays, or one of each)."""
+        """Activate the tracks at rows with dets' rows js (index arrays)."""
         t = self.tracks
-        seen = t.seen[rows]
+        seen, c = t.seen[rows], t.frames.shape[1]
+        if c < self.ring_limit and seen.max() >= c:  # a full ring: double them all, which
+            pad = min(c, self.ring_limit - c)  # keeps slots m % C = m, as no ring has wrapped
+            t.frames = np.pad(t.frames, ((0, 0), (0, pad)))
+            t.feet = np.pad(t.feet, ((0, 0), (0, pad), (0, 0)))
         slot = seen % t.frames.shape[1]
         t.frames[rows, slot] = frame
         t.feet[rows, slot] = dets.foot.take(js, axis=0)
@@ -430,7 +447,8 @@ class Tracker:
             sub = table if scored.all() else table.rows(scored)
             geometry = frame_geometry(sub, dets.box[free], free_bev, self.scene, frame)
             app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
-            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry)
+            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry,
+                                                    np.searchsorted(survivors, owner[scored]))
             for i, jj in assign(scores):
                 reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
         if gone.any():
@@ -480,9 +498,9 @@ class Tracker:
                 f"frame {frame} not after last processed frame {self.last_step_frame}"
             )
         cfg, t, n = self.config, self.tracks, len(dets)
-        for j, f in enumerate(dets.frame.tolist()):
-            if f != frame:
-                raise ValueError(f"frame {frame}: row {j} is from frame {f}")
+        bad = np.flatnonzero(dets.frame != frame)
+        if len(bad):
+            raise ValueError(f"frame {frame}: row {bad[0]} is from frame {dets.frame[bad[0]]}")
         if cfg.ingest_ids and dets.source_id is not None:
             ids = np.sort(dets.source_id[dets.source_id >= 0])
             twice = ids[1:][ids[1:] == ids[:-1]]
@@ -542,14 +560,11 @@ class Tracker:
             took += zip(range(len(t), len(t) + len(new)), new)
             t = self.tracks = t.extend(ids)
         took.sort()
-        if len(took) < 4:  # a few row writes cost less than one scatter's fixed numpy calls
-            for r, j in took:
-                self._take(r, j, dets, frame)
-        else:
-            self._take(*np.array(list(zip(*took)), dtype=np.intp), dets, frame)
+        if took:
+            self._take(*np.array(took, dtype=np.intp).T, dets, frame)
         if dead:
             keep = np.ones(len(t), bool)
             keep[dead] = False
-            self.tracks = TrackTable(*(c[keep] for c in vars(t).values()))
+            self.tracks = TrackTable(*(c[keep] for c in t._columns()))
         ids, boxes = t.id.tolist(), dets.boxes()
         return [(frame, ids[r], boxes[j]) for r, j in took], events

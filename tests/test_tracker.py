@@ -87,16 +87,18 @@ def cost_matrix(tracks, detections, points, config, scene, frame):
     """build_cost_matrix on the frame's geometry for these tracks (in id order) and
     for detections whose bottom-centres lift to the given BEV points."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
-    g = frame_geometry(table_of(tracks), detections.box, pts, scene, frame)
+    branches = table_of(tracks)
+    g = frame_geometry(branches, detections.box, pts, scene, frame)
     app = detections.appearance
     app = np.zeros((len(detections), 0)) if app is None else app
-    return build_cost_matrix(descriptors(tracks), app, config, g)
+    owner = np.searchsorted([t.id for t in tracks], branches.owner)
+    return build_cost_matrix(descriptors(tracks), app, config, g, owner)
 
 
 def hold(tk, tracks):
     """Make these inactive tracks the tracker's only ones, their branches in the given order."""
     ids = sorted(t.id for t in tracks)
-    tk.tracks = TrackTable.empty(tk.tracks.frames.shape[1]).extend(ids)
+    tk.tracks = TrackTable.empty().extend(ids)
     tk.branches = table_of(tracks)
     tk.next_id = ids[-1] + 1
 
@@ -152,7 +154,8 @@ def test_geometry_from_top_level_names():
     geometry = bt.frame_geometry(branches, dets.box, np.array([[51.0, 100.0]]), scene, 1)
     assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
     assert geometry.det_points.tolist() == [[51.0, 100.0]]
-    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry)
+    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry,
+                                          np.array([0]))
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
     assert {"BranchTable", "DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
@@ -342,6 +345,19 @@ class TestCostMatrix:
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
             want = d_iou + max(cfg.tau_l2 - d_l2, 0.0) if d_iou >= cfg.tau_iou else 0.0
             assert scores[0, 0] == pytest.approx(want, abs=1e-12)
+
+    def test_owner_picks_each_rows_track(self):
+        # Track 2's row comes first in the table; owner, not row order, names its track.
+        near = inactive_track(1, 50, 100, [(52.0, 100.0)])
+        far = inactive_track(2, 50, 100, [(90.0, 100.0)])
+        g = frame_geometry(table_of([far, near]), table(det_at(1, 52, 100)).box,
+                           np.array([[52.0, 100.0]]), make_scene(), 1)
+        none, cfg = (np.zeros((2, 0)), np.zeros((1, 0))), RunConfig()
+        scores, _ = build_cost_matrix(*none, cfg, g, np.array([1, 0]))
+        assert scores[0, 0] == pytest.approx(3.5, abs=1e-12) and scores[1, 0] == 0.0
+        for owner in ([0], [1, -1]):
+            with pytest.raises(ValueError, match=r"one track index in \[0, 2\) per branch row"):
+                build_cost_matrix(*none, cfg, g, np.array(owner))
 
 
 def brute_max_total(scores):
@@ -638,6 +654,30 @@ class TestTrackerLifecycle:
         for f in range(100):
             tk.step(walker_dets(f), f)
             assert [g for g, _ in matches(tk, 1)] == list(range(max(f - 21, 0), f + 1))
+        assert tk.tracks.frames.shape[1] == 22
+
+    @pytest.mark.parametrize("dt, fps", [(1e6, 20.0), (1e300, 1e9)])
+    def test_rings_grow_with_the_matches(self, dt, fps):
+        # Filter windows of 1.4e8 frames, and of more than the floats hold: the track
+        # keeps every match, in rings that double as the matches arrive.
+        tk = Tracker(make_scene(fps=fps), RunConfig(dt=dt))
+        for f in range(40):
+            tk.step(walker_dets(f), f)
+            assert [g for g, _ in matches(tk, 1)] == list(range(f + 1))
+        assert tk.tracks.frames.shape[1] == 64
+
+    def test_a_window_longer_than_the_run_forecasts_from_the_last_match(self):
+        # At dt 1e6 s the grid holds only the last match: a forecast at rest there.
+        tk = Tracker(make_scene(fps=20.0), RunConfig(dt=1e6))
+        for f in range(40):
+            tk.step(walker_dets(f), f)
+        _, events = tk.step([], 40)
+        b = tk.branches
+        assert [e["reason"] for e in events] == ["inactive"]
+        assert b.origin.tolist() == [[89.0, 100.0]] and b.velocity.tolist() == [[0.0, 0.0]]
+        assert b.end.tolist() == [39 + 20_000_000]
+        _, events = tk.step(walker_dets(41), 41)
+        assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
 
     def test_outputs_only_tracks_seen_this_frame(self):
         tk = Tracker(make_scene(), small_config())

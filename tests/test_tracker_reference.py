@@ -480,8 +480,9 @@ def geometry(tracks, dets, points, scene):
 
 def cost_matrix(tracks, dets, cfg, geometry):
     """build_cost_matrix on the RefTracks' descriptors."""
+    owner = np.searchsorted([t.id for t in tracks], geometry.table.owner)
     return build_cost_matrix(np.array([t.last_appearance for t in tracks]), dets.appearance,
-                             cfg, geometry)
+                             cfg, geometry, owner)
 
 
 class TestCostMatrixMatchesScalarReference:
