@@ -373,7 +373,7 @@ class Tracker:
     # -- helpers -------------------------------------------------------------
 
     def _take(self, rows, js, dets: DetectionTable, frame: int):
-        """Activate the tracks at rows with dets' rows js (index arrays)."""
+        """Activate the tracks at rows with dets' rows js (index arrays, or one of each)."""
         t = self.tracks
         seen, c = t.seen[rows], t.frames.shape[1]
         if c < self.ring_limit and seen.max() >= c:  # a full ring: double them all, which
@@ -560,7 +560,10 @@ class Tracker:
             took += zip(range(len(t), len(t) + len(new)), new)
             t = self.tracks = t.extend(ids)
         took.sort()
-        if took:
+        if len(took) < 5:  # four row writes cost less than one scatter's fixed numpy calls
+            for r, j in took:
+                self._take(r, j, dets, frame)
+        else:
             self._take(*np.array(took, dtype=np.intp).T, dets, frame)
         if dead:
             keep = np.ones(len(t), bool)
