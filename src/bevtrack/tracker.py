@@ -365,8 +365,7 @@ class Tracker:
         self.last_step_frame: Optional[int] = None
         self.branches = BranchTable.of([], [], [], scene.fps)  # the inactive tracks' branches
         span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
-        # Rings start at one slot and double, up to the most matches a filter window
-        # holds: preprocess reads no match before the window.
+        # rings double up to the most matches a filter window (all preprocess reads) holds
         self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
         self.tracks = TrackTable.empty()
 
@@ -498,9 +497,9 @@ class Tracker:
                 f"frame {frame} not after last processed frame {self.last_step_frame}"
             )
         cfg, t, n = self.config, self.tracks, len(dets)
-        bad = np.flatnonzero(dets.frame != frame)
-        if len(bad):
-            raise ValueError(f"frame {frame}: row {bad[0]} is from frame {dets.frame[bad[0]]}")
+        if dets.frame.tolist().count(frame) != n:  # one scan in C, cheaper than ufunc calls
+            j = int(np.argmax(dets.frame != frame))
+            raise ValueError(f"frame {frame}: row {j} is from frame {dets.frame[j]}")
         if cfg.ingest_ids and dets.source_id is not None:
             ids = np.sort(dets.source_id[dets.source_id >= 0])
             twice = ids[1:][ids[1:] == ids[:-1]]
