@@ -347,9 +347,9 @@ class TestCostMatrix:
             assert scores[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_owner_picks_each_rows_track(self):
-        # Track 2's row comes first in the table; owner, not row order, names its track.
-        near = inactive_track(1, 50, 100, [(52.0, 100.0)])
-        far = inactive_track(2, 50, 100, [(90.0, 100.0)])
+        # Track 2 is scored first, its row second; owner, not the ids, names each row's track.
+        near = inactive_track(2, 50, 100, [(52.0, 100.0)])
+        far = inactive_track(1, 50, 100, [(90.0, 100.0)])
         g = frame_geometry(table_of([far, near]), table(det_at(1, 52, 100)).box,
                            np.array([[52.0, 100.0]]), make_scene(), 1)
         none, cfg = (np.zeros((2, 0)), np.zeros((1, 0))), RunConfig()
