@@ -377,8 +377,8 @@ class Tracker:
         seen, c = t.seen[rows], t.frames.shape[1]
         if c < self.ring_limit and seen.max() >= c:  # a full ring: double them all, which
             pad = min(c, self.ring_limit - c)  # keeps slots m % C = m, as no ring has wrapped
-            t.frames = np.pad(t.frames, ((0, 0), (0, pad)))
-            t.feet = np.pad(t.feet, ((0, 0), (0, pad), (0, 0)))
+            t.frames = np.concatenate([t.frames, np.zeros((len(t), pad), int)], axis=1)
+            t.feet = np.concatenate([t.feet, np.zeros((len(t), pad, 2))], axis=1)
         slot = seen % t.frames.shape[1]
         t.frames[rows, slot] = frame
         t.feet[rows, slot] = dets.foot.take(js, axis=0)
