@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +46,25 @@ class PixelBox:
 
 def iou(a: PixelBox, b: PixelBox) -> float:
     """Intersection over union; 0 when disjoint."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    return iou_ltwh((a.left, a.top, a.width, a.height), (b.left, b.top, b.width, b.height))
+
+
+def iou_ltwh(a, b) -> float:
+    """``iou`` of two (left, top, width, height) rows: the one scalar formula.
+
+    0 when disjoint, NaN where the union underflows to 0, as in ``iou_matrix``.
+    """
+    al, at, aw, ah = a
+    bl, bt, bw, bh = b
+    ar, br, ab, bb = al + aw, bl + bw, at + ah, bt + bh
+    # min and max spelled out as the builtins pick, at a third of their call cost
+    iw = (br if br < ar else ar) - (bl if bl > al else al)
+    ih = (bb if bb < ab else ab) - (bt if bt > at else at)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    union = aw * ah + bw * bh - inter
+    return inter / union if union else math.nan
 
 
 def ltwh(boxes) -> np.ndarray:

@@ -80,6 +80,10 @@ class RunConfig:
             raise ParseError(
                 "config: dt is too small for obs_noise: (2 * obs_noise / dt)**2 overflows"
             )
+        try:
+            self.dt**4  # the forecast filter's process noise reads dt**4
+        except OverflowError:
+            raise ParseError("config: dt is too large: dt**4 overflows") from None
         if self.tau_max / self.dt == math.inf:
             raise ParseError("config: tau_max is too long for dt: tau_max / dt overflows")
         for name in ("process_noise", "tau_l2", "tau_iou"):

@@ -14,6 +14,10 @@ the pixel feet of the tracks going inactive and, while branches exist, the
 unmatched detections. Tracks and forecasts are world-fixed, the map
 camera-relative: only SceneModel.px_to_world and world_to_px apply the camera
 offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
+
+Base association scores up to FEW_PAIRS (track, detection) pairs with scalar
+IoU, which costs less than iou_matrix's fixed numpy calls, and more with
+iou_matrix; both give the same matches.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
-from .boxes import PixelBox, bottom_centers, iou, iou_matrix  # noqa: F401
+from .boxes import PixelBox, bottom_centers, iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
-from .errors import NonMonotonicFrame
+from .errors import NonMonotonicFrame, ParseError
 from .forecast import forecast, predicted_box, preprocess  # noqa: F401
+
+# Base association scores up to this many (active track, detection) pairs with
+# scalar IoU, more with iou_matrix: the measured crossover (_base_association).
+FEW_PAIRS = 64
 
 
 def _read_only(column, dtype):
@@ -364,7 +372,13 @@ class Tracker:
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
         self.branches = BranchTable.of([], [], [], scene.fps)  # the inactive tracks' branches
-        span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
+        dt, fps = self.config.dt, scene.fps
+        # A forecast ends ceil(tau_max / dt) grid steps of max(1, round(dt * fps)) frames on.
+        if not (dt * fps < math.inf
+                and math.ceil(self.config.tau_max / dt) * max(1, round(dt * fps)) < 2**63):
+            raise ParseError(f"config: dt {dt:g} s at {fps:g} fps puts a forecast's end frame "
+                             "beyond 64-bit integers")
+        span = self.window_span = dt * fps * (self.config.obs_len - 1)  # frames
         # rings double up to the most matches a filter window (all preprocess reads) holds
         self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
         self.tracks = TrackTable.empty()
@@ -390,7 +404,12 @@ class Tracker:
 
     def _base_association(self, active: np.ndarray, dets: DetectionTable) -> dict:
         """{index into active: detection index}, by IoU-greedy (or upstream-id) matching
-        in (-iou, track id, detection index) order."""
+        in (-iou, track id, detection index) order.
+
+        Up to FEW_PAIRS pairs are scored with iou_ltwh and sorted as tuples: 3 us at
+        one pair and 0.3 us more a pair, where iou_matrix, nonzero, lexsort and tolist
+        cost 16-24 us however few the pairs. One formula and order: the same matches.
+        """
         t, matches = self.tracks, {}
         if self.config.ingest_ids:  # a frame's upstream ids are distinct
             bound = {s: i for i, s in enumerate(t.source[active].tolist()) if s >= 0}
@@ -398,11 +417,17 @@ class Tracker:
             return {bound[s]: j for j, s in enumerate(sources) if s in bound}
         if not len(active) or not len(dets):
             return matches
-        ov = iou_matrix(t.box.take(active, axis=0), dets.box)
-        ti, dj = np.nonzero(ov >= self.config.base_iou)
-        # active is in id order, so its index orders pairs like the track id.
-        order = np.lexsort((dj, ti, -ov[ti, dj])).tolist()
-        ti, dj = ti.tolist(), dj.tolist()
+        if len(active) * len(dets) <= FEW_PAIRS:  # scalar IoU: no numpy fixed costs
+            base, cols = self.config.base_iou, dets.box.tolist()
+            cands = sorted((-ov, i, j) for i, a in enumerate(t.box.take(active, axis=0).tolist())
+                           for j, b in enumerate(cols) if (ov := iou_ltwh(a, b)) >= base)
+            order, ti, dj = range(len(cands)), [c[1] for c in cands], [c[2] for c in cands]
+        else:
+            ov = iou_matrix(t.box.take(active, axis=0), dets.box)
+            ti, dj = np.nonzero(ov >= self.config.base_iou)
+            # active is in id order, so its index orders pairs like the track id.
+            order = np.lexsort((dj, ti, -ov[ti, dj])).tolist()
+            ti, dj = ti.tolist(), dj.tolist()
         used_dets = set()
         for k in order:
             i, j = ti[k], dj[k]

@@ -179,6 +179,13 @@ class TestIouMatrix:
     def test_empty(self):
         assert iou_matrix(ltwh([]), ltwh([PixelBox(0, 0, 1, 1)])).shape == (0, 1)
 
+    def test_a_union_that_underflows_is_nan_in_both(self):
+        # Positive sizes whose areas round to 0: 0 / 0 in both, not a ZeroDivisionError.
+        tiny = PixelBox(0.0, 0.0, 1e-200, 1e-200)
+        with np.errstate(invalid="ignore"):
+            got = iou_matrix(ltwh([tiny]), ltwh([tiny]))
+        assert np.isnan(got).all() and np.isnan(iou(tiny, tiny))
+
 
 class TestCoveredFraction:
     def test_no_covers(self):

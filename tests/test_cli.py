@@ -731,6 +731,18 @@ def test_track_rejects_overflowing_tau_max(sim_dir, tmp_path, capsys):
     assert lines == ["error: config: tau_max is too long for dt: tau_max / dt overflows"]
 
 
+def test_pipeline_rejects_a_dt_whose_forecast_overflows(tmp_path, capsys):
+    # 1e20 s at the crossing's 20 fps: a forecast's end lies beyond 64-bit frames.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": 1e20}))
+    code = main(["pipeline", "--scenario", "crossing", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: config: dt 1e+20 s at 20 fps puts a forecast's end frame"), err
+
+
 def crossing_dict() -> dict:
     return json.loads(resources.files("bevtrack").joinpath("data", "crossing.json").read_text())
 

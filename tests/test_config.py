@@ -201,6 +201,7 @@ class TestEagerValidation:
             ({"tau_max": 1e300, "dt": 1e-10}, "config: tau_max is too long for dt"),
             ({"dt": 1e-300}, "config: dt is too small for obs_noise"),
             ({"dt": 1e-150, "obs_noise": 1e10}, "config: dt is too small for obs_noise"),
+            ({"dt": 1.2e77}, "config: dt is too large: dt\\*\\*4 overflows"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):

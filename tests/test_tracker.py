@@ -9,7 +9,7 @@ import pytest
 from bevtrack.boxes import PixelBox, iou, ltwh
 from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
-from bevtrack.errors import NonMonotonicFrame
+from bevtrack.errors import NonMonotonicFrame, ParseError
 from bevtrack.experiments import (
     crossing_scenario,
     pixel_baseline_config,
@@ -656,11 +656,13 @@ class TestTrackerLifecycle:
             assert [g for g, _ in matches(tk, 1)] == list(range(max(f - 21, 0), f + 1))
         assert tk.tracks.frames.shape[1] == 22
 
-    @pytest.mark.parametrize("dt, fps", [(1e6, 20.0), (1e300, 1e9)])
-    def test_rings_grow_with_the_matches(self, dt, fps):
+    @pytest.mark.parametrize("dt, fps, obs_len", [(1e6, 20.0, 8), (1e10, 1e8, 10**300)],
+                             ids=["1000000.0-20.0", "span_beyond_the_floats"])
+    def test_rings_grow_with_the_matches(self, dt, fps, obs_len):
         # Filter windows of 1.4e8 frames, and of more than the floats hold: the track
         # keeps every match, in rings that double as the matches arrive.
-        tk = Tracker(make_scene(fps=fps), RunConfig(dt=dt))
+        tk = Tracker(make_scene(fps=fps), RunConfig(dt=dt, obs_len=obs_len))
+        assert tk.window_span == (1.4e8 if obs_len == 8 else math.inf)
         for f in range(40):
             tk.step(walker_dets(f), f)
             assert [g for g, _ in matches(tk, 1)] == list(range(f + 1))
@@ -678,6 +680,27 @@ class TestTrackerLifecycle:
         assert b.end.tolist() == [39 + 20_000_000]
         _, events = tk.step(walker_dets(41), 41)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
+
+    @pytest.mark.parametrize("dt, fps, message", [
+        (1e20, 20.0, r"dt 1e\+20 s at 20 fps puts a forecast's end frame beyond"),  # 2e21 frames
+        (1e300, 20.0, r"dt is too large: dt\*\*4 overflows"),  # so does the forecast's end
+        (1e300, 1e9, r"dt is too large: dt\*\*4 overflows"),  # and dt * fps
+        (1e70, 1e300, r"dt 1e\+70 s at 1e\+300 fps puts"),  # dt * fps is not finite
+    ], ids=["1e20_at_20fps", "1e300_at_20fps", "1e300_at_1e9fps", "1e70_at_1e300fps"])
+    def test_a_dt_whose_forecast_overflows_is_refused(self, dt, fps, message):
+        # Refused before any step, not an OverflowError at a track's first miss.
+        with pytest.raises(ParseError, match="^config: " + message):
+            Tracker(make_scene(fps=fps), RunConfig(dt=dt))
+
+    def test_the_longest_forecast_that_fits_in_int64(self):
+        # dt 4e17 s at 20 fps: a forecast of one step of 8e18 frames, just under 2**63.
+        tk = Tracker(make_scene(fps=20.0), RunConfig(dt=4e17))
+        for f in range(5):
+            tk.step(walker_dets(f), f)
+        _, events = tk.step([], 5)
+        assert [e["reason"] for e in events] == ["inactive"]
+        assert tk.branches.end.tolist() == [4 + 8 * 10**18]
+        assert [e["reason"] for e in tk.step(walker_dets(6), 6)[1]] == ["reassociated"]
 
     def test_outputs_only_tracks_seen_this_frame(self):
         tk = Tracker(make_scene(), small_config())

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from bevtrack.boxes import PixelBox, iou
+import bevtrack.tracker as tracker_module
+from bevtrack.boxes import PixelBox, iou, iou_matrix
 from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import OutOfDomain
@@ -28,6 +29,7 @@ from bevtrack.tracker import (
     DetectionTable,
     SceneModel,
     Tracker,
+    TrackTable,
     assign,
     build_cost_matrix,
     frame_geometry,
@@ -506,6 +508,58 @@ class TestCostMatrixMatchesScalarReference:
         first = dets.rows(slice(0, 1))
         scores, branch = cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
         assert scores[0, 0] > 0 and branch[0, 0] == 0
+
+
+# -- base association on both sides of FEW_PAIRS ---------------------------------------
+
+
+def grid_boxes(rng, k):
+    """(k, 4) boxes on a small integer grid, so exact IoU ties and touching edges are common."""
+    return np.column_stack([rng.integers(0, 8, (k, 2)), rng.integers(1, 5, (k, 2))]).astype(float)
+
+
+def base_association_instance(rng, n, m):
+    """(tracker, active rows, detections, the active tracks as RefTracks): n active tracks
+    among up to two inactive ones, and m detections, with duplicate detection boxes, two
+    tracks on one box and detections on track boxes."""
+    inactive = int(rng.integers(0, 3))
+    ids = np.sort(rng.choice(np.arange(1, 4 * (n + inactive) + 1), n + inactive, replace=False))
+    active = np.zeros(n + inactive, bool)
+    active[rng.choice(n + inactive, n, replace=False)] = True
+    boxes, det_boxes = grid_boxes(rng, n + inactive), grid_boxes(rng, m)
+    for copies, source in ((boxes, boxes), (det_boxes, det_boxes), (det_boxes, boxes)):
+        for _ in range(int(rng.integers(0, 3))):
+            copies[rng.integers(len(copies))] = source[rng.integers(len(source))]
+    k, z = len(ids), np.zeros
+    tk = Tracker(SceneModel(lh=None, fps=10.0))
+    tk.tracks = TrackTable(ids, active, boxes, z((k, 0)), z(k, int), z((k, 1), int),
+                           z((k, 1, 2)), z(k, int))
+    rows = active.nonzero()[0]
+    refs = [RefTrack(int(ids[r]), [], PixelBox(*boxes[r]), None) for r in rows]
+    return tk, rows, DetectionTable(np.zeros(m, int), det_boxes), refs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_base_association_matches_the_reference_around_the_cutoff(seed, monkeypatch):
+    # Tables of 1 to FEW_PAIRS + 10 pairs: at most FEW_PAIRS go through scalar IoU and
+    # never reach iou_matrix, more through iou_matrix. base_iou is 0 (touching and
+    # disjoint pairs qualify at IoU 0), 0.5, or exactly one pair's IoU.
+    rng = np.random.default_rng(seed)
+    calls = []
+    monkeypatch.setattr(tracker_module, "iou_matrix",
+                        lambda a, b: calls.append(1) or iou_matrix(a, b))
+    for pairs in range(1, tracker_module.FEW_PAIRS + 11):
+        n = int(rng.choice([d for d in range(1, pairs + 1) if pairs % d == 0]))
+        tk, rows, dets, refs = base_association_instance(rng, n, pairs // n)
+        ious = [iou(r.last_box, d.box) for r in refs for d in rows_of(dets)]
+        at_one_pair = float(rng.choice([x for x in ious if x > 0] or [0.5]))
+        for base_iou in (0.0, 0.5, at_one_pair):
+            tk.config = RunConfig(base_iou=base_iou)
+            del calls[:]
+            got = tk._base_association(rows, dets)
+            want = ScalarTracker(None, tk.config).scalar_base_association(refs, rows_of(dets))
+            assert {refs[i].id: j for i, j in got.items()} == want, (seed, pairs, base_iou)
+            assert len(calls) == (pairs > tracker_module.FEW_PAIRS)
 
 
 class TestBranchTableLifecycle:
