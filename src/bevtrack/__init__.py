@@ -56,7 +56,6 @@ from .simulator import (
     write_scenario,
 )
 from .tracker import (
-    BranchTable,
     DetectionTable,
     SceneModel,
     Tracker,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentSpec",
     "BevTrackError",
-    "BranchTable",
     "CameraSpec",
     "DEFAULT_BUCKETS",
     "DegenerateInput",

@@ -82,7 +82,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arrays, leading axes broadcast.
 
     The same float operations as ``iou``, so every entry is bit-identical to
-    the scalar result; rows with NaN coordinates overlap nothing.
+    the scalar result; rows with NaN coordinates overlap nothing, and a union
+    that underflows to 0 gives NaN without a warning, as in ``iou_ltwh``.
     """
     a = np.asarray(a, dtype=float)[..., :, None, :]
     b = np.asarray(b, dtype=float)[..., None, :, :]
@@ -92,7 +93,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
     inter = iw * ih
     union = aw * ah + bw * bh - inter
-    return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
+    # min(iw, ih) > 0 is (iw > 0) & (ih > 0) in one call less
+    with np.errstate(invalid="ignore"):  # 0 / 0
+        return np.divide(inter, union, out=np.zeros(inter.shape), where=np.minimum(iw, ih) > 0)
 
 
 def covered_fraction(box: PixelBox, covers) -> float:

@@ -111,7 +111,7 @@ class Forecast:
 
     Branch b sits at origin + ((f - created_frame) / fps) * velocities[b] at
     every frame created_frame < f <= end_frame. A forecast is pure data: the
-    tracker copies its branches into one table.
+    tracker copies it into its track's row of the track table.
     """
 
     origin: np.ndarray  # (2,) BEV point at created_frame

@@ -8,10 +8,10 @@ offered the unmatched detections through a gated geometric+appearance score
 solved as a maximum-score assignment. In ingestion mode a track keeps its
 upstream id while inactive, and a detection carrying that id brings it back
 before the gates. Track ids are never reissued. Tracks are the rows of one
-TrackTable, their branches those of one BranchTable, and a step works on both
-in array passes. It lifts in one px_to_world call only what a decision reads:
-the pixel feet of the tracks going inactive and, while branches exist, the
-unmatched detections. Tracks and forecasts are world-fixed, the map
+TrackTable, an inactive track's forecast branches its columns, and a step works
+on it in array passes. It lifts in one px_to_world call only what a decision
+reads: the pixel feet of the tracks going inactive and, while inactive tracks
+exist, the unmatched detections. Tracks and forecasts are world-fixed, the map
 camera-relative: only SceneModel.px_to_world and world_to_px apply the camera
 offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
 
@@ -61,7 +61,8 @@ class DetectionTable:
     A row's descriptor may be NaN throughout: that detection has none, and
     skips the appearance gate. A source id below 0 is no upstream id. The
     check, on by default, makes each column a read-only view, raises
-    ValueError naming the first row whose frame or id is not an integer,
+    ValueError naming the first row whose frame or id is not an integer of
+    magnitude at most 2**53 (a float's exact range, which forecasts read),
     whose box has a non-positive size or a non-finite value or edge (left +
     width, top + height), or whose descriptor's norm is not 1 within 1e-6,
     and fills ``foot`` with ``bottom_centers(box)``; ``check=False`` is for
@@ -86,8 +87,12 @@ class DetectionTable:
             if column is None:
                 continue
             if dtype is np.int64:
-                v = np.asarray(column, dtype=float)
+                column = np.asarray(column)
+                v = column.astype(float)
                 _refuse(~(np.isfinite(v) & (v == np.floor(v))), f"{name} must be an integer")
+                # beyond 2**53 a float skips integers; compared as given, 2**53 + 1 is refused
+                big = (column > 2**53) | (column < -2**53)
+                _refuse(big, f"{name} must be at most 2**53 in size")
             setattr(self, name, _read_only(column, dtype))
         n, a = len(self.frame), self.appearance
         sized = (self.source_id, self.agent_id, self.pixel_boxes)
@@ -142,23 +147,32 @@ _NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), p
 @dataclass
 class TrackTable:
     """Every held track, one row each in id order, as a struct of arrays. A track's
-    m-th match sits in slot m % C of its rings, which hold its last C matches."""
+    m-th match sits in slot m % C of its rings, which hold its last C matches.
+
+    An inactive track's forecast is its last three columns: branch b sits at
+    origin + ((f - last matched frame) / fps) * velocity[b] at frame f, up to
+    end; the track leaves on the frame after. Every track has the config's K
+    branches.
+    """
 
     id: np.ndarray  # (T,) ascending
-    active: np.ndarray  # (T,) bool; an inactive track's branches are BranchTable rows
+    active: np.ndarray  # (T,) bool
     box: np.ndarray  # (T, 4) last box: left, top, width, height
     appearance: np.ndarray  # (T, D) last descriptor, NaN throughout for none; D = 0 before any
     source: np.ndarray  # (T,) upstream id of the last match, kept while inactive; negative: none
     frames: np.ndarray  # (T, C) matched frames, a ring
     feet: np.ndarray  # (T, C, 2) their pixel bottom-centres
     seen: np.ndarray  # (T,) matches so far
+    origin: np.ndarray  # (T, 2) BEV point at the last match; set while inactive
+    velocity: np.ndarray  # (T, K, 2) m/s, one row per branch; K = 0 before any forecast
+    end: np.ndarray  # (T,) last frame the forecast covers
 
     @classmethod
     def empty(cls) -> TrackTable:
         """No tracks, with rings of one slot."""
         z = np.zeros
         return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, 1), int),
-                   z((0, 1, 2)), z(0, int))
+                   z((0, 1, 2)), z(0, int), z((0, 2)), z((0, 0, 2)), z(0, int))
 
     def __len__(self) -> int:
         return len(self.id)
@@ -208,86 +222,37 @@ class SceneModel:
 
 
 @dataclass
-class BranchTable:
-    """Every branch of every inactive track, one row each, as a struct of arrays.
-
-    Row r is branch ``branch[r]`` of track ``owner[r]`` at
-    origin + ((f - created) / fps) * velocity, as in ``Forecast.points``. Rows
-    stay until their track leaves.
-    """
-
-    fps: float
-    owner: np.ndarray  # (R,) track id
-    branch: np.ndarray  # (R,) branch index within the track's forecast
-    origin: np.ndarray  # (R, 2) BEV point at created
-    velocity: np.ndarray  # (R, 2) m/s
-    created: np.ndarray  # (R,) the track's last observed frame
-    end: np.ndarray  # (R,) last frame the branch covers
-    size: np.ndarray  # (R, 2) width and height of the track's last box
-
-    @classmethod
-    def of(cls, ids, sizes, forecasts: list, fps: float) -> BranchTable:
-        """Rows for forecasts[i] of track ids[i], whose last box has sizes[i] (width, height)."""
-        k = np.array([len(fc.velocities) for fc in forecasts], dtype=int)
-        track = np.repeat(np.arange(len(k)), k)  # each row's index into the arguments
-        return cls(
-            fps,
-            owner=np.asarray(ids, dtype=int)[track],
-            branch=np.arange(len(track)) - (np.cumsum(k) - k)[track],
-            origin=np.array([fc.origin for fc in forecasts]).reshape(-1, 2)[track],
-            velocity=np.concatenate([np.zeros((0, 2))] + [fc.velocities for fc in forecasts]),
-            created=np.array([fc.created_frame for fc in forecasts], dtype=int)[track],
-            end=np.array([fc.end_frame for fc in forecasts], dtype=int)[track],
-            size=np.asarray(sizes, dtype=float).reshape(-1, 2)[track],
-        )
-
-    def __len__(self) -> int:
-        return len(self.owner)
-
-    def _columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)[1:]]
-
-    def rows(self, keep: np.ndarray) -> BranchTable:
-        return BranchTable(self.fps, *(c[keep] for c in self._columns()))
-
-    def extend(self, other: BranchTable) -> BranchTable:
-        return BranchTable(
-            self.fps, *(np.concatenate([a, b]) for a, b in zip(self._columns(), other._columns()))
-        )
-
-    def points(self, frame: int) -> np.ndarray:
-        """(R, 2) BEV points of every row at the given frame."""
-        return self.origin + ((frame - self.created) / self.fps)[:, None] * self.velocity
-
-
-@dataclass
 class FrameGeometry:
-    """A BranchTable's rows at one frame, in table order, against M detections.
+    """The forecasts of n tracks at one frame, against M detections.
 
-    A row's predicted box is its track's last box moved so its bottom-centre
-    sits on the pixel of the row's point; a point with no pixel preimage has
+    A branch's predicted box is its track's last box moved so its bottom-centre
+    sits on the pixel of the branch's point; a point with no pixel preimage has
     NaN box coordinates, which overlap nothing.
     """
 
-    table: BranchTable
-    points: np.ndarray  # (R, 2) BEV points
-    overlap: np.ndarray  # (R, M) IoU of each row's predicted box with each detection
+    points: np.ndarray  # (n, K, 2) BEV points
+    overlap: np.ndarray  # (n, K, M) IoU of each branch's predicted box with each detection
     det_points: np.ndarray  # (M, 2) the detections' world-fixed BEV points
 
 
 def frame_geometry(
-    table: BranchTable, det_boxes, det_points, scene: SceneModel, frame: int
+    tracks: TrackTable, rows, det_boxes, det_points, scene: SceneModel, frame: int
 ) -> FrameGeometry:
-    """The table's FrameGeometry against detections' (M, 4) boxes and (M, 2) BEV points."""
-    pts = table.points(frame)
-    px, _ = scene.world_to_px(pts, frame)
-    boxes = np.concatenate([px - table.size / (2.0, 1.0), table.size], axis=1)  # u - w / 2, v - h
-    return FrameGeometry(table, pts, iou_matrix(boxes, det_boxes), det_points)
+    """The FrameGeometry of the inactive tracks at rows, in that order, against
+    detections' (M, 4) boxes and (M, 2) BEV points."""
+    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]]
+    vel = tracks.velocity[rows]
+    pts = tracks.origin[rows, None] + ((frame - last) / scene.fps)[:, None, None] * vel
+    px, _ = scene.world_to_px(pts.reshape(-1, 2), frame)
+    size = np.broadcast_to(tracks.box[rows, None, 2:], vel.shape)
+    corner = px.reshape(vel.shape) - size / (2.0, 1.0)  # u - w / 2, v - h
+    boxes = np.concatenate([corner, size], axis=2)
+    return FrameGeometry(pts, iou_matrix(boxes, det_boxes), det_points)
 
 
 def build_cost_matrix(
     track_appearance: np.ndarray, det_appearance: np.ndarray, config: RunConfig,
-    geometry: FrameGeometry, owner: np.ndarray
+    geometry: FrameGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise re-association scores between inactive tracks and detections.
 
@@ -295,11 +260,10 @@ def build_cost_matrix(
     thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
     appearance similarity and the IoU clear their gates. The track/detection
     entry is the best (max) over its branches, the first branch on a tie.
-    Zero means "forbidden". The tracks have (n, D) descriptors
-    ``track_appearance``; ``owner`` gives each of ``geometry``'s rows its
-    track, an index into them. The detections, with (m, D) ``det_appearance``,
-    are its overlap columns. A row of NaN (no descriptor), or a side with no
-    columns, passes the gate.
+    Zero means "forbidden". The tracks, with (n, D) descriptors
+    ``track_appearance``, are ``geometry``'s first axis; the detections, with
+    (m, D) ``det_appearance``, its last. A row of NaN (no descriptor), or a
+    side with no columns, passes the gate.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
@@ -310,17 +274,12 @@ def build_cost_matrix(
     best_branch = np.full((n, m), -1, dtype=int)
     if n == 0 or m == 0:
         return scores, best_branch
-    table = geometry.table
-    if len(owner) != len(table) or owner.min(initial=0) < 0:
-        raise ValueError(f"need one track index in [0, {n}) per branch row")
     d_iou = geometry.overlap
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = geometry.points[:, None, :] - geometry.det_points[None, :, :]
+    diff = geometry.points[:, :, None, :] - geometry.det_points
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
-    per_branch = np.zeros((n, table.branch.max(initial=0) + 1, m))
-    per_branch[owner, table.branch] = s
-    best = per_branch.max(axis=1)
+    best = s.max(axis=1)
     ok = best > 0.0
 
     if track_appearance.shape[1] and det_appearance.shape[1]:
@@ -331,7 +290,7 @@ def build_cost_matrix(
         ok &= ~((a @ b)[..., 0, 0] < config.tau_app)
 
     scores[ok] = best[ok]
-    best_branch[ok] = per_branch.argmax(axis=1)[ok]
+    best_branch[ok] = s.argmax(axis=1)[ok]
     return scores, best_branch
 
 
@@ -371,7 +330,6 @@ class Tracker:
         self.config = config or RunConfig()
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
-        self.branches = BranchTable.of([], [], [], scene.fps)  # the inactive tracks' branches
         dt, fps = self.config.dt, scene.fps
         # A forecast ends ceil(tau_max / dt) grid steps of max(1, round(dt * fps)) frames on.
         if not (dt * fps < math.inf
@@ -440,16 +398,13 @@ class Tracker:
         """Remove (removed_dead, in id order, into dead) or re-associate (into took) the
         inactive tracks; the list free of dets' rows has world points free_bev. In ingestion
         mode a free detection's upstream id brings its inactive track back before the gates."""
-        cfg, t, table = self.config, self.tracks, self.branches
-        ended = table.end < frame
-        if not free and not ended.any():
+        cfg, t = self.config, self.tracks
+        gone = (t.end < frame) > t.active  # ended and inactive; below, also the re-associated
+        if not free and not gone.any():
             return
-        owner = np.searchsorted(t.id, table.owner)  # each branch row's track row
-        gone = np.zeros(len(t), bool)  # and, below, the re-associated
-        gone[owner[ended]] = True
+        held = ~t.active
         dead += gone.nonzero()[0].tolist()
         events += [_event(frame, tid, reason="removed_dead") for tid in t.id[gone].tolist()]
-        held = np.bincount(owner, minlength=len(t)) > 0
 
         def reassociate(r, j, score=None, branch=None):
             events.append(_event(frame, int(t.id[r]), j, score, branch, reason="reassociated"))
@@ -467,16 +422,11 @@ class Tracker:
             free, free_bev = [free[k] for k in left], free_bev[left]
         survivors = (held & ~gone).nonzero()[0]
         if len(survivors) and free:
-            scored = ~gone[owner]
-            sub = table if scored.all() else table.rows(scored)
-            geometry = frame_geometry(sub, dets.box[free], free_bev, self.scene, frame)
+            geometry = frame_geometry(t, survivors, dets.box[free], free_bev, self.scene, frame)
             app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
-            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry,
-                                                    np.searchsorted(survivors, owner[scored]))
+            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry)
             for i, jj in assign(scores):
                 reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
-        if gone.any():
-            self.branches = table.rows(~gone[owner])
 
     # -- the per-frame update --------------------------------------------------
 
@@ -553,10 +503,11 @@ class Tracker:
                 events.append(_event(frame, tid, reason="terminated"))
 
         # The step's one lift: the matches of the tracks going inactive, then, while
-        # branches exist, the free detections.
+        # inactive tracks exist, the free detections.
         free = sorted(set(range(n)) - set(matches.values()))
+        inactive = len(t) - len(active) + len(lost)
         world = None  # unread while no detection is free
-        if lost or (free and len(self.branches)):
+        if lost or (free and inactive):
             at, pixels = np.full(len(free), frame), dets.foot[free]
             if lost:
                 frames, feet, held = t.matches(lost)
@@ -570,9 +521,12 @@ class Tracker:
                 lo += k
             world = world[lo:]
             t.active[lost] = False
-            fresh = BranchTable.of(t.id[lost], t.box[lost, 2:], forecasts, self.scene.fps)
-            self.branches = self.branches.extend(fresh)
-        if len(self.branches):
+            if not t.velocity.shape[1]:  # the first forecast sizes the branch axis
+                t.velocity = np.zeros((len(t), len(forecasts[0].velocities), 2))
+            t.origin[lost] = [fc.origin for fc in forecasts]
+            t.velocity[lost] = [fc.velocities for fc in forecasts]
+            t.end[lost] = [fc.end_frame for fc in forecasts]
+        if inactive:
             self._advance_inactive(dets, free, world, frame, events, took, dead)
 
         # Anything still unmatched founds a new track.

@@ -179,11 +179,12 @@ class TestIouMatrix:
     def test_empty(self):
         assert iou_matrix(ltwh([]), ltwh([PixelBox(0, 0, 1, 1)])).shape == (0, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_union_that_underflows_is_nan_in_both(self):
-        # Positive sizes whose areas round to 0: 0 / 0 in both, not a ZeroDivisionError.
+        # Positive sizes whose areas round to 0: 0 / 0 in both, NaN without a
+        # RuntimeWarning or a ZeroDivisionError.
         tiny = PixelBox(0.0, 0.0, 1e-200, 1e-200)
-        with np.errstate(invalid="ignore"):
-            got = iou_matrix(ltwh([tiny]), ltwh([tiny]))
+        got = iou_matrix(ltwh([tiny]), ltwh([tiny]))
         assert np.isnan(got).all() and np.isnan(iou(tiny, tiny))
 
 

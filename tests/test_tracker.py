@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,8 +20,8 @@ from bevtrack.forecast import Forecast, forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import build_scene_model, generate
+import bevtrack.tracker as tracker_module
 from bevtrack.tracker import (
-    BranchTable,
     DetectionTable,
     SceneModel,
     Tracker,
@@ -68,10 +68,18 @@ class Inactive:
 
 
 def table_of(tracks):
-    """The tracks' branch table at their forecasts' frame rate."""
-    sizes = [(t.last_box.width, t.last_box.height) for t in tracks]
-    return BranchTable.of([t.id for t in tracks], sizes, [t.forecast for t in tracks],
-                          tracks[0].forecast.fps)
+    """A TrackTable of these inactive tracks (of one branch count), in id order, each
+    matched once, at its forecast's created frame."""
+    tracks = sorted(tracks, key=lambda tr: tr.id)
+    forecasts = [tr.forecast for tr in tracks]
+    t = TrackTable.empty().extend([tr.id for tr in tracks])
+    t.active[:], t.seen[:] = False, 1
+    t.box, t.appearance = ltwh([tr.last_box for tr in tracks]), descriptors(tracks)
+    t.frames[:, 0] = [fc.created_frame for fc in forecasts]
+    t.origin = np.array([fc.origin for fc in forecasts])
+    t.velocity = np.array([fc.velocities for fc in forecasts])
+    t.end = np.array([fc.end_frame for fc in forecasts])
+    return t
 
 
 def descriptors(tracks):
@@ -87,20 +95,18 @@ def cost_matrix(tracks, detections, points, config, scene, frame):
     """build_cost_matrix on the frame's geometry for these tracks (in id order) and
     for detections whose bottom-centres lift to the given BEV points."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
-    branches = table_of(tracks)
-    g = frame_geometry(branches, detections.box, pts, scene, frame)
+    t = table_of(tracks)
+    scene = replace(scene, fps=tracks[0].forecast.fps)  # the forecasts' frame rate
+    g = frame_geometry(t, np.arange(len(t)), detections.box, pts, scene, frame)
     app = detections.appearance
     app = np.zeros((len(detections), 0)) if app is None else app
-    owner = np.searchsorted([t.id for t in tracks], branches.owner)
-    return build_cost_matrix(descriptors(tracks), app, config, g, owner)
+    return build_cost_matrix(t.appearance, app, config, g)
 
 
 def hold(tk, tracks):
-    """Make these inactive tracks the tracker's only ones, their branches in the given order."""
-    ids = sorted(t.id for t in tracks)
-    tk.tracks = TrackTable.empty().extend(ids)
-    tk.branches = table_of(tracks)
-    tk.next_id = ids[-1] + 1
+    """Make these inactive tracks the tracker's only ones."""
+    tk.tracks = table_of(tracks)
+    tk.next_id = int(tk.tracks.id[-1]) + 1
 
 
 def row(tk, tid):
@@ -115,9 +121,9 @@ def matches(tk, tid):
     return list(zip(frames[held].tolist(), feet[held].tolist()))
 
 
-def end_frames(tk, tid):
-    """The end frames of the track's branches."""
-    return tk.branches.end[tk.branches.owner == tid].tolist()
+def end_frame(tk, tid):
+    """The last frame the track's forecast covers."""
+    return int(tk.tracks.end[row(tk, tid)])
 
 
 def unit(*v):
@@ -139,7 +145,7 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
 
 
 def test_geometry_from_top_level_names():
-    # frame_geometry and BranchTable build the geometry that build_cost_matrix
+    # A TrackTable's forecast columns give the geometry that build_cost_matrix
     # takes; everything here comes from the package namespace.
     import bevtrack as bt
 
@@ -150,16 +156,18 @@ def test_geometry_from_top_level_names():
     fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
     dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
     config = bt.RunConfig()
-    branches = bt.BranchTable.of([1], [(12.0, 24.0)], [fc], fps=1.0)
-    geometry = bt.frame_geometry(branches, dets.box, np.array([[51.0, 100.0]]), scene, 1)
-    assert geometry.points.tolist() == [[51.0, 100.0]] and geometry.overlap.tolist() == [[1.0]]
+    tracks = bt.TrackTable.empty().extend([1])  # matched once, at frame 0
+    tracks.box[0], tracks.seen[0] = (44.0, 76.0, 12.0, 24.0), 1
+    tracks.origin[0], tracks.velocity, tracks.end[0] = fc.origin, fc.velocities[None], fc.end_frame
+    geometry = bt.frame_geometry(tracks, [0], dets.box, np.array([[51.0, 100.0]]), scene, 1)
+    assert geometry.points.tolist() == [[[51.0, 100.0]]]
+    assert geometry.overlap.tolist() == [[[1.0]]]
     assert geometry.det_points.tolist() == [[51.0, 100.0]]
-    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry,
-                                          np.array([0]))
+    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
-    assert {"BranchTable", "DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
+    assert {"DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
-    assert not hasattr(bt, "Track")
+    assert not hasattr(bt, "Track") and not hasattr(bt, "BranchTable")
 
 
 BOXES = np.tile([10.0, 20.0, 12.0, 24.0], (3, 1))  # three valid rows
@@ -235,6 +243,25 @@ class TestDetectionTable:
     def test_non_integer_frame_or_id_names_its_row(self, name, value):
         with pytest.raises(ValueError, match=rf"^row 1: {name} must be an integer$"):
             self.table(**{name: [0.0, value, 1.0]})
+
+    @pytest.mark.parametrize("name", ["frame", "source_id", "agent_id"])
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**53 + 2, -(2**53) - 1, 2**63 - 1, 2**64, 1e300])
+    def test_frame_or_id_beyond_2_to_the_53_names_its_row(self, name, value):
+        # A float skips integers beyond 2**53, and forecasts read frames as floats;
+        # 2**53 + 1 is refused too, though it reads as 2**53 in a float.
+        with pytest.raises(ValueError, match=rf"^row 1: {name} must be at most 2\*\*53 in size$"):
+            self.table(**{name: [0, value, 1]})
+
+    def test_frames_up_to_2_to_the_53_forecast(self):
+        t = DetectionTable([2**53, -(2**53), 0], BOXES, source_id=[2**53, -1, 5])
+        assert t.frame.tolist() == [2**53, -(2**53), 0] and t.source_id[0] == 2**53
+        # the last three frames a float tells apart, then a miss: the track goes inactive
+        tk = Tracker(make_scene(), small_config())
+        for f in range(2**53 - 2, 2**53 + 1):
+            tk.step(DetectionTable([f], [[44.0, 76.0, 12.0, 24.0]]), f)
+        _, events = tk.step([], 2**53 + 1)
+        assert [e["reason"] for e in events] == ["inactive"]
+        assert tk.tracks.end[0] == 2**53 + 7 * 3
 
     def test_integral_floats_are_integers(self):
         t = DetectionTable([0.0, 3.0, -1.0], BOXES, source_id=[4.0, -1.0, 5.0], agent_id=[1.0] * 3)
@@ -346,18 +373,14 @@ class TestCostMatrix:
             want = d_iou + max(cfg.tau_l2 - d_l2, 0.0) if d_iou >= cfg.tau_iou else 0.0
             assert scores[0, 0] == pytest.approx(want, abs=1e-12)
 
-    def test_owner_picks_each_rows_track(self):
-        # Track 2 is scored first, its row second; owner, not the ids, names each row's track.
+    def test_rows_pick_the_scored_tracks_in_order(self):
+        # Track 2, in row 1, is scored first: rows, not the table's order, order the scores.
         near = inactive_track(2, 50, 100, [(52.0, 100.0)])
         far = inactive_track(1, 50, 100, [(90.0, 100.0)])
-        g = frame_geometry(table_of([far, near]), table(det_at(1, 52, 100)).box,
-                           np.array([[52.0, 100.0]]), make_scene(), 1)
-        none, cfg = (np.zeros((2, 0)), np.zeros((1, 0))), RunConfig()
-        scores, _ = build_cost_matrix(*none, cfg, g, np.array([1, 0]))
+        g = frame_geometry(table_of([far, near]), [1, 0], table(det_at(1, 52, 100)).box,
+                           np.array([[52.0, 100.0]]), make_scene(fps=1.0), 1)
+        scores, _ = build_cost_matrix(np.zeros((2, 0)), np.zeros((1, 0)), RunConfig(), g)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12) and scores[1, 0] == 0.0
-        for owner in ([0], [1, -1]):
-            with pytest.raises(ValueError, match=r"one track index in \[0, 2\) per branch row"):
-                build_cost_matrix(*none, cfg, g, np.array(owner))
 
 
 def brute_max_total(scores):
@@ -449,10 +472,10 @@ class TestDeactivateReadsTheWindowTail:
         tk.step([], int(frames[-1]) + 1)  # the track goes inactive
         lifted = tk.scene.px_to_world(np.array(feet), frames)
         want = forecast(preprocess(frames, lifted, cfg, fps), cfg, fps)
-        b = tk.branches
-        assert np.array_equal(b.origin, np.repeat(want.origin[None], len(b), axis=0))
-        assert np.array_equal(b.velocity, want.velocities)
-        assert set(b.created) == {want.created_frame} and set(b.end) == {want.end_frame}
+        t, r = tk.tracks, row(tk, 1)
+        assert np.array_equal(t.origin[r], want.origin)
+        assert np.array_equal(t.velocity[r], want.velocities)
+        assert seen[-1][0] == want.created_frame and t.end[r] == want.end_frame
         first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
         start = max([k for k, f in enumerate(frames) if f <= first], default=0)
         held = tk.tracks.frames.shape[1]
@@ -484,6 +507,18 @@ def small_config(**kw):
 
 def walker_dets(frame, x0=50.0, v=1.0, y=100.0, app=None):
     return table(det_at(frame, x0 + v * frame, y, app=app))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boxes_whose_areas_underflow_match_nothing_in_a_large_association():
+    # Above FEW_PAIRS pairs base association runs iou_matrix, whose 0 / 0 for two
+    # such boxes is NaN, silently: no track matches, each detection founds a track.
+    boxes = [PixelBox(1e-190 * i, 0.0, 1e-200, 1e-200) for i in range(9)]  # each overlaps itself
+    tk = Tracker(make_scene(), small_config(forecast_enabled=False))
+    tk.step(table(*[(0, b, None, None) for b in boxes]), 0)
+    assert len(boxes) ** 2 > tracker_module.FEW_PAIRS
+    _, events = tk.step(table(*[(1, b, None, None) for b in boxes]), 1)
+    assert [e["reason"] for e in events] == ["terminated"] * 9 + ["new"] * 9
 
 
 class TestTrackerLifecycle:
@@ -555,7 +590,7 @@ class TestTrackerLifecycle:
         for f in range(5):
             tk.step(walker_dets(f), f)
         tk.step([], 5)
-        assert end_frames(tk, 1) == [25]
+        assert end_frame(tk, 1) == 25
         outputs, events = tk.step(walker_dets(25), 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
         assert [tid for _, tid, _ in outputs] == [1]
@@ -570,8 +605,8 @@ class TestTrackerLifecycle:
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
 
     def test_removals_logged_in_id_order(self):
-        # tracks 3 and 1 end in the same frame; the table holds them out of id
-        # order, and the log lists them in id order
+        # tracks 3 and 1, given out of id order, leave in the same step; the log
+        # lists them in id order
         tk = Tracker(make_scene(fps=10.0), small_config())
         dead3 = inactive_track(3, 52, 100, [(0.0, 0.0)], created=10)  # forecast ended at 11
         alive = inactive_track(2, 80, 100, [(0.0, 0.0)])
@@ -583,7 +618,7 @@ class TestTrackerLifecycle:
             (1, "removed_dead"),
             (3, "removed_dead"),
         ]
-        assert tk.tracks.id.tolist() == [2] and tk.branches.owner.tolist() == [2]
+        assert tk.tracks.id.tolist() == [2] and tk.tracks.end.tolist() == [50]
 
     def test_patience_alone_removes_nothing(self):
         # At frame 25 every track is 25 frames unseen, past tau_max * fps = 20
@@ -594,7 +629,7 @@ class TestTrackerLifecycle:
         hold(tk, tracks)
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead")]
-        assert tk.tracks.id.tolist() == [2, 3] and tk.branches.owner.tolist() == [2, 3]
+        assert tk.tracks.id.tolist() == [2, 3] and tk.tracks.end.tolist() == [50, 50]
 
     @pytest.mark.parametrize("fps", [7.5, 10.0, 12.5, 20.0, 24.0, 25.0, 29.97, 30.0])
     def test_unseen_walker_leaves_once_after_its_forecast_ends(self, fps):
@@ -674,10 +709,10 @@ class TestTrackerLifecycle:
         for f in range(40):
             tk.step(walker_dets(f), f)
         _, events = tk.step([], 40)
-        b = tk.branches
+        t = tk.tracks
         assert [e["reason"] for e in events] == ["inactive"]
-        assert b.origin.tolist() == [[89.0, 100.0]] and b.velocity.tolist() == [[0.0, 0.0]]
-        assert b.end.tolist() == [39 + 20_000_000]
+        assert t.origin.tolist() == [[89.0, 100.0]] and t.velocity.tolist() == [[[0.0, 0.0]]]
+        assert t.end.tolist() == [39 + 20_000_000]
         _, events = tk.step(walker_dets(41), 41)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "reassociated")]
 
@@ -699,7 +734,7 @@ class TestTrackerLifecycle:
             tk.step(walker_dets(f), f)
         _, events = tk.step([], 5)
         assert [e["reason"] for e in events] == ["inactive"]
-        assert tk.branches.end.tolist() == [4 + 8 * 10**18]
+        assert tk.tracks.end.tolist() == [4 + 8 * 10**18]
         assert [e["reason"] for e in tk.step(walker_dets(6), 6)[1]] == ["reassociated"]
 
     def test_outputs_only_tracks_seen_this_frame(self):
@@ -755,7 +790,7 @@ class TestIngestMode:
         if want == 1:
             assert events == [dict(frame=9, track_id=1, detection_index=0, score=None,
                                    branch_id=None, reason="reassociated")]
-            assert len(tk.branches) == 0 and tk.tracks.active[row(tk, 1)]
+            assert tk.tracks.active.all()
         else:
             assert [e["reason"] for e in events] == ["new"] and not tk.tracks.active[row(tk, 1)]
 
@@ -773,7 +808,7 @@ class TestIngestMode:
             (1, 1, None, "reassociated"),
         ]
         assert [(tid, box.bottom_center[0]) for _, tid, box in outputs] == [(1, 159.0), (2, 59.0)]
-        assert len(tk.branches) == 0 and tk.tracks.active.tolist() == [True, True]
+        assert tk.tracks.active.tolist() == [True, True]
 
     def test_two_detections_with_one_source_id_refused(self):
         # Two tracks would share one binding, and base association would keep
@@ -799,7 +834,7 @@ class TestIngestMode:
         for f in range(5):
             tk.step(table(det_at(f, 50.0 + f, 100, source=7)), f)
         tk.step([], 5)
-        assert end_frames(tk, 1) == [25]
+        assert end_frame(tk, 1) == 25
         outputs, events = tk.step(table(det_at(26, 76, 100, source=7)), 26)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead"), (2, "new")]
         assert [tid for _, tid, _ in outputs] == [2] and tk.tracks.source[row(tk, 2)] == 7

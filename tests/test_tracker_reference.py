@@ -8,7 +8,8 @@ frame's DetectionTable as per-row ``Row`` records. The array code does the same 
 scenes both must give equal outputs and equal events, score floats included.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,6 @@ from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
 from bevtrack.tracker import (
-    BranchTable,
     DetectionTable,
     SceneModel,
     Tracker,
@@ -34,6 +34,7 @@ from bevtrack.tracker import (
     build_cost_matrix,
     frame_geometry,
 )
+from test_tracker import table_of
 
 # -- the scalar reference ----------------------------------------------------------
 
@@ -475,16 +476,15 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
 
 
 def geometry(tracks, dets, points, scene):
-    sizes = [(t.last_box.width, t.last_box.height) for t in tracks]
-    table = BranchTable.of([t.id for t in tracks], sizes, [t.forecast for t in tracks], fps=1.0)
-    return frame_geometry(table, dets.box, points, scene, 1)
+    """frame_geometry of the RefTracks, in id order, at their forecasts' 1 fps."""
+    scene = replace(scene, fps=1.0)
+    return frame_geometry(table_of(tracks), np.arange(len(tracks)), dets.box, points, scene, 1)
 
 
 def cost_matrix(tracks, dets, cfg, geometry):
     """build_cost_matrix on the RefTracks' descriptors."""
-    owner = np.searchsorted([t.id for t in tracks], geometry.table.owner)
     return build_cost_matrix(np.array([t.last_appearance for t in tracks]), dets.appearance,
-                             cfg, geometry, owner)
+                             cfg, geometry)
 
 
 class TestCostMatrixMatchesScalarReference:
@@ -530,10 +530,9 @@ def base_association_instance(rng, n, m):
     for copies, source in ((boxes, boxes), (det_boxes, det_boxes), (det_boxes, boxes)):
         for _ in range(int(rng.integers(0, 3))):
             copies[rng.integers(len(copies))] = source[rng.integers(len(source))]
-    k, z = len(ids), np.zeros
     tk = Tracker(SceneModel(lh=None, fps=10.0))
-    tk.tracks = TrackTable(ids, active, boxes, z((k, 0)), z(k, int), z((k, 1), int),
-                           z((k, 1, 2)), z(k, int))
+    tk.tracks = TrackTable.empty().extend(ids)
+    tk.tracks.active, tk.tracks.box = active, boxes
     rows = active.nonzero()[0]
     refs = [RefTrack(int(ids[r]), [], PixelBox(*boxes[r]), None) for r in rows]
     return tk, rows, DetectionTable(np.zeros(m, int), det_boxes), refs
@@ -562,26 +561,30 @@ def test_base_association_matches_the_reference_around_the_cutoff(seed, monkeypa
             assert len(calls) == (pairs > tracker_module.FEW_PAIRS)
 
 
-class TestBranchTableLifecycle:
+class TestForecastColumns:
     @pytest.mark.parametrize("case", ["fan", "short_fan", "kalman_cv"])
-    def test_rows_are_the_inactive_tracks_branches(self, crowd_sims, case):
-        # After every step the table holds k rows, branches 0..k-1, for each
-        # inactive track and none for active or removed ones.
+    def test_inactive_tracks_hold_k_branches_until_their_end(self, crowd_sims, case):
+        # After every step each inactive track has k velocity rows and a forecast
+        # that ends the forecast's span after its last match, at or after this frame.
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
         lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
         tracker = Tracker(build_scene_model(sim.scenario, lh), cfg)
         by_frame = detections(sim, appearance, ingest)
         k = len(cfg.fan_angles) if cfg.motion == "fan" else 1
+        span = math.ceil(cfg.tau_max / cfg.dt) * max(1, round(cfg.dt * tracker.scene.fps))
         seen = set()
         for f in range(sim.scenario.n_frames):
             _, events = tracker.step(by_frame.get(f, []), f)
             seen.update(e["reason"] for e in events)
-            inactive = tracker.tracks.id[~tracker.tracks.active].tolist()
-            order = np.lexsort((tracker.branches.branch, tracker.branches.owner))
-            assert tracker.branches.owner[order].tolist() == np.repeat(inactive, k).tolist()
-            assert tracker.branches.branch[order].tolist() == list(range(k)) * len(inactive)
-        # Rows leave on re-association, and with short_fan's 2 s patience on removal too.
+            t = tracker.tracks
+            inactive = (~t.active).nonzero()[0]
+            if "inactive" in seen:
+                assert t.velocity.shape == (len(t), k, 2)
+            last = t.frames[inactive, (t.seen[inactive] - 1) % t.frames.shape[1]]
+            assert (t.end[inactive] == last + span).all() and (t.end[inactive] >= f).all()
+        # Tracks leave the inactive rows on re-association, and with short_fan's 2 s
+        # patience on removal too.
         assert {"inactive", "reassociated"} <= seen
         assert ("removed_dead" in seen) == (case == "short_fan")
 
