@@ -38,17 +38,21 @@ def main():
     print(f"filtered end velocity: ({vel[0]:+.2f}, {vel[1]:+.2f}) m/s")
 
     horizon_s = 3.2  # 8 x 0.4s ahead
+    # forecast takes a list of states and returns the track table's columns:
+    # origins (L, 2), branch velocities (L, K, 2) and end frames (L,); here L = 1
     forecasts = {
-        motion: forecast(state, base.override(motion=motion), fps, horizon_s=horizon_s)
+        motion: forecast([state], base.override(motion=motion), fps, horizon_s=horizon_s)
         for motion in ("static", "kalman_cv", "fan")
     }
-    t_end = forecasts["static"].end_frame / fps
+    end_frame = int(forecasts["static"][2][0])
+    t_end = end_frame / fps
     truth = walker_path(t_end)
     print(f"\ntrue position {t_end - last_frame / fps:.1f}s after the last observation: "
           f"({truth[0]:+.2f}, {truth[1]:+.2f})")
-    for motion, fc in forecasts.items():
+    for motion, ((origin,), (velocity,), _) in forecasts.items():
         print(f"  {motion}:")
-        for i, end in enumerate(fc.points(fc.end_frame)):
+        # branch b sits at origin + (seconds since the last observation) * velocity[b]
+        for i, end in enumerate(origin + ((end_frame - last_frame) / fps) * velocity):
             err = np.linalg.norm(end - truth)
             print(f"    branch {i}: endpoint ({end[0]:+.2f}, {end[1]:+.2f}), off by {err:.2f} m")
 

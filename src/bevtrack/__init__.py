@@ -33,7 +33,7 @@ from .evaluation import (
     match_frames,
     occlusion_components,
 )
-from .forecast import Forecast, forecast, predicted_box, preprocess
+from .forecast import forecast, forecast_span, predicted_box, preprocess
 from .homography import (
     Homography,
     HomographyFit,
@@ -76,7 +76,6 @@ __all__ = [
     "DetectionTable",
     "EgomotionTrack",
     "EvalReport",
-    "Forecast",
     "GroundPlane",
     "Homography",
     "HomographyFit",
@@ -109,6 +108,7 @@ __all__ = [
     "evaluate_tracking",
     "fit_ground_plane",
     "forecast",
+    "forecast_span",
     "frame_geometry",
     "generate",
     "id_recall",

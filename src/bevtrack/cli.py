@@ -297,16 +297,17 @@ def _cmd_forecast(args) -> int:
     order = np.lexsort((dets.frame, dets.track_id))
     frames, points = dets.frame[order], lh.px_to_bev(bottom_centers(dets.box[order]))
     ids, starts = np.unique(dets.track_id[order], return_index=True)
-    forecasts = {}
-    for tid, lo, hi in zip(ids.tolist(), starts.tolist(), [*starts[1:].tolist(), len(frames)]):
-        state = preprocess(frames[lo:hi], points[lo:hi], cfg, args.fps)
-        try:
-            forecasts[tid] = run_forecast(state, cfg, args.fps, args.horizon)
-        except ValueError as e:
-            raise ParseError(f"--horizon: {e}") from e
-    rows = [{"id": tid, **mot_io._record_to_dict(fc)} for tid, fc in forecasts.items()]
+    states = [preprocess(frames[lo:hi], points[lo:hi], cfg, args.fps)
+              for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(frames)])]
+    try:
+        origin, velocity, end = run_forecast(states, cfg, args.fps, args.horizon)
+    except ValueError as e:
+        raise ParseError(f"--horizon: {e}") from e
+    columns = zip(ids.tolist(), states, origin.tolist(), velocity.tolist(), end.tolist())
+    rows = [dict(id=i, origin=o, velocities=v, created_frame=s[2], end_frame=e, fps=args.fps)
+            for i, s, o, v, e in columns]
     mot_io.write_json_lines(args.out, rows)
-    print(f"forecasted identities: {len(forecasts)}")
+    print(f"forecasted identities: {len(rows)}")
     print(f"wrote {args.out}")
     return 0
 

@@ -5,17 +5,17 @@ uniform step grid ending at the last observation and run through a forward
 constant-velocity Kalman filter, whose gains do not depend on the data and are
 computed once per config. The filter's last state, one position and one
 velocity at the last observed frame, is all a forecast reads: the RunConfig's
-motion model turns it into k constant-velocity branches, each an origin plus a
-velocity, valid up to the horizon's end frame. The tracker never re-seeds a
-forecast mid-occlusion; every branch lives until the frame passes the
-forecast's end, when its track leaves.
+motion model turns a list of states into the track table's forecast columns,
+per state an origin, k branch velocities and the end frame the branches
+cover. forecast_span holds the horizon's arithmetic and its limits. The
+tracker never re-seeds a forecast mid-occlusion; every branch lives until the
+frame passes the forecast's end, when its track leaves.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,72 +105,51 @@ def preprocess(frames, points, config: RunConfig, fps: float) -> tuple[np.ndarra
     return position, velocity, int(round(last))
 
 
-@dataclass
-class Forecast:
-    """k constant-velocity branches leaving one origin at created_frame.
-
-    Branch b sits at origin + ((f - created_frame) / fps) * velocities[b] at
-    every frame created_frame < f <= end_frame. A forecast is pure data: the
-    tracker copies it into its track's row of the track table.
+def forecast_span(config: RunConfig, fps: float, horizon_s: float = None) -> int:
+    """Frames a forecast covers after its last observed frame: max(1, ceil(horizon_s /
+    dt)) grid steps of max(1, round(dt * fps)) frames, horizon_s defaulting to
+    config.tau_max. ValueError for an fps or horizon that is not positive, a step
+    count that overflows, or a span that could put an end frame beyond int64.
     """
-
-    origin: np.ndarray  # (2,) BEV point at created_frame
-    velocities: np.ndarray  # (k, 2) m/s
-    created_frame: int
-    end_frame: int  # last frame the branches cover
-    fps: float
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float)
-        if self.origin.shape != (2,) or self.velocities.shape[1:] != (2,):
-            raise ValueError("origin must be (2,) and velocities (k, 2)")
-        if len(self.velocities) == 0:
-            raise ValueError("a forecast needs at least one branch")
-        if self.end_frame <= self.created_frame:
-            raise ValueError("end_frame must be after created_frame")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-
-    def points(self, frame: int) -> np.ndarray:
-        """(k, 2) BEV points of every branch at the given frame."""
-        return self.origin + ((frame - self.created_frame) / self.fps) * self.velocities
-
-
-def forecast(state, config: RunConfig, fps: float, horizon_s: float = None) -> Forecast:
-    """Branches from preprocess's (position, velocity, last_frame) state.
-
-    config.motion picks them: "static" is one branch at rest, "kalman_cv" one
-    at the filter's velocity, and "fan" one per config.fan_angles (degrees,
-    rotating that velocity), a deterministic stand-in for learned multi-modal
-    forecasters. They cover frames last_frame+1 .. last_frame + steps *
-    max(1, round(dt * fps)), where steps = max(1, ceil(horizon_s / dt)) and
-    horizon_s defaults to config.tau_max.
-    """
-    position, velocity, last_frame = state
+    dt = config.dt
     horizon = config.tau_max if horizon_s is None else horizon_s
+    if not fps > 0:
+        raise ValueError(f"fps must be positive, got {fps:g}")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon:g} s")
-    if horizon / config.dt == math.inf:
-        raise ValueError(f"horizon {horizon:g} s overflows the step count at dt {config.dt:g} s")
-    steps = max(1, math.ceil(horizon / config.dt))
+    if horizon / dt == math.inf:
+        raise ValueError(f"horizon {horizon:g} s overflows the step count at dt {dt:g} s")
+    step = max(1, round(dt * fps)) if dt * fps < math.inf else math.inf
+    span = max(1, math.ceil(horizon / dt)) * step
+    if span > 2**63 - 1 - 2**53:  # an end frame: a last frame, at most 2**53 in size, + span
+        raise ValueError(f"dt {dt:g} s at {fps:g} fps puts a forecast's end frame "
+                         "beyond 64-bit integers")
+    return span
+
+
+def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
+    """The track table's forecast columns for L preprocess (position, velocity,
+    last_frame) states: (origin (L, 2), velocity (L, K, 2) m/s, end (L,)).
+
+    config.motion picks the K branches: "static" is one branch at rest,
+    "kalman_cv" one at the filter's velocity, and "fan" one per config.fan_angles
+    (degrees, rotating that velocity), a deterministic stand-in for learned
+    multi-modal forecasters. Branch b of state i sits at origin[i] + ((f -
+    last_frame) / fps) * velocity[i, b] at frames last_frame < f <= end[i] =
+    last_frame + forecast_span(config, fps, horizon_s).
+    """
+    span = forecast_span(config, fps, horizon_s)
+    origin = np.array([s[0] for s in states], dtype=float).reshape(-1, 2)
+    end = np.array([s[2] + span for s in states], dtype=np.int64)
     if config.motion == "static":
-        vels = np.zeros((1, 2))
-    elif config.motion == "kalman_cv":
-        vels = velocity[None, :]
-    else:  # fan
-        vels = []
-        for ang in config.fan_angles:
-            a = math.radians(ang)
-            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-            vels.append(rot @ velocity)
-    return Forecast(
-        origin=position,
-        velocities=np.array(vels),
-        created_frame=last_frame,
-        end_frame=last_frame + steps * max(1, round(config.dt * fps)),
-        fps=fps,
-    )
+        return origin, np.zeros((len(states), 1, 2)), end
+    velocity = np.array([s[1] for s in states], dtype=float).reshape(-1, 1, 2)
+    if config.motion == "kalman_cv":
+        return origin, velocity, end
+    rot = np.array([[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+                    for a in map(math.radians, config.fan_angles)])
+    # (K, 2, 2) @ (L, 1, 2, 1): one 2x2 product per branch, rounding like a lone rot @ v
+    return origin, (rot @ velocity[..., None])[..., 0], end
 
 
 def predicted_box(last_box, point: np.ndarray, lh):

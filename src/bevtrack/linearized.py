@@ -72,9 +72,9 @@ class LinearizedHomography:
         self._sigma = 1.0 if m[2, 1] > 0 else -1.0  # its sign on the ground side, if so
         self.linearization_needed = not self._affine
 
-        cols = np.arange(w, dtype=float)
-        v_t, defined, terms = self._thresholds(cols)
-        anchor, tangent = self._linear_piece(terms, v_t, slice(None))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v_t, defined, terms = self._thresholds(np.arange(w, dtype=float))
+            anchor, tangent = self._linear_piece(terms, v_t, slice(None))
         bad = np.flatnonzero(~defined)
         if bad.size:
             good = np.flatnonzero(defined)
@@ -95,7 +95,8 @@ class LinearizedHomography:
     # -- per-column closed forms -------------------------------------------------
 
     def _thresholds(self, u: np.ndarray):
-        """Threshold rows of (possibly fractional) columns u, before any fallback.
+        """Threshold rows of (possibly fractional) columns u, before any fallback. It and
+        _linear_piece divide by zero and take roots of NaN: callers silence those warnings.
 
         Returns (v_t, defined, terms): terms holds, per point, the column
         values that _linear_piece reads: (b1, b2), (alpha, beta) and the
@@ -110,9 +111,8 @@ class LinearizedHomography:
         k = sq[:, 0] + sq[:, 1]
         defined = k > 1e-30
         if self._projective:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                w_t = self._sigma * np.sqrt(np.sqrt(k) / self.max_spacing)
-                return (w_t - d) / c, defined, (b, ab, w_t)
+            w_t = self._sigma * np.sqrt(np.sqrt(k) / self.max_spacing)
+            return (w_t - d) / c, defined, (b, ab, w_t)
         if self._affine:
             # No horizon: the linear piece is the exact, affine map; v_t is row 0 by convention.
             return np.zeros(u.shape), defined, (b, ab, d)
@@ -120,19 +120,17 @@ class LinearizedHomography:
         # with constant derivative sqrt(k)/d^2; columns whose derivative already
         # respects max_spacing never need the linear piece, the rest have no
         # threshold of their own.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            defined &= (np.abs(d) > 1e-15) & (np.sqrt(k) / (d * d) <= self.max_spacing)
+        defined &= (np.abs(d) > 1e-15) & (np.sqrt(k) / (d * d) <= self.max_spacing)
         return np.full(u.shape, -np.inf), defined, (b, ab, d)
 
     def _linear_piece(self, terms, v_t: np.ndarray, rows):
         """(n, 2) anchor and tangent (d BEV / d v) at the given rows of a _thresholds result."""
         b, ab, den = (t[rows] for t in terms)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if self._projective:  # (a1 * v_t + b1) / w_t
-                anchor = (self.h.m[:2, 1] * v_t[rows][:, None] + b) / den[:, None]
-            else:
-                anchor = b / den[:, None]
-            return anchor, ab / (den * den)[:, None]
+        if self._projective:  # (a1 * v_t + b1) / w_t
+            anchor = (self.h.m[:2, 1] * v_t[rows][:, None] + b) / den[:, None]
+        else:
+            anchor = b / den[:, None]
+        return anchor, ab / (den * den)[:, None]
 
     def _borrow(self, u: np.ndarray, defined: np.ndarray, *pairs) -> None:
         """Give points of undefined columns each cache's values at the nearest integer column."""

@@ -34,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 from .boxes import PixelBox, bottom_centers, iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame, ParseError
-from .forecast import forecast, predicted_box, preprocess  # noqa: F401
+from .forecast import forecast, forecast_span, predicted_box, preprocess  # noqa: F401
 
 # Base association scores up to this many (active track, detection) pairs with
 # scalar IoU, more with iou_matrix: the measured crossover (_base_association).
@@ -149,10 +149,10 @@ class TrackTable:
     """Every held track, one row each in id order, as a struct of arrays. A track's
     m-th match sits in slot m % C of its rings, which hold its last C matches.
 
-    An inactive track's forecast is its last three columns: branch b sits at
-    origin + ((f - last matched frame) / fps) * velocity[b] at frame f, up to
-    end; the track leaves on the frame after. Every track has the config's K
-    branches.
+    An inactive track's forecast is its last three columns, as forecast() returns
+    them: branch b sits at origin + ((f - last matched frame) / fps) * velocity[b]
+    at frame f, up to end; the track leaves on the frame after. Every track has
+    the config's K branches.
     """
 
     id: np.ndarray  # (T,) ascending
@@ -330,13 +330,11 @@ class Tracker:
         self.config = config or RunConfig()
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
-        dt, fps = self.config.dt, scene.fps
-        # A forecast ends ceil(tau_max / dt) grid steps of max(1, round(dt * fps)) frames on.
-        if not (dt * fps < math.inf
-                and math.ceil(self.config.tau_max / dt) * max(1, round(dt * fps)) < 2**63):
-            raise ParseError(f"config: dt {dt:g} s at {fps:g} fps puts a forecast's end frame "
-                             "beyond 64-bit integers")
-        span = self.window_span = dt * fps * (self.config.obs_len - 1)  # frames
+        try:
+            forecast_span(self.config, scene.fps)
+        except ValueError as e:
+            raise ParseError(f"config: {e}") from e
+        span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
         # rings double up to the most matches a filter window (all preprocess reads) holds
         self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
         self.tracks = TrackTable.empty()
@@ -514,18 +512,15 @@ class Tracker:
                 at, pixels = np.concatenate([frames[held], at]), np.concatenate([feet[held], pixels])
             world = self.scene.px_to_world(pixels, at)
         if lost:
-            forecasts, lo = [], 0
-            for k in held.sum(axis=1).tolist():
-                state = preprocess(at[lo : lo + k], world[lo : lo + k], cfg, self.scene.fps)
-                forecasts.append(forecast(state, cfg, self.scene.fps))
-                lo += k
-            world = world[lo:]
+            cuts = [0, *np.cumsum(held.sum(axis=1)).tolist()]
+            states = [preprocess(at[lo:hi], world[lo:hi], cfg, self.scene.fps)
+                      for lo, hi in zip(cuts, cuts[1:])]
+            world = world[cuts[-1] :]
             t.active[lost] = False
+            origin, velocity, end = forecast(states, cfg, self.scene.fps)
             if not t.velocity.shape[1]:  # the first forecast sizes the branch axis
-                t.velocity = np.zeros((len(t), len(forecasts[0].velocities), 2))
-            t.origin[lost] = [fc.origin for fc in forecasts]
-            t.velocity[lost] = [fc.velocities for fc in forecasts]
-            t.end[lost] = [fc.end_frame for fc in forecasts]
+                t.velocity = np.zeros((len(t), velocity.shape[1], 2))
+            t.origin[lost], t.velocity[lost], t.end[lost] = origin, velocity, end
         if inactive:
             self._advance_inactive(dets, free, world, frame, events, took, dead)
 

@@ -629,18 +629,19 @@ def test_forecast_displacement_exactness():
         history = [(f, (x0 + dx * f / fps, y0 + dy * f / fps)) for f in range(81)]
         cfg = RunConfig(obs_len=8, dt=0.5, tau_max=4.0)  # 8 steps of 0.5 s
         state = preprocess([f for f, _ in history], [p for _, p in history], cfg, fps)
-        forecasts_cv[aid] = forecast(state, cfg.override(motion="kalman_cv"), fps)
-        forecasts_st[aid] = forecast(state, cfg.override(motion="static"), fps)
+        forecasts_cv[aid] = state, forecast([state], cfg.override(motion="kalman_cv"), fps)
+        forecasts_st[aid] = state, forecast([state], cfg.override(motion="static"), fps)
         for f in range(0, 145):
             gt_positions[(f, aid)] = np.array([x0 + dx * f / fps, y0 + dy * f / fps])
 
     def min_displacement(forecasts, horizon):
         """Mean over walkers of the closest branch's distance to the truth horizon s ahead."""
         errs = []
-        for aid, fc in forecasts.items():
-            target = fc.created_frame + round(horizon * fps)
-            assert target <= fc.end_frame
-            dist = np.linalg.norm(fc.points(target) - gt_positions[(target, aid)], axis=1)
+        for aid, (state, ((origin,), (velocity,), (end,))) in forecasts.items():
+            target = state[2] + round(horizon * fps)
+            assert target <= end
+            points = origin + ((target - state[2]) / fps) * velocity
+            dist = np.linalg.norm(points - gt_positions[(target, aid)], axis=1)
             errs.append(float(dist.min()))
         return float(np.mean(errs))
 

@@ -338,11 +338,13 @@ class TestEvaluate:
         assert lines == ["error: config: buckets must be strictly increasing with at least two edges"]
 
 
-def listed_points(fc):
-    """(k, n, 2) points of every branch at every frame after created_frame, as
-    forecasts.jsonl once listed them: per frame, floats of Forecast.points."""
-    frames = list(range(fc.created_frame + 1, fc.end_frame + 1))
-    branch_pts = np.stack([fc.points(fr) for fr in frames], axis=1)
+def listed_points(state, fps, columns):
+    """(k, n, 2) points of every branch at every frame after the state's last, as
+    forecasts.jsonl once listed them: per frame, floats of the branch formula on one
+    state's forecast columns."""
+    (origin,), (velocity,), (end,) = columns
+    frames = list(range(state[2] + 1, int(end) + 1))
+    branch_pts = np.stack([origin + ((fr - state[2]) / fps) * velocity for fr in frames], axis=1)
     return np.array([[[float(a), float(b)] for a, b in pts] for pts in branch_pts])
 
 
@@ -377,7 +379,7 @@ class TestForecastCommand:
         feet = [(left + w / 2.0, top + h) for left, top, w, h in recs.box.tolist()]
         points = lh.px_to_bev(np.array(feet))
         state = preprocess(recs.frame, points, cfg, 10.0)
-        expected = listed_points(forecast(state, cfg, 10.0, 2.0))
+        expected = listed_points(state, 10.0, forecast([state], cfg, 10.0, 2.0))
 
         frames = np.arange(row["created_frame"] + 1, row["end_frame"] + 1)
         steps = (frames[:, None] - row["created_frame"]) / row["fps"]
@@ -451,6 +453,16 @@ class TestForecastCommand:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert err.startswith("error: --horizon: horizon 1e+308 s overflows the step count"), err
+
+    def test_horizon_past_64_bit_end_frames_is_code_1(self, sim_dir, track_dir, tmp_path, capsys):
+        # 1e300 s is a finite step count, but its end frame no frame column could hold
+        code = main(self.forecast_args(sim_dir, track_dir, tmp_path, "1e300"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == ("error: --horizon: dt 0.4 s at 20 fps puts a forecast's end frame "
+                       "beyond 64-bit integers\n"), err
+        assert not (tmp_path / "fc.jsonl").exists()
 
 
 class TestPipeline:

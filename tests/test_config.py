@@ -74,10 +74,13 @@ class TestMotionRules:
 
     STATE = (np.array([1.0, 2.0]), np.array([1.0, 0.0]), 10)
 
+    def branches(self, config) -> int:
+        return forecast([self.STATE], config, 20.0)[1].shape[1]
+
     def test_single_branch_models_reject_k_above_1(self):
         for motion in ("static", "kalman_cv"):
-            fc = forecast(self.STATE, RunConfig(motion=motion, k=1), 20.0)
-            assert fc.velocities.shape == (1, 2), motion
+            _, velocity, _ = forecast([self.STATE], RunConfig(motion=motion, k=1), 20.0)
+            assert velocity.shape == (1, 1, 2), motion
             for k in (2, 3):
                 with pytest.raises(ParseError, match=r"^config: k > 1 needs motion fan$"):
                     RunConfig(motion=motion, k=k)
@@ -94,14 +97,13 @@ class TestMotionRules:
         assert not (tmp_path / "o").exists()
 
     def test_fan_k1_means_every_angle(self):
-        fc = forecast(self.STATE, RunConfig(motion="fan"), 20.0)
-        assert len(fc.velocities) == 3
+        assert self.branches(RunConfig(motion="fan")) == 3
         cfg = RunConfig(motion="fan", k=1, fan_angles=(-45.0, -15.0, 15.0, 45.0))
-        assert len(forecast(self.STATE, cfg, 20.0).velocities) == 4
+        assert self.branches(cfg) == 4
 
     def test_fan_k_matching_angles(self):
         cfg = RunConfig(motion="fan", k=2, fan_angles=(-15.0, 15.0))
-        assert len(forecast(self.STATE, cfg, 20.0).velocities) == 2
+        assert self.branches(cfg) == 2
 
     def test_fan_k_mismatch_rejected(self):
         with pytest.raises(ParseError, match=r"config: fan requires k == len\(fan_angles\)"):

@@ -6,7 +6,13 @@ import pytest
 
 from bevtrack.boxes import PixelBox
 from bevtrack.config import RunConfig
-from bevtrack.forecast import Forecast, _filter_last_state, forecast, predicted_box, preprocess
+from bevtrack.forecast import (
+    _filter_last_state,
+    forecast,
+    forecast_span,
+    predicted_box,
+    preprocess,
+)
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 
@@ -24,6 +30,17 @@ def cv_history(n_frames, fps, vel, start=(0.0, 10.0), first_frame=0, every=1):
 def columns(history):
     """(frames, points) of a [(frame, (x, y))] history."""
     return [f for f, _ in history], [p for _, p in history]
+
+
+def forecast_one(state, config, fps, horizon_s=None):
+    """(origin (2,), velocity (K, 2), end) of one state's forecast."""
+    origin, velocity, end = forecast([state], config, fps, horizon_s)
+    return origin[0], velocity[0], int(end[0])
+
+
+def branch_points(origin, velocity, last_frame, fps, frame):
+    """(K, 2) points of every branch at frame, as the track table places them."""
+    return origin + ((frame - last_frame) / fps) * velocity
 
 
 def last_state(points, dt, process_noise=0.1, obs_noise=0.25):
@@ -120,6 +137,7 @@ def reference_preprocess(history, obs_len, dt, fps, process_noise, obs_noise):
 
 
 def reference_forecast(kind, fan_angles, obs, horizon_steps):
+    """(origin, (K, 2) velocities, end frame) from the smoothed grid's last state."""
     v = obs.velocities[-1]
     if kind == "static":
         vels = np.zeros((1, 2))
@@ -131,13 +149,8 @@ def reference_forecast(kind, fan_angles, obs, horizon_steps):
             a = math.radians(ang)
             rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
             vels.append(rot @ v)
-    return Forecast(
-        origin=obs.points[-1],
-        velocities=np.array(vels),
-        created_frame=obs.last_frame,
-        end_frame=obs.last_frame + horizon_steps * obs.frames_per_step,
-        fps=obs.fps,
-    )
+    end = obs.last_frame + horizon_steps * obs.frames_per_step
+    return obs.points[-1], np.array(vels), end
 
 
 class TestMatchesReference:
@@ -176,13 +189,12 @@ class TestMatchesReference:
             horizon = cfg.tau_max if horizon_s is None else horizon_s
             steps = max(1, math.ceil(horizon / cfg.dt))
             want = reference_forecast(motion, cfg.fan_angles, want_obs, steps)
-            got = forecast(preprocess(*columns(hist), cfg, fps), cfg, fps, horizon_s)
+            state = preprocess(*columns(hist), cfg, fps)
+            got = forecast_one(state, cfg, fps, horizon_s)
 
-            assert np.array_equal(got.origin, want.origin), trial
-            assert np.array_equal(got.velocities, want.velocities), trial
-            assert got.created_frame == want.created_frame, trial
-            assert got.end_frame == want.end_frame, trial
-            assert got.fps == want.fps, trial
+            assert np.array_equal(got[0], want[0]), trial
+            assert np.array_equal(got[1], want[1]), trial
+            assert state[2] == want_obs.last_frame and got[2] == want[2], trial
             seen["single"] += n == 1
             seen["cut"] += n > 1 and want_obs.extrapolated_prefix > 0
             seen["irregular"] += bool(np.any(np.diff(frames) > 1))
@@ -331,15 +343,15 @@ STATE = (np.array([3.95, 11.975]), np.array([1.0, 0.5]), 79)
 
 class TestForecastClosedForms:
     def test_static_repeats_last_point(self):
-        fc = forecast(STATE, RunConfig(motion="static"), 20.0, horizon_s=1.2)
-        assert fc.velocities.shape == (1, 2)
-        assert fc.created_frame == 79 and fc.end_frame == 103  # 3 steps of 8 frames at 20 fps
+        origin, vel, end = forecast_one(STATE, RunConfig(motion="static"), 20.0, horizon_s=1.2)
+        assert vel.shape == (1, 2)
+        assert end == 103  # 3 steps of 8 frames at 20 fps after frame 79
         for f in (80, 91, 103):
-            assert np.array_equal(fc.points(f), STATE[0][None, :])
+            assert np.array_equal(branch_points(origin, vel, 79, 20.0, f), STATE[0][None, :])
 
     def test_kalman_cv_linear_in_time(self):
-        fc = forecast(STATE, RunConfig(), 20.0, horizon_s=0.8)
-        got = np.array([fc.points(f)[0] for f in range(80, fc.end_frame + 1)])
+        origin, vel, end = forecast_one(STATE, RunConfig(), 20.0, horizon_s=0.8)
+        got = np.array([branch_points(origin, vel, 79, 20.0, f)[0] for f in range(80, end + 1)])
         tsec = (np.arange(16) + 1.0) / 20.0
         want = STATE[0] + tsec[:, None] * np.array([1.0, 0.5])
         assert np.allclose(got, want, atol=1e-9)
@@ -347,53 +359,75 @@ class TestForecastClosedForms:
     def test_fan_rotates_velocity(self):
         state = (STATE[0], np.array([1.0, 0.0]), 79)
         cfg = RunConfig(motion="fan", fan_angles=(-90.0, 0.0, 90.0))
-        fc = forecast(state, cfg, 20.0, horizon_s=0.4)
+        origin, vel, _ = forecast_one(state, cfg, 20.0, horizon_s=0.4)
         t1 = 1.0 / 20.0
         # first frame of each branch: velocity rotated by the fan angle
-        p = fc.points(80) - STATE[0]
+        p = branch_points(origin, vel, 79, 20.0, 80) - STATE[0]
         assert np.allclose(p[0], [0.0, -t1], atol=1e-9)  # -90 deg
         assert np.allclose(p[1], [t1, 0.0], atol=1e-9)
         assert np.allclose(p[2], [0.0, t1], atol=1e-9)  # +90 deg
 
     def test_fan_center_matches_kalman_cv(self):
         state = (STATE[0], np.array([0.7, -0.4]), 79)
-        fan = forecast(state, RunConfig(motion="fan", k=3), 20.0, horizon_s=0.8)
-        cv = forecast(state, RunConfig(), 20.0, horizon_s=0.8)
-        assert fan.end_frame == cv.end_frame
-        for f in range(80, cv.end_frame + 1):
-            assert np.allclose(fan.points(f)[1], cv.points(f)[0], atol=1e-12)
+        fan = forecast_one(state, RunConfig(motion="fan", k=3), 20.0, horizon_s=0.8)
+        cv = forecast_one(state, RunConfig(), 20.0, horizon_s=0.8)
+        assert fan[2] == cv[2]
+        for f in range(80, cv[2] + 1):
+            fan_pts, cv_pts = (branch_points(o, v, 79, 20.0, f) for o, v, _ in (fan, cv))
+            assert np.allclose(fan_pts[1], cv_pts[0], atol=1e-12)
+
+    def test_no_states(self):
+        origin, vel, end = forecast([], RunConfig(motion="fan", k=3), 20.0)
+        assert origin.shape == (0, 2) and vel.shape == (0, 3, 2) and end.shape == (0,)
 
 
 class TestForecastHorizon:
     def test_defaults_to_tau_max(self):
         # ceil(3.0 / 0.5) = 6 steps of round(0.5 * 10) = 5 frames
-        fc = forecast(STATE, RunConfig(dt=0.5, tau_max=3.0), 10.0)
-        assert fc.created_frame == 79 and fc.end_frame == 79 + 30
+        assert forecast_span(RunConfig(dt=0.5, tau_max=3.0), 10.0) == 30
+        assert forecast_one(STATE, RunConfig(dt=0.5, tau_max=3.0), 10.0)[2] == 79 + 30
 
     def test_steps_round_up_and_frames_per_step_round(self):
         # ceil(1.3 / 0.4) = 4 steps of 8 frames at 20 fps
-        assert forecast(STATE, RunConfig(), 20.0, horizon_s=1.3).end_frame == 79 + 32
+        assert forecast_one(STATE, RunConfig(), 20.0, horizon_s=1.3)[2] == 79 + 32
         # a step shorter than a frame still advances one frame
-        assert forecast(STATE, RunConfig(dt=0.05), 10.0, horizon_s=0.2).end_frame == 79 + 4
+        assert forecast_span(RunConfig(dt=0.05), 10.0, horizon_s=0.2) == 4
         # any positive horizon covers at least one step
-        assert forecast(STATE, RunConfig(), 20.0, horizon_s=1e-6).end_frame == 79 + 8
+        assert forecast_span(RunConfig(), 20.0, horizon_s=1e-6) == 8
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_non_positive_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive"):
-            forecast(STATE, RunConfig(), 20.0, horizon_s=horizon)
+            forecast([STATE], RunConfig(), 20.0, horizon_s=horizon)
 
     @pytest.mark.parametrize("horizon", [math.inf, 1e308])
     def test_overflowing_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="overflows the step count"):
-            forecast(STATE, RunConfig(), 20.0, horizon_s=horizon)
+            forecast([STATE], RunConfig(), 20.0, horizon_s=horizon)
+
+    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan])
+    def test_non_positive_fps_rejected(self, fps):
+        with pytest.raises(ValueError, match="fps must be positive"):
+            forecast([STATE], RunConfig(), fps)
+
+    def test_span_leaves_room_for_any_frame_up_to_2_to_the_53(self):
+        # Steps of one frame at dt 1 s and 1 fps: a span of up to 2**63 - 1 - 2**53
+        # frames puts the end of a track seen at frame 2**53 within int64.
+        cfg = RunConfig(dt=1.0)
+        assert forecast_span(cfg, 1.0, 2.0**63 - 2.0**54) == 2**63 - 2**54
+        end = forecast_one((STATE[0], STATE[1], 2**53), cfg, 1.0, 2.0**63 - 2.0**54)[2]
+        assert end == 2**63 - 2**53
+        for dt, fps, horizon in ((1.0, 1.0, 2.0**63 - 2.0**53), (4.61e17, 20.0, None),
+                                 (0.4, 20.0, 1e300)):
+            with pytest.raises(ValueError, match="puts a forecast's end frame beyond 64-bit"):
+                forecast_span(RunConfig(dt=dt), fps, horizon)
 
 
 class TestForecastMatchesStoredPoints:
     def test_randomized_bit_identity(self):
         # The tracker's outputs depend on every forecast point bit for bit:
-        # points(f) must equal the per-frame array a stored-point forecast
-        # would hold, last_pt + ((arange(n) + 1) / fps) * vel.
+        # the branch formula must equal the per-frame array a stored-point
+        # forecast would hold, last_pt + ((arange(n) + 1) / fps) * vel.
         rng = np.random.default_rng(0)
         for trial in range(60):
             fps = float(rng.choice([7.5, 10.0, 12.5, 20.0, 25.0, 29.97, 30.0]))
@@ -412,46 +446,42 @@ class TestForecastMatchesStoredPoints:
             )
             state = preprocess(*columns(hist), cfg, fps)
             horizon = int(rng.integers(1, 8))
-            fc = forecast(state, cfg, fps, horizon_s=horizon * dt)
-            n = fc.end_frame - fc.created_frame
-            assert fc.created_frame == state[2]
+            origin, velocity, end = forecast_one(state, cfg, fps, horizon_s=horizon * dt)
+            n = end - state[2]
             tsec = (np.arange(n) + 1.0) / fps
-            for b, v in enumerate(fc.velocities):
+            for b, v in enumerate(velocity):
                 stored = state[0] + tsec[:, None] * v[None, :]
-                frames = range(fc.created_frame + 1, fc.end_frame + 1)
-                got = np.array([fc.points(f)[b] for f in frames])
+                frames = range(state[2] + 1, end + 1)
+                got = np.array([branch_points(origin, velocity, state[2], fps, f)[b] for f in frames])
                 assert np.array_equal(got, stored), (trial, motion, b)
 
 
-class TestForecastValidation:
-    def make(self, **kw):
-        args = dict(
-            origin=[0.0, 0.0], velocities=[[1.0, 0.0]], created_frame=5, end_frame=9, fps=10.0
-        )
-        args.update(kw)
-        return Forecast(**args)
-
-    def test_rejects_no_branches(self):
-        with pytest.raises(ValueError):
-            self.make(velocities=np.zeros((0, 2)))
-
-    def test_rejects_end_not_after_created(self):
-        with pytest.raises(ValueError):
-            self.make(end_frame=5)
-        with pytest.raises(ValueError):
-            self.make(end_frame=4)
-
-    def test_rejects_nonpositive_fps(self):
-        with pytest.raises(ValueError):
-            self.make(fps=0.0)
-        with pytest.raises(ValueError):
-            self.make(fps=-10.0)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            self.make(origin=[0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            self.make(velocities=[1.0, 0.0])
+class TestStackedForecast:
+    def test_many_states_match_each_alone_and_the_lone_rotation(self):
+        # One call for L states gives, bit for bit, each state's own forecast, and
+        # for the fan the lone rot @ velocity product of every branch: the stacked
+        # product must round as that 2x2 product does.
+        rng = np.random.default_rng(29)
+        for trial in range(90):
+            motion = ("static", "kalman_cv", "fan")[trial % 3]
+            angles = tuple(rng.uniform(-180.0, 180.0, int(rng.integers(1, 6))))
+            cfg = RunConfig(motion=motion, fan_angles=angles, k=len(angles) if motion == "fan" else 1)
+            fps = float(rng.choice([10.0, 20.0, 29.97]))
+            states = [
+                (rng.uniform(-50.0, 50.0, 2), rng.uniform(-3.0, 3.0, 2), int(rng.integers(0, 10**6)))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            origin, velocity, end = forecast(states, cfg, fps)
+            assert velocity.shape == (len(states), cfg.k, 2)
+            for i, state in enumerate(states):
+                alone = forecast_one(state, cfg, fps)
+                assert np.array_equal(origin[i], alone[0]) and end[i] == alone[2], trial
+                assert np.array_equal(velocity[i], alone[1]), trial
+                if motion == "fan":
+                    for b, ang in enumerate(angles):
+                        a = math.radians(ang)
+                        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                        assert np.array_equal(velocity[i, b], rot @ state[1]), (trial, b)
 
 
 class TestPredictedBox:

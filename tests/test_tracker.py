@@ -16,7 +16,7 @@ from bevtrack.experiments import (
     pixel_baseline_scene,
     sim_detections_by_frame,
 )
-from bevtrack.forecast import Forecast, forecast, preprocess
+from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import build_scene_model, generate
@@ -59,26 +59,30 @@ def table(*rows):
 
 @dataclass
 class Inactive:
-    """An inactive track as a test states it: its last box and descriptor, and its forecast."""
+    """An inactive track as a test states it: its last box and descriptor, and its forecast
+    columns, in a scene of fps frames per second."""
 
     id: int
     last_box: PixelBox
     last_appearance: Optional[np.ndarray]  # None: no descriptor
-    forecast: Forecast
+    origin: np.ndarray  # (2,) BEV point at frame last
+    velocity: np.ndarray  # (K, 2) m/s
+    last: int  # the last matched frame
+    end: int  # the last frame the forecast covers
+    fps: float
 
 
 def table_of(tracks):
     """A TrackTable of these inactive tracks (of one branch count), in id order, each
-    matched once, at its forecast's created frame."""
+    matched once, at its last frame."""
     tracks = sorted(tracks, key=lambda tr: tr.id)
-    forecasts = [tr.forecast for tr in tracks]
     t = TrackTable.empty().extend([tr.id for tr in tracks])
     t.active[:], t.seen[:] = False, 1
     t.box, t.appearance = ltwh([tr.last_box for tr in tracks]), descriptors(tracks)
-    t.frames[:, 0] = [fc.created_frame for fc in forecasts]
-    t.origin = np.array([fc.origin for fc in forecasts])
-    t.velocity = np.array([fc.velocities for fc in forecasts])
-    t.end = np.array([fc.end_frame for fc in forecasts])
+    t.frames[:, 0] = [tr.last for tr in tracks]
+    t.origin = np.array([tr.origin for tr in tracks])
+    t.velocity = np.array([tr.velocity for tr in tracks])
+    t.end = np.array([tr.end for tr in tracks])
     return t
 
 
@@ -96,7 +100,7 @@ def cost_matrix(tracks, detections, points, config, scene, frame):
     for detections whose bottom-centres lift to the given BEV points."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
     t = table_of(tracks)
-    scene = replace(scene, fps=tracks[0].forecast.fps)  # the forecasts' frame rate
+    scene = replace(scene, fps=tracks[0].fps)  # the forecasts' frame rate
     g = frame_geometry(t, np.arange(len(t)), detections.box, pts, scene, frame)
     app = detections.appearance
     app = np.zeros((len(detections), 0)) if app is None else app
@@ -133,15 +137,9 @@ def unit(*v):
 
 def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
     """A track whose forecast sits at the given branch points one frame after created."""
-    # At 1 fps one frame is one second, so points(created + 1) is exactly branch_pts.
-    fc = Forecast(
-        origin=np.zeros(2),
-        velocities=np.array(branch_pts, dtype=float),
-        created_frame=created,
-        end_frame=created + 1,
-        fps=1.0,
-    )
-    return Inactive(tid, box_at(u, v, w, h), app, fc)
+    # At 1 fps one frame is one second, so at frame created + 1 the branches sit at branch_pts.
+    pts = np.array(branch_pts, dtype=float)
+    return Inactive(tid, box_at(u, v, w, h), app, np.zeros(2), pts, created, created + 1, 1.0)
 
 
 def test_geometry_from_top_level_names():
@@ -153,12 +151,11 @@ def test_geometry_from_top_level_names():
     scene = bt.SceneModel(lh=lh, fps=1.0)
     # seen in a 12 x 24 box at (50, 100) on frame 0, forecast at 1 m/s along x;
     # a detection at (51, 100) on frame 1
-    fc = bt.Forecast(np.array([50.0, 100.0]), np.array([[1.0, 0.0]]), 0, end_frame=5, fps=1.0)
     dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
     config = bt.RunConfig()
     tracks = bt.TrackTable.empty().extend([1])  # matched once, at frame 0
     tracks.box[0], tracks.seen[0] = (44.0, 76.0, 12.0, 24.0), 1
-    tracks.origin[0], tracks.velocity, tracks.end[0] = fc.origin, fc.velocities[None], fc.end_frame
+    tracks.origin[0], tracks.velocity, tracks.end[0] = (50.0, 100.0), np.array([[[1.0, 0.0]]]), 5
     geometry = bt.frame_geometry(tracks, [0], dets.box, np.array([[51.0, 100.0]]), scene, 1)
     assert geometry.points.tolist() == [[[51.0, 100.0]]]
     assert geometry.overlap.tolist() == [[[1.0]]]
@@ -168,6 +165,7 @@ def test_geometry_from_top_level_names():
     assert {"DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
     assert not hasattr(bt, "Track") and not hasattr(bt, "BranchTable")
+    assert not hasattr(bt, "Forecast") and "forecast_span" in bt.__all__
 
 
 BOXES = np.tile([10.0, 20.0, 12.0, 24.0], (3, 1))  # three valid rows
@@ -471,11 +469,12 @@ class TestDeactivateReadsTheWindowTail:
         seen = matches(tk, 1)
         tk.step([], int(frames[-1]) + 1)  # the track goes inactive
         lifted = tk.scene.px_to_world(np.array(feet), frames)
-        want = forecast(preprocess(frames, lifted, cfg, fps), cfg, fps)
+        state = preprocess(frames, lifted, cfg, fps)
+        origin, velocity, end = forecast([state], cfg, fps)
         t, r = tk.tracks, row(tk, 1)
-        assert np.array_equal(t.origin[r], want.origin)
-        assert np.array_equal(t.velocity[r], want.velocities)
-        assert seen[-1][0] == want.created_frame and t.end[r] == want.end_frame
+        assert np.array_equal(t.origin[r], origin[0])
+        assert np.array_equal(t.velocity[r], velocity[0])
+        assert seen[-1][0] == state[2] and t.end[r] == end[0]
         first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
         start = max([k for k, f in enumerate(frames) if f <= first], default=0)
         held = tk.tracks.frames.shape[1]
@@ -610,7 +609,7 @@ class TestTrackerLifecycle:
         tk = Tracker(make_scene(fps=10.0), small_config())
         dead3 = inactive_track(3, 52, 100, [(0.0, 0.0)], created=10)  # forecast ended at 11
         alive = inactive_track(2, 80, 100, [(0.0, 0.0)])
-        alive.forecast.end_frame = 50
+        alive.end = 50
         dead1 = inactive_track(1, 120, 100, [(0.0, 0.0)], created=5)
         hold(tk, [dead3, alive, dead1])
         _, events = tk.step([], 25)
@@ -625,7 +624,7 @@ class TestTrackerLifecycle:
         # frames; only track 1, whose forecast has ended, leaves.
         tk = Tracker(make_scene(fps=10.0), small_config())
         tracks = [inactive_track(tid, 52, 100, [(0.0, 0.0)]) for tid in (1, 2, 3)]
-        tracks[1].forecast.end_frame = tracks[2].forecast.end_frame = 50
+        tracks[1].end = tracks[2].end = 50
         hold(tk, tracks)
         _, events = tk.step([], 25)
         assert [(e["track_id"], e["reason"]) for e in events] == [(1, "removed_dead")]
@@ -643,7 +642,7 @@ class TestTrackerLifecycle:
             cfg = RunConfig(dt=dt, tau_max=tau_max)
             seen = {f: walker_dets(f) for f in range(6)}
             feet = [d.foot[0] for d in seen.values()]
-            end = forecast(preprocess(list(seen), feet, cfg, fps), cfg, fps).end_frame
+            end = int(forecast([preprocess(list(seen), feet, cfg, fps)], cfg, fps)[2][0])
             overshoots += end - 5 > tau_max * fps
             tk = Tracker(make_scene(fps=fps), cfg)
             _, events = tk.run(seen, range(end + 10))
@@ -721,7 +720,10 @@ class TestTrackerLifecycle:
         (1e300, 20.0, r"dt is too large: dt\*\*4 overflows"),  # so does the forecast's end
         (1e300, 1e9, r"dt is too large: dt\*\*4 overflows"),  # and dt * fps
         (1e70, 1e300, r"dt 1e\+70 s at 1e\+300 fps puts"),  # dt * fps is not finite
-    ], ids=["1e20_at_20fps", "1e300_at_20fps", "1e300_at_1e9fps", "1e70_at_1e300fps"])
+        # 9.22e18 frames fit int64, but not after a last frame of up to 2**53
+        (4.61e17, 20.0, r"dt 4\.61e\+17 s at 20 fps puts a forecast's end frame beyond"),
+    ], ids=["1e20_at_20fps", "1e300_at_20fps", "1e300_at_1e9fps", "1e70_at_1e300fps",
+            "4.61e17_at_20fps"])
     def test_a_dt_whose_forecast_overflows_is_refused(self, dt, fps, message):
         # Refused before any step, not an OverflowError at a track's first miss.
         with pytest.raises(ParseError, match="^config: " + message):
@@ -736,6 +738,16 @@ class TestTrackerLifecycle:
         assert [e["reason"] for e in events] == ["inactive"]
         assert tk.tracks.end.tolist() == [4 + 8 * 10**18]
         assert [e["reason"] for e in tk.step(walker_dets(6), 6)[1]] == ["reassociated"]
+
+    def test_the_longest_forecast_fits_after_the_last_frames(self):
+        # A track seen at 2**53 - 3 and 2**53 - 2 ends 8e18 frames on, within int64;
+        # at dt 4.61e17 s, refused above, it would not.
+        tk = Tracker(make_scene(fps=20.0), RunConfig(dt=4e17))
+        for f in (2**53 - 3, 2**53 - 2):
+            tk.step(DetectionTable([f], [[44.0, 76.0, 12.0, 24.0]]), f)
+        _, events = tk.step([], 2**53 - 1)
+        assert [e["reason"] for e in events] == ["inactive"]
+        assert tk.tracks.end.tolist() == [2**53 - 2 + 8 * 10**18]
 
     def test_outputs_only_tracks_seen_this_frame(self):
         tk = Tracker(make_scene(), small_config())

@@ -9,7 +9,7 @@ scenes both must give equal outputs and equal events, score floats included.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from bevtrack.config import RunConfig
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
-from bevtrack.forecast import Forecast, forecast, predicted_box, preprocess
+from bevtrack.forecast import forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
 from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
@@ -34,7 +34,7 @@ from bevtrack.tracker import (
     build_cost_matrix,
     frame_geometry,
 )
-from test_tracker import table_of
+from test_tracker import Inactive, table_of
 
 # -- the scalar reference ----------------------------------------------------------
 
@@ -57,7 +57,7 @@ class RefTrack:
     feet: list  # [(frame, (u, v) pixel bottom-centre)], one per matched frame
     last_box: PixelBox
     last_appearance: Optional[np.ndarray]  # None: the last detection had none
-    forecast: Optional[Forecast] = None  # None while active
+    forecast: Optional[tuple] = None  # (origin, velocities, created, end); None while active
     source_binding: Optional[int] = None  # upstream id of the last match, kept while inactive
 
     @property
@@ -83,7 +83,8 @@ def rows_of(table):
 def scalar_branch_boxes(track, scene, frame):
     """(branch_index, point, predicted box or None) for each of the track's branches."""
     out = []
-    for bi, pt in enumerate(track.forecast.points(frame)):
+    origin, velocities, created, _ = track.forecast
+    for bi, pt in enumerate(origin + ((frame - created) / scene.fps) * velocities):
         rel = pt if scene.ego is None else pt - scene.ego.offset(frame)
         try:
             pb = predicted_box(track.last_box, rel, scene.lh)
@@ -157,7 +158,8 @@ class ScalarTracker:
     def _deactivate(self, track, frame):
         frames, points = zip(*self.points[track.id])
         state = preprocess(frames, points, self.config, self.scene.fps)
-        track.forecast = forecast(state, self.config, self.scene.fps)
+        (origin,), (velocities,), (end,) = forecast([state], self.config, self.scene.fps)
+        track.forecast = origin, velocities, state[2], int(end)
 
     def scalar_base_association(self, active, detections):
         matches = {}
@@ -209,7 +211,7 @@ class ScalarTracker:
         inactive = sorted((t for t in self.tracks.values() if not t.active), key=lambda t: t.id)
         survivors = []
         for tr in inactive:
-            if frame > tr.forecast.end_frame:
+            if frame > tr.forecast[3]:
                 del self.tracks[tr.id]
                 events.append(_event(frame, tr.id, reason="removed_dead"))
             else:
@@ -452,7 +454,7 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
 
     Returns (scene, tracks, the detections' DetectionTable, their (M, 2) BEV points).
     """
-    scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=10.0)
+    scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=1.0)
 
     def app():
         a = rng.uniform(0.1, 1.0, dim)
@@ -468,7 +470,7 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
     for t in range(n_tracks):
         near = points[rng.integers(n_dets)]
         pts = near + rng.normal(0.0, 3.0, (k, 2))
-        fc = Forecast(origin=np.zeros(2), velocities=pts, created_frame=0, end_frame=1, fps=1.0)
+        fc = np.zeros(2), pts, 0, 1  # at 1 fps, on frame 1 the branches sit at pts
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
         tracks.append(RefTrack(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
     dets = DetectionTable([1] * n_dets, boxes, descriptors)
@@ -476,9 +478,9 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
 
 
 def geometry(tracks, dets, points, scene):
-    """frame_geometry of the RefTracks, in id order, at their forecasts' 1 fps."""
-    scene = replace(scene, fps=1.0)
-    return frame_geometry(table_of(tracks), np.arange(len(tracks)), dets.box, points, scene, 1)
+    """frame_geometry of the RefTracks, in id order, at frame 1."""
+    held = [Inactive(t.id, t.last_box, t.last_appearance, *t.forecast, scene.fps) for t in tracks]
+    return frame_geometry(table_of(held), np.arange(len(tracks)), dets.box, points, scene, 1)
 
 
 def cost_matrix(tracks, dets, cfg, geometry):
@@ -503,7 +505,7 @@ class TestCostMatrixMatchesScalarReference:
 
     def test_ties_go_to_the_first_branch(self):
         scene, tracks, dets, points = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
-        tracks[0].forecast.velocities[:] = points[0]  # three identical branches
+        tracks[0].forecast[1][:] = points[0]  # three identical branches
         cfg = RunConfig(tau_app=-1.0)
         first = dets.rows(slice(0, 1))
         scores, branch = cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
