@@ -127,6 +127,16 @@ def forecast_span(config: RunConfig, fps: float, horizon_s: float = None) -> int
     return span
 
 
+@functools.lru_cache(maxsize=8)
+def _fan_rotations(angles: tuple) -> np.ndarray:
+    """(K, 2, 2) rotations from math.cos and math.sin, by angles in degrees given as
+    float.hex strings: as floats, -0.0 would share 0.0's entry, whose sines differ."""
+    rot = np.array([[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+                    for a in (math.radians(float.fromhex(x)) for x in angles)])
+    rot.flags.writeable = False  # the cache hands this same array to every caller
+    return rot
+
+
 def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
     """The track table's forecast columns for L preprocess (position, velocity,
     last_frame) states: (origin (L, 2), velocity (L, K, 2) m/s, end (L,)).
@@ -146,8 +156,7 @@ def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
     velocity = np.array([s[1] for s in states], dtype=float).reshape(-1, 1, 2)
     if config.motion == "kalman_cv":
         return origin, velocity, end
-    rot = np.array([[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-                    for a in map(math.radians, config.fan_angles)])
+    rot = _fan_rotations(tuple(float(a).hex() for a in config.fan_angles))
     # (K, 2, 2) @ (L, 1, 2, 1): one 2x2 product per branch, rounding like a lone rot @ v
     return origin, (rot @ velocity[..., None])[..., 0], end
 

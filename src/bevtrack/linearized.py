@@ -25,11 +25,18 @@ own. Per query point, with the same closed forms: v_T always, the anchor and
 tangent only where the linear piece reads them (above v_T in px_to_bev, off
 the exact piece in try_bev_to_px). A point of an undefined column takes all
 three from the cached nearest integer column.
+
+On a projective map a call of at most FEW_POINTS points runs the same
+operations, in the same order, on Python floats, which costs less than the
+array path's fixed numpy calls below that size and gives the same bits. A
+call with a non-finite point, a point of an undefined column or a zero
+divisor takes the array path.
 """
 
 from __future__ import annotations
 
 import warnings
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -40,6 +47,9 @@ _EDGE_TOL = 1e-9  # slack when deciding which piece a query point belongs to
 # The maps' arithmetic itself makes a non-finite or overflowing query NaN or
 # invalid; the queries run it under these settings, so it warns of nothing.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+# px_to_bev and try_bev_to_px map up to this many points of a projective map in
+# Python floats, more with numpy: below the measured crossovers (README).
+FEW_POINTS = 16
 
 
 class LinearizedHomography:
@@ -67,6 +77,7 @@ class LinearizedHomography:
         self.max_spacing = float(max_spacing)
         self.image_size = (w, ht)
         m = h.m
+        self._m = tuple(m.ravel().tolist())  # the few-point paths' coefficients
         self._affine = abs(m[2, 0]) <= 1e-15 and abs(m[2, 1]) <= 1e-15
         self._projective = abs(m[2, 1]) > 1e-15  # the denominator varies along a column
         self._sigma = 1.0 if m[2, 1] > 0 else -1.0  # its sign on the ground side, if so
@@ -158,6 +169,80 @@ class LinearizedHomography:
 
         return v_t, terms[-1], linear
 
+    # -- few points in Python floats ---------------------------------------------
+
+    def _few_piece(self, u):
+        """(v_t, anchor x, anchor y, tangent x, tangent y) of a finite column u of a
+        projective map, as Python floats from the operations of _thresholds and
+        _linear_piece in their order, so with their bits; None for a column that
+        borrows, or a zero divisor.
+        """
+        m00, m01, m02, m10, m11, m12, m20, c, m22 = self._m
+        b1, b2, d = u * m00 + m02, u * m10 + m12, u * m20 + m22
+        alpha, beta = m01 * d - b1 * c, m11 * d - b2 * c
+        k = alpha * alpha + beta * beta
+        w_t = self._sigma * sqrt(sqrt(k) / self.max_spacing)
+        ww = w_t * w_t
+        if not (k > 1e-30 and ww != 0.0):
+            return None
+        v_t = (w_t - d) / c
+        return v_t, (m01 * v_t + b1) / w_t, (m11 * v_t + b2) / w_t, alpha / ww, beta / ww
+
+    def _few_px_to_bev(self, rows):
+        """px_to_bev of a projective map's [u, v] rows in Python floats, with the bits of
+        the array path (the operations of Homography.apply and _few_piece); None where a
+        row needs that path: a non-finite value, a column that borrows, or a zero divisor.
+        """
+        m00, m01, m02, m10, m11, m12, m20, c, m22 = self._m
+        out = []
+        for u, v in rows:
+            piece = self._few_piece(u) if isfinite(u) and isfinite(v) else None
+            if piece is None:
+                return None
+            v_t, ax, ay, tx, ty = piece
+            if not v >= v_t:  # the linear piece, as in px_to_bev
+                out.append((ax + (v - v_t) * tx, ay + (v - v_t) * ty))
+                continue
+            w = u * m20 + v * c + m22
+            if w == 0.0:
+                return None
+            out.append(((u * m00 + v * m01 + m02) / w, (u * m10 + v * m11 + m12) / w))
+        return out
+
+    def _few_bev_to_px(self, points, qs):
+        """try_bev_to_px of a projective map's [x, y] points in Python floats, given each
+        point's [x, y, 1] @ inv.T row q, with the array path's operations in its order;
+        None where a point needs that path (see _few_px_to_bev). q stays numpy's, as a
+        scalar sum need not round like its product.
+        """
+        *_, m20, c, m22 = self._m
+        out, valid = [], []
+        for (x, y), (q0, q1, wq) in zip(points, qs):
+            if not (isfinite(x) and isfinite(y) and isfinite(q0) and isfinite(q1)
+                    and isfinite(wq)):
+                return None
+            if not abs(wq) > 1e-12 * max(abs(q0), abs(q1), abs(wq)):  # no preimage
+                out.append((np.nan, np.nan))
+                valid.append(False)
+                continue
+            u, v = q0 / wq, q1 / wq
+            piece = self._few_piece(u)
+            if piece is None:
+                return None
+            v_t, ax, ay, tx, ty = piece
+            if self._sigma * (u * m20 + v * c + m22) > 0 and v >= v_t - _EDGE_TOL:  # exact
+                out.append((u, v))
+                valid.append(True)
+                continue
+            tt = 0.0 + tx * tx + ty * ty  # np.sum starts from 0.0
+            if tt == 0.0:
+                return None
+            t = (0.0 + (x - ax) * tx + (y - ay) * ty) / tt
+            ok = t <= _EDGE_TOL and isfinite(v_t)
+            out.append((u, v_t + t) if ok else (np.nan, np.nan))
+            valid.append(ok)
+        return out, valid
+
     # -- forward / inverse maps --------------------------------------------------
 
     def px_to_bev(self, pixels) -> np.ndarray:
@@ -170,6 +255,11 @@ class LinearizedHomography:
         p = np.asarray(pixels, dtype=float)
         single = p.ndim == 1
         pts = np.atleast_2d(p).astype(float)
+        if self._projective and 0 < len(pts) <= FEW_POINTS and pts.shape[1:] == (2,):
+            few = self._few_px_to_bev(pts.tolist())
+            if few is not None:
+                out = np.array(few)
+                return out[0] if single else out
         u, v = pts[:, 0], pts[:, 1]
         with np.errstate(**_QUIET):
             v_t, _, linear = self._query_pieces(u)
@@ -198,6 +288,10 @@ class LinearizedHomography:
             # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
             # take another BLAS kernel and round differently from a lone point.
             q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
+            if self._projective and 0 < len(pts) <= FEW_POINTS:
+                few = self._few_bev_to_px(pts.tolist(), q.tolist())
+                if few is not None:
+                    return np.array(few[0]), np.array(few[1])
             wq = q[:, 2]
             finite = np.isfinite(pts).all(axis=1) & (np.abs(wq) > 1e-12 * np.abs(q).max(axis=1))
             u = q[:, 0] / wq

@@ -17,7 +17,10 @@ offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
 
 Base association scores up to FEW_PAIRS (track, detection) pairs with scalar
 IoU, which costs less than iou_matrix's fixed numpy calls, and more with
-iou_matrix; both give the same matches.
+iou_matrix; both give the same matches. Re-association runs the appearance
+gate first, on every (inactive track, free detection) pair, and maps and
+scores only the tracks and detections with a passing pair; the other pairs
+keep the score 0 they would get, so the assignment reads the same matrix.
 """
 
 from __future__ import annotations
@@ -250,6 +253,21 @@ def frame_geometry(
     return FrameGeometry(pts, iou_matrix(boxes, det_boxes), det_points)
 
 
+def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
+                    tau_app: float):
+    """(n, m) bool: which (track, detection) pairs of (n, D) and (m, D) descriptors
+    pass the appearance gate, similarity not below tau_app. A row of NaN (no
+    descriptor), or a side with no columns, passes.
+    """
+    if not (track_appearance.shape[1] and det_appearance.shape[1]):
+        return np.ones((len(track_appearance), len(det_appearance)), bool)
+    a = track_appearance[:, None, None, :]
+    b = det_appearance[None, :, :, None]
+    # One stacked product per pair, rounding like the 1-D tr @ det product. A row
+    # of NaN on either side gives NaN, which the gate lets pass.
+    return ~((a @ b)[..., 0, 0] < tau_app)
+
+
 def build_cost_matrix(
     track_appearance: np.ndarray, det_appearance: np.ndarray, config: RunConfig,
     geometry: FrameGeometry
@@ -280,15 +298,7 @@ def build_cost_matrix(
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
     best = s.max(axis=1)
-    ok = best > 0.0
-
-    if track_appearance.shape[1] and det_appearance.shape[1]:
-        a = track_appearance[:, None, None, :]
-        b = det_appearance[None, :, :, None]
-        # One stacked product per pair, rounding like the 1-D tr @ det product. A row
-        # of NaN, no descriptor, on either side gives NaN, which the gate lets pass.
-        ok &= ~((a @ b)[..., 0, 0] < config.tau_app)
-
+    ok = (best > 0.0) & appearance_gate(track_appearance, det_appearance, config.tau_app)
     scores[ok] = best[ok]
     best_branch[ok] = s.argmax(axis=1)[ok]
     return scores, best_branch
@@ -314,8 +324,8 @@ def prune_forecasts(*_) -> None:  # uncalled; only benchmarks/tracing.py wraps t
 
 
 def _event(frame, track_id=None, detection_index=None, score=None, branch_id=None, reason=""):
-    return dict(frame=frame, track_id=track_id, detection_index=detection_index, score=score,
-                branch_id=branch_id, reason=reason)
+    return {"frame": frame, "track_id": track_id, "detection_index": detection_index,
+            "score": score, "branch_id": branch_id, "reason": reason}
 
 
 class Tracker:
@@ -345,7 +355,8 @@ class Tracker:
         """Activate the tracks at rows with dets' rows js (index arrays, or one of each)."""
         t = self.tracks
         seen, c = t.seen[rows], t.frames.shape[1]
-        if c < self.ring_limit and seen.max() >= c:  # a full ring: double them all, which
+        top = seen.max() if seen.ndim else seen  # one row: compared as it is
+        if c < self.ring_limit and top >= c:  # a full ring: double them all, which
             pad = min(c, self.ring_limit - c)  # keeps slots m % C = m, as no ring has wrapped
             t.frames = np.concatenate([t.frames, np.zeros((len(t), pad), int)], axis=1)
             t.feet = np.concatenate([t.feet, np.zeros((len(t), pad, 2))], axis=1)
@@ -419,12 +430,26 @@ class Tracker:
             left = [k for k, s in enumerate(sources) if s not in bound]
             free, free_bev = [free[k] for k in left], free_bev[left]
         survivors = (held & ~gone).nonzero()[0]
-        if len(survivors) and free:
-            geometry = frame_geometry(t, survivors, dets.box[free], free_bev, self.scene, frame)
-            app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
-            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, cfg, geometry)
-            for i, jj in assign(scores):
-                reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
+        if not len(survivors) or not free:
+            return
+        # The appearance gate first, on every (survivor, free detection) pair: only
+        # tracks and detections with a passing pair get geometry and scores. Every
+        # other pair would score 0, so the scattered matrix is the dense one.
+        track_app = t.appearance[survivors]
+        app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
+        gate = appearance_gate(track_app, app, cfg.tau_app)
+        rows, cols = gate.any(axis=1).nonzero()[0], gate.any(axis=0).nonzero()[0]
+        if not len(rows):
+            return
+        js = np.asarray(free)[cols]
+        geometry = frame_geometry(t, survivors[rows], dets.box[js], free_bev[cols], self.scene,
+                                  frame)
+        cells = np.ix_(rows, cols)
+        scores, best_branch = np.zeros(gate.shape), np.full(gate.shape, -1, dtype=int)
+        scores[cells], best_branch[cells] = build_cost_matrix(track_app[rows], app[cols], cfg,
+                                                              geometry)
+        for i, jj in assign(scores):
+            reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
 
     # -- the per-frame update --------------------------------------------------
 
@@ -492,17 +517,20 @@ class Tracker:
             j = matches.get(i)
             if j is not None:
                 took.append((r, j))
-                events.append(_event(frame, tid, j, reason="active"))
+                reason = "active"
             elif cfg.forecast_enabled:
                 lost.append(r)
-                events.append(_event(frame, tid, reason="inactive"))
+                reason = "inactive"
             else:
                 dead.append(r)
-                events.append(_event(frame, tid, reason="terminated"))
+                reason = "terminated"
+            events.append({"frame": frame, "track_id": tid, "detection_index": j, "score": None,
+                           "branch_id": None, "reason": reason})
 
         # The step's one lift: the matches of the tracks going inactive, then, while
         # inactive tracks exist, the free detections.
-        free = sorted(set(range(n)) - set(matches.values()))
+        used = set(matches.values())
+        free = [j for j in range(n) if j not in used]
         inactive = len(t) - len(active) + len(lost)
         world = None  # unread while no detection is free
         if lost or (free and inactive):
@@ -525,7 +553,8 @@ class Tracker:
             self._advance_inactive(dets, free, world, frame, events, took, dead)
 
         # Anything still unmatched founds a new track.
-        new = sorted(set(range(n)) - {j for _, j in took})
+        used = {j for _, j in took}
+        new = [j for j in range(n) if j not in used]
         if new:
             ids = range(self.next_id, self.next_id + len(new))
             self.next_id += len(new)

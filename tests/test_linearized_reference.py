@@ -21,7 +21,7 @@ import pytest
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import HorizonInsideFootprint
 from bevtrack.homography import Homography
-from bevtrack.linearized import linearize
+from bevtrack.linearized import FEW_POINTS, LinearizedHomography, linearize
 from bevtrack.simulator import CameraSpec, true_homography
 from bevtrack.tracker import SceneModel
 
@@ -411,3 +411,95 @@ class TestRowsLiftAlone:
                     cache = reference_columns(lh)
                     reference_px_to_bev(lh, cache, pixels[np.isfinite(pixels).all(axis=1)], seen)
         assert {"exact", "linear", "fallback"} <= seen
+
+
+class TestFewPoints:
+    """On a projective map, px_to_bev and try_bev_to_px take at most FEW_POINTS points
+    through Python floats, and more, or a batch with a row the float path leaves to
+    numpy (a non-finite value, a borrowed column), through the arrays. Either way a
+    row maps to the reference's bytes."""
+
+    SIZES = (FEW_POINTS, FEW_POINTS + 1)
+
+    @staticmethod
+    def rows(lh, seed):
+        """(exact pixels, linear pixels, odd pixels, BEV points, odd BEV points): finite
+        pixels on either piece, rows with a non-finite value or borrowed column, finite
+        BEV points of every piece, and BEV points with a non-finite value."""
+        rng = np.random.default_rng(5000 + seed)
+        pixels = query_pixels(lh, rng, n=100)
+        with np.errstate(all="ignore"):
+            bev = query_bev(lh, rng, pixels)
+            u = np.where(np.isfinite(pixels[:, 0]), pixels[:, 0], 0.0)
+            _, _, _, defined = reference_analytic_pieces(lh, u)
+        finite = np.isfinite(pixels).all(axis=1) & defined
+        v_t = reference_columns(lh)[0][np.clip(np.rint(u), 0, lh.image_size[0] - 1).astype(int)]
+        exact = finite & (pixels[:, 1] >= v_t + 1.0)  # clear of the junction either way
+        linear = finite & (pixels[:, 1] <= v_t - 1.0)
+        odd = ~finite & (np.isfinite(pixels[:, 0]) | ~defined)
+        bev_finite = np.isfinite(bev).all(axis=1)
+        return (pixels[exact], pixels[linear], pixels[odd | ~np.isfinite(pixels).all(axis=1)],
+                bev[bev_finite], bev[~bev_finite])
+
+    @staticmethod
+    def batches(lh, seed, size):
+        """(pixels, BEV points) batches of size rows: clean ones mixing both pieces, and
+        ones with a row the float path leaves to numpy."""
+        exact, linear, odd, bev, odd_bev = TestFewPoints.rows(lh, seed)
+        linear = linear if len(linear) else exact  # c_zero maps have no linear piece
+        rng = np.random.default_rng(6000 + seed)
+        out = []
+        for _ in range(30):
+            k = int(rng.integers(1, size))
+            pixels = np.concatenate([exact[rng.choice(len(exact), k)],
+                                     linear[rng.choice(len(linear), size - k)]])
+            points = bev[rng.choice(len(bev), size)]
+            out.append((pixels[rng.permutation(size)], points))
+            pixels, points = pixels.copy(), points.copy()
+            pixels[rng.integers(size)] = odd[rng.integers(len(odd))]
+            points[rng.integers(size)] = odd_bev[rng.integers(len(odd_bev))]
+            out.append((pixels, points))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batches_at_the_cutoff_match_the_reference(self, kind, seed, monkeypatch):
+        lh = random_camera(kind, seed)
+        cache = reference_columns(lh)
+        took = []  # per call: did the float path map it
+        for name in ("_few_px_to_bev", "_few_bev_to_px"):
+            few = getattr(LinearizedHomography, name)
+            monkeypatch.setattr(LinearizedHomography, name,
+                                lambda self, *a, few=few: took.append(few(self, *a)) or took[-1])
+        seen = set()
+        for size in self.SIZES:
+            for pixels, points in self.batches(lh, seed, size):
+                with np.errstate(all="ignore"):
+                    got = lh.px_to_bev(pixels)
+                    want = reference_px_to_bev(lh, cache, pixels, seen)
+                    got_px, got_valid = lh.try_bev_to_px(points)
+                    want_px, want_valid = reference_try_bev_to_px(lh, cache, points, seen)
+                finite = np.isfinite(pixels[:, 0])
+                assert same_bytes(got[finite], want[finite])
+                assert np.isnan(got[~finite]).all()
+                assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
+        assert {"exact", "linear", "invalid"} <= seen
+        # each clean batch of FEW_POINTS rows on a projective map, and only those, went
+        # by float: a (pixels, points) pair of calls, then the unclean pair fell back
+        mapped = [r is not None for r in took]
+        assert mapped == ([True, True, False, False] * 30 if lh._projective else [])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_that_overflow_match_the_reference(self, kind):
+        # finite rows whose column terms or products overflow to inf or NaN
+        lh = random_camera(kind, 0)
+        cache = reference_columns(lh)
+        big = [[1e300, 5.0], [-1e300, 5.0], [1e155, 1e155], [5.0, 1e300], [5.0, -1e300],
+               [1e200, -1e200], [-1e-300, 1e300]]
+        with np.errstate(all="ignore"):
+            for row in big:
+                rows = np.array([row, [1.0, 2.0]])  # as pixels, then as BEV points
+                want = reference_px_to_bev(lh, cache, rows, set())
+                assert same_bytes(lh.px_to_bev(rows), want)
+                got, want = lh.try_bev_to_px(rows), reference_try_bev_to_px(lh, cache, rows, set())
+                assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])

@@ -520,6 +520,37 @@ def test_boxes_whose_areas_underflow_match_nothing_in_a_large_association():
     assert [e["reason"] for e in events] == ["terminated"] * 9 + ["new"] * 9
 
 
+class TestCandidatePairs:
+    """Only tracks and detections with a pair that passes the appearance gate are
+    mapped and scored."""
+
+    @staticmethod
+    def reappear(monkeypatch, app):
+        """The frame-6 calls and event reasons of a walker with descriptor (1, 0), missed
+        at frame 5, and back at frame 6 with descriptor app."""
+        calls = []
+        monkeypatch.setattr(tracker_module, "frame_geometry", lambda *a: calls.append(
+            "frame_geometry") or frame_geometry(*a))
+        world_to_px = SceneModel.world_to_px
+        monkeypatch.setattr(SceneModel, "world_to_px", lambda *a: calls.append(
+            "world_to_px") or world_to_px(*a))
+        tk = Tracker(make_scene(fps=10.0), small_config())
+        for f in range(5):
+            tk.step(walker_dets(f, app=unit(1, 0)), f)
+        tk.step([], 5)
+        del calls[:]
+        _, events = tk.step(walker_dets(6, app=app), 6)
+        return calls, [e["reason"] for e in events]
+
+    def test_a_step_whose_pairs_all_fail_the_gate_maps_nothing(self, monkeypatch):
+        assert self.reappear(monkeypatch, unit(0, 1)) == ([], ["new"])
+
+    def test_a_passing_pair_is_mapped_and_scored(self, monkeypatch):
+        want = (["frame_geometry", "world_to_px"], ["reassociated"])
+        assert self.reappear(monkeypatch, unit(1, 0)) == want
+        assert self.reappear(monkeypatch, None) == want  # no descriptor passes
+
+
 class TestTrackerLifecycle:
     def test_new_tracks_and_outputs_sorted(self):
         tk = Tracker(make_scene(), small_config())

@@ -512,6 +512,88 @@ class TestCostMatrixMatchesScalarReference:
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
+# -- re-association over appearance-gated candidate pairs ------------------------------
+
+
+class DenseTracker(Tracker):
+    """The tracker that mapped and scored every (inactive survivor, free detection)
+    pair before the appearance gate, and assigned over all of them."""
+
+    def _advance_inactive(self, dets, free, free_bev, frame, events, took, dead):
+        cfg, t = self.config, self.tracks
+        gone = (t.end < frame) > t.active
+        if not free and not gone.any():
+            return
+        held = ~t.active
+        dead += gone.nonzero()[0].tolist()
+        events += [tracker_module._event(frame, tid, reason="removed_dead")
+                   for tid in t.id[gone].tolist()]
+
+        def reassociate(r, j, score=None, branch=None):
+            events.append(tracker_module._event(frame, int(t.id[r]), j, score, branch,
+                                                reason="reassociated"))
+            took.append((r, j))
+            gone[r] = True
+
+        if cfg.ingest_ids and free and dets.source_id is not None:
+            rows = (held & ~gone).nonzero()[0].tolist()
+            bound = {s: r for s, r in zip(t.source[rows].tolist(), rows) if s >= 0}
+            sources = dets.source_id[free].tolist()
+            for j, s in zip(free, sources):
+                if s in bound:
+                    reassociate(bound[s], j)
+            left = [k for k, s in enumerate(sources) if s not in bound]
+            free, free_bev = [free[k] for k in left], free_bev[left]
+        survivors = (held & ~gone).nonzero()[0]
+        if len(survivors) and free:
+            geometry = frame_geometry(t, survivors, dets.box[free], free_bev, self.scene, frame)
+            app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
+            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, self.config,
+                                                    geometry)
+            for i, jj in assign(scores):
+                reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
+
+
+def described(table, descriptors):
+    """The table with unit descriptors as simulated ("unit"), some rows of NaN ("nan",
+    as gapped_table has them), or none ("absent")."""
+    app = {"unit": np.where(np.isnan(table.appearance), 1.0 / math.sqrt(table.appearance.shape[1]),
+                            table.appearance),
+           "nan": table.appearance, "absent": None}[descriptors]
+    return DetectionTable(table.frame, table.box, app, table.source_id)
+
+
+@pytest.mark.parametrize("tau_app", [0.8, 0.97])
+@pytest.mark.parametrize("descriptors", ["unit", "nan", "absent"])
+@pytest.mark.parametrize("seed", range(6))
+def test_candidate_pairs_match_the_dense_reference(seed, descriptors, tau_app, monkeypatch):
+    # Geometry and scores only for the rows and columns with a pair that passes the
+    # appearance gate, scattered into the dense matrix: the same events as scoring all.
+    sim, table = gapped_table(seed)
+    by_frame = described(table, descriptors).by_frame()
+    cfg = RunConfig(motion="fan", k=3, tau_app=tau_app)
+    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
+    n_frames = sim.scenario.n_frames
+    want = DenseTracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+    mapped, assigned = [], []  # per scoring step: the tracks mapped, the tracks assigned
+
+    def mapping(t, rows, *args):
+        mapped.append(len(rows))
+        return frame_geometry(t, rows, *args)
+
+    monkeypatch.setattr(tracker_module, "frame_geometry", mapping)
+    monkeypatch.setattr(tracker_module, "assign", lambda s: assigned.append(len(s)) or assign(s))
+    got = Tracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+    assert got == want
+    assert any(e["reason"] == "reassociated" for e in want[1])
+    # unit descriptors leave some tracks unmapped; without descriptors every pair passes
+    assert len(mapped) == len(assigned)
+    if descriptors == "unit":
+        assert any(k < n for k, n in zip(mapped, assigned))
+    if descriptors == "absent":
+        assert mapped == assigned
+
+
 # -- base association on both sides of FEW_PAIRS ---------------------------------------
 
 
