@@ -17,10 +17,10 @@ offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
 
 Base association scores up to FEW_PAIRS (track, detection) pairs with scalar
 IoU, which costs less than iou_matrix's fixed numpy calls, and more with
-iou_matrix; both give the same matches. Re-association runs the appearance
-gate first, on every (inactive track, free detection) pair, and maps and
-scores only the tracks and detections with a passing pair; the other pairs
-keep the score 0 they would get, so the assignment reads the same matrix.
+iou_matrix; both give the same matches. Re-association decides the appearance
+gate once, on every (inactive track, free detection) pair, and maps and scores
+only the tracks and detections with a passing pair; the other pairs keep the
+score 0 they would get, so the assignment reads the same matrix.
 """
 
 from __future__ import annotations
@@ -224,25 +224,15 @@ class SceneModel:
         return self.lh.try_bev_to_px(points)
 
 
-@dataclass
-class FrameGeometry:
-    """The forecasts of n tracks at one frame, against M detections.
+def frame_geometry(tracks: TrackTable, rows, det_boxes, scene: SceneModel, frame: int):
+    """(points (n, K, 2), overlap (n, K, M)): the BEV points of the forecast branches
+    of the inactive tracks at rows, in that order, at frame, and the IoU of each
+    branch's predicted box with each of M detections' (M, 4) boxes.
 
     A branch's predicted box is its track's last box moved so its bottom-centre
     sits on the pixel of the branch's point; a point with no pixel preimage has
     NaN box coordinates, which overlap nothing.
     """
-
-    points: np.ndarray  # (n, K, 2) BEV points
-    overlap: np.ndarray  # (n, K, M) IoU of each branch's predicted box with each detection
-    det_points: np.ndarray  # (M, 2) the detections' world-fixed BEV points
-
-
-def frame_geometry(
-    tracks: TrackTable, rows, det_boxes, det_points, scene: SceneModel, frame: int
-) -> FrameGeometry:
-    """The FrameGeometry of the inactive tracks at rows, in that order, against
-    detections' (M, 4) boxes and (M, 2) BEV points."""
     last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]]
     vel = tracks.velocity[rows]
     pts = tracks.origin[rows, None] + ((frame - last) / scene.fps)[:, None, None] * vel
@@ -250,7 +240,7 @@ def frame_geometry(
     size = np.broadcast_to(tracks.box[rows, None, 2:], vel.shape)
     corner = px.reshape(vel.shape) - size / (2.0, 1.0)  # u - w / 2, v - h
     boxes = np.concatenate([corner, size], axis=2)
-    return FrameGeometry(pts, iou_matrix(boxes, det_boxes), det_points)
+    return pts, iou_matrix(boxes, det_boxes)
 
 
 def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
@@ -268,40 +258,29 @@ def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
     return ~((a @ b)[..., 0, 0] < tau_app)
 
 
-def build_cost_matrix(
-    track_appearance: np.ndarray, det_appearance: np.ndarray, config: RunConfig,
-    geometry: FrameGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise re-association scores between inactive tracks and detections.
+def build_cost_matrix(points: np.ndarray, det_points: np.ndarray, overlap: np.ndarray,
+                      gate: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise re-association scores between n inactive tracks and m detections.
 
     Per branch the score is IoU(predicted box, detection box) plus the
-    thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless both the
-    appearance similarity and the IoU clear their gates. The track/detection
-    entry is the best (max) over its branches, the first branch on a tie.
-    Zero means "forbidden". The tracks, with (n, D) descriptors
-    ``track_appearance``, are ``geometry``'s first axis; the detections, with
-    (m, D) ``det_appearance``, its last. A row of NaN (no descriptor), or a
-    side with no columns, passes the gate.
+    thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless the pair
+    passes the (n, m) appearance ``gate`` and the IoU clears tau_iou. The
+    track/detection entry is the best (max) over its branches, the first branch
+    on a tie. Zero means "forbidden". ``points`` (n, K, 2) and ``overlap``
+    (n, K, m) are frame_geometry's; ``det_points`` are the detections' (m, 2)
+    world-fixed BEV points.
 
     Returns:
         (scores, best_branch): (n, m) float scores and the branch index
         attaining each entry (-1 where the score is 0).
     """
-    n, m = len(track_appearance), len(det_appearance)
-    scores = np.zeros((n, m))
-    best_branch = np.full((n, m), -1, dtype=int)
-    if n == 0 or m == 0:
-        return scores, best_branch
-    d_iou = geometry.overlap
     # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = geometry.points[:, :, None, :] - geometry.det_points
+    diff = points[:, :, None, :] - det_points
     d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    s = np.where(d_iou >= config.tau_iou, d_iou + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
+    s = np.where(overlap >= config.tau_iou, overlap + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
     best = s.max(axis=1)
-    ok = (best > 0.0) & appearance_gate(track_appearance, det_appearance, config.tau_app)
-    scores[ok] = best[ok]
-    best_branch[ok] = s.argmax(axis=1)[ok]
-    return scores, best_branch
+    ok = (best > 0.0) & gate
+    return np.where(ok, best, 0.0), np.where(ok, s.argmax(axis=1), -1)
 
 
 def assign(scores: np.ndarray) -> list[tuple[int, int]]:
@@ -314,9 +293,8 @@ def assign(scores: np.ndarray) -> list[tuple[int, int]]:
     if s.size == 0:
         return []
     rows, cols = linear_sum_assignment(s, maximize=True)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if s[r, c] > 0.0]
-    pairs.sort()
-    return pairs
+    # linear_sum_assignment returns the rows ascending, each at most once
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if s[r, c] > 0.0]
 
 
 def prune_forecasts(*_) -> None:  # uncalled; only benchmarks/tracing.py wraps the name
@@ -432,22 +410,19 @@ class Tracker:
         survivors = (held & ~gone).nonzero()[0]
         if not len(survivors) or not free:
             return
-        # The appearance gate first, on every (survivor, free detection) pair: only
-        # tracks and detections with a passing pair get geometry and scores. Every
-        # other pair would score 0, so the scattered matrix is the dense one.
-        track_app = t.appearance[survivors]
+        # One gate on every (survivor, free detection) pair picks what to map and score;
+        # any other pair would score 0, so the scattered matrix is the dense one.
         app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
-        gate = appearance_gate(track_app, app, cfg.tau_app)
+        gate = appearance_gate(t.appearance[survivors], app, cfg.tau_app)
         rows, cols = gate.any(axis=1).nonzero()[0], gate.any(axis=0).nonzero()[0]
         if not len(rows):
             return
-        js = np.asarray(free)[cols]
-        geometry = frame_geometry(t, survivors[rows], dets.box[js], free_bev[cols], self.scene,
-                                  frame)
+        points, overlap = frame_geometry(t, survivors[rows], dets.box[np.asarray(free)[cols]],
+                                         self.scene, frame)
         cells = np.ix_(rows, cols)
         scores, best_branch = np.zeros(gate.shape), np.full(gate.shape, -1, dtype=int)
-        scores[cells], best_branch[cells] = build_cost_matrix(track_app[rows], app[cols], cfg,
-                                                              geometry)
+        scores[cells], best_branch[cells] = build_cost_matrix(points, free_bev[cols], overlap,
+                                                              gate[cells], cfg)
         for i, jj in assign(scores):
             reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
 
@@ -477,8 +452,8 @@ class Tracker:
     def step(self, detections, frame: int):
         """Process one frame of detections: a DetectionTable of the frame's rows, or an
         empty list (or tuple) for none; anything else is a TypeError. A row of another
-        frame, and in ingestion mode two detections with one source id, are a
-        ValueError raised before the tracker changes.
+        frame or of a descriptor width not the first one's, and in ingestion mode two
+        detections with one source id, are a ValueError raised before the tracker changes.
 
         Returns:
             (outputs, events): outputs is [(frame, track_id, PixelBox)] for the
@@ -503,10 +478,14 @@ class Tracker:
             twice = ids[1:][ids[1:] == ids[:-1]]
             if len(twice):
                 raise ValueError(f"frame {frame}: source id {twice[0]} on two detections")
+        width = 0 if dets.appearance is None or not n else dets.appearance.shape[1]
+        if width and t.appearance.shape[1] not in (0, width):  # fixed by the first descriptors
+            raise ValueError(f"frame {frame}: descriptors of width {width}, the tracker's have "
+                             f"{t.appearance.shape[1]}")
         if n and self.scene.ego is not None:
             self.scene.ego.offset(frame)  # a frame the camera track lacks is an error here
-        if dets.appearance is not None and not t.appearance.shape[1]:  # the first descriptors
-            t.appearance = np.full((len(t), dets.appearance.shape[1]), np.nan)
+        if width and not t.appearance.shape[1]:  # the first descriptors
+            t.appearance = np.full((len(t), width), np.nan)
         self.last_step_frame = frame
         events, took, dead, lost = [], [], [], []
 

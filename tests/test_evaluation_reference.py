@@ -28,7 +28,10 @@ from bevtrack.evaluation import (
     evaluate_tracking,
     match_frames,
 )
+from bevtrack.experiments import run_tracker
 from bevtrack.mot_io import GtTable, box_records
+from bevtrack.simulator import generate
+from test_tracker_reference import crowd
 
 _BIG = 1e6
 
@@ -446,3 +449,47 @@ def test_frame_cases_reach_one_sided_frames_and_ties():
             if len(live) > len(np.unique(live)):
                 found.add("equal IoUs")
     assert found == {"gt-only frame", "hyp-only frame", "equal IoUs"}
+
+
+# -- metamorphic relations: what must not change ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def crowd_case():
+    """(gt, hyp, fps): a simulated crowd of 12 walkers past 2 walls for 10 s, and the
+    tracker's outputs on it."""
+    sim = generate(crowd(3, n_walkers=12, n_walls=2, duration=10.0))
+    outputs, _, _ = run_tracker(sim, RunConfig())
+    return sim.gt, box_records(outputs), sim.scenario.fps
+
+
+def tie_case(seed):
+    """(gt, hyp, fps): frame_case's tie-prone rows, one per (frame, id) a side, with
+    random visibility levels."""
+    gt, hyp = frame_case(seed)
+    vis = np.random.default_rng(seed).choice(VIS_LEVELS, len(gt[0]))
+    return GtTable(*gt, np.full((len(vis), 2), np.nan), vis), hyp, 10.0
+
+
+@pytest.mark.parametrize("seed", [None, *range(4)],
+                         ids=lambda s: "crowd" if s is None else f"ties-{s}")
+def test_permuting_rows_keeps_the_report(crowd_case, seed):
+    gt, hyp, fps = crowd_case if seed is None else tie_case(seed)
+    for frame, ids in ((gt.frame, gt.agent_id), hyp[:2]):  # unique (frame, id) rows a side
+        assert len(set(zip(frame.tolist(), ids.tolist()))) == len(frame)
+    want = evaluate_tracking(gt, hyp, fps, RunConfig()).to_dict()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        g, h = rng.permutation(len(gt)), rng.permutation(len(hyp[0]))
+        moved = GtTable(gt.frame[g], gt.agent_id[g], gt.box[g], gt.bev[g], gt.visibility[g])
+        got = evaluate_tracking(moved, tuple(c[h] for c in hyp), fps, RunConfig())
+        assert got.to_dict() == want
+    assert want["n_matched"] and want["idsw"]
+
+
+def test_ground_truth_scored_as_its_own_hypothesis(crowd_case):
+    gt, _, fps = crowd_case
+    report = evaluate_tracking(gt, (gt.frame, gt.agent_id, gt.box), fps, RunConfig())
+    assert (report.idsw, report.idtr, report.n_matched) == (0, 0, len(gt))
+    assert all(b.recovered == b.total for b in report.buckets)
+    assert sum(b.total for b in report.buckets) > 0

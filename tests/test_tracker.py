@@ -26,6 +26,7 @@ from bevtrack.tracker import (
     SceneModel,
     Tracker,
     TrackTable,
+    appearance_gate,
     assign,
     build_cost_matrix,
     frame_geometry,
@@ -101,10 +102,11 @@ def cost_matrix(tracks, detections, points, config, scene, frame):
     pts = np.array(points, dtype=float).reshape(-1, 2)
     t = table_of(tracks)
     scene = replace(scene, fps=tracks[0].fps)  # the forecasts' frame rate
-    g = frame_geometry(t, np.arange(len(t)), detections.box, pts, scene, frame)
+    branches, overlap = frame_geometry(t, np.arange(len(t)), detections.box, scene, frame)
     app = detections.appearance
     app = np.zeros((len(detections), 0)) if app is None else app
-    return build_cost_matrix(t.appearance, app, config, g)
+    gate = appearance_gate(t.appearance, app, config.tau_app)
+    return build_cost_matrix(branches, pts, overlap, gate, config)
 
 
 def hold(tk, tracks):
@@ -156,11 +158,12 @@ def test_geometry_from_top_level_names():
     tracks = bt.TrackTable.empty().extend([1])  # matched once, at frame 0
     tracks.box[0], tracks.seen[0] = (44.0, 76.0, 12.0, 24.0), 1
     tracks.origin[0], tracks.velocity, tracks.end[0] = (50.0, 100.0), np.array([[[1.0, 0.0]]]), 5
-    geometry = bt.frame_geometry(tracks, [0], dets.box, np.array([[51.0, 100.0]]), scene, 1)
-    assert geometry.points.tolist() == [[[51.0, 100.0]]]
-    assert geometry.overlap.tolist() == [[[1.0]]]
-    assert geometry.det_points.tolist() == [[51.0, 100.0]]
-    scores, branch = bt.build_cost_matrix(np.zeros((1, 0)), np.zeros((1, 0)), config, geometry)
+    points, overlap = bt.frame_geometry(tracks, [0], dets.box, scene, 1)
+    assert points.tolist() == [[[51.0, 100.0]]]
+    assert overlap.tolist() == [[[1.0]]]
+    gate = np.ones((1, 1), bool)
+    scores, branch = bt.build_cost_matrix(points, np.array([[51.0, 100.0]]), overlap, gate,
+                                          config)
     assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
     assert {"DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
@@ -375,9 +378,10 @@ class TestCostMatrix:
         # Track 2, in row 1, is scored first: rows, not the table's order, order the scores.
         near = inactive_track(2, 50, 100, [(52.0, 100.0)])
         far = inactive_track(1, 50, 100, [(90.0, 100.0)])
-        g = frame_geometry(table_of([far, near]), [1, 0], table(det_at(1, 52, 100)).box,
-                           np.array([[52.0, 100.0]]), make_scene(fps=1.0), 1)
-        scores, _ = build_cost_matrix(np.zeros((2, 0)), np.zeros((1, 0)), RunConfig(), g)
+        points, overlap = frame_geometry(table_of([far, near]), [1, 0],
+                                         table(det_at(1, 52, 100)).box, make_scene(fps=1.0), 1)
+        scores, _ = build_cost_matrix(points, np.array([[52.0, 100.0]]), overlap,
+                                      np.ones((2, 1), bool), RunConfig())
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12) and scores[1, 0] == 0.0
 
 
@@ -521,14 +525,16 @@ def test_boxes_whose_areas_underflow_match_nothing_in_a_large_association():
 
 
 class TestCandidatePairs:
-    """Only tracks and detections with a pair that passes the appearance gate are
-    mapped and scored."""
+    """The appearance gate runs once a step, and only tracks and detections with a
+    pair that passes it are mapped and scored."""
 
     @staticmethod
     def reappear(monkeypatch, app):
         """The frame-6 calls and event reasons of a walker with descriptor (1, 0), missed
         at frame 5, and back at frame 6 with descriptor app."""
         calls = []
+        monkeypatch.setattr(tracker_module, "appearance_gate", lambda *a: calls.append(
+            "appearance_gate") or appearance_gate(*a))
         monkeypatch.setattr(tracker_module, "frame_geometry", lambda *a: calls.append(
             "frame_geometry") or frame_geometry(*a))
         world_to_px = SceneModel.world_to_px
@@ -543,10 +549,11 @@ class TestCandidatePairs:
         return calls, [e["reason"] for e in events]
 
     def test_a_step_whose_pairs_all_fail_the_gate_maps_nothing(self, monkeypatch):
-        assert self.reappear(monkeypatch, unit(0, 1)) == ([], ["new"])
+        assert self.reappear(monkeypatch, unit(0, 1)) == (["appearance_gate"], ["new"])
 
     def test_a_passing_pair_is_mapped_and_scored(self, monkeypatch):
-        want = (["frame_geometry", "world_to_px"], ["reassociated"])
+        # the gate is decided once a scoring step; build_cost_matrix reads it
+        want = (["appearance_gate", "frame_geometry", "world_to_px"], ["reassociated"])
         assert self.reappear(monkeypatch, unit(1, 0)) == want
         assert self.reappear(monkeypatch, None) == want  # no descriptor passes
 
@@ -710,6 +717,38 @@ class TestTrackerLifecycle:
         assert len(tk.tracks) == 0 and tk.last_step_frame is None
         outputs, _ = tk.step(rows.rows(slice(0, 1)), 7)
         assert [(f, tid) for f, tid, _ in outputs] == [(7, 1)]
+
+    @pytest.mark.parametrize("missed", [False, True], ids=["active", "inactive"])
+    def test_descriptors_of_another_width_refused(self, missed):
+        # The first descriptors fix the width. A table of another width is refused
+        # before the tracker changes, whether its track is active or inactive, and
+        # the next step runs as if the table had never come.
+        def run(bad):
+            tk = Tracker(make_scene(), small_config())
+            tk.step(walker_dets(0, app=unit(1, 0, 0, 1)), 0)
+            if missed:
+                tk.step([], 1)
+            if bad:
+                last, columns = tk.last_step_frame, [c.copy() for c in tk.tracks._columns()]
+                with pytest.raises(ValueError, match=r"^frame 2: descriptors of width 3, "
+                                                     r"the tracker's have 4$"):
+                    tk.step(walker_dets(2, app=unit(1, 0, 0)), 2)
+                assert tk.last_step_frame == last
+                for got, want in zip(tk.tracks._columns(), columns):
+                    np.testing.assert_array_equal(got, want, strict=True)
+            return tk.step(walker_dets(3, app=unit(1, 0, 0, 1)), 3)
+
+        outputs, events = run(bad=True)
+        assert (outputs, events) == run(bad=False)
+        want = "reassociated" if missed else "active"
+        assert [e["reason"] for e in events] == [want]
+
+    def test_a_table_without_rows_fixes_no_width(self):
+        tk = Tracker(make_scene(), small_config())
+        tk.step(DetectionTable(np.zeros(0, int), np.zeros((0, 4)), np.zeros((0, 5))), 0)
+        tk.step(walker_dets(1, app=unit(1, 0, 0)), 1)
+        tk.step(DetectionTable(np.zeros(0, int), np.zeros((0, 4)), np.zeros((0, 5))), 2)
+        assert tk.tracks.appearance.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_track_keeps_only_its_window(self):
         # dt 0.3 s at 10 fps and obs_len 8: the grid starts 21 frames back, and a

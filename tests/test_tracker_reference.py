@@ -30,6 +30,7 @@ from bevtrack.tracker import (
     SceneModel,
     Tracker,
     TrackTable,
+    appearance_gate,
     assign,
     build_cost_matrix,
     frame_geometry,
@@ -477,16 +478,17 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
     return scene, tracks, dets, np.array(points)
 
 
-def geometry(tracks, dets, points, scene):
+def geometry(tracks, dets, scene):
     """frame_geometry of the RefTracks, in id order, at frame 1."""
     held = [Inactive(t.id, t.last_box, t.last_appearance, *t.forecast, scene.fps) for t in tracks]
-    return frame_geometry(table_of(held), np.arange(len(tracks)), dets.box, points, scene, 1)
+    return frame_geometry(table_of(held), np.arange(len(tracks)), dets.box, scene, 1)
 
 
-def cost_matrix(tracks, dets, cfg, geometry):
-    """build_cost_matrix on the RefTracks' descriptors."""
-    return build_cost_matrix(np.array([t.last_appearance for t in tracks]), dets.appearance,
-                             cfg, geometry)
+def cost_matrix(tracks, dets, points, cfg, geometry):
+    """build_cost_matrix on the RefTracks' descriptors, for detections at BEV points."""
+    gate = appearance_gate(np.array([t.last_appearance for t in tracks]), dets.appearance,
+                           cfg.tau_app)
+    return build_cost_matrix(geometry[0], points, geometry[1], gate, cfg)
 
 
 class TestCostMatrixMatchesScalarReference:
@@ -499,7 +501,7 @@ class TestCostMatrixMatchesScalarReference:
             tau_app = float(tracks[0].last_appearance @ dets.appearance[0])
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
             want = scalar_cost_matrix(tracks, rows_of(dets), points, cfg, scene, 1)
-            got = cost_matrix(tracks, dets, cfg, geometry(tracks, dets, points, scene))
+            got = cost_matrix(tracks, dets, points, cfg, geometry(tracks, dets, scene))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -508,7 +510,8 @@ class TestCostMatrixMatchesScalarReference:
         tracks[0].forecast[1][:] = points[0]  # three identical branches
         cfg = RunConfig(tau_app=-1.0)
         first = dets.rows(slice(0, 1))
-        scores, branch = cost_matrix(tracks, first, cfg, geometry(tracks, first, points[:1], scene))
+        g = geometry(tracks, first, scene)
+        scores, branch = cost_matrix(tracks, first, points[:1], cfg, g)
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
@@ -546,10 +549,10 @@ class DenseTracker(Tracker):
             free, free_bev = [free[k] for k in left], free_bev[left]
         survivors = (held & ~gone).nonzero()[0]
         if len(survivors) and free:
-            geometry = frame_geometry(t, survivors, dets.box[free], free_bev, self.scene, frame)
+            points, overlap = frame_geometry(t, survivors, dets.box[free], self.scene, frame)
             app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
-            scores, best_branch = build_cost_matrix(t.appearance[survivors], app, self.config,
-                                                    geometry)
+            gate = appearance_gate(t.appearance[survivors], app, self.config.tau_app)
+            scores, best_branch = build_cost_matrix(points, free_bev, overlap, gate, self.config)
             for i, jj in assign(scores):
                 reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
 
@@ -756,6 +759,32 @@ def test_shuffling_rows_within_frames_keeps_the_partition(crowd_sims, source):
         got, _ = Tracker(scene(), cfg).run(shuffled, range(n_frames))
         assert partition(got) == partition(want)
     assert len(want) == sum(map(len, by_frame.values()))  # every row is in a track
+
+
+GAPPED_INGEST = [s for s in METAMORPHIC_SOURCES if s[:2] == ("gapped", "ingest")]
+
+
+@pytest.mark.parametrize("source", GAPPED_INGEST, ids=lambda s: "-".join(map(str, s)))
+def test_renaming_upstream_ids_keeps_outputs_and_events(crowd_sims, source):
+    # An upstream id only binds a detection to a track: a random one-to-one map of
+    # the ids >= 0, which reorders them, changes no output and no event.
+    scene, by_frame, cfg, n_frames = metamorphic_input(source, crowd_sims)
+    want = Tracker(scene(), cfg).run(by_frame, range(n_frames))
+    ids = np.unique(np.concatenate([t.source_id for t in by_frame.values()]))
+    ids = ids[ids >= 0]
+    new = np.random.default_rng(7).choice(10**12, size=len(ids), replace=False)
+
+    def renamed(t):
+        source = t.source_id.copy()
+        bound = source >= 0
+        source[bound] = new[np.searchsorted(ids, source[bound])]
+        return DetectionTable(t.frame, t.box, t.appearance, source, pixel_boxes=t.boxes())
+
+    got = Tracker(scene(), cfg).run({f: renamed(t) for f, t in by_frame.items()},
+                                    range(n_frames))
+    assert got == want
+    # tracks came back by id, which scores nothing
+    assert any(e["reason"] == "reassociated" and e["score"] is None for e in want[1])
 
 
 @pytest.mark.parametrize("source", METAMORPHIC_SOURCES, ids=METAMORPHIC_IDS)
