@@ -3,17 +3,21 @@
 A raw track history (irregular frames, pixel noise) is resampled onto a
 uniform step grid ending at the last observation and run through a forward
 constant-velocity Kalman filter, whose gains do not depend on the data and are
-computed once per config. The filter's last state, one position and one
-velocity at the last observed frame, is all a forecast reads: the RunConfig's
-motion model turns a list of states into the track table's forecast columns,
-per state an origin, k branch velocities and the end frame the branches
-cover. forecast_span holds the horizon's arithmetic and its limits. The
-tracker never re-seeds a forecast mid-occlusion; every branch lives until the
-frame passes the forecast's end, when its track leaves.
+computed once per config. Each grid point blends at most two observations, as
+np.interp does; filter_grid names them, so a caller holding a long history
+passes preprocess those alone. Both steps run in Python floats, rounding as
+numpy's would. The filter's last state, one position and one velocity at the
+last observed frame, is all a forecast reads: the RunConfig's motion model
+turns a list of states into the track table's forecast columns, per state an
+origin, k branch velocities and the end frame the branches cover.
+forecast_span holds the horizon's arithmetic and its limits. The tracker never
+re-seeds a forecast mid-occlusion; every branch lives until the frame passes
+the forecast's end, when its track leaves.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -24,8 +28,9 @@ from .config import RunConfig
 
 @functools.lru_cache(maxsize=8)
 def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float):
-    """(f, h, gains): transition and observation matrices and the gain at each of
-    `steps` grid points. No gain reads the data, and a shorter pass's are a prefix."""
+    """(f, h, gains, rows): transition and observation matrices, the gain at each of
+    `steps` grid points, and the same matrices' rows as tuples of floats, f's and
+    h's then each gain's. No gain reads the data, and a shorter pass's are a prefix."""
     f = np.eye(4)
     f[0, 2] = dt
     f[1, 3] = dt
@@ -51,10 +56,11 @@ def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float)
         gains.append(gain)
     for a in (f, h, *gains):
         a.flags.writeable = False  # the cache hands these same arrays to every caller
-    return f, h, tuple(gains)
+    rows = tuple(tuple(map(tuple, a.tolist())) for a in (f, h, *gains))
+    return f, h, tuple(gains), rows
 
 
-def _filter_last_state(z: np.ndarray, config: RunConfig):
+def _filter_last_state(z, config: RunConfig):
     """Forward constant-velocity Kalman pass over (N, 2) grid positions, N <= obs_len.
 
     The state is [x, y, vx, vy], white-acceleration process noise
@@ -62,47 +68,87 @@ def _filter_last_state(z: np.ndarray, config: RunConfig):
     noiseless constant-velocity input every innovation is zero, so the last
     state is the last point and the true velocity. Returns the last
     posterior (position, velocity); a single point has zero velocity.
+
+    Each matrix product sums a row's products, zero and unit entries included, in
+    column order: with at most two nonzero terms a row, any unfused order rounds alike.
     """
-    n = z.shape[0]
-    if n == 1:
-        return z[0].copy(), np.zeros(2)
+    x0, x1 = z[0]
+    if len(z) == 1:
+        return [x0, x1], [0.0, 0.0]
 
     dt = config.dt
-    f, h, gains = _filter_gains(config.obs_len, dt, config.process_noise, config.obs_noise)
-    x = np.zeros(4)
-    x[:2] = z[0]
-    x[2:] = (z[1] - z[0]) / dt
-    for k in range(n):
+    f, h, *gains = _filter_gains(config.obs_len, dt, config.process_noise, config.obs_noise)[3]
+    x2, x3 = (z[1][0] - x0) / dt, (z[1][1] - x1) / dt
+    for k, (zx, zy) in enumerate(z):
         if k > 0:
-            x = f @ x
-        x = x + gains[k] @ (z[k] - h @ x)
-    return x[:2], x[2:]
+            x0, x1, x2, x3 = [a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in f]
+        hx, hy = [a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in h]
+        ix, iy = zx - hx, zy - hy
+        g0, g1, g2, g3 = [a * ix + b * iy for a, b in gains[k]]
+        x0, x1, x2, x3 = x0 + g0, x1 + g1, x2 + g2, x3 + g3
+    return [x0, x1], [x2, x3]
+
+
+def filter_grid(frames: list, config: RunConfig, fps: float) -> list:
+    """The filter's grid over an ascending list of frames, as [(x, pair)]: each point x
+    = frames[-1] - (dt * fps) * k, k = obs_len - 1 down to 0, at or after frames[0] -
+    1e-9, with the indices of the frames np.interp reads there. With j =
+    bisect_right(frames, x) - 1, pair is (j, j + 1), or (max(j, 0),) where x is
+    before frames[0], on frames[j] or at or after the last frame.
+    """
+    last, step, first = frames[-1], config.dt * fps, frames[0] - 1e-9
+    grid = []
+    for k in range(config.obs_len - 1, -1, -1):
+        x = last - step * k
+        if x >= first:
+            j = bisect.bisect_right(frames, x) - 1
+            alone = j < 0 or x == frames[j] or j == len(frames) - 1
+            grid.append((x, (max(j, 0),) if alone else (j, j + 1)))
+    return grid
+
+
+def _blend(x: float, xs: list, ys: list, pair: tuple) -> float:
+    """np.interp's value at x from the points pair indexes, its NaN fallbacks included."""
+    if len(pair) == 1:
+        return ys[pair[0]]
+    j, i = pair
+    slope = (ys[i] - ys[j]) / (xs[i] - xs[j])
+    y = slope * (x - xs[j]) + ys[j]
+    if y != y:  # NaN one way: try the other
+        y = slope * (x - xs[i]) + ys[i]
+        if y != y and ys[j] == ys[i]:
+            y = ys[j]
+    return y
 
 
 def preprocess(frames, points, config: RunConfig, fps: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The filter's last state for a track history: (N,) strictly increasing
+    """The filter's last state for a track history: (N,) strictly increasing finite
     frames and their (N, 2) BEV points, at fps frames per second. config supplies
     obs_len (grid steps), dt (grid step, seconds), process_noise and obs_noise.
+    ValueError, naming the row, for an empty history, one not of one frame per point,
+    or frames not finite and strictly increasing; a non-finite point: a NaN state.
 
     Returns:
         (position, velocity, last_frame): the filter's BEV position (2,) and
         velocity (2,) in m/s at the last observed frame. The filter runs over
         the obs_len grid points spaced dt apart that end at the last
-        observation, minus those before the first observation.
+        observation, minus those before the first observation (filter_grid),
+        each interpolated as np.interp does from at most two observations.
     """
-    frames, pos = np.asarray(frames, dtype=float), np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(frames) == 0:
+    frames, pos = np.asarray(frames, dtype=float), np.asarray(points, dtype=float)
+    if not frames.size:
         raise ValueError("history must be non-empty")
-    if (frames[1:] <= frames[:-1]).any():
-        raise ValueError("history frames must be strictly increasing")
-
-    last = frames[-1]
-    grid = last - config.dt * fps * np.arange(config.obs_len)[::-1]  # ascending, ends at last
-    grid = grid[grid >= frames[0] - 1e-9]  # never empty: it ends at the last observation
-    z = np.empty((len(grid), 2))
-    z[:, 0], z[:, 1] = np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])
+    if frames.ndim != 1 or pos.shape != (len(frames), 2):
+        raise ValueError(f"history needs (N,) frames and (N, 2) points, got {frames.shape} "
+                         f"and {pos.shape}")
+    frames, (xs, ys) = frames.tolist(), pos.T.tolist()
+    for i, f in enumerate(frames):
+        if not (math.isfinite(f) and (i == 0 or f > frames[i - 1])):
+            raise ValueError(f"row {i}: history frames must be finite and strictly increasing")
+    z = [(_blend(x, frames, xs, pair), _blend(x, frames, ys, pair))
+         for x, pair in filter_grid(frames, config, fps)]
     position, velocity = _filter_last_state(z, config)
-    return position, velocity, int(round(last))
+    return np.array(position), np.array(velocity), int(round(frames[-1]))
 
 
 def forecast_span(config: RunConfig, fps: float, horizon_s: float = None) -> int:

@@ -9,9 +9,10 @@ solved as a maximum-score assignment. In ingestion mode a track keeps its
 upstream id while inactive, and a detection carrying that id brings it back
 before the gates. Track ids are never reissued. Tracks are the rows of one
 TrackTable, an inactive track's forecast branches its columns, and a step works
-on it in array passes. It lifts in one px_to_world call only what a decision
-reads: the pixel feet of the tracks going inactive and, while inactive tracks
-exist, the unmatched detections. Tracks and forecasts are world-fixed, the map
+on it in array passes. It lifts to BEV only what a decision reads: the ring
+matches each lost track's filter grid reads (at most two a grid point, all in
+one px_to_world call), and the free detections with a pair that passes the
+appearance gate. Tracks and forecasts are world-fixed, the map
 camera-relative: only SceneModel.px_to_world and world_to_px apply the camera
 offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
 
@@ -26,6 +27,7 @@ score 0 they would get, so the assignment reads the same matrix.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import InitVar, dataclass, fields
 from typing import Optional
@@ -37,7 +39,7 @@ from scipy.optimize import linear_sum_assignment
 from .boxes import PixelBox, bottom_centers, iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame, ParseError
-from .forecast import forecast, forecast_span, predicted_box, preprocess  # noqa: F401
+from .forecast import filter_grid, forecast, forecast_span, predicted_box, preprocess  # noqa: F401
 
 # Base association scores up to this many (active track, detection) pairs with
 # scalar IoU, more with iou_matrix: the measured crossover (_base_association).
@@ -189,15 +191,6 @@ class TrackTable:
                  for c in self._columns()]
         grown[0][len(self):] = ids
         return TrackTable(*grown)
-
-    def matches(self, rows):
-        """(frames (k, C), feet (k, C, 2), held (k, C)) of the tracks at rows, oldest first:
-        row i's matches are frames[i][held[i]], the last in column C - 1."""
-        c = self.frames.shape[1]
-        i = np.arange(c)
-        seen = self.seen[rows][:, None]
-        rows, slot = np.asarray(rows)[:, None], (seen + i) % c
-        return self.frames[rows, slot], self.feet[rows, slot], i >= c - np.minimum(seen, c)
 
 
 @dataclass
@@ -381,10 +374,10 @@ class Tracker:
                 used_dets.add(j)
         return matches
 
-    def _advance_inactive(self, dets, free, free_bev, frame, events, took, dead):
+    def _advance_inactive(self, dets, free, frame, events, took, dead):
         """Remove (removed_dead, in id order, into dead) or re-associate (into took) the
-        inactive tracks; the list free of dets' rows has world points free_bev. In ingestion
-        mode a free detection's upstream id brings its inactive track back before the gates."""
+        inactive tracks with the list free of dets' rows. In ingestion mode a free
+        detection's upstream id brings its inactive track back before the gates."""
         cfg, t = self.config, self.tracks
         gone = (t.end < frame) > t.active  # ended and inactive; below, also the re-associated
         if not free and not gone.any():
@@ -406,7 +399,7 @@ class Tracker:
                 if s in bound:
                     reassociate(bound[s], j)
             left = [k for k, s in enumerate(sources) if s not in bound]
-            free, free_bev = [free[k] for k in left], free_bev[left]
+            free = [free[k] for k in left]
         survivors = (held & ~gone).nonzero()[0]
         if not len(survivors) or not free:
             return
@@ -417,11 +410,12 @@ class Tracker:
         rows, cols = gate.any(axis=1).nonzero()[0], gate.any(axis=0).nonzero()[0]
         if not len(rows):
             return
-        points, overlap = frame_geometry(t, survivors[rows], dets.box[np.asarray(free)[cols]],
-                                         self.scene, frame)
+        cand = np.asarray(free)[cols]  # the free detections with a passing pair, lifted here
+        points, overlap = frame_geometry(t, survivors[rows], dets.box[cand], self.scene, frame)
+        det_points = self.scene.px_to_world(dets.foot[cand], frame)
         cells = np.ix_(rows, cols)
         scores, best_branch = np.zeros(gate.shape), np.full(gate.shape, -1, dtype=int)
-        scores[cells], best_branch[cells] = build_cost_matrix(points, free_bev[cols], overlap,
+        scores[cells], best_branch[cells] = build_cost_matrix(points, det_points, overlap,
                                                               gate[cells], cfg)
         for i, jj in assign(scores):
             reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
@@ -506,30 +500,30 @@ class Tracker:
             events.append({"frame": frame, "track_id": tid, "detection_index": j, "score": None,
                            "branch_id": None, "reason": reason})
 
-        # The step's one lift: the matches of the tracks going inactive, then, while
-        # inactive tracks exist, the free detections.
         used = set(matches.values())
         free = [j for j in range(n) if j not in used]
-        inactive = len(t) - len(active) + len(lost)
-        world = None  # unread while no detection is free
-        if lost or (free and inactive):
-            at, pixels = np.full(len(free), frame), dets.foot[free]
-            if lost:
-                frames, feet, held = t.matches(lost)
-                at, pixels = np.concatenate([frames[held], at]), np.concatenate([feet[held], pixels])
-            world = self.scene.px_to_world(pixels, at)
+        # Lift of each lost track only the ring matches its filter grid reads; preprocess
+        # on them alone finds the same grid and brackets, so the same state.
         if lost:
-            cuts = [0, *np.cumsum(held.sum(axis=1)).tolist()]
-            states = [preprocess(at[lo:hi], world[lo:hi], cfg, self.scene.fps)
-                      for lo, hi in zip(cuts, cuts[1:])]
-            world = world[cuts[-1] :]
+            c, fps = t.frames.shape[1], self.scene.fps
+            histories, rows, slots = [], [], []
+            for r, seen, ring in zip(lost, t.seen[lost].tolist(), t.frames[lost].tolist()):
+                start = seen % c if seen >= c else 0  # the oldest held match's slot
+                held = (ring[start:] + ring[:start])[:seen]
+                picked = sorted({i for _, pair in filter_grid(held, cfg, fps) for i in pair})
+                histories.append([held[i] for i in picked])
+                rows += [r] * len(picked)
+                slots += [(start + i) % c for i in picked]
+            world = self.scene.px_to_world(t.feet[rows, slots], [f for h in histories for f in h])
+            ends = itertools.accumulate(map(len, histories))
+            states = [preprocess(h, world[e - len(h) : e], cfg, fps) for h, e in zip(histories, ends)]
             t.active[lost] = False
-            origin, velocity, end = forecast(states, cfg, self.scene.fps)
+            origin, velocity, end = forecast(states, cfg, fps)
             if not t.velocity.shape[1]:  # the first forecast sizes the branch axis
                 t.velocity = np.zeros((len(t), velocity.shape[1], 2))
             t.origin[lost], t.velocity[lost], t.end[lost] = origin, velocity, end
-        if inactive:
-            self._advance_inactive(dets, free, world, frame, events, took, dead)
+        if len(t) - len(active) + len(lost):  # inactive tracks exist
+            self._advance_inactive(dets, free, frame, events, took, dead)
 
         # Anything still unmatched founds a new track.
         used = {j for _, j in took}

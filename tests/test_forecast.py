@@ -7,7 +7,10 @@ import pytest
 from bevtrack.boxes import PixelBox
 from bevtrack.config import RunConfig
 from bevtrack.forecast import (
+    _blend,
+    _filter_gains,
     _filter_last_state,
+    filter_grid,
     forecast,
     forecast_span,
     predicted_box,
@@ -248,6 +251,30 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="strictly increasing"):
             preprocess([5, 4], [(0.0, 0.0), (1.0, 1.0)], RunConfig(), 20.0)
 
+    @pytest.mark.parametrize("frames,points,message", [
+        ([0, math.nan, 2], [(0.0, 0.0)] * 3, "row 1: history frames must be finite"),
+        ([0, 1, math.inf], [(0.0, 0.0)] * 3, "row 2: history frames must be finite"),
+        ([-math.inf, 1], [(0.0, 0.0)] * 2, "row 0: history frames must be finite"),
+        ([0, 2, 1], [(0.0, 0.0)] * 3, "row 2: history frames must be finite and strictly increasing"),
+        ([[0, 1]], [(0.0, 0.0)] * 2, r"got \(1, 2\) and \(2, 2\)"),
+        (7, [(0.0, 0.0)], r"got \(\) and \(1, 2\)"),
+        ([0, 1, 2], [(0.0, 0.0)] * 2, r"got \(3,\) and \(2, 2\)"),
+        ([0, 1], [0.0, 0.0, 1.0, 1.0], r"got \(2,\) and \(4,\)"),
+        ([0, 1], [(0.0, 0.0, 0.0)] * 2, r"got \(2,\) and \(2, 3\)"),
+    ])
+    def test_broken_histories_name_their_row(self, frames, points, message):
+        with pytest.raises(ValueError, match=message):
+            preprocess(frames, points, RunConfig(), 20.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("dt,at", [(0.4, 70), (0.33, 72)])  # a grid point, or beside one
+    def test_a_non_finite_point_gives_a_nan_state_quietly(self, bad, dt, at):
+        frames, points = columns(cv_history(40, fps=20.0, vel=(1.0, 0.5), every=2))
+        points[frames.index(at)] = (1.0, bad)
+        position, velocity, last_frame = preprocess(frames, points, RunConfig(dt=dt), 20.0)
+        assert np.isnan(position).all() and np.isnan(velocity).all() and last_frame == 78
+
 
 class TestFilterLastState:
     def test_constant_velocity_is_a_fixed_point(self):
@@ -336,6 +363,120 @@ class TestCachedGainsMatchPerCallFilter:
                 got = _filter_last_state(z, cfg)
                 want = per_call_filter_last_state(z, dt, process_noise, obs_noise)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- the numpy reference: np.interp, then the filter loop over the cached gain arrays --
+
+
+def numpy_preprocess(frames, points, cfg, fps):
+    """preprocess as np.interp and a numpy filter loop compute it."""
+    frames, pos = np.asarray(frames, dtype=float), np.asarray(points, dtype=float)
+    last = frames[-1]
+    grid = last - cfg.dt * fps * np.arange(cfg.obs_len)[::-1]
+    grid = grid[grid >= frames[0] - 1e-9]
+    z = np.stack([np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])], axis=1)
+    if len(z) == 1:
+        return z[0], np.zeros(2), int(round(last))
+    f, h, gains, _ = _filter_gains(cfg.obs_len, cfg.dt, cfg.process_noise, cfg.obs_noise)
+    x = np.zeros(4)
+    x[:2] = z[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite points: a NaN state
+        x[2:] = (z[1] - z[0]) / cfg.dt
+        for k in range(len(z)):
+            if k > 0:
+                x = f @ x
+            x = x + gains[k] @ (z[k] - h @ x)
+    return x[:2], x[2:], int(round(last))
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so -0.0 is not 0.0; any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def random_case(rng):
+    """(frames, points, config, fps): irregular ascending frames, integers or not, and
+    points that may hold 0.0, -0.0 and non-finite values."""
+    cfg = RunConfig(obs_len=int(rng.integers(1, 10)), dt=float(rng.uniform(0.05, 1.0)),
+                    process_noise=float(rng.uniform(0.0, 1.5)),
+                    obs_noise=float(rng.uniform(0.01, 2.0)))
+    fps = float(rng.choice([7.5, 10.0, 20.0, 29.97]))
+    n = int(rng.integers(1, 4 * cfg.obs_len + 2))
+    gaps = rng.integers(1, 8, n - 1) if rng.random() < 0.7 else rng.uniform(0.01, 9.0, n - 1)
+    frames = float(rng.integers(0, 1000)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    points = rng.uniform(-30.0, 30.0, 2) + np.cumsum(rng.normal(0.0, 0.3, (n, 2)), axis=0)
+    kind = rng.integers(0, 6)
+    if kind == 1:  # signed zeros on one axis or both
+        axes = [0, 1] if rng.random() < 0.5 else [int(rng.integers(0, 2))]
+        points[:, axes] = rng.choice([0.0, -0.0], (n, len(axes)))
+    elif kind == 2:  # at rest on -0.0 along an axis
+        points[:, int(rng.integers(0, 2))] = -0.0
+    elif kind == 3:  # a non-finite value
+        points[int(rng.integers(0, n)), int(rng.integers(0, 2))] = rng.choice(
+            [math.inf, -math.inf, math.nan])
+    return frames, points, cfg, fps
+
+
+class TestPreprocessMatchesNumpyReference:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_histories(self):
+        # Python floats over the grid's brackets give np.interp's and the numpy
+        # loop's floats exactly: signed zeros, NaN and every grid length included.
+        rng = np.random.default_rng(34)
+        lengths, seen = set(), {"-0.0": 0, "nan": 0, "blended": 0, "fraction": 0}
+        for _ in range(1500):
+            frames, points, cfg, fps = random_case(rng)
+            got, want = preprocess(frames, points, cfg, fps), numpy_preprocess(frames, points,
+                                                                                cfg, fps)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert got[2] == want[2]
+            grid = filter_grid(frames.tolist(), cfg, fps)
+            lengths.add((cfg.obs_len, len(grid)))
+            seen["-0.0"] += bool(np.signbit(np.concatenate(got[:2])).any()
+                                 and (np.concatenate(got[:2]) == 0.0).any())
+            seen["nan"] += bool(np.isnan(got[0]).any())
+            seen["blended"] += any(len(pair) == 2 for _, pair in grid)
+            seen["fraction"] += bool((frames != np.round(frames)).any())
+        assert {(m, g) for m in range(1, 10) for g in range(1, m + 1)} <= lengths
+        assert all(count >= 20 for count in seen.values()), seen
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # np.interp's own
+    def test_grid_points_match_np_interp(self):
+        # Each grid point blends its bracket as np.interp does, NaN fallbacks included:
+        # a span wider than the floats, and infinite or NaN values.
+        rng = np.random.default_rng(36)
+        cfg, specials = RunConfig(obs_len=6, dt=1.0), [math.inf, -math.inf, math.nan, 0.0, -0.0]
+        for trial in range(400):
+            huge = trial % 4 == 0
+            scale = 1.7e308 if huge else 10.0
+            frames = np.unique(rng.uniform(-1.0, 1.0, 4)) * scale
+            if trial % 4 == 1:  # grid points on frames
+                frames = np.unique(rng.integers(0, 12, 4)).astype(float)
+            values = rng.choice([*specials, *rng.normal(0.0, 10.0, 5)], len(frames))
+            fps = float(rng.uniform(0.05, 0.5)) * scale  # frames a grid step
+            fps = float(rng.integers(1, 4)) if trial % 4 == 1 else fps
+            for x, pair in filter_grid(frames.tolist(), cfg, fps):
+                got = _blend(x, frames.tolist(), values.tolist(), pair)
+                assert same_bits(got, np.interp(x, frames, values)), (trial, x, pair)
+
+    def test_the_brackets_alone_give_the_same_state(self):
+        # The tracker lifts only the frames filter_grid names, at most two a grid
+        # point: on them alone the grid, the brackets and the state are the same.
+        rng = np.random.default_rng(35)
+        for _ in range(1500):
+            frames, points, cfg, fps = random_case(rng)
+            grid = filter_grid(frames.tolist(), cfg, fps)
+            picked = sorted({i for _, pair in grid for i in pair})
+            assert len(picked) <= 2 * len(grid) <= 2 * cfg.obs_len
+            assert picked[-1] == len(frames) - 1
+            with np.errstate(invalid="ignore"):
+                want = preprocess(frames, points, cfg, fps)
+                got = preprocess(frames[picked], points[picked], cfg, fps)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert got[2] == want[2]
 
 
 STATE = (np.array([3.95, 11.975]), np.array([1.0, 0.5]), 79)

@@ -121,10 +121,18 @@ def row(tk, tid):
     return r
 
 
+def ring_matches(tracks, r):
+    """(frames (k,), feet (k, 2)): the matches the track at row r holds, oldest first;
+    the m-th match sits in slot m % C of its rings."""
+    c, seen = tracks.frames.shape[1], int(tracks.seen[r])
+    slots = [m % c for m in range(max(seen - c, 0), seen)]
+    return tracks.frames[r, slots], tracks.feet[r, slots]
+
+
 def matches(tk, tid):
     """The matches the track holds, oldest first, as [(frame, [u, v])]."""
-    frames, feet, held = tk.tracks.matches([row(tk, tid)])
-    return list(zip(frames[held].tolist(), feet[held].tolist()))
+    frames, feet = ring_matches(tk.tracks, row(tk, tid))
+    return list(zip(frames.tolist(), feet.tolist()))
 
 
 def end_frame(tk, tid):
@@ -556,6 +564,45 @@ class TestCandidatePairs:
         want = (["appearance_gate", "frame_geometry", "world_to_px"], ["reassociated"])
         assert self.reappear(monkeypatch, unit(1, 0)) == want
         assert self.reappear(monkeypatch, None) == want  # no descriptor passes
+
+
+class TestLiftOnlyWhatIsRead:
+    """A deactivating step lifts only the ring matches each lost track's filter grid
+    reads, at most two per grid point, and a scoring step lifts only the free
+    detections with a pair that passes the appearance gate."""
+
+    @staticmethod
+    def lifts(monkeypatch, tk):
+        """The number of points of each px_to_world call tk's scene makes from now on."""
+        sizes, lift = [], tk.scene.px_to_world
+        monkeypatch.setattr(tk.scene, "px_to_world",
+                            lambda p, f: sizes.append(len(p)) or lift(p, f))
+        return sizes
+
+    @pytest.mark.parametrize("dt", [0.4, 0.33])  # grid points on matched frames, or between
+    def test_a_deactivating_step_lifts_at_most_two_matches_a_grid_point(self, monkeypatch, dt):
+        cfg = RunConfig(dt=dt)
+        tk = Tracker(make_scene(fps=20.0), cfg)
+        for f in range(60):  # three walkers, seen at every frame: rings of 57 matches
+            tk.step(table(*[det_at(f, 20.0 + 50.0 * i + f, 100.0) for i in range(3)]), f)
+        assert tk.tracks.frames.shape[1] > 2 * cfg.obs_len
+        sizes = self.lifts(monkeypatch, tk)
+        _, events = tk.step(table(det_at(60, 130.0, 100.0)), 60)  # the middle one is seen
+        assert [e["reason"] for e in events] == ["inactive", "active", "inactive"]
+        assert sizes and sum(sizes) <= 2 * cfg.obs_len * 2
+
+    def test_a_step_whose_pairs_all_fail_the_gate_lifts_no_free_detection(self, monkeypatch):
+        tk = Tracker(make_scene(fps=10.0), small_config())
+        for f in range(5):
+            tk.step(walker_dets(f, app=unit(1, 0)), f)
+        tk.step([], 5)
+        sizes = self.lifts(monkeypatch, tk)
+        reasons = [e["reason"] for e in tk.step(walker_dets(6, app=unit(0, 1)), 6)[1]]
+        assert (sizes, reasons) == ([], ["new"])
+        # a free detection with a passing pair is lifted, alone
+        tk.step(table(det_at(7, 57.0, 100.0, app=unit(0, 1)),
+                      det_at(7, 150.0, 50.0, app=unit(1, 0))), 7)
+        assert sizes == [1]
 
 
 class TestTrackerLifecycle:

@@ -35,7 +35,7 @@ from bevtrack.tracker import (
     build_cost_matrix,
     frame_geometry,
 )
-from test_tracker import Inactive, table_of
+from test_tracker import Inactive, ring_matches, table_of
 
 # -- the scalar reference ----------------------------------------------------------
 
@@ -386,13 +386,12 @@ class TestStepMatchesScalarReference:
         # start, and they lift to the reference's BEV points
         ref, tracker = want[2], got[2]
         assert tracker.tracks.id.tolist() == sorted(ref.tracks)
-        frames, feet, held = tracker.tracks.matches(range(len(ref.tracks)))
-        c = frames.shape[1]
+        c = tracker.tracks.frames.shape[1]
         for i, (tid, track) in enumerate(sorted(ref.tracks.items())):
             first = track.last_frame - tracker.window_span
             start = max([k for k, (f, _) in enumerate(track.feet) if f <= first], default=0)
             assert start >= len(track.feet) - c
-            kept, points = (frames[i][held[i]], feet[i][held[i]]), ref.points[tid][-c:]
+            kept, points = ring_matches(tracker.tracks, i), ref.points[tid][-c:]
             assert list(zip(kept[0].tolist(), map(tuple, kept[1].tolist()))) == track.feet[-c:]
             assert kept[0].tolist() == [f for f, _ in points]
             lifted = tracker.scene.px_to_world(kept[1], kept[0])
@@ -522,7 +521,7 @@ class DenseTracker(Tracker):
     """The tracker that mapped and scored every (inactive survivor, free detection)
     pair before the appearance gate, and assigned over all of them."""
 
-    def _advance_inactive(self, dets, free, free_bev, frame, events, took, dead):
+    def _advance_inactive(self, dets, free, frame, events, took, dead):
         cfg, t = self.config, self.tracks
         gone = (t.end < frame) > t.active
         if not free and not gone.any():
@@ -546,9 +545,10 @@ class DenseTracker(Tracker):
                 if s in bound:
                     reassociate(bound[s], j)
             left = [k for k, s in enumerate(sources) if s not in bound]
-            free, free_bev = [free[k] for k in left], free_bev[left]
+            free = [free[k] for k in left]
         survivors = (held & ~gone).nonzero()[0]
         if len(survivors) and free:
+            free_bev = self.scene.px_to_world(dets.foot[free], frame)
             points, overlap = frame_geometry(t, survivors, dets.box[free], self.scene, frame)
             app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
             gate = appearance_gate(t.appearance[survivors], app, self.config.tau_app)
@@ -800,3 +800,22 @@ def test_shifting_every_frame_shifts_outputs_and_events(crowd_sims, source):
         outputs, events = Tracker(scene(shift), cfg).run(moved, range(shift, shift + n_frames))
         assert [(f - shift, tid, box) for f, tid, box in outputs] == want[0]
         assert [{**e, "frame": e["frame"] - shift} for e in events] == want[1]
+
+
+@pytest.mark.parametrize("source", METAMORPHIC_SOURCES, ids=METAMORPHIC_IDS)
+def test_translating_the_camera_and_every_agent_keeps_the_partition(crowd_sims, source):
+    # The camera and every agent move by one ground vector at frame 1 (the world
+    # frame is the camera's at frame 0), so the images and the detections stay the
+    # same. Lifted points and forecasts all move by the vector, which rounds the
+    # scores' last bits differently: the partition is what must not change.
+    scene, by_frame, cfg, n_frames = metamorphic_input(source, crowd_sims)
+    want, _ = Tracker(scene(), cfg).run(by_frame, range(n_frames))
+    moved = {f + 1: DetectionTable(t.frame + 1, t.box, t.appearance, t.source_id,
+                                   pixel_boxes=t.boxes()) for f, t in by_frame.items()}
+    rng = np.random.default_rng(METAMORPHIC_SOURCES.index(source))
+    for vector in (rng.uniform(-20.0, 20.0, 2), rng.uniform(-2000.0, 2000.0, 2)):
+        translated = scene()
+        path = np.zeros((n_frames, 2)) if translated.ego is None else translated.ego.offsets
+        translated.ego = EgomotionTrack(np.concatenate([np.zeros((1, 2)), path + vector]))
+        got, _ = Tracker(translated, cfg).run(moved, range(1, n_frames + 1))
+        assert partition([(f - 1, tid, box) for f, tid, box in got]) == partition(want)
