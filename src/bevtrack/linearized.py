@@ -21,22 +21,17 @@ for a camera above the plane looking forward.
 
 Cached once per integer pixel column: v_T, the anchor (the exact map at v_T),
 the tangent (d BEV / dv there) and whether the column has a threshold of its
-own. Per query point, with the same closed forms: v_T always, the anchor and
-tangent only where the linear piece reads them (above v_T in px_to_bev, off
-the exact piece in try_bev_to_px). A point of an undefined column takes all
-three from the cached nearest integer column.
-
-On a projective map a call of at most FEW_POINTS points runs the same
-operations, in the same order, on Python floats, which costs less than the
-array path's fixed numpy calls below that size and gives the same bits. A
-call with a non-finite point, a point of an undefined column or a zero
-divisor takes the array path.
+own. A query point of an undefined column reads the cache of its nearest
+integer column. try_bev_to_px maps every point, and px_to_bev a call of at
+most FEW_POINTS points, on Python floats (_piece) with the operations of the
+array closed forms in their order, so with their bits; px_to_bev maps more
+points with numpy. A non-finite value maps to NaN, and to invalid in the inverse.
 """
 
 from __future__ import annotations
 
 import warnings
-from math import isfinite, sqrt
+from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 
@@ -47,9 +42,27 @@ _EDGE_TOL = 1e-9  # slack when deciding which piece a query point belongs to
 # The maps' arithmetic itself makes a non-finite or overflowing query NaN or
 # invalid; the queries run it under these settings, so it warns of nothing.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-# px_to_bev and try_bev_to_px map up to this many points of a projective map in
-# Python floats, more with numpy: below the measured crossovers (README).
+# px_to_bev maps up to this many points in Python floats, more with numpy: below
+# the measured crossovers (README). try_bev_to_px maps every point in floats.
 FEW_POINTS = 16
+
+
+def _points(points):
+    """(N, 2) float array of one (2,) point or an (N, 2) array, and whether it was one point."""
+    p = np.asarray(points, dtype=float)
+    if p.shape != (2,) and (p.ndim != 2 or p.shape[1] != 2):
+        raise ValueError(f"expected one (2,) point or an (N, 2) array, got shape {p.shape}")
+    return p.reshape(-1, 2), p.ndim == 1
+
+
+def _nearest_defined(defined: np.ndarray):
+    """(bad, nearest): the undefined columns and the defined column nearest each, the
+    lower one on a tie. Needs a defined column."""
+    bad, good = np.flatnonzero(~defined), np.flatnonzero(defined)
+    after = np.searchsorted(good, bad)  # the first defined column right of each
+    lo = good[np.maximum(after - 1, 0)]
+    hi = good[np.minimum(after, good.size - 1)]
+    return bad, np.where(bad - lo <= hi - bad, lo, hi)
 
 
 class LinearizedHomography:
@@ -77,7 +90,7 @@ class LinearizedHomography:
         self.max_spacing = float(max_spacing)
         self.image_size = (w, ht)
         m = h.m
-        self._m = tuple(m.ravel().tolist())  # the few-point paths' coefficients
+        self._m = tuple(m.ravel().tolist())  # the float paths' coefficients
         self._affine = abs(m[2, 0]) <= 1e-15 and abs(m[2, 1]) <= 1e-15
         self._projective = abs(m[2, 1]) > 1e-15  # the denominator varies along a column
         self._sigma = 1.0 if m[2, 1] > 0 else -1.0  # its sign on the ground side, if so
@@ -85,13 +98,11 @@ class LinearizedHomography:
 
         with np.errstate(invalid="ignore", divide="ignore"):
             v_t, defined, terms = self._thresholds(np.arange(w, dtype=float))
-            anchor, tangent = self._linear_piece(terms, v_t, slice(None))
-        bad = np.flatnonzero(~defined)
-        if bad.size:
-            good = np.flatnonzero(defined)
-            if good.size == 0:
+            anchor, tangent = self._linear_piece(terms, v_t)
+        if not defined.all():
+            if not defined.any():
                 raise OutOfDomain("no pixel column admits a linearization threshold")
-            nearest = good[np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)]
+            bad, nearest = _nearest_defined(defined)
             for values in (v_t, tangent, anchor):
                 values[bad] = values[nearest]
             warnings.warn(
@@ -134,114 +145,48 @@ class LinearizedHomography:
         defined &= (np.abs(d) > 1e-15) & (np.sqrt(k) / (d * d) <= self.max_spacing)
         return np.full(u.shape, -np.inf), defined, (b, ab, d)
 
-    def _linear_piece(self, terms, v_t: np.ndarray, rows):
-        """(n, 2) anchor and tangent (d BEV / d v) at the given rows of a _thresholds result."""
-        b, ab, den = (t[rows] for t in terms)
+    def _linear_piece(self, terms, v_t: np.ndarray):
+        """(n, 2) anchor and tangent (d BEV / d v) of a _thresholds result."""
+        b, ab, den = terms
         if self._projective:  # (a1 * v_t + b1) / w_t
-            anchor = (self.h.m[:2, 1] * v_t[rows][:, None] + b) / den[:, None]
+            anchor = (self.h.m[:2, 1] * v_t[:, None] + b) / den[:, None]
         else:
             anchor = b / den[:, None]
         return anchor, ab / (den * den)[:, None]
 
-    def _borrow(self, u: np.ndarray, defined: np.ndarray, *pairs) -> None:
-        """Give points of undefined columns each cache's values at the nearest integer column."""
-        if not defined.all():
-            bad = ~defined
-            idx = np.clip(np.rint(u[bad]).astype(int), 0, self.image_size[0] - 1)
-            for values, cache in pairs:
-                values[bad] = cache[idx]
+    def _column(self, u):
+        """The cached column an undefined column u reads: numpy's rint, cast and clip."""
+        return np.clip(np.rint(u).astype(int), 0, self.image_size[0] - 1)
 
-    def _query_pieces(self, u: np.ndarray):
-        """Query columns' threshold rows and denominators, and their linear piece at some rows."""
-        finite = np.isfinite(u)
-        v_t, defined, terms = self._thresholds(np.where(finite, u, 0.0))
-        if not finite.all():  # borrows nothing: a NaN threshold row makes the point NaN
-            v_t[~finite] = np.nan
-            defined = defined | ~finite
-        self._borrow(u, defined, (v_t, self.column_v_t))
-
-        def linear(rows):
-            anchor, tangent = self._linear_piece(terms, v_t, rows)
-            self._borrow(
-                u[rows], defined[rows], (anchor, self.column_anchor), (tangent, self.column_tangent)
-            )
-            return anchor, tangent
-
-        return v_t, terms[-1], linear
-
-    # -- few points in Python floats ---------------------------------------------
-
-    def _few_piece(self, u):
-        """(v_t, anchor x, anchor y, tangent x, tangent y) of a finite column u of a
-        projective map, as Python floats from the operations of _thresholds and
-        _linear_piece in their order, so with their bits; None for a column that
-        borrows, or a zero divisor.
+    def _piece(self, u: float):
+        """(v_t, anchor x, anchor y, tangent x, tangent y) of a finite column u, as
+        Python floats from the operations of _thresholds and _linear_piece in their
+        order, so with their bits; an undefined column reads the cache of its
+        nearest integer column.
         """
         m00, m01, m02, m10, m11, m12, m20, c, m22 = self._m
         b1, b2, d = u * m00 + m02, u * m10 + m12, u * m20 + m22
         alpha, beta = m01 * d - b1 * c, m11 * d - b2 * c
         k = alpha * alpha + beta * beta
-        w_t = self._sigma * sqrt(sqrt(k) / self.max_spacing)
-        ww = w_t * w_t
-        if not (k > 1e-30 and ww != 0.0):
-            return None
-        v_t = (w_t - d) / c
-        return v_t, (m01 * v_t + b1) / w_t, (m11 * v_t + b2) / w_t, alpha / ww, beta / ww
-
-    def _few_px_to_bev(self, rows):
-        """px_to_bev of a projective map's [u, v] rows in Python floats, with the bits of
-        the array path (the operations of Homography.apply and _few_piece); None where a
-        row needs that path: a non-finite value, a column that borrows, or a zero divisor.
-        """
-        m00, m01, m02, m10, m11, m12, m20, c, m22 = self._m
-        out = []
-        for u, v in rows:
-            piece = self._few_piece(u) if isfinite(u) and isfinite(v) else None
-            if piece is None:
-                return None
-            v_t, ax, ay, tx, ty = piece
-            if not v >= v_t:  # the linear piece, as in px_to_bev
-                out.append((ax + (v - v_t) * tx, ay + (v - v_t) * ty))
-                continue
-            w = u * m20 + v * c + m22
-            if w == 0.0:
-                return None
-            out.append(((u * m00 + v * m01 + m02) / w, (u * m10 + v * m11 + m12) / w))
-        return out
-
-    def _few_bev_to_px(self, points, qs):
-        """try_bev_to_px of a projective map's [x, y] points in Python floats, given each
-        point's [x, y, 1] @ inv.T row q, with the array path's operations in its order;
-        None where a point needs that path (see _few_px_to_bev). q stays numpy's, as a
-        scalar sum need not round like its product.
-        """
-        *_, m20, c, m22 = self._m
-        out, valid = [], []
-        for (x, y), (q0, q1, wq) in zip(points, qs):
-            if not (isfinite(x) and isfinite(y) and isfinite(q0) and isfinite(q1)
-                    and isfinite(wq)):
-                return None
-            if not abs(wq) > 1e-12 * max(abs(q0), abs(q1), abs(wq)):  # no preimage
-                out.append((np.nan, np.nan))
-                valid.append(False)
-                continue
-            u, v = q0 / wq, q1 / wq
-            piece = self._few_piece(u)
-            if piece is None:
-                return None
-            v_t, ax, ay, tx, ty = piece
-            if self._sigma * (u * m20 + v * c + m22) > 0 and v >= v_t - _EDGE_TOL:  # exact
-                out.append((u, v))
-                valid.append(True)
-                continue
-            tt = 0.0 + tx * tx + ty * ty  # np.sum starts from 0.0
-            if tt == 0.0:
-                return None
-            t = (0.0 + (x - ax) * tx + (y - ay) * ty) / tt
-            ok = t <= _EDGE_TOL and isfinite(v_t)
-            out.append((u, v_t + t) if ok else (np.nan, np.nan))
-            valid.append(ok)
-        return out, valid
+        if self._projective:
+            den = self._sigma * sqrt(sqrt(k) / self.max_spacing)
+            v_t = (den - d) / c
+            b1, b2 = m01 * v_t + b1, m11 * v_t + b2
+            defined = k > 1e-30
+        else:  # the denominator is constant along the column
+            den, v_t = d, (0.0 if self._affine else -inf)
+            defined = k > 1e-30 and (self._affine or abs(d) > 1e-15
+                                     and sqrt(k) / (d * d) <= self.max_spacing)
+        if not defined:
+            with np.errstate(**_QUIET):
+                i = self._column(u)
+            return (self.column_v_t.item(i), *self.column_anchor[i].tolist(),
+                    *self.column_tangent[i].tolist())
+        dd = den * den
+        if not dd:  # a zero divisor: numpy's inf or NaN
+            with np.errstate(**_QUIET):
+                return v_t, *np.divide([b1, b2, alpha, beta], [den, den, dd, dd]).tolist()
+        return v_t, b1 / den, b2 / den, alpha / dd, beta / dd
 
     # -- forward / inverse maps --------------------------------------------------
 
@@ -250,76 +195,88 @@ class LinearizedHomography:
 
         Above the per-column threshold (towards the horizon) the first-order
         Taylor extension is used, below it the exact projective map. A point
-        whose column or row is not finite maps to NaN.
+        whose column or row is not finite maps to NaN. Takes one (2,) point or
+        an (N, 2) array, and raises ValueError on any other shape.
         """
-        p = np.asarray(pixels, dtype=float)
-        single = p.ndim == 1
-        pts = np.atleast_2d(p).astype(float)
-        if self._projective and 0 < len(pts) <= FEW_POINTS and pts.shape[1:] == (2,):
-            few = self._few_px_to_bev(pts.tolist())
-            if few is not None:
-                out = np.array(few)
-                return out[0] if single else out
+        pts, single = _points(pixels)
+        if len(pts) <= FEW_POINTS:
+            m00, m01, m02, m10, m11, m12, m20, c, m22 = self._m
+            out = []
+            for u, v in pts.tolist():
+                if not (isfinite(u) and isfinite(v)):
+                    out.append((nan, nan))
+                    continue
+                v_t, ax, ay, tx, ty = self._piece(u)
+                if not v >= v_t:  # the linear piece
+                    out.append((ax + (v - v_t) * tx, ay + (v - v_t) * ty))
+                    continue
+                # the operations of Homography.apply
+                x, y, w = u * m00 + v * m01 + m02, u * m10 + v * m11 + m12, u * m20 + v * c + m22
+                if w:
+                    out.append((x / w, y / w))
+                    continue
+                with np.errstate(**_QUIET):  # a zero divisor: numpy's inf or NaN
+                    out.append(tuple(np.divide([x, y], w).tolist()))
+            out = np.array(out).reshape(-1, 2)
+            return out[0] if single else out
         u, v = pts[:, 0], pts[:, 1]
         with np.errstate(**_QUIET):
-            v_t, _, linear = self._query_pieces(u)
-            below = v >= v_t  # exact projective region (towards the camera)
-            if below.all():
-                out = self.h.apply(pts)
-            else:
-                up = ~below
-                out = np.empty_like(pts)
-                out[below] = self.h.apply(pts[below])
-                anchor, tangent = linear(up)
-                out[up] = anchor + (v[up] - v_t[up])[:, None] * tangent
-        out[~np.isfinite(v)] = np.nan  # not an infinite point on either piece
-        return out[0] if single else out
+            v_t, defined, terms = self._thresholds(u)
+            anchor, tangent = self._linear_piece(terms, v_t)
+            bad = ~defined & np.isfinite(u)
+            if bad.any():
+                i = self._column(u[bad])
+                v_t[bad], anchor[bad], tangent[bad] = (
+                    self.column_v_t[i], self.column_anchor[i], self.column_tangent[i])
+            below = (v >= v_t)[:, None]  # exact projective region (towards the camera)
+            out = np.where(below, self.h.apply(pts), anchor + (v - v_t)[:, None] * tangent)
+        out[~np.isfinite(pts).all(axis=1)] = np.nan
+        return out
 
     def try_bev_to_px(self, bev):
         """Inverse of px_to_bev for (N, 2) BEV points: (pixels (N, 2), valid (N,)).
 
-        Never raises: a point with no pixel preimage (behind the horizon of the
-        exact map and outside the linear piece's range, e.g. behind the
-        camera) is not valid and its pixel is NaN.
+        Never raises on values: a point with no pixel preimage (behind the
+        horizon of the exact map and outside the linear piece's range, e.g.
+        behind the camera) or with a non-finite value is not valid and its
+        pixel is NaN. Every point maps in Python floats. Raises ValueError on a
+        shape other than one (2,) point or an (N, 2) array.
         """
-        pts = np.atleast_2d(np.asarray(bev, dtype=float)).astype(float)
-        ones = np.ones((pts.shape[0], 1))
+        pts, _ = _points(bev)
         with np.errstate(**_QUIET):
             # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
             # take another BLAS kernel and round differently from a lone point.
-            q = (np.concatenate([pts, ones], axis=1)[:, None, :] @ self.h.inv.T)[:, 0, :]
-            if self._projective and 0 < len(pts) <= FEW_POINTS:
-                few = self._few_bev_to_px(pts.tolist(), q.tolist())
-                if few is not None:
-                    return np.array(few[0]), np.array(few[1])
-            wq = q[:, 2]
-            finite = np.isfinite(pts).all(axis=1) & (np.abs(wq) > 1e-12 * np.abs(q).max(axis=1))
-            u = q[:, 0] / wq
-            v = q[:, 1] / wq
-
-            v_t, den, linear = self._query_pieces(u)
-            m = self.h.m
-            w_img = m[2, 0] * u + m[2, 1] * v + m[2, 2]
-            ground_sign = self._sigma if self._projective else np.sign(den)
-            valid = finite & (ground_sign * w_img > 0) & (v >= v_t - _EDGE_TOL)  # exact piece
-            out = np.stack([u, v], axis=1)
-            rest = ~valid
-            if rest.any():
-                anchor, tangent = linear(rest)
-                diff = pts[rest] - anchor
-                tt = np.sum(tangent * tangent, axis=1)
-                t = np.sum(diff * tangent, axis=1) / tt
-                vt = v_t[rest]
-                valid[rest] = finite[rest] & (t <= _EDGE_TOL) & (tt > 0) & np.isfinite(vt)
-                out[rest, 1] = vt + t
-                out[~valid] = np.nan
-        return out, valid
+            rows = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)[:, None]
+            q = (rows @ self.h.inv.T)[:, 0]
+        *_, m20, c, m22 = self._m
+        out, valid = [], []
+        for (x, y), (q0, q1, wq) in zip(pts.tolist(), q.tolist()):
+            if not (isfinite(x) and isfinite(y) and isfinite(q0) and isfinite(q1)
+                    and isfinite(wq) and abs(wq) > 1e-12 * max(abs(q0), abs(q1), abs(wq))):
+                out.append((nan, nan))  # a non-finite value, or no preimage
+                valid.append(False)
+                continue
+            u, v = q0 / wq, q1 / wq
+            v_t, ax, ay, tx, ty = self._piece(u)
+            d = u * m20 + m22  # the ground side: sigma, or the sign of a column's denominator
+            side = self._sigma if self._projective else (d > 0) - (d < 0)
+            if side * (u * m20 + v * c + m22) > 0 and v >= v_t - _EDGE_TOL:  # exact
+                out.append((u, v))
+                valid.append(True)
+                continue
+            tt = 0.0 + tx * tx + ty * ty  # np.sum starts from 0.0
+            t = (0.0 + (x - ax) * tx + (y - ay) * ty) / tt if tt > 0 else nan
+            ok = t <= _EDGE_TOL and isfinite(v_t)
+            out.append((u, v_t + t) if ok else (nan, nan))
+            valid.append(ok)
+        return np.array(out).reshape(-1, 2), np.array(valid, dtype=bool)
 
     def bev_to_px(self, bev) -> np.ndarray:
         """Inverse of px_to_bev for one (2,) point or an (N, 2) array.
 
         Raises:
             OutOfDomain: a point is not valid in try_bev_to_px.
+            ValueError: bev is not one (2,) point or an (N, 2) array.
         """
         out, valid = self.try_bev_to_px(bev)
         if not valid.all():

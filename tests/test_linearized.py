@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -245,3 +247,37 @@ class TestBatchedCore:
         assert px.shape == (1, 2) and valid.tolist() == [True]
         assert lh.bev_to_px(p).shape == (2,)
         assert np.array_equal(lh.bev_to_px(p), px[0])
+
+
+class TestQueryShapes:
+    """Every map takes one (2,) point or an (N, 2) array, N = 0 included, and refuses
+    any other shape with a ValueError naming it, before it maps anything."""
+
+    MAPS = ("px_to_bev", "try_bev_to_px", "bev_to_px")
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize(
+        "points",
+        [np.full((3, 3), 500.0), np.full(3, 500.0), np.zeros(1), 5.0, np.zeros((0,)),
+         np.zeros((2, 2, 2)), np.zeros((4, 1)), np.zeros((0, 3))],
+        ids=["3x3", "3-vector", "1-vector", "scalar", "empty-vector", "2x2x2", "4x1", "0x3"],
+    )
+    def test_other_shapes_raise(self, lh, name, points):
+        shape = re.escape(str(np.shape(points)))
+        with pytest.raises(ValueError, match=rf"\(2,\) point or an \(N, 2\) array, got shape {shape}$"):
+            getattr(lh, name)(points)
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_n_by_two_arrays_map(self, lh, n):
+        pixels = np.stack([np.linspace(0.0, 1919.0, n), np.linspace(300.0, 1079.0, n)], axis=1)
+        bev = lh.px_to_bev(pixels)
+        assert bev.shape == (n, 2)
+        px, valid = lh.try_bev_to_px(bev)
+        assert px.shape == (n, 2) and valid.shape == (n,) and valid.dtype == bool
+        assert lh.bev_to_px(bev).shape == (n, 2)
+        if n:  # a list of rows maps as the array does
+            assert np.array_equal(lh.px_to_bev(pixels.tolist()), bev)
+
+    def test_one_point_maps_to_one_point(self, lh):
+        assert lh.px_to_bev([960.0, 900.0]).shape == (2,)
+        assert lh.bev_to_px(lh.px_to_bev([960.0, 900.0])).shape == (2,)

@@ -3,8 +3,8 @@
 The reference_* functions are the map as it was when every query built the
 threshold row, anchor and tangent of every point (``_analytic_pieces`` and
 ``_pieces``), and chose the ground side with ``_ground_sign``. Today's map
-builds the threshold row of every point and the anchor and tangent only
-where the linear piece reads them. On seeded random homographies of all
+builds them point by point in Python floats, or for a large px_to_bev batch
+in one numpy pass, and fills undefined columns from the cache. On seeded random homographies of all
 three camera cases (a denominator varying along columns, an affine map, and
 a denominator constant along each column but not across them) both must give
 the same bytes: BEV points, pixels (NaN included) and valid flags. The one
@@ -13,6 +13,7 @@ cached piece of the column it cast to, today's map gives NaN.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import HorizonInsideFootprint
 from bevtrack.homography import Homography
-from bevtrack.linearized import FEW_POINTS, LinearizedHomography, linearize
+from bevtrack.linearized import FEW_POINTS, LinearizedHomography, _nearest_defined, linearize
 from bevtrack.simulator import CameraSpec, true_homography
 from bevtrack.tracker import SceneModel
 
@@ -98,6 +99,13 @@ def reference_columns(lh):
         tangent[bad] = tangent[nearest]
         anchor[bad] = anchor[nearest]
     return v_t, anchor, tangent, defined
+
+
+def reference_nearest(defined):
+    """(bad, nearest) of reference_columns: an argmin over the (bad, good) distances."""
+    good = np.flatnonzero(defined)
+    bad = np.flatnonzero(~defined)
+    return bad, good[np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)]
 
 
 def reference_pieces(lh, cache, u, seen):
@@ -414,10 +422,9 @@ class TestRowsLiftAlone:
 
 
 class TestFewPoints:
-    """On a projective map, px_to_bev and try_bev_to_px take at most FEW_POINTS points
-    through Python floats, and more, or a batch with a row the float path leaves to
-    numpy (a non-finite value, a borrowed column), through the arrays. Either way a
-    row maps to the reference's bytes."""
+    """px_to_bev takes at most FEW_POINTS points through Python floats and more through
+    the arrays; try_bev_to_px takes every point through floats. Either way a row, also
+    one with a non-finite value or a borrowed column, maps to the reference's bytes."""
 
     SIZES = (FEW_POINTS, FEW_POINTS + 1)
 
@@ -466,28 +473,31 @@ class TestFewPoints:
     def test_batches_at_the_cutoff_match_the_reference(self, kind, seed, monkeypatch):
         lh = random_camera(kind, seed)
         cache = reference_columns(lh)
-        took = []  # per call: did the float path map it
-        for name in ("_few_px_to_bev", "_few_bev_to_px"):
-            few = getattr(LinearizedHomography, name)
-            monkeypatch.setattr(LinearizedHomography, name,
-                                lambda self, *a, few=few: took.append(few(self, *a)) or took[-1])
+        calls = []  # _thresholds calls, which only the array path makes
+        thresholds = LinearizedHomography._thresholds
+        monkeypatch.setattr(LinearizedHomography, "_thresholds",
+                            lambda self, u: calls.append(len(u)) or thresholds(self, u))
+        took = []  # per call: did it map without _thresholds
         seen = set()
         for size in self.SIZES:
             for pixels, points in self.batches(lh, seed, size):
                 with np.errstate(all="ignore"):
+                    n = len(calls)
                     got = lh.px_to_bev(pixels)
+                    took.append(len(calls) == n)
                     want = reference_px_to_bev(lh, cache, pixels, seen)
+                    n = len(calls)
                     got_px, got_valid = lh.try_bev_to_px(points)
+                    took.append(len(calls) == n)
                     want_px, want_valid = reference_try_bev_to_px(lh, cache, points, seen)
                 finite = np.isfinite(pixels[:, 0])
                 assert same_bytes(got[finite], want[finite])
                 assert np.isnan(got[~finite]).all()
                 assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
         assert {"exact", "linear", "invalid"} <= seen
-        # each clean batch of FEW_POINTS rows on a projective map, and only those, went
-        # by float: a (pixels, points) pair of calls, then the unclean pair fell back
-        mapped = [r is not None for r in took]
-        assert mapped == ([True, True, False, False] * 30 if lh._projective else [])
+        # a (pixels, points) pair of calls a batch: every batch of FEW_POINTS rows and
+        # every inverse call went by float, on every map kind and whatever the rows
+        assert took == [True, True] * 60 + [False, True] * 60
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_that_overflow_match_the_reference(self, kind):
@@ -503,3 +513,118 @@ class TestFewPoints:
                 assert same_bytes(lh.px_to_bev(rows), want)
                 got, want = lh.try_bev_to_px(rows), reference_try_bev_to_px(lh, cache, rows, set())
                 assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+class TestFloatPath:
+    """Batches of 1, FEW_POINTS and FEW_POINTS + 1 rows of what the float path once
+    handed to numpy: non-finite values, undefined columns and zero divisors. px_to_bev
+    maps the first two sizes in floats and the third with numpy, try_bev_to_px all three
+    in floats; every row gives the reference's bytes, and no call warns."""
+
+    SIZES = (1, FEW_POINTS, FEW_POINTS + 1)
+
+    @staticmethod
+    def assert_batches_match(lh, pixels, bev):
+        cache = reference_columns(lh)
+        seen = set()
+        for size in TestFloatPath.SIZES:
+            for i in range(0, max(len(pixels), len(bev)), size):
+                rows, points = pixels[i : i + size], bev[i : i + size]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = lh.px_to_bev(rows)
+                    got_px, got_valid = lh.try_bev_to_px(points)
+                with np.errstate(all="ignore"):
+                    want = reference_px_to_bev(lh, cache, rows, seen)
+                    want_px, want_valid = reference_try_bev_to_px(lh, cache, points, seen)
+                finite = np.isfinite(rows[:, 0])
+                assert same_bytes(got[finite], want[finite])
+                assert np.isnan(got[~finite]).all()
+                assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_odd_rows_match_the_reference(self, kind, seed):
+        lh = random_camera(kind, seed)
+        exact, linear, odd, bev, odd_bev = TestFewPoints.rows(lh, seed)
+        rng = np.random.default_rng(7000 + seed)
+        pixels = np.concatenate([odd, exact[:20], linear[:20]])
+        points = np.concatenate([np.repeat(odd_bev, 5, axis=0), bev[:40]])
+        pixels, points = pixels[rng.permutation(len(pixels))], points[rng.permutation(len(points))]
+        assert not np.isfinite(pixels).all() and not np.isfinite(points).all()
+        seen = self.assert_batches_match(lh, pixels, points)
+        if kind == "c_zero":  # finite columns that borrow their piece
+            assert "fallback" in seen
+
+    def test_an_exact_zero_divisor(self):
+        # d = u / 16 + 1 is 0 at u = -16: that column has no threshold of its own and
+        # borrows column 0's v_t of -inf, so its rows take the exact piece with w == 0
+        m = np.array([[0.1, 0.0, 0.3], [0.0, 0.1, -0.5], [1.0 / 16, 0.0, 1.0]])
+        lh = linearize(Homography(m), (64, 48), 0.2)
+        v = np.array([-100.0, 0.0, 5.0, 12.0, 5e3, np.nan])  # y = 0.1 v - 0.5 is 0 at v = 5
+        pixels = np.stack([np.full(40, -16.0), np.resize(v, 40)], axis=1)
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-50.0, 50.0, (40, 2))
+        self.assert_batches_match(lh, pixels, points)
+        out = lh.px_to_bev(pixels[:6])
+        assert np.isinf(out[:5, 0]).all() and np.isnan(out[2, 1]) and np.isnan(out[5]).all()
+
+    def test_a_zero_denominator_in_the_piece(self):
+        # an affine map whose denominator u m20 + 1 is 0 at u = -2**60 while the column
+        # still has a threshold: its anchor and tangent divide by 0
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0**-60, 2.0**-60, 1.0]])
+        lh = linearize(Homography(m), (64, 48), 0.2)
+        assert not lh.linearization_needed
+        v = np.array([-5.0, 0.0, 3.0, -1e300])
+        pixels = np.stack([np.full(40, -(2.0**60)), np.resize(v, 40)], axis=1)
+        self.assert_batches_match(lh, pixels, np.random.default_rng(12).uniform(-9, 9, (40, 2)))
+        out = lh.px_to_bev(pixels[:4])
+        assert np.isinf(out[:2, 0]).all() and np.isnan(out[:2, 1]).all()
+
+    def test_a_column_whose_terms_overflow_borrows(self):
+        # at u = 1e308 the column terms overflow and k is NaN: the column has no
+        # threshold of its own and reads the cache, whose linear piece is finite
+        m = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [2.0, 1.0, 1.0]])
+        lh = linearize(Homography(m), (64, 48), 0.2)
+        v = np.array([-5.0, -1e3, 5.0, 1e3, -50.0])
+        u = np.resize([1e308, -1e308, 1.7e308, -1.7e308], 40)
+        pixels = np.stack([u, np.resize(v, 40)], axis=1)
+        points = np.random.default_rng(13).uniform(-9, 9, (40, 2))
+        assert "fallback" in self.assert_batches_match(lh, pixels, points)
+        assert np.isfinite(lh.px_to_bev(pixels[:4])).all(axis=1).any()
+
+
+class TestNearestColumn:
+    """The constructor gives each undefined column the cache of the nearest defined
+    one, the lower on a tie, without a (bad, good) distance matrix."""
+
+    def test_matches_the_argmin_formula(self):
+        rng = np.random.default_rng(8)
+        masks = [np.array(m, dtype=bool) for m in
+                 ([1], [1, 0], [0, 1], [1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0, 0, 0, 1, 0])]
+        for _ in range(400):
+            w = int(rng.integers(1, 400))
+            defined = rng.random(w) < rng.uniform(0.01, 0.99)
+            defined[rng.integers(w)] = True
+            masks.append(defined)
+            masks.append(np.repeat(defined, rng.integers(1, 6, w)))  # runs of each
+        for defined in masks:
+            got, want = _nearest_defined(defined), reference_nearest(defined)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+    def test_memory_is_linear_in_the_width(self):
+        # d = 1 + u / 1024 and a derivative of 0.3 / d against a budget of 0.1: about
+        # the 2,048 columns left of u = 2,048 have no threshold of their own. A
+        # (bad, good) int64 distance matrix alone would take 32 MiB.
+        m = np.array([[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [1.0 / 1024, 0.0, 1.0]])
+        h = Homography(m)
+        tracemalloc.start()
+        try:
+            with pytest.warns(HorizonInsideFootprint):
+                lh = linearize(h, (4096, 100), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2040 <= (~lh.column_defined).sum() <= 2050
+        assert peak < 2**21
