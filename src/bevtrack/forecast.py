@@ -78,14 +78,20 @@ def _filter_last_state(z, config: RunConfig):
 
     dt = config.dt
     f, h, *gains = _filter_gains(config.obs_len, dt, config.process_noise, config.obs_noise)[3]
+    (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = f
+    (ha0, hb0, hc0, hd0), (ha1, hb1, hc1, hd1) = h
     x2, x3 = (z[1][0] - x0) / dt, (z[1][1] - x1) / dt
     for k, (zx, zy) in enumerate(z):
         if k > 0:
-            x0, x1, x2, x3 = [a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in f]
-        hx, hy = [a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in h]
-        ix, iy = zx - hx, zy - hy
-        g0, g1, g2, g3 = [a * ix + b * iy for a, b in gains[k]]
-        x0, x1, x2, x3 = x0 + g0, x1 + g1, x2 + g2, x3 + g3
+            x0, x1, x2, x3 = (a0 * x0 + b0 * x1 + c0 * x2 + d0 * x3,
+                              a1 * x0 + b1 * x1 + c1 * x2 + d1 * x3,
+                              a2 * x0 + b2 * x1 + c2 * x2 + d2 * x3,
+                              a3 * x0 + b3 * x1 + c3 * x2 + d3 * x3)
+        ix = zx - (ha0 * x0 + hb0 * x1 + hc0 * x2 + hd0 * x3)
+        iy = zy - (ha1 * x0 + hb1 * x1 + hc1 * x2 + hd1 * x3)
+        (ga0, gb0), (ga1, gb1), (ga2, gb2), (ga3, gb3) = gains[k]
+        x0, x1, x2, x3 = (x0 + (ga0 * ix + gb0 * iy), x1 + (ga1 * ix + gb1 * iy),
+                          x2 + (ga2 * ix + gb2 * iy), x3 + (ga3 * ix + gb3 * iy))
     return [x0, x1], [x2, x3]
 
 

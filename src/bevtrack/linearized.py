@@ -155,8 +155,9 @@ class LinearizedHomography:
         return anchor, ab / (den * den)[:, None]
 
     def _column(self, u):
-        """The cached column an undefined column u reads: numpy's rint, cast and clip."""
-        return np.clip(np.rint(u).astype(int), 0, self.image_size[0] - 1)
+        """The cached column an undefined (finite) column u reads: the nearest integer
+        column, clipped to the image in floats so that no |u| overflows the cast."""
+        return np.clip(np.rint(u), 0, self.image_size[0] - 1).astype(int)
 
     def _piece(self, u: float):
         """(v_t, anchor x, anchor y, tangent x, tangent y) of a finite column u, as

@@ -1,8 +1,8 @@
 """Ground-plane fitting and alignment.
 
 A plane is stored as a unit normal plus offset so that ``normal @ p == offset``
-for points p on the plane. Fitting is RANSAC over 3-point samples, drawn one at
-a time and scored in blocks (the first candidate with the most inliers wins),
+for points p on the plane. Fitting is RANSAC over 3-point samples, all drawn with
+one call and scored in one pass (the first candidate with the most inliers wins),
 followed by a total-least-squares refinement on the consensus set.
 """
 
@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DegenerateInput
 
 COLLINEAR_RTOL = 1e-9  # relative singular-value cutoff for "all points on a line"
-RANSAC_BLOCK = 16  # candidate planes scored together
-POINT_CHUNK = 4096  # points per distance product, so a block's distances stay in cache
+DISTANCE_CELLS = 2**15  # candidate-point distances per product, so they stay in cache
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,28 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _samples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(k, 3) indices, row i the i-th of k calls rng.choice(n, size=3, replace=False),
+    leaving rng in the same state.
+
+    numpy picks 3 of n by Floyd's algorithm and then shuffles them: five bounded
+    draws a sample, in [0, n - 3], [0, n - 2], [0, n - 1], [0, 2] and [0, 1], which one
+    integers call with an array of bounds makes in the same order.
+    """
+    draws = rng.integers(0, np.tile([n - 3, n - 2, n - 1, 2, 1], k), endpoint=True)
+    first, second, third, swap2, swap1 = draws.reshape(k, 5).T
+    # Floyd: a draw already taken is replaced by the top of its range.
+    second[second == first] = n - 2
+    third[(third == first) | (third == second)] = n - 1
+    idx = np.stack([first, second, third], axis=1)
+    rows = np.arange(k)
+    for pos, swap in ((2, swap2), (1, swap1)):  # the shuffle's two swaps, in its order
+        held = idx[rows, swap]
+        idx[rows, swap] = idx[rows, pos]
+        idx[rows, pos] = held
+    return idx
+
+
 def fit_ground_plane(
     points: np.ndarray,
     inlier_tol: float = 0.05,
@@ -84,7 +105,7 @@ def fit_ground_plane(
     Args:
         points: (N, 3) array of 3D points, N >= 3.
         inlier_tol: absolute point-to-plane distance for inlier counting, meters.
-        max_iterations: RANSAC samples, drawn singly and scored RANSAC_BLOCK at a time.
+        max_iterations: RANSAC samples, drawn with one call and scored in one pass.
         seed: RNG seed; identical inputs and seed give identical output.
 
     Returns:
@@ -100,30 +121,25 @@ def fit_ground_plane(
         raise DegenerateInput("need at least 3 points to fit a plane")
     _check_not_collinear(pts)
 
-    rng = np.random.default_rng(seed)
     n = pts.shape[0]
-    best_count, best = -1, None
-    for start in range(0, max_iterations, RANSAC_BLOCK):
-        size = min(RANSAC_BLOCK, max_iterations - start)
-        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(size)])
-        p0, p1, p2 = pts[idx].transpose(1, 0, 2)  # (size, 3) each
-        cand = np.cross(p1 - p0, p2 - p0)
-        norm = np.sqrt(_row_dots(cand, cand))
-        keep = norm >= 1e-12  # a collinear sample gives no plane
-        cand, p0 = cand[keep] / norm[keep, None], p0[keep]
-        off, counts = _row_dots(cand, p0)[:, None], 0
-        for lo in range(0, n, POINT_CHUNK):
-            # Per-candidate matrix-vector products round as pts @ cand; a matrix product may not.
-            dist = np.matmul(pts[lo : lo + POINT_CHUNK], cand[:, :, None])[:, :, 0]
-            dist -= off
-            counts += np.count_nonzero(np.abs(dist, out=dist) <= inlier_tol, axis=1)
-        if counts.max(initial=-1) > best_count:
-            i = int(np.argmax(counts))  # the first of tied candidates, as in sequence
-            best_count, best = int(counts[i]), (cand[i], p0[i])
-    if best_count < 3:
+    idx = _samples(np.random.default_rng(seed), n, max(max_iterations, 0))
+    p0, p1, p2 = pts[idx].transpose(1, 0, 2)  # (k, 3) each
+    cand = np.cross(p1 - p0, p2 - p0)
+    norm = np.sqrt(_row_dots(cand, cand))
+    keep = norm >= 1e-12  # a collinear sample gives no plane
+    cand, p0 = cand[keep] / norm[keep, None], p0[keep]
+    off, counts = _row_dots(cand, p0)[:, None], 0
+    step = max(1, DISTANCE_CELLS // max(len(cand), 1))
+    for lo in range(0, n, step):
+        # Per-candidate matrix-vector products round as pts @ cand; a matrix product may not.
+        dist = np.matmul(pts[lo : lo + step], cand[:, :, None])[:, :, 0]
+        dist -= off
+        counts += np.count_nonzero(np.abs(dist, out=dist) <= inlier_tol, axis=1)
+    if np.max(counts, initial=-1) < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
 
-    cand, p0 = best
+    i = int(np.argmax(counts))  # the first of tied candidates, as in sequence
+    cand, p0 = cand[i], p0[i]
     normal, offset = _tls_plane(pts[np.abs(pts @ cand - cand @ p0) <= inlier_tol])
     # One consolidation round: re-collect inliers under the refined plane, refit.
     inliers = np.abs(pts @ normal - offset) <= inlier_tol

@@ -111,10 +111,10 @@ def reference_nearest(defined):
 def reference_pieces(lh, cache, u, seen):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v_t, anchor, tangent, defined = reference_analytic_pieces(lh, u)
-    if not np.all(defined):
+    bad = ~defined & np.isfinite(u)  # a column that is not finite maps to NaN or invalid
+    if bad.any():
         seen.add("fallback")
-        bad = ~defined
-        idx = np.clip(np.rint(u[bad]).astype(int), 0, lh.image_size[0] - 1)
+        idx = np.clip(np.rint(u[bad]), 0, lh.image_size[0] - 1).astype(int)
         v_t[bad] = cache[0][idx]
         anchor[bad] = cache[1][idx]
         tangent[bad] = cache[2][idx]
@@ -593,6 +593,15 @@ class TestFloatPath:
         points = np.random.default_rng(13).uniform(-9, 9, (40, 2))
         assert "fallback" in self.assert_batches_match(lh, pixels, points)
         assert np.isfinite(lh.px_to_bev(pixels[:4])).all(axis=1).any()
+        # such a column reads the cache of the nearest column: u = +1e308 and +1.7e308
+        # the last column's linear piece, u = -1e308 the first's
+        last = lh.image_size[0] - 1
+        for u_far, col in ((1e308, last), (1.7e308, last), (-1e308, 0)):
+            v_t = lh.column_v_t[col]
+            rows = np.tile([u_far, v_t - 1000.0], (FEW_POINTS + 1, 1))
+            want = lh.column_anchor[col] + (rows[0, 1] - v_t) * lh.column_tangent[col]
+            assert same_bytes(lh.px_to_bev(rows[0]), want), u_far
+            assert same_bytes(lh.px_to_bev(rows), np.tile(want, (len(rows), 1))), u_far
 
 
 class TestNearestColumn:

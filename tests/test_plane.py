@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bevtrack.errors import DegenerateInput
-from bevtrack.plane import GroundPlane, align_to_xy, fit_ground_plane
+from bevtrack.plane import GroundPlane, _samples, align_to_xy, fit_ground_plane
 
 
 def make_plane_points(normal, offset, n, noise=0.0, seed=0, extent=10.0):
@@ -79,6 +79,28 @@ class TestFitGroundPlane:
         b = fit_ground_plane(pts, seed=6)
         assert np.array_equal(a.normal, b.normal)
         assert a.offset == b.offset
+
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_no_samples_is_degenerate(self, iterations):
+        pts = make_plane_points([0.0, 0.0, 1.0], 1.0, 50, seed=7)
+        with pytest.raises(DegenerateInput, match="^RANSAC found no non-degenerate sample$"):
+            fit_ground_plane(pts, max_iterations=iterations)
+
+
+class TestSamples:
+    """_samples draws what a loop of rng.choice(n, size=3, replace=False) draws, and
+    leaves the generator where the loop leaves it, on this numpy build."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 149, 150, 1200, 10001, 10**6, 2**33])
+    def test_equals_a_loop_of_choice(self, n):
+        for seed in range(100):
+            for k in (0, 1, 16, 200):
+                rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _samples(rng, n, k)
+                want = [loop.choice(n, size=3, replace=False) for _ in range(k)]
+                assert got.shape == (k, 3) and got.dtype == np.int64
+                assert got.tolist() == [w.tolist() for w in want], (n, seed, k)
+                assert rng.bit_generator.state == loop.bit_generator.state, (n, seed, k)
 
 
 class TestAlignToXy:

@@ -2,7 +2,7 @@
 
 ``reference_fit`` is ``fit_ground_plane`` as it was when each candidate plane
 was built and scored on its own, ten small numpy calls per sample. Today's
-fit draws the same samples and scores them in blocks of ``RANSAC_BLOCK``. On
+fit draws the same samples with one call and scores them in one pass. On
 seeded clouds of every shape that decides the winner (tiny clouds, clouds
 scored in several point chunks, noise at the inlier tolerance, heavy
 outliers, duplicated points, integer grids and two planes of equal support,
@@ -15,8 +15,7 @@ import pytest
 
 from bevtrack.errors import DegenerateInput
 from bevtrack.plane import (
-    POINT_CHUNK,
-    RANSAC_BLOCK,
+    DISTANCE_CELLS,
     GroundPlane,
     _check_not_collinear,
     _tls_plane,
@@ -37,8 +36,8 @@ def reference_fit(points, inlier_tol, max_iterations, seed, seen):
     n = pts.shape[0]
     best_count = -1
     best_inliers = None
-    best_iteration = -1
-    for it in range(max_iterations):
+    kept = 0
+    for _ in range(max_iterations):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
         cand = np.cross(p1 - p0, p2 - p0)
@@ -47,16 +46,17 @@ def reference_fit(points, inlier_tol, max_iterations, seed, seen):
             seen.add("collinear sample")
             continue
         cand = cand / norm
+        kept += 1
         dist = np.abs(pts @ cand - cand @ p0)
         inliers = dist <= inlier_tol
         count = int(inliers.sum())
         if count == best_count and not np.array_equal(inliers, best_inliers):
-            same_block = it // RANSAC_BLOCK == best_iteration // RANSAC_BLOCK
-            seen.add("tie in a block" if same_block else "tie across blocks")
+            seen.add("tie")
         if count > best_count:
             best_count = count
             best_inliers = inliers
-            best_iteration = it
+    if n > DISTANCE_CELLS // max(kept, 1):  # the fit scores these points in several chunks
+        seen.add("several point chunks")
 
     if best_inliers is None or best_count < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
@@ -112,7 +112,7 @@ def make_cloud(kind, n, tol, rng):
 
 
 KINDS = ("plane", "noise at tol", "outliers", "duplicates", "grid", "two planes")
-ITERATIONS = (0, 1, RANSAC_BLOCK - 1, RANSAC_BLOCK, RANSAC_BLOCK + 1, 200)
+ITERATIONS = (0, 1, 15, 16, 17, 200)
 TOLS = (0.01, 0.05, 0.5)
 CASES_PER_KIND = 50
 
@@ -120,7 +120,7 @@ CASES_PER_KIND = 50
 def cases(kind):
     rng = np.random.default_rng(KINDS.index(kind))
     for i in range(CASES_PER_KIND):
-        big = int(rng.integers(1001, 3001)), int(rng.integers(POINT_CHUNK + 1, 2 * POINT_CHUNK))
+        big = int(rng.integers(1001, 3001)), int(rng.integers(4097, 8192))
         n = (3, 4, 5, 9, 40, 300, *big)[i % 8]
         tol = TOLS[i % 3]
         iterations = ITERATIONS[i % len(ITERATIONS)]
@@ -150,11 +150,11 @@ def test_the_cases_hold_every_case():
         for pts, tol, iterations, seed in cases(kind):
             n_cases += 1
             n = len(pts)
-            size = n if n < 5 else ("> chunk" if n > POINT_CHUNK else "> 1000" if n > 1000 else "")
+            size = n if n < 5 else ("> 4096" if n > 4096 else "> 1000" if n > 1000 else "")
             seen |= {f"n {size}", f"iterations {iterations}"}
             seen.add(outcome(reference_fit, pts, tol, iterations, seed, seen)[0])
     assert n_cases >= 200
-    want = {"n 3", "n 4", "n > 1000", "n > chunk", "plane", "error", "collinear sample"}
+    want = {"n 3", "n 4", "n > 1000", "n > 4096", "plane", "error", "collinear sample"}
     want |= {f"iterations {i}" for i in ITERATIONS}
-    want |= {"tie in a block", "tie across blocks"}
+    want |= {"tie", "several point chunks"}
     assert want <= seen, want - seen
