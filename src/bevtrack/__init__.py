@@ -62,7 +62,6 @@ from .tracker import (
     TrackTable,
     assign,
     build_cost_matrix,
-    frame_geometry,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +108,6 @@ __all__ = [
     "fit_ground_plane",
     "forecast",
     "forecast_span",
-    "frame_geometry",
     "generate",
     "id_recall",
     "iou",

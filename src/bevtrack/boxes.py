@@ -52,7 +52,9 @@ def iou(a: PixelBox, b: PixelBox) -> float:
 def iou_ltwh(a, b) -> float:
     """``iou`` of two (left, top, width, height) rows: the one scalar formula.
 
-    0 when disjoint, NaN where the union underflows to 0, as in ``iou_matrix``.
+    0 when disjoint or when an edge is NaN (a box with no pixel position overlaps
+    nothing); where the union rounds to 0, what numpy's division gives, as in
+    ``iou_matrix``: NaN if the intersection is 0 too, else inf signed as the union.
     """
     al, at, aw, ah = a
     bl, bt, bw, bh = b
@@ -60,11 +62,15 @@ def iou_ltwh(a, b) -> float:
     # min and max spelled out as the builtins pick, at a third of their call cost
     iw = (br if br < ar else ar) - (bl if bl > al else al)
     ih = (bb if bb < ab else ab) - (bt if bt > at else at)
-    if iw <= 0 or ih <= 0:
+    # NaN fails the test; the spelled-out min and max pass over a NaN right or bottom
+    # edge of b, where numpy's propagate it
+    if not (iw > 0 and ih > 0) or br != br or bb != bb:
         return 0.0
     inter = iw * ih
     union = aw * ah + bw * bh - inter
-    return inter / union if union else math.nan
+    if union:
+        return inter / union
+    return math.copysign(math.inf, union) if inter else math.nan  # inter is never negative
 
 
 def ltwh(boxes) -> np.ndarray:
@@ -83,18 +89,19 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The same float operations as ``iou``, so every entry is bit-identical to
     the scalar result; rows with NaN coordinates overlap nothing, and a union
-    that underflows to 0 gives NaN without a warning, as in ``iou_ltwh``.
+    that rounds to 0 gives NaN or inf, as in ``iou_ltwh``. Like the scalar
+    formula, it warns of nothing (0 / 0, x / 0, inf - inf, an overflowing area).
     """
     a = np.asarray(a, dtype=float)[..., :, None, :]
     b = np.asarray(b, dtype=float)[..., None, :, :]
     al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
-    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
-    inter = iw * ih
-    union = aw * ah + bw * bh - inter
-    # min(iw, ih) > 0 is (iw > 0) & (ih > 0) in one call less
-    with np.errstate(invalid="ignore"):  # 0 / 0
+    with np.errstate(all="ignore"):
+        iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+        ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+        inter = iw * ih
+        union = aw * ah + bw * bh - inter
+        # min(iw, ih) > 0 is (iw > 0) & (ih > 0) in one call less
         return np.divide(inter, union, out=np.zeros(inter.shape), where=np.minimum(iw, ih) > 0)
 
 

@@ -20,8 +20,8 @@ Base association scores up to FEW_PAIRS (track, detection) pairs with scalar
 IoU, which costs less than iou_matrix's fixed numpy calls, and more with
 iou_matrix; both give the same matches. Re-association decides the appearance
 gate once, on every (inactive track, free detection) pair, and maps and scores
-only the tracks and detections with a passing pair; the other pairs keep the
-score 0 they would get, so the assignment reads the same matrix.
+only the passing pairs, in Python floats: a step scores a few, where numpy's
+fixed costs would outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -217,25 +217,6 @@ class SceneModel:
         return self.lh.try_bev_to_px(points)
 
 
-def frame_geometry(tracks: TrackTable, rows, det_boxes, scene: SceneModel, frame: int):
-    """(points (n, K, 2), overlap (n, K, M)): the BEV points of the forecast branches
-    of the inactive tracks at rows, in that order, at frame, and the IoU of each
-    branch's predicted box with each of M detections' (M, 4) boxes.
-
-    A branch's predicted box is its track's last box moved so its bottom-centre
-    sits on the pixel of the branch's point; a point with no pixel preimage has
-    NaN box coordinates, which overlap nothing.
-    """
-    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]]
-    vel = tracks.velocity[rows]
-    pts = tracks.origin[rows, None] + ((frame - last) / scene.fps)[:, None, None] * vel
-    px, _ = scene.world_to_px(pts.reshape(-1, 2), frame)
-    size = np.broadcast_to(tracks.box[rows, None, 2:], vel.shape)
-    corner = px.reshape(vel.shape) - size / (2.0, 1.0)  # u - w / 2, v - h
-    boxes = np.concatenate([corner, size], axis=2)
-    return pts, iou_matrix(boxes, det_boxes)
-
-
 def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
                     tau_app: float):
     """(n, m) bool: which (track, detection) pairs of (n, D) and (m, D) descriptors
@@ -251,29 +232,59 @@ def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
     return ~((a @ b)[..., 0, 0] < tau_app)
 
 
-def build_cost_matrix(points: np.ndarray, det_points: np.ndarray, overlap: np.ndarray,
-                      gate: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise re-association scores between n inactive tracks and m detections.
+def build_cost_matrix(rows, cand, gate: np.ndarray, tracks: TrackTable, dets: DetectionTable,
+                      scene: SceneModel, frame: int, config: RunConfig) -> list:
+    """Re-association scores of the pairs the (n, m) bool ``gate`` passes, between the
+    n inactive tracks at ``rows`` and the m detections at ``cand`` (rows of ``dets``).
 
-    Per branch the score is IoU(predicted box, detection box) plus the
-    thresholded BEV-distance bonus max(tau_l2 - L2, 0), zeroed unless the pair
-    passes the (n, m) appearance ``gate`` and the IoU clears tau_iou. The
-    track/detection entry is the best (max) over its branches, the first branch
-    on a tie. Zero means "forbidden". ``points`` (n, K, 2) and ``overlap``
-    (n, K, m) are frame_geometry's; ``det_points`` are the detections' (m, 2)
-    world-fixed BEV points.
+    A branch sits at origin + s * velocity, s = (frame - last matched frame) / fps;
+    its predicted box is the track's last box moved so its bottom-centre sits on
+    the branch's pixel, NaN for a point with no pixel preimage, which overlaps
+    nothing. Per branch the score is IoU(predicted box, detection box) plus the
+    thresholded BEV-distance bonus max(tau_l2 - L2, 0), or 0 where the IoU is
+    below tau_iou; a pair scores its best branch, the first on a tie, and 0 if a
+    branch scores NaN. A pair scoring 0 is never re-associated.
+
+    Python floats, with the operations of the array formulas and so their bits,
+    except for the distances: one stacked (P, 1, 2) @ (P, 2, 1) product over every
+    (pair, branch) difference, which numpy rounds as fma(dy, dy, dx * dx), a fused
+    step Python floats lack.
 
     Returns:
-        (scores, best_branch): (n, m) float scores and the branch index
-        attaining each entry (-1 where the score is 0).
+        [(i, j, score, branch)] for the pairs scoring above 0, i indexing rows and
+        j cand, in (i, j) order.
     """
-    # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
-    diff = points[:, :, None, :] - det_points
-    d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    s = np.where(overlap >= config.tau_iou, overlap + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
-    best = s.max(axis=1)
-    ok = (best > 0.0) & gate
-    return np.where(ok, best, 0.0), np.where(ok, s.argmax(axis=1), -1)
+    fps, k = scene.fps, tracks.velocity.shape[1]
+    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]].tolist()
+    points = []
+    for f, (ox, oy), vel in zip(last, tracks.origin[rows].tolist(),
+                                tracks.velocity[rows].tolist()):
+        s = (frame - f) / fps
+        points += [(ox + s * vx, oy + s * vy) for vx, vy in vel]
+    px = scene.world_to_px(np.array(points), frame)[0].tolist()
+    det_points = scene.px_to_world(dets.foot[cand], frame).tolist()
+    det_boxes = dets.box[cand].tolist()
+    sizes = (size for size in tracks.box[rows, 2:].tolist() for _ in range(k))
+    boxes = [(u - w / 2.0, v - h, w, h) for (u, v), (w, h) in zip(px, sizes)]
+    pairs = [(i, j) for i, passed in enumerate(gate.tolist()) for j, ok in enumerate(passed) if ok]
+    d = np.array([(x - det_points[j][0], y - det_points[j][1])
+                  for i, j in pairs for x, y in points[i * k : i * k + k]]).reshape(-1, 2)
+    distances = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]).tolist()
+    won = []
+    for p, (i, j) in enumerate(pairs):
+        best, branch = 0.0, -1
+        for b in range(k):
+            ov = iou_ltwh(boxes[i * k + b], det_boxes[j])
+            bonus = config.tau_l2 - distances[p * k + b]
+            score = ov + (0.0 if bonus < 0.0 else bonus) if ov >= config.tau_iou else 0.0
+            if score != score:  # numpy's max returns NaN, which is not above 0
+                branch = -1
+                break
+            if score > best:
+                best, branch = score, b
+        if branch >= 0:
+            won.append((i, j, best, branch))
+    return won
 
 
 def assign(scores: np.ndarray) -> list[tuple[int, int]]:
@@ -404,21 +415,22 @@ class Tracker:
         if not len(survivors) or not free:
             return
         # One gate on every (survivor, free detection) pair picks what to map and score;
-        # any other pair would score 0, so the scattered matrix is the dense one.
+        # any other pair would score 0, so the scores are those of scoring every pair.
         app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
         gate = appearance_gate(t.appearance[survivors], app, cfg.tau_app)
         rows, cols = gate.any(axis=1).nonzero()[0], gate.any(axis=0).nonzero()[0]
         if not len(rows):
             return
-        cand = np.asarray(free)[cols]  # the free detections with a passing pair, lifted here
-        points, overlap = frame_geometry(t, survivors[rows], dets.box[cand], self.scene, frame)
-        det_points = self.scene.px_to_world(dets.foot[cand], frame)
-        cells = np.ix_(rows, cols)
-        scores, best_branch = np.zeros(gate.shape), np.full(gate.shape, -1, dtype=int)
-        scores[cells], best_branch[cells] = build_cost_matrix(points, det_points, overlap,
-                                                              gate[cells], cfg)
-        for i, jj in assign(scores):
-            reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
+        # the free detections with a passing pair are lifted in the scorer
+        won = build_cost_matrix(survivors[rows], np.asarray(free)[cols],
+                                gate[np.ix_(rows, cols)], t, dets, self.scene, frame, cfg)
+        rows, cols = rows.tolist(), cols.tolist()
+        won = {(rows[i], cols[j]): (score, branch) for i, j, score, branch in won}
+        scores = np.zeros(gate.shape)
+        for (i, j), (score, _) in won.items():
+            scores[i, j] = score
+        for i, j in assign(scores):
+            reassociate(int(survivors[i]), free[j], *won[i, j])
 
     # -- the per-frame update --------------------------------------------------
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bevtrack.boxes import (
     covered_fraction,
     covered_fractions,
     iou,
+    iou_ltwh,
     iou_matrix,
     ltwh,
 )
@@ -175,6 +178,32 @@ class TestIouMatrix:
         a = np.array([[np.nan, np.nan, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
         got = iou_matrix(a, a[1:])
         assert np.array_equal(got, [[0.0], [1.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_iou_ltwh_matches_on_non_finite_and_touching_rows(self):
+        # Coordinates from a few small integers (shared and touching edges), NaN and
+        # +-inf, on either side: every entry is iou_ltwh's, bit for bit.
+        rng = np.random.default_rng(12)
+        pool = np.array([0.0, 1.0, 2.0, 3.0, 5.0, np.nan, np.inf, -np.inf])
+        kinds = set()
+        for _ in range(300):
+            n, m = rng.integers(1, 6, 2)
+            a, b = (np.where(rng.random((k, 4)) < 0.7, rng.integers(0, 6, (k, 4)),
+                             rng.choice(pool, (k, 4))) for k in (n, m))
+            got = iou_matrix(a, b)
+            want = np.array([[iou_ltwh(x, y) for y in b.tolist()] for x in a.tolist()])
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got.view(np.int64)[~np.isnan(got)],
+                                  want.view(np.int64)[~np.isnan(want)])
+            kinds |= {"nan" if v != v else "inf" if abs(v) == np.inf else "positive" if v > 0
+                      else "zero" for v in got.ravel().tolist()}
+        assert {"positive", "zero"} <= kinds
+        wide = np.array([[0.0, 0.0, np.inf, 1.0]])  # inf / (inf - inf)
+        assert np.isnan(iou_matrix(wide, wide)).all() and math.isnan(iou_ltwh(*wide.tolist() * 2))
+        far = np.array([[2.0**53, 2.0**53, 1.25, 1.6]])  # areas 2 + 2 less a rounded overlap 4
+        assert iou_matrix(far, far).tolist() == [[math.inf]] and iou_ltwh(*far.tolist() * 2) == math.inf
+        assert iou_ltwh((np.nan, np.nan, 10.0, 20.0), (0.0, 0.0, 10.0, 20.0)) == 0.0
+        assert iou_ltwh((0.0, 0.0, 10.0, 20.0), (np.nan, 0.0, 10.0, 20.0)) == 0.0
 
     def test_empty(self):
         assert iou_matrix(ltwh([]), ltwh([PixelBox(0, 0, 1, 1)])).shape == (0, 1)

@@ -47,7 +47,7 @@ class TestDefaults:
         det = table(det_at(1, 52, 100))
         for tau_l2 in (2.5, 4.0):
             cfg = RunConfig(tau_l2=tau_l2)
-            scores, _ = cost_matrix([tr], det, [(52.0, 100.0)], cfg, make_scene(), 1)
+            scores, _ = cost_matrix([tr], det, cfg, make_scene(), 1)
             # identical boxes: IoU 1 plus the full distance bonus tau_l2
             assert scores[0, 0] == pytest.approx(1.0 + tau_l2, abs=1e-12)
 

@@ -29,7 +29,6 @@ from bevtrack.tracker import (
     appearance_gate,
     assign,
     build_cost_matrix,
-    frame_geometry,
 )
 
 
@@ -96,17 +95,24 @@ def descriptors(tracks):
                      for t in tracks])
 
 
-def cost_matrix(tracks, detections, points, config, scene, frame):
-    """build_cost_matrix on the frame's geometry for these tracks (in id order) and
-    for detections whose bottom-centres lift to the given BEV points."""
-    pts = np.array(points, dtype=float).reshape(-1, 2)
+def scored(rows, cand, gate, tracks, dets, scene, frame, config):
+    """build_cost_matrix as (n, m) scores and best branches, 0 and -1 where none is returned."""
+    scores, branch = np.zeros(gate.shape), np.full(gate.shape, -1)
+    for i, j, score, b in build_cost_matrix(rows, cand, gate, tracks, dets, scene, frame, config):
+        scores[i, j], branch[i, j] = score, b
+    return scores, branch
+
+
+def cost_matrix(tracks, detections, config, scene, frame):
+    """scored() for these tracks (in id order) and detections, over every pair that
+    passes the appearance gate."""
     t = table_of(tracks)
     scene = replace(scene, fps=tracks[0].fps)  # the forecasts' frame rate
-    branches, overlap = frame_geometry(t, np.arange(len(t)), detections.box, scene, frame)
     app = detections.appearance
     app = np.zeros((len(detections), 0)) if app is None else app
     gate = appearance_gate(t.appearance, app, config.tau_app)
-    return build_cost_matrix(branches, pts, overlap, gate, config)
+    return scored(np.arange(len(t)), np.arange(len(detections)), gate, t, detections, scene,
+                  frame, config)
 
 
 def hold(tk, tracks):
@@ -153,8 +159,8 @@ def inactive_track(tid, u, v, branch_pts, app=None, created=0, w=12.0, h=24.0):
 
 
 def test_geometry_from_top_level_names():
-    # A TrackTable's forecast columns give the geometry that build_cost_matrix
-    # takes; everything here comes from the package namespace.
+    # A TrackTable's forecast columns and a DetectionTable are what build_cost_matrix
+    # scores; everything here comes from the package namespace.
     import bevtrack as bt
 
     lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
@@ -166,14 +172,11 @@ def test_geometry_from_top_level_names():
     tracks = bt.TrackTable.empty().extend([1])  # matched once, at frame 0
     tracks.box[0], tracks.seen[0] = (44.0, 76.0, 12.0, 24.0), 1
     tracks.origin[0], tracks.velocity, tracks.end[0] = (50.0, 100.0), np.array([[[1.0, 0.0]]]), 5
-    points, overlap = bt.frame_geometry(tracks, [0], dets.box, scene, 1)
-    assert points.tolist() == [[[51.0, 100.0]]]
-    assert overlap.tolist() == [[[1.0]]]
     gate = np.ones((1, 1), bool)
-    scores, branch = bt.build_cost_matrix(points, np.array([[51.0, 100.0]]), overlap, gate,
-                                          config)
-    assert scores.tolist() == [[1.0 + config.tau_l2]] and branch.tolist() == [[0]]
-    assert {"DetectionTable", "TrackTable", "frame_geometry"} <= set(bt.__all__)
+    won = bt.build_cost_matrix([0], [0], gate, tracks, dets, scene, 1, config)
+    assert won == [(0, 0, 1.0 + config.tau_l2, 0)]  # IoU 1, at distance 0
+    assert {"DetectionTable", "TrackTable", "build_cost_matrix"} <= set(bt.__all__)
+    assert "frame_geometry" not in bt.__all__ and not hasattr(tracker_module, "frame_geometry")
     assert "prune_forecasts" not in bt.__all__ and not hasattr(bt, "Detection")
     assert not hasattr(bt, "Track") and not hasattr(bt, "BranchTable")
     assert not hasattr(bt, "Forecast") and "forecast_span" in bt.__all__
@@ -202,11 +205,11 @@ class TestDetectionTable:
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(0, 1))
         box = ltwh([box_at(52, 100)] * 2)
         dets = DetectionTable([1, 1], box, [unit(1, 0), [np.nan, np.nan]])
-        scores, _ = cost_matrix([tr], dets, [(52.0, 100.0)] * 2, RunConfig(), make_scene(), 1)
+        scores, _ = cost_matrix([tr], dets, RunConfig(), make_scene(), 1)
         assert scores[0, 0] == 0.0 and scores[0, 1] == pytest.approx(3.5, abs=1e-12)
         # so does a track whose last detection had none
         tr.last_appearance = dets.appearance[1]
-        scores, _ = cost_matrix([tr], dets, [(52.0, 100.0)] * 2, RunConfig(), make_scene(), 1)
+        scores, _ = cost_matrix([tr], dets, RunConfig(), make_scene(), 1)
         assert scores[0].tolist() == pytest.approx([3.5, 3.5], abs=1e-12)
 
     def test_non_positive_box_names_its_row(self):
@@ -310,7 +313,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 52, 100)
-        scores, branch = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         # identical predicted and detected boxes: IoU 1; L2 0: bonus tau_l2
         assert scores[0, 0] == pytest.approx(1.0 + 2.5, abs=1e-12)
         assert branch[0, 0] == 0
@@ -319,7 +322,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 56, 100)  # 4 px to the right of the branch point
-        scores, _ = cost_matrix([tr], table(det), [(56.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         # 12x24 boxes offset 4 px: IoU (8*24)/(2*288-192) = 0.5; L2 = 4 > tau_l2
         assert scores[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -327,7 +330,7 @@ class TestCostMatrix:
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 63, 100)  # 11 px offset: IoU (1*24)/(552) < tau_iou
-        scores, branch = cost_matrix([tr], table(det), [(63.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         assert branch[0, 0] == -1
 
@@ -336,7 +339,7 @@ class TestCostMatrix:
         cfg = RunConfig(tau_l2=20.0, tau_iou=0.0)
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
         det = det_at(1, 70, 100)  # disjoint boxes, BEV distance 18
-        scores, branch = cost_matrix([tr], table(det), [(70.0, 100.0)], cfg, scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), cfg, scene, frame=1)
         assert scores[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert branch[0, 0] == 0
 
@@ -345,25 +348,25 @@ class TestCostMatrix:
         a, b = unit(1, 0, 0), unit(0, 1, 0)  # cosine 0 < tau_app
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=a)
         det = det_at(1, 52, 100, app=b)
-        scores, _ = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         assert scores[0, 0] == 0.0
         # same geometry with an agreeing descriptor passes
         det2 = det_at(1, 52, 100, app=a)
-        scores2, _ = cost_matrix([tr], table(det2), [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores2, _ = cost_matrix([tr], table(det2), RunConfig(), scene, frame=1)
         assert scores2[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_missing_appearance_skips_gate(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(52.0, 100.0)], app=unit(1, 0, 0))
         det = det_at(1, 52, 100, app=None)
-        scores, _ = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, _ = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
     def test_best_branch_selected(self):
         scene = make_scene()
         tr = inactive_track(1, 50, 100, [(57.0, 100.0), (52.0, 100.0)])
         det = det_at(1, 52, 100)
-        scores, branch = cost_matrix([tr], table(det), [(52.0, 100.0)], RunConfig(), scene, frame=1)
+        scores, branch = cost_matrix([tr], table(det), RunConfig(), scene, frame=1)
         assert branch[0, 0] == 1  # the exact branch wins
         assert scores[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -375,7 +378,7 @@ class TestCostMatrix:
             tr = inactive_track(1, *rng.uniform(40, 160, 2), [tuple(bp)])
             du, dv = rng.uniform(40, 160, 2)
             det = det_at(1, du, dv)
-            scores, _ = cost_matrix([tr], table(det), [(du, dv)], cfg, scene, frame=1)
+            scores, _ = cost_matrix([tr], table(det), cfg, scene, frame=1)
             pb = box_at(bp[0], bp[1])
             d_iou = iou(pb, box_at(du, dv))
             d_l2 = float(np.hypot(bp[0] - du, bp[1] - dv))
@@ -386,11 +389,18 @@ class TestCostMatrix:
         # Track 2, in row 1, is scored first: rows, not the table's order, order the scores.
         near = inactive_track(2, 50, 100, [(52.0, 100.0)])
         far = inactive_track(1, 50, 100, [(90.0, 100.0)])
-        points, overlap = frame_geometry(table_of([far, near]), [1, 0],
-                                         table(det_at(1, 52, 100)).box, make_scene(fps=1.0), 1)
-        scores, _ = build_cost_matrix(points, np.array([[52.0, 100.0]]), overlap,
-                                      np.ones((2, 1), bool), RunConfig())
-        assert scores[0, 0] == pytest.approx(3.5, abs=1e-12) and scores[1, 0] == 0.0
+        won = build_cost_matrix([1, 0], [0], np.ones((2, 1), bool), table_of([far, near]),
+                                table(det_at(1, 52, 100)), make_scene(fps=1.0), 1, RunConfig())
+        assert [(i, j, b) for i, j, _, b in won] == [(0, 0, 0)]
+        assert won[0][2] == pytest.approx(3.5, abs=1e-12)
+
+    def test_only_the_gated_pairs_are_returned(self):
+        # Both detections sit on the track's branch; the gate passes the second alone.
+        tr = inactive_track(1, 50, 100, [(52.0, 100.0)])
+        dets = table(det_at(1, 52, 100), det_at(1, 52, 100))
+        won = build_cost_matrix([0], [0, 1], np.array([[False, True]]), table_of([tr]), dets,
+                                make_scene(fps=1.0), 1, RunConfig())
+        assert [(i, j) for i, j, *_ in won] == [(0, 1)]
 
 
 def brute_max_total(scores):
@@ -543,8 +553,8 @@ class TestCandidatePairs:
         calls = []
         monkeypatch.setattr(tracker_module, "appearance_gate", lambda *a: calls.append(
             "appearance_gate") or appearance_gate(*a))
-        monkeypatch.setattr(tracker_module, "frame_geometry", lambda *a: calls.append(
-            "frame_geometry") or frame_geometry(*a))
+        monkeypatch.setattr(tracker_module, "build_cost_matrix", lambda *a: calls.append(
+            "build_cost_matrix") or build_cost_matrix(*a))
         world_to_px = SceneModel.world_to_px
         monkeypatch.setattr(SceneModel, "world_to_px", lambda *a: calls.append(
             "world_to_px") or world_to_px(*a))
@@ -561,7 +571,7 @@ class TestCandidatePairs:
 
     def test_a_passing_pair_is_mapped_and_scored(self, monkeypatch):
         # the gate is decided once a scoring step; build_cost_matrix reads it
-        want = (["appearance_gate", "frame_geometry", "world_to_px"], ["reassociated"])
+        want = (["appearance_gate", "build_cost_matrix", "world_to_px"], ["reassociated"])
         assert self.reappear(monkeypatch, unit(1, 0)) == want
         assert self.reappear(monkeypatch, None) == want  # no descriptor passes
 

@@ -24,7 +24,14 @@ from bevtrack.experiments import default_camera
 from bevtrack.forecast import forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
 from bevtrack.linearized import linearize
-from bevtrack.simulator import AgentSpec, Occluder, Scenario, build_scene_model, generate
+from bevtrack.simulator import (
+    AgentSpec,
+    Occluder,
+    Scenario,
+    build_scene_model,
+    generate,
+    true_homography,
+)
 from bevtrack.tracker import (
     DetectionTable,
     SceneModel,
@@ -33,9 +40,17 @@ from bevtrack.tracker import (
     appearance_gate,
     assign,
     build_cost_matrix,
-    frame_geometry,
 )
-from test_tracker import Inactive, ring_matches, table_of
+from test_tracker import (
+    Inactive,
+    det_at,
+    make_scene,
+    ring_matches,
+    scored,
+    small_config,
+    table,
+    table_of,
+)
 
 # -- the scalar reference ----------------------------------------------------------
 
@@ -446,7 +461,125 @@ def test_gapped_table_matches_the_reference(seed, ingest):
     assert np.isnan(table.appearance).all(axis=1).any() and (table.source_id < 0).any()
 
 
-# -- the cost matrix on random instances ---------------------------------------------
+# -- the numpy scorer that build_cost_matrix replaced -------------------------------
+
+
+def frame_geometry(tracks, rows, det_boxes, scene, frame):
+    """(points (n, K, 2), overlap (n, K, M)): the BEV points of the forecast branches
+    of the inactive tracks at rows, in that order, at frame, and the IoU of each
+    branch's predicted box with each of M detections' (M, 4) boxes.
+
+    A branch's predicted box is its track's last box moved so its bottom-centre
+    sits on the pixel of the branch's point; a point with no pixel preimage has
+    NaN box coordinates, which overlap nothing.
+    """
+    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]]
+    vel = tracks.velocity[rows]
+    pts = tracks.origin[rows, None] + ((frame - last) / scene.fps)[:, None, None] * vel
+    px, _ = scene.world_to_px(pts.reshape(-1, 2), frame)
+    size = np.broadcast_to(tracks.box[rows, None, 2:], vel.shape)
+    corner = px.reshape(vel.shape) - size / (2.0, 1.0)  # u - w / 2, v - h
+    boxes = np.concatenate([corner, size], axis=2)
+    return pts, iou_matrix(boxes, det_boxes)
+
+
+def dense_cost_matrix(points, det_points, overlap, gate, config):
+    """(scores, best_branch), each (n, m): every pair's score against detections at
+    det_points (m, 2), from frame_geometry's points and overlap; 0 and -1 where the
+    (n, m) gate fails or the best branch is not above 0.
+    """
+    # Stacked (1, 2) @ (2, 1) products round like np.linalg.norm of one pair.
+    diff = points[:, :, None, :] - det_points
+    d_l2 = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    s = np.where(overlap >= config.tau_iou, overlap + np.maximum(config.tau_l2 - d_l2, 0.0), 0.0)
+    best = s.max(axis=1)
+    ok = (best > 0.0) & gate
+    return np.where(ok, best, 0.0), np.where(ok, s.argmax(axis=1), -1)
+
+
+def random_scoring_step(rng, lh):
+    """(rows, cand, gate, tracks, dets, scene, frame, config): a scoring step on the map lh.
+
+    K is 1 or 3 and tau_iou 0 or 0.2. Branches may leave the map (behind the
+    camera: no pixel preimage), hold NaN or repeat another branch exactly; the
+    camera may move; the gate may be sparse. Most detections sit near a branch's pixel.
+    """
+    k, frame = int(rng.choice([1, 3])), int(rng.integers(20, 60))
+    config = RunConfig(tau_iou=float(rng.choice([0.0, 0.2])), tau_l2=float(rng.choice([2.5, 6.0])))
+    moving = rng.random() < 0.4
+    ego = EgomotionTrack.from_deltas(rng.normal(0.0, 0.05, (frame, 2))) if moving else None
+    scene = SceneModel(lh=lh, fps=float(rng.choice([10.0, 12.5, 20.0])), ego=ego)
+    n, c = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    tracks = TrackTable.empty().extend(range(1, n + 1))
+    tracks.frames, tracks.seen = rng.integers(0, frame, (n, c)), rng.integers(1, 3 * c + 1, n)
+    tracks.box[:, 2:] = rng.uniform([20.0, 50.0], [120.0, 300.0], (n, 2))
+    tracks.origin = rng.uniform([-6.0, -4.0], [6.0, 20.0], (n, 2))
+    tracks.velocity = rng.normal(0.0, 1.5, (n, k, 2))
+    for r in range(n):
+        if k > 1 and rng.random() < 0.3:  # an exact tie
+            tracks.velocity[r, rng.integers(1, k)] = tracks.velocity[r, 0]
+        if rng.random() < 0.15:  # a NaN branch point
+            tracks.velocity[r, rng.integers(k), rng.integers(2)] = np.nan
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    last = tracks.frames[rows, (tracks.seen[rows] - 1) % c]
+    steps = ((frame - last) / scene.fps)[:, None, None]
+    px, valid = scene.world_to_px((tracks.origin[rows, None] + steps * tracks.velocity[rows])
+                                  .reshape(-1, 2), frame)
+    m, boxes = int(rng.integers(1, 8)), []
+    for _ in range(m):
+        w, h = rng.uniform([20.0, 50.0], [120.0, 300.0])
+        u, v = rng.uniform([0.0, 200.0], [1920.0, 1080.0])
+        if valid.any() and rng.random() < 0.8:  # near a branch's pixel
+            u, v = px[rng.choice(np.flatnonzero(valid))] + rng.normal(0.0, 8.0, 2)
+        boxes.append((u - w / 2.0, v - h, w, h))
+    dets = DetectionTable([frame] * m, boxes)
+    cand = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+    gate = rng.random((len(rows), len(cand))) < rng.choice([0.3, 0.7, 1.0])
+    return rows, cand, gate, tracks, dets, scene, frame, config
+
+
+class TestScorerMatchesTheNumpyScorer:
+    def test_random_scoring_steps_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        lh = linearize(true_homography(default_camera()), (1920, 1080), 0.2)
+        seen = dict.fromkeys(["k1", "k3", "tau_iou 0", "tau_iou 0.2", "no preimage", "nan point",
+                              "nan zeroes a pair", "tie", "egomotion", "sparse gate", "won"], 0)
+        for _ in range(1200):
+            step = random_scoring_step(rng, lh)
+            rows, cand, gate, tracks, dets, scene, frame, config = step
+            points, overlap = frame_geometry(tracks, rows, dets.box[cand], scene, frame)
+            det_points = scene.px_to_world(dets.foot[cand], frame)
+            want = dense_cost_matrix(points, det_points, overlap, gate, config)
+            got = scored(*step)
+            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got[1], want[1])
+            # what the cases cover
+            k, won = points.shape[1], want[0] > 0
+            ok = scene.world_to_px(points.reshape(-1, 2), frame)[1].reshape(points.shape[:2])
+            nan = np.isnan(points).any(axis=2)  # (n, K)
+            seen["k1" if k == 1 else "k3"] += 1
+            seen[f"tau_iou {config.tau_iou:g}"] += 1
+            seen["no preimage"] += bool((~ok & ~nan).any())
+            seen["nan point"] += bool(nan.any())
+            # at tau_iou 0 a NaN branch scores NaN, which zeroes a pair another branch overlaps
+            other = ((overlap > 0) & ~nan[:, :, None]).any(axis=1)
+            seen["nan zeroes a pair"] += bool(config.tau_iou == 0 and
+                                              (nan.any(axis=1)[:, None] & other & gate).any())
+            # a winning track with two equal branches
+            tied = (points[:, :, None] == points[:, None]).all(axis=3).sum(axis=(1, 2)) > k
+            seen["tie"] += bool((tied[:, None] & won).any())
+            seen["egomotion"] += scene.ego is not None
+            seen["sparse gate"] += bool(not gate.all())
+            seen["won"] += bool(won.any())
+        assert min(seen.values()) >= 20, seen
+
+    def test_an_empty_gate_scores_nothing(self):
+        rows, cand, gate, *rest = random_scoring_step(np.random.default_rng(0),
+                                                      make_scene(size=2000).lh)
+        assert build_cost_matrix(rows, cand, np.zeros_like(gate), *rest) == []
+
+
+# -- the scorer against the scalar reference ------------------------------------------
 
 
 def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
@@ -460,12 +593,13 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         a = rng.uniform(0.1, 1.0, dim)
         return a / np.linalg.norm(a)
 
-    boxes, descriptors, points = [], [], []
+    boxes, descriptors = [], []
     for _ in range(n_dets):
         u, v, w, h = rng.uniform(40, 160), rng.uniform(40, 160), rng.uniform(8, 16), rng.uniform(16, 32)
         boxes.append((u - w / 2.0, v - h, w, h))
         descriptors.append(app())
-        points.append(np.array([u, v]) + rng.normal(0.0, 1.0, 2))
+    dets = DetectionTable([1] * n_dets, boxes, descriptors)
+    points = scene.px_to_world(dets.foot, 1)  # the identity map: the bottom-centres
     tracks = []
     for t in range(n_tracks):
         near = points[rng.integers(n_dets)]
@@ -473,21 +607,15 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
         fc = np.zeros(2), pts, 0, 1  # at 1 fps, on frame 1 the branches sit at pts
         box = PixelBox(0.0, 0.0, rng.uniform(8, 16), rng.uniform(16, 32))
         tracks.append(RefTrack(t + 1, [(0, np.zeros(2))], box, last_appearance=app(), forecast=fc))
-    dets = DetectionTable([1] * n_dets, boxes, descriptors)
-    return scene, tracks, dets, np.array(points)
+    return scene, tracks, dets, points
 
 
-def geometry(tracks, dets, scene):
-    """frame_geometry of the RefTracks, in id order, at frame 1."""
-    held = [Inactive(t.id, t.last_box, t.last_appearance, *t.forecast, scene.fps) for t in tracks]
-    return frame_geometry(table_of(held), np.arange(len(tracks)), dets.box, scene, 1)
-
-
-def cost_matrix(tracks, dets, points, cfg, geometry):
-    """build_cost_matrix on the RefTracks' descriptors, for detections at BEV points."""
-    gate = appearance_gate(np.array([t.last_appearance for t in tracks]), dets.appearance,
-                           cfg.tau_app)
-    return build_cost_matrix(geometry[0], points, geometry[1], gate, cfg)
+def cost_matrix(tracks, dets, cfg, scene):
+    """build_cost_matrix, dense, for the RefTracks (in id order) and dets at frame 1."""
+    held = table_of([Inactive(t.id, t.last_box, t.last_appearance, *t.forecast, scene.fps)
+                     for t in tracks])
+    gate = appearance_gate(held.appearance, dets.appearance, cfg.tau_app)
+    return scored(np.arange(len(tracks)), np.arange(len(dets)), gate, held, dets, scene, 1, cfg)
 
 
 class TestCostMatrixMatchesScalarReference:
@@ -500,17 +628,15 @@ class TestCostMatrixMatchesScalarReference:
             tau_app = float(tracks[0].last_appearance @ dets.appearance[0])
             cfg = RunConfig(tau_app=tau_app, tau_iou=float(rng.choice([0.0, 0.2])))
             want = scalar_cost_matrix(tracks, rows_of(dets), points, cfg, scene, 1)
-            got = cost_matrix(tracks, dets, points, cfg, geometry(tracks, dets, scene))
+            got = cost_matrix(tracks, dets, cfg, scene)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
     def test_ties_go_to_the_first_branch(self):
         scene, tracks, dets, points = random_instance(np.random.default_rng(1), n_tracks=1, k=3)
         tracks[0].forecast[1][:] = points[0]  # three identical branches
-        cfg = RunConfig(tau_app=-1.0)
         first = dets.rows(slice(0, 1))
-        g = geometry(tracks, first, scene)
-        scores, branch = cost_matrix(tracks, first, points[:1], cfg, g)
+        scores, branch = cost_matrix(tracks, first, RunConfig(tau_app=-1.0), scene)
         assert scores[0, 0] > 0 and branch[0, 0] == 0
 
 
@@ -519,7 +645,7 @@ class TestCostMatrixMatchesScalarReference:
 
 class DenseTracker(Tracker):
     """The tracker that mapped and scored every (inactive survivor, free detection)
-    pair before the appearance gate, and assigned over all of them."""
+    pair before the appearance gate, in numpy, and assigned over all of them."""
 
     def _advance_inactive(self, dets, free, frame, events, took, dead):
         cfg, t = self.config, self.tracks
@@ -552,7 +678,7 @@ class DenseTracker(Tracker):
             points, overlap = frame_geometry(t, survivors, dets.box[free], self.scene, frame)
             app = np.zeros((len(free), 0)) if dets.appearance is None else dets.appearance[free]
             gate = appearance_gate(t.appearance[survivors], app, self.config.tau_app)
-            scores, best_branch = build_cost_matrix(points, free_bev, overlap, gate, self.config)
+            scores, best_branch = dense_cost_matrix(points, free_bev, overlap, gate, self.config)
             for i, jj in assign(scores):
                 reassociate(survivors[i], free[jj], float(scores[i, jj]), int(best_branch[i, jj]))
 
@@ -570,31 +696,52 @@ def described(table, descriptors):
 @pytest.mark.parametrize("descriptors", ["unit", "nan", "absent"])
 @pytest.mark.parametrize("seed", range(6))
 def test_candidate_pairs_match_the_dense_reference(seed, descriptors, tau_app, monkeypatch):
-    # Geometry and scores only for the rows and columns with a pair that passes the
-    # appearance gate, scattered into the dense matrix: the same events as scoring all.
+    # Geometry and scores only for the pairs that pass the appearance gate: the same
+    # events as scoring every pair in numpy and assigning over all of them.
     sim, table = gapped_table(seed)
     by_frame = described(table, descriptors).by_frame()
     cfg = RunConfig(motion="fan", k=3, tau_app=tau_app)
     lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
     n_frames = sim.scenario.n_frames
     want = DenseTracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
-    mapped, assigned = [], []  # per scoring step: the tracks mapped, the tracks assigned
+    gated, mapped = [], []  # per gate call: the survivors; per scoring step: the tracks mapped
 
-    def mapping(t, rows, *args):
-        mapped.append(len(rows))
-        return frame_geometry(t, rows, *args)
+    def gate(track_appearance, *args):
+        gated.append(len(track_appearance))
+        mapped.append(0)
+        return appearance_gate(track_appearance, *args)
 
-    monkeypatch.setattr(tracker_module, "frame_geometry", mapping)
-    monkeypatch.setattr(tracker_module, "assign", lambda s: assigned.append(len(s)) or assign(s))
+    def scorer(rows, *args):
+        mapped[-1] = len(rows)
+        return build_cost_matrix(rows, *args)
+
+    monkeypatch.setattr(tracker_module, "appearance_gate", gate)
+    monkeypatch.setattr(tracker_module, "build_cost_matrix", scorer)
     got = Tracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
     assert got == want
     assert any(e["reason"] == "reassociated" for e in want[1])
     # unit descriptors leave some tracks unmapped; without descriptors every pair passes
-    assert len(mapped) == len(assigned)
     if descriptors == "unit":
-        assert any(k < n for k, n in zip(mapped, assigned))
+        assert any(0 < k < n for k, n in zip(mapped, gated))
     if descriptors == "absent":
-        assert mapped == assigned
+        assert mapped == gated
+
+
+def test_two_tracks_winning_one_detection_match_the_dense_reference(monkeypatch):
+    # two walkers 6 px apart, both missed at frame 5; at frame 6 one detection between
+    # their forecasts, which both overlap: assign breaks the contest as over every pair
+    calls = []
+    monkeypatch.setattr(tracker_module, "assign", lambda s: calls.append(s) or assign(s))
+    frames = [(f, table(det_at(f, 50.0 + f, 100.0), det_at(f, 56.0 + f, 100.0)))
+              for f in range(5)] + [(5, []), (6, table(det_at(6, 59.0, 100.0)))]
+    events = []
+    for tracker_cls in (DenseTracker, Tracker):
+        del calls[:]
+        tk = tracker_cls(make_scene(fps=10.0), small_config())
+        events.append([e for f, dets in frames for e in tk.step(dets, f)[1]])
+    assert events[1] == events[0]
+    assert len(calls) == 1 and (calls[0] > 0).sum(axis=0).tolist() == [2]
+    assert [e["reason"] for e in events[1] if e["frame"] == 6] == ["reassociated"]
 
 
 # -- base association on both sides of FEW_PAIRS ---------------------------------------
