@@ -10,10 +10,13 @@ Gaussian pixel noise and noisy per-identity appearance descriptors. The
 generator also emits the exact ground-plane homography, the camera egomotion
 track, and a ground point cloud in camera coordinates for calibration.
 
-Generation works on blocks of FRAME_BLOCK frames, which bounds its arrays;
-walker paths and occluder rectangles are computed once for the scene. Per
-block, one stacked product projects every agent box, one array test keeps for
-each box the covers that stand lower and overlap it, one exact sweep
+Generation works on blocks of FRAME_BLOCK * max(1, BLOCK_AGENTS // agents)
+frames, which bounds its arrays: FRAME_BLOCK frames for a crowd, and for a
+smaller scene no more agent-frames than FRAME_BLOCK frames of BLOCK_AGENTS
+agents, so a scene of few agents is one block. Walker paths are computed once
+for the scene, and occluder rectangles once for each run of frames whose
+camera offsets are equal bit for bit. Per block, one stacked product projects
+every agent box, one array test keeps for each box the covers that stand lower and overlap it, one exact sweep
 (``covered_fractions``) per cover count gives the covered boxes' visibility,
 and one ``rng.normal`` call draws the noise of every detection, in the order
 one detection at a time draws it. The detections are one read-only
@@ -61,7 +64,8 @@ from .mot_io import (
 )
 from .tracker import DetectionTable, SceneModel
 
-FRAME_BLOCK = 32  # frames generated together; bounds the per-block arrays
+FRAME_BLOCK = 32  # frames generated together by more than BLOCK_AGENTS // 2 agents
+BLOCK_AGENTS = 64  # fewer agents' blocks hold at most FRAME_BLOCK frames of this many
 
 
 @dataclass(frozen=True)
@@ -297,6 +301,21 @@ def _occluder_rects(cam: CameraSpec, occluders, cam_xy) -> np.ndarray:
     return rects
 
 
+def _occluder_rects_by_offset(cam: CameraSpec, occluders, offsets) -> np.ndarray:
+    """(F, m, 4) occluder rectangles for (F, 2) offsets, projected once per run.
+
+    A run is a stretch of frames whose offset rows are equal bit for bit (a
+    cumulative sum can give -0.0 where a neighbour has 0.0); its first frame
+    is projected and its rectangles repeated over the run.
+    """
+    bits = offsets.view(np.uint64)
+    first = np.ones(len(offsets), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    rects = _occluder_rects(cam, occluders, offsets[starts])
+    return np.repeat(rects, np.diff(starts, append=len(offsets)), axis=0)
+
+
 # -- generation --------------------------------------------------------------------
 
 
@@ -326,10 +345,11 @@ def generate(scenario: Scenario) -> SimOutput:
     half_w = np.array([a.width for a in agents], dtype=float) / 2.0
     # z of each agent's four box corners: two at the feet, two at the head
     corner_z = np.array([a.height for a in agents], dtype=float)[:, None] * [0.0, 0.0, 1.0, 1.0]
-    occ_rects = _occluder_rects(cam, scenario.occluders, ego.offsets[:n_frames])
+    occ_rects = _occluder_rects_by_offset(cam, scenario.occluders, ego.offsets[:n_frames])
+    block = FRAME_BLOCK * max(1, BLOCK_AGENTS // max(1, len(agents)))
 
-    for f0 in range(0, n_frames, FRAME_BLOCK):
-        frames = range(f0, min(f0 + FRAME_BLOCK, n_frames))
+    for f0 in range(0, n_frames, block):
+        frames = range(f0, min(f0 + block, n_frames))
         x, y = paths[:, frames].transpose(2, 1, 0)  # (frames, agents)
         corner_x = np.stack([x - half_w, x + half_w] * 2, axis=-1)
         corners = np.stack(np.broadcast_arrays(corner_x, y[..., None], corner_z), axis=-1)

@@ -5,21 +5,27 @@ one frame and one agent at a time, each box projected on its own, the scalar
 sweep given every occluder and every lower agent as a cover, the noise of
 each detection drawn on its own, and the ground cloud drawn one pair at a
 time. The block generate must reproduce it bit for bit on seeded random
-scenarios, some shorter than a block, some one block long and some not a
-whole number of blocks: every ground-truth entry, every detection and the
-ground cloud.
+scenarios, every ground-truth entry, every detection and the ground cloud:
+at the module's block constants, where each of these small scenarios is one
+block, and with the constants patched down to blocks of a few frames, where
+some scenarios are one block, some a whole number of blocks and some end in
+a shorter block. On the benchmark's crowd scenes, too large for the
+reference, every block size must give the same arrays.
 """
 
+import functools
+import importlib.util
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from bevtrack import simulator
 from bevtrack.boxes import PixelBox
 from bevtrack.errors import InvalidScenario
 from bevtrack.simulator import (
-    FRAME_BLOCK,
     VISIBILITY_CUTOFF,
     AgentSpec,
     CameraSpec,
@@ -28,6 +34,7 @@ from bevtrack.simulator import (
     SimDetection,
     agent_position,
     generate,
+    project_points,
 )
 from test_boxes import reference_covered_fraction
 
@@ -216,8 +223,31 @@ def random_occluder(rng) -> Occluder:
     )
 
 
-# frame counts below a block, of one block, and of neither a block nor a multiple of it
-N_FRAMES = (30, FRAME_BLOCK, 2 * FRAME_BLOCK + 11)
+N_FRAMES = (30, 32, 75)
+# (FRAME_BLOCK, BLOCK_AGENTS) patched in: blocks of 1, 15 and 32 frames whatever the
+# agent count, and of 4 * max(1, 8 // agents) frames (32 for one agent, 4 from five on)
+SMALL_BLOCKS = ((1, 1), (15, 1), (32, 1), (4, 8))
+
+
+def generate_in_blocks(scenario, constants=None):
+    """(generate(scenario), the frame count of each block it generated), with
+    (FRAME_BLOCK, BLOCK_AGENTS) patched to constants unless None. A block is
+    seen as its one projection of a (frames, agents, 4, 3) stack of corners."""
+    sizes = []
+
+    def spy(cam, world, *args):
+        if np.ndim(world) == 4:
+            sizes.append(np.shape(world)[0])
+        return project_points(cam, world, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if constants is not None:
+            mp.setattr(simulator, "FRAME_BLOCK", constants[0])
+            mp.setattr(simulator, "BLOCK_AGENTS", constants[1])
+        mp.setattr(simulator, "project_points", spy)
+        sim = generate(scenario)
+    assert sum(sizes) == scenario.n_frames
+    return sim, sizes
 
 
 def random_scenario(seed: int) -> Scenario:
@@ -254,12 +284,13 @@ def random_scenario(seed: int) -> Scenario:
 SEEDS = range(40)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_generate_matches_per_agent_reference(seed):
-    scenario = random_scenario(seed)
-    gt, dets, cloud, pixels = reference_generate(scenario)
-    sim = generate(scenario)
+@functools.lru_cache(maxsize=None)
+def reference_of_seed(seed):
+    return reference_generate(random_scenario(seed))
 
+
+def assert_matches_reference(sim, reference):
+    gt, dets, cloud, pixels = reference
     assert len(sim.gt) == len(gt)
     assert sim.gt.frame.tolist() == [g.frame for g in gt]
     assert sim.gt.agent_id.tolist() == [g.agent_id for g in gt]
@@ -275,6 +306,18 @@ def test_generate_matches_per_agent_reference(seed):
         assert np.array_equal(got.appearance, want.appearance)
     assert np.array_equal(sim.cloud, cloud)
     assert np.array_equal(sim.cloud_pixels, pixels)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generate_matches_per_agent_reference(seed):
+    assert_matches_reference(generate(random_scenario(seed)), reference_of_seed(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("constants", SMALL_BLOCKS, ids=lambda c: f"block{c[0]}x{c[1]}")
+def test_small_blocks_match_per_agent_reference(seed, constants):
+    sim, _ = generate_in_blocks(random_scenario(seed), constants)
+    assert_matches_reference(sim, reference_of_seed(seed))
 
 
 def test_zero_width_cover_on_the_centre_column_hides_nothing():
@@ -311,10 +354,14 @@ def test_random_scenarios_cover_the_edge_cases():
     assert any(len(a.waypoints) == 1 for a in agents)
     assert any(p == q for a in agents for p, q in zip(a.waypoints, a.waypoints[1:]))
     assert any(not sc.agents for sc in scenarios)
-    n_frames = [sc.n_frames for sc in scenarios]
-    assert any(n < FRAME_BLOCK for n in n_frames)
-    assert FRAME_BLOCK in n_frames
-    assert any(n > FRAME_BLOCK and n % FRAME_BLOCK for n in n_frames)
+    # at the module's constants each scenario is one block; with the small blocks
+    # some are one block, some a whole number k > 1 of them, some end in a shorter one
+    assert all(generate_in_blocks(sc)[1] == [sc.n_frames] for sc in scenarios)
+    small = [generate_in_blocks(sc, c)[1] for sc in scenarios for c in SMALL_BLOCKS]
+    assert any(len(b) == 1 for b in small)
+    assert any(len(b) > 1 and len(set(b)) == 1 for b in small)
+    assert any(len(b) > 1 and b[-1] < b[0] for b in small)
+    assert {b[0] for b in small} >= {1, 4, 8, 15, 16, 32}
     for field in ("detection_noise", "appearance_noise", "cloud_noise"):
         assert {getattr(sc, field) > 0 for sc in scenarios} == {True, False}
     # some occluders lie wholly behind the camera, some partly, some in front
@@ -333,6 +380,104 @@ def test_random_scenarios_cover_the_edge_cases():
     assert any(0.0 < g.visibility < VISIBILITY_CUTOFF for g in gts)
     assert any(VISIBILITY_CUTOFF <= g.visibility < 1.0 for g in gts)
     assert any(g.visibility == 1.0 for g in gts)
+
+
+def paused_pan_scenario() -> Scenario:
+    """A camera that stands still, pans 0.25 m/frame, stands, and jumps back.
+
+    Its offsets run (0, 0); (-0.0, 0), as the cumulative sum keeps the first
+    delta's sign; (0, 0) for frames 2-6; 0.25, 0.5 and 0.75 m; 1 m for frames
+    10-15; and (0, 0) again for frames 16-20. Walkers cross two walls.
+    """
+    deltas = ([(-0.0, 0.0)] + [(0.0, 0.0)] * 5 + [(0.25, 0.0)] * 4 + [(0.0, 0.0)] * 5
+              + [(-1.0, 0.0)] + [(0.0, 0.0)] * 4)
+    return Scenario(
+        camera=CameraSpec(
+            height=6.0, tilt_deg=30.0, focal=1000.0, image_width=1920, image_height=1080
+        ),
+        ground_extent=40.0,
+        agents=(
+            AgentSpec(id=1, waypoints=((-4.0, 12.0), (4.0, 12.0)), speed=1.2),
+            AgentSpec(id=2, waypoints=((3.0, 9.0), (-3.0, 9.5)), speed=1.5, width=0.5),
+            AgentSpec(id=3, waypoints=((0.5, 15.0), (-2.0, 11.0)), speed=1.0, height=1.9),
+        ),
+        occluders=(
+            Occluder(x_min=-2.0, x_max=0.5, y_min=10.0, y_max=10.3, height=1.2),
+            Occluder(x_min=1.0, x_max=2.5, y_min=8.0, y_max=8.3, height=3.0),
+        ),
+        fps=10.0,
+        duration=2.1,
+        detection_noise=0.7,
+        appearance_noise=0.05,
+        seed=5,
+        camera_path=tuple(deltas),
+        cloud_points=30,
+    )
+
+
+def test_occluders_are_projected_once_per_run_of_equal_offsets(monkeypatch):
+    scenario = paused_pan_scenario()
+    calls = []
+
+    def spy(cam, occluders, cam_xy):
+        calls.append(np.array(cam_xy))
+        return occluder_rects(cam, occluders, cam_xy)
+
+    occluder_rects = simulator._occluder_rects
+    monkeypatch.setattr(simulator, "_occluder_rects", spy)
+    sim = generate(scenario)
+
+    want = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (0.75, 0.0),
+                     (1.0, 0.0), (0.0, 0.0)])
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].view(np.uint64), want.view(np.uint64))
+    assert_matches_reference(sim, reference_generate(scenario))
+    assert len(sim.table) > 0 and any(0.0 < v < 1.0 for v in sim.gt.visibility)
+
+
+def test_zero_frames_give_an_empty_output():
+    scenario = replace(paused_pan_scenario(), camera_path=None, duration=0.04)
+    assert scenario.n_frames == 0
+    sim = generate(scenario)
+    assert len(sim.gt) == 0 and len(sim.table) == 0 and sim.detections == []
+    assert sim.gt.box.shape == (0, 4) and sim.gt.bev.shape == (0, 2)
+    assert sim.table.box.shape == (0, 4) and sim.table.appearance.shape == (0, 16)
+    assert_matches_reference(sim, reference_generate(scenario))
+
+
+# -- the benchmark's crowds: every block size gives the same arrays ----------------------
+
+SCENES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "scenes.py"
+)
+
+
+def bench_scenes(workload: str) -> list:
+    spec = importlib.util.spec_from_file_location("bench_scenes", SCENES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[workload](0)
+
+
+def output_arrays(sim) -> list:
+    t, g = sim.table, sim.gt
+    return [t.frame, t.box, t.appearance, t.agent_id, g.frame, g.agent_id, g.box, g.bev,
+            g.visibility, sim.cloud, sim.cloud_pixels]
+
+
+@pytest.mark.parametrize("workload, walkers, blocks", [("crowd", 60, 11), ("crowd_fan", 40, 11)])
+def test_crowd_scenes_are_the_same_in_every_block_size(workload, walkers, blocks):
+    """The first scene of each crowd workload, 340 frames, in its 32-frame blocks,
+    in blocks of one frame and as one block."""
+    scenario = bench_scenes(workload)[0][0]
+    assert (len(scenario.agents), scenario.n_frames) == (walkers, 340)
+    runs = [generate_in_blocks(scenario, c) for c in (None, (1, 1), (scenario.n_frames, 1))]
+    assert [len(sizes) for _, sizes in runs] == [blocks, 340, 1]
+    want = output_arrays(runs[0][0])
+    for sim, _ in runs[1:]:
+        for got, exp in zip(output_arrays(sim), want):
+            assert got.dtype == exp.dtype and got.shape == exp.shape
+            assert got.tobytes() == exp.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
