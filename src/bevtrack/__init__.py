@@ -42,6 +42,7 @@ from .homography import (
     save_homography,
 )
 from .linearized import LinearizedHomography, linearize
+from .mot_io import DetectionTable
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
 from .simulator import (
     AgentSpec,
@@ -56,7 +57,6 @@ from .simulator import (
     write_scenario,
 )
 from .tracker import (
-    DetectionTable,
     SceneModel,
     Tracker,
     TrackTable,

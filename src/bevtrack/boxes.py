@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,9 +51,9 @@ def iou(a: PixelBox, b: PixelBox) -> float:
 def iou_ltwh(a, b) -> float:
     """``iou`` of two (left, top, width, height) rows: the one scalar formula.
 
-    0 when disjoint or when an edge is NaN (a box with no pixel position overlaps
-    nothing); where the union rounds to 0, what numpy's division gives, as in
-    ``iou_matrix``: NaN if the intersection is 0 too, else inf signed as the union.
+    0 when disjoint, when an edge is NaN (a box with no pixel position overlaps
+    nothing) or when the union is not above 0 (it rounds to 0, or is NaN where
+    areas overflow), as in ``iou_matrix``; so the result is never inf or NaN.
     """
     al, at, aw, ah = a
     bl, bt, bw, bh = b
@@ -68,9 +67,7 @@ def iou_ltwh(a, b) -> float:
         return 0.0
     inter = iw * ih
     union = aw * ah + bw * bh - inter
-    if union:
-        return inter / union
-    return math.copysign(math.inf, union) if inter else math.nan  # inter is never negative
+    return inter / union if union > 0 else 0.0
 
 
 def ltwh(boxes) -> np.ndarray:
@@ -88,9 +85,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arrays, leading axes broadcast.
 
     The same float operations as ``iou``, so every entry is bit-identical to
-    the scalar result; rows with NaN coordinates overlap nothing, and a union
-    that rounds to 0 gives NaN or inf, as in ``iou_ltwh``. Like the scalar
-    formula, it warns of nothing (0 / 0, x / 0, inf - inf, an overflowing area).
+    the scalar result; rows with NaN coordinates overlap nothing, and so does a
+    pair whose union is not above 0, as in ``iou_ltwh``. Like the scalar
+    formula, it warns of nothing (inf - inf, an overflowing area).
     """
     a = np.asarray(a, dtype=float)[..., :, None, :]
     b = np.asarray(b, dtype=float)[..., None, :, :]
@@ -101,8 +98,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
         inter = iw * ih
         union = aw * ah + bw * bh - inter
-        # min(iw, ih) > 0 is (iw > 0) & (ih > 0) in one call less
-        return np.divide(inter, union, out=np.zeros(inter.shape), where=np.minimum(iw, ih) > 0)
+        overlap = np.minimum(np.minimum(iw, ih), union) > 0  # iw, ih and union all > 0
+        return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
 
 def covered_fraction(box: PixelBox, covers) -> float:

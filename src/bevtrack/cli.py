@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import mot_io
-from .boxes import PixelBox, bottom_centers
 from .config import RunConfig, read_config
 from .errors import BevTrackError, ParseError
 from .experiments import calibrate_from_cloud, calibrated_lh, run_tracker
@@ -33,7 +32,7 @@ from .forecast import preprocess
 from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
 from .linearized import linearize
 from .simulator import generate, read_scenario, write_scenario
-from .tracker import DetectionTable, SceneModel, Tracker
+from .tracker import SceneModel, Tracker
 
 
 def _checked(kind, accept, expected: str):
@@ -167,10 +166,8 @@ def _simulate(args, cfg: RunConfig):
     sim = generate(sc)
     os.makedirs(args.out, exist_ok=True)
     out = functools.partial(os.path.join, args.out)
-    t, n = sim.table, len(sim.table)
-    dets = mot_io.MotTable(t.frame, np.full(n, -1), t.box, np.ones(n), np.full((n, 3), -1.0))
-    mot_io.write_detections(out("det.txt"), dets)
-    mot_io.write_appearance(out("appearance.txt"), t.appearance)
+    mot_io.write_detections(out("det.txt"), sim.table)
+    mot_io.write_appearance(out("appearance.txt"), sim.table.appearance)
     mot_io.write_gt(out("gt.txt"), sim.gt)
     mot_io.write_cloud(out("cloud.txt"), sim.cloud)
     mot_io.write_correspondences(out("correspondences.txt"), sim.cloud_pixels, sim.cloud)
@@ -209,7 +206,6 @@ def _load_tracker_inputs(args):
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
     dets = mot_io.read_detections(args.det)
-    appearance = None
     if args.appearance:
         appearance = mot_io.read_appearance(args.appearance)
         if len(appearance) != len(dets):
@@ -217,11 +213,12 @@ def _load_tracker_inputs(args):
                 f"{args.appearance}: {len(appearance)} descriptor rows for "
                 f"{len(dets)} detections"
             )
+        dets.appearance = appearance
     ego = mot_io.read_ego(args.ego) if args.ego else None
-    return lh, dets, appearance, ego
+    return lh, dets, ego
 
 
-def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.MotTable:
+def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.DetectionTable:
     """The tracker's track.txt and events.jsonl; returns the outputs' table."""
     track = mot_io.records_from_outputs(outputs)
     mot_io.write_detections(os.path.join(out_dir, "track.txt"), track)
@@ -231,16 +228,12 @@ def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.MotTable:
 
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
-    lh, dets, appearance, ego = _load_tracker_inputs(args)
+    lh, dets, ego = _load_tracker_inputs(args)
     if cfg.ingest_ids:  # an inactive track's kept upstream id must name one row a frame
-        bound = dets.track_id >= 0
-        _check_identities(args.det, dets.frame[bound], dets.track_id[bound], need_ids=False)
+        bound = dets.source_id >= 0
+        _check_identities(args.det, dets.frame[bound], dets.source_id[bound], need_ids=False)
     scene = SceneModel(lh, args.fps, ego)
-    boxes = tuple(map(PixelBox, *dets.box.T.tolist(), dets.confidence.tolist()))
-    appearance = np.array(appearance) if appearance else None
-    sources = dets.track_id if cfg.ingest_ids else None
-    table = DetectionTable(dets.frame, dets.box, appearance, sources, pixel_boxes=boxes)
-    by_frame = table.by_frame()
+    by_frame = dets.by_frame()
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
     if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
         reach = frames[0] if frames[0] < 0 else frames[-1]
@@ -273,8 +266,8 @@ def _cmd_evaluate(args) -> int:
     gt = mot_io.read_gt(args.gt)
     _check_identities(args.gt, gt.frame, gt.agent_id, need_ids=False)
     hyp = mot_io.read_detections(args.hyp)
-    _check_identities(args.hyp, hyp.frame, hyp.track_id)
-    report = evaluate_tracking(gt, (hyp.frame, hyp.track_id, hyp.box), args.fps, cfg)
+    _check_identities(args.hyp, hyp.frame, hyp.source_id)
+    report = evaluate_tracking(gt, (hyp.frame, hyp.source_id, hyp.box), args.fps, cfg)
     report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
@@ -293,10 +286,10 @@ def _cmd_forecast(args) -> int:
     h, max_spacing, image_size = load_homography(args.homography)
     lh = linearize(h, image_size, max_spacing)
     dets = mot_io.read_detections(args.det)
-    _check_identities(args.det, dets.frame, dets.track_id)
-    order = np.lexsort((dets.frame, dets.track_id))
-    frames, points = dets.frame[order], lh.px_to_bev(bottom_centers(dets.box[order]))
-    ids, starts = np.unique(dets.track_id[order], return_index=True)
+    _check_identities(args.det, dets.frame, dets.source_id)
+    order = np.lexsort((dets.frame, dets.source_id))
+    frames, points = dets.frame[order], lh.px_to_bev(dets.foot[order])
+    ids, starts = np.unique(dets.source_id[order], return_index=True)
     states = [preprocess(frames[lo:hi], points[lo:hi], cfg, args.fps)
               for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(frames)])]
     try:
@@ -322,7 +315,7 @@ def _cmd_pipeline(args) -> int:
         save_homography(out, lh.h, lh.max_spacing, lh.image_size)
     outputs, events, _ = run_tracker(sim, cfg, lh=lh)
     track = _write_outputs(args.out, outputs, events)
-    hyp = (track.frame, track.track_id, track.box)
+    hyp = (track.frame, track.source_id, track.box)
     report = evaluate_tracking(sim.gt, hyp, sim.scenario.fps, cfg)
     report.write_json(os.path.join(args.out, "report.json"))
     report.write_csv(os.path.join(args.out, "report.csv"))

@@ -15,7 +15,9 @@ buckets from a RunConfig; the functions it calls take them as arguments.
 Record conventions: boxes are ``(frame, id, (N, 4) ltwh box)`` arrays and
 visibility is ``(frame, id, fraction)`` arrays; ``evaluate_tracking`` takes
 the ground truth's from one GtTable and the hypotheses as such arrays
-(``mot_io.box_records`` of tracker outputs, or a MotTable's columns).
+(``mot_io.box_records`` of tracker outputs, or a read DetectionTable's
+``frame``, ``source_id`` and ``box``). IoU is never inf or NaN (``iou_matrix``),
+so each frame's assignment gets finite costs.
 Matches are three sorted arrays (``Matches``). ``match_frames`` scores
 consecutive frames in blocks of at most MATCH_BLOCK IoU cells, one
 ``iou_matrix`` call a block, and solves each frame's assignment on its own.
@@ -300,7 +302,8 @@ def evaluate_tracking(gt: GtTable, hyp: tuple, fps: float, config: RunConfig) ->
     """Full metric pass: matching, identity errors, bucketed event recall.
 
     hyp is (frame, id, (N, 4) box) arrays (``mot_io.box_records`` of the tracker's
-    outputs); the ground truth's own visibility gives the occlusion events.
+    outputs, or a DetectionTable's frame, source_id and box columns); the ground
+    truth's own visibility gives the occlusion events.
     Reads iou_threshold, vis_threshold, window and buckets from config.
     """
     matches = match_frames((gt.frame, gt.agent_id, gt.box), hyp, config.iou_threshold)

@@ -3,9 +3,11 @@
 Detections and tracker outputs use the 10-column MOT CSV layout
 ``frame,id,left,top,width,height,conf,x,y,z`` (id and world columns are -1 when
 unknown); ground truth uses ``frame,id,left,top,width,height,flag,class,
-visibility``. Frame and id are integers. Both are tables, a struct of arrays
-each (``MotTable``, ``GtTable``), read in file order and written column by
-column in (frame, id) order, ROW_BLOCK rows at a time. Point clouds are
+visibility``. Frame and id are integers. Both are tables of arrays, read in
+file order and written column by column in (frame, id) order, ROW_BLOCK rows at
+a time: ``GtTable``, and for detections the tracker's ``DetectionTable``, whose
+``source_id`` and ``confidence`` hold the id and score (the world columns are
+checked when read, then dropped, and written as -1). Point clouds are
 ``x y z`` rows, pixel/ground correspondences ``u v x y z`` rows, appearance one
 unit-length descriptor per row, and camera egomotion one cumulative ``dx dy``
 offset per frame from ``0 0``. ``_read_rows`` reads every row file: blank lines
@@ -31,12 +33,12 @@ import numbers
 import operator
 import re
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import InitVar, dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import ltwh
+from .boxes import PixelBox, bottom_centers, ltwh
 from .egomotion import EgomotionTrack
 from .errors import NonPositiveBox, ParseError
 
@@ -213,22 +215,116 @@ def _record_to_dict(v):
 
 # -- detections / tracker outputs and ground truth ------------------------------------
 
-_DET_FMT = "%d,%d," + ",".join(["%.17g"] * 8)
+_DET_FMT = "%d,%d," + ",".join(["%.17g"] * 5) + ",-1,-1,-1"
 _GT_FMT = "%d,%d,%.17g,%.17g,%.17g,%.17g,1,1,%.17g"
 
 
-@dataclass
-class MotTable:
-    """Detections or tracker outputs, one row per box, as a struct of arrays."""
+def _read_only(column, dtype):
+    """A read-only view of the column as an array of dtype; the column itself stays writable."""
+    view = np.asarray(column, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """ValueError naming the first row where bad holds."""
+    if bad.any():
+        raise ValueError(f"row {np.argmax(bad)}: {message}")
+
+
+@dataclass(eq=False)
+class DetectionTable:
+    """Detections or tracker outputs as read-only columns, one row per box, in row order.
+
+    A row's descriptor may be NaN throughout: that detection has none, and
+    skips the appearance gate. A source id below 0 is no upstream id; a
+    confidence of None is 1.0 for every row. The check, on by default, makes
+    each column a read-only view, raises ValueError naming the first row whose
+    frame or id is not an integer of magnitude at most 2**53 (a float's exact
+    range, which forecasts read), whose box has a non-positive size or a
+    non-finite value or edge (left + width, top + height), whose confidence is
+    not finite, or whose descriptor's norm is not 1 within 1e-6, and fills
+    ``foot`` with ``bottom_centers(box)``; ``check=False`` is for rows taken
+    from checked tables, as parts of one or as tracker outputs.
+    """
 
     frame: np.ndarray  # (N,) int
-    track_id: np.ndarray  # (N,) int, -1 when unknown
     box: np.ndarray  # (N, 4) left, top, width, height
-    confidence: np.ndarray  # (N,)
-    world: np.ndarray  # (N, 3) x, y, z, -1 when unknown
+    appearance: Optional[np.ndarray] = None  # (N, D) unit rows; None: no descriptors
+    source_id: Optional[np.ndarray] = None  # (N,) int upstream ids; None: no ids
+    confidence: Optional[np.ndarray] = None  # (N,) detector scores; None: 1.0 for every row
+    agent_id: Optional[np.ndarray] = None  # (N,) int simulated agent; None outside the simulator
+    foot: Optional[np.ndarray] = None  # (N, 2) the boxes' bottom centres, set by the check
+    pixel_boxes: Optional[tuple] = None  # each row's PixelBox; None until boxes() builds them
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool):
+        if not check:
+            return
+        for name, dtype in (("frame", np.int64), ("box", float), ("appearance", float),
+                            ("source_id", np.int64), ("confidence", float),
+                            ("agent_id", np.int64)):
+            column = getattr(self, name)
+            if column is None:
+                continue
+            if dtype is np.int64:
+                column = np.asarray(column)
+                v = column.astype(float)
+                _refuse(~(np.isfinite(v) & (v == np.floor(v))), f"{name} must be an integer")
+                # beyond 2**53 a float skips integers; compared as given, 2**53 + 1 is refused
+                big = (column > 2**53) | (column < -2**53)
+                _refuse(big, f"{name} must be at most 2**53 in size")
+            setattr(self, name, _read_only(column, dtype))
+        n, a = len(self.frame), self.appearance
+        sized = (self.source_id, self.confidence, self.agent_id, self.pixel_boxes)
+        if (self.frame.ndim != 1 or self.box.shape != (n, 4)
+                or any(c is not None and len(c) != n for c in sized)
+                or (a is not None and (a.ndim != 2 or len(a) != n or a.shape[1] < 1))):
+            raise ValueError(f"need {n} rows in every column, (N, 4) boxes and (N, D >= 1) "
+                             "descriptors")
+        _refuse(~(self.box[:, 2:] > 0).all(axis=1), "box width and height must be positive")
+        with np.errstate(over="ignore"):
+            edges = np.concatenate([self.box, self.box[:, :2] + self.box[:, 2:]], axis=1)
+        _refuse(~np.isfinite(edges).all(axis=1), "box values and edges must be finite")
+        if self.confidence is not None:
+            _refuse(~np.isfinite(self.confidence), "confidence must be finite")
+        self.foot = _read_only(bottom_centers(self.box), float)
+        if a is not None:
+            # stacked (1, D) @ (D, 1) products round like each row's own dot, as linalg.norm
+            unit = np.abs(np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0, 0] - 1.0) <= 1e-6
+            _refuse(~(unit | np.isnan(a).all(axis=1)), "appearance descriptor must be unit length")
 
     def __len__(self) -> int:
         return len(self.frame)
+
+    def rows(self, index) -> DetectionTable:
+        """The rows ``index`` selects (a slice or a sequence of row numbers), read-only."""
+        columns = (self.frame, self.box, self.appearance, self.source_id, self.confidence,
+                   self.agent_id, self.foot)
+        boxes = self.boxes()
+        if isinstance(index, slice):  # views of read-only columns, read-only too
+            parts = [None if c is None else c[index] for c in columns]
+            return DetectionTable(*parts, boxes[index], check=False)
+        index = np.asarray(index, dtype=np.intp)
+        parts = [None if c is None else _read_only(c[index], c.dtype) for c in columns]
+        return DetectionTable(*parts, tuple(map(boxes.__getitem__, index.tolist())), check=False)
+
+    def boxes(self) -> tuple:
+        """Each row's PixelBox, with its confidence: pixel_boxes, built from the box and
+        confidence columns on first read."""
+        if self.pixel_boxes is None:
+            scores = () if self.confidence is None else (self.confidence.tolist(),)
+            self.pixel_boxes = tuple(map(PixelBox, *self.box.T.tolist(), *scores))
+        return self.pixel_boxes
+
+    def by_frame(self) -> dict:
+        """{frame: the frame's rows}, in row order; each part holds its rows' boxes()."""
+        table = self
+        if (np.diff(self.frame) < 0).any():
+            table = self.rows(np.argsort(self.frame, kind="stable"))
+        cuts = [0, *(np.flatnonzero(np.diff(table.frame)) + 1).tolist(), len(table)]
+        frames = table.frame[cuts[:-1]].tolist() if len(table) else []
+        return {f: table.rows(slice(lo, hi)) for f, lo, hi in zip(frames, cuts, cuts[1:])}
 
 
 def box_records(records: Sequence) -> tuple:
@@ -237,22 +333,29 @@ def box_records(records: Sequence) -> tuple:
     return np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64), ltwh(boxes)
 
 
-def records_from_outputs(outputs: Sequence) -> MotTable:
-    """Tracker ``(frame, id, PixelBox)`` triples as a writable table."""
+def records_from_outputs(outputs: Sequence) -> DetectionTable:
+    """Tracker ``(frame, id, PixelBox)`` triples as a table, the id in source_id. It is
+    not checked again: every box comes from a checked table."""
+    frame, ids, box = box_records(outputs)
     confidence = np.array([b.confidence for _, _, b in outputs], dtype=float)
-    return MotTable(*box_records(outputs), confidence, np.full((len(outputs), 3), -1.0))
+    return DetectionTable(frame, box, source_id=ids, confidence=confidence, check=False)
 
 
-def write_detections(path, dets: MotTable) -> None:
-    box, world = dets.box.T, dets.world.T
-    _write_table(path, _DET_FMT, dets.frame, dets.track_id, *box, dets.confidence, *world)
+def write_detections(path, dets: DetectionTable) -> None:
+    """MOT detection rows: id -1 without source ids, confidence 1 without confidences,
+    and -1 in every world column."""
+    n = len(dets)
+    ids = np.full(n, -1) if dets.source_id is None else dets.source_id
+    confidence = np.ones(n) if dets.confidence is None else dets.confidence
+    _write_table(path, _DET_FMT, dets.frame, ids, *dets.box.T, confidence)
 
 
-def read_detections(path) -> MotTable:
-    """The file's rows in file order; rows with non-positive width or height are
+def read_detections(path) -> DetectionTable:
+    """The file's rows in file order, the id column in source_id; the world columns
+    must be finite and are dropped. Rows with non-positive width or height are
     dropped with a warning."""
-    frame, track_id, vals = _box_table(path, 10)
-    return MotTable(frame, track_id, vals[:, 2:6], vals[:, 6], vals[:, 7:])
+    frame, ids, vals = _box_table(path, 10)
+    return DetectionTable(frame, vals[:, 2:6], source_id=ids, confidence=vals[:, 6])
 
 
 @dataclass
@@ -318,8 +421,8 @@ def write_appearance(path, vectors: Sequence) -> None:
     _write_rows(path, " ".join(["%.17g"] * (len(rows[0]) if rows else 0)), rows)
 
 
-def read_appearance(path) -> list:
-    """Unit-length descriptors, one per row, all of one length."""
+def read_appearance(path) -> np.ndarray:
+    """(N, D) unit-length descriptors, one per row, all of one length; (0, 0) for none."""
     out = []
     for lineno, vals in _read_rows(path):
         if out and len(vals) != len(out[0]):
@@ -330,7 +433,7 @@ def read_appearance(path) -> list:
         out.append(np.array(vals))
         if abs(math.sqrt(out[-1].dot(out[-1])) - 1.0) > 1e-6:  # np.linalg.norm's operations
             raise ParseError(f"{path}:{lineno}: descriptor is not unit length")
-    return out
+    return np.array(out).reshape(len(out), len(out[0]) if out else 0)
 
 
 def write_ego(path, ego: EgomotionTrack) -> None:

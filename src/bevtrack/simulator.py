@@ -55,6 +55,7 @@ from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
 from .homography import MAX_IMAGE_SIDE, Homography
 from .mot_io import (
+    DetectionTable,
     GtTable,
     _is_number,
     _record_from_dict,
@@ -62,7 +63,7 @@ from .mot_io import (
     read_json,
     write_json,
 )
-from .tracker import DetectionTable, SceneModel
+from .tracker import SceneModel
 
 FRAME_BLOCK = 32  # frames generated together by more than BLOCK_AGENTS // 2 agents
 BLOCK_AGENTS = 64  # fewer agents' blocks hold at most FRAME_BLOCK frames of this many

@@ -14,7 +14,8 @@ matches each lost track's filter grid reads (at most two a grid point, all in
 one px_to_world call), and the free detections with a pair that passes the
 appearance gate. Tracks and forecasts are world-fixed, the map
 camera-relative: only SceneModel.px_to_world and world_to_px apply the camera
-offset. A step reads a frame's DetectionTable and outputs its rows' PixelBoxes.
+offset. A step reads a frame's DetectionTable (mot_io's table of MOT detection
+rows) and outputs its rows' PixelBoxes, each with its row's confidence.
 
 Base association scores up to FEW_PAIRS (track, detection) pairs with scalar
 IoU, which costs less than iou_matrix's fixed numpy calls, and more with
@@ -29,121 +30,22 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
-from .boxes import PixelBox, bottom_centers, iou, iou_ltwh, iou_matrix  # noqa: F401
+from .boxes import iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame, ParseError
 from .forecast import filter_grid, forecast, forecast_span, predicted_box, preprocess  # noqa: F401
+from .mot_io import DetectionTable
 
 # Base association scores up to this many (active track, detection) pairs with
 # scalar IoU, more with iou_matrix: the measured crossover (_base_association).
 FEW_PAIRS = 64
-
-
-def _read_only(column, dtype):
-    """A read-only view of the column as an array of dtype; the column itself stays writable."""
-    view = np.asarray(column, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
-
-
-def _refuse(bad: np.ndarray, message: str) -> None:
-    """ValueError naming the first row where bad holds."""
-    if bad.any():
-        raise ValueError(f"row {np.argmax(bad)}: {message}")
-
-
-@dataclass(eq=False)
-class DetectionTable:
-    """Detections as read-only columns, one row per detection, in row order.
-
-    A row's descriptor may be NaN throughout: that detection has none, and
-    skips the appearance gate. A source id below 0 is no upstream id. The
-    check, on by default, makes each column a read-only view, raises
-    ValueError naming the first row whose frame or id is not an integer of
-    magnitude at most 2**53 (a float's exact range, which forecasts read),
-    whose box has a non-positive size or a non-finite value or edge (left +
-    width, top + height), or whose descriptor's norm is not 1 within 1e-6,
-    and fills ``foot`` with ``bottom_centers(box)``; ``check=False`` is for
-    parts of a checked table, which share its read-only columns.
-    """
-
-    frame: np.ndarray  # (N,) int
-    box: np.ndarray  # (N, 4) left, top, width, height
-    appearance: Optional[np.ndarray] = None  # (N, D) unit rows; None: no descriptors
-    source_id: Optional[np.ndarray] = None  # (N,) int upstream ids; None: no ids
-    agent_id: Optional[np.ndarray] = None  # (N,) int simulated agent; None outside the simulator
-    foot: Optional[np.ndarray] = None  # (N, 2) the boxes' bottom centres, set by the check
-    pixel_boxes: Optional[tuple] = None  # each row's PixelBox; None until boxes() builds them
-    check: InitVar[bool] = True
-
-    def __post_init__(self, check: bool):
-        if not check:
-            return
-        for name, dtype in (("frame", np.int64), ("box", float), ("appearance", float),
-                            ("source_id", np.int64), ("agent_id", np.int64)):
-            column = getattr(self, name)
-            if column is None:
-                continue
-            if dtype is np.int64:
-                column = np.asarray(column)
-                v = column.astype(float)
-                _refuse(~(np.isfinite(v) & (v == np.floor(v))), f"{name} must be an integer")
-                # beyond 2**53 a float skips integers; compared as given, 2**53 + 1 is refused
-                big = (column > 2**53) | (column < -2**53)
-                _refuse(big, f"{name} must be at most 2**53 in size")
-            setattr(self, name, _read_only(column, dtype))
-        n, a = len(self.frame), self.appearance
-        sized = (self.source_id, self.agent_id, self.pixel_boxes)
-        if (self.frame.ndim != 1 or self.box.shape != (n, 4)
-                or any(c is not None and len(c) != n for c in sized)
-                or (a is not None and (a.ndim != 2 or len(a) != n or a.shape[1] < 1))):
-            raise ValueError(f"need {n} rows in every column, (N, 4) boxes and (N, D >= 1) "
-                             "descriptors")
-        _refuse(~(self.box[:, 2:] > 0).all(axis=1), "box width and height must be positive")
-        with np.errstate(over="ignore"):
-            edges = np.concatenate([self.box, self.box[:, :2] + self.box[:, 2:]], axis=1)
-        _refuse(~np.isfinite(edges).all(axis=1), "box values and edges must be finite")
-        self.foot = _read_only(bottom_centers(self.box), float)
-        if a is not None:
-            # stacked (1, D) @ (D, 1) products round like each row's own dot, as linalg.norm
-            unit = np.abs(np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0, 0] - 1.0) <= 1e-6
-            _refuse(~(unit | np.isnan(a).all(axis=1)), "appearance descriptor must be unit length")
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def rows(self, index) -> DetectionTable:
-        """The rows ``index`` selects (a slice or a sequence of row numbers), read-only."""
-        columns = (self.frame, self.box, self.appearance, self.source_id, self.agent_id, self.foot)
-        boxes = self.boxes()
-        if isinstance(index, slice):  # views of read-only columns, read-only too
-            parts = [None if c is None else c[index] for c in columns]
-            return DetectionTable(*parts, boxes[index], check=False)
-        index = np.asarray(index, dtype=np.intp)
-        parts = [None if c is None else _read_only(c[index], c.dtype) for c in columns]
-        return DetectionTable(*parts, tuple(map(boxes.__getitem__, index.tolist())), check=False)
-
-    def boxes(self) -> tuple:
-        """Each row's PixelBox: pixel_boxes, built from the box column on first read."""
-        if self.pixel_boxes is None:
-            self.pixel_boxes = tuple(PixelBox(*b) for b in self.box.tolist())
-        return self.pixel_boxes
-
-    def by_frame(self) -> dict:
-        """{frame: the frame's rows}, in row order; each part holds its rows' boxes()."""
-        table = self
-        if (np.diff(self.frame) < 0).any():
-            table = self.rows(np.argsort(self.frame, kind="stable"))
-        cuts = [0, *(np.flatnonzero(np.diff(table.frame)) + 1).tolist(), len(table)]
-        frames = table.frame[cuts[:-1]].tolist() if len(table) else []
-        return {f: table.rows(slice(lo, hi)) for f, lo, hi in zip(frames, cuts, cuts[1:])}
 
 
 _NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), pixel_boxes=())

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -182,7 +181,7 @@ class TestIouMatrix:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_iou_ltwh_matches_on_non_finite_and_touching_rows(self):
         # Coordinates from a few small integers (shared and touching edges), NaN and
-        # +-inf, on either side: every entry is iou_ltwh's, bit for bit.
+        # +-inf, on either side: every entry is iou_ltwh's, bit for bit, and finite.
         rng = np.random.default_rng(12)
         pool = np.array([0.0, 1.0, 2.0, 3.0, 5.0, np.nan, np.inf, -np.inf])
         kinds = set()
@@ -192,16 +191,14 @@ class TestIouMatrix:
                              rng.choice(pool, (k, 4))) for k in (n, m))
             got = iou_matrix(a, b)
             want = np.array([[iou_ltwh(x, y) for y in b.tolist()] for x in a.tolist()])
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.array_equal(got.view(np.int64)[~np.isnan(got)],
-                                  want.view(np.int64)[~np.isnan(want)])
-            kinds |= {"nan" if v != v else "inf" if abs(v) == np.inf else "positive" if v > 0
-                      else "zero" for v in got.ravel().tolist()}
-        assert {"positive", "zero"} <= kinds
-        wide = np.array([[0.0, 0.0, np.inf, 1.0]])  # inf / (inf - inf)
-        assert np.isnan(iou_matrix(wide, wide)).all() and math.isnan(iou_ltwh(*wide.tolist() * 2))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            kinds |= {"positive" if v > 0 else "zero" if v == 0 else "other"
+                      for v in got.ravel().tolist()}
+        assert kinds == {"positive", "zero"}
+        wide = np.array([[0.0, 0.0, np.inf, 1.0]])  # a NaN union, inf - inf: no overlap
+        assert iou_matrix(wide, wide).tolist() == [[0.0]] and iou_ltwh(*wide.tolist() * 2) == 0.0
         far = np.array([[2.0**53, 2.0**53, 1.25, 1.6]])  # areas 2 + 2 less a rounded overlap 4
-        assert iou_matrix(far, far).tolist() == [[math.inf]] and iou_ltwh(*far.tolist() * 2) == math.inf
+        assert iou_matrix(far, far).tolist() == [[0.0]] and iou_ltwh(*far.tolist() * 2) == 0.0
         assert iou_ltwh((np.nan, np.nan, 10.0, 20.0), (0.0, 0.0, 10.0, 20.0)) == 0.0
         assert iou_ltwh((0.0, 0.0, 10.0, 20.0), (np.nan, 0.0, 10.0, 20.0)) == 0.0
 
@@ -209,12 +206,12 @@ class TestIouMatrix:
         assert iou_matrix(ltwh([]), ltwh([PixelBox(0, 0, 1, 1)])).shape == (0, 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_union_that_underflows_is_nan_in_both(self):
-        # Positive sizes whose areas round to 0: 0 / 0 in both, NaN without a
-        # RuntimeWarning or a ZeroDivisionError.
+    def test_a_union_that_underflows_overlaps_nothing_in_both(self):
+        # Positive sizes whose areas round to 0: a union of 0 is no overlap in both,
+        # without a RuntimeWarning or a ZeroDivisionError.
         tiny = PixelBox(0.0, 0.0, 1e-200, 1e-200)
         got = iou_matrix(ltwh([tiny]), ltwh([tiny]))
-        assert np.isnan(got).all() and np.isnan(iou(tiny, tiny))
+        assert got.tolist() == [[0.0]] and iou(tiny, tiny) == 0.0
 
 
 class TestCoveredFraction:

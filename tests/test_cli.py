@@ -168,7 +168,7 @@ class TestTrack:
     def test_outputs_and_events(self, track_dir):
         recs = read_detections(os.path.join(track_dir, "track.txt"))
         assert len(recs) > 0
-        assert set(recs.track_id.tolist()) == {1}  # the occluded walker keeps one identity
+        assert set(recs.source_id.tolist()) == {1}  # the occluded walker keeps one identity
         with open(os.path.join(track_dir, "events.jsonl")) as f:
             events = [json.loads(line) for line in f]
         reasons = {e["reason"] for e in events}
@@ -204,7 +204,7 @@ class TestTrack:
             ]
         )
         assert code == 0
-        ids = set(read_detections(os.path.join(out, "track.txt")).track_id.tolist())
+        ids = set(read_detections(os.path.join(out, "track.txt")).source_id.tolist())
         assert len(ids) >= 2
 
     def test_idle_gap_is_skipped_not_stepped(self, sim_dir, tmp_path):
@@ -239,6 +239,23 @@ class TestTrack:
         for name in ("track.txt", "events.jsonl"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_file_confidences_reach_track_txt(self, sim_dir, tmp_path):
+        # Each output row is a detection's box and carries that detection's score from
+        # the file; the world columns are read and dropped.
+        rows = open(os.path.join(sim_dir, "det.txt")).read().splitlines()
+        scored = [",".join([*r.split(",")[:6], repr((k % 9 + 1) / 10), "2.5", "-3", "0"])
+                  for k, r in enumerate(rows)]
+        det, out = tmp_path / "det.txt", tmp_path / "out"
+        det.write_text("\n".join(scored) + "\n")
+        homography = os.path.join(sim_dir, "homography.txt")
+        args = ["track", "--det", str(det), "--homography", homography, "--out", str(out)]
+        assert main(args + ["--fps", "10"]) == 0
+        dets, track = read_detections(det), read_detections(out / "track.txt")
+        score = {(f, *b): c for f, b, c in
+                 zip(dets.frame.tolist(), dets.box.tolist(), dets.confidence.tolist())}
+        want = [score[(f, *b)] for f, b in zip(track.frame.tolist(), track.box.tolist())]
+        assert track.confidence.tolist() == want and len(set(want)) > 1
+
     def test_ingest_mode_heals_upstream_ids(self, sim_dir, tmp_path):
         # fabricate upstream ids that change across the occlusion gap
         recs = read_detections(os.path.join(sim_dir, "det.txt"))
@@ -262,7 +279,7 @@ class TestTrack:
             ]
         )
         assert code == 0
-        ids = set(read_detections(os.path.join(out, "track.txt")).track_id.tolist())
+        ids = set(read_detections(os.path.join(out, "track.txt")).source_id.tolist())
         assert ids == {1}
 
 
@@ -305,6 +322,19 @@ class TestEvaluate:
         assert total == 1 and recovered == 1  # the wall-pass event, healed
         assert os.path.exists(csv_out)
         assert "recall" in capsys.readouterr().out
+
+    def test_a_pair_whose_union_rounds_to_0_is_no_match(self, tmp_path, capsys):
+        # Areas 2 + 2 less an overlap that rounds to 4: the union is 0, so the IoU is 0,
+        # not inf, and the boxes stay unmatched where the assignment once raised.
+        box = "9007199254740992,9007199254740992,1.25,1.6"
+        (tmp_path / "gt.txt").write_text(f"0,1,{box},1,1,1\n")
+        (tmp_path / "hyp.txt").write_text(f"0,1,{box},1,-1,-1,-1\n")
+        out = tmp_path / "report.json"
+        args = ["evaluate", "--gt", str(tmp_path / "gt.txt"), "--hyp", str(tmp_path / "hyp.txt")]
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert (report["n_gt"], report["n_hyp"], report["n_matched"]) == (1, 1, 0)
 
     def test_custom_buckets(self, sim_dir, track_dir, tmp_path):
         out = str(tmp_path / "report.json")

@@ -14,7 +14,7 @@ from bevtrack.homography import Homography, save_homography
 from bevtrack.simulator import generate
 from bevtrack.tracker import Tracker
 from bevtrack.mot_io import (
-    MotTable,
+    DetectionTable,
     box_records,
     read_appearance,
     read_cloud,
@@ -43,11 +43,13 @@ def rec(frame, tid, left=10.0, top=20.0, w=30.0, h=60.0, conf=0.9):
     return DetRow(frame=frame, track_id=tid, box=PixelBox(left, top, w, h, conf))
 
 
-def det_table(rows) -> MotTable:
-    """The MotTable of DetRows, in their order."""
+def det_table(rows) -> DetectionTable:
+    """The DetectionTable of DetRows, in their order, unchecked as tracker outputs are:
+    the writer's tests reach edges that overflow. The world is not a column; every
+    DetRow keeps the default, which the writer writes."""
     frame, track_id, box = box_records([(r.frame, r.track_id, r.box) for r in rows])
     confidence = np.array([r.box.confidence for r in rows], dtype=float)
-    return MotTable(frame, track_id, box, confidence, np.array([r.world for r in rows]).reshape(-1, 3))
+    return DetectionTable(frame, box, source_id=track_id, confidence=confidence, check=False)
 
 
 OVERFLOW = r"left \+ width or top \+ height is not finite"
@@ -55,28 +57,59 @@ OVERFLOW = r"left \+ width or top \+ height is not finite"
 
 class TestDetections:
     def test_round_trip_exact(self, tmp_path):
-        # values with no short decimal representation survive exactly
+        # values with no short decimal representation survive exactly, -1 ids too
         records = [
             rec(0, 1, left=1.0 / 3.0, top=np.pi, w=2.0 / 7.0 + 30.0, h=61.123456789012345),
-            rec(1, 2),
+            rec(1, 2, conf=1.0 / 7.0),
+            rec(1, -1, left=-0.0, conf=-0.0),
         ]
+        table = det_table(records)
         p = tmp_path / "det.txt"
-        write_detections(p, det_table(records))
+        write_detections(p, table)
         back = read_detections(p)
-        assert len(back) == 2
-        assert back.frame.tolist() == [0, 1] and back.track_id.tolist() == [1, 2]
-        for a, box, conf in zip(records, back.box.tolist(), back.confidence.tolist()):
-            b = a.box
-            assert box == [b.left, b.top, b.width, b.height]  # bit-exact via %.17g
-            assert conf == b.confidence
-        assert back.world.tolist() == [[-1.0, -1.0, -1.0]] * 2
+        assert len(back) == 3
+        assert back.frame.tolist() == [0, 1, 1] and back.source_id.tolist() == [1, -1, 2]
+        order = [0, 2, 1]  # written in (frame, id) order
+        for name in ("frame", "source_id", "box", "confidence"):
+            want = getattr(table, name)[order]
+            assert getattr(back, name).tobytes() == want.astype(getattr(back, name).dtype).tobytes()
+        assert back.boxes() == tuple(records[k].box for k in order)
+        assert p.read_text().count(",-1,-1,-1\n") == 3  # the world columns
+
+    def test_world_columns_read_and_dropped(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("0,4,10,20,30,60,0.25,1.5,-2,1e300\n")
+        back = read_detections(p)
+        assert back.source_id.tolist() == [4] and back.confidence.tolist() == [0.25]
+        assert back.box.tolist() == [[10.0, 20.0, 30.0, 60.0]]
+        assert not hasattr(back, "world")
+        write_detections(tmp_path / "again.txt", back)
+        assert (tmp_path / "again.txt").read_text() == "0,4,10,20,30,60,0.25,-1,-1,-1\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_confidence_refused(self, tmp_path, bad):
+        box = [[10.0, 20.0, 30.0, 60.0]] * 3
+        with pytest.raises(ValueError, match=r"^row 1: confidence must be finite$"):
+            DetectionTable([0, 0, 1], box, confidence=[0.5, bad, 1.0])
+        p = tmp_path / "det.txt"
+        p.write_text(f"0,1,10,20,30,60,0.5,-1,-1,-1\n0,2,10,20,30,60,{bad},-1,-1,-1\n")
+        with pytest.raises(ParseError, match=r"det\.txt:2: non-finite value$"):
+            read_detections(p)
+
+    def test_confidence_reaches_boxes_and_rows(self):
+        table = DetectionTable([0, 1], [[1.0, 2.0, 3.0, 4.0]] * 2, confidence=[0.25, 0.5])
+        assert [b.confidence for b in table.boxes()] == [0.25, 0.5]
+        assert table.rows([1]).confidence.tolist() == [0.5]
+        assert table.by_frame()[1].boxes() == (PixelBox(1.0, 2.0, 3.0, 4.0, 0.5),)
+        assert not table.confidence.flags.writeable
+        assert DetectionTable([0], [[1.0, 2.0, 3.0, 4.0]]).boxes()[0].confidence == 1.0
 
     def test_rows_sorted_by_frame_then_id(self, tmp_path):
         records = [rec(1, 2), rec(0, 9), rec(0, 3)]
         p = tmp_path / "det.txt"
         write_detections(p, det_table(records))
         back = read_detections(p)
-        assert list(zip(back.frame.tolist(), back.track_id.tolist())) == [(0, 3), (0, 9), (1, 2)]
+        assert list(zip(back.frame.tolist(), back.source_id.tolist())) == [(0, 3), (0, 9), (1, 2)]
 
     def test_ten_fields_required(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -113,7 +146,7 @@ class TestDetections:
         p.write_text("0,1,10,20,30,60,1,-1,-1,-1\n0,2,10,20,0,60,1,-1,-1,-1\n")
         with pytest.warns(NonPositiveBox):
             back = read_detections(p)
-        assert back.track_id.tolist() == [1]
+        assert back.source_id.tolist() == [1]
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -134,18 +167,17 @@ class TestDetections:
         p = tmp_path / "det.txt"
         p.write_text("1.0,-1.0,10,20,30,60,1,-1,-1,-1\n2e1,7,10,20,30,60,1,-1,-1,-1\n")
         back = read_detections(p)
-        assert list(zip(back.frame.tolist(), back.track_id.tolist())) == [(1, -1), (20, 7)]
-        assert back.frame.dtype == back.track_id.dtype == np.int64
+        assert list(zip(back.frame.tolist(), back.source_id.tolist())) == [(1, -1), (20, 7)]
+        assert back.frame.dtype == back.source_id.dtype == np.int64
 
     def test_records_from_outputs(self):
         outs = [(3, 7, PixelBox(1.0, 2.0, 3.0, 4.0, confidence=0.5))]
         table = records_from_outputs(outs)
-        assert table.frame.tolist() == [3] and table.track_id.tolist() == [7]
+        assert table.frame.tolist() == [3] and table.source_id.tolist() == [7]
         assert table.box.tolist() == [[1.0, 2.0, 3.0, 4.0]]
         assert table.confidence.tolist() == [0.5]
-        assert table.world.tolist() == [[-1.0, -1.0, -1.0]]
         empty = records_from_outputs([])
-        assert len(empty) == 0 and empty.box.shape == (0, 4) and empty.world.shape == (0, 3)
+        assert len(empty) == 0 and empty.box.shape == (0, 4) and empty.confidence.shape == (0,)
 
 
 class TestGt:
@@ -245,9 +277,8 @@ class TestAppearance:
         p = tmp_path / "app.txt"
         write_appearance(p, vecs)
         back = read_appearance(p)
-        assert len(back) == 5
-        for a, b in zip(vecs, back):
-            assert np.array_equal(a, b)
+        assert back.shape == (5, 8)
+        assert np.array_equal(back, vecs)
 
     def test_inconsistent_lengths_rejected(self, tmp_path):
         p = tmp_path / "app.txt"
@@ -267,10 +298,10 @@ class TestAppearance:
         with pytest.raises(ParseError, match=r"app\.txt:3: descriptor is not unit length$"):
             read_appearance(p)
 
-    def test_empty_file_gives_empty_list(self, tmp_path):
+    def test_empty_file_gives_no_rows(self, tmp_path):
         p = tmp_path / "app.txt"
         p.write_text("")
-        assert read_appearance(p) == []
+        assert read_appearance(p).shape == (0, 0)
 
 
 class TestEgo:
@@ -514,8 +545,7 @@ class TestWritersMatchReference:
         for _ in range(60):
             frame, tid = self.frame_id(rng)
             conf = 1.0 if rng.random() < 0.3 else self.value(rng)
-            world = (-1.0, -1.0, -1.0) if rng.random() < 0.3 else tuple(self.values(rng, 3))
-            records.append(DetRow(frame, tid, self.box(rng, conf), world))
+            records.append(DetRow(frame, tid, self.box(rng, conf)))
         write_detections(tmp_path / "new.txt", det_table(records))
         for ref in (ref_write_detections, record_write_detections):
             ref(tmp_path / "ref.txt", records)
@@ -620,27 +650,23 @@ class TestConstantColumnsFormattedOnce:
             return rng.choice([NAN, 1.0, -1.0], n)
         return np.full(n, kind)
 
+    # None: a table with no confidence column, written as 1
     @pytest.mark.parametrize(
-        "kinds",
-        [
-            (1.0, -1.0, -1.0, -1.0),  # tracker outputs: every column after the box
-            ("random", -1.0, "random", "random"),  # one constant
-            (0.0, -0.0, NAN, 5e-324),  # several, of values whose text is easy to get wrong
-            ("signed_zeros", "signed_zeros", -0.0, "random"),
-            ("nan_and_numbers", NAN, "signed_zeros", 1e308),
-            ("random", "random", "random", "random"),  # none
-        ],
+        "confidence", [1.0, "random", -0.0, NAN, 5e-324, "signed_zeros", "nan_and_numbers", None]
     )
+    @pytest.mark.parametrize("with_ids", [True, False])
     @pytest.mark.parametrize("n", [0, 1, 2, 37])
-    def test_detections(self, tmp_path, kinds, n):
+    def test_detections(self, tmp_path, confidence, with_ids, n):
         rng = np.random.default_rng(n)
-        frame, ids = rng.integers(0, 5, n), rng.integers(-1, 9, n)
+        frame, ids = rng.integers(0, 5, n), rng.integers(-1, 9, n) if with_ids else None
         box = rng.normal(0.0, 1e3, (n, 4))
         box[:, 2] = 3.0  # constant box columns too
-        cols = [self.column(rng, n, k) for k in kinds]
-        world = np.stack(cols[1:], axis=1).reshape(n, 3)
-        write_detections(tmp_path / "new.txt", MotTable(frame, ids, box, cols[0], world))
-        per_row_write(tmp_path / "ref.txt", DET_ROW, frame, ids, *box.T, cols[0], *world.T)
+        conf = None if confidence is None else self.column(rng, n, confidence)
+        table = DetectionTable(frame, box, source_id=ids, confidence=conf, check=False)
+        write_detections(tmp_path / "new.txt", table)
+        ids = np.full(n, -1) if ids is None else ids
+        conf = np.ones(n) if conf is None else conf
+        per_row_write(tmp_path / "ref.txt", DET_ROW, frame, ids, *box.T, conf, *np.full((3, n), -1.0))
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     @pytest.mark.parametrize("visibility", [1.0, -0.0, NAN, "signed_zeros", "nan_and_numbers"])

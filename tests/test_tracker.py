@@ -542,6 +542,26 @@ def test_boxes_whose_areas_underflow_match_nothing_in_a_large_association():
     assert [e["reason"] for e in events] == ["terminated"] * 9 + ["new"] * 9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_pair_whose_union_rounds_to_0_overlaps_nothing_in_either_association():
+    # Boxes of 2**-47 px at 64 px, where the edges round: a box's two areas add up to
+    # its rounded overlap with itself, so the union is 0. The IoU is 0, not inf, so
+    # neither re-association (whose assignment once raised on it) nor base association
+    # takes the pair.
+    s = 2.0**-47
+    tk = Tracker(make_scene(), small_config(motion="static"))
+    tk.step(table((0, PixelBox(64.0 + 2 * s, 64.0, s, s), None, None)), 0)
+    tk.step([], 1)  # inactive; its static branch's predicted box is this one
+    ((u, v),) = tk.scene.world_to_px(tk.tracks.origin, 2)[0].tolist()
+    predicted = PixelBox(u - s / 2.0, v - s, s, s)
+    overlap = (predicted.right - predicted.left) * (predicted.bottom - predicted.top)
+    assert 2 * (s * s) == overlap > 0
+    _, events = tk.step(table((2, predicted, None, None)), 2)
+    assert [(e["reason"], e["track_id"]) for e in events] == [("new", 2)]
+    _, events = tk.step(table((3, predicted, None, None)), 3)
+    assert [(e["reason"], e["track_id"]) for e in events] == [("inactive", 2), ("new", 3)]
+
+
 class TestCandidatePairs:
     """The appearance gate runs once a step, and only tracks and detections with a
     pair that passes it are mapped and scored."""
