@@ -31,7 +31,7 @@ from .forecast import forecast as run_forecast
 from .forecast import preprocess
 from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
 from .linearized import linearize
-from .simulator import generate, read_scenario, write_scenario
+from .simulator import build_scene_model, generate, read_scenario, write_scenario
 from .tracker import SceneModel, Tracker
 
 
@@ -308,12 +308,13 @@ def _cmd_forecast(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = _config_from_args(args)
     sim = _simulate(args, cfg)
-    lh = None
+    scene = None
     if args.estimate_homography:
         lh = calibrated_lh(sim, cfg)
         out = os.path.join(args.out, "homography_estimated.txt")
         save_homography(out, lh.h, lh.max_spacing, lh.image_size)
-    outputs, events, _ = run_tracker(sim, cfg, lh=lh)
+        scene = build_scene_model(sim.scenario, lh)
+    outputs, events, _ = run_tracker(sim, cfg, scene=scene)
     track = _write_outputs(args.out, outputs, events)
     hyp = (track.frame, track.source_id, track.box)
     report = evaluate_tracking(sim.gt, hyp, sim.scenario.fps, cfg)

@@ -239,23 +239,17 @@ def sim_detections_by_frame(sim: SimOutput) -> dict:
     return sim.table.by_frame()
 
 
-def run_tracker(
-    sim: SimOutput,
-    config: RunConfig,
-    lh: Optional[LinearizedHomography] = None,
-    scene: Optional[SceneModel] = None,
-):
+def run_tracker(sim: SimOutput, config: RunConfig, scene: Optional[SceneModel] = None):
     """Track the simulated detections; returns (outputs, events, tracker).
 
-    Uses the exact simulator homography unless an (estimated) one is given.
+    The scene defaults to the scenario's over the exact simulator homography,
+    linearized at config.max_spacing; pass one for another map (an estimated one:
+    ``build_scene_model(sim.scenario, calibrated_lh(sim, config))``).
     """
-    cam = sim.scenario.camera
-    if lh is None:
-        lh = linearize(
-            sim.homography, (cam.image_width, cam.image_height), config.max_spacing
-        )
     if scene is None:
-        scene = build_scene_model(sim.scenario, lh)
+        cam = sim.scenario.camera
+        size = (cam.image_width, cam.image_height)
+        scene = build_scene_model(sim.scenario, linearize(sim.homography, size, config.max_spacing))
     tracker = Tracker(scene, config)
     by_frame = sim_detections_by_frame(sim)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))

@@ -33,7 +33,7 @@ import numbers
 import operator
 import re
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -255,7 +255,8 @@ class DetectionTable:
     confidence: Optional[np.ndarray] = None  # (N,) detector scores; None: 1.0 for every row
     agent_id: Optional[np.ndarray] = None  # (N,) int simulated agent; None outside the simulator
     foot: Optional[np.ndarray] = None  # (N, 2) the boxes' bottom centres, set by the check
-    pixel_boxes: Optional[tuple] = None  # each row's PixelBox; None until boxes() builds them
+    # each row's PixelBox: None until boxes() builds them, or rows() hands a part its own
+    pixel_boxes: Optional[tuple] = field(default=None, init=False)
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool):
@@ -276,7 +277,7 @@ class DetectionTable:
                 _refuse(big, f"{name} must be at most 2**53 in size")
             setattr(self, name, _read_only(column, dtype))
         n, a = len(self.frame), self.appearance
-        sized = (self.source_id, self.confidence, self.agent_id, self.pixel_boxes)
+        sized = (self.source_id, self.confidence, self.agent_id)
         if (self.frame.ndim != 1 or self.box.shape != (n, 4)
                 or any(c is not None and len(c) != n for c in sized)
                 or (a is not None and (a.ndim != 2 or len(a) != n or a.shape[1] < 1))):
@@ -304,10 +305,14 @@ class DetectionTable:
         boxes = self.boxes()
         if isinstance(index, slice):  # views of read-only columns, read-only too
             parts = [None if c is None else c[index] for c in columns]
-            return DetectionTable(*parts, boxes[index], check=False)
-        index = np.asarray(index, dtype=np.intp)
-        parts = [None if c is None else _read_only(c[index], c.dtype) for c in columns]
-        return DetectionTable(*parts, tuple(map(boxes.__getitem__, index.tolist())), check=False)
+            boxes = boxes[index]
+        else:
+            index = np.asarray(index, dtype=np.intp)
+            parts = [None if c is None else _read_only(c[index], c.dtype) for c in columns]
+            boxes = tuple(map(boxes.__getitem__, index.tolist()))
+        part = DetectionTable(*parts, check=False)
+        part.pixel_boxes = boxes  # the rows' own, built once for the whole table
+        return part
 
     def boxes(self) -> tuple:
         """Each row's PixelBox, with its confidence: pixel_boxes, built from the box and

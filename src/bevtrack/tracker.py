@@ -48,7 +48,7 @@ from .mot_io import DetectionTable
 FEW_PAIRS = 64
 
 
-_NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), pixel_boxes=())
+_NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
 
 
 @dataclass

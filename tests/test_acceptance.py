@@ -43,6 +43,7 @@ from bevtrack.linearized import linearize
 from bevtrack.mot_io import box_records
 from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
+    build_scene_model,
     generate,
     project_points,
     true_homography,
@@ -79,11 +80,10 @@ def _track_suite(sims, cfg, lh=None, pixel=False):
     for sim in sims:
         if pixel:
             scene = pixel_baseline_scene(sim.scenario)
-            outs, _, _ = run_tracker(
-                sim, pixel_baseline_config(cfg), lh=scene.lh, scene=scene
-            )
+            outs, _, _ = run_tracker(sim, pixel_baseline_config(cfg), scene=scene)
         else:
-            outs, _, _ = run_tracker(sim, cfg, lh=lh)
+            scene = None if lh is None else build_scene_model(sim.scenario, lh)
+            outs, _, _ = run_tracker(sim, cfg, scene=scene)
         outputs_all.append(outs)
         reports.append(evaluate_sim(sim, outs, cfg))
     return SuiteRun(outputs_all, reports, time.perf_counter() - t0)

@@ -3,8 +3,8 @@
 The reference_* functions are the map as it was when every query built the
 threshold row, anchor and tangent of every point (``_analytic_pieces`` and
 ``_pieces``), and chose the ground side with ``_ground_sign``. Today's map
-builds them point by point in Python floats, or for a large px_to_bev batch
-in one numpy pass, and fills undefined columns from the cache. On seeded random homographies of all
+builds them point by point in Python floats, whatever the call's size, and
+fills undefined columns from the cache. On seeded random homographies of all
 three camera cases (a denominator varying along columns, an affine map, and
 a denominator constant along each column but not across them) both must give
 the same bytes: BEV points, pixels (NaN included) and valid flags. The one
@@ -22,7 +22,7 @@ import pytest
 from bevtrack.egomotion import EgomotionTrack
 from bevtrack.errors import HorizonInsideFootprint
 from bevtrack.homography import Homography
-from bevtrack.linearized import FEW_POINTS, LinearizedHomography, _nearest_defined, linearize
+from bevtrack.linearized import LinearizedHomography, _nearest_defined, linearize
 from bevtrack.simulator import CameraSpec, true_homography
 from bevtrack.tracker import SceneModel
 
@@ -421,12 +421,26 @@ class TestRowsLiftAlone:
         assert {"exact", "linear", "fallback"} <= seen
 
 
-class TestFewPoints:
-    """px_to_bev takes at most FEW_POINTS points through Python floats and more through
-    the arrays; try_bev_to_px takes every point through floats. Either way a row, also
-    one with a non-finite value or a borrowed column, maps to the reference's bytes."""
+# batch sizes: one point, either side of 16 (where px_to_bev once switched to numpy),
+# the benchmark's largest call (28 points) and a batch past the floats' crossover
+SIZES = (1, 16, 17, 28, 100)
 
-    SIZES = (FEW_POINTS, FEW_POINTS + 1)
+
+@pytest.fixture
+def threshold_calls(monkeypatch):
+    """The number of columns of each LinearizedHomography._thresholds call from here on:
+    the constructor makes one over the image's columns, and no query makes any."""
+    calls = []
+    thresholds = LinearizedHomography._thresholds
+    monkeypatch.setattr(LinearizedHomography, "_thresholds",
+                        lambda self, u: calls.append(len(u)) or thresholds(self, u))
+    return calls
+
+
+class TestBatchSizes:
+    """px_to_bev and try_bev_to_px take every point through Python floats, whatever the
+    call's size: a row, also one with a non-finite value or a borrowed column, maps to
+    the reference's bytes, and no query builds the column arrays."""
 
     @staticmethod
     def rows(lh, seed):
@@ -451,13 +465,13 @@ class TestFewPoints:
     @staticmethod
     def batches(lh, seed, size):
         """(pixels, BEV points) batches of size rows: clean ones mixing both pieces, and
-        ones with a row the float path leaves to numpy."""
-        exact, linear, odd, bev, odd_bev = TestFewPoints.rows(lh, seed)
+        ones with a non-finite row or a borrowed column."""
+        exact, linear, odd, bev, odd_bev = TestBatchSizes.rows(lh, seed)
         linear = linear if len(linear) else exact  # c_zero maps have no linear piece
         rng = np.random.default_rng(6000 + seed)
         out = []
         for _ in range(30):
-            k = int(rng.integers(1, size))
+            k = int(rng.integers(1, size)) if size > 1 else int(rng.integers(2))
             pixels = np.concatenate([exact[rng.choice(len(exact), k)],
                                      linear[rng.choice(len(linear), size - k)]])
             points = bev[rng.choice(len(bev), size)]
@@ -470,34 +484,26 @@ class TestFewPoints:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_batches_at_the_cutoff_match_the_reference(self, kind, seed, monkeypatch):
+    def test_batches_of_every_size_match_the_reference(self, kind, seed, threshold_calls):
         lh = random_camera(kind, seed)
+        assert threshold_calls == [lh.image_size[0]]  # the constructor's one pass
         cache = reference_columns(lh)
-        calls = []  # _thresholds calls, which only the array path makes
-        thresholds = LinearizedHomography._thresholds
-        monkeypatch.setattr(LinearizedHomography, "_thresholds",
-                            lambda self, u: calls.append(len(u)) or thresholds(self, u))
-        took = []  # per call: did it map without _thresholds
         seen = set()
-        for size in self.SIZES:
+        for size in SIZES:
             for pixels, points in self.batches(lh, seed, size):
                 with np.errstate(all="ignore"):
-                    n = len(calls)
                     got = lh.px_to_bev(pixels)
-                    took.append(len(calls) == n)
                     want = reference_px_to_bev(lh, cache, pixels, seen)
-                    n = len(calls)
                     got_px, got_valid = lh.try_bev_to_px(points)
-                    took.append(len(calls) == n)
                     want_px, want_valid = reference_try_bev_to_px(lh, cache, points, seen)
                 finite = np.isfinite(pixels[:, 0])
                 assert same_bytes(got[finite], want[finite])
                 assert np.isnan(got[~finite]).all()
                 assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
         assert {"exact", "linear", "invalid"} <= seen
-        # a (pixels, points) pair of calls a batch: every batch of FEW_POINTS rows and
-        # every inverse call went by float, on every map kind and whatever the rows
-        assert took == [True, True] * 60 + [False, True] * 60
+        # no call of either map, of any size, on any map kind and whatever the rows,
+        # built column arrays
+        assert threshold_calls == [lh.image_size[0]]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_that_overflow_match_the_reference(self, kind):
@@ -516,18 +522,17 @@ class TestFewPoints:
 
 
 class TestFloatPath:
-    """Batches of 1, FEW_POINTS and FEW_POINTS + 1 rows of what the float path once
-    handed to numpy: non-finite values, undefined columns and zero divisors. px_to_bev
-    maps the first two sizes in floats and the third with numpy, try_bev_to_px all three
-    in floats; every row gives the reference's bytes, and no call warns."""
-
-    SIZES = (1, FEW_POINTS, FEW_POINTS + 1)
+    """Batches of every size in SIZES of what the float path once handed to numpy:
+    non-finite values, undefined columns and zero divisors. Both maps take every row in
+    floats; each gives the reference's bytes, no call warns, and no query builds the
+    column arrays."""
 
     @staticmethod
-    def assert_batches_match(lh, pixels, bev):
+    def assert_batches_match(lh, pixels, bev, threshold_calls):
+        assert threshold_calls == [lh.image_size[0]]  # the constructor's one pass
         cache = reference_columns(lh)
         seen = set()
-        for size in TestFloatPath.SIZES:
+        for size in SIZES:
             for i in range(0, max(len(pixels), len(bev)), size):
                 rows, points = pixels[i : i + size], bev[i : i + size]
                 with warnings.catch_warnings():
@@ -541,64 +546,67 @@ class TestFloatPath:
                 assert same_bytes(got[finite], want[finite])
                 assert np.isnan(got[~finite]).all()
                 assert same_bytes(got_px, want_px) and same_bytes(got_valid, want_valid)
+        assert threshold_calls == [lh.image_size[0]]
         return seen
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_odd_rows_match_the_reference(self, kind, seed):
+    def test_odd_rows_match_the_reference(self, kind, seed, threshold_calls):
         lh = random_camera(kind, seed)
-        exact, linear, odd, bev, odd_bev = TestFewPoints.rows(lh, seed)
+        exact, linear, odd, bev, odd_bev = TestBatchSizes.rows(lh, seed)
         rng = np.random.default_rng(7000 + seed)
-        pixels = np.concatenate([odd, exact[:20], linear[:20]])
-        points = np.concatenate([np.repeat(odd_bev, 5, axis=0), bev[:40]])
+        pixels = np.concatenate([np.repeat(odd, 4, axis=0), exact[:80], linear[:80]])
+        points = np.concatenate([np.repeat(odd_bev, 20, axis=0), bev[:60]])
         pixels, points = pixels[rng.permutation(len(pixels))], points[rng.permutation(len(points))]
         assert not np.isfinite(pixels).all() and not np.isfinite(points).all()
-        seen = self.assert_batches_match(lh, pixels, points)
+        assert min(len(pixels), len(points)) >= SIZES[-1]  # a batch of every size
+        seen = self.assert_batches_match(lh, pixels, points, threshold_calls)
         if kind == "c_zero":  # finite columns that borrow their piece
             assert "fallback" in seen
 
-    def test_an_exact_zero_divisor(self):
+    def test_an_exact_zero_divisor(self, threshold_calls):
         # d = u / 16 + 1 is 0 at u = -16: that column has no threshold of its own and
         # borrows column 0's v_t of -inf, so its rows take the exact piece with w == 0
         m = np.array([[0.1, 0.0, 0.3], [0.0, 0.1, -0.5], [1.0 / 16, 0.0, 1.0]])
         lh = linearize(Homography(m), (64, 48), 0.2)
         v = np.array([-100.0, 0.0, 5.0, 12.0, 5e3, np.nan])  # y = 0.1 v - 0.5 is 0 at v = 5
-        pixels = np.stack([np.full(40, -16.0), np.resize(v, 40)], axis=1)
+        pixels = np.stack([np.full(200, -16.0), np.resize(v, 200)], axis=1)
         rng = np.random.default_rng(11)
-        points = rng.uniform(-50.0, 50.0, (40, 2))
-        self.assert_batches_match(lh, pixels, points)
+        points = rng.uniform(-50.0, 50.0, (200, 2))
+        self.assert_batches_match(lh, pixels, points, threshold_calls)
         out = lh.px_to_bev(pixels[:6])
         assert np.isinf(out[:5, 0]).all() and np.isnan(out[2, 1]) and np.isnan(out[5]).all()
 
-    def test_a_zero_denominator_in_the_piece(self):
+    def test_a_zero_denominator_in_the_piece(self, threshold_calls):
         # an affine map whose denominator u m20 + 1 is 0 at u = -2**60 while the column
         # still has a threshold: its anchor and tangent divide by 0
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0**-60, 2.0**-60, 1.0]])
         lh = linearize(Homography(m), (64, 48), 0.2)
         assert not lh.linearization_needed
         v = np.array([-5.0, 0.0, 3.0, -1e300])
-        pixels = np.stack([np.full(40, -(2.0**60)), np.resize(v, 40)], axis=1)
-        self.assert_batches_match(lh, pixels, np.random.default_rng(12).uniform(-9, 9, (40, 2)))
+        pixels = np.stack([np.full(200, -(2.0**60)), np.resize(v, 200)], axis=1)
+        points = np.random.default_rng(12).uniform(-9, 9, (200, 2))
+        self.assert_batches_match(lh, pixels, points, threshold_calls)
         out = lh.px_to_bev(pixels[:4])
         assert np.isinf(out[:2, 0]).all() and np.isnan(out[:2, 1]).all()
 
-    def test_a_column_whose_terms_overflow_borrows(self):
+    def test_a_column_whose_terms_overflow_borrows(self, threshold_calls):
         # at u = 1e308 the column terms overflow and k is NaN: the column has no
         # threshold of its own and reads the cache, whose linear piece is finite
         m = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [2.0, 1.0, 1.0]])
         lh = linearize(Homography(m), (64, 48), 0.2)
         v = np.array([-5.0, -1e3, 5.0, 1e3, -50.0])
-        u = np.resize([1e308, -1e308, 1.7e308, -1.7e308], 40)
-        pixels = np.stack([u, np.resize(v, 40)], axis=1)
-        points = np.random.default_rng(13).uniform(-9, 9, (40, 2))
-        assert "fallback" in self.assert_batches_match(lh, pixels, points)
+        u = np.resize([1e308, -1e308, 1.7e308, -1.7e308], 200)
+        pixels = np.stack([u, np.resize(v, 200)], axis=1)
+        points = np.random.default_rng(13).uniform(-9, 9, (200, 2))
+        assert "fallback" in self.assert_batches_match(lh, pixels, points, threshold_calls)
         assert np.isfinite(lh.px_to_bev(pixels[:4])).all(axis=1).any()
         # such a column reads the cache of the nearest column: u = +1e308 and +1.7e308
         # the last column's linear piece, u = -1e308 the first's
         last = lh.image_size[0] - 1
         for u_far, col in ((1e308, last), (1.7e308, last), (-1e308, 0)):
             v_t = lh.column_v_t[col]
-            rows = np.tile([u_far, v_t - 1000.0], (FEW_POINTS + 1, 1))
+            rows = np.tile([u_far, v_t - 1000.0], (SIZES[-1], 1))
             want = lh.column_anchor[col] + (rows[0, 1] - v_t) * lh.column_tangent[col]
             assert same_bytes(lh.px_to_bev(rows[0]), want), u_far
             assert same_bytes(lh.px_to_bev(rows), np.tile(want, (len(rows), 1))), u_far

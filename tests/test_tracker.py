@@ -49,12 +49,12 @@ def det_at(frame, u, v, w=12.0, h=24.0, app=None, source=None):
 
 
 def table(*rows):
-    """The DetectionTable of detection rows, holding their boxes."""
+    """The DetectionTable of detection rows."""
     frame, box, app, source = zip(*rows)
     dims = [len(a) for a in app if a is not None]
     appearance = [np.full(dims[0], np.nan) if a is None else a for a in app] if dims else None
     source = [-1 if s is None else s for s in source]
-    return DetectionTable(frame, ltwh(box), appearance, source, pixel_boxes=box)
+    return DetectionTable(frame, ltwh(box), appearance, source)
 
 
 @dataclass
@@ -274,6 +274,21 @@ class TestDetectionTable:
         _, events = tk.step([], 2**53 + 1)
         assert [e["reason"] for e in events] == ["inactive"]
         assert tk.tracks.end[0] == 2**53 + 7 * 3
+
+    def test_boxes_come_from_the_columns_alone(self):
+        # no caller hands a table PixelBoxes that disagree with its box and confidence
+        # columns: the tracker outputs, and boxes() reads, the columns' own
+        with pytest.raises(TypeError, match="pixel_boxes"):
+            DetectionTable([0], [[0.0, 0.0, 10.0, 10.0]], pixel_boxes=(PixelBox(500, 500, 5, 5),))
+        t = DetectionTable([0], [[0.0, 0.0, 10.0, 10.0]], confidence=[0.3])
+        assert t.boxes() == (PixelBox(0.0, 0.0, 10.0, 10.0, 0.3),)
+        tk = Tracker(make_scene(), small_config())
+        outputs, _ = tk.step(t, 0)
+        assert [box for *_, box in outputs] == [PixelBox(0.0, 0.0, 10.0, 10.0, 0.3)]
+        assert tk.tracks.box[0].tolist() == [0.0, 0.0, 10.0, 10.0]
+        # a table's parts share the boxes it built once
+        parts = t.by_frame()[0], t.rows([0]), t.rows(slice(None))
+        assert all(part.boxes()[0] is t.boxes()[0] for part in parts)
 
     def test_integral_floats_are_integers(self):
         t = DetectionTable([0.0, 3.0, -1.0], BOXES, source_id=[4.0, -1.0, 5.0], agent_id=[1.0] * 3)

@@ -341,7 +341,7 @@ def detections(sim, appearance, ingest):
     t = sim.table
     ids = None if ingest is None else upstream_ids(sim, ingest)
     app = t.appearance if appearance else None
-    return DetectionTable(t.frame, t.box, app, ids, pixel_boxes=t.boxes()).by_frame()
+    return DetectionTable(t.frame, t.box, app, ids).by_frame()
 
 
 def run(tracker_cls, sim, cfg, appearance, ingest, ego):
@@ -925,7 +925,7 @@ def test_renaming_upstream_ids_keeps_outputs_and_events(crowd_sims, source):
         source = t.source_id.copy()
         bound = source >= 0
         source[bound] = new[np.searchsorted(ids, source[bound])]
-        return DetectionTable(t.frame, t.box, t.appearance, source, pixel_boxes=t.boxes())
+        return DetectionTable(t.frame, t.box, t.appearance, source)
 
     got = Tracker(scene(), cfg).run({f: renamed(t) for f, t in by_frame.items()},
                                     range(n_frames))
@@ -940,8 +940,7 @@ def test_shifting_every_frame_shifts_outputs_and_events(crowd_sims, source):
     want = Tracker(scene(), cfg).run(by_frame, range(n_frames))
     for shift in (1000, 123457):
         moved = {
-            f + shift: DetectionTable(t.frame + shift, t.box, t.appearance, t.source_id,
-                                      pixel_boxes=t.boxes())
+            f + shift: DetectionTable(t.frame + shift, t.box, t.appearance, t.source_id)
             for f, t in by_frame.items()
         }
         outputs, events = Tracker(scene(shift), cfg).run(moved, range(shift, shift + n_frames))
@@ -957,8 +956,8 @@ def test_translating_the_camera_and_every_agent_keeps_the_partition(crowd_sims, 
     # scores' last bits differently: the partition is what must not change.
     scene, by_frame, cfg, n_frames = metamorphic_input(source, crowd_sims)
     want, _ = Tracker(scene(), cfg).run(by_frame, range(n_frames))
-    moved = {f + 1: DetectionTable(t.frame + 1, t.box, t.appearance, t.source_id,
-                                   pixel_boxes=t.boxes()) for f, t in by_frame.items()}
+    moved = {f + 1: DetectionTable(t.frame + 1, t.box, t.appearance, t.source_id)
+             for f, t in by_frame.items()}
     rng = np.random.default_rng(METAMORPHIC_SOURCES.index(source))
     for vector in (rng.uniform(-20.0, 20.0, 2), rng.uniform(-2000.0, 2000.0, 2)):
         translated = scene()
