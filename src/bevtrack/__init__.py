@@ -2,7 +2,7 @@
 
 The toolkit turns monocular 2D detections into metric bird's-eye-view tracks:
 a homography estimated from a depth cloud lifts box feet onto the ground
-plane (with a piecewise-linear far-field so distant pixels stay bounded),
+plane (a foot at or above the horizon has no ground point and lifts to NaN),
 occluded tracks keep moving under pluggable constant-velocity or multi-branch
 motion models, and reappearing detections are re-associated through gated
 geometric and appearance scores. A synthetic scene simulator and a metric
@@ -15,7 +15,6 @@ from .egomotion import EgomotionTrack
 from .errors import (
     BevTrackError,
     DegenerateInput,
-    HorizonInsideFootprint,
     InvalidScenario,
     NonMonotonicFrame,
     NonPositiveBox,
@@ -41,7 +40,6 @@ from .homography import (
     load_homography,
     save_homography,
 )
-from .linearized import LinearizedHomography, linearize
 from .mot_io import DetectionTable
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
 from .simulator import (
@@ -78,9 +76,7 @@ __all__ = [
     "GroundPlane",
     "Homography",
     "HomographyFit",
-    "HorizonInsideFootprint",
     "InvalidScenario",
-    "LinearizedHomography",
     "NonMonotonicFrame",
     "NonPositiveBox",
     "Occluder",
@@ -112,7 +108,6 @@ __all__ = [
     "id_recall",
     "iou",
     "iou_matrix",
-    "linearize",
     "load_homography",
     "ltwh",
     "match_frames",

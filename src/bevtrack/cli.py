@@ -25,12 +25,11 @@ import numpy as np
 from . import mot_io
 from .config import RunConfig, read_config
 from .errors import BevTrackError, ParseError
-from .experiments import calibrate_from_cloud, calibrated_lh, run_tracker
+from .experiments import calibrate_from_cloud, calibrated_homography, run_tracker
 from .evaluation import evaluate_tracking
 from .forecast import forecast as run_forecast
 from .forecast import preprocess
-from .homography import MAX_IMAGE_SIDE, load_homography, save_homography
-from .linearized import linearize
+from .homography import load_homography, save_homography
 from .simulator import build_scene_model, generate, read_scenario, write_scenario
 from .tracker import SceneModel, Tracker
 
@@ -51,7 +50,6 @@ def _checked(kind, accept, expected: str):
 
 
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
-_image_side = _checked(int, lambda v: 0 < v <= MAX_IMAGE_SIDE, f"1 to {MAX_IMAGE_SIDE} pixels")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
@@ -78,10 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
     sp.add_argument("--out", required=True, help="homography output file")
-    sp.add_argument("--max-spacing", type=_positive, help="overrides the config's max_spacing")
-    sp.add_argument(
-        "--image", type=_image_side, nargs=2, metavar=("W", "H"), default=(1920, 1080)
-    )
 
     sp = sub.add_parser("track", help="run the tracker over a detection file")
     add_common(sp)
@@ -146,8 +140,6 @@ def _config_from_args(args) -> RunConfig:
         over["buckets"] = _parse_buckets(args.buckets)
     if getattr(args, "vis_threshold", None) is not None:
         over["vis_threshold"] = args.vis_threshold
-    if getattr(args, "max_spacing", None) is not None:
-        over["max_spacing"] = args.max_spacing
     return cfg.override(**over) if over else cfg
 
 
@@ -158,7 +150,7 @@ def _parse_buckets(text: str) -> tuple:
         raise ParseError(f"invalid bucket list {text!r}: {e}") from e
 
 
-def _simulate(args, cfg: RunConfig):
+def _simulate(args):
     """Generate --scenario, reseeded by --seed if given, and write its files to --out."""
     sc = read_scenario(args.scenario)
     if args.seed is not None:
@@ -171,8 +163,7 @@ def _simulate(args, cfg: RunConfig):
     mot_io.write_gt(out("gt.txt"), sim.gt)
     mot_io.write_cloud(out("cloud.txt"), sim.cloud)
     mot_io.write_correspondences(out("correspondences.txt"), sim.cloud_pixels, sim.cloud)
-    image_size = (sc.camera.image_width, sc.camera.image_height)
-    save_homography(out("homography.txt"), sim.homography, cfg.max_spacing, image_size)
+    save_homography(out("homography.txt"), sim.homography)
     write_scenario(out("scenario.json"), sc)
     if sc.camera_path is not None:
         mot_io.write_ego(out("ego.txt"), sim.ego)
@@ -180,7 +171,8 @@ def _simulate(args, cfg: RunConfig):
 
 
 def _cmd_simulate(args) -> int:
-    sim = _simulate(args, _config_from_args(args))
+    _config_from_args(args)  # no setting applies, but a bad --config fails as elsewhere
+    sim = _simulate(args)
     print(f"frames: {sim.scenario.n_frames}")
     print(f"detections: {len(sim.table)}")
     print(f"ground-truth rows: {len(sim.gt)}")
@@ -189,11 +181,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cfg = _config_from_args(args)
+    _config_from_args(args)  # no setting applies, but a bad --config fails as elsewhere
     cloud = mot_io.read_cloud(args.cloud)
     px, pts = mot_io.read_correspondences(args.correspondences)
     cal = calibrate_from_cloud(cloud, px, pts, seed=args.seed)
-    save_homography(args.out, cal.homography, cfg.max_spacing, tuple(args.image))
+    save_homography(args.out, cal.homography)
     n = cal.plane.normal
     print(f"plane normal: {n[0]:.6f} {n[1]:.6f} {n[2]:.6f}")
     print(f"plane offset: {cal.plane.offset:.6f}")
@@ -203,8 +195,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _load_tracker_inputs(args):
-    h, max_spacing, image_size = load_homography(args.homography)
-    lh = linearize(h, image_size, max_spacing)
+    h = load_homography(args.homography)
     dets = mot_io.read_detections(args.det)
     if args.appearance:
         appearance = mot_io.read_appearance(args.appearance)
@@ -215,7 +206,7 @@ def _load_tracker_inputs(args):
             )
         dets.appearance = appearance
     ego = mot_io.read_ego(args.ego) if args.ego else None
-    return lh, dets, ego
+    return h, dets, ego
 
 
 def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.DetectionTable:
@@ -228,11 +219,11 @@ def _write_outputs(out_dir, outputs: list, events: list) -> mot_io.DetectionTabl
 
 def _cmd_track(args) -> int:
     cfg = _config_from_args(args)
-    lh, dets, ego = _load_tracker_inputs(args)
+    h, dets, ego = _load_tracker_inputs(args)
     if cfg.ingest_ids:  # an inactive track's kept upstream id must name one row a frame
         bound = dets.source_id >= 0
         _check_identities(args.det, dets.frame[bound], dets.source_id[bound], need_ids=False)
-    scene = SceneModel(lh, args.fps, ego)
+    scene = SceneModel(h, args.fps, ego)
     by_frame = dets.by_frame()
     frames = range(min(by_frame), max(by_frame) + 1) if by_frame else ()
     if ego is not None and frames and (frames[0] < 0 or frames[-1] >= len(ego)):
@@ -283,12 +274,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     cfg = _config_from_args(args)
-    h, max_spacing, image_size = load_homography(args.homography)
-    lh = linearize(h, image_size, max_spacing)
+    h = load_homography(args.homography)
     dets = mot_io.read_detections(args.det)
     _check_identities(args.det, dets.frame, dets.source_id)
     order = np.lexsort((dets.frame, dets.source_id))
-    frames, points = dets.frame[order], lh.px_to_bev(dets.foot[order])
+    frames, points = dets.frame[order], h.px_to_bev(dets.foot[order])
     ids, starts = np.unique(dets.source_id[order], return_index=True)
     states = [preprocess(frames[lo:hi], points[lo:hi], cfg, args.fps)
               for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(frames)])]
@@ -307,13 +297,12 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = _config_from_args(args)
-    sim = _simulate(args, cfg)
+    sim = _simulate(args)
     scene = None
     if args.estimate_homography:
-        lh = calibrated_lh(sim, cfg)
-        out = os.path.join(args.out, "homography_estimated.txt")
-        save_homography(out, lh.h, lh.max_spacing, lh.image_size)
-        scene = build_scene_model(sim.scenario, lh)
+        h = calibrated_homography(sim)
+        save_homography(os.path.join(args.out, "homography_estimated.txt"), h)
+        scene = build_scene_model(sim.scenario, h)
     outputs, events, _ = run_tracker(sim, cfg, scene=scene)
     track = _write_outputs(args.out, outputs, events)
     hyp = (track.frame, track.source_id, track.box)

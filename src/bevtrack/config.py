@@ -30,9 +30,9 @@ VISIBILITY_CUTOFF = 0.25
 class RunConfig:
     """Every parameter of a run, for the tracker, forecaster and evaluation.
 
-    Motion: "static" and "kalman_cv" forecast one branch and take only k = 1;
-    "fan" forecasts one branch per fan_angles entry and takes k = 1 or k equal
-    to their count.
+    Motion: "static" and "kalman_cv" forecast one branch, "fan" one branch per
+    fan_angles entry. Only a check reads k: with "fan" it is 1 or the number
+    of fan_angles.
 
     Gates: tau_l2 caps the BEV distance bonus (meters), tau_app is the minimum
     appearance cosine similarity, tau_iou the minimum predicted-box IoU (0
@@ -56,22 +56,22 @@ class RunConfig:
     tau_max: float = 6.0
     base_iou: float = 0.5
     ingest_ids: bool = False
-    # geometry
-    max_spacing: float = 0.2
     # evaluation
     iou_threshold: float = 0.5
     vis_threshold: float = VISIBILITY_CUTOFF
     window: int = 5
     buckets: tuple = DEFAULT_BUCKETS
-    # Not a field: it can't be set, and JSON rejects it. Only benchmarks/pipeline.py reads it.
+    # Not fields: they can't be set, and JSON rejects them. Only `benchmarks/` reads
+    # them; ROADMAP item 1 step 2 deletes them.
     cell_size = 0.5
+    max_spacing = 0.2
 
     def __post_init__(self):
         for f in fields(self):
             accepts, expected = _TYPE_CHECKS[f.type]
             if not accepts(getattr(self, f.name)):
                 raise ParseError(f"config: {f.name} must be {expected}")
-        for name in ("max_spacing", "dt", "obs_noise", "tau_max"):
+        for name in ("dt", "obs_noise", "tau_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParseError(f"config: {name} must be positive and finite")
         # The forecast filter starts from velocity variance (2 * obs_noise / dt)**2
@@ -104,8 +104,6 @@ class RunConfig:
         edges = self.buckets
         if len(edges) < 2 or not all(nxt > prev for prev, nxt in zip(edges, edges[1:])):
             raise ParseError("config: buckets must be strictly increasing with at least two edges")
-        if self.motion != "fan" and self.k > 1:
-            raise ParseError("config: k > 1 needs motion fan")
         if self.motion == "fan" and self.k not in (1, len(self.fan_angles)):
             raise ParseError("config: fan requires k == len(fan_angles)")
 

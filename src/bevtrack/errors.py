@@ -10,7 +10,7 @@ class DegenerateInput(BevTrackError):
 
 
 class OutOfDomain(BevTrackError):
-    """A BEV point has no pixel preimage (behind the horizon, outside the linear range)."""
+    """A BEV point has no pixel preimage on the ground side (e.g. behind the camera)."""
 
 
 class NonMonotonicFrame(BevTrackError):
@@ -27,10 +27,6 @@ class ParseError(BevTrackError, ValueError):
 
 class InvalidScenario(BevTrackError):
     """Scenario violates a structural invariant (bad fps, empty waypoints, ...)."""
-
-
-class HorizonInsideFootprint(UserWarning):
-    """Some pixel columns have no usable linearization threshold of their own."""
 
 
 class NonPositiveBox(UserWarning):

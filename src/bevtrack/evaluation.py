@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # iou goes uncalled here; the benchmark tracer wraps it as an attribute of this module.
 from .boxes import iou, iou_matrix  # noqa: F401
@@ -74,6 +73,8 @@ def match_frames(gt: tuple, hyp: tuple, iou_threshold: float) -> Matches:
     scores the block, and the padding is sliced off before the frame's
     assignment.
     """
+    from scipy.optimize import linear_sum_assignment  # here: importing scipy takes 0.3-0.6 s
+
     (gf, gid, gbox), (hf, hid, hbox) = gt, hyp
     g_order, h_order = np.lexsort((gid, gf)), np.lexsort((hid, hf))  # stable
     g_frames, h_frames = gf[g_order], hf[h_order]

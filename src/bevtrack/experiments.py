@@ -21,7 +21,6 @@ import numpy as np
 from .config import RunConfig
 from .evaluation import EvalReport, RecallBucket, evaluate_tracking
 from .homography import Homography, HomographyFit, estimate_homography
-from .linearized import LinearizedHomography, linearize
 from .mot_io import box_records
 from .plane import GroundPlane, align_to_xy, fit_ground_plane
 from .simulator import (
@@ -242,14 +241,12 @@ def sim_detections_by_frame(sim: SimOutput) -> dict:
 def run_tracker(sim: SimOutput, config: RunConfig, scene: Optional[SceneModel] = None):
     """Track the simulated detections; returns (outputs, events, tracker).
 
-    The scene defaults to the scenario's over the exact simulator homography,
-    linearized at config.max_spacing; pass one for another map (an estimated one:
-    ``build_scene_model(sim.scenario, calibrated_lh(sim, config))``).
+    The scene defaults to the scenario's over the exact simulator homography;
+    pass one for another map (an estimated one:
+    ``build_scene_model(sim.scenario, calibrated_homography(sim))``).
     """
     if scene is None:
-        cam = sim.scenario.camera
-        size = (cam.image_width, cam.image_height)
-        scene = build_scene_model(sim.scenario, linearize(sim.homography, size, config.max_spacing))
+        scene = build_scene_model(sim.scenario, sim.homography)
     tracker = Tracker(scene, config)
     by_frame = sim_detections_by_frame(sim)
     outputs, events = tracker.run(by_frame, range(sim.scenario.n_frames))
@@ -261,11 +258,7 @@ def pixel_baseline_scene(scenario: Scenario) -> SceneModel:
 
     The identity mapping makes "BEV" equal to pixels.
     """
-    cam = scenario.camera
-    lh = linearize(
-        Homography(np.eye(3)), (cam.image_width, cam.image_height), max_spacing=1e9
-    )
-    return SceneModel(lh=lh, fps=scenario.fps)
+    return SceneModel(Homography(np.eye(3)), scenario.fps)
 
 
 def pixel_baseline_config(config: RunConfig) -> RunConfig:
@@ -304,19 +297,10 @@ def recall_over(buckets: list, min_duration_s: float = 0.0):
     return recovered, total
 
 
-def calibrated_lh(
-    sim: SimOutput,
-    config: RunConfig,
-    pixel_noise: float = 0.0,
-    seed: int = 0,
-) -> LinearizedHomography:
+def calibrated_homography(sim: SimOutput, pixel_noise: float = 0.0, seed: int = 0) -> Homography:
     """Estimate the mapping from the simulated cloud, with optional pixel noise."""
     rng = np.random.default_rng(seed)
     px = sim.cloud_pixels.copy()
     if pixel_noise > 0:
         px = px + rng.normal(0.0, pixel_noise, size=px.shape)
-    cal = calibrate_from_cloud(sim.cloud, px, sim.cloud)
-    cam = sim.scenario.camera
-    return linearize(
-        cal.homography, (cam.image_width, cam.image_height), config.max_spacing
-    )
+    return calibrate_from_cloud(sim.cloud, px, sim.cloud).homography

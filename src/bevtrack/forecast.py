@@ -213,8 +213,8 @@ def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
     return origin, (rot @ velocity[..., None])[..., 0], end
 
 
-def predicted_box(last_box, point: np.ndarray, lh):
+def predicted_box(last_box, point: np.ndarray, homography):
     """Translate the last observed box so its bottom-center sits at the
     pixel image of the given camera-relative BEV point."""
-    px = lh.bev_to_px(np.asarray(point, dtype=float))
+    px = homography.bev_to_px(np.asarray(point, dtype=float))
     return last_box.with_bottom_center(px[0], px[1])

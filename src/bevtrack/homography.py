@@ -1,16 +1,32 @@
-"""Pixel-to-BEV homography estimation (normalized DLT) and file I/O."""
+"""The pixel<->BEV homography: the exact map both ways, its estimation (normalized DLT)
+and its file I/O.
+
+The maps take every point in Python floats, one row at a time, so a row maps to
+the same bits whatever else its call holds. A pixel maps only from the ground
+side of the horizon (Homography's docstring): at or above the horizon, or with a
+coordinate that is not finite, it maps to NaN, and a BEV point whose preimage
+is not on the ground side is invalid in the inverse.
+"""
 
 from __future__ import annotations
 
+from math import isfinite, nan
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, ParseError
+from .errors import DegenerateInput, OutOfDomain, ParseError
 from .mot_io import _lines, _numbers, _write_rows
 
 RANK_RTOL = 1e-9  # relative cutoff on the second-smallest singular value of the DLT system
-MAX_IMAGE_SIDE = 65536  # pixels; the linearized map keeps arrays one entry per column
+
+
+def _points(points):
+    """(N, 2) float array of one (2,) point or an (N, 2) array, and whether it was one point."""
+    p = np.asarray(points, dtype=float)
+    if p.shape != (2,) and (p.ndim != 2 or p.shape[1] != 2):
+        raise ValueError(f"expected one (2,) point or an (N, 2) array, got shape {p.shape}")
+    return p.reshape(-1, 2), p.ndim == 1
 
 
 class Homography:
@@ -18,9 +34,14 @@ class Homography:
 
     The matrix is normalized so h33 == 1 when |h33| > 1e-12, otherwise to unit
     Frobenius norm. The matrix must be invertible.
+
+    The ground side: a pixel (u, v) sees the ground when its denominator
+    w = m20 u + m21 v + m22 has the sign of m21, for a map whose denominator
+    varies along a column (|m21| > 1e-15, the horizon is a row of each
+    column), or else the sign of m20 u + m22, its column's constant part.
     """
 
-    __slots__ = ("m", "_inv")
+    __slots__ = ("m", "_inv", "_coef", "_sigma")
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=float)
@@ -36,6 +57,9 @@ class Homography:
             raise DegenerateInput("homography matrix is singular")
         self.m = m
         self._inv = None
+        self._coef = tuple(m.ravel().tolist())  # the float maps' coefficients
+        # the denominator's sign on the ground side, if it varies along a column
+        self._sigma = (1.0 if m[2, 1] > 0 else -1.0) if abs(m[2, 1]) > 1e-15 else None
 
     @property
     def inv(self) -> np.ndarray:
@@ -44,11 +68,78 @@ class Homography:
         return self._inv
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
-        """Exact projective map, pixels (..., 2) -> BEV (..., 2). No linearization."""
+        """Projective map, pixels (..., 2) -> BEV (..., 2), with no ground-side rule."""
         p = np.asarray(pixels, dtype=float)
         # Row i of m as m[i, 0] * u + m[i, 1] * v + m[i, 2], all three rows at once.
         q = p[..., 0:1] * self.m[:, 0] + p[..., 1:2] * self.m[:, 1] + self.m[:, 2]
         return q[..., :2] / q[..., 2:]
+
+    def _on_ground(self, u: float, w: float) -> bool:
+        """Whether a pixel of column u whose denominator is w lies on the ground side."""
+        if self._sigma is not None:
+            return self._sigma * w > 0
+        d = u * self._coef[6] + self._coef[8]
+        return ((d > 0) - (d < 0)) * w > 0
+
+    def px_to_bev(self, pixels) -> np.ndarray:
+        """Map pixel points to camera-relative BEV meters, with apply's operations.
+
+        A point off the ground side, or with a coordinate that is not finite,
+        maps to NaN. Takes one (2,) point or an (N, 2) array, and raises
+        ValueError on any other shape.
+        """
+        pts, single = _points(pixels)
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = self._coef
+        out = []  # x, y of each row in turn: flat lists of floats, no list per row
+        flat = iter(pts.ravel().tolist())
+        for u, v in zip(flat, flat):
+            w = u * m20 + v * m21 + m22
+            if isfinite(u) and isfinite(v) and self._on_ground(u, w):
+                out += (u * m00 + v * m01 + m02) / w, (u * m10 + v * m11 + m12) / w
+            else:
+                out += nan, nan
+        out = np.array(out).reshape(-1, 2)
+        return out[0] if single else out
+
+    def try_bev_to_px(self, bev):
+        """Inverse of px_to_bev for (N, 2) BEV points: (pixels (N, 2), valid (N,)).
+
+        Never raises on values: a point with no pixel preimage on the ground
+        side (behind the camera, or with a preimage at infinity) or with a
+        non-finite value is not valid and its pixel is NaN. Raises ValueError
+        on a shape other than one (2,) point or an (N, 2) array.
+        """
+        pts, _ = _points(bev)
+        # A non-finite or overflowing point makes its own row invalid below: no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One (1, 3) @ (3, 3) product per point: an (N, 3) @ (3, 3) product may
+            # take another BLAS kernel and round differently from a lone point.
+            rows = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)[:, None]
+            q = (rows @ self.inv.T)[:, 0]
+        m20, m21, m22 = self._coef[6:]
+        out, valid = [], []
+        for (x, y), (q0, q1, wq) in zip(pts.tolist(), q.tolist()):
+            ok = (isfinite(x) and isfinite(y) and isfinite(q0) and isfinite(q1)
+                  and isfinite(wq) and abs(wq) > 1e-12 * max(abs(q0), abs(q1), abs(wq)))
+            if ok:
+                u, v = q0 / wq, q1 / wq
+                ok = self._on_ground(u, u * m20 + v * m21 + m22)
+            out.append((u, v) if ok else (nan, nan))
+            valid.append(ok)
+        return np.array(out).reshape(-1, 2), np.array(valid, dtype=bool)
+
+    def bev_to_px(self, bev) -> np.ndarray:
+        """Inverse of px_to_bev for one (2,) point or an (N, 2) array.
+
+        Raises:
+            OutOfDomain: a point is not valid in try_bev_to_px.
+            ValueError: bev is not one (2,) point or an (N, 2) array.
+        """
+        out, valid = self.try_bev_to_px(bev)
+        if not valid.all():
+            idx = np.flatnonzero(~valid).tolist()
+            raise OutOfDomain(f"BEV points with no pixel preimage at indices {idx}")
+        return out[0] if np.ndim(bev) == 1 else out
 
     def __repr__(self):
         return f"Homography({self.m.tolist()!r})"
@@ -121,48 +212,38 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
 
 
 # The homography file, line by line: literal words, and <...> for a number.
-_HOMOGRAPHY_LINES = ("H", *["<h> <h> <h>"] * 3, "max_spacing <m>", "image <w> <h>")
-_HOMOGRAPHY_FMT = "H\n" + "%.17g %.17g %.17g\n" * 3 + "max_spacing %.17g\nimage %d %d"
+_HOMOGRAPHY_LINES = ("H", *["<h> <h> <h>"] * 3)
+_HOMOGRAPHY_FMT = "H" + "\n%.17g %.17g %.17g" * 3
 
 
-def save_homography(path, h: Homography, max_spacing: float, image_size: tuple[int, int]) -> None:
+def save_homography(path, h: Homography) -> None:
     """Write the homography text format.
 
-    Line 1 is the literal tag "H", lines 2-4 the matrix rows, line 5
-    "max_spacing <meters>", line 6 "image <width> <height>". Floats use 17
+    Line 1 is the literal tag "H", lines 2-4 the matrix rows. Floats use 17
     significant digits so the matrix round-trips bit-exactly.
     """
-    _write_rows(path, _HOMOGRAPHY_FMT, [(*h.m.ravel().tolist(), max_spacing, *image_size)])
+    _write_rows(path, _HOMOGRAPHY_FMT, [h.m.ravel().tolist()])
 
 
-def load_homography(path) -> tuple[Homography, float, tuple[int, int]]:
-    """Read the homography text format; returns (homography, max_spacing, (w, h)).
+def load_homography(path) -> Homography:
+    """Read the homography text format.
 
-    Blank lines are skipped and lines after the sixth ignored; an error names
-    the file and, where it is one line's fault, the line's number in the file.
+    Blank lines are skipped and lines after the fourth ignored, so a file that
+    also carries the former max_spacing and image lines loads the same; an
+    error names the file and, where it is one line's fault, the line's number
+    in the file.
     """
     lines = list(_lines(path))
-    if len(lines) < 6:
-        raise ParseError(f"{path}: expected 6 lines, got {len(lines)}")
-    values = []
+    if len(lines) < 4:
+        raise ParseError(f"{path}: expected 4 lines, got {len(lines)}")
+    matrix = []
     for (n, parts), pattern in zip(lines, _HOMOGRAPHY_LINES):
         want = pattern.split()
         if len(parts) != len(want) or any(p != w for p, w in zip(parts, want) if w[0] != "<"):
             raise ParseError(f"{path}:{n}: expected '{pattern}'")
-        numbers = [p for p, w in zip(parts, want) if w[0] == "<"]
-        # max_spacing and the image size get range checks of their own below
-        values.append(_numbers(path, n, numbers, finite=pattern[0] == "<"))
-    _, *matrix, (spacing,), size = values
-    (n_sp, sp), (n_im, im) = lines[4:6]
-    if not 0 < spacing < np.inf:
-        raise ParseError(f"{path}:{n_sp}: max_spacing must be positive and finite, got {sp[1]}")
-    if not all(v.is_integer() and v > 0 for v in size):
-        raise ParseError(
-            f"{path}:{n_im}: image size must be positive integers, got {im[1]} {im[2]}"
-        )
-    if max(size) > MAX_IMAGE_SIDE:
-        raise ParseError(f"{path}:{n_im}: image size {im[1]} {im[2]} too large")
+        if pattern[0] == "<":
+            matrix.append(_numbers(path, n, parts))
     try:
-        return Homography(np.array(matrix)), spacing, (int(size[0]), int(size[1]))
+        return Homography(np.array(matrix))
     except (DegenerateInput, ValueError) as e:
         raise ParseError(f"{path}: {e}") from e

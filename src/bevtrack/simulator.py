@@ -53,7 +53,7 @@ from .boxes import PixelBox, covered_fraction, covered_fractions  # noqa: F401
 from .config import VISIBILITY_CUTOFF
 from .egomotion import EgomotionTrack
 from .errors import InvalidScenario, ParseError
-from .homography import MAX_IMAGE_SIDE, Homography
+from .homography import Homography
 from .mot_io import (
     DetectionTable,
     GtTable,
@@ -65,6 +65,7 @@ from .mot_io import (
 )
 from .tracker import SceneModel
 
+MAX_IMAGE_SIDE = 65536  # pixels: the largest camera image side a scenario accepts
 FRAME_BLOCK = 32  # frames generated together by more than BLOCK_AGENTS // 2 agents
 BLOCK_AGENTS = 64  # fewer agents' blocks hold at most FRAME_BLOCK frames of this many
 
@@ -449,13 +450,13 @@ def _sample_ground_cloud(scenario: Scenario, rng, n: int, noise: float):
     return np.concatenate(pts), np.concatenate(pixels)
 
 
-def build_scene_model(scenario: Scenario, lh, *_) -> SceneModel:
-    """The scenario's SceneModel: the map lh, its frame rate and its camera_path's ego_track().
+def build_scene_model(scenario: Scenario, homography: Homography, *_) -> SceneModel:
+    """The scenario's SceneModel: the map, its frame rate and its camera_path's ego_track().
 
     A third argument is ignored; benchmarks/pipeline.py still passes one.
     """
     ego = None if scenario.camera_path is None else scenario.ego_track()
-    return SceneModel(lh=lh, fps=scenario.fps, ego=ego)
+    return SceneModel(homography, scenario.fps, ego)
 
 
 # -- scenario JSON ------------------------------------------------------------------

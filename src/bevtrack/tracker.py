@@ -34,13 +34,13 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # iou and predicted_box go uncalled here; the benchmark tracer wraps them as this module's.
 from .boxes import iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame, ParseError
 from .forecast import filter_grid, forecast, forecast_span, predicted_box, preprocess  # noqa: F401
+from .homography import Homography
 from .mot_io import DetectionTable
 
 # Base association scores up to this many (active track, detection) pairs with
@@ -99,7 +99,7 @@ class TrackTable:
 class SceneModel:
     """Camera-relative map, frame rate, camera egomotion."""
 
-    lh: object  # LinearizedHomography
+    homography: Homography  # pixel -> camera-relative BEV
     fps: float
     ego: object = None  # EgomotionTrack or None
 
@@ -109,14 +109,14 @@ class SceneModel:
 
     def px_to_world(self, pixels, frames) -> np.ndarray:
         """World-fixed BEV points of (N, 2) pixels seen at one frame or at (N,) frames."""
-        bev = self.lh.px_to_bev(pixels)
+        bev = self.homography.px_to_bev(pixels)
         return bev if self.ego is None else bev + self.ego.offset(frames)
 
     def world_to_px(self, points: np.ndarray, frame: int):
         """try_bev_to_px of (N, 2) world-fixed BEV points seen at a frame."""
         if self.ego is not None:
             points = points - self.ego.offset(frame)
-        return self.lh.try_bev_to_px(points)
+        return self.homography.try_bev_to_px(points)
 
 
 def appearance_gate(track_appearance: np.ndarray, det_appearance: np.ndarray,
@@ -195,6 +195,8 @@ def assign(scores: np.ndarray) -> list[tuple[int, int]]:
     Hungarian on the rectangular matrix; the returned pairs are sorted by
     (row, column).
     """
+    from scipy.optimize import linear_sum_assignment  # here: importing scipy takes 0.3-0.6 s
+
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         return []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bevtrack.homography import Homography
-from bevtrack.linearized import linearize
 from bevtrack.simulator import CameraSpec, true_homography
 
 
@@ -14,11 +13,6 @@ def camera():
 @pytest.fixture
 def true_h(camera) -> Homography:
     return true_homography(camera)
-
-
-@pytest.fixture
-def lh(camera, true_h):
-    return linearize(true_h, (camera.image_width, camera.image_height), 0.2)
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from bevtrack.evaluation import (
 from bevtrack.experiments import (
     aggregate_buckets,
     calibrate_from_cloud,
-    calibrated_lh,
+    calibrated_homography,
     default_camera,
     evaluate_sim,
     junction_suite,
@@ -38,15 +38,12 @@ from bevtrack.experiments import (
     run_tracker,
 )
 from bevtrack.forecast import forecast, preprocess
-from bevtrack.homography import Homography
-from bevtrack.linearized import linearize
 from bevtrack.mot_io import box_records
 from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
     build_scene_model,
     generate,
     project_points,
-    true_homography,
 )
 from bevtrack.tracker import (
     SceneModel,
@@ -74,7 +71,7 @@ class SuiteRun:
     seconds: float
 
 
-def _track_suite(sims, cfg, lh=None, pixel=False):
+def _track_suite(sims, cfg, h=None, pixel=False):
     t0 = time.perf_counter()
     outputs_all, reports = [], []
     for sim in sims:
@@ -82,7 +79,7 @@ def _track_suite(sims, cfg, lh=None, pixel=False):
             scene = pixel_baseline_scene(sim.scenario)
             outs, _, _ = run_tracker(sim, pixel_baseline_config(cfg), scene=scene)
         else:
-            scene = None if lh is None else build_scene_model(sim.scenario, lh)
+            scene = None if h is None else build_scene_model(sim.scenario, h)
             outs, _, _ = run_tracker(sim, cfg, scene=scene)
         outputs_all.append(outs)
         reports.append(evaluate_sim(sim, outs, cfg))
@@ -95,13 +92,13 @@ def linear_runs():
     t0 = time.perf_counter()
     sims = [generate(sc) for sc in linear_suite(20)]
     sim_seconds = time.perf_counter() - t0
-    est_lh = calibrated_lh(sims[0], cfg, pixel_noise=0.5, seed=1)
+    est_h = calibrated_homography(sims[0], pixel_noise=0.5, seed=1)
     return {
         "cfg": cfg,
         "sims": sims,
         "sim_seconds": sim_seconds,
         "cv_true": _track_suite(sims, cfg),
-        "cv_est": _track_suite(sims, cfg, lh=est_lh),
+        "cv_est": _track_suite(sims, cfg, h=est_h),
         "pixel": _track_suite(sims, cfg, pixel=True),
         "no_forecast": _track_suite(sims, cfg.override(forecast_enabled=False)),
         "fan": _track_suite(sims, cfg.override(motion="fan", k=3)),
@@ -128,10 +125,6 @@ def endpoint_recall(sims, outputs_per_scene, cfg, min_s=0.0):
     post-gap box matches ground truth by IoU > 0.5 or lands within 2 m in BEV."""
     recovered = total = 0
     for sim, outputs in zip(sims, outputs_per_scene):
-        cam = sim.scenario.camera
-        lh = linearize(
-            sim.homography, (cam.image_width, cam.image_height), cfg.max_spacing
-        )
         gt = sim.gt
         events = occlusion_components(
             (gt.frame, gt.agent_id, gt.visibility),
@@ -159,7 +152,7 @@ def endpoint_recall(sims, outputs_per_scene, cfg, min_s=0.0):
             k = gt_by.get((ev.post_frame, ev.agent_id))
             if box is None or k is None:
                 continue
-            bev = lh.px_to_bev(np.array([box.bottom_center]))[0]
+            bev = sim.homography.px_to_bev(np.array([box.bottom_center]))[0]
             if iou(box, PixelBox(*gt.box[k])) > 0.5 or float(np.linalg.norm(bev - gt.bev[k])) < 2.0:
                 recovered += 1
     return recovered, total
@@ -218,69 +211,6 @@ def test_calibration_recovers_metric_ground_plane():
         ok,
         f"held-out rmse {rmse_clean:.2e} m noiseless, {rmse_noisy:.4f} m at 0.5 px noise "
         f"within 10 m ({int(near.sum())} pts), {elapsed:.2f}s",
-    )
-
-
-# -- 2: linearized map stays continuous and spacing-bounded ---------------------------
-
-
-def test_linearization_continuity_spacing_roundtrip():
-    cam = default_camera()
-    h = true_homography(cam)
-    w, ht = cam.image_width, cam.image_height
-    t0 = time.perf_counter()
-    lh = linearize(h, (w, ht), max_spacing=0.2)
-    assert bool(np.all(lh.column_defined))
-    m = h.m
-
-    def exact_map(pts):
-        p = np.column_stack([pts, np.ones(len(pts))]) @ m.T
-        return p[:, :2] / p[:, 2:3]
-
-    cols = np.arange(w, dtype=float)
-    v_t = lh.column_v_t
-    junction = np.stack([cols, v_t], axis=1)
-    val_gap = np.linalg.norm(lh.column_anchor - exact_map(junction), axis=1)
-
-    num = junction @ m[:2, :2].T + m[:2, 2]  # per-column numerators at v_T
-    den = junction @ m[2, :2] + m[2, 2]
-    dnum = m[:2, 1]  # d/dv of numerator and denominator
-    dden = m[2, 1]
-    deriv = (dnum[None, :] * den[:, None] - dden * num) / den[:, None] ** 2
-    der_gap = np.linalg.norm(lh.column_tangent - deriv, axis=1)
-
-    eps = 1e-6  # black-box probe across the junction
-    below = lh.px_to_bev(np.stack([cols, v_t - eps], axis=1))
-    above = lh.px_to_bev(np.stack([cols, v_t + eps], axis=1))
-    probe_gap = np.linalg.norm(below - above, axis=1)
-
-    uu, vv = np.meshgrid(cols, np.arange(ht, dtype=float))
-    grid = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    lifted = lh.px_to_bev(grid).reshape(ht, w, 2)
-    spacing = np.linalg.norm(np.diff(lifted, axis=0), axis=2)
-
-    gu = np.linspace(0.0, w - 1.0, 200)
-    gv = np.linspace(0.0, ht - 1.0, 200)
-    ru, rv = np.meshgrid(gu, gv)
-    rpts = np.stack([ru.ravel(), rv.ravel()], axis=1)
-    back = lh.bev_to_px(lh.px_to_bev(rpts))
-    rt = float(np.max(np.abs(back - rpts)))
-    elapsed = time.perf_counter() - t0
-
-    ok = (
-        float(val_gap.max()) < 1e-9
-        and float(der_gap.max()) < 1e-9
-        and float(probe_gap.max()) < 1e-6
-        and float(spacing.max()) <= 0.2 + 1e-9
-        and rt < 1e-6
-        and elapsed < 5.0
-    )
-    criterion(
-        "linearization",
-        ok,
-        f"junction value gap {val_gap.max():.1e}, derivative gap {der_gap.max():.1e}, "
-        f"max row spacing {spacing.max():.6f} m, round-trip {rt:.1e} px over all "
-        f"{w} columns, {elapsed:.2f}s",
     )
 
 

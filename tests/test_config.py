@@ -30,7 +30,6 @@ class TestDefaults:
         assert cfg.obs_len == 8 and cfg.dt == 0.4
         assert cfg.tau_l2 == 2.5 and cfg.tau_app == 0.8 and cfg.tau_iou == 0.2
         assert cfg.tau_max == 6.0 and cfg.base_iou == 0.5
-        assert cfg.max_spacing == 0.2
         assert cfg.buckets == DEFAULT_BUCKETS
         assert cfg.forecast_enabled and not cfg.ingest_ids
 
@@ -77,24 +76,31 @@ class TestMotionRules:
     def branches(self, config) -> int:
         return forecast([self.STATE], config, 20.0)[1].shape[1]
 
-    def test_single_branch_models_reject_k_above_1(self):
+    def test_single_branch_models_forecast_one_branch_whatever_k(self):
         for motion in ("static", "kalman_cv"):
-            _, velocity, _ = forecast([self.STATE], RunConfig(motion=motion, k=1), 20.0)
-            assert velocity.shape == (1, 1, 2), motion
-            for k in (2, 3):
-                with pytest.raises(ParseError, match=r"^config: k > 1 needs motion fan$"):
-                    RunConfig(motion=motion, k=k)
+            for k in (1, 2, 3):
+                _, velocity, _ = forecast([self.STATE], RunConfig(motion=motion, k=k), 20.0)
+                assert velocity.shape == (1, 1, 2), (motion, k)
 
-    def test_single_branch_k_above_1_is_cli_code_1(self, tmp_path, capsys):
-        config = tmp_path / "k3.json"
-        config.write_text('{"k": 3}')
-        code = main(
-            ["pipeline", "--scenario", "crossing", "--motion", "kalman_cv", "--config", str(config),
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["error: config: k > 1 needs motion fan"]
-        assert not (tmp_path / "o").exists()
+    def test_motion_override_of_a_fan_k3_config(self, tmp_path):
+        fan = RunConfig(motion="fan", k=3)
+        assert self.branches(fan) == 3
+        static = fan.override(motion="static")
+        assert static.k == 3 and self.branches(static) == 1
+        # the command line's --motion overrides the config file's fan alike
+        config = tmp_path / "fan_k3.json"
+        write_config(config, fan)
+        out = tmp_path / "o"
+        code = main(["pipeline", "--scenario", "crossing", "--config", str(config),
+                     "--motion", "static", "--out", str(out)])
+        assert code == 0
+        forecasts = tmp_path / "forecasts.jsonl"
+        code = main(["forecast", "--det", str(out / "track.txt"), "--homography",
+                     str(out / "homography.txt"), "--config", str(config), "--motion", "static",
+                     "--out", str(forecasts)])
+        assert code == 0
+        rows = [json.loads(line) for line in forecasts.read_text().splitlines()]
+        assert rows and all(row["velocities"] == [[0.0, 0.0]] for row in rows)
 
     def test_fan_k1_means_every_angle(self):
         assert self.branches(RunConfig(motion="fan")) == 3
@@ -175,8 +181,6 @@ class TestEagerValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"max_spacing": math.inf}, "config: max_spacing must be positive and finite"),
-            ({"max_spacing": -0.2}, "config: max_spacing must be positive"),
             ({"dt": float("nan")}, "config: dt must be positive"),
             ({"obs_len": 0}, "config: obs_len must be at least 1"),
             ({"k": 0}, "config: k must be at least 1"),
@@ -211,8 +215,8 @@ class TestEagerValidation:
             RunConfig(**kwargs)
 
     def test_override_is_validated(self):
-        with pytest.raises(ParseError, match="max_spacing"):
-            RunConfig().override(max_spacing=-1.0)
+        with pytest.raises(ParseError, match="dt"):
+            RunConfig().override(dt=-1.0)
 
     def test_cell_size_is_not_a_field(self):
         # A read-only class attribute, kept for the benchmark's set-up call.
@@ -224,6 +228,15 @@ class TestEagerValidation:
             RunConfig().cell_size = 1.0
         with pytest.raises(ParseError, match="unknown field 'cell_size'"):
             config_from_dict({"cell_size": 0.5})
+
+    def test_max_spacing_is_not_a_field(self):
+        # The same for the former map's spacing: JSON rejects it as unknown.
+        assert RunConfig().max_spacing == 0.2
+        assert "max_spacing" not in RunConfig().to_dict()
+        with pytest.raises(TypeError):
+            RunConfig(max_spacing=0.5)
+        with pytest.raises(ParseError, match="unknown field 'max_spacing'"):
+            config_from_dict({"max_spacing": 0.2})
 
     def test_from_dict_is_validated(self):
         with pytest.raises(ParseError, match="obs_len"):

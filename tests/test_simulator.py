@@ -8,7 +8,6 @@ import pytest
 from bevtrack.boxes import covered_fraction, ltwh
 from bevtrack.errors import InvalidScenario, ParseError
 from bevtrack.experiments import crossing_scenario, pixel_baseline_scene
-from bevtrack.linearized import linearize
 from bevtrack.simulator import (
     VISIBILITY_CUTOFF,
     AgentSpec,
@@ -189,10 +188,9 @@ class TestGenerateGeometry:
         center = AgentSpec(id=1, waypoints=((0.0, 10.0),), speed=0.0001)
         scn = make_scenario([center], camera_path=path)
         sim = generate(scn)
-        lh = linearize(sim.homography, (1920, 1080), 0.2)
         for det in sim.detections:
             bev = gt_bev(sim, det.frame, det.agent_id)
-            lifted = lh.px_to_bev(np.array(det.box.bottom_center)) + sim.ego.offset(det.frame)
+            lifted = sim.homography.px_to_bev(np.array(det.box.bottom_center)) + sim.ego.offset(det.frame)
             assert lifted[1] == pytest.approx(bev[1], abs=1e-9)
             # the camera drifts almost 4 m sideways: larger off-axis bias
             assert abs(lifted[0] - bev[0]) < 0.2
@@ -294,12 +292,11 @@ class TestVisibilityAndEmission:
 
 class TestBuildSceneModel:
     def test_map_rate_and_camera_motion(self, true_h):
-        lh = linearize(true_h, (1920, 1080), 0.2)
-        static = build_scene_model(make_scenario([WALKER]), lh)
-        assert static.lh is lh and static.fps == 10.0 and static.ego is None
+        static = build_scene_model(make_scenario([WALKER]), true_h)
+        assert static.homography is true_h and static.fps == 10.0 and static.ego is None
         panned = make_scenario([WALKER], camera_path=((0.5, 0.0),) * 19)
-        scene = build_scene_model(panned, lh, 0.5)  # a third argument is ignored
-        assert scene.lh is lh and scene.fps == 10.0
+        scene = build_scene_model(panned, true_h, 0.5)  # a third argument is ignored
+        assert scene.homography is true_h and scene.fps == 10.0
         assert np.array_equal(scene.ego.offsets, panned.ego_track().offsets)
 
     def test_pixel_baseline_maps_pixels_to_themselves(self):

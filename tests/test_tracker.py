@@ -18,7 +18,6 @@ from bevtrack.experiments import (
 )
 from bevtrack.forecast import forecast, preprocess
 from bevtrack.homography import Homography
-from bevtrack.linearized import linearize
 from bevtrack.simulator import build_scene_model, generate
 import bevtrack.tracker as tracker_module
 from bevtrack.tracker import (
@@ -34,8 +33,7 @@ from bevtrack.tracker import (
 
 def make_scene(fps=10.0, size=200):
     """Identity-homography scene: BEV coordinates equal pixel coordinates."""
-    lh = linearize(Homography(np.eye(3)), (size, size), max_spacing=1e9)
-    return SceneModel(lh=lh, fps=fps)
+    return SceneModel(Homography(np.eye(3)), fps)
 
 
 def box_at(u, v, w=12.0, h=24.0):
@@ -163,8 +161,7 @@ def test_geometry_from_top_level_names():
     # scores; everything here comes from the package namespace.
     import bevtrack as bt
 
-    lh = bt.linearize(bt.Homography(np.eye(3)), (200, 200), max_spacing=1e9)
-    scene = bt.SceneModel(lh=lh, fps=1.0)
+    scene = bt.SceneModel(bt.Homography(np.eye(3)), fps=1.0)
     # seen in a 12 x 24 box at (50, 100) on frame 0, forecast at 1 m/s along x;
     # a detection at (51, 100) on frame 1
     dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
@@ -297,30 +294,30 @@ class TestDetectionTable:
 
 
 class TestSceneModel:
-    def moving(self, lh, offset):
+    def moving(self, h, offset):
         ego = EgomotionTrack(np.array([[0.0, 0.0], offset]))
-        return SceneModel(lh=lh, fps=10.0, ego=ego)
+        return SceneModel(h, fps=10.0, ego=ego)
 
-    def test_ego_offset_added(self, lh):
+    def test_ego_offset_added(self, true_h):
         # The map is camera-relative; the scene adds the camera's offset.
         p = np.array([[800.0, 900.0]])
-        scene = self.moving(lh, [1.5, -2.0])
-        assert np.array_equal(scene.px_to_world(p, 0), lh.px_to_bev(p))
+        scene = self.moving(true_h, [1.5, -2.0])
+        assert np.array_equal(scene.px_to_world(p, 0), true_h.px_to_bev(p))
         moved = scene.px_to_world(p, 1)
-        assert np.allclose(moved - lh.px_to_bev(p), [1.5, -2.0])
+        assert np.allclose(moved - true_h.px_to_bev(p), [1.5, -2.0])
 
-    def test_ego_offset_subtracted(self, lh):
+    def test_ego_offset_subtracted(self, true_h):
         p = np.array([[1.0, 12.0]])
-        scene = self.moving(lh, [2.0, 1.0])
+        scene = self.moving(true_h, [2.0, 1.0])
         px_world, valid = scene.world_to_px(p + np.array([2.0, 1.0]), 1)
         assert valid.all()
-        assert np.allclose(px_world, lh.bev_to_px(p), atol=1e-9)
-        assert all(map(np.array_equal, scene.world_to_px(p, 0), lh.try_bev_to_px(p)))
+        assert np.allclose(px_world, true_h.bev_to_px(p), atol=1e-9)
+        assert all(map(np.array_equal, scene.world_to_px(p, 0), true_h.try_bev_to_px(p)))
 
     def test_validation(self):
         for fps in (0.0, -10.0, math.nan):
             with pytest.raises(ValueError, match="fps must be positive"):
-                SceneModel(lh=None, fps=fps)
+                SceneModel(homography=None, fps=fps)
 
 
 class TestCostMatrix:
@@ -1019,13 +1016,11 @@ def test_trackers_sharing_one_frame_dict_match_their_solo_runs():
     # read-only slices: neither may see what the other made of them, and
     # every output box is its detection's own PixelBox.
     sim = generate(crossing_scenario())
-    cam = sim.scenario.camera
-    lh = linearize(sim.homography, (cam.image_width, cam.image_height), RunConfig().max_spacing)
     frames = range(sim.scenario.n_frames)
 
     def trackers():
         return [
-            Tracker(build_scene_model(sim.scenario, lh), RunConfig()),
+            Tracker(build_scene_model(sim.scenario, sim.homography), RunConfig()),
             Tracker(pixel_baseline_scene(sim.scenario), pixel_baseline_config(RunConfig())),
         ]
 

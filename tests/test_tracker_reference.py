@@ -23,7 +23,6 @@ from bevtrack.errors import OutOfDomain
 from bevtrack.experiments import default_camera
 from bevtrack.forecast import forecast, predicted_box, preprocess
 from bevtrack.homography import Homography
-from bevtrack.linearized import linearize
 from bevtrack.simulator import (
     AgentSpec,
     Occluder,
@@ -103,7 +102,7 @@ def scalar_branch_boxes(track, scene, frame):
     for bi, pt in enumerate(origin + ((frame - created) / scene.fps) * velocities):
         rel = pt if scene.ego is None else pt - scene.ego.offset(frame)
         try:
-            pb = predicted_box(track.last_box, rel, scene.lh)
+            pb = predicted_box(track.last_box, rel, scene.homography)
         except OutOfDomain:
             pb = None
         out.append((bi, pt, pb))
@@ -208,7 +207,7 @@ class ScalarTracker:
         ego = self.scene.ego
         bev = []
         for det in detections:
-            p = self.scene.lh.px_to_bev(np.array(det.box.bottom_center))
+            p = self.scene.homography.px_to_bev(np.array(det.box.bottom_center))
             bev.append(p if ego is None else p + ego.offset(frame))
         active = sorted((t for t in self.tracks.values() if t.active), key=lambda t: t.id)
         matches = self.scalar_base_association(active, detections)
@@ -345,8 +344,7 @@ def detections(sim, appearance, ingest):
 
 
 def run(tracker_cls, sim, cfg, appearance, ingest, ego):
-    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-    scene = build_scene_model(sim.scenario, lh)
+    scene = build_scene_model(sim.scenario, sim.homography)
     scene.ego = sim.ego if ego else None
     by_frame = detections(sim, appearance, ingest)
     tracker = tracker_cls(scene, cfg)
@@ -453,8 +451,7 @@ def test_gapped_table_matches_the_reference(seed, ingest):
     n_frames = sim.scenario.n_frames
     by_frame = table.by_frame()
     cfg = RunConfig(ingest_ids=ingest)
-    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-    runs = [tracker_cls(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+    runs = [tracker_cls(build_scene_model(sim.scenario, sim.homography), cfg).run(by_frame, range(n_frames))
             for tracker_cls in (ScalarTracker, Tracker)]
     assert runs[1] == runs[0]
     assert len(runs[0][0]) > 0 and set(range(n_frames)) - set(by_frame)
@@ -497,8 +494,8 @@ def dense_cost_matrix(points, det_points, overlap, gate, config):
     return np.where(ok, best, 0.0), np.where(ok, s.argmax(axis=1), -1)
 
 
-def random_scoring_step(rng, lh):
-    """(rows, cand, gate, tracks, dets, scene, frame, config): a scoring step on the map lh.
+def random_scoring_step(rng, homography):
+    """(rows, cand, gate, tracks, dets, scene, frame, config): a scoring step on the map.
 
     K is 1 or 3 and tau_iou 0 or 0.2. Branches may leave the map (behind the
     camera: no pixel preimage), hold NaN or repeat another branch exactly; the
@@ -508,7 +505,7 @@ def random_scoring_step(rng, lh):
     config = RunConfig(tau_iou=float(rng.choice([0.0, 0.2])), tau_l2=float(rng.choice([2.5, 6.0])))
     moving = rng.random() < 0.4
     ego = EgomotionTrack.from_deltas(rng.normal(0.0, 0.05, (frame, 2))) if moving else None
-    scene = SceneModel(lh=lh, fps=float(rng.choice([10.0, 12.5, 20.0])), ego=ego)
+    scene = SceneModel(homography, fps=float(rng.choice([10.0, 12.5, 20.0])), ego=ego)
     n, c = int(rng.integers(1, 7)), int(rng.integers(1, 5))
     tracks = TrackTable.empty().extend(range(1, n + 1))
     tracks.frames, tracks.seen = rng.integers(0, frame, (n, c)), rng.integers(1, 3 * c + 1, n)
@@ -541,11 +538,11 @@ def random_scoring_step(rng, lh):
 class TestScorerMatchesTheNumpyScorer:
     def test_random_scoring_steps_bit_for_bit(self):
         rng = np.random.default_rng(37)
-        lh = linearize(true_homography(default_camera()), (1920, 1080), 0.2)
+        homography = true_homography(default_camera())
         seen = dict.fromkeys(["k1", "k3", "tau_iou 0", "tau_iou 0.2", "no preimage", "nan point",
                               "nan zeroes a pair", "tie", "egomotion", "sparse gate", "won"], 0)
         for _ in range(1200):
-            step = random_scoring_step(rng, lh)
+            step = random_scoring_step(rng, homography)
             rows, cand, gate, tracks, dets, scene, frame, config = step
             points, overlap = frame_geometry(tracks, rows, dets.box[cand], scene, frame)
             det_points = scene.px_to_world(dets.foot[cand], frame)
@@ -575,7 +572,7 @@ class TestScorerMatchesTheNumpyScorer:
 
     def test_an_empty_gate_scores_nothing(self):
         rows, cand, gate, *rest = random_scoring_step(np.random.default_rng(0),
-                                                      make_scene(size=2000).lh)
+                                                      make_scene(size=2000).homography)
         assert build_cost_matrix(rows, cand, np.zeros_like(gate), *rest) == []
 
 
@@ -587,7 +584,7 @@ def random_instance(rng, n_tracks=5, n_dets=7, k=3, dim=16):
 
     Returns (scene, tracks, the detections' DetectionTable, their (M, 2) BEV points).
     """
-    scene = SceneModel(lh=linearize(Homography(np.eye(3)), (200, 200), max_spacing=1e9), fps=1.0)
+    scene = SceneModel(Homography(np.eye(3)), fps=1.0)
 
     def app():
         a = rng.uniform(0.1, 1.0, dim)
@@ -701,9 +698,8 @@ def test_candidate_pairs_match_the_dense_reference(seed, descriptors, tau_app, m
     sim, table = gapped_table(seed)
     by_frame = described(table, descriptors).by_frame()
     cfg = RunConfig(motion="fan", k=3, tau_app=tau_app)
-    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
     n_frames = sim.scenario.n_frames
-    want = DenseTracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+    want = DenseTracker(build_scene_model(sim.scenario, sim.homography), cfg).run(by_frame, range(n_frames))
     gated, mapped = [], []  # per gate call: the survivors; per scoring step: the tracks mapped
 
     def gate(track_appearance, *args):
@@ -717,7 +713,7 @@ def test_candidate_pairs_match_the_dense_reference(seed, descriptors, tau_app, m
 
     monkeypatch.setattr(tracker_module, "appearance_gate", gate)
     monkeypatch.setattr(tracker_module, "build_cost_matrix", scorer)
-    got = Tracker(build_scene_model(sim.scenario, lh), cfg).run(by_frame, range(n_frames))
+    got = Tracker(build_scene_model(sim.scenario, sim.homography), cfg).run(by_frame, range(n_frames))
     assert got == want
     assert any(e["reason"] == "reassociated" for e in want[1])
     # unit descriptors leave some tracks unmapped; without descriptors every pair passes
@@ -764,7 +760,7 @@ def base_association_instance(rng, n, m):
     for copies, source in ((boxes, boxes), (det_boxes, det_boxes), (det_boxes, boxes)):
         for _ in range(int(rng.integers(0, 3))):
             copies[rng.integers(len(copies))] = source[rng.integers(len(source))]
-    tk = Tracker(SceneModel(lh=None, fps=10.0))
+    tk = Tracker(SceneModel(None, fps=10.0))
     tk.tracks = TrackTable.empty().extend(ids)
     tk.tracks.active, tk.tracks.box = active, boxes
     rows = active.nonzero()[0]
@@ -802,8 +798,7 @@ class TestForecastColumns:
         # that ends the forecast's span after its last match, at or after this frame.
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
-        lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-        tracker = Tracker(build_scene_model(sim.scenario, lh), cfg)
+        tracker = Tracker(build_scene_model(sim.scenario, sim.homography), cfg)
         by_frame = detections(sim, appearance, ingest)
         k = len(cfg.fan_angles) if cfg.motion == "fan" else 1
         span = math.ceil(cfg.tau_max / cfg.dt) * max(1, round(cfg.dt * tracker.scene.fps))
@@ -831,8 +826,7 @@ class TestTrackOrder:
         # are issued increasing, and removal and re-association keep the rest in place.
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
-        lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
-        tracker = Tracker(build_scene_model(sim.scenario, lh), cfg)
+        tracker = Tracker(build_scene_model(sim.scenario, sim.homography), cfg)
         by_frame = detections(sim, appearance, ingest)
         seen = set()
         for f in range(sim.scenario.n_frames):
@@ -873,11 +867,10 @@ def metamorphic_input(source, crowd_sims):
         else:
             sim, table = gapped_table(seed)
             by_frame = table.by_frame()
-    lh = linearize(sim.homography, (1920, 1080), cfg.max_spacing)
 
     def scene(shift=0):
         """The scene model; a moving camera's track starts shift frames late."""
-        s = build_scene_model(sim.scenario, lh)
+        s = build_scene_model(sim.scenario, sim.homography)
         s.ego = None
         if ego:
             s.ego = EgomotionTrack(np.concatenate([np.zeros((shift, 2)), sim.ego.offsets]))
