@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import mot_io
-from .config import RunConfig, read_config
+from .config import MOTION_KINDS, RunConfig, read_config
 from .errors import BevTrackError, ParseError
 from .experiments import calibrate_from_cloud, calibrated_homography, run_tracker
 from .evaluation import evaluate_tracking
@@ -65,13 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON run configuration")
 
     sp = sub.add_parser("simulate", help="render a synthetic scenario")
-    add_common(sp)
     sp.add_argument("--seed", type=int, help="override the scenario's seed")
     sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("calibrate", help="estimate the ground homography from a cloud")
-    add_common(sp)
     sp.add_argument("--seed", type=_seed, default=0, help="RANSAC seed of the plane fit")
     sp.add_argument("--cloud", required=True, help="x y z point cloud file")
     sp.add_argument("--correspondences", required=True, help="u v x y z pairs file")
@@ -84,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--appearance", help="descriptor sidecar, one row per detection")
     sp.add_argument("--ego", help="cumulative camera offsets, one dx dy row per frame")
-    sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
+    sp.add_argument("--motion", choices=MOTION_KINDS)
     sp.add_argument("--no-forecast", action="store_true", help="drop occluded tracks")
     sp.add_argument("--ingest", action="store_true", help="respect upstream ids in the file")
     sp.add_argument("--fps", type=_positive, default=20.0, help="frame rate")
@@ -108,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--det", required=True, help="MOT file with identities")
     sp.add_argument("--homography", required=True)
     sp.add_argument("--out", required=True, help="JSONL output path")
-    sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
+    sp.add_argument("--motion", choices=MOTION_KINDS)
     sp.add_argument("--fps", type=_positive, default=20.0)
     sp.add_argument("--horizon", type=_positive, help="seconds ahead; defaults to tau_max")
 
@@ -117,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="override the scenario's seed")
     sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--motion", choices=("static", "kalman_cv", "fan"))
+    sp.add_argument("--motion", choices=MOTION_KINDS)
     sp.add_argument("--no-forecast", action="store_true")
     sp.add_argument(
         "--estimate-homography",
@@ -136,7 +134,7 @@ def _config_from_args(args) -> RunConfig:
         over["forecast_enabled"] = False
     if getattr(args, "ingest", False):
         over["ingest_ids"] = True
-    if getattr(args, "buckets", None):
+    if getattr(args, "buckets", None) is not None:
         over["buckets"] = _parse_buckets(args.buckets)
     if getattr(args, "vis_threshold", None) is not None:
         over["vis_threshold"] = args.vis_threshold
@@ -171,7 +169,6 @@ def _simulate(args):
 
 
 def _cmd_simulate(args) -> int:
-    _config_from_args(args)  # no setting applies, but a bad --config fails as elsewhere
     sim = _simulate(args)
     print(f"frames: {sim.scenario.n_frames}")
     print(f"detections: {len(sim.table)}")
@@ -181,7 +178,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _config_from_args(args)  # no setting applies, but a bad --config fails as elsewhere
     cloud = mot_io.read_cloud(args.cloud)
     px, pts = mot_io.read_correspondences(args.correspondences)
     cal = calibrate_from_cloud(cloud, px, pts, seed=args.seed)
@@ -285,7 +281,7 @@ def _cmd_forecast(args) -> int:
     try:
         origin, velocity, end = run_forecast(states, cfg, args.fps, args.horizon)
     except ValueError as e:
-        raise ParseError(f"--horizon: {e}") from e
+        raise ParseError(f"{'config' if args.horizon is None else '--horizon'}: {e}") from e
     columns = zip(ids.tolist(), states, origin.tolist(), velocity.tolist(), end.tolist())
     rows = [dict(id=i, origin=o, velocities=v, created_frame=s[2], end_frame=e, fps=args.fps)
             for i, s, o, v, e in columns]

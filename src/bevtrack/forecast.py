@@ -3,16 +3,16 @@
 A raw track history (irregular frames, pixel noise) is resampled onto a
 uniform step grid ending at the last observation and run through a forward
 constant-velocity Kalman filter, whose gains do not depend on the data and are
-computed once per config. Each grid point blends at most two observations, as
-np.interp does; filter_grid names them, so a caller holding a long history
-passes preprocess those alone. Both steps run in Python floats, rounding as
-numpy's would. The filter's last state, one position and one velocity at the
-last observed frame, is all a forecast reads: the RunConfig's motion model
-turns a list of states into the track table's forecast columns, per state an
-origin, k branch velocities and the end frame the branches cover.
-forecast_span holds the horizon's arithmetic and its limits. The tracker never
-re-seeds a forecast mid-occlusion; every branch lives until the frame passes
-the forecast's end, when its track leaves.
+cached, one table per config and power of two of grid points. Each grid point
+blends at most two observations, as np.interp does; filter_grid names them, so a
+caller holding a long history passes preprocess those alone. Both steps run in
+Python floats, rounding as numpy's would. The filter's last state, one position
+and one velocity at the last observed frame, is all a forecast reads: the
+RunConfig's motion model turns a list of states into the track table's forecast
+columns, per state an origin, k branch velocities and the end frame the branches
+cover. forecast_span holds the horizon's arithmetic and its limits. The tracker
+never re-seeds a forecast mid-occlusion; every branch lives until the frame
+passes the forecast's end, when its track leaves.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .config import RunConfig
 
 
 @functools.lru_cache(maxsize=8)
-def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float):
-    """(f, h, gains, rows): transition and observation matrices, the gain at each of
-    `steps` grid points, and the same matrices' rows as tuples of floats, f's and
-    h's then each gain's. No gain reads the data, and a shorter pass's are a prefix."""
+def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float) -> tuple:
+    """The rows of the transition and observation matrices, then of the gain at each of
+    `steps` grid points, as tuples of floats. No gain reads the data, and a shorter
+    pass's are a prefix of a longer one's, bit for bit."""
     f = np.eye(4)
     f[0, 2] = dt
     f[1, 3] = dt
@@ -54,10 +54,7 @@ def _filter_gains(steps: int, dt: float, process_noise: float, obs_noise: float)
         gain = p @ h.T @ np.linalg.inv(s)
         p = (np.eye(4) - gain @ h) @ p
         gains.append(gain)
-    for a in (f, h, *gains):
-        a.flags.writeable = False  # the cache hands these same arrays to every caller
-    rows = tuple(tuple(map(tuple, a.tolist())) for a in (f, h, *gains))
-    return f, h, tuple(gains), rows
+    return tuple(tuple(map(tuple, a.tolist())) for a in (f, h, *gains))
 
 
 def _filter_last_state(z, config: RunConfig):
@@ -77,7 +74,9 @@ def _filter_last_state(z, config: RunConfig):
         return [x0, x1], [0.0, 0.0]
 
     dt = config.dt
-    f, h, *gains = _filter_gains(config.obs_len, dt, config.process_noise, config.obs_noise)[3]
+    # the table for the power of two at or above len(z): a few tables serve every length
+    steps = 1 << (len(z) - 1).bit_length()
+    f, h, *gains = _filter_gains(steps, dt, config.process_noise, config.obs_noise)
     (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = f
     (ha0, hb0, hc0, hd0), (ha1, hb1, hc1, hd1) = h
     x2, x3 = (z[1][0] - x0) / dt, (z[1][1] - x1) / dt
@@ -98,19 +97,20 @@ def _filter_last_state(z, config: RunConfig):
 def filter_grid(frames: list, config: RunConfig, fps: float) -> list:
     """The filter's grid over an ascending list of frames, as [(x, pair)]: each point x
     = frames[-1] - (dt * fps) * k, k = obs_len - 1 down to 0, at or after frames[0] -
-    1e-9, with the indices of the frames np.interp reads there. With j =
-    bisect_right(frames, x) - 1, pair is (j, j + 1), or (max(j, 0),) where x is
-    before frames[0], on frames[j] or at or after the last frame.
+    1e-9, with the indices of the frames np.interp reads there; the k = 0 point is
+    frames[-1] itself. With j = bisect_right(frames, x) - 1, pair is (j, j + 1), or
+    (max(j, 0),) where x is before frames[0], on frames[j] or at or after the last frame.
     """
     last, step, first = frames[-1], config.dt * fps, frames[0] - 1e-9
     grid = []
-    for k in range(config.obs_len - 1, -1, -1):
-        x = last - step * k
-        if x >= first:
-            j = bisect.bisect_right(frames, x) - 1
-            alone = j < 0 or x == frames[j] or j == len(frames) - 1
-            grid.append((x, (max(j, 0),) if alone else (j, j + 1)))
-    return grid
+    for k in range(config.obs_len):
+        x = last - step * k if k else last  # an infinite step times 0 is NaN
+        if not x >= first:  # x falls as k grows: no later point reaches frames[0]
+            break
+        j = bisect.bisect_right(frames, x) - 1
+        alone = j < 0 or x == frames[j] or j == len(frames) - 1
+        grid.append((x, (max(j, 0),) if alone else (j, j + 1)))
+    return grid[::-1]
 
 
 def _blend(x: float, xs: list, ys: list, pair: tuple) -> float:
@@ -179,16 +179,6 @@ def forecast_span(config: RunConfig, fps: float, horizon_s: float = None) -> int
     return span
 
 
-@functools.lru_cache(maxsize=8)
-def _fan_rotations(angles: tuple) -> np.ndarray:
-    """(K, 2, 2) rotations from math.cos and math.sin, by angles in degrees given as
-    float.hex strings: as floats, -0.0 would share 0.0's entry, whose sines differ."""
-    rot = np.array([[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-                    for a in (math.radians(float.fromhex(x)) for x in angles)])
-    rot.flags.writeable = False  # the cache hands this same array to every caller
-    return rot
-
-
 def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
     """The track table's forecast columns for L preprocess (position, velocity,
     last_frame) states: (origin (L, 2), velocity (L, K, 2) m/s, end (L,)).
@@ -208,7 +198,8 @@ def forecast(states, config: RunConfig, fps: float, horizon_s: float = None):
     velocity = np.array([s[1] for s in states], dtype=float).reshape(-1, 1, 2)
     if config.motion == "kalman_cv":
         return origin, velocity, end
-    rot = _fan_rotations(tuple(float(a).hex() for a in config.fan_angles))
+    rot = np.array([[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+                    for a in map(math.radians, config.fan_angles)])
     # (K, 2, 2) @ (L, 1, 2, 1): one 2x2 product per branch, rounding like a lone rot @ v
     return origin, (rot @ velocity[..., None])[..., 0], end
 

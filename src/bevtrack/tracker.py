@@ -39,7 +39,7 @@ import numpy as np
 from .boxes import iou, iou_ltwh, iou_matrix  # noqa: F401
 from .config import RunConfig
 from .errors import NonMonotonicFrame, ParseError
-from .forecast import filter_grid, forecast, forecast_span, predicted_box, preprocess  # noqa: F401
+from .forecast import filter_grid, forecast, predicted_box, preprocess  # noqa: F401
 from .homography import Homography
 from .mot_io import DetectionTable
 
@@ -71,7 +71,7 @@ class TrackTable:
     feet: np.ndarray  # (T, C, 2) their pixel bottom-centres
     seen: np.ndarray  # (T,) matches so far
     origin: np.ndarray  # (T, 2) BEV point at the last match; set while inactive
-    velocity: np.ndarray  # (T, K, 2) m/s, one row per branch; K = 0 before any forecast
+    velocity: np.ndarray  # (T, K, 2) m/s, one row per branch; K = 0 in empty()
     end: np.ndarray  # (T,) last frame the forecast covers
 
     @classmethod
@@ -226,14 +226,15 @@ class Tracker:
         self.config = config or RunConfig()
         self.next_id = 1
         self.last_step_frame: Optional[int] = None
-        try:
-            forecast_span(self.config, scene.fps)
+        try:  # no states: the span's checks, and the config's branch axis
+            _, velocity, _ = forecast([], self.config, scene.fps)
         except ValueError as e:
             raise ParseError(f"config: {e}") from e
         span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
         # rings double up to the most matches a filter window (all preprocess reads) holds
         self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
         self.tracks = TrackTable.empty()
+        self.tracks.velocity = velocity  # (0, K, 2)
 
     # -- helpers -------------------------------------------------------------
 
@@ -434,10 +435,7 @@ class Tracker:
             ends = itertools.accumulate(map(len, histories))
             states = [preprocess(h, world[e - len(h) : e], cfg, fps) for h, e in zip(histories, ends)]
             t.active[lost] = False
-            origin, velocity, end = forecast(states, cfg, fps)
-            if not t.velocity.shape[1]:  # the first forecast sizes the branch axis
-                t.velocity = np.zeros((len(t), velocity.shape[1], 2))
-            t.origin[lost], t.velocity[lost], t.end[lost] = origin, velocity, end
+            t.origin[lost], t.velocity[lost], t.end[lost] = forecast(states, cfg, fps)
         if len(t) - len(active) + len(lost):  # inactive tracks exist
             self._advance_inactive(dets, free, frame, events, took, dead)
 

@@ -146,16 +146,6 @@ class TestCalibrate:
         rows = [[float(v) for v in line.split()] for line in lines[1:]]
         assert np.array_equal(load_homography(str(out)).m, rows)
 
-    @pytest.mark.parametrize("config", [None, {"max_spacing": 0}, {"tau_l2": "x"}])
-    def test_missing_or_invalid_config_is_code_1(self, sim_dir, tmp_path, capsys, config):
-        path = tmp_path / "cfg.json"
-        if config is not None:
-            path.write_text(json.dumps(config))
-        out = tmp_path / "h.txt"
-        assert self.calibrate(sim_dir, out, "--config", str(path)) == 1
-        assert_one_error_line(capsys.readouterr().err)
-        assert not out.exists()
-
 
 class TestTrack:
     def test_outputs_and_events(self, track_dir):
@@ -359,6 +349,23 @@ class TestEvaluate:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: config: buckets must be strictly increasing with at least two edges"]
 
+    def test_empty_buckets_is_code_1(self, sim_dir, track_dir, tmp_path, capsys):
+        # an empty list is a bucket list, not an absent one: no fallback to the defaults
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate",
+                "--gt", os.path.join(sim_dir, "gt.txt"),
+                "--hyp", os.path.join(track_dir, "track.txt"),
+                "--out", str(out),
+                "--buckets", "",
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid bucket list ''"), lines
+        assert not out.exists()
+
 
 def listed_points(state, fps, columns):
     """(k, n, 2) points of every branch at every frame after the state's last, as
@@ -482,6 +489,21 @@ class TestForecastCommand:
         assert_one_error_line(err)
         assert err == ("error: --horizon: dt 0.4 s at 20 fps puts a forecast's end frame "
                        "beyond 64-bit integers\n"), err
+        assert not (tmp_path / "fc.jsonl").exists()
+
+    def test_span_past_64_bit_end_frames_without_horizon_names_the_config(
+        self, sim_dir, track_dir, tmp_path, capsys
+    ):
+        # dt 1e10 s at 1e308 fps: an infinite grid step, so the filter reads the last
+        # frame alone, and the default horizon's end frame lies beyond 64-bit integers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 1e10}))
+        args = self.forecast_args(sim_dir, track_dir, tmp_path, "1")[:-4]
+        code = main([*args, "--out", str(tmp_path / "fc.jsonl"), "--fps", "1e308",
+                     "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: config: dt 1e+10 s at 1e+308 fps puts a "
+                                           "forecast's end frame beyond 64-bit integers\n")
         assert not (tmp_path / "fc.jsonl").exists()
 
 
@@ -911,6 +933,18 @@ class TestArgumentErrors:
         assert e.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, required",
+        [("simulate", ["--scenario", "crossing"]),
+         ("calibrate", ["--cloud", "c", "--correspondences", "p"])],
+    )
+    def test_config_only_on_commands_it_acts_on(self, command, required, capsys):
+        # no setting applies to simulate or calibrate
+        with pytest.raises(SystemExit) as e:
+            main([command, *required, "--out", "o", "--config", "c.json"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:
             main(["simulate", "--scenario", "x", "--out", "y", "--bogus"])
@@ -950,3 +984,30 @@ def test_start_up_imports_no_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_work_follows_the_history_not_obs_len(tmp_path):
+    # On crossing, an obs_len of 10**8 grids each history as one of 1000 does: track and
+    # forecast write the same bytes. In a subprocess, so work sized by obs_len fails
+    # the timeout instead of holding up the suite.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert main(["simulate", "--scenario", "crossing", "--out", str(tmp_path / "sim")]) == 0
+    for obs_len in (1000, 10**8):
+        (tmp_path / f"{obs_len}.json").write_text(json.dumps({"obs_len": obs_len}))
+    code = (
+        "import sys\n"
+        "from bevtrack.cli import main\n"
+        "obs_len = sys.argv[1]\n"
+        "common = ['--homography', 'sim/homography.txt', '--config', f'{obs_len}.json']\n"
+        "assert main(['track', '--det', 'sim/det.txt', '--out', obs_len, *common]) == 0\n"
+        "assert main(['forecast', '--det', f'{obs_len}/track.txt', *common,\n"
+        "             '--out', f'{obs_len}/forecasts.jsonl']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for obs_len in (1000, 10**8):
+        done = subprocess.run([sys.executable, "-c", code, str(obs_len)], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+    for name in ("track.txt", "events.jsonl", "forecasts.jsonl"):
+        want = (tmp_path / "1000" / name).read_bytes()
+        assert (tmp_path / str(10**8) / name).read_bytes() == want, name

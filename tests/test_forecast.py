@@ -236,6 +236,24 @@ class TestPreprocess:
         assert np.allclose(position, (79 / 20.0, 10.0), atol=1e-6)
         assert np.allclose(velocity, (1.0, 0.0), atol=1e-6)
 
+    def test_a_step_beyond_the_floats_leaves_the_last_frame_alone(self):
+        # dt 1e10 s at 1e308 fps: the step is infinite, and the grid is the last frame
+        cfg, frames = RunConfig(dt=1e10), [3.0, 5.0, 9.0]
+        assert filter_grid(frames, cfg, 1e308) == [(9.0, (2,))]
+        pos, vel, last = preprocess(frames, [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], cfg, 1e308)
+        assert pos.tolist() == [4.0, 5.0] and vel.tolist() == [0.0, 0.0] and last == 9
+
+    def test_the_grid_stops_at_the_first_frame_whatever_obs_len(self):
+        # 20 frames reach back 2.4 grid steps at 0.4 s and 20 fps: an obs_len of 10**8
+        # walks the same 3 points as one of 8, not 10**8 steps.
+        frames = [float(f) for f in range(100, 120)]
+        points = [(0.1 * f, -0.2 * f) for f in frames]
+        grid = filter_grid(frames, RunConfig(obs_len=10**8), 20.0)
+        assert grid == filter_grid(frames, RunConfig(), 20.0) and len(grid) == 3
+        for got, want in zip(preprocess(frames, points, RunConfig(obs_len=10**8), 20.0),
+                             preprocess(frames, points, RunConfig(), 20.0)):
+            assert np.array_equal(got, want)
+
     def test_single_observation(self):
         position, velocity, last_frame = preprocess([10], [(3.0, 7.0)], RunConfig(obs_len=4), 20.0)
         assert position.tolist() == [3.0, 7.0]
@@ -352,7 +370,7 @@ class TestCachedGainsMatchPerCallFilter:
         "dt,process_noise,obs_noise", [(0.4, 0.1, 0.25), (0.3, 1.5, 0.05), (0.05, 0.01, 2.0)]
     )
     def test_every_length_up_to_obs_len(self, dt, process_noise, obs_noise):
-        # Short grids read a prefix of the obs_len gain sequence; every length
+        # Short grids read a prefix of a longer gain table; every length
         # must give the per-call filter's floats exactly.
         rng = np.random.default_rng(7)
         cfg = RunConfig(obs_len=9, dt=dt, process_noise=process_noise, obs_noise=obs_noise)
@@ -364,7 +382,15 @@ class TestCachedGainsMatchPerCallFilter:
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-# -- the numpy reference: np.interp, then the filter loop over the cached gain arrays --
+    def test_a_shorter_table_is_a_prefix_of_a_longer_one(self):
+        # A grid of n points reads the table for the power of two at or above n, so
+        # its gains must be the first n of any longer table's, bit for bit.
+        short, long = _filter_gains(4, 0.4, 0.1, 0.25), _filter_gains(64, 0.4, 0.1, 0.25)
+        assert len(short) == 2 + 4 and len(long) == 2 + 64
+        assert short == long[:6]
+
+
+# -- the numpy reference: np.interp, then the filter loop over arrays of the gain rows --
 
 
 def numpy_preprocess(frames, points, cfg, fps):
@@ -376,7 +402,8 @@ def numpy_preprocess(frames, points, cfg, fps):
     z = np.stack([np.interp(grid, frames, pos[:, 0]), np.interp(grid, frames, pos[:, 1])], axis=1)
     if len(z) == 1:
         return z[0], np.zeros(2), int(round(last))
-    f, h, gains, _ = _filter_gains(cfg.obs_len, cfg.dt, cfg.process_noise, cfg.obs_noise)
+    f, h, *gains = map(np.array, _filter_gains(cfg.obs_len, cfg.dt, cfg.process_noise,
+                                                cfg.obs_noise))
     x = np.zeros(4)
     x[:2] = z[0]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite points: a NaN state
@@ -622,6 +649,20 @@ class TestStackedForecast:
                         a = math.radians(ang)
                         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
                         assert np.array_equal(velocity[i, b], rot @ state[1]), (trial, b)
+
+
+    def test_signed_zero_angles_rotate_alone(self):
+        # 0.0 and -0.0 degrees have sines of opposite sign: each branch is its own
+        # lone rot @ v product, bit for bit, signed zeros and non-finite values included.
+        cfg = RunConfig(motion="fan", fan_angles=(0.0, -0.0), k=2)
+        for v in ([-0.0, 1.5], [0.0, -0.0], [1.5, -2.0], [math.inf, 0.5]):
+            v = np.array(v)
+            with np.errstate(invalid="ignore"):  # inf times a zero sine is NaN
+                _, velocity, _ = forecast_one((STATE[0], v, 79), cfg, 20.0)
+                for b, ang in enumerate(cfg.fan_angles):
+                    a = math.radians(ang)
+                    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                    assert velocity[b].tobytes() == (rot @ v).tobytes(), (v, b)
 
 
 class TestPredictedBox:

@@ -664,6 +664,14 @@ class TestTrackerLifecycle:
         points = tk.scene.px_to_world([p for _, p in feet], [f for f, _ in feet])
         assert np.allclose(points, [[50.0, 100.0], [51.0, 100.0]])  # identity map
 
+    @pytest.mark.parametrize("motion, k", [("fan", 3), ("kalman_cv", 1), ("static", 1)])
+    def test_the_branch_axis_is_the_configs_from_the_start(self, motion, k):
+        # Every track has the config's K branches, before the first forecast too.
+        tk = Tracker(make_scene(), RunConfig(motion=motion))
+        assert tk.tracks.velocity.shape == (0, k, 2)
+        tk.step(walker_dets(0), 0)
+        assert tk.tracks.velocity.shape == (1, k, 2)
+
     def test_active_continuation_keeps_id(self):
         tk = Tracker(make_scene(), small_config())
         for f in range(4):

@@ -794,7 +794,7 @@ def test_base_association_matches_the_reference_around_the_cutoff(seed, monkeypa
 class TestForecastColumns:
     @pytest.mark.parametrize("case", ["fan", "short_fan", "kalman_cv"])
     def test_inactive_tracks_hold_k_branches_until_their_end(self, crowd_sims, case):
-        # After every step each inactive track has k velocity rows and a forecast
+        # After every step each track has k velocity rows, and each inactive one a forecast
         # that ends the forecast's span after its last match, at or after this frame.
         cfg, appearance, ingest, ego, seeds = CASES[case]
         sim = crowd_sims(seeds[0], ego)
@@ -808,8 +808,7 @@ class TestForecastColumns:
             seen.update(e["reason"] for e in events)
             t = tracker.tracks
             inactive = (~t.active).nonzero()[0]
-            if "inactive" in seen:
-                assert t.velocity.shape == (len(t), k, 2)
+            assert t.velocity.shape == (len(t), k, 2)
             last = t.frames[inactive, (t.seen[inactive] - 1) % t.frames.shape[1]]
             assert (t.end[inactive] == last + span).all() and (t.end[inactive] >= f).all()
         # Tracks leave the inactive rows on re-association, and with short_fan's 2 s
