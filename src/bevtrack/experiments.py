@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
+from .errors import DegenerateInput
 from .evaluation import EvalReport, RecallBucket, evaluate_tracking
 from .homography import Homography, HomographyFit, estimate_homography
 from .mot_io import box_records
@@ -208,7 +209,10 @@ def calibrate_from_cloud(
     """
     plane = fit_ground_plane(cloud, seed=seed)
     rotation, _ = align_to_xy(plane, cloud[:1])
-    aligned = np.asarray(corr_points, dtype=float) @ rotation.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        aligned = np.asarray(corr_points, dtype=float) @ rotation.T
+    if not np.isfinite(aligned[:, :2]).all():
+        raise DegenerateInput("correspondence points spread beyond the float range")
     fit = estimate_homography(np.asarray(corr_pixels, dtype=float), aligned[:, :2])
     return CalibrationResult(plane=plane, fit=fit)
 

@@ -152,8 +152,11 @@ class HomographyFit(NamedTuple):
 
 def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Similarity transform bringing the centroid to 0 and mean distance to sqrt(2)."""
-    centroid = points.mean(axis=0)
-    dist = np.linalg.norm(points - centroid, axis=1).mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        centroid = points.mean(axis=0)
+        dist = np.linalg.norm(points - centroid, axis=1).mean()
+    if not np.isfinite(dist):
+        raise DegenerateInput("correspondence points spread beyond the float range")
     if dist < 1e-15:
         raise DegenerateInput("correspondence points are coincident")
     s = np.sqrt(2.0) / dist
@@ -184,6 +187,9 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
     bv = np.asarray(bev, dtype=float)
     if px.ndim != 2 or px.shape[1] != 2 or px.shape != bv.shape:
         raise ValueError("pixels and bev must both be (N, 2)")
+    for name, v in (("pixels", px), ("bev", bv)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     n = px.shape[0]
     if n < 4:
         raise DegenerateInput("need at least 4 correspondences")

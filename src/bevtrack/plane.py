@@ -1,9 +1,11 @@
 """Ground-plane fitting and alignment.
 
 A plane is stored as a unit normal plus offset so that ``normal @ p == offset``
-for points p on the plane. Fitting is RANSAC over 3-point samples, all drawn with
-one call and scored in one pass (the first candidate with the most inliers wins),
-followed by a total-least-squares refinement on the consensus set.
+for points p on the plane. Fitting is RANSAC over 3-point samples (the first
+candidate with the most inliers wins), followed by a total-least-squares
+refinement on the consensus set. The first sample is drawn and scored alone:
+if its plane holds every point, no later sample can win and none is drawn.
+Otherwise the rest are drawn with one call and scored in one pass.
 """
 
 from __future__ import annotations
@@ -94,6 +96,33 @@ def _samples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return idx
 
 
+def _candidates(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals and offsets of the (k, 3) samples' planes. A collinear sample gives
+    none, nor does one whose normal overflows (points near the float range)."""
+    p0, p1, p2 = pts[idx].transpose(1, 0, 2)  # (k, 3) each
+    with np.errstate(over="ignore", invalid="ignore"):  # such a sample is dropped below
+        a, b = p1 - p0, p2 - p0
+        # a x b in np.cross's own products and order, without its fixed cost
+        cand = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+        norm = np.sqrt(_row_dots(cand, cand))
+    keep = (norm >= 1e-12) & (norm < np.inf)
+    cand = cand[keep] / norm[keep, None]
+    return cand, _row_dots(cand, p0[keep])
+
+
+def _support(pts: np.ndarray, cand: np.ndarray, off: np.ndarray, tol: float) -> np.ndarray:
+    """How many points lie within tol of each candidate plane, counted over point chunks."""
+    counts = np.zeros(len(cand), dtype=np.int64)
+    step = max(1, DISTANCE_CELLS // max(len(cand), 1))
+    for lo in range(0, len(pts), step):
+        # Per-candidate matrix-vector products round as pts @ cand; a matrix product may not.
+        dist = np.matmul(pts[lo : lo + step], cand[:, :, None])[:, :, 0]
+        dist -= off[:, None]
+        # A chunk's counts fit int32, which sums bools faster than count_nonzero does.
+        counts += (np.abs(dist, out=dist) <= tol).sum(axis=1, dtype=np.int32)
+    return counts
+
+
 def fit_ground_plane(
     points: np.ndarray,
     inlier_tol: float = 0.05,
@@ -105,45 +134,45 @@ def fit_ground_plane(
     Args:
         points: (N, 3) array of 3D points, N >= 3.
         inlier_tol: absolute point-to-plane distance for inlier counting, meters.
-        max_iterations: RANSAC samples, drawn with one call and scored in one pass.
+        max_iterations: RANSAC samples: the first scored alone, and the rest, unless
+            the first holds every point, drawn with one call and scored in one pass.
         seed: RNG seed; identical inputs and seed give identical output.
 
     Returns:
         GroundPlane refined on the best consensus set by total least squares.
 
     Raises:
-        DegenerateInput: fewer than 3 points, or all points collinear.
+        ValueError: points not (N, 3), or not finite.
+        DegenerateInput: fewer than 3 points, all points collinear, or no sample
+            with a plane (every one collinear, or its normal overflows).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (N, 3)")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if pts.shape[0] < 3:
         raise DegenerateInput("need at least 3 points to fit a plane")
     _check_not_collinear(pts)
 
-    n = pts.shape[0]
-    idx = _samples(np.random.default_rng(seed), n, max(max_iterations, 0))
-    p0, p1, p2 = pts[idx].transpose(1, 0, 2)  # (k, 3) each
-    cand = np.cross(p1 - p0, p2 - p0)
-    norm = np.sqrt(_row_dots(cand, cand))
-    keep = norm >= 1e-12  # a collinear sample gives no plane
-    cand, p0 = cand[keep] / norm[keep, None], p0[keep]
-    off, counts = _row_dots(cand, p0)[:, None], 0
-    step = max(1, DISTANCE_CELLS // max(len(cand), 1))
-    for lo in range(0, n, step):
-        # Per-candidate matrix-vector products round as pts @ cand; a matrix product may not.
-        dist = np.matmul(pts[lo : lo + step], cand[:, :, None])[:, :, 0]
-        dist -= off
-        counts += np.count_nonzero(np.abs(dist, out=dist) <= inlier_tol, axis=1)
+    n, k = pts.shape[0], max(max_iterations, 0)
+    rng = np.random.default_rng(seed)
+    cand, off = _candidates(pts, _samples(rng, n, min(k, 1)))
+    counts = _support(pts, cand, off, inlier_tol)
+    if k > 1 and not np.any(counts == n):  # a full first sample wins every tie after it
+        more, more_off = _candidates(pts, _samples(rng, n, k - 1))
+        cand, off = np.concatenate([cand, more]), np.concatenate([off, more_off])
+        counts = np.concatenate([counts, _support(pts, more, more_off, inlier_tol)])
     if np.max(counts, initial=-1) < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
 
     i = int(np.argmax(counts))  # the first of tied candidates, as in sequence
-    cand, p0 = cand[i], p0[i]
-    normal, offset = _tls_plane(pts[np.abs(pts @ cand - cand @ p0) <= inlier_tol])
-    # One consolidation round: re-collect inliers under the refined plane, refit.
+    consensus = np.abs(pts @ cand[i] - off[i]) <= inlier_tol
+    normal, offset = _tls_plane(pts[consensus])
+    # One consolidation round: re-collect inliers under the refined plane, refit
+    # unless they are the same points, which give the same plane.
     inliers = np.abs(pts @ normal - offset) <= inlier_tol
-    if inliers.sum() >= 3:
+    if inliers.sum() >= 3 and not np.array_equal(inliers, consensus):
         normal, offset = _tls_plane(pts[inliers])
     return GroundPlane(normal, offset)
 

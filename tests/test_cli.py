@@ -146,6 +146,41 @@ class TestCalibrate:
         rows = [[float(v) for v in line.split()] for line in lines[1:]]
         assert np.array_equal(load_homography(str(out)).m, rows)
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("cloud", "RANSAC found no non-degenerate sample"),
+            ("pixel", "correspondence points spread beyond the float range"),
+            ("point", "correspondence points spread beyond the float range"),
+            ("rotated", "correspondence points spread beyond the float range"),
+        ],
+    )
+    def test_overflowing_input_prints_only_the_error_line(self, sim_dir, tmp_path, where, message):
+        # Finite input whose products overflow: a cloud at 1e300 scale, a pixel or point
+        # coordinate of 1e300, and a point whose in-plane coordinates overflow once rotated.
+        # In a fresh process, so stderr holds numpy's warnings as a user sees them.
+        cloud = np.loadtxt(os.path.join(sim_dir, "cloud.txt"))
+        corr = np.loadtxt(os.path.join(sim_dir, "correspondences.txt"))
+        if where == "cloud":
+            cloud *= 1e300
+        else:
+            cols = {"pixel": [0], "point": [2], "rotated": [2, 3, 4]}[where]
+            corr[0, cols] = [1e300] if len(cols) == 1 else [1.7e308, -1.7e308, 1.7e308]
+        np.savetxt(tmp_path / "cloud.txt", cloud, fmt="%.17g")
+        np.savetxt(tmp_path / "corr.txt", corr, fmt="%.17g")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "bevtrack.cli", "calibrate", "--cloud", "cloud.txt",
+             "--correspondences", "corr.txt", "--out", "h.txt"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "h.txt").exists()
+
 
 class TestTrack:
     def test_outputs_and_events(self, track_dir):

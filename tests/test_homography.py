@@ -108,6 +108,21 @@ class TestEstimateHomography:
         with pytest.raises(ValueError):
             estimate_homography(rng.uniform(0, 1, (5, 2)), rng.uniform(0, 1, (6, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["pixels", "bev"])
+    def test_non_finite_input_is_refused_by_name(self, rng, bad, name):
+        args = {"pixels": rng.uniform(0, 10, (6, 2)), "bev": rng.uniform(0, 10, (6, 2))}
+        args[name][3] = [bad, bad]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            estimate_homography(**args)
+
+    def test_spread_beyond_the_float_range_is_degenerate(self, rng):
+        # finite, but the distances to the centroid overflow
+        px = rng.uniform(0, 10, (6, 2))
+        px[0, 0] = 1e300
+        with pytest.raises(DegenerateInput, match="^correspondence points spread beyond"):
+            estimate_homography(px, rng.uniform(0, 10, (6, 2)))
+
 
 class TestHomographyIO:
     def test_round_trip_exact(self, tmp_path, rng):

@@ -73,6 +73,22 @@ class TestFitGroundPlane:
         with pytest.raises(DegenerateInput):
             fit_ground_plane(pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 37])
+    def test_non_finite_points_are_refused(self, bad, row):
+        pts = make_plane_points([0.0, 0.0, 1.0], 1.0, 50, seed=3)
+        pts[row] = [1.0, bad, 2.0] if row else [bad, bad, bad]
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            fit_ground_plane(pts)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e300])
+    def test_normals_that_overflow_give_no_plane(self, scale):
+        # Finite points whose sample normals overflow are dropped as collinear ones are,
+        # rather than given a zero normal that every point lies within tol of.
+        pts = make_plane_points([0.2, 0.1, 1.0], 3.0, 50, seed=3) * scale
+        with pytest.raises(DegenerateInput, match="^RANSAC found no non-degenerate sample$"):
+            fit_ground_plane(pts)
+
     def test_deterministic_for_seed(self):
         pts = make_plane_points([0.2, 0.1, 1.0], 3.0, 200, noise=0.05, seed=5)
         a = fit_ground_plane(pts, seed=6)

@@ -2,12 +2,15 @@
 
 ``reference_fit`` is ``fit_ground_plane`` as it was when each candidate plane
 was built and scored on its own, ten small numpy calls per sample. Today's
-fit draws the same samples with one call and scores them in one pass. On
-seeded clouds of every shape that decides the winner (tiny clouds, clouds
-scored in several point chunks, noise at the inlier tolerance, heavy
-outliers, duplicated points, integer grids and two planes of equal support,
-which tie) both must give the same bytes, or raise ``DegenerateInput`` with
-the same message.
+fit draws, builds and scores the first sample alone and stops there if its
+plane holds every point; otherwise it draws the other samples with one call
+and scores them in one pass. On seeded clouds of every shape that decides the
+winner (tiny clouds, clouds scored in several point chunks, noise at the
+inlier tolerance, heavy outliers, duplicated points, integer grids and two
+planes of equal support, which tie) both must give the same bytes, or raise
+``DegenerateInput`` with the same message. The cases must reach every branch
+of the stop rule: full support at the first sample or only later, a
+collinear first sample, and a first sample that a later one ties.
 """
 
 import numpy as np
@@ -26,7 +29,8 @@ from bevtrack.plane import (
 
 
 def reference_fit(points, inlier_tol, max_iterations, seed, seen):
-    """The loop fit; adds to ``seen`` the ties the first-maximum rule decided."""
+    """The loop fit; adds to ``seen`` the ties the first-maximum rule decided and where
+    the fit's stop rule (a first sample that holds every point wins) applies."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise DegenerateInput("need at least 3 points to fit a plane")
@@ -35,28 +39,37 @@ def reference_fit(points, inlier_tol, max_iterations, seed, seen):
     rng = np.random.default_rng(seed)
     n = pts.shape[0]
     best_count = -1
-    best_inliers = None
+    best_inliers = best_i = None
     kept = 0
-    for _ in range(max_iterations):
+    for i in range(max_iterations):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
         cand = np.cross(p1 - p0, p2 - p0)
         norm = np.linalg.norm(cand)
         if norm < 1e-12:
             seen.add("collinear sample")
+            if i == 0:
+                seen.add("first sample collinear")
             continue
         cand = cand / norm
         kept += 1
         dist = np.abs(pts @ cand - cand @ p0)
         inliers = dist <= inlier_tol
         count = int(inliers.sum())
+        if count == n > best_count:  # the first sample that holds every point
+            seen.add("full support at the first sample" if i == 0 else "full support only later")
         if count == best_count and not np.array_equal(inliers, best_inliers):
             seen.add("tie")
+            if best_i == 0:
+                seen.add("first sample ties a later one")
         if count > best_count:
             best_count = count
             best_inliers = inliers
+            best_i = i
     if n > DISTANCE_CELLS // max(kept, 1):  # the fit scores these points in several chunks
         seen.add("several point chunks")
+    if n > DISTANCE_CELLS and max_iterations > 0:  # even the first sample, scored alone
+        seen.add("first sample in several point chunks")
 
     if best_inliers is None or best_count < 3:
         raise DegenerateInput("RANSAC found no non-degenerate sample")
@@ -125,6 +138,9 @@ def cases(kind):
         tol = TOLS[i % 3]
         iterations = ITERATIONS[i % len(ITERATIONS)]
         yield make_cloud(kind, n, tol, rng), tol, iterations, int(rng.integers(0, 2**31))
+    # One cloud past DISTANCE_CELLS points, drawn after the others so they stay as they were.
+    n = DISTANCE_CELLS + int(rng.integers(1, 4097))
+    yield make_cloud(kind, n, 0.05, rng), 0.05, 200, int(rng.integers(0, 2**31))
 
 
 def outcome(fit, *args):
@@ -156,5 +172,7 @@ def test_the_cases_hold_every_case():
     assert n_cases >= 200
     want = {"n 3", "n 4", "n > 1000", "n > 4096", "plane", "error", "collinear sample"}
     want |= {f"iterations {i}" for i in ITERATIONS}
-    want |= {"tie", "several point chunks"}
+    want |= {"tie", "several point chunks", "first sample in several point chunks"}
+    want |= {"full support at the first sample", "full support only later"}
+    want |= {"first sample collinear", "first sample ties a later one"}
     assert want <= seen, want - seen
