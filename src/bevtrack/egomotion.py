@@ -31,8 +31,9 @@ class EgomotionTrack:
 
     @classmethod
     def from_deltas(cls, deltas: np.ndarray) -> "EgomotionTrack":
-        """Build from per-frame translations (frame f-1 -> f), prepending frame 0."""
-        d = np.atleast_2d(np.asarray(deltas, dtype=float))
+        """Build from (N, 2) per-frame translations (frame f-1 -> f, N >= 0), prepending frame 0."""
+        d = np.asarray(deltas, dtype=float)  # one (2,) delta, or (N, 2); a flat (4,) is refused
+        d = d.reshape(0, 2) if d.size == 0 else np.atleast_2d(d)
         cum = np.vstack([np.zeros((1, 2)), np.cumsum(d, axis=0)])
         return cls(cum)
 

@@ -89,6 +89,13 @@ def _diagonal_crossing(
     return agent, _shadow_wall(enter, exit_)
 
 
+def _suite_scene(agents: tuple, occluders: tuple, seed: int) -> Scenario:
+    """An acceptance-suite scene: 16 s at 20 fps seen by the default camera, with the
+    suites' noises and a 1,200-point cloud."""
+    return Scenario(default_camera(), 40.0, agents, occluders, fps=20.0, duration=16.0,
+                    detection_noise=0.5, appearance_noise=0.05, seed=seed, cloud_points=1200)
+
+
 def linear_suite(n_scenes: int = 20) -> list:
     """Scenes of two diagonal walkers, each crossing its own wall shadow.
 
@@ -121,20 +128,7 @@ def linear_suite(n_scenes: int = 20) -> list:
             center_x=4.0,
             appearance_seed=1001 + 2 * i,
         )
-        scenes.append(
-            Scenario(
-                camera=default_camera(),
-                ground_extent=40.0,
-                agents=(a1, a2),
-                occluders=(w1, w2),
-                fps=20.0,
-                duration=16.0,
-                detection_noise=0.5,
-                appearance_noise=0.05,
-                seed=300 + i,
-                cloud_points=1200,
-            )
-        )
+        scenes.append(_suite_scene((a1, a2), (w1, w2), seed=300 + i))
     return scenes
 
 
@@ -161,20 +155,7 @@ def junction_suite() -> list:
             speed=speed,
             appearance_seed=2000 + idx,
         )
-        scenes.append(
-            Scenario(
-                camera=default_camera(),
-                ground_extent=40.0,
-                agents=(agent,),
-                occluders=(_shadow_wall(enter, exit_),),
-                fps=20.0,
-                duration=16.0,
-                detection_noise=0.5,
-                appearance_noise=0.05,
-                seed=700 + idx,
-                cloud_points=1200,
-            )
-        )
+        scenes.append(_suite_scene((agent,), (_shadow_wall(enter, exit_),), seed=700 + idx))
     return scenes
 
 

@@ -217,8 +217,7 @@ def estimate_homography(pixels: np.ndarray, bev: np.ndarray) -> HomographyFit:
     return HomographyFit(h, rmse)
 
 
-# The homography file, line by line: literal words, and <...> for a number.
-_HOMOGRAPHY_LINES = ("H", *["<h> <h> <h>"] * 3)
+# The homography file: the tag "H", then the matrix's three rows.
 _HOMOGRAPHY_FMT = "H" + "\n%.17g %.17g %.17g" * 3
 
 
@@ -242,13 +241,14 @@ def load_homography(path) -> Homography:
     lines = list(_lines(path))
     if len(lines) < 4:
         raise ParseError(f"{path}: expected 4 lines, got {len(lines)}")
+    (n, tag), *rows = lines[:4]
+    if tag != ["H"]:
+        raise ParseError(f"{path}:{n}: expected 'H'")
     matrix = []
-    for (n, parts), pattern in zip(lines, _HOMOGRAPHY_LINES):
-        want = pattern.split()
-        if len(parts) != len(want) or any(p != w for p, w in zip(parts, want) if w[0] != "<"):
-            raise ParseError(f"{path}:{n}: expected '{pattern}'")
-        if pattern[0] == "<":
-            matrix.append(_numbers(path, n, parts))
+    for n, parts in rows:
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{n}: expected '<h> <h> <h>'")
+        matrix.append(_numbers(path, n, parts))
     try:
         return Homography(np.array(matrix))
     except (DegenerateInput, ValueError) as e:

@@ -9,7 +9,7 @@ solved as a maximum-score assignment. In ingestion mode a track keeps its
 upstream id while inactive, and a detection carrying that id brings it back
 before the gates. Track ids are never reissued. Tracks are the rows of one
 TrackTable, an inactive track's forecast branches its columns, and a step works
-on it in array passes. It lifts to BEV only what a decision reads: the ring
+on it in array passes. It lifts to BEV only what a decision reads: the
 matches each lost track's filter grid reads (at most two a grid point, all in
 one px_to_world call), and the free detections with a pair that passes the
 appearance gate. Tracks and forecasts are world-fixed, the map
@@ -30,6 +30,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -53,10 +55,10 @@ _NO_DETECTIONS = DetectionTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
 
 @dataclass
 class TrackTable:
-    """Every held track, one row each in id order, as a struct of arrays. A track's
-    m-th match sits in slot m % C of its rings, which hold its last C matches.
+    """Every held track, one row each in id order, as a struct of arrays, then a list
+    of each track's last matches.
 
-    An inactive track's forecast is its last three columns, as forecast() returns
+    An inactive track's forecast is its origin, velocity and end, as forecast() returns
     them: branch b sits at origin + ((f - last matched frame) / fps) * velocity[b]
     at frame f, up to end; the track leaves on the frame after. Every track has
     the config's K branches.
@@ -67,32 +69,32 @@ class TrackTable:
     box: np.ndarray  # (T, 4) last box: left, top, width, height
     appearance: np.ndarray  # (T, D) last descriptor, NaN throughout for none; D = 0 before any
     source: np.ndarray  # (T,) upstream id of the last match, kept while inactive; negative: none
-    frames: np.ndarray  # (T, C) matched frames, a ring
-    feet: np.ndarray  # (T, C, 2) their pixel bottom-centres
-    seen: np.ndarray  # (T,) matches so far
     origin: np.ndarray  # (T, 2) BEV point at the last match; set while inactive
     velocity: np.ndarray  # (T, K, 2) m/s, one row per branch; K = 0 in empty()
     end: np.ndarray  # (T,) last frame the forecast covers
+    matches: list  # (T,) deques of (frame, u, v): matched frames and feet, oldest first
 
     @classmethod
     def empty(cls) -> TrackTable:
-        """No tracks, with rings of one slot."""
+        """No tracks."""
         z = np.zeros
-        return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, 1), int),
-                   z((0, 1, 2)), z(0, int), z((0, 2)), z((0, 0, 2)), z(0, int))
+        return cls(z(0, int), z(0, bool), z((0, 4)), z((0, 0)), z(0, int), z((0, 2)),
+                   z((0, 0, 2)), z(0, int), [])
 
     def __len__(self) -> int:
         return len(self.id)
 
-    def _columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+    def _arrays(self) -> list:
+        """Every column but matches, in field order."""
+        return [getattr(self, f.name) for f in fields(self)][:-1]
 
-    def extend(self, ids) -> TrackTable:
-        """This table, then unmatched rows for new tracks with these ids, zeros but the id."""
+    def extend(self, ids, history_len: Optional[int] = None) -> TrackTable:
+        """This table, then unmatched rows for new tracks with these ids: zeros but the id,
+        and no matches, of which each keeps its last history_len (None: all)."""
         grown = [np.concatenate([c, np.zeros((len(ids), *c.shape[1:]), c.dtype)])
-                 for c in self._columns()]
+                 for c in self._arrays()]
         grown[0][len(self):] = ids
-        return TrackTable(*grown)
+        return TrackTable(*grown, self.matches + [deque(maxlen=history_len) for _ in ids])
 
 
 @dataclass
@@ -157,7 +159,7 @@ def build_cost_matrix(rows, cand, gate: np.ndarray, tracks: TrackTable, dets: De
         j cand, in (i, j) order.
     """
     fps, k = scene.fps, tracks.velocity.shape[1]
-    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]].tolist()
+    last = [tracks.matches[r][-1][0] for r in rows]
     points = []
     for f, (ox, oy), vel in zip(last, tracks.origin[rows].tolist(),
                                 tracks.velocity[rows].tolist()):
@@ -230,27 +232,17 @@ class Tracker:
             _, velocity, _ = forecast([], self.config, scene.fps)
         except ValueError as e:
             raise ParseError(f"config: {e}") from e
-        span = self.window_span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
-        # rings double up to the most matches a filter window (all preprocess reads) holds
-        self.ring_limit = math.ceil(span) + 1 if span < math.inf else math.inf
+        span = self.config.dt * scene.fps * (self.config.obs_len - 1)  # frames
+        # the most matches a filter window holds (all preprocess reads); past a deque's bound, all
+        self.history_len = math.ceil(span) + 1 if span < sys.maxsize else None
         self.tracks = TrackTable.empty()
         self.tracks.velocity = velocity  # (0, K, 2)
 
     # -- helpers -------------------------------------------------------------
 
-    def _take(self, rows, js, dets: DetectionTable, frame: int):
+    def _take(self, rows, js, dets: DetectionTable):
         """Activate the tracks at rows with dets' rows js (index arrays, or one of each)."""
         t = self.tracks
-        seen, c = t.seen[rows], t.frames.shape[1]
-        top = seen.max() if seen.ndim else seen  # one row: compared as it is
-        if c < self.ring_limit and top >= c:  # a full ring: double them all, which
-            pad = min(c, self.ring_limit - c)  # keeps slots m % C = m, as no ring has wrapped
-            t.frames = np.concatenate([t.frames, np.zeros((len(t), pad), int)], axis=1)
-            t.feet = np.concatenate([t.feet, np.zeros((len(t), pad, 2))], axis=1)
-        slot = seen % t.frames.shape[1]
-        t.frames[rows, slot] = frame
-        t.feet[rows, slot] = dets.foot.take(js, axis=0)
-        t.seen[rows] = seen + 1
         t.active[rows] = True
         t.box[rows] = dets.box.take(js, axis=0)
         t.appearance[rows] = np.nan if dets.appearance is None else dets.appearance.take(js, 0)
@@ -419,19 +411,17 @@ class Tracker:
 
         used = set(matches.values())
         free = [j for j in range(n) if j not in used]
-        # Lift of each lost track only the ring matches its filter grid reads; preprocess
+        # Lift of each lost track only the matches its filter grid reads; preprocess
         # on them alone finds the same grid and brackets, so the same state.
         if lost:
-            c, fps = t.frames.shape[1], self.scene.fps
-            histories, rows, slots = [], [], []
-            for r, seen, ring in zip(lost, t.seen[lost].tolist(), t.frames[lost].tolist()):
-                start = seen % c if seen >= c else 0  # the oldest held match's slot
-                held = (ring[start:] + ring[:start])[:seen]
-                picked = sorted({i for _, pair in filter_grid(held, cfg, fps) for i in pair})
-                histories.append([held[i] for i in picked])
-                rows += [r] * len(picked)
-                slots += [(start + i) % c for i in picked]
-            world = self.scene.px_to_world(t.feet[rows, slots], [f for h in histories for f in h])
+            fps, histories, feet = self.scene.fps, [], []
+            for r in lost:
+                held = t.matches[r]
+                frames = [f for f, _, _ in held]
+                picked = sorted({i for _, pair in filter_grid(frames, cfg, fps) for i in pair})
+                histories.append([frames[i] for i in picked])
+                feet += [held[i][1:] for i in picked]
+            world = self.scene.px_to_world(feet, [f for h in histories for f in h])
             ends = itertools.accumulate(map(len, histories))
             states = [preprocess(h, world[e - len(h) : e], cfg, fps) for h, e in zip(histories, ends)]
             t.active[lost] = False
@@ -447,16 +437,20 @@ class Tracker:
             self.next_id += len(new)
             events += [_event(frame, i, j, reason="new") for i, j in zip(ids, new)]
             took += zip(range(len(t), len(t) + len(new)), new)
-            t = self.tracks = t.extend(ids)
+            t = self.tracks = t.extend(ids, self.history_len)
         took.sort()
         if len(took) < 5:  # four row writes cost less than one scatter's fixed numpy calls
             for r, j in took:
-                self._take(r, j, dets, frame)
+                self._take(r, j, dets)
         else:
-            self._take(*np.array(took, dtype=np.intp).T, dets, frame)
+            self._take(*np.array(took, dtype=np.intp).T, dets)
+        us, vs = dets.foot.T.tolist()
+        for r, j in took:
+            t.matches[r].append((frame, us[j], vs[j]))
         if dead:
             keep = np.ones(len(t), bool)
             keep[dead] = False
-            self.tracks = TrackTable(*(c[keep] for c in t._columns()))
+            self.tracks = TrackTable(*(c[keep] for c in t._arrays()),
+                                     list(itertools.compress(t.matches, keep)))
         ids, boxes = t.id.tolist(), dets.boxes()
         return [(frame, ids[r], boxes[j]) for r, j in took], events

@@ -832,6 +832,18 @@ def test_pipeline_rejects_a_dt_whose_forecast_overflows(tmp_path, capsys):
     assert err.startswith("error: config: dt 1e+20 s at 20 fps puts a forecast's end frame"), err
 
 
+def test_pipeline_tracks_a_one_frame_scenario_with_a_moving_camera(tmp_path):
+    # One frame: the camera path holds n_frames - 1 = 0 deltas, and the camera track
+    # is that frame at the origin.
+    d = crossing_dict()
+    d["duration"], d["camera_path"] = 1.0 / d["fps"], []
+    scenario = tmp_path / "one_frame.json"
+    scenario.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "ego.txt").read_text() == "0 0\n"
+
+
 def crossing_dict() -> dict:
     return json.loads(resources.files("bevtrack").joinpath("data", "crossing.json").read_text())
 

@@ -17,6 +17,17 @@ class TestEgomotionTrack:
         assert np.allclose(t.offset(1), [1.0, 0.0])
         assert np.allclose(t.offset(2), [1.5, -1.0])
 
+    @pytest.mark.parametrize("deltas", [np.zeros((0, 2)), ()], ids=["array", "tuple"])
+    def test_no_deltas_give_the_one_frame_identity(self, deltas):
+        # a one-frame scenario's camera path is empty
+        t = EgomotionTrack.from_deltas(deltas)
+        assert len(t) == 1 and t.offsets.tolist() == [[0.0, 0.0]]
+
+    def test_deltas_that_are_not_pairs_refused(self):
+        for deltas in (np.zeros(4), np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                EgomotionTrack.from_deltas(deltas)
+
     def test_first_offset_must_be_zero(self):
         with pytest.raises(ValueError):
             EgomotionTrack(np.array([[0.1, 0.0], [1.0, 0.0]]))

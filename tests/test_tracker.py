@@ -75,9 +75,10 @@ def table_of(tracks):
     matched once, at its last frame."""
     tracks = sorted(tracks, key=lambda tr: tr.id)
     t = TrackTable.empty().extend([tr.id for tr in tracks])
-    t.active[:], t.seen[:] = False, 1
+    t.active[:] = False
     t.box, t.appearance = ltwh([tr.last_box for tr in tracks]), descriptors(tracks)
-    t.frames[:, 0] = [tr.last for tr in tracks]
+    for held, tr in zip(t.matches, tracks):
+        held.append((tr.last, *tr.last_box.bottom_center))
     t.origin = np.array([tr.origin for tr in tracks])
     t.velocity = np.array([tr.velocity for tr in tracks])
     t.end = np.array([tr.end for tr in tracks])
@@ -125,18 +126,9 @@ def row(tk, tid):
     return r
 
 
-def ring_matches(tracks, r):
-    """(frames (k,), feet (k, 2)): the matches the track at row r holds, oldest first;
-    the m-th match sits in slot m % C of its rings."""
-    c, seen = tracks.frames.shape[1], int(tracks.seen[r])
-    slots = [m % c for m in range(max(seen - c, 0), seen)]
-    return tracks.frames[r, slots], tracks.feet[r, slots]
-
-
 def matches(tk, tid):
     """The matches the track holds, oldest first, as [(frame, [u, v])]."""
-    frames, feet = ring_matches(tk.tracks, row(tk, tid))
-    return list(zip(frames.tolist(), feet.tolist()))
+    return [(f, [u, v]) for f, u, v in tk.tracks.matches[row(tk, tid)]]
 
 
 def end_frame(tk, tid):
@@ -166,8 +158,9 @@ def test_geometry_from_top_level_names():
     # a detection at (51, 100) on frame 1
     dets = bt.DetectionTable([1], [[45.0, 76.0, 12.0, 24.0]])
     config = bt.RunConfig()
-    tracks = bt.TrackTable.empty().extend([1])  # matched once, at frame 0
-    tracks.box[0], tracks.seen[0] = (44.0, 76.0, 12.0, 24.0), 1
+    tracks = bt.TrackTable.empty().extend([1])
+    tracks.box[0] = (44.0, 76.0, 12.0, 24.0)
+    tracks.matches[0].append((0, 50.0, 100.0))  # matched once, at frame 0
     tracks.origin[0], tracks.velocity, tracks.end[0] = (50.0, 100.0), np.array([[[1.0, 0.0]]]), 5
     gate = np.ones((1, 1), bool)
     won = bt.build_cost_matrix([0], [0], gate, tracks, dets, scene, 1, config)
@@ -511,7 +504,8 @@ class TestDeactivateReadsTheWindowTail:
         assert seen[-1][0] == state[2] and t.end[r] == end[0]
         first = frames[-1] - cfg.dt * fps * (cfg.obs_len - 1)
         start = max([k for k, f in enumerate(frames) if f <= first], default=0)
-        held = tk.tracks.frames.shape[1]
+        held = len(seen)
+        assert t.matches[r].maxlen == tk.history_len and held == min(len(frames), tk.history_len)
         assert [f for f, _ in seen] == frames[-held:].tolist() and start >= len(frames) - held
         return frames[0] > first, frames[0] < first and first not in frames
 
@@ -609,7 +603,7 @@ class TestCandidatePairs:
 
 
 class TestLiftOnlyWhatIsRead:
-    """A deactivating step lifts only the ring matches each lost track's filter grid
+    """A deactivating step lifts only the matches each lost track's filter grid
     reads, at most two per grid point, and a scoring step lifts only the free
     detections with a pair that passes the appearance gate."""
 
@@ -625,9 +619,9 @@ class TestLiftOnlyWhatIsRead:
     def test_a_deactivating_step_lifts_at_most_two_matches_a_grid_point(self, monkeypatch, dt):
         cfg = RunConfig(dt=dt)
         tk = Tracker(make_scene(fps=20.0), cfg)
-        for f in range(60):  # three walkers, seen at every frame: rings of 57 matches
+        for f in range(60):  # three walkers, seen at every frame: 57 or 48 matches each
             tk.step(table(*[det_at(f, 20.0 + 50.0 * i + f, 100.0) for i in range(3)]), f)
-        assert tk.tracks.frames.shape[1] > 2 * cfg.obs_len
+        assert all(len(held) == tk.history_len > 2 * cfg.obs_len for held in tk.tracks.matches)
         sizes = self.lifts(monkeypatch, tk)
         _, events = tk.step(table(det_at(60, 130.0, 100.0)), 60)  # the middle one is seen
         assert [e["reason"] for e in events] == ["inactive", "active", "inactive"]
@@ -826,13 +820,15 @@ class TestTrackerLifecycle:
             if missed:
                 tk.step([], 1)
             if bad:
-                last, columns = tk.last_step_frame, [c.copy() for c in tk.tracks._columns()]
+                last, columns = tk.last_step_frame, [c.copy() for c in tk.tracks._arrays()]
+                held = [list(m) for m in tk.tracks.matches]
                 with pytest.raises(ValueError, match=r"^frame 2: descriptors of width 3, "
                                                      r"the tracker's have 4$"):
                     tk.step(walker_dets(2, app=unit(1, 0, 0)), 2)
                 assert tk.last_step_frame == last
-                for got, want in zip(tk.tracks._columns(), columns):
+                for got, want in zip(tk.tracks._arrays(), columns):
                     np.testing.assert_array_equal(got, want, strict=True)
+                assert [list(m) for m in tk.tracks.matches] == held
             return tk.step(walker_dets(3, app=unit(1, 0, 0, 1)), 3)
 
         outputs, events = run(bad=True)
@@ -852,22 +848,27 @@ class TestTrackerLifecycle:
         # track keeps its last 22 matches: for a walker seen at every frame, its
         # window, the feet from the last one at or before that frame.
         tk = Tracker(make_scene(), small_config())
+        assert tk.history_len == 22
         for f in range(100):
             tk.step(walker_dets(f), f)
+            assert tk.tracks.matches[0].maxlen == 22
             assert [g for g, _ in matches(tk, 1)] == list(range(max(f - 21, 0), f + 1))
-        assert tk.tracks.frames.shape[1] == 22
 
-    @pytest.mark.parametrize("dt, fps, obs_len", [(1e6, 20.0, 8), (1e10, 1e8, 10**300)],
-                             ids=["1000000.0-20.0", "span_beyond_the_floats"])
-    def test_rings_grow_with_the_matches(self, dt, fps, obs_len):
-        # Filter windows of 1.4e8 frames, and of more than the floats hold: the track
-        # keeps every match, in rings that double as the matches arrive.
+    @pytest.mark.parametrize("dt, fps, obs_len, history_len",
+                             [(1e6, 20.0, 8, 140_000_001), (1e10, 1e8, 100, None),
+                              (1e10, 1e8, 10**300, None)],
+                             ids=["1000000.0-20.0", "span_beyond_a_deque",
+                                  "span_beyond_the_floats"])
+    def test_a_window_longer_than_the_run_keeps_every_match(self, dt, fps, obs_len, history_len):
+        # Filter windows of 1.4e8 frames, of 9.9e19 (more than a deque's maxlen takes)
+        # and of more than the floats hold: the track keeps every match; past a
+        # deque's maxlen it keeps them unbounded.
         tk = Tracker(make_scene(fps=fps), RunConfig(dt=dt, obs_len=obs_len))
-        assert tk.window_span == (1.4e8 if obs_len == 8 else math.inf)
+        assert tk.history_len == history_len
         for f in range(40):
             tk.step(walker_dets(f), f)
+            assert tk.tracks.matches[0].maxlen == history_len
             assert [g for g, _ in matches(tk, 1)] == list(range(f + 1))
-        assert tk.tracks.frames.shape[1] == 64
 
     def test_a_window_longer_than_the_run_forecasts_from_the_last_match(self):
         # At dt 1e6 s the grid holds only the last match: a forecast at rest there.

@@ -44,7 +44,6 @@ from test_tracker import (
     Inactive,
     det_at,
     make_scene,
-    ring_matches,
     scored,
     small_config,
     table,
@@ -394,20 +393,22 @@ class TestStepMatchesScalarReference:
         got = run(Tracker, sim, cfg, appearance, ingest, ego)
         assert got[0] == want[0]
         assert got[1] == want[1]  # score floats included
-        # and every track still held at the end keeps the tail of the reference's
-        # feet, which holds them from the last one at or before its filter grid's
+        # and every track still held at the end keeps the reference's last history_len
+        # feet, which hold them from the last one at or before its filter grid's
         # start, and they lift to the reference's BEV points
         ref, tracker = want[2], got[2]
         assert tracker.tracks.id.tolist() == sorted(ref.tracks)
-        c = tracker.tracks.frames.shape[1]
-        for i, (tid, track) in enumerate(sorted(ref.tracks.items())):
-            first = track.last_frame - tracker.window_span
+        span = cfg.dt * tracker.scene.fps * (cfg.obs_len - 1)
+        n = tracker.history_len
+        assert n == math.ceil(span) + 1
+        for held, (tid, track) in zip(tracker.tracks.matches, sorted(ref.tracks.items())):
+            first = track.last_frame - span
             start = max([k for k, (f, _) in enumerate(track.feet) if f <= first], default=0)
-            assert start >= len(track.feet) - c
-            kept, points = ring_matches(tracker.tracks, i), ref.points[tid][-c:]
-            assert list(zip(kept[0].tolist(), map(tuple, kept[1].tolist()))) == track.feet[-c:]
-            assert kept[0].tolist() == [f for f, _ in points]
-            lifted = tracker.scene.px_to_world(kept[1], kept[0])
+            assert held.maxlen == n and start >= len(track.feet) - n
+            assert [(f, (u, v)) for f, u, v in held] == track.feet[-n:]
+            points = ref.points[tid][-n:]
+            assert [f for f, _, _ in held] == [f for f, _ in points]
+            lifted = tracker.scene.px_to_world([m[1:] for m in held], [m[0] for m in held])
             assert np.array_equal(lifted, [p for _, p in points])
         # the scenes exercise what the array code replaced
         reasons = {e["reason"] for e in want[1]}
@@ -458,6 +459,34 @@ def test_gapped_table_matches_the_reference(seed, ingest):
     assert np.isnan(table.appearance).all(axis=1).any() and (table.source_id < 0).any()
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["ego", "ingest", "no_forecast"])
+def test_every_step_keeps_each_tracks_matches(seed, case):
+    # After every step of a gapped random run, stepped beside the reference: one deque
+    # of matches per held track, the tail of the reference's feet, and each active
+    # track's last match at this step's frame.
+    sim, table = gapped_table(seed)
+    n_frames = sim.scenario.n_frames
+    scene = build_scene_model(sim.scenario, sim.homography)
+    if case == "ego":  # a camera drifting at random
+        rng = np.random.default_rng(seed)
+        scene.ego = EgomotionTrack.from_deltas(rng.normal(0.0, 0.05, (n_frames - 1, 2)))
+    cfg = RunConfig(ingest_ids=case == "ingest", forecast_enabled=case != "no_forecast")
+    by_frame = table.by_frame()
+    ref, tk = ScalarTracker(scene, cfg), Tracker(scene, cfg)
+    reasons = set()
+    for f in range(n_frames):
+        got = tk.step(by_frame.get(f, []), f)
+        assert got == ref.step(by_frame.get(f, []), f)
+        reasons.update(e["reason"] for e in got[1])
+        t = tk.tracks
+        assert len(t.matches) == len(t) and t.id.tolist() == sorted(ref.tracks)
+        for held, (tid, track) in zip(t.matches, sorted(ref.tracks.items())):
+            assert [(g, (u, v)) for g, u, v in held] == track.feet[-tk.history_len:]
+        assert all(t.matches[r][-1][0] == f for r in t.active.nonzero()[0].tolist())
+    assert ("terminated" in reasons) == (case == "no_forecast")
+
+
 # -- the numpy scorer that build_cost_matrix replaced -------------------------------
 
 
@@ -470,7 +499,7 @@ def frame_geometry(tracks, rows, det_boxes, scene, frame):
     sits on the pixel of the branch's point; a point with no pixel preimage has
     NaN box coordinates, which overlap nothing.
     """
-    last = tracks.frames[rows, (tracks.seen[rows] - 1) % tracks.frames.shape[1]]
+    last = np.array([tracks.matches[r][-1][0] for r in rows])
     vel = tracks.velocity[rows]
     pts = tracks.origin[rows, None] + ((frame - last) / scene.fps)[:, None, None] * vel
     px, _ = scene.world_to_px(pts.reshape(-1, 2), frame)
@@ -507,8 +536,11 @@ def random_scoring_step(rng, homography):
     ego = EgomotionTrack.from_deltas(rng.normal(0.0, 0.05, (frame, 2))) if moving else None
     scene = SceneModel(homography, fps=float(rng.choice([10.0, 12.5, 20.0])), ego=ego)
     n, c = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-    tracks = TrackTable.empty().extend(range(1, n + 1))
-    tracks.frames, tracks.seen = rng.integers(0, frame, (n, c)), rng.integers(1, 3 * c + 1, n)
+    tracks = TrackTable.empty().extend(range(1, n + 1), c)
+    # each track matched 1 to 3c times, in turn at c random frames; it keeps the last c
+    frames, seen = rng.integers(0, frame, (n, c)).tolist(), rng.integers(1, 3 * c + 1, n).tolist()
+    for held, f, m in zip(tracks.matches, frames, seen):
+        held.extend((f[i % c], 0.0, 0.0) for i in range(m))
     tracks.box[:, 2:] = rng.uniform([20.0, 50.0], [120.0, 300.0], (n, 2))
     tracks.origin = rng.uniform([-6.0, -4.0], [6.0, 20.0], (n, 2))
     tracks.velocity = rng.normal(0.0, 1.5, (n, k, 2))
@@ -518,7 +550,7 @@ def random_scoring_step(rng, homography):
         if rng.random() < 0.15:  # a NaN branch point
             tracks.velocity[r, rng.integers(k), rng.integers(2)] = np.nan
     rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-    last = tracks.frames[rows, (tracks.seen[rows] - 1) % c]
+    last = np.array([tracks.matches[r][-1][0] for r in rows])
     steps = ((frame - last) / scene.fps)[:, None, None]
     px, valid = scene.world_to_px((tracks.origin[rows, None] + steps * tracks.velocity[rows])
                                   .reshape(-1, 2), frame)
@@ -809,7 +841,7 @@ class TestForecastColumns:
             t = tracker.tracks
             inactive = (~t.active).nonzero()[0]
             assert t.velocity.shape == (len(t), k, 2)
-            last = t.frames[inactive, (t.seen[inactive] - 1) % t.frames.shape[1]]
+            last = np.array([t.matches[r][-1][0] for r in inactive], dtype=int)
             assert (t.end[inactive] == last + span).all() and (t.end[inactive] >= f).all()
         # Tracks leave the inactive rows on re-association, and with short_fan's 2 s
         # patience on removal too.
